@@ -12,17 +12,14 @@ use crate::value::AttrVal;
 use alphonse::{Runtime, Var};
 use alphonse_mem as mem;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Locks the node table. The arena is used from one thread at a time, so
-/// contention means a method body re-entered the store while a guard was
-/// live — fail stop, mirroring the `RefCell` panic this lock replaced.
+/// Locks the node table, blocking on contention: executor-pool workers
+/// evaluate equations of one tree concurrently. Every guard covers a single
+/// index or push and is never held across a runtime call, so no worker can
+/// wait on the table while holding the runtime lock (or the reverse).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.try_lock() {
-        Ok(g) => g,
-        Err(TryLockError::Poisoned(e)) => e.into_inner(),
-        Err(TryLockError::WouldBlock) => panic!("attributed tree re-entered while locked"),
-    }
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A production instance in the attributed tree.
@@ -42,6 +39,7 @@ impl fmt::Display for AgNodeId {
     }
 }
 
+#[derive(Clone)]
 struct NodeData {
     prod: ProdId,
     parent: Var<Option<AgNodeId>>,
@@ -110,37 +108,39 @@ impl AgTree {
             "production {} takes {spec_terms} terminal(s)",
             self.grammar.prod_name(prod)
         );
-        let mut nodes = lock(&self.nodes);
         let _mem = mem::scope(mem::Tag::Substrate);
-        let id = AgNodeId(u32::try_from(nodes.len()).expect("too many AG nodes"));
-        let data = if self.rt.tracing() {
-            // Trace labels name each structural var after the production and
-            // slot ("Plus#4.child0") so graph exports stay readable. Skipped
-            // entirely on untraced runtimes.
-            let name = self.grammar.prod_name(prod);
-            let base = format!("{}#{}", name, id.0);
-            NodeData {
-                prod,
-                parent: self.rt.var_named(&format!("{base}.parent"), None),
-                children: (0..spec_arity)
-                    .map(|i| self.rt.var_named(&format!("{base}.child{i}"), None))
-                    .collect(),
-                terminals: terminals
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, v)| self.rt.var_named(&format!("{base}.term{i}"), v))
-                    .collect(),
-            }
-        } else {
-            NodeData {
-                prod,
-                parent: self.rt.var(None),
-                children: (0..spec_arity).map(|_| self.rt.var(None)).collect(),
-                terminals: terminals.into_iter().map(|v| self.rt.var(v)).collect(),
-            }
+        let data = NodeData {
+            prod,
+            parent: self.rt.var(None),
+            children: (0..spec_arity).map(|_| self.rt.var(None)).collect(),
+            terminals: terminals.into_iter().map(|v| self.rt.var(v)).collect(),
         };
-        nodes.push(data);
+        let traced = self.rt.tracing().then(|| data.clone());
+        let id = {
+            let mut nodes = lock(&self.nodes);
+            let id = AgNodeId(u32::try_from(nodes.len()).expect("too many AG nodes"));
+            nodes.push(data);
+            id
+        };
+        if let Some(data) = traced {
+            self.label(id, &data);
+        }
         id
+    }
+
+    /// Names each structural var of node `id` after the production and slot
+    /// ("Plus#4.child0") so graph exports stay readable. Only traced
+    /// runtimes pay for the labels.
+    fn label(&self, id: AgNodeId, data: &NodeData) {
+        let base = format!("{}#{}", self.grammar.prod_name(data.prod), id.0);
+        self.rt
+            .set_label(data.parent.node(), &format!("{base}.parent"));
+        for (i, v) in data.children.iter().enumerate() {
+            self.rt.set_label(v.node(), &format!("{base}.child{i}"));
+        }
+        for (i, v) in data.terminals.iter().enumerate() {
+            self.rt.set_label(v.node(), &format!("{base}.term{i}"));
+        }
     }
 
     /// Builds a node and attaches children in one step.
@@ -179,11 +179,8 @@ impl AgTree {
     /// Attaches (or detaches with `None`) child `i` of `n`, maintaining the
     /// parent pointer — the tree edit that drives incremental re-attribution.
     pub fn set_child(&self, n: AgNodeId, i: usize, child: Option<AgNodeId>) {
-        let (child_var, old) = {
-            let nodes = lock(&self.nodes);
-            let var = nodes[n.index()].children[i];
-            (var, var.get(&self.rt))
-        };
+        let child_var = lock(&self.nodes)[n.index()].children[i];
+        let old = child_var.get(&self.rt);
         if let Some(old) = old {
             let pvar = lock(&self.nodes)[old.index()].parent;
             // Only sever the back pointer if it still points here: the old

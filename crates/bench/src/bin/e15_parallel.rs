@@ -2,8 +2,8 @@
 //!
 //! Usage: `e15_parallel [--quick]`
 //!
-//! Build with `--features parallel` for real worker pools; without it every
-//! row measures the sequential evaluator (the `set_parallelism` stub).
+//! On a single-core host the speedup column comes from overlapping the
+//! cells' sleeping stalls, not from CPU parallelism.
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let table = if quick {

@@ -2,7 +2,8 @@
 //!
 //! Every function returns a [`Table`] of machine-independent work counters;
 //! the `eN_*` binaries print them and EXPERIMENTS.md records the comparison
-//! against the paper's claims. Wall-clock variants live in `benches/`.
+//! against the paper's claims. Wall-clock columns (`*_us`, `*_ms`) sit beside
+//! the counters they explain.
 
 use crate::table::{percentile_cells, Table};
 use crate::workloads::{self, HEIGHT_PROGRAM};
@@ -32,6 +33,20 @@ fn write_metrics_sidecar(id: &str, snap: &MetricsSnapshot) {
     }
 }
 
+/// Wall-clock microseconds since `start`.
+fn us_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e6
+}
+
+/// Mean wall-clock microseconds per call of `f` over `reps` calls.
+fn us_per<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(f());
+    }
+    us_since(start) / reps as f64
+}
+
 /// E1 (§3.4): maintained heights — first call O(n), repeats O(1), one
 /// pointer change O(height), batched changes O(|AFFECTED|).
 pub fn e1_height_tree(sizes: &[usize]) -> Table {
@@ -47,6 +62,9 @@ pub fn e1_height_tree(sizes: &[usize]) -> Table {
             "16x_separate_exec",
             "exhaustive_visits/query",
             "handcoded_updates/relink",
+            "repeat_query_us",
+            "relink_query_us",
+            "exhaustive_query_us",
         ],
     );
     for &n in sizes {
@@ -106,6 +124,20 @@ pub fn e1_height_tree(sizes: &[usize]) -> Table {
         let fresh = hc.new_leaf();
         hc.set_left(hc_leaf, fresh);
         let hc_updates = hc.updates();
+        // Wall-clock, after the counters: a repeat query, a leaf relink plus
+        // query (undone by a second relink plus query), an exhaustive query.
+        let repeat_us = us_per(1000, || tree.height(root));
+        let mut i = 0usize;
+        let relink_us = us_per(100, || {
+            let l = ls[i % ls.len()];
+            i += 1;
+            store.set_left(l, store.new_leaf(0));
+            let h = tree.height(root);
+            store.set_left(l, NodeRef::NIL);
+            tree.height(root);
+            h
+        });
+        let ex_us = us_per(100, || ex.height(ex_root));
         t.row_strings(vec![
             n.to_string(),
             first.to_string(),
@@ -116,6 +148,9 @@ pub fn e1_height_tree(sizes: &[usize]) -> Table {
             separate.to_string(),
             ex_visits.to_string(),
             hc_updates.to_string(),
+            format!("{repeat_us:.2}"),
+            format!("{relink_us:.1}"),
+            format!("{ex_us:.1}"),
         ]);
     }
     t
@@ -256,12 +291,17 @@ pub fn e3_space(sizes: &[usize]) -> Table {
             "dense_nodes",
             "dense_edges",
             "dense_edges/n^2",
+            "tree_build_us",
+            "dense_build_us",
         ],
     );
     for &n in sizes {
+        let start = Instant::now();
         let (rt, _tree, _root) = workloads::warmed_tree(n, 11);
+        let tree_us = us_since(start);
         let (t_nodes, t_edges) = (rt.node_count(), rt.edge_count());
         // Dense: n outputs each reading all n inputs.
+        let start = Instant::now();
         let rt2 = Runtime::new();
         let vars: Vec<_> = (0..n).map(|i| rt2.var(i as i64)).collect();
         let vs = vars.clone();
@@ -275,6 +315,7 @@ pub fn e3_space(sizes: &[usize]) -> Table {
         for k in 0..n {
             all.call(&rt2, k);
         }
+        let dense_us = us_since(start);
         let (d_nodes, d_edges) = (rt2.node_count(), rt2.edge_count());
         t.row_strings(vec![
             n.to_string(),
@@ -284,6 +325,8 @@ pub fn e3_space(sizes: &[usize]) -> Table {
             d_nodes.to_string(),
             d_edges.to_string(),
             format!("{:.2}", d_edges as f64 / (n * n) as f64),
+            format!("{tree_us:.0}"),
+            format!("{dense_us:.0}"),
         ]);
     }
     t
@@ -299,10 +342,12 @@ pub fn e4_partition(component_counts: &[usize]) -> Table {
             "forced_exec_unpartitioned",
             "forced_exec_partitioned",
             "pending_after_query_partitioned",
+            "query_us_unpartitioned",
+            "query_us_partitioned",
         ],
     );
     for &k in component_counts {
-        let run = |partitioning: bool| -> (u64, usize) {
+        let run = |partitioning: bool| -> (u64, usize, f64) {
             let rt = Runtime::builder().partitioning(partitioning).build();
             let mut memos = Vec::new();
             let mut vars = Vec::new();
@@ -321,17 +366,21 @@ pub fn e4_partition(component_counts: &[usize]) -> Table {
             }
             // …then query only the last (unchanged) component.
             let before = rt.stats();
+            let start = Instant::now();
             memos[k - 1].call(&rt, ());
+            let us = us_since(start);
             let forced = rt.stats().delta_since(&before).executions;
-            (forced, rt.dirty_count())
+            (forced, rt.dirty_count(), us)
         };
-        let (un, _) = run(false);
-        let (part, pending) = run(true);
+        let (un, _, un_us) = run(false);
+        let (part, pending, part_us) = run(true);
         t.row_strings(vec![
             k.to_string(),
             un.to_string(),
             part.to_string(),
             pending.to_string(),
+            format!("{un_us:.1}"),
+            format!("{part_us:.1}"),
         ]);
     }
     t
@@ -349,10 +398,12 @@ pub fn e5_unchecked(sizes: &[usize]) -> Table {
             "edges_unchecked",
             "invalidated_tracked",
             "invalidated_unchecked",
+            "lookups_us_tracked",
+            "lookups_us_unchecked",
         ],
     );
     for &n in sizes {
-        let build = |unchecked: bool| -> (Runtime, u64, u64) {
+        let build = |unchecked: bool| -> (Runtime, u64, u64, f64) {
             let rt = Runtime::new();
             let tree = alphonse_trees::MaintainedTree::new(&rt);
             let store = Arc::clone(tree.store());
@@ -389,9 +440,11 @@ pub fn e5_unchecked(sizes: &[usize]) -> Table {
             );
             let before = rt.stats();
             let m = n as i64;
+            let start = Instant::now();
             for key in 0..m {
                 contains.call(&rt, key);
             }
+            let lookups_us = us_since(start);
             let edges = rt.stats().delta_since(&before).edges_created;
             // An edit near the root of the search path: relink a subtree
             // high in the tree and count invalidated lookups on re-query.
@@ -408,10 +461,10 @@ pub fn e5_unchecked(sizes: &[usize]) -> Table {
                 contains.call(&rt, key);
             }
             let invalidated = rt.stats().delta_since(&before).executions;
-            (rt, edges, invalidated)
+            (rt, edges, invalidated, lookups_us)
         };
-        let (_rt_t, e_t, i_t) = build(false);
-        let (_rt_u, e_u, i_u) = build(true);
+        let (_rt_t, e_t, i_t, us_t) = build(false);
+        let (_rt_u, e_u, i_u, us_u) = build(true);
         t.row_strings(vec![
             n.to_string(),
             n.to_string(),
@@ -419,6 +472,8 @@ pub fn e5_unchecked(sizes: &[usize]) -> Table {
             e_u.to_string(),
             i_t.to_string(),
             i_u.to_string(),
+            format!("{us_t:.0}"),
+            format!("{us_u:.0}"),
         ]);
     }
     t
@@ -436,6 +491,8 @@ pub fn e6_sheet(sizes: &[u32]) -> Table {
             "edit_exec_incremental",
             "recalc_evals_per_query",
             "speedup",
+            "edit_us_incremental",
+            "edit_us_recalc",
         ],
     );
     for &rows in sizes {
@@ -475,12 +532,16 @@ pub fn e6_sheet(sizes: &[u32]) -> Table {
             // Edit the middle source cell.
             let edit_cell = format!("A{}", rows / 2);
             let before = rt.stats();
+            let start = Instant::now();
             inc.set(&edit_cell, "500").unwrap();
             inc.value(&probe).unwrap();
+            let inc_us = us_since(start);
             let edit_exec = rt.stats().delta_since(&before).executions;
             base.reset_counters();
+            let start = Instant::now();
             base.set(&edit_cell, "500").unwrap();
             base.value(&probe).unwrap();
+            let recalc_us = us_since(start);
             let recalc = base.evaluations();
             assert_eq!(
                 inc.value(&probe).unwrap(),
@@ -494,6 +555,8 @@ pub fn e6_sheet(sizes: &[u32]) -> Table {
                 edit_exec.to_string(),
                 recalc.to_string(),
                 format!("{:.1}x", recalc as f64 / edit_exec.max(1) as f64),
+                format!("{inc_us:.1}"),
+                format!("{recalc_us:.1}"),
             ]);
         }
     }
@@ -514,6 +577,8 @@ pub fn e7_avl(sizes: &[usize]) -> Table {
             "exhaustive_cost/insert",
             "final_height",
             "avl_ok",
+            "maintained_us/insert",
+            "classic_us/insert",
         ],
     );
     for &n in sizes {
@@ -538,19 +603,23 @@ pub fn e7_avl(sizes: &[usize]) -> Table {
                 avl.rebalance();
             }
             let before = rt.stats();
+            let start = Instant::now();
             for &k in &keys[half..] {
                 avl.insert(k);
                 avl.rebalance();
             }
+            let maintained_us = us_since(start) / (n - half) as f64;
             let maintained = rt.stats().delta_since(&before).executions as f64 / (n - half) as f64;
             let mut classic = ClassicAvl::new();
             for &k in &keys[..half] {
                 classic.insert(k);
             }
             classic.reset_counters();
+            let start = Instant::now();
             for &k in &keys[half..] {
                 classic.insert(k);
             }
+            let classic_us = us_since(start) / (n - half) as f64;
             let classic_per = classic.visits() as f64 / (n - half) as f64;
             t.row_strings(vec![
                 n.to_string(),
@@ -560,6 +629,8 @@ pub fn e7_avl(sizes: &[usize]) -> Table {
                 format!("{}", 3 * n / 4), // rebuilding a balanced tree touches ~n nodes
                 avl.height().to_string(),
                 avl.is_avl().to_string(),
+                format!("{maintained_us:.2}"),
+                format!("{classic_us:.3}"),
             ]);
         }
     }
@@ -578,6 +649,8 @@ pub fn e8_noncombinator(table_sizes: &[usize]) -> Table {
             "executions",
             "cache_hits",
             "execs_after_global_change",
+            "hits_us",
+            "refill_us",
         ],
     );
     for &k in table_sizes {
@@ -592,11 +665,19 @@ pub fn e8_noncombinator(table_sizes: &[usize]) -> Table {
         }
         let s = rt.stats();
         let (calls, execs, hits) = (s.calls, s.executions, s.cache_hits);
+        // One round of k hits, timed after the counters are read.
+        let start = Instant::now();
+        for x in 0..k as i64 {
+            f.call(&rt, x);
+        }
+        let hits_us = us_since(start);
         factor.set(&rt, 5);
         let before = rt.stats();
+        let start = Instant::now();
         for x in 0..k as i64 {
             assert_eq!(f.call(&rt, x), x * 5, "stale cache after global change");
         }
+        let refill_us = us_since(start);
         let after = rt.stats().delta_since(&before).executions;
         t.row_strings(vec![
             k.to_string(),
@@ -604,6 +685,8 @@ pub fn e8_noncombinator(table_sizes: &[usize]) -> Table {
             execs.to_string(),
             hits.to_string(),
             after.to_string(),
+            format!("{hits_us:.1}"),
+            format!("{refill_us:.1}"),
         ]);
     }
     t
@@ -673,6 +756,8 @@ pub fn e10_strategy(chain_lengths: &[usize]) -> Table {
             "strategy",
             "exec_at_change+propagate",
             "exec_at_query",
+            "change+propagate_us",
+            "query_us",
         ],
     );
     for &d in chain_lengths {
@@ -690,17 +775,24 @@ pub fn e10_strategy(chain_lengths: &[usize]) -> Table {
                 prev = m;
             }
             let before = rt.stats();
+            let start = Instant::now();
             src.set(&rt, 10);
             rt.propagate(); // the "cycles available" hook of §4.5
+            let change_us = us_since(start);
             let at_change = rt.stats().delta_since(&before).executions;
             let before = rt.stats();
-            assert_eq!(prev.call(&rt, ()), 10 + d as i64 - 1);
+            let start = Instant::now();
+            let top = prev.call(&rt, ());
+            let query_us = us_since(start);
+            assert_eq!(top, 10 + d as i64 - 1);
             let at_query = rt.stats().delta_since(&before).executions;
             t.row_strings(vec![
                 d.to_string(),
                 format!("{strategy:?}"),
                 at_change.to_string(),
                 at_query.to_string(),
+                format!("{change_us:.1}"),
+                format!("{query_us:.1}"),
             ]);
         }
     }
@@ -1158,9 +1250,7 @@ pub fn e14_serving(threads: &[usize], sessions: usize, waves: usize) -> Table {
 /// `1` = level-at-a-time draining with inline execution (the honest
 /// baseline for the speedup column — it pays the batching overhead but
 /// runs no worker threads), `n >= 2` = a pooled level scheduler. `speedup`
-/// is relative to the 1-worker row. Without the `parallel` feature
-/// `set_parallelism` is a stub and every row measures the sequential
-/// evaluator.
+/// is relative to the 1-worker row.
 pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64) -> Table {
     let mut t = Table::new(
         "E15 — level-parallel waves: wide row graph, stall-bound cells",
@@ -1472,8 +1562,7 @@ pub fn e16_metrics_overhead(quick: bool) -> Table {
 /// three orders of magnitude past the paper's examples.
 ///
 /// Two substrates are pushed to ~10^6 runtime nodes each, sequentially and
-/// with the level-parallel scheduler at n=4 (a stub without the `parallel`
-/// feature — that row then re-measures the sequential evaluator):
+/// with the level-parallel scheduler at n=4:
 ///
 /// * **sheet** — a `rows × cols` spreadsheet whose columns are add-one
 ///   chains, populated through `Sheet::set_formulas` (the bulk-edit path:

@@ -82,7 +82,6 @@ impl DirtySet {
     /// caller behaves exactly like repeated [`pop`] calls.
     ///
     /// [`pop`]: DirtySet::pop
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // level drain is feature-gated
     pub(crate) fn pop_level(&mut self, out: &mut Vec<NodeId>) -> Option<u32> {
         let _mem = mem::scope(mem::Tag::Queues);
         match self {

@@ -5,8 +5,10 @@
 //! to the graph" is also what makes one step of that order parallelizable:
 //! all dirty nodes at the current minimum height are mutually independent
 //! (an edge between them would force a height difference), so their
-//! executors may run concurrently. This module supplies the threads; the
-//! level scheduler itself lives in `runtime.rs` (`drain_levels`).
+//! executors may run concurrently. This module supplies the threads and
+//! the one seam through which the level drain (`drain_levels` in
+//! `runtime.rs`) executes a booked level: [`Runtime::run_level`] runs it
+//! inline or on the pool.
 //!
 //! The pool is deliberately minimal — std threads and one shared `mpsc`
 //! job queue, no external dependencies:
@@ -32,10 +34,17 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::metrics::RuntimeMetrics;
+use crate::runtime::{Executor, Frame, Inner};
+use crate::{Runtime, Value};
+use alphonse_mem as mem;
+
+/// One booked execution of a level: the executor and the call frame
+/// `exec_book` prepared for it (the frame names the node).
+pub(crate) type LevelJob = (Executor, Frame);
 
 /// A unit of work for one worker: runs on the worker thread, communicates
 /// its result through whatever channel the submitter captured in it.
@@ -164,6 +173,83 @@ impl ExecPool {
             .expect("pool alive until dropped")
             .send(job)
             .expect("workers outlive the pool handle");
+    }
+}
+
+impl Runtime {
+    /// Executes one booked level and returns the values in batch order.
+    /// This is the only place that chooses between inline and pooled
+    /// execution: the level runs inline on the driver when `parallelism <=
+    /// 1` or fewer than two eager nodes were booked, and on the `n`-worker
+    /// pool otherwise (created lazily, rebuilt when the knob changes size).
+    ///
+    /// Takes the driver's booking guard and releases it for the execution
+    /// window. Inline, each execution pushes and pops its frame under its
+    /// own short lock; pooled, workers do the same on their per-worker
+    /// stacks while `par_active` makes lock contention block instead of
+    /// tripping the re-entrancy panic. `jobs` is drained, capacity kept.
+    pub(crate) fn run_level(
+        &self,
+        mut guard: MutexGuard<'_, Inner>,
+        jobs: &mut Vec<LevelJob>,
+    ) -> Vec<Box<dyn Value>> {
+        let workers = guard.parallelism;
+        if workers <= 1 || jobs.len() < 2 {
+            drop(guard);
+            return jobs.drain(..).map(|job| self.run_booked(job)).collect();
+        }
+        let inner = &mut *guard;
+        if inner
+            .exec_pool
+            .as_ref()
+            .is_none_or(|p| p.workers() != workers)
+        {
+            inner.exec_pool = Some(ExecPool::new(workers, Arc::clone(&self.metrics)));
+        }
+        if inner.worker_stacks.len() < workers {
+            inner.worker_stacks.resize_with(workers, Vec::new);
+        }
+        let width = jobs.len();
+        inner.stats.parallel_levels += 1;
+        inner.stats.parallel_executions += width as u64;
+        // Workers may contend for the lock from here on: flip the
+        // blocking-lock mode before the first job can start (jobs are
+        // submitted below while the guard is still held, so no worker can
+        // observe the flag too early).
+        self.par_active.fetch_add(1, Ordering::Release);
+        #[cfg(feature = "metrics")]
+        let level_t0 = crate::metrics::enabled().then(std::time::Instant::now);
+        let (tx, rx) = channel::<(usize, Box<dyn Value>)>();
+        let pool = inner.exec_pool.as_ref().expect("created above");
+        for (idx, job) in jobs.drain(..).enumerate() {
+            let rt = self.clone();
+            let tx = tx.clone();
+            pool.submit(mem::with(mem::Tag::ExecPool, || {
+                Box::new(move || {
+                    let _ = tx.send((idx, rt.run_booked(job)));
+                })
+            }));
+        }
+        drop(tx);
+        drop(guard);
+        // Level barrier: wait for every executor. A worker whose job
+        // panicked drops its sender without sending; surface that as the
+        // driver-side panic the sequential path would have had.
+        let mut results: Vec<Option<Box<dyn Value>>> = (0..width).map(|_| None).collect();
+        for (idx, value) in rx {
+            results[idx] = Some(value);
+        }
+        self.par_active.fetch_sub(1, Ordering::Release);
+        #[cfg(feature = "metrics")]
+        if let Some(t0) = level_t0 {
+            self.metrics
+                .level_latency_ns
+                .record(t0.elapsed().as_nanos() as u64);
+        }
+        results
+            .into_iter()
+            .map(|v| v.expect("an executor panicked on a worker; runtime state unspecified"))
+            .collect()
     }
 }
 

@@ -59,7 +59,6 @@
 
 mod batch;
 mod dirty;
-#[cfg(feature = "parallel")]
 mod exec_pool;
 pub mod fxhash;
 mod memo;

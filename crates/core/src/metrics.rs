@@ -399,14 +399,12 @@ impl RuntimeMetrics {
     }
 
     /// Folds a worker slot index into the tracked range.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // exec-pool sites
     pub(crate) fn slot(idx: usize) -> usize {
         idx.min(MAX_WORKER_SLOTS - 1)
     }
 
     /// Records one job executed by worker `slot`, with the time it spent
     /// running it and the time it waited for it.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // exec-pool sites
     pub(crate) fn record_worker_job(&self, slot: usize, busy_ns: u64, idle_ns: u64) {
         let w = &self.workers[Self::slot(slot)];
         w.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
@@ -417,14 +415,12 @@ impl RuntimeMetrics {
     }
 
     /// A job entered the executor-pool queue.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // exec-pool sites
     pub(crate) fn queue_push(&self) {
         let now = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_depth_hwm.fetch_max(now, Ordering::Relaxed);
     }
 
     /// A job left the executor-pool queue.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))] // exec-pool sites
     pub(crate) fn queue_pop(&self) {
         // Saturating: a disable/enable flip mid-level may unbalance the
         // push/pop pair; never underflow the gauge.
@@ -591,10 +587,9 @@ pub struct MetricsSnapshot {
     pub wave_executed: HistogramSnapshot,
     /// Cutoff-stopped (value-unchanged) executor runs per wave.
     pub wave_wasted: HistogramSnapshot,
-    /// Dirty-batch width per height level (feature `parallel`).
+    /// Dirty-batch width per height level (level drains only).
     pub level_width: HistogramSnapshot,
-    /// Per-level drain latency, nanoseconds (feature `parallel`, pooled
-    /// levels only).
+    /// Per-level drain latency, nanoseconds (pooled levels only).
     pub level_latency_ns: HistogramSnapshot,
     /// Executor-pool worker gauges, one per slot that has run a job.
     pub workers: Vec<WorkerSnapshot>,

@@ -19,6 +19,7 @@
 //! layout") for the full picture.
 
 use crate::dirty::{DirtySet, Scheduling};
+use crate::exec_pool::LevelJob;
 use crate::fxhash::FxHashMap;
 use crate::stats::Stats;
 #[cfg(feature = "trace")]
@@ -103,7 +104,7 @@ const F_ON_STACK: u8 = 1 << 4;
 /// written location, in first-write order.
 pub(crate) type PendingWrites = Vec<(NodeId, Box<dyn Value>)>;
 
-struct Frame {
+pub(crate) struct Frame {
     node: NodeId,
     /// This execution's stamp in the runtime-wide `last_accessed` table.
     /// Per-execution edge deduplication checks a node's stamp against this
@@ -172,18 +173,15 @@ pub(crate) struct Inner {
     /// recording on a worker thread targets that worker's innermost frame —
     /// while everything else (values, flags, the graph) stays shared behind
     /// the runtime lock. Empty between levels.
-    #[cfg(feature = "parallel")]
-    worker_stacks: Vec<Vec<Frame>>,
+    pub(crate) worker_stacks: Vec<Vec<Frame>>,
     /// The `set_parallelism` knob: `0` = sequential evaluator (default),
     /// `1` = level-at-a-time draining with inline execution (the honest
     /// single-worker control), `n >= 2` = dispatch multi-node levels to an
     /// `n`-worker pool.
-    #[cfg(feature = "parallel")]
-    parallelism: usize,
+    pub(crate) parallelism: usize,
     /// Lazily created persistent worker pool (first multi-node level with
     /// `parallelism >= 2`). Rebuilt if the knob changes size.
-    #[cfg(feature = "parallel")]
-    exec_pool: Option<crate::exec_pool::ExecPool>,
+    pub(crate) exec_pool: Option<crate::exec_pool::ExecPool>,
     dirty: DirtyStore,
     partition: Option<UnionFind>,
     scheduling: Scheduling,
@@ -211,7 +209,7 @@ pub(crate) struct Inner {
     /// every emission site down to one untaken branch.
     #[cfg(feature = "trace")]
     sink: Option<Arc<dyn TraceSink>>,
-    stats: Stats,
+    pub(crate) stats: Stats,
 }
 
 /// Configures and builds a [`Runtime`].
@@ -284,11 +282,8 @@ impl RuntimeBuilder {
                 names: FxHashMap::default(),
                 deep_stack: FxHashMap::default(),
                 stack: Vec::new(),
-                #[cfg(feature = "parallel")]
                 worker_stacks: Vec::new(),
-                #[cfg(feature = "parallel")]
                 parallelism: 0,
-                #[cfg(feature = "parallel")]
                 exec_pool: None,
                 dirty,
                 partition: self.partitioning.then(UnionFind::new),
@@ -306,7 +301,6 @@ impl RuntimeBuilder {
                 stats: Stats::default(),
             })),
             exec_depth: Arc::new(AtomicU32::new(0)),
-            #[cfg(feature = "parallel")]
             par_active: Arc::new(AtomicU32::new(0)),
             metrics: Arc::new(crate::metrics::RuntimeMetrics::new()),
             id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
@@ -369,8 +363,7 @@ pub struct Runtime {
     /// the lock is legitimately shared between the driver and the workers,
     /// so contention means *wait*; at any other time it means *re-entrancy
     /// bug*, and the fail-stop panic is kept.
-    #[cfg(feature = "parallel")]
-    par_active: Arc<AtomicU32>,
+    pub(crate) par_active: Arc<AtomicU32>,
     /// Lock-free telemetry registry ([`crate::metrics`]): wave/level
     /// histograms and worker gauges, recorded outside the runtime lock.
     /// Always present so `metrics_snapshot` stays source-compatible; the
@@ -417,21 +410,16 @@ impl Inner {
     /// The call stack of the *current thread*: an executor-pool worker of
     /// this runtime gets its own per-slot stack (concurrent executors must
     /// not see each other's frames), every other thread — including the
-    /// propagation driver — uses the main stack. Compiles to `&mut
-    /// self.stack` without the `parallel` feature.
-    #[cfg(feature = "parallel")]
+    /// propagation driver — uses the main stack. A runtime that never
+    /// built a pool skips the thread-local identity read.
     fn active_stack(&mut self) -> &mut Vec<Frame> {
-        if let Some((pool_id, slot)) = crate::exec_pool::worker_identity() {
-            if self.exec_pool.as_ref().is_some_and(|p| p.id() == pool_id) {
-                return &mut self.worker_stacks[slot];
+        if let Some(pool) = &self.exec_pool {
+            if let Some((pool_id, slot)) = crate::exec_pool::worker_identity() {
+                if pool.id() == pool_id {
+                    return &mut self.worker_stacks[slot];
+                }
             }
         }
-        &mut self.stack
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    #[inline(always)]
-    fn active_stack(&mut self) -> &mut Vec<Frame> {
         &mut self.stack
     }
 
@@ -445,7 +433,6 @@ impl Inner {
                 frame.stale = true;
             }
         }
-        #[cfg(feature = "parallel")]
         for stack in &mut self.worker_stacks {
             for frame in stack {
                 if frame.node == n {
@@ -737,7 +724,6 @@ impl Runtime {
                 // lock is legitimately contended — the driver and every
                 // worker take it for short frame/commit/read sections — so
                 // block instead of treating contention as re-entrancy.
-                #[cfg(feature = "parallel")]
                 if self.par_active.load(Ordering::Acquire) > 0 {
                     return match self.inner.lock() {
                         Ok(guard) => guard,
@@ -774,7 +760,7 @@ impl Runtime {
         self.lock().scheduling
     }
 
-    /// Sets the wave-propagation parallelism (feature `parallel`):
+    /// Sets the wave-propagation parallelism:
     ///
     /// * `0` — the sequential evaluator (default; exactly the paper's
     ///   Section 4.5 routine).
@@ -789,7 +775,6 @@ impl Runtime {
     /// (height-order scheduling, no partitioning); any other configuration
     /// keeps the sequential evaluator regardless of this knob. See
     /// DESIGN.md ("Parallel waves") for the execution model.
-    #[cfg(feature = "parallel")]
     pub fn set_parallelism(&self, n: usize) {
         let mut inner = self.lock();
         if inner.parallelism != n {
@@ -802,23 +787,10 @@ impl Runtime {
         }
     }
 
-    /// Without the `parallel` feature the knob is compiled out: this stub
-    /// ignores `n`, keeping callers source-compatible across feature
-    /// configurations.
-    #[cfg(not(feature = "parallel"))]
-    pub fn set_parallelism(&self, _n: usize) {}
-
     /// The current wave-propagation parallelism (`0` = sequential
-    /// evaluator; always `0` without the `parallel` feature).
+    /// evaluator).
     pub fn parallelism(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.lock().parallelism
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            0
-        }
+        self.lock().parallelism
     }
 
     /// A snapshot of the work counters.
@@ -1055,7 +1027,6 @@ impl Runtime {
                  top-level operations",
                 inner.stack.len()
             );
-            #[cfg(feature = "parallel")]
             for (slot, stack) in inner.worker_stacks.iter().enumerate() {
                 assert!(
                     stack.is_empty(),
@@ -1879,7 +1850,6 @@ impl Runtime {
         let steps_before;
         #[cfg(feature = "metrics")]
         let (execs_before, wasted_before);
-        #[cfg(feature = "parallel")]
         let level_mode;
         {
             let mut inner = self.lock();
@@ -1904,12 +1874,9 @@ impl Runtime {
             // evaluator also drains the global set regardless of origin)
             // and height-order scheduling (Fifo has no independence
             // guarantee between queue neighbours).
-            #[cfg(feature = "parallel")]
-            {
-                level_mode = inner.parallelism >= 1
-                    && inner.scheduling == Scheduling::HeightOrder
-                    && matches!(inner.dirty, DirtyStore::Global(_));
-            }
+            level_mode = inner.parallelism >= 1
+                && inner.scheduling == Scheduling::HeightOrder
+                && matches!(inner.dirty, DirtyStore::Global(_));
             emit!(inner, TraceEvent::PropagateBegin { wave: inner.wave });
         }
         // Wave clock: stamped outside the lock, after the nested-wave early
@@ -1917,14 +1884,11 @@ impl Runtime {
         // switch skips the clock read entirely.
         #[cfg(feature = "metrics")]
         let wave_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        #[cfg(feature = "parallel")]
         if level_mode {
             self.drain_levels(max_steps);
         } else {
             self.drain_sequential(origin, max_steps);
         }
-        #[cfg(not(feature = "parallel"))]
-        self.drain_sequential(origin, max_steps);
         let mut inner = self.lock();
         inner.evaluating = false;
         emit!(
@@ -1989,45 +1953,36 @@ impl Runtime {
         }
     }
 
-    /// Level-parallel drain: processes the inconsistent set one *height
-    /// level* at a time. All dirty nodes at the current minimum height are
-    /// mutually independent (an edge between two nodes forces a height
-    /// difference), so the level's eager executors may run concurrently.
+    /// Level drain: processes the inconsistent set one *height level* at a
+    /// time. All dirty nodes at the current minimum height are mutually
+    /// independent (an edge between two nodes forces a height difference),
+    /// so the level's eager executors may run concurrently.
     ///
     /// Lock discipline per level — one driver acquisition on each side of
     /// the execution window:
     ///
     /// 1. **Drain + book** (one guard): `pop_level` the batch, handle
     ///    mutation-only nodes (locations, demand marking, on-stack
-    ///    re-queue) inline, book every eager node (`exec_book`, in batch
-    ///    order — deterministic, matching the sequential pop order) and
-    ///    enqueue the worker jobs.
-    /// 2. **Execute** (no driver lock): workers push their frames, run the
-    ///    executors and pop their frames, taking the lock only for those
-    ///    short sections and for tracked reads; `par_active` makes
-    ///    contention block instead of tripping the re-entrancy panic. With
-    ///    `parallelism <= 1` or a single-node batch the driver runs the
-    ///    executors inline instead.
+    ///    re-queue) inline, and book every eager node (`exec_book`, in
+    ///    batch order — deterministic, matching the sequential pop order).
+    /// 2. **Execute**: [`Runtime::run_level`] runs the booked executors,
+    ///    inline or on the worker pool, and returns their values in batch
+    ///    order.
     /// 3. **Commit** (one guard): store each result in batch order
     ///    (generation check, cutoff comparison), dirty the successors of
-    ///    changed nodes, close the `LevelEnd` bracket and update the
-    ///    parallel stats.
+    ///    changed nodes and close the `LevelEnd` bracket.
     ///
     /// The `max_steps` preemption bound is checked between levels (a level
     /// is never split), so bounded drains are level-granular here — coarser
     /// than the sequential evaluator's per-node bound but with the same
     /// contract: remaining work stays queued for a later slice.
-    #[cfg(feature = "parallel")]
     #[cfg_attr(not(feature = "trace"), allow(unused_variables))] // `height` feeds the trace brackets
     fn drain_levels(&self, max_steps: u64) {
-        use std::sync::mpsc::channel;
         let mut steps = 0u64;
         let mut batch: Vec<NodeId> = Vec::new();
-        let mut booked: Vec<(NodeId, Executor, u64, Option<Frame>)> = Vec::new();
-        loop {
-            if steps >= max_steps {
-                break;
-            }
+        let mut booked: Vec<(NodeId, u64)> = Vec::new();
+        let mut jobs: Vec<LevelJob> = Vec::new();
+        while steps < max_steps {
             let mut guard = self.lock();
             let inner = &mut *guard;
             batch.clear();
@@ -2049,183 +2004,53 @@ impl Runtime {
                     width,
                 }
             );
-            booked.clear();
             for &u in &batch {
                 steps += 1;
-                inner.stats.propagation_steps += 1;
-                let i = u.index();
-                let f = inner.flags[i];
-                if f & F_COMP == 0 {
-                    // Storage location: forward the change to everything
-                    // computed from it. Successors sit at strictly greater
-                    // heights, so they join later levels, never this batch.
-                    inner.dirty_succs_of(u);
-                } else if f & F_EAGER == 0 {
-                    // Demand: just mark out-of-date and propagate.
-                    if f & F_CONSISTENT != 0 {
-                        inner.flags[i] &= !F_CONSISTENT;
-                        inner.dirty_succs_of(u);
-                    }
-                } else if f & F_ON_STACK != 0 {
-                    // Mid-execution (a nested drain under a live memo
-                    // frame): mark stale and re-queue on completion.
-                    inner.flags[i] &= !F_CONSISTENT;
-                    inner.flags[i] |= F_REQUEUE;
-                    inner.dirty_succs_of(u);
-                } else {
+                // Successors of a location or demand node sit at strictly
+                // greater heights, so they join later levels, never this one.
+                if inner.step_popped(u) {
                     let (executor, my_gen, frame) = self.exec_book(inner, u);
-                    booked.push((u, executor, my_gen, Some(frame)));
+                    booked.push((u, my_gen));
+                    jobs.push((executor, frame));
                 }
             }
-            let executed = booked.len() as u64;
-            let pooled = booked.len() >= 2 && inner.parallelism >= 2;
-            if pooled {
-                let workers = inner.parallelism;
-                if inner
-                    .exec_pool
-                    .as_ref()
-                    .is_none_or(|p| p.workers() != workers)
-                {
-                    inner.exec_pool = Some(crate::exec_pool::ExecPool::new(
-                        workers,
-                        Arc::clone(&self.metrics),
-                    ));
+            let values = self.run_level(guard, &mut jobs);
+            let mut guard = self.lock();
+            let inner = &mut *guard;
+            for (&(u, my_gen), value) in booked.iter().zip(values) {
+                let (_, changed) = self.exec_commit(inner, u, my_gen, value);
+                if changed {
+                    inner.dirty_succs_of(u);
                 }
-                while inner.worker_stacks.len() < workers {
-                    inner.worker_stacks.push(Vec::new());
-                }
-                inner.stats.parallel_levels += 1;
-                inner.stats.parallel_executions += executed;
-                // Workers may contend for the lock from here on: flip the
-                // blocking-lock mode before the first job can start (jobs
-                // are submitted below while this guard is still held, so no
-                // worker can observe the flag too early).
-                self.par_active.fetch_add(1, Ordering::Release);
-                #[cfg(feature = "metrics")]
-                let level_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-                let (tx, rx) = channel::<(usize, Box<dyn Value>)>();
-                let pool = inner.exec_pool.as_ref().expect("created above");
-                for (idx, (u, executor, _, frame)) in booked.iter_mut().enumerate() {
-                    let rt = self.clone();
-                    let u = *u;
-                    let executor = Arc::clone(executor);
-                    let frame = frame.take().expect("frame booked above");
-                    let tx = tx.clone();
-                    pool.submit(mem::with(mem::Tag::ExecPool, || {
-                        Box::new(move || {
-                            rt.run_pooled_exec(u, frame, &executor, idx, &tx);
-                        })
-                    }));
-                }
-                drop(tx);
-                drop(guard);
-                // Level barrier: wait for every executor. A worker whose
-                // job panicked drops its sender without sending; surface
-                // that as the driver-side panic the sequential path would
-                // have had.
-                let mut results: Vec<Option<Box<dyn Value>>> =
-                    (0..booked.len()).map(|_| None).collect();
-                let mut received = 0usize;
-                for (idx, value) in rx {
-                    results[idx] = Some(value);
-                    received += 1;
-                }
-                self.par_active.fetch_sub(1, Ordering::Release);
-                #[cfg(feature = "metrics")]
-                if let Some(t0) = level_t0 {
-                    self.metrics
-                        .level_latency_ns
-                        .record(t0.elapsed().as_nanos() as u64);
-                }
-                assert_eq!(
-                    received,
-                    booked.len(),
-                    "an executor panicked on a worker thread; the runtime is in an \
-                     unspecified state"
-                );
-                let mut guard = self.lock();
-                let inner = &mut *guard;
-                for ((u, _, my_gen, _), value) in booked.drain(..).zip(results.drain(..)) {
-                    let value = value.expect("all results received");
-                    let (_, changed) = self.exec_commit(inner, u, my_gen, value);
-                    if changed {
-                        inner.dirty_succs_of(u);
-                    }
-                }
-                emit!(
-                    inner,
-                    TraceEvent::LevelEnd {
-                        wave: inner.wave,
-                        height,
-                        executed,
-                    }
-                );
-            } else {
-                // Inline execution (parallelism <= 1, or a level with at
-                // most one eager node): same batching and brackets as the
-                // pooled path, zero worker threads. Results still commit
-                // together after the whole level has run, so `1` is an
-                // honest single-worker control.
-                drop(guard);
-                let mut results: Vec<Box<dyn Value>> = Vec::with_capacity(booked.len());
-                for (u, executor, _, frame) in booked.iter_mut() {
-                    let frame = frame.take().expect("frame booked above");
-                    {
-                        let mut inner = self.lock();
-                        inner.active_stack().push(frame);
-                    }
-                    self.exec_depth.fetch_add(1, Ordering::Relaxed);
-                    let value = executor(self);
-                    self.pop_frame(&mut self.lock(), *u);
-                    results.push(value);
-                }
-                let mut guard = self.lock();
-                let inner = &mut *guard;
-                for ((u, _, my_gen, _), value) in booked.drain(..).zip(results.drain(..)) {
-                    let (_, changed) = self.exec_commit(inner, u, my_gen, value);
-                    if changed {
-                        inner.dirty_succs_of(u);
-                    }
-                }
-                emit!(
-                    inner,
-                    TraceEvent::LevelEnd {
-                        wave: inner.wave,
-                        height,
-                        executed,
-                    }
-                );
             }
+            emit!(
+                inner,
+                TraceEvent::LevelEnd {
+                    wave: inner.wave,
+                    height,
+                    executed: booked.len() as u64,
+                }
+            );
+            booked.clear();
         }
     }
 
-    /// One pooled execution, run on a worker thread: push the pre-booked
-    /// frame onto this worker's stack, run the executor (its tracked reads
-    /// and nested memo calls take the blocking lock and record against this
-    /// worker's frame), pop the frame, and ship the result to the driver
-    /// for the level's batch commit.
-    #[cfg(feature = "parallel")]
-    fn run_pooled_exec(
-        &self,
-        n: NodeId,
-        frame: Frame,
-        executor: &Executor,
-        idx: usize,
-        tx: &std::sync::mpsc::Sender<(usize, Box<dyn Value>)>,
-    ) {
-        {
-            let mut inner = self.lock();
-            inner.active_stack().push(frame);
-        }
+    /// Runs one booked execution on the current thread: push its frame onto
+    /// this thread's stack, run the executor (its tracked reads and nested
+    /// memo calls record against that frame), pop the frame. The level
+    /// drain runs this inline on the driver or as a worker-pool job.
+    pub(crate) fn run_booked(&self, (executor, frame): LevelJob) -> Box<dyn Value> {
+        let n = frame.node;
+        self.lock().active_stack().push(frame);
         self.exec_depth.fetch_add(1, Ordering::Relaxed);
         let value = executor(self);
         self.pop_frame(&mut self.lock(), n);
-        let _ = tx.send((idx, value));
+        value
     }
 
     /// Pops and processes one dirty node; mutation-only cases are handled
     /// inline, eager re-execution is returned to the caller so the lock
-    /// can be released first. The whole decision reads one flag byte.
+    /// can be released first.
     fn evaluation_step(&self, inner: &mut Inner, origin: Option<NodeId>) -> Step {
         // Partitions may have merged since the last step; re-find each time.
         let root = match origin {
@@ -2237,35 +2062,45 @@ impl Runtime {
             (DirtyStore::Partitioned(m), Some(root)) => m.get_mut(&root).and_then(DirtySet::pop),
             (DirtyStore::Partitioned(m), None) => m.values_mut().find_map(|s| s.pop()),
         };
-        let Some(u) = popped else {
-            return Step::Idle;
-        };
-        inner.stats.propagation_steps += 1;
+        match popped {
+            None => Step::Idle,
+            Some(u) if inner.step_popped(u) => Step::Execute(u),
+            Some(_) => Step::Continue,
+        }
+    }
+}
+
+impl Inner {
+    /// One propagation step on a node just popped from an inconsistent set
+    /// (Section 4.5). Mutation-only cases are handled here; returns `true`
+    /// when `u` is an eager instance the caller must re-execute (and, if
+    /// its value changes, dirty its successors). The whole decision reads
+    /// one flag byte.
+    fn step_popped(&mut self, u: NodeId) -> bool {
+        self.stats.propagation_steps += 1;
         let i = u.index();
-        let f = inner.flags[i];
+        let f = self.flags[i];
         if f & F_COMP == 0 {
             // Storage location: forward the change to everything computed
             // from it.
-            inner.dirty_succs_of(u);
-            Step::Continue
+            self.dirty_succs_of(u);
+            false
         } else if f & F_EAGER == 0 {
             // Demand: just mark out-of-date and propagate (Section 4.5).
             if f & F_CONSISTENT != 0 {
-                inner.flags[i] &= !F_CONSISTENT;
-                inner.dirty_succs_of(u);
+                self.flags[i] &= !F_CONSISTENT;
+                self.dirty_succs_of(u);
             }
-            Step::Continue
+            false
         } else if f & F_ON_STACK != 0 {
             // Cannot re-execute a node that is mid-execution; mark it stale
             // and have it re-queued on completion.
-            inner.flags[i] &= !F_CONSISTENT;
-            inner.flags[i] |= F_REQUEUE;
-            inner.dirty_succs_of(u);
-            Step::Continue
+            self.flags[i] &= !F_CONSISTENT;
+            self.flags[i] |= F_REQUEUE;
+            self.dirty_succs_of(u);
+            false
         } else {
-            // Eager: re-execute now; if the value changes the caller
-            // dirties the successors.
-            Step::Execute(u)
+            true
         }
     }
 }

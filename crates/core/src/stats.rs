@@ -137,8 +137,7 @@ pub struct Stats {
     /// stops growing: fan-out performs zero heap allocations.
     pub scratch_hwm: u64,
     /// Height levels whose eager batch was dispatched to the execution
-    /// worker pool (feature `parallel`, [`Runtime::set_parallelism`]
-    /// enabled). Single-node levels execute inline and are not counted.
+    /// worker pool ([`Runtime::set_parallelism`] of 2 or more). Single-node levels execute inline and are not counted.
     ///
     /// [`Runtime::set_parallelism`]: crate::Runtime::set_parallelism
     pub parallel_levels: u64,

@@ -185,8 +185,8 @@ pub enum TraceEvent {
         /// Dirty nodes processed during this run.
         steps: u64,
     },
-    /// The level-drain scheduler (feature `parallel`,
-    /// [`Runtime::set_parallelism`](crate::Runtime::set_parallelism)) pulled
+    /// The level-drain scheduler
+    /// ([`Runtime::set_parallelism`](crate::Runtime::set_parallelism)) pulled
     /// the full batch of dirty nodes at one height and is about to process
     /// it. Every [`TraceEvent::ExecuteBegin`]/[`TraceEvent::ExecuteEnd`]
     /// pair until the matching [`TraceEvent::LevelEnd`] belongs to this

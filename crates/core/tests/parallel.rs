@@ -1,9 +1,7 @@
-//! Behavioral tests for level-parallel wave propagation (feature
-//! `parallel`): correctness of the level scheduler at 0/1/N workers,
-//! the parallel stats counters, and the configuration gates that keep
-//! every non-default setup on the sequential evaluator.
-
-#![cfg(feature = "parallel")]
+//! Behavioral tests for level-parallel wave propagation: correctness of
+//! the level scheduler at 0/1/N workers, the parallel stats counters, and
+//! the configuration gates that keep every non-default setup on the
+//! sequential evaluator.
 
 use alphonse::{Runtime, Scheduling, Strategy, Var};
 

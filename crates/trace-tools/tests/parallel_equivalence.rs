@@ -13,10 +13,6 @@
 //! a level's executions in batch order — the exact order the sequential
 //! evaluator would have popped them — so even the causal critical path must
 //! agree event-for-event, not just in aggregate.
-//!
-//! Without the `parallel` feature `set_parallelism` is a stub and this
-//! degenerates to sequential ≡ sequential; the level-bracket legality
-//! assertions are feature-gated accordingly.
 
 use alphonse::trace::{Recorder, TraceSink};
 use alphonse::{Memo, Runtime, Strategy, Var};
@@ -139,27 +135,23 @@ proptest! {
         // absent by construction from sequential traces — are normalized.
         prop_assert_eq!(without_levels(par_waves.clone()), without_levels(seq_waves));
 
-        // Legality of the level schedule itself (only meaningful when the
-        // scheduler is actually compiled in and engaged).
-        #[cfg(feature = "parallel")]
-        {
-            for w in &par_waves.waves {
-                if w.executed > 0 {
-                    prop_assert!(
-                        w.levels > 0,
-                        "wave {} executed {} nodes outside any level",
-                        w.wave,
-                        w.executed
-                    );
-                }
-                // Groups execute before the total's cache hits, so every
-                // execution of this fixture happens inside its level.
-                prop_assert_eq!(w.level_executed as usize, w.executed);
+        // Legality of the level schedule itself.
+        for w in &par_waves.waves {
+            if w.executed > 0 {
+                prop_assert!(
+                    w.levels > 0,
+                    "wave {} executed {} nodes outside any level",
+                    w.wave,
+                    w.executed
+                );
             }
-            if workers >= 2 {
-                prop_assert!(par_stats.parallel_executions <= par_stats.executions);
-                prop_assert!(par_stats.level_width_hwm >= 1);
-            }
+            // Groups execute before the total's cache hits, so every
+            // execution of this fixture happens inside its level.
+            prop_assert_eq!(w.level_executed as usize, w.executed);
+        }
+        if workers >= 2 {
+            prop_assert!(par_stats.parallel_executions <= par_stats.executions);
+            prop_assert!(par_stats.level_width_hwm >= 1);
         }
     }
 }

@@ -11,7 +11,7 @@
 use alphonse::{Batch, Runtime, Var};
 use alphonse_mem as mem;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Reference to a tree node — the paper's `Tree` pointer. `NodeRef::NIL`
 /// plays the role of the shared `TreeNil` object.
@@ -35,15 +35,12 @@ impl NodeRef {
     }
 }
 
-/// Locks the node arena. The arena is used from one thread at a time, so
-/// contention means a method body re-entered the store while a guard was
-/// live — fail stop, mirroring the `RefCell` panic this lock replaced.
+/// Locks the node arena, blocking on contention: executor-pool workers
+/// read fields of one store concurrently. Every guard covers a single
+/// index or push and is never held across a runtime call, so no worker can
+/// wait on the arena while holding the runtime lock (or the reverse).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.try_lock() {
-        Ok(g) => g,
-        Err(TryLockError::Poisoned(e)) => e.into_inner(),
-        Err(TryLockError::WouldBlock) => panic!("tree store re-entered while locked"),
-    }
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl fmt::Debug for NodeRef {
@@ -111,25 +108,26 @@ impl TreeStore {
     /// Allocates a node with the given key and children.
     pub fn new_node(&self, key: i64, left: NodeRef, right: NodeRef) -> NodeRef {
         let _mem = mem::scope(mem::Tag::Substrate);
-        let mut nodes = lock(&self.nodes);
-        let id = u32::try_from(nodes.len()).expect("too many tree nodes");
-        let fields = if self.rt.tracing() {
+        let fields = Fields {
+            key: self.rt.var(key),
+            left: self.rt.var(left),
+            right: self.rt.var(right),
+        };
+        let (key, left, right) = (fields.key, fields.left, fields.right);
+        let id = {
+            let mut nodes = lock(&self.nodes);
+            let id = u32::try_from(nodes.len()).expect("too many tree nodes");
+            nodes.push(fields);
+            id
+        };
+        if self.rt.tracing() {
             // Trace labels name each field var after its tree slot so graph
             // exports read "t3.key" instead of a bare node id. Skipped
             // entirely on untraced runtimes — allocation stays label-free.
-            Fields {
-                key: self.rt.var_named(&format!("t{id}.key"), key),
-                left: self.rt.var_named(&format!("t{id}.left"), left),
-                right: self.rt.var_named(&format!("t{id}.right"), right),
-            }
-        } else {
-            Fields {
-                key: self.rt.var(key),
-                left: self.rt.var(left),
-                right: self.rt.var(right),
-            }
-        };
-        nodes.push(fields);
+            self.rt.set_label(key.node(), &format!("t{id}.key"));
+            self.rt.set_label(left.node(), &format!("t{id}.left"));
+            self.rt.set_label(right.node(), &format!("t{id}.right"));
+        }
         NodeRef(id)
     }
 
