@@ -82,15 +82,17 @@ pub enum Op {
 }
 
 impl Formula {
-    /// All cell addresses this formula references directly (used for static
-    /// cycle rejection).
+    /// All cell addresses this formula references directly; a
+    /// `SUM` range contributes every cell it covers.
     pub fn references(&self) -> Vec<Addr> {
         let mut out = Vec::new();
         self.collect_refs(&mut out);
         out
     }
 
-    fn collect_refs(&self, out: &mut Vec<Addr>) {
+    /// Appends [`Formula::references`] to `out` without allocating a
+    /// vector of its own.
+    pub(crate) fn collect_refs(&self, out: &mut Vec<Addr>) {
         match self {
             Formula::Num(_) => {}
             Formula::Ref(a) => out.push(*a),

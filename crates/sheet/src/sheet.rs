@@ -11,6 +11,7 @@
 
 use crate::addr::Addr;
 use crate::formula::{CellValue, Formula, Op};
+use alphonse::fxhash::FxHashMap;
 use alphonse::{Memo, Runtime, Var};
 use alphonse_mem as mem;
 use std::fmt;
@@ -49,6 +50,11 @@ struct Cells {
 impl Cells {
     fn index(&self, a: Addr) -> Option<usize> {
         (a.col < self.width && a.row < self.height).then(|| (a.row * self.width + a.col) as usize)
+    }
+
+    /// Inverse of [`Cells::index`].
+    fn addr(&self, i: usize) -> Addr {
+        Addr::new(i as u32 % self.width, i as u32 / self.width)
     }
 }
 
@@ -153,17 +159,19 @@ impl Sheet {
 
     /// Sets a cell to an already-parsed formula.
     ///
+    /// Costs O(cells reachable from `addr` + their references) for the
+    /// cycle check, like a one-edit [`Sheet::set_formulas`].
+    ///
     /// # Errors
     ///
     /// Returns [`SheetError`] on out-of-bounds addresses or cycles.
     pub fn set_formula(&self, addr: Addr, formula: Formula) -> Result<(), SheetError> {
-        let var = {
-            let cells = &self.cells;
-            let idx = cells.index(addr).ok_or(SheetError::OutOfBounds(addr))?;
-            cells.formulas[idx]
-        };
-        self.check_acyclic(addr, &formula)?;
-        var.set(&self.rt, formula);
+        let idx = self
+            .cells
+            .index(addr)
+            .ok_or(SheetError::OutOfBounds(addr))?;
+        self.check_acyclic(&FxHashMap::from_iter([(idx, &formula)]))?;
+        self.cells.formulas[idx].set(&self.rt, formula);
         Ok(())
     }
 
@@ -173,6 +181,9 @@ impl Sheet {
     /// the batch is atomic: either every edit lands or none does. Repeated
     /// edits to the same address follow last-write-wins, matching the
     /// runtime's transaction semantics.
+    ///
+    /// Validation costs O(edited cells + cells reachable from them + their
+    /// references): one cycle walk serves the whole batch.
     ///
     /// # Example
     ///
@@ -208,7 +219,9 @@ impl Sheet {
     }
 
     /// Sets many cells to already-parsed formulas in one write transaction.
-    /// See [`Sheet::set_bulk`] for the atomicity and last-write-wins rules.
+    /// See [`Sheet::set_bulk`] for the atomicity and last-write-wins rules;
+    /// validation costs O(edited cells + cells reachable from them + their
+    /// references).
     ///
     /// # Errors
     ///
@@ -216,23 +229,17 @@ impl Sheet {
     /// post-batch sheet; no cell is modified on error.
     pub fn set_formulas(&self, edits: Vec<(Addr, Formula)>) -> Result<(), SheetError> {
         let _mem = mem::scope(mem::Tag::Substrate);
+        let cells = &self.cells;
         // Last-write-wins overlay: the formulas the sheet would hold after
-        // the batch, used both for validation and for cycle walks, so
-        // cross-edit cycles (A1=B1 and B1=A1 in one batch) are caught even
-        // though neither formula is stored yet.
-        let mut overlay = std::collections::HashMap::new();
-        {
-            let cells = &self.cells;
-            for (addr, formula) in &edits {
-                cells.index(*addr).ok_or(SheetError::OutOfBounds(*addr))?;
-                overlay.insert(*addr, formula.clone());
-            }
+        // the batch, so cross-edit cycles (A1=B1 and B1=A1 in one batch) are
+        // caught even though neither formula is stored yet.
+        let mut overlay = FxHashMap::default();
+        for (addr, formula) in &edits {
+            let idx = cells.index(*addr).ok_or(SheetError::OutOfBounds(*addr))?;
+            overlay.insert(idx, formula);
         }
-        for (addr, formula) in &overlay {
-            self.check_acyclic_with(*addr, formula, &overlay)?;
-        }
+        self.check_acyclic(&overlay)?;
         self.rt.batch(|tx| {
-            let cells = &self.cells;
             for (addr, formula) in edits {
                 let idx = cells.index(addr).expect("validated above");
                 cells.formulas[idx].set_in(tx, formula);
@@ -241,46 +248,69 @@ impl Sheet {
         Ok(())
     }
 
-    /// Static cycle rejection: walks the would-be dependency graph from the
-    /// new formula; reaching `addr` again means a cycle.
-    fn check_acyclic(&self, addr: Addr, formula: &Formula) -> Result<(), SheetError> {
-        self.check_acyclic_with(addr, formula, &std::collections::HashMap::new())
-    }
-
-    /// Cycle walk against the sheet with `overlay` applied on top: pending
-    /// (not yet committed) formulas shadow stored ones.
-    fn check_acyclic_with(
-        &self,
-        addr: Addr,
-        formula: &Formula,
-        overlay: &std::collections::HashMap<Addr, Formula>,
-    ) -> Result<(), SheetError> {
-        let mut visited = std::collections::HashSet::new();
-        let mut work: Vec<Addr> = formula.references();
-        while let Some(a) = work.pop() {
-            if a == addr {
-                return Err(SheetError::Cycle(addr));
+    /// Static cycle rejection for the sheet with `overlay` (cell index →
+    /// pending formula) applied on top of the stored formulas.
+    ///
+    /// One iterative three-colour DFS rooted at every edited cell, with one
+    /// colour array shared by all roots, so each cell reachable from an edit
+    /// is expanded once. Reaching a grey cell closes a cycle. The stored
+    /// sheet is acyclic, so every new cycle passes through an edit; the
+    /// error names the first edited cell on the grey path from the cycle's
+    /// back-edge target.
+    fn check_acyclic(&self, overlay: &FxHashMap<usize, &Formula>) -> Result<(), SheetError> {
+        const WHITE: u8 = 0;
+        const GREY: u8 = 1;
+        const BLACK: u8 = 2;
+        let cells = &self.cells;
+        let mut colour = vec![WHITE; cells.formulas.len()];
+        // DFS frames `(cell, refs_base)`: the cell's not-yet-followed
+        // references are `refs[refs_base..]`.
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        let mut refs: Vec<Addr> = Vec::new();
+        let expand = |cell: usize, refs: &mut Vec<Addr>| match overlay.get(&cell) {
+            Some(f) => f.collect_refs(refs),
+            // Untracked peek, in place: cycle checking is mutator
+            // bookkeeping, so it records no dependence and clones no formula.
+            None => cells.formulas[cell].with(&self.rt, |f| f.collect_refs(refs)),
+        };
+        // One untracked scope for the whole walk, not one per peek.
+        self.rt.untracked(|| {
+            for &root in overlay.keys() {
+                let mut pending = (colour[root] == WHITE).then_some(root);
+                loop {
+                    if let Some(cell) = pending.take() {
+                        colour[cell] = GREY;
+                        frames.push((cell, refs.len()));
+                        expand(cell, &mut refs);
+                    }
+                    let Some(&(cell, base)) = frames.last() else {
+                        break;
+                    };
+                    if refs.len() == base {
+                        colour[cell] = BLACK;
+                        frames.pop();
+                        continue;
+                    }
+                    let Some(next) = refs.pop().and_then(|a| cells.index(a)) else {
+                        continue;
+                    };
+                    match colour[next] {
+                        WHITE => pending = Some(next),
+                        GREY => {
+                            let edited = frames
+                                .iter()
+                                .map(|&(c, _)| c)
+                                .skip_while(|&c| c != next)
+                                .find(|c| overlay.contains_key(c))
+                                .unwrap_or(next);
+                            return Err(SheetError::Cycle(cells.addr(edited)));
+                        }
+                        _ => {}
+                    }
+                }
             }
-            if !visited.insert(a) {
-                continue;
-            }
-            if let Some(f) = overlay.get(&a) {
-                work.extend(f.references());
-                continue;
-            }
-            let var = {
-                let cells = &self.cells;
-                cells.index(a).map(|i| cells.formulas[i])
-            };
-            if let Some(var) = var {
-                // Untracked peek at the references, in place: cycle checking
-                // is mutator bookkeeping, and cloning the whole formula per
-                // visited cell would make every edit pay for it.
-                let refs = self.rt.untracked(|| var.with(&self.rt, |f| f.references()));
-                work.extend(refs);
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Current value of a cell.
@@ -514,6 +544,51 @@ mod tests {
         // points A2 at A1's *new* formula — acyclic post-batch, so allowed.
         s.set_bulk([("A1", "5"), ("A2", "=A1+1")]).unwrap();
         assert_eq!(s.value("A2").unwrap(), CellValue::Num(6));
+    }
+
+    #[test]
+    fn batch_cycle_check_reads_each_reachable_cell_once() {
+        // A stored chain A1 <- A2 <- … <- A512, then one batch pointing all
+        // of B1..B512 at its bottom. A per-edit walk would peek the whole
+        // chain once per edited cell (~512^2 reads); one shared walk peeks
+        // each reachable cell once.
+        const N: u32 = 512;
+        let s = Sheet::new(&Runtime::new(), 2, N);
+        let chain = (0..N).map(|r| {
+            let f = if r == 0 {
+                Formula::Num(1)
+            } else {
+                Formula::Ref(Addr::new(0, r - 1))
+            };
+            (Addr::new(0, r), f)
+        });
+        s.set_formulas(chain.collect()).unwrap();
+        let rt = s.runtime().clone();
+        let before = rt.stats();
+        let fan = (0..N).map(|r| (Addr::new(1, r), Formula::Ref(Addr::new(0, N - 1))));
+        s.set_formulas(fan.collect()).unwrap();
+        let reads = rt.stats().delta_since(&before).reads;
+        assert!(
+            reads <= 2 * (u64::from(N) + u64::from(N)),
+            "cycle check made {reads} reads"
+        );
+        assert_eq!(s.value("B7").unwrap(), CellValue::Num(1));
+    }
+
+    #[test]
+    fn cycle_error_names_an_edited_cell_on_the_cycle() {
+        let s = sheet();
+        s.set_bulk([("A2", "=A3"), ("A3", "=A4")]).unwrap();
+        // A1 only leads into the cycle A4 -> A2 -> A3 -> A4; the error must
+        // name A4, the one edited cell on it.
+        assert_eq!(
+            s.set_bulk([("A1", "=A2"), ("A4", "=A2")]),
+            Err(SheetError::Cycle("A4".parse().unwrap()))
+        );
+        assert_eq!(
+            s.set("A4", "=A2+1"),
+            Err(SheetError::Cycle("A4".parse().unwrap()))
+        );
     }
 
     #[test]
