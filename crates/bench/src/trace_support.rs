@@ -11,20 +11,24 @@
 //! | flag                  | consumer                         | artifact               |
 //! |-----------------------|----------------------------------|------------------------|
 //! | `--trace 1`           | [`alphonse::trace::Recorder`]    | event dump on stderr   |
-//! | `--trace chrome`      | [`alphonse::trace::ChromeTrace`] | `TRACE_<stem>.json`    |
-//! | `--trace dot`         | [`alphonse::trace::GraphSink`]   | `TRACE_<stem>.dot`     |
-//! | `--trace hot[:K]`     | [`alphonse::trace::Profiler`]    | top-K table on stdout  |
 //! | `--trace jsonl`       | [`alphonse::trace::JsonlSink`]   | `TRACE_<stem>.jsonl`   |
 //! | `--trace-out <path>`  | [`alphonse::trace::JsonlSink`]   | `<path>`               |
 //!
 //! With neither flag given, `ALPHONSE_TRACE` is consulted as a fallback, so
 //! `ALPHONSE_TRACE=trace.jsonl cargo run --bin e2_overhead` works the same
-//! as it does for the interpreter. The chrome artifact loads in Perfetto
-//! (<https://ui.perfetto.dev>); the JSONL artifact replays through the
-//! `alphonse-trace` CLI (`why` / `waves` / `waste`). When a binary runs
-//! several experiments the timeline, profiler, and JSONL stream aggregate
-//! across all of them, while the graph mirror keeps the most recently
-//! constructed runtime.
+//! as it does for the interpreter. The JSONL artifact is the one persisted
+//! trace; the `alphonse-trace` CLI renders every other view from it:
+//!
+//! ```text
+//! cargo run --release -p alphonse-bench --bin e6_sheet -- --trace-out run.jsonl
+//! alphonse-trace chrome run.jsonl > run.json   # Perfetto / chrome://tracing
+//! alphonse-trace dot run.jsonl > run.dot       # dependency graph
+//! alphonse-trace hot run.jsonl --top 10        # hottest nodes by self time
+//! ```
+//!
+//! `why`, `waves` and `waste` answer causal questions from the same file.
+//! When a binary runs several experiments the stream aggregates across all
+//! of them; `dot` draws the most recently constructed runtime.
 
 use alphonse::trace::{self, ActiveTrace, Provenance, TraceConfig};
 use std::sync::Arc;
@@ -123,13 +127,12 @@ impl TraceSession {
         self.active.provenance()
     }
 
-    /// Uninstalls the default sink and flushes the artifact: writes
-    /// `TRACE_<stem>.json` / `.dot` / `.jsonl` into the current directory
-    /// (next to the `BENCH_*.json` files), dumps the recorder to stderr, or
-    /// prints the hot-node table.
+    /// Uninstalls the default sink and flushes the artifact: the JSONL
+    /// file (by default `TRACE_<stem>.jsonl` in the current directory, next
+    /// to the `BENCH_*.json` files), or the recorder dump on stderr.
     pub fn finish(self) {
         trace::set_default_sink(None);
-        match self.active.finish(None) {
+        match self.active.finish() {
             Ok(Some(msg)) => eprintln!("{msg}"),
             Ok(None) => {}
             Err(e) => eprintln!("warning: failed to flush trace: {e}"),
@@ -147,12 +150,12 @@ mod tests {
 
     #[test]
     fn parses_separate_and_inline_forms() {
-        let mut a = args(&["--quick", "--trace", "chrome", "e2"]);
-        assert_eq!(take_trace_flag(&mut a).unwrap().as_deref(), Some("chrome"));
+        let mut a = args(&["--quick", "--trace", "jsonl", "e2"]);
+        assert_eq!(take_trace_flag(&mut a).unwrap().as_deref(), Some("jsonl"));
         assert_eq!(a, args(&["--quick", "e2"]));
 
-        let mut b = args(&["--trace=hot"]);
-        assert_eq!(take_trace_flag(&mut b).unwrap().as_deref(), Some("hot"));
+        let mut b = args(&["--trace=1"]);
+        assert_eq!(take_trace_flag(&mut b).unwrap().as_deref(), Some("1"));
         assert!(b.is_empty());
     }
 
@@ -187,5 +190,20 @@ mod tests {
         let mut a = args(&["--trace", "flame"]);
         let spec = take_trace_flag(&mut a).unwrap().unwrap();
         assert!(TraceConfig::parse(&spec, "x").is_err());
+    }
+
+    #[test]
+    fn removed_render_specs_name_the_offline_command() {
+        for (spec, cmd) in [
+            ("chrome", "alphonse-trace chrome run.jsonl"),
+            ("dot", "alphonse-trace dot run.jsonl"),
+            ("hot:3", "alphonse-trace hot run.jsonl --top 3"),
+        ] {
+            let mut a = args(&["--trace", spec]);
+            let spec = take_trace_flag(&mut a).unwrap().unwrap();
+            let err = TraceConfig::parse(&spec, "x").unwrap_err();
+            assert!(err.contains("--trace-out run.jsonl"), "{err}");
+            assert!(err.contains(cmd), "{err}");
+        }
     }
 }

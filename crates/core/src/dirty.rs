@@ -96,6 +96,7 @@ impl DirtySet {
     }
 
     /// Visits every queued node, in no particular order.
+    #[cfg(debug_assertions)]
     pub(crate) fn for_each_member(&self, mut f: impl FnMut(NodeId)) {
         match self {
             DirtySet::Height(q) => q.for_each_member(f),

@@ -24,7 +24,7 @@ use crate::fxhash::FxHashMap;
 use crate::stats::Stats;
 #[cfg(feature = "trace")]
 use crate::trace::TraceEvent;
-use crate::trace::{DirtyReason, GraphSnapshot, SnapshotNode, TraceSink};
+use crate::trace::{DirtyReason, TraceSink};
 use crate::value::Value;
 use alphonse_graph::{DepGraph, NodeId, UnionFind};
 use alphonse_mem as mem;
@@ -944,57 +944,6 @@ impl Runtime {
         let inner = self.lock();
         assert!(n.index() < inner.values.len(), "unknown node {n}");
         inner.names.get(&(n.index() as u32)).map(|s| s.to_string())
-    }
-
-    /// A point-in-time copy of the dependency graph with full runtime
-    /// fidelity — kind, label, consistency flag, dirty-queue membership,
-    /// partition root and execution recency per node — renderable with
-    /// [`crate::trace::render_dot`]. Prefer this over
-    /// [`crate::trace::GraphSink`] while the runtime is still alive.
-    pub fn graph_snapshot(&self) -> GraphSnapshot {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        let n_nodes = inner.values.len();
-        let mut queued = vec![false; n_nodes];
-        match &inner.dirty {
-            DirtyStore::Global(s) => s.for_each_member(|m| queued[m.index()] = true),
-            DirtyStore::Partitioned(map) => {
-                for s in map.values() {
-                    s.for_each_member(|m| queued[m.index()] = true);
-                }
-            }
-        }
-        let roots: Vec<Option<NodeId>> = match inner.partition.as_mut() {
-            Some(uf) => (0..n_nodes)
-                .map(|i| Some(uf.find(NodeId::from_index(i))))
-                .collect(),
-            None => vec![None; n_nodes],
-        };
-        let mut nodes = Vec::with_capacity(n_nodes);
-        let mut edges = Vec::new();
-        for i in 0..n_nodes {
-            let id = NodeId::from_index(i);
-            let f = inner.flags[i];
-            let (kind, consistent, last_exec) = if f & F_COMP == 0 {
-                (NodeKind::Location, true, 0)
-            } else {
-                (NodeKind::Computation, f & F_CONSISTENT != 0, inner.gens[i])
-            };
-            nodes.push(SnapshotNode {
-                id,
-                kind,
-                label: inner.names.get(&(i as u32)).map(|s| s.to_string()),
-                consistent,
-                queued: queued[i],
-                partition: roots[i],
-                last_exec,
-                execs: 0,
-            });
-            for s in inner.graph.succs(id) {
-                edges.push((id, s));
-            }
-        }
-        GraphSnapshot { nodes, edges }
     }
 
     /// Verifies the runtime's internal data-structure invariants. Debug

@@ -32,11 +32,14 @@
 //! | Consumer | Question it answers |
 //! |---|---|
 //! | [`Recorder`] | "what exactly happened, in order?" — bounded ring buffer with per-node timelines |
-//! | [`ChromeTrace`] | "where does wall-clock time go?" — `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)-loadable spans |
-//! | [`GraphSink`] + [`render_dot`] | "what does the dependency graph look like?" — live DOT export |
-//! | [`Profiler`] | "which nodes are hot?" — per-node execution counts and self/cumulative time |
-//! | [`JsonlSink`] | "keep everything for later" — streams every event as one JSON line (replayed by the `alphonse-trace` CLI) |
+//! | [`JsonlSink`] | "keep everything for later" — streams every event as one JSON line, the one persisted trace format |
 //! | [`provenance::Provenance`] | "why did this node recompute?" — live causal `why(node)` chains |
+//!
+//! Every other view renders offline from a JSONL trace with the
+//! `alphonse-trace` CLI (`crates/trace-tools`): `chrome` (Chrome /
+//! [Perfetto](https://ui.perfetto.dev) spans: where wall-clock time goes),
+//! `dot` (the dependency graph), `hot` (per-node execution counts and
+//! self/cumulative time), plus `why`, `waves` and `waste`.
 //!
 //! # Causality
 //!
@@ -82,7 +85,7 @@
 //! ```
 
 use crate::runtime::NodeKind;
-use alphonse_graph::{NodeId, UnionFind};
+use alphonse_graph::NodeId;
 use alphonse_mem as memacct;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -90,7 +93,7 @@ use std::fmt::Write as _;
 use std::io::Write as IoWrite;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub mod provenance;
 pub mod session;
@@ -779,10 +782,6 @@ impl Labels {
         }
     }
 
-    fn clear(&self) {
-        lock(&self.names).clear();
-    }
-
     fn of(&self, n: NodeId) -> String {
         match lock(&self.names).get(n.index()) {
             Some(Some(name)) => format!("{name} ({n})"),
@@ -797,38 +796,9 @@ impl Labels {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Chrome trace-event exporter
-// ---------------------------------------------------------------------------
-
-/// Exports the event stream in the Chrome trace-event JSON format, loadable
-/// in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
-///
-/// Executions and propagation runs become duration (`B`/`E`) spans; writes,
-/// dirtyings, cache hits, cutoffs and batch commits become instant (`i`)
-/// events. Per-node names come from the label events in the stream, so the
-/// exporter stays valid after the traced runtime is dropped.
-///
-/// Very hot per-read events ([`TraceEvent::Read`], [`TraceEvent::EdgeAdded`],
-/// [`TraceEvent::EdgesRemoved`]) are tallied into span arguments instead of
-/// emitted individually, keeping traces loadable for large runs.
-pub struct ChromeTrace {
-    start: Instant,
-    labels: Labels,
-    records: Mutex<Vec<String>>,
-    /// Reads and new edges observed since the current innermost span began
-    /// (attached to that span's `args` at its end).
-    reads_in_span: AtomicU64,
-    edges_in_span: AtomicU64,
-}
-
-impl Default for ChromeTrace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal: quotes, backslashes
+/// and control characters.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -841,611 +811,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-impl ChromeTrace {
-    /// Creates an empty exporter; timestamps are relative to this call.
-    pub fn new() -> ChromeTrace {
-        ChromeTrace {
-            start: Instant::now(),
-            labels: Labels::default(),
-            records: Mutex::new(Vec::new()),
-            reads_in_span: AtomicU64::new(0),
-            edges_in_span: AtomicU64::new(0),
-        }
-    }
-
-    fn ts(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e6
-    }
-
-    fn push(&self, record: String) {
-        let _mem = memacct::scope(memacct::Tag::Trace);
-        lock(&self.records).push(record);
-    }
-
-    fn span_begin(&self, name: &str, cat: &str) {
-        let rec = format!(
-            r#"{{"name":"{}","cat":"{cat}","ph":"B","ts":{:.3},"pid":1,"tid":1}}"#,
-            json_escape(name),
-            self.ts()
-        );
-        self.push(rec);
-    }
-
-    fn span_end(&self, args: String) {
-        let rec = format!(
-            r#"{{"ph":"E","ts":{:.3},"pid":1,"tid":1,"args":{{{args}}}}}"#,
-            self.ts()
-        );
-        self.push(rec);
-    }
-
-    fn instant(&self, name: &str, cat: &str, args: String) {
-        let rec = format!(
-            r#"{{"name":"{}","cat":"{cat}","ph":"i","s":"t","ts":{:.3},"pid":1,"tid":1,"args":{{{args}}}}}"#,
-            json_escape(name),
-            self.ts()
-        );
-        self.push(rec);
-    }
-
-    /// Number of JSON records accumulated so far.
-    pub fn len(&self) -> usize {
-        lock(&self.records).len()
-    }
-
-    /// Returns `true` if no records were accumulated.
-    pub fn is_empty(&self) -> bool {
-        lock(&self.records).is_empty()
-    }
-
-    /// Renders the accumulated records as a complete Chrome trace JSON
-    /// document (a JSON array of event objects).
-    pub fn to_json(&self) -> String {
-        let records = lock(&self.records);
-        let mut out = String::with_capacity(records.iter().map(|r| r.len() + 2).sum::<usize>() + 2);
-        out.push_str("[\n");
-        for (i, r) in records.iter().enumerate() {
-            out.push_str(r);
-            if i + 1 < records.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push(']');
-        out
-    }
-}
-
-impl TraceSink for ChromeTrace {
-    fn event(&self, ev: &TraceEvent) {
-        self.labels.observe(ev);
-        match ev {
-            TraceEvent::NodeCreated { .. } | TraceEvent::Labeled { .. } => {}
-            TraceEvent::Read { .. } => {
-                self.reads_in_span.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::EdgeAdded { .. } => {
-                self.edges_in_span.fetch_add(1, Ordering::Relaxed);
-            }
-            TraceEvent::EdgesRemoved { .. } => {}
-            TraceEvent::Write { node, changed } => self.instant(
-                &format!("write {}", self.labels.of(*node)),
-                "write",
-                format!(r#""changed":{changed}"#),
-            ),
-            TraceEvent::Dirtied {
-                node,
-                reason,
-                cause,
-            } => self.instant(
-                &format!("dirty {}", self.labels.of(*node)),
-                "dirty",
-                match cause {
-                    Some(c) => format!(r#""reason":"{reason:?}","cause":"{c}""#),
-                    None => format!(r#""reason":"{reason:?}""#),
-                },
-            ),
-            TraceEvent::PropagateBegin { .. } => {
-                self.span_begin("propagate", "propagate");
-            }
-            TraceEvent::PropagateEnd { wave, steps } => {
-                self.span_end(format!(r#""wave":{wave},"steps":{steps}"#));
-            }
-            // Level brackets surround executions that may overlap in time,
-            // which the single-track B/E span pairing cannot represent;
-            // levels export as instants so exec spans keep pairing up.
-            TraceEvent::LevelBegin {
-                wave,
-                height,
-                width,
-            } => self.instant(
-                &format!("level h{height}"),
-                "level",
-                format!(r#""wave":{wave},"height":{height},"width":{width}"#),
-            ),
-            TraceEvent::LevelEnd { .. } => {}
-            TraceEvent::ExecuteBegin { node } => {
-                self.reads_in_span.store(0, Ordering::Relaxed);
-                self.edges_in_span.store(0, Ordering::Relaxed);
-                self.span_begin(&format!("exec {}", self.labels.of(*node)), "execute");
-            }
-            TraceEvent::ExecuteEnd { changed, .. } => {
-                self.span_end(format!(
-                    r#""changed":{changed},"reads":{},"edges":{}"#,
-                    self.reads_in_span.load(Ordering::Relaxed),
-                    self.edges_in_span.load(Ordering::Relaxed)
-                ));
-            }
-            TraceEvent::CacheHit { node } => self.instant(
-                &format!("hit {}", self.labels.of(*node)),
-                "cache",
-                String::new(),
-            ),
-            TraceEvent::CutoffStop { node } => self.instant(
-                &format!("cutoff {}", self.labels.of(*node)),
-                "cutoff",
-                String::new(),
-            ),
-            TraceEvent::BatchCommit {
-                writes,
-                coalesced,
-                wave,
-            } => self.instant(
-                "batch commit",
-                "batch",
-                format!(r#""writes":{writes},"coalesced":{coalesced},"wave":{wave}"#),
-            ),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dependency-graph snapshots and the DOT exporter
-// ---------------------------------------------------------------------------
-
-/// One node of a [`GraphSnapshot`].
-#[derive(Debug, Clone)]
-pub struct SnapshotNode {
-    /// The dependency-graph node.
-    pub id: NodeId,
-    /// Location or computation.
-    pub kind: NodeKind,
-    /// Diagnostic label, when one was assigned.
-    pub label: Option<String>,
-    /// For computations: the consistency flag (`true` for locations).
-    pub consistent: bool,
-    /// Whether the node currently sits in an inconsistent set.
-    pub queued: bool,
-    /// Canonical partition root (Section 6.3), when partitioning is on.
-    pub partition: Option<NodeId>,
-    /// Ordinal of the node's most recent execution start (0 = never
-    /// executed). The node with the highest ordinal executed last.
-    pub last_exec: u64,
-    /// Total executions observed (only populated by event-driven mirrors
-    /// such as [`GraphSink`]; a live [`Runtime::graph_snapshot`] reports 0).
-    pub execs: u64,
-}
-
-/// A point-in-time copy of the dependency graph, renderable with
-/// [`render_dot`]. Obtained from a live runtime
-/// ([`Runtime::graph_snapshot`](crate::Runtime::graph_snapshot)) or from an
-/// event-stream mirror ([`GraphSink::snapshot`]).
-#[derive(Debug, Clone, Default)]
-pub struct GraphSnapshot {
-    /// All nodes, in id order.
-    pub nodes: Vec<SnapshotNode>,
-    /// All dependence edges, `(predecessor, successor)`.
-    pub edges: Vec<(NodeId, NodeId)>,
-}
-
-/// Renders a [`GraphSnapshot`] as a Graphviz DOT document.
-///
-/// Visual encoding:
-/// * **kind** — locations are grey boxes, computations are ellipses;
-/// * **dirty state** — consistent computations are green, stale ones
-///   salmon; nodes queued in an inconsistent set get a bold red border;
-/// * **last execution** — the most recently executed node is drawn with a
-///   double outline, and every executed node shows its execution ordinal
-///   (`#k`);
-/// * **partitions** — with partitioning on, each component becomes a
-///   `subgraph cluster`.
-pub fn render_dot(snap: &GraphSnapshot) -> String {
-    let mut out = String::new();
-    out.push_str("digraph alphonse {\n");
-    out.push_str("  rankdir=BT;\n");
-    out.push_str("  node [fontname=\"Helvetica\" fontsize=10];\n");
-    let latest = snap.nodes.iter().map(|n| n.last_exec).max().unwrap_or(0);
-
-    let node_line = |n: &SnapshotNode| -> String {
-        let mut label = match &n.label {
-            Some(l) => format!("{}\\n{}", l.replace('"', "'"), n.id),
-            None => n.id.to_string(),
-        };
-        if n.last_exec > 0 {
-            let _ = write!(label, " #{}", n.last_exec);
-        }
-        if n.execs > 0 {
-            let _ = write!(label, "\\nexecs={}", n.execs);
-        }
-        let (shape, fill) = match n.kind {
-            NodeKind::Location => ("box", "lightsteelblue"),
-            NodeKind::Computation if n.consistent => ("ellipse", "palegreen"),
-            NodeKind::Computation => ("ellipse", "salmon"),
-        };
-        let mut attrs = format!("label=\"{label}\" shape={shape} style=filled fillcolor={fill}");
-        if n.queued {
-            attrs.push_str(" color=red penwidth=2");
-        }
-        if n.last_exec > 0 && n.last_exec == latest {
-            attrs.push_str(" peripheries=2");
-        }
-        format!("  {} [{attrs}];\n", n.id)
-    };
-
-    // Group by partition when any node carries one.
-    if snap.nodes.iter().any(|n| n.partition.is_some()) {
-        let mut roots: Vec<NodeId> = snap.nodes.iter().filter_map(|n| n.partition).collect();
-        roots.sort();
-        roots.dedup();
-        for root in roots {
-            let _ = writeln!(out, "  subgraph cluster_{} {{", root.index());
-            let _ = writeln!(out, "    label=\"partition {root}\";");
-            for n in snap.nodes.iter().filter(|n| n.partition == Some(root)) {
-                out.push_str("  ");
-                out.push_str(&node_line(n));
-            }
-            out.push_str("  }\n");
-        }
-        for n in snap.nodes.iter().filter(|n| n.partition.is_none()) {
-            out.push_str(&node_line(n));
-        }
-    } else {
-        for n in &snap.nodes {
-            out.push_str(&node_line(n));
-        }
-    }
-
-    let mut edges = snap.edges.clone();
-    edges.sort();
-    for (u, v) in edges {
-        let _ = writeln!(out, "  {u} -> {v};");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// An event-driven mirror of the dependency graph.
-///
-/// Maintains nodes, labels, edges, dirty flags, execution ordinals and a
-/// union-find partition mirror purely from the trace stream, so a DOT
-/// rendering stays available after the traced runtime is gone. Node ids are
-/// per-runtime: when several runtimes share one sink (e.g. via
-/// [`set_default_sink`]), the mirror resets each time a fresh runtime's
-/// first node arrives, so it reflects the most recently started runtime.
-/// For a live runtime prefer
-/// [`Runtime::graph_snapshot`](crate::Runtime::graph_snapshot), which reads
-/// the authoritative state.
-#[derive(Default)]
-pub struct GraphSink {
-    labels: Labels,
-    kinds: Mutex<Vec<NodeKind>>,
-    /// Incoming-edge lists, indexed by successor — mirrors the direction
-    /// `RemovePredEdges` clears in bulk.
-    preds: Mutex<Vec<Vec<NodeId>>>,
-    dirty: Mutex<Vec<bool>>,
-    execs: Mutex<Vec<(u64, u64)>>, // (count, last ordinal)
-    uf: Mutex<UnionFind>,
-    exec_clock: AtomicU64,
-}
-
-impl GraphSink {
-    /// Creates an empty mirror.
-    pub fn new() -> GraphSink {
-        GraphSink::default()
-    }
-
-    fn ensure(&self, n: NodeId) {
-        let i = n.index();
-        let mut kinds = lock(&self.kinds);
-        if kinds.len() <= i {
-            kinds.resize(i + 1, NodeKind::Location);
-            lock(&self.preds).resize(i + 1, Vec::new());
-            lock(&self.dirty).resize(i + 1, false);
-            lock(&self.execs).resize(i + 1, (0, 0));
-        }
-        lock(&self.uf).ensure(n);
-    }
-
-    /// Number of nodes mirrored so far.
-    pub fn node_count(&self) -> usize {
-        lock(&self.kinds).len()
-    }
-
-    /// A renderable snapshot of the mirrored graph.
-    pub fn snapshot(&self) -> GraphSnapshot {
-        let kinds = lock(&self.kinds);
-        let preds = lock(&self.preds);
-        let dirty = lock(&self.dirty);
-        let execs = lock(&self.execs);
-        let mut uf = lock(&self.uf);
-        let partitioned = kinds.len() > 1;
-        let mut nodes = Vec::with_capacity(kinds.len());
-        let mut edges = Vec::new();
-        for i in 0..kinds.len() {
-            let id = NodeId::from_index(i);
-            let (count, last) = execs[i];
-            nodes.push(SnapshotNode {
-                id,
-                kind: kinds[i],
-                label: self.labels.raw(id),
-                consistent: !dirty[i],
-                queued: dirty[i],
-                partition: partitioned.then(|| uf.find(id)),
-                last_exec: last,
-                execs: count,
-            });
-            for &p in &preds[i] {
-                edges.push((p, id));
-            }
-        }
-        GraphSnapshot { nodes, edges }
-    }
-
-    /// Convenience: render the current snapshot as DOT.
-    pub fn to_dot(&self) -> String {
-        render_dot(&self.snapshot())
-    }
-}
-
-impl TraceSink for GraphSink {
-    fn event(&self, ev: &TraceEvent) {
-        if let TraceEvent::NodeCreated { node, .. } = ev {
-            if node.index() == 0 && self.node_count() > 0 {
-                // A fresh runtime started mirroring into this sink; its ids
-                // restart from zero, so drop the previous runtime's graph.
-                self.labels.clear();
-                lock(&self.kinds).clear();
-                lock(&self.preds).clear();
-                lock(&self.dirty).clear();
-                lock(&self.execs).clear();
-                *lock(&self.uf) = UnionFind::new();
-                self.exec_clock.store(0, Ordering::Relaxed);
-            }
-        }
-        self.labels.observe(ev);
-        match ev {
-            TraceEvent::NodeCreated { node, kind, .. } => {
-                self.ensure(*node);
-                lock(&self.kinds)[node.index()] = *kind;
-            }
-            TraceEvent::EdgeAdded { from, to } => {
-                self.ensure(*from);
-                self.ensure(*to);
-                lock(&self.preds)[to.index()].push(*from);
-                lock(&self.uf).union(*from, *to);
-            }
-            TraceEvent::EdgesRemoved { node, .. } => {
-                self.ensure(*node);
-                lock(&self.preds)[node.index()].clear();
-            }
-            TraceEvent::Dirtied { node, .. } => {
-                self.ensure(*node);
-                lock(&self.dirty)[node.index()] = true;
-            }
-            TraceEvent::ExecuteBegin { node } => {
-                self.ensure(*node);
-                let clock = self.exec_clock.fetch_add(1, Ordering::Relaxed) + 1;
-                let mut execs = lock(&self.execs);
-                let (count, _) = execs[node.index()];
-                execs[node.index()] = (count + 1, clock);
-            }
-            TraceEvent::ExecuteEnd { node, .. } => {
-                self.ensure(*node);
-                lock(&self.dirty)[node.index()] = false;
-            }
-            TraceEvent::Write { node, .. } => {
-                // A location settles once written; dirt on it drains at the
-                // next propagation, which pops it immediately.
-                self.ensure(*node);
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-node profiler
-// ---------------------------------------------------------------------------
-
-#[derive(Default, Clone, Copy)]
-struct NodeProfile {
-    execs: u64,
-    cache_hits: u64,
-    dirtied: u64,
-    cumulative: Duration,
-    self_time: Duration,
-}
-
-struct ProfFrame {
-    node: NodeId,
-    start: Instant,
-    child_time: Duration,
-}
-
-/// Aggregates per-node execution statistics from the event stream:
-/// execution count, cumulative and self wall-clock time, cache hits and
-/// dirtyings. [`Profiler::report`] prints the top-K hot nodes as a table.
-#[derive(Default)]
-pub struct Profiler {
-    labels: Labels,
-    per_node: Mutex<Vec<NodeProfile>>,
-    stack: Mutex<Vec<ProfFrame>>,
-    propagations: AtomicU64,
-    propagate_time: Mutex<Duration>,
-    propagate_start: Mutex<Vec<Instant>>,
-    /// `ExecuteEnd` events whose `ExecuteBegin` was never observed (the
-    /// profiler was attached mid-execution): those executions are missing
-    /// from every aggregate, so reports warn about them.
-    dropped: AtomicU64,
-}
-
-impl Profiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Profiler {
-        Profiler::default()
-    }
-
-    fn slot(&self, n: NodeId) -> MutexGuard<'_, Vec<NodeProfile>> {
-        let mut per = lock(&self.per_node);
-        if per.len() <= n.index() {
-            per.resize(n.index() + 1, NodeProfile::default());
-        }
-        per
-    }
-
-    /// Propagation runs observed.
-    pub fn propagations(&self) -> u64 {
-        self.propagations.load(Ordering::Relaxed)
-    }
-
-    /// Total wall-clock time spent inside propagation runs.
-    pub fn propagate_time(&self) -> Duration {
-        *lock(&self.propagate_time)
-    }
-
-    /// Total executions observed across all nodes.
-    pub fn total_execs(&self) -> u64 {
-        lock(&self.per_node).iter().map(|p| p.execs).sum()
-    }
-
-    /// Executions whose begin was never observed (attachment mid-execution)
-    /// and which are therefore missing from the aggregates.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The `top_k` hottest nodes by self time, as an aligned table.
-    pub fn report(&self, top_k: usize) -> String {
-        let per = lock(&self.per_node);
-        let mut rows: Vec<(NodeId, NodeProfile)> = per
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.execs > 0 || p.cache_hits > 0 || p.dirtied > 0)
-            .map(|(i, p)| (NodeId::from_index(i), *p))
-            .collect();
-        rows.sort_by(|a, b| {
-            b.1.self_time
-                .cmp(&a.1.self_time)
-                .then(b.1.execs.cmp(&a.1.execs))
-                .then(a.0.cmp(&b.0))
-        });
-        rows.truncate(top_k);
-
-        let header = ["node", "execs", "hits", "dirtied", "self_us", "cum_us"];
-        let mut cells: Vec<[String; 6]> = Vec::with_capacity(rows.len());
-        for (id, p) in &rows {
-            cells.push([
-                self.labels.of(*id),
-                p.execs.to_string(),
-                p.cache_hits.to_string(),
-                p.dirtied.to_string(),
-                format!("{:.1}", p.self_time.as_secs_f64() * 1e6),
-                format!("{:.1}", p.cumulative.as_secs_f64() * 1e6),
-            ]);
-        }
-        let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-        for row in &cells {
-            for (w, c) in widths.iter_mut().zip(row.iter()) {
-                *w = (*w).max(c.len());
-            }
-        }
-        let mut out = String::new();
-        if self.dropped.load(Ordering::Relaxed) > 0 {
-            let _ = writeln!(
-                out,
-                "warning: {} events dropped (profiler attached mid-execution) — aggregates undercount",
-                self.dropped.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "hot nodes (top {} by self time; {} propagations, {:.1} us propagating)",
-            rows.len(),
-            self.propagations.load(Ordering::Relaxed),
-            lock(&self.propagate_time).as_secs_f64() * 1e6,
-        );
-        let fmt_row = |cols: &[String]| -> String {
-            let mut line = String::new();
-            for (i, (c, w)) in cols.iter().zip(&widths).enumerate() {
-                if i == 0 {
-                    let _ = write!(line, "{c:<w$}");
-                } else {
-                    let _ = write!(line, "  {c:>w$}");
-                }
-            }
-            line.push('\n');
-            line
-        };
-        out.push_str(&fmt_row(
-            &header.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-        ));
-        for row in &cells {
-            out.push_str(&fmt_row(row.as_slice()));
-        }
-        out
-    }
-}
-
-impl TraceSink for Profiler {
-    fn event(&self, ev: &TraceEvent) {
-        self.labels.observe(ev);
-        match ev {
-            TraceEvent::ExecuteBegin { node } => {
-                lock(&self.stack).push(ProfFrame {
-                    node: *node,
-                    start: Instant::now(),
-                    child_time: Duration::ZERO,
-                });
-            }
-            TraceEvent::ExecuteEnd { node, .. } => {
-                let Some(frame) = lock(&self.stack).pop() else {
-                    // Sink attached mid-execution: this execution is lost.
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                };
-                debug_assert_eq!(frame.node, *node, "profiler stack imbalance");
-                let elapsed = frame.start.elapsed();
-                {
-                    let mut per = self.slot(*node);
-                    let p = &mut per[node.index()];
-                    p.execs += 1;
-                    p.cumulative += elapsed;
-                    p.self_time += elapsed.saturating_sub(frame.child_time);
-                }
-                if let Some(parent) = lock(&self.stack).last_mut() {
-                    parent.child_time += elapsed;
-                }
-            }
-            TraceEvent::CacheHit { node } => {
-                self.slot(*node)[node.index()].cache_hits += 1;
-            }
-            TraceEvent::Dirtied { node, .. } => {
-                self.slot(*node)[node.index()].dirtied += 1;
-            }
-            TraceEvent::PropagateBegin { .. } => {
-                lock(&self.propagate_start).push(Instant::now());
-            }
-            TraceEvent::PropagateEnd { .. } => {
-                if let Some(start) = lock(&self.propagate_start).pop() {
-                    self.propagations.fetch_add(1, Ordering::Relaxed);
-                    *lock(&self.propagate_time) += start.elapsed();
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1468,103 +833,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_json_is_balanced_and_named() {
-        let c = ChromeTrace::new();
-        let n = NodeId::from_index(0);
-        c.event(&TraceEvent::NodeCreated {
-            node: n,
-            kind: NodeKind::Computation,
-            label: Some(Arc::from("he\"llo")),
-        });
-        c.event(&TraceEvent::ExecuteBegin { node: n });
-        c.event(&TraceEvent::Read { node: n });
-        c.event(&TraceEvent::ExecuteEnd {
-            node: n,
-            changed: true,
-        });
-        let json = c.to_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains(r#"exec he\"llo"#), "{json}");
-        assert!(json.contains(r#""reads":1"#), "{json}");
-    }
-
-    #[test]
     fn json_escape_handles_controls() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
-    }
-
-    #[test]
-    fn graph_sink_mirrors_edges_and_removals() {
-        let g = GraphSink::new();
-        let a = NodeId::from_index(0);
-        let b = NodeId::from_index(1);
-        for (n, kind) in [(a, NodeKind::Location), (b, NodeKind::Computation)] {
-            g.event(&TraceEvent::NodeCreated {
-                node: n,
-                kind,
-                label: None,
-            });
-        }
-        g.event(&TraceEvent::EdgeAdded { from: a, to: b });
-        assert_eq!(g.snapshot().edges, vec![(a, b)]);
-        g.event(&TraceEvent::EdgesRemoved { node: b, count: 1 });
-        assert!(g.snapshot().edges.is_empty());
-        let dot = g.to_dot();
-        assert!(dot.contains("digraph alphonse"));
-    }
-
-    #[test]
-    fn profiler_attributes_self_time_to_frames() {
-        let p = Profiler::new();
-        let outer = NodeId::from_index(0);
-        let inner = NodeId::from_index(1);
-        p.event(&TraceEvent::ExecuteBegin { node: outer });
-        p.event(&TraceEvent::ExecuteBegin { node: inner });
-        p.event(&TraceEvent::ExecuteEnd {
-            node: inner,
-            changed: true,
-        });
-        p.event(&TraceEvent::ExecuteEnd {
-            node: outer,
-            changed: true,
-        });
-        assert_eq!(p.total_execs(), 2);
-        let report = p.report(10);
-        assert!(report.contains("execs"), "{report}");
-    }
-
-    #[test]
-    fn render_dot_is_deterministic() {
-        let snap = GraphSnapshot {
-            nodes: vec![
-                SnapshotNode {
-                    id: NodeId::from_index(0),
-                    kind: NodeKind::Location,
-                    label: Some("x".into()),
-                    consistent: true,
-                    queued: false,
-                    partition: None,
-                    last_exec: 0,
-                    execs: 0,
-                },
-                SnapshotNode {
-                    id: NodeId::from_index(1),
-                    kind: NodeKind::Computation,
-                    label: Some("f".into()),
-                    consistent: false,
-                    queued: true,
-                    partition: None,
-                    last_exec: 3,
-                    execs: 2,
-                },
-            ],
-            edges: vec![(NodeId::from_index(0), NodeId::from_index(1))],
-        };
-        let a = render_dot(&snap);
-        let b = render_dot(&snap);
-        assert_eq!(a, b);
-        assert!(a.contains("salmon"));
-        assert!(a.contains("penwidth=2"));
-        assert!(a.contains("peripheries=2"));
     }
 }

@@ -7,10 +7,12 @@
 //! | spec | consumer |
 //! |---|---|
 //! | `1` | stderr event dump via a bounded [`Recorder`] |
-//! | `chrome[:path]` | Chrome trace JSON (default `TRACE_<stem>.json`) |
-//! | `dot[:path]` | dependency-graph DOT (default `TRACE_<stem>.dot`) |
-//! | `hot[:K]` | top-K hot-node table from the [`Profiler`] |
-//! | `jsonl[:path]`, or any path-like value | JSONL event stream ([`JsonlSink`]) |
+//! | `jsonl[:path]`, or any path-like value | JSONL event stream ([`JsonlSink`], default `TRACE_<stem>.jsonl`) |
+//!
+//! JSONL is the one persisted format. Chrome spans, the DOT graph and the
+//! hot-node table render offline from it: record with
+//! `--trace-out run.jsonl` (or `ALPHONSE_TRACE=run.jsonl`), then run
+//! `alphonse-trace chrome|dot|hot run.jsonl`.
 //!
 //! [`TraceConfig::start`] yields an [`ActiveTrace`]: the requested consumer
 //! teed with a live [`Provenance`] index, so causal `why(node)` queries are
@@ -18,8 +20,7 @@
 //! runtime error messages.
 
 use super::provenance::Provenance;
-use super::{render_dot, ChromeTrace, GraphSink, JsonlSink, Profiler, Recorder, Tee, TraceSink};
-use crate::Runtime;
+use super::{JsonlSink, Recorder, Tee, TraceSink};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -28,9 +29,6 @@ use std::sync::Arc;
 /// programs to be complete; the dump warns when the ring dropped events.
 const STDERR_RING: usize = 8192;
 
-/// Default top-K for the `hot` profiler table.
-const DEFAULT_TOP_K: usize = 20;
-
 /// A parsed trace spec: which consumer to attach and where its output goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceConfig {
@@ -38,17 +36,11 @@ pub enum TraceConfig {
     Stderr,
     /// Stream every event as JSON lines to this file.
     Jsonl(PathBuf),
-    /// Accumulate a Chrome trace and write it to this file at the end.
-    Chrome(PathBuf),
-    /// Mirror the dependency graph and write DOT to this file at the end.
-    Dot(PathBuf),
-    /// Profile per-node and print the top-K table at the end.
-    Hot(usize),
 }
 
 impl TraceConfig {
     /// Parses a trace spec (see the [module docs](self) for the grammar).
-    /// `stem` names default output files, e.g. `TRACE_<stem>.json`.
+    /// `stem` names the default output file, `TRACE_<stem>.jsonl`.
     pub fn parse(spec: &str, stem: &str) -> Result<TraceConfig, String> {
         let (head, arg) = match spec.split_once(':') {
             Some((h, a)) => (h, Some(a)),
@@ -56,21 +48,17 @@ impl TraceConfig {
         };
         match head {
             "1" if arg.is_none() => Ok(TraceConfig::Stderr),
-            "chrome" => Ok(TraceConfig::Chrome(
-                arg.map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from(format!("TRACE_{stem}.json"))),
-            )),
-            "dot" => Ok(TraceConfig::Dot(
-                arg.map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from(format!("TRACE_{stem}.dot"))),
-            )),
-            "hot" => match arg {
-                None => Ok(TraceConfig::Hot(DEFAULT_TOP_K)),
-                Some(k) => k
-                    .parse::<usize>()
-                    .map(TraceConfig::Hot)
-                    .map_err(|_| format!("bad hot top-k `{k}` in trace spec `{spec}`")),
-            },
+            "chrome" | "dot" | "hot" => {
+                let top = match (head, arg) {
+                    ("hot", Some(k)) => format!(" --top {k}"),
+                    _ => String::new(),
+                };
+                Err(format!(
+                    "trace spec `{spec}` is gone: record with `--trace-out run.jsonl` \
+                     (or `ALPHONSE_TRACE=run.jsonl`), then run \
+                     `alphonse-trace {head} run.jsonl{top}`"
+                ))
+            }
             "jsonl" => Ok(TraceConfig::Jsonl(
                 arg.map(PathBuf::from)
                     .unwrap_or_else(|| PathBuf::from(format!("TRACE_{stem}.jsonl"))),
@@ -81,8 +69,7 @@ impl TraceConfig {
                 Ok(TraceConfig::Jsonl(PathBuf::from(spec)))
             }
             _ => Err(format!(
-                "unrecognized trace spec `{spec}` (expected 1, chrome[:path], \
-                 dot[:path], hot[:K], jsonl[:path], or a file path)"
+                "unrecognized trace spec `{spec}` (expected 1, jsonl[:path], or a file path)"
             )),
         }
     }
@@ -115,36 +102,6 @@ impl TraceConfig {
                     sink,
                 )
             }
-            TraceConfig::Chrome(path) => {
-                let sink = Arc::new(ChromeTrace::new());
-                (
-                    Consumer::Chrome {
-                        sink: sink.clone(),
-                        path,
-                    },
-                    sink,
-                )
-            }
-            TraceConfig::Dot(path) => {
-                let mirror = Arc::new(GraphSink::new());
-                (
-                    Consumer::Dot {
-                        mirror: mirror.clone(),
-                        path,
-                    },
-                    mirror,
-                )
-            }
-            TraceConfig::Hot(top_k) => {
-                let prof = Arc::new(Profiler::new());
-                (
-                    Consumer::Hot {
-                        prof: prof.clone(),
-                        top_k,
-                    },
-                    prof,
-                )
-            }
         };
         let sink = Arc::new(Tee::new(vec![
             provenance.clone() as Arc<dyn TraceSink>,
@@ -160,22 +117,7 @@ impl TraceConfig {
 
 enum Consumer {
     Stderr(Arc<Recorder>),
-    Jsonl {
-        sink: Arc<JsonlSink>,
-        path: PathBuf,
-    },
-    Chrome {
-        sink: Arc<ChromeTrace>,
-        path: PathBuf,
-    },
-    Dot {
-        mirror: Arc<GraphSink>,
-        path: PathBuf,
-    },
-    Hot {
-        prof: Arc<Profiler>,
-        top_k: usize,
-    },
+    Jsonl { sink: Arc<JsonlSink>, path: PathBuf },
 }
 
 /// A started trace: hand [`ActiveTrace::sink`] to the runtime (or install
@@ -204,14 +146,10 @@ impl ActiveTrace {
         super::set_default_sink(Some(self.sink()))
     }
 
-    /// Finalizes the consumer: dump, flush, or write its output.
-    ///
-    /// Passing the traced runtime lets the DOT consumer prefer the
-    /// authoritative live [`Runtime::graph_snapshot`] over its event-driven
-    /// mirror. Returns a one-line completion message for consumers that
-    /// produced a file (the hot-node table and stderr dump are printed
-    /// directly).
-    pub fn finish(self, rt: Option<&Runtime>) -> io::Result<Option<String>> {
+    /// Finalizes the consumer: dump the stderr recording or flush the
+    /// JSONL file. Returns a one-line completion message naming the file
+    /// the JSONL consumer wrote (the stderr dump is printed directly).
+    pub fn finish(self) -> io::Result<Option<String>> {
         match self.consumer {
             Consumer::Stderr(rec) => {
                 eprint!("{}", rec.dump());
@@ -221,22 +159,6 @@ impl ActiveTrace {
                 sink.flush()?;
                 Ok(Some(format!("trace: wrote {}", path.display())))
             }
-            Consumer::Chrome { sink, path } => {
-                std::fs::write(&path, sink.to_json())?;
-                Ok(Some(format!("trace: wrote {}", path.display())))
-            }
-            Consumer::Dot { mirror, path } => {
-                let snap = match rt {
-                    Some(rt) => rt.graph_snapshot(),
-                    None => mirror.snapshot(),
-                };
-                std::fs::write(&path, render_dot(&snap))?;
-                Ok(Some(format!("trace: wrote {}", path.display())))
-            }
-            Consumer::Hot { prof, top_k } => {
-                println!("{}", prof.report(top_k));
-                Ok(None)
-            }
         }
     }
 }
@@ -244,25 +166,30 @@ impl ActiveTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Runtime;
 
     #[test]
     fn parse_covers_the_grammar() {
         let p = |s: &str| TraceConfig::parse(s, "bin");
         assert_eq!(p("1"), Ok(TraceConfig::Stderr));
-        assert_eq!(
-            p("chrome"),
-            Ok(TraceConfig::Chrome("TRACE_bin.json".into()))
-        );
-        assert_eq!(p("chrome:x.json"), Ok(TraceConfig::Chrome("x.json".into())));
-        assert_eq!(p("dot"), Ok(TraceConfig::Dot("TRACE_bin.dot".into())));
-        assert_eq!(p("hot"), Ok(TraceConfig::Hot(20)));
-        assert_eq!(p("hot:5"), Ok(TraceConfig::Hot(5)));
         assert_eq!(p("jsonl"), Ok(TraceConfig::Jsonl("TRACE_bin.jsonl".into())));
+        assert_eq!(p("jsonl:x.jsonl"), Ok(TraceConfig::Jsonl("x.jsonl".into())));
         assert_eq!(
             p("out/t.jsonl"),
             Ok(TraceConfig::Jsonl("out/t.jsonl".into()))
         );
-        assert!(p("hot:x").is_err());
+        // The renderers moved offline; their old specs name the replacement.
+        for (spec, cmd) in [
+            ("chrome", "alphonse-trace chrome run.jsonl`"),
+            ("chrome:x.json", "alphonse-trace chrome run.jsonl`"),
+            ("dot", "alphonse-trace dot run.jsonl`"),
+            ("hot", "alphonse-trace hot run.jsonl`"),
+            ("hot:5", "alphonse-trace hot run.jsonl --top 5`"),
+        ] {
+            let err = p(spec).unwrap_err();
+            assert!(err.contains("--trace-out run.jsonl"), "{spec}: {err}");
+            assert!(err.contains(cmd), "{spec}: {err}");
+        }
         assert!(p("bogus").is_err());
     }
 
@@ -282,6 +209,6 @@ mod tests {
         let chain = prov.why(n).expect("double was dirtied by the write");
         assert_eq!(chain.write, Some((v.node(), true)));
         // finish() dumps to stderr and returns no message.
-        assert_eq!(active.finish(Some(&rt)).unwrap(), None);
+        assert_eq!(active.finish().unwrap(), None);
     }
 }

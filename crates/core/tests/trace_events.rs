@@ -1,9 +1,8 @@
-//! Event-stream correctness: the trace a canonical diamond graph produces,
-//! sink management, and the DOT exporter's golden output.
+//! Event-stream correctness: the trace a canonical diamond graph produces
+//! and sink management. The offline renderers' goldens over the same
+//! diamond live in `crates/trace-tools/tests/renderers.rs`.
 
-use alphonse::trace::{
-    render_dot, ChromeTrace, DirtyReason, GraphSink, Profiler, Recorder, TraceEvent, TraceSink,
-};
+use alphonse::trace::{DirtyReason, Recorder, TraceEvent, TraceSink};
 use alphonse::{NodeId, Runtime, Strategy, Var};
 use std::sync::Arc;
 
@@ -145,61 +144,6 @@ fn diamond_write_produces_exact_event_sequence() {
 }
 
 #[test]
-fn dot_export_matches_golden() {
-    let rt = Runtime::new();
-    let (a, _) = diamond(&rt);
-    a.set(&rt, 20);
-    rt.propagate();
-
-    let dot = render_dot(&rt.graph_snapshot());
-    // Execution ordinals: initial build is top=1, left=2, right=3; the
-    // update re-executes right=4, left=5, top=6 — so `top` executed last
-    // and is drawn with a double outline.
-    let golden = "\
-digraph alphonse {
-  rankdir=BT;
-  node [fontname=\"Helvetica\" fontsize=10];
-  n0 [label=\"a\\nn0\" shape=box style=filled fillcolor=lightsteelblue];
-  n1 [label=\"top\\nn1 #6\" shape=ellipse style=filled fillcolor=palegreen peripheries=2];
-  n2 [label=\"left\\nn2 #5\" shape=ellipse style=filled fillcolor=palegreen];
-  n3 [label=\"right\\nn3 #4\" shape=ellipse style=filled fillcolor=palegreen];
-  n0 -> n2;
-  n0 -> n3;
-  n2 -> n1;
-  n3 -> n1;
-}
-";
-    assert_eq!(dot, golden, "DOT output diverged:\n{dot}");
-}
-
-#[test]
-fn graph_sink_mirror_agrees_with_live_snapshot_topology() {
-    let rt = Runtime::new();
-    let mirror = Arc::new(GraphSink::new());
-    rt.set_sink(Some(mirror.clone()));
-    let (a, _) = diamond(&rt);
-    a.set(&rt, 20);
-    rt.propagate();
-    rt.set_sink(None);
-
-    let live = rt.graph_snapshot();
-    let mirrored = mirror.snapshot();
-    assert_eq!(live.nodes.len(), mirrored.nodes.len());
-    let mut live_edges = live.edges.clone();
-    let mut mirror_edges = mirrored.edges.clone();
-    live_edges.sort();
-    mirror_edges.sort();
-    assert_eq!(live_edges, mirror_edges);
-    for (l, m) in live.nodes.iter().zip(&mirrored.nodes) {
-        assert_eq!(l.kind, m.kind, "kind mismatch at {}", l.id);
-        assert_eq!(l.label, m.label, "label mismatch at {}", l.id);
-    }
-    // The event-driven mirror also carries execution counts the live
-    // snapshot cannot: 3 initial executions + 3 re-executions.
-    assert_eq!(mirrored.nodes.iter().map(|n| n.execs).sum::<u64>(), 6);
-}
-
-#[test]
 fn with_trace_restores_previous_sink() {
     let rt = Runtime::new();
     let x = rt.var(1i64);
@@ -263,48 +207,6 @@ fn recorder_timeline_filters_per_node() {
         .any(|(_, e)| matches!(e, TraceEvent::CutoffStop { .. })));
     // Timestamps are monotone.
     assert!(a_line.windows(2).all(|w| w[0].0 <= w[1].0));
-}
-
-#[test]
-fn chrome_trace_from_diamond_is_valid_json_shape() {
-    let rt = Runtime::new();
-    let chrome = Arc::new(ChromeTrace::new());
-    rt.set_sink(Some(chrome.clone()));
-    let (a, _) = diamond(&rt);
-    a.set(&rt, 20);
-    rt.propagate();
-    rt.set_sink(None);
-
-    let json = chrome.to_json();
-    assert!(json.starts_with("[\n") && json.ends_with(']'));
-    // Spans balance: one E per B (3 initial + 3 re-executions + 1
-    // propagation run).
-    let begins = json.matches(r#""ph":"B""#).count();
-    let ends = json.matches(r#""ph":"E""#).count();
-    assert_eq!(begins, ends, "unbalanced spans:\n{json}");
-    assert_eq!(begins, 7, "expected 6 exec spans + 1 propagate span");
-    assert!(json.contains(r#""name":"exec top (n1)""#), "{json}");
-    assert!(json.contains(r#""name":"cutoff left (n2)""#), "{json}");
-}
-
-#[test]
-fn profiler_counts_diamond_executions() {
-    let rt = Runtime::new();
-    let prof = Arc::new(Profiler::new());
-    rt.set_sink(Some(prof.clone()));
-    let (a, _) = diamond(&rt);
-    a.set(&rt, 20);
-    rt.propagate();
-    rt.set_sink(None);
-
-    assert_eq!(prof.total_execs(), 6); // 3 initial + 3 re-executions
-    assert_eq!(prof.propagations(), 1); // only the explicit rt.propagate()
-    let report = prof.report(3);
-    assert!(report.contains("top (n1)"), "{report}");
-    assert!(
-        report.lines().count() <= 2 + 3,
-        "top-k not applied:\n{report}"
-    );
 }
 
 #[test]

@@ -65,13 +65,13 @@ enum Flow {
 type ProcMemo = Memo<Vec<Val>, Val>;
 
 /// File-name stem the interpreter passes to the shared trace-spec parser:
-/// `ALPHONSE_TRACE=chrome` writes `TRACE_alphonse.json`, etc.
+/// `ALPHONSE_TRACE=jsonl` writes `TRACE_alphonse.jsonl`.
 const TRACE_STEM: &str = "alphonse";
 
 /// Parses `ALPHONSE_TRACE` through the shared [`TraceConfig`] grammar
-/// (`1` → stderr dump, `chrome[:path]`, `dot[:path]`, `hot[:k]`,
-/// `jsonl[:path]`, or a bare file path → JSONL) and attaches the resulting
-/// sink — teed with a live [`alphonse::trace::Provenance`] index that
+/// (`1` → stderr dump; `jsonl[:path]` or a bare file path → JSONL, which
+/// `alphonse-trace chrome|dot|hot|why` renders offline) and attaches the
+/// resulting sink — teed with a live [`alphonse::trace::Provenance`] index that
 /// runtime error messages quote — to `rt`.
 ///
 /// A malformed value is reported on stderr and ignored — an observability
@@ -561,7 +561,7 @@ impl Drop for Shared {
             if let Some(rt) = self.rt.as_ref() {
                 rt.set_sink(None);
             }
-            match active.finish(self.rt.as_ref()) {
+            match active.finish() {
                 Ok(Some(msg)) => eprintln!("ALPHONSE_TRACE: {msg}"),
                 Ok(None) => {}
                 Err(e) => eprintln!("ALPHONSE_TRACE: failed to write trace: {e}"),

@@ -14,6 +14,11 @@
 //! * **waste** — [`report::waste`] classifies every execution as productive
 //!   (value changed) or wasted (equal value recomputed), per memo label.
 //!
+//! JSONL is the one persisted trace format, and [`render`] draws the other
+//! views from it: **chrome** ([`render::chrome`], Chrome trace-event JSON
+//! for Perfetto), **dot** ([`render::dot`], the replayed dependency graph),
+//! and **hot** ([`render::hot`], per-node execution counts and self time).
+//!
 //! Beyond traces, [`metrics`] reads the runtime's `alphonse-metrics-v1`
 //! snapshot files (wave-latency histograms, worker/shard gauges,
 //! per-subsystem memory gauges) and renders percentile reports or the
@@ -31,5 +36,6 @@ pub mod benchdiff;
 pub mod json;
 pub mod metrics;
 pub mod model;
+pub mod render;
 pub mod report;
 pub mod staticgraph;

@@ -4,6 +4,9 @@
 //! alphonse-trace why <node|label> <trace.jsonl> [--dot] [--allow-truncated]
 //! alphonse-trace waves <trace.jsonl>
 //! alphonse-trace waste <trace.jsonl>
+//! alphonse-trace chrome <trace.jsonl>
+//! alphonse-trace dot <trace.jsonl>
+//! alphonse-trace hot <trace.jsonl> [--top K]
 //! alphonse-trace metrics <snapshot.json> [<baseline.json>]
 //! alphonse-trace bench-diff <baseline.json> <candidate.json> [--threshold <pct>]
 //! alphonse-trace check-static <trace.jsonl> <staticgraph.json>
@@ -12,12 +15,13 @@
 //! Record a trace with `--trace-out run.jsonl` on any bench binary or
 //! `ALPHONSE_TRACE=run.jsonl` on the lang interpreter, then ask why a node
 //! recomputed, how each propagation wave went, and which executions were
-//! wasted.
+//! wasted, or render the run as Chrome spans, a DOT graph, or a hot-node
+//! table.
 
 use alphonse::NodeId;
 use alphonse_trace_tools::metrics::MetricsDoc;
 use alphonse_trace_tools::model::TraceFile;
-use alphonse_trace_tools::{report, staticgraph};
+use alphonse_trace_tools::{render, report, staticgraph};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -36,6 +40,18 @@ commands:
   waste <trace.jsonl>
       Classify every execution as productive (value changed) or wasted
       (equal value recomputed), aggregated per memo label.
+  chrome <trace.jsonl>
+      Render the trace as Chrome trace-event JSON (load it in Perfetto or
+      chrome://tracing): executions and propagation runs as complete spans
+      with their reads/edges tallies, writes, dirtyings, levels, cache hits,
+      cutoffs and batch commits as instants.
+  dot <trace.jsonl>
+      Replay the dependency graph and print it as Graphviz DOT: partition
+      clusters, dirty nodes in red, each node's latest execution ordinal
+      and execution count, the last-executed node double-outlined.
+  hot <trace.jsonl> [--top K]
+      Per-node execution counts, cache hits, dirtyings, and self/cumulative
+      time; prints the K (default 20) nodes with the most self time.
   metrics <snapshot.json> [<baseline.json>]
       Pretty-print a runtime metrics snapshot (`MetricsSnapshot::to_json`
       output, e.g. a bench METRICS_<id>.json sidecar): counter totals,
@@ -57,6 +73,9 @@ commands:
       Exit 0 when the over-approximation holds, 1 with one line per
       uncovered edge otherwise.
 ";
+
+/// Rows `hot` prints without `--top`.
+const DEFAULT_TOP_K: usize = 20;
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
@@ -146,7 +165,7 @@ fn warn_truncated(tf: &TraceFile) {
     }
 }
 
-fn cmd_report(args: Vec<String>, render: fn(&TraceFile) -> String) -> ExitCode {
+fn cmd_report(args: Vec<String>, render: impl Fn(&TraceFile) -> String) -> ExitCode {
     let [path] = args.as_slice() else {
         return fail("expected exactly one <trace.jsonl> argument");
     };
@@ -158,6 +177,18 @@ fn cmd_report(args: Vec<String>, render: fn(&TraceFile) -> String) -> ExitCode {
         }
         Err(e) => fail(&e),
     }
+}
+
+fn cmd_hot(mut args: Vec<String>) -> ExitCode {
+    let top_k = match take_opt(&mut args, "--top") {
+        None => DEFAULT_TOP_K,
+        Some(Ok(v)) => match v.parse::<usize>() {
+            Ok(k) => k,
+            Err(_) => return fail(&format!("--top wants a count, got `{v}`")),
+        },
+        Some(Err(e)) => return fail(&e),
+    };
+    cmd_report(args, |tf| render::hot(tf).render(top_k))
 }
 
 fn cmd_metrics(args: Vec<String>) -> ExitCode {
@@ -283,6 +314,9 @@ fn main() -> ExitCode {
         "why" => cmd_why(args),
         "waves" => cmd_report(args, report::waves_report),
         "waste" => cmd_report(args, report::waste_report),
+        "chrome" => cmd_report(args, render::chrome),
+        "dot" => cmd_report(args, render::dot),
+        "hot" => cmd_hot(args),
         "metrics" => cmd_metrics(args),
         "bench-diff" => cmd_bench_diff(args),
         "check-static" => cmd_check_static(args),

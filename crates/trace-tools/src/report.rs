@@ -11,31 +11,55 @@ use alphonse::NodeId;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Display map from the `label` stamps carried on the records.
-struct Names(Vec<Option<String>>);
+/// Dense id→label display map.
+#[derive(Default)]
+pub(crate) struct Names(Vec<Option<String>>);
 
 impl Names {
+    /// The last `label` stamp each node carries anywhere in `records`.
     fn build(records: &[Record]) -> Names {
-        let mut names: Vec<Option<String>> = Vec::new();
+        let mut names = Names::default();
         for rec in records {
             if let (Some(label), Some(node)) = (&rec.label, rec.event.node()) {
-                let i = node.index();
-                if names.len() <= i {
-                    names.resize(i + 1, None);
-                }
-                names[i] = Some(label.clone());
+                names.set(node, Some(label.clone()));
             }
         }
-        Names(names)
+        names
     }
 
-    fn raw(&self, n: NodeId) -> Option<&str> {
+    fn set(&mut self, n: NodeId, label: Option<String>) {
+        let i = n.index();
+        if self.0.len() <= i {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = label;
+    }
+
+    /// Follows the stream as the runtime's own label map does:
+    /// `NodeCreated` (re)sets a node's label and `Labeled` renames it. A
+    /// record's label stamp also counts, so names survive a bounded
+    /// recording that evicted the node's creation.
+    pub(crate) fn observe(&mut self, rec: &Record) {
+        match &rec.event {
+            TraceEvent::NodeCreated { node, label, .. } => {
+                self.set(*node, label.as_deref().map(str::to_owned))
+            }
+            TraceEvent::Labeled { node, label } => self.set(*node, Some(label.to_string())),
+            ev => {
+                if let (Some(label), Some(node)) = (&rec.label, ev.node()) {
+                    self.set(node, Some(label.clone()));
+                }
+            }
+        }
+    }
+
+    pub(crate) fn raw(&self, n: NodeId) -> Option<&str> {
         self.0.get(n.index()).and_then(|l| l.as_deref())
     }
 
     /// `label (nI)` when labeled, `nI` otherwise — same convention as
     /// `Provenance::display`.
-    fn display(&self, n: NodeId) -> String {
+    pub(crate) fn display(&self, n: NodeId) -> String {
         match self.raw(n) {
             Some(l) => format!("{l} ({n})"),
             None => n.to_string(),

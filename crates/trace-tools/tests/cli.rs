@@ -1,5 +1,6 @@
 //! Smoke tests of the `alphonse-trace` binary: the why/waves/waste commands
-//! over a real recorded trace, and the truncation refusal.
+//! and the chrome/dot/hot renderers over a real recorded trace, and the
+//! truncation refusal.
 
 use alphonse::trace::{Recorder, TraceSink};
 use alphonse::{Runtime, Strategy};
@@ -68,6 +69,37 @@ fn why_waves_waste_run_over_a_recorded_trace() {
     assert!(waste.status.success());
     let out = String::from_utf8_lossy(&waste.stdout);
     assert!(out.contains("productive"), "{out}");
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn chrome_dot_hot_render_a_recorded_trace() {
+    let path = recorded_diamond("render.jsonl", 4096);
+    let first_line = |args: &[&str]| -> String {
+        let out = bin().args(args).arg(&path).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .next()
+            .unwrap_or_default()
+            .to_string()
+    };
+    assert_eq!(first_line(&["chrome"]), "[");
+    assert_eq!(first_line(&["dot"]), "digraph alphonse {");
+    assert!(first_line(&["hot"]).starts_with("hot nodes (top 4 by self time; 1 propagations"));
+    assert!(first_line(&["hot", "--top", "2"]).starts_with("hot nodes (top 2 by self time"));
+
+    let bad_top = bin()
+        .args(["hot", "--top", "x"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(bad_top.status.code(), Some(2));
 
     std::fs::remove_file(&path).ok();
 }

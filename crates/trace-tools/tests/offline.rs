@@ -1,12 +1,12 @@
 //! End-to-end tests over real runtime traces: record the canonical diamond
-//! through the live sinks, then replay the artifacts through the offline
+//! through the live sinks, then replay the JSONL through the offline
 //! tooling and check the two sides agree.
 
-use alphonse::trace::{ChromeTrace, JsonlSink, Recorder, Tee, TraceSink};
+use alphonse::trace::{JsonlSink, Recorder, Tee, TraceSink};
 use alphonse::{Runtime, Strategy};
 use alphonse_trace_tools::json::Json;
 use alphonse_trace_tools::model::TraceFile;
-use alphonse_trace_tools::report;
+use alphonse_trace_tools::{render, report};
 use std::sync::{Arc, Mutex};
 
 /// An in-memory writer the test can read back after the sink is dropped.
@@ -133,30 +133,28 @@ fn waves_summarizes_the_propagation() {
 }
 
 #[test]
-fn chrome_trace_is_valid_json_with_well_nested_spans() {
-    let chrome = Arc::new(ChromeTrace::new());
-    run_diamond(chrome.clone());
-    let doc = Json::parse(&chrome.to_json()).expect("Chrome trace is valid JSON");
-    let events = doc.as_arr().expect("top level is an array");
-    assert!(!events.is_empty());
-    let mut open = 0i64;
-    for ev in events {
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .expect("every record has ph");
-        match ph {
-            "B" => {
-                assert!(ev.get("name").is_some(), "begin spans carry a name");
-                open += 1;
-            }
-            "E" => {
-                open -= 1;
-                assert!(open >= 0, "span end without a matching begin");
-            }
-            "i" => {}
-            other => panic!("unexpected phase {other:?}"),
+fn chrome_spans_nest_in_a_sequential_trace() {
+    let (_, text) = record_diamond();
+    let tf = TraceFile::parse(&text).unwrap();
+    let doc = Json::parse(&render::chrome(&tf)).expect("Chrome trace is valid JSON");
+    let spans: Vec<(u64, u64)> = doc
+        .as_arr()
+        .expect("top level is an array")
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|ev| {
+            let ts = ev.get("ts").and_then(Json::as_u64).unwrap();
+            (ts, ts + ev.get("dur").and_then(Json::as_u64).unwrap())
+        })
+        .collect();
+    assert_eq!(spans.len(), 7);
+    // One thread runs the diamond, so any two spans are disjoint or one
+    // contains the other.
+    for (i, a) in spans.iter().enumerate() {
+        for b in &spans[i + 1..] {
+            let disjoint = a.1 <= b.0 || b.1 <= a.0;
+            let nested = (a.0 <= b.0 && b.1 <= a.1) || (b.0 <= a.0 && a.1 <= b.1);
+            assert!(disjoint || nested, "spans {a:?} and {b:?} overlap");
         }
     }
-    assert_eq!(open, 0, "every begun span ends");
 }

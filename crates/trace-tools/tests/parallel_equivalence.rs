@@ -17,6 +17,7 @@
 use alphonse::trace::{Recorder, TraceSink};
 use alphonse::{Memo, Runtime, Strategy, Var};
 use alphonse_trace_tools::model::TraceFile;
+use alphonse_trace_tools::render::graph_size;
 use alphonse_trace_tools::report::{waves, WavesReport};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -130,6 +131,12 @@ proptest! {
         prop_assert_eq!(par_stats.cache_hits, seq_stats.cache_hits);
         prop_assert_eq!(par_stats.edges_created, seq_stats.edges_created);
         prop_assert_eq!(par_stats.waves, seq_stats.waves);
+
+        // The offline graph replay ends with the runtime's own topology.
+        for s in [&seq, &par] {
+            let tf = TraceFile::parse(&s.rec.to_jsonl()).unwrap();
+            prop_assert_eq!(graph_size(&tf), (s.rt.node_count(), s.rt.edge_count()));
+        }
 
         // ...and the same per-wave analytics once the level brackets —
         // absent by construction from sequential traces — are normalized.

@@ -8,6 +8,9 @@
 //! alphonse-trace why top TRACE_diamond.jsonl
 //! alphonse-trace waves   TRACE_diamond.jsonl
 //! alphonse-trace waste   TRACE_diamond.jsonl
+//! alphonse-trace chrome  TRACE_diamond.jsonl > TRACE_diamond.json
+//! alphonse-trace dot     TRACE_diamond.jsonl > TRACE_diamond.dot
+//! alphonse-trace hot     TRACE_diamond.jsonl --top 3
 //! ```
 //!
 //! The diamond: `a` feeds `left = a/100` (a cutoff arm — its value rarely
@@ -48,7 +51,7 @@ fn main() -> std::io::Result<()> {
     print!("\n{}", prov.why_report(n).expect("top was dirtied"));
 
     rt.set_sink(None);
-    if let Some(msg) = active.finish(Some(&rt))? {
+    if let Some(msg) = active.finish()? {
         println!("\n{msg}");
     }
     Ok(())

@@ -8,8 +8,8 @@
 //!
 //! Tracing: `ALPHONSE_TRACE=sheet.jsonl cargo run --example
 //! spreadsheet_repl` records every runtime event for the `alphonse-trace`
-//! CLI (`why B2 sheet.jsonl`, `waves`, `waste`); the full spec grammar
-//! (`chrome[:path]`, `dot[:path]`, `hot[:K]`, …) works too.
+//! CLI (`why B2 sheet.jsonl`, `waves`, `waste`, and the `chrome`, `dot`
+//! and `hot` renderers). `ALPHONSE_TRACE=1` dumps the events to stderr.
 
 use alphonse::trace::{ActiveTrace, TraceConfig};
 use alphonse::Runtime;
@@ -86,7 +86,7 @@ fn main() {
     }
     if let Some(active) = trace {
         rt.set_sink(None);
-        match active.finish(Some(&rt)) {
+        match active.finish() {
             Ok(Some(msg)) => eprintln!("ALPHONSE_TRACE: {msg}"),
             Ok(None) => {}
             Err(e) => eprintln!("ALPHONSE_TRACE: failed to flush trace: {e}"),
