@@ -7,8 +7,25 @@
 //! (an edge between them would force a height difference), so their
 //! executors may run concurrently. This module supplies the threads and
 //! the one seam through which the level drain (`drain_levels` in
-//! `runtime.rs`) executes a booked level: [`Runtime::run_level`] runs it
-//! inline or on the pool.
+//! `runtime.rs`) executes a booked level: [`Runtime::run_level`].
+//!
+//! A level is executed by *claiming*. The driver books the level's
+//! executions into `Inner::level`; every executing thread then runs the
+//! same claim loop (`Runtime::run_claims`): take the next index from the
+//! level's atomic claim counter, swap frames under one runtime-lock
+//! acquisition, run the executor, repeat until the index passes the
+//! level's width. At `set_parallelism(n)` the driver claims beside
+//! `min(n, width) − 1` helpers, each fed one *ticket* through the pool
+//! queue. The level's shared block is reused, so a steady-state level
+//! allocates nothing of its own. At `n = 1` (or on a one-node level) there are no
+//! helpers and the driver's claim loop is the whole execution window.
+//!
+//! The barrier counts executions, not threads: the driver waits until every
+//! *claimed* execution has reported (a `Mutex` + `Condvar` pending count).
+//! A ticket that reaches a worker after the level's indices are used up
+//! exits without taking the runtime lock — it must, because once the
+//! driver closes the window `Runtime::lock` treats contention as
+//! re-entrancy and panics.
 //!
 //! The pool is deliberately minimal — std threads and one shared `mpsc`
 //! job queue, no external dependencies:
@@ -16,39 +33,31 @@
 //! * Workers are **persistent**: spawned once when a runtime first needs
 //!   them and reused across levels, waves and propagations, so steady-state
 //!   parallel draining spawns nothing.
-//! * Jobs are drained from a single shared queue (receiver behind a mutex),
-//!   so a level whose executors have uneven costs load-balances dynamically
-//!   instead of committing to a static per-worker split.
 //! * Each worker stamps a thread-local identity `(pool id, slot)` at
 //!   startup. The runtime routes execution frames through this identity
 //!   (`Inner::worker_stacks`), giving every worker its own call stack for
 //!   dependence recording while all other node state stays behind the
 //!   runtime's single lock.
 //!
-//! A job that panics is caught so the worker survives; the level scheduler
-//! notices the missing result and propagates the failure on the driver
-//! thread (the runtime is documented as unspecified-but-memory-safe after a
-//! panic unwinds out of an executor).
+//! Panics: a job that panics is caught so the worker survives. A helper
+//! ticket whose executor panics marks its level failed on the way out (a
+//! drop guard), which wakes the driver; the driver then panics with "an
+//! executor panicked on a worker" on its own thread. A panic in an
+//! execution the driver claimed unwinds straight out of `run_level`,
+//! closing the blocking-lock window as it goes. Either way the runtime is
+//! left unspecified-but-memory-safe, as for any executor panic.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::metrics::RuntimeMetrics;
-use crate::runtime::{Executor, Frame, Inner};
-use crate::{Runtime, Value};
+use crate::runtime::Inner;
+use crate::Runtime;
 use alphonse_mem as mem;
-
-/// One booked execution of a level: the executor and the call frame
-/// `exec_book` prepared for it (the frame names the node).
-pub(crate) type LevelJob = (Executor, Frame);
-
-/// A unit of work for one worker: runs on the worker thread, communicates
-/// its result through whatever channel the submitter captured in it.
-pub(crate) type Job = Box<dyn FnOnce() + Send>;
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -72,26 +81,30 @@ pub(crate) struct ExecPool {
     workers: usize,
     /// Dropping the sender is the shutdown signal: `recv` errors out and
     /// every worker exits its loop.
-    tx: Option<Sender<Job>>,
+    tx: Option<Sender<Ticket>>,
     handles: Vec<JoinHandle<()>>,
+    /// The shared block of the current (or last) pooled level, re-armed in
+    /// place for each level ([`ExecPool::arm`]).
+    level: Arc<Level>,
     /// The owning runtime's telemetry registry: workers tally busy/idle
-    /// time and job counts into its per-slot gauges, `submit` maintains the
-    /// queue-depth gauge. Recording is compiled in by the `metrics`
-    /// feature; the handle itself is always carried so the constructor
-    /// signature is feature-independent.
+    /// time and execution counts into its per-thread gauges, `submit`
+    /// maintains the queue-depth gauge. Recording is compiled in by the
+    /// `metrics` feature; the handle itself is always carried so the
+    /// constructor signature is feature-independent.
     #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
     metrics: Arc<RuntimeMetrics>,
 }
 
 impl ExecPool {
     /// Spawns `workers` (>= 1) persistent threads, all draining one shared
-    /// job queue.
+    /// ticket queue. Worker `slot` reports as gauge slot `slot + 1` (slot 0
+    /// is the propagation driver).
     pub(crate) fn new(workers: usize, metrics: Arc<RuntimeMetrics>) -> ExecPool {
         assert!(workers >= 1, "a worker pool needs at least one thread");
         let _mem = alphonse_mem::scope(alphonse_mem::Tag::ExecPool);
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = channel::<Job>();
-        let rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(rx));
+        let (tx, rx) = channel::<Ticket>();
+        let rx: Arc<Mutex<Receiver<Ticket>>> = Arc::new(Mutex::new(rx));
         let mut handles = Vec::with_capacity(workers);
         for slot in 0..workers {
             let rx = Arc::clone(&rx);
@@ -102,38 +115,28 @@ impl ExecPool {
                 .spawn(move || {
                     WORKER_IDENTITY.with(|c| c.set(Some((id, slot))));
                     loop {
-                        // Clock reads bracket the queue wait and the job
-                        // run; both are skipped while recording is off.
+                        // The clock read is skipped while recording is off.
                         #[cfg(feature = "metrics")]
                         let wait_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-                        // Take the next job while holding the queue mutex,
-                        // then release it before running, so other workers
-                        // keep draining while this one executes.
-                        let job = {
+                        // Take the next ticket while holding the queue
+                        // mutex, then release it before running, so other
+                        // workers keep draining while this one executes.
+                        let ticket = {
                             let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
                             guard.recv()
                         };
-                        let Ok(job) = job else { break };
+                        let Ok(ticket) = ticket else { break };
+                        // The wait is this thread's idle time; the ticket
+                        // records its own busy time and executions before
+                        // it reports to the level barrier.
                         #[cfg(feature = "metrics")]
-                        let (idle_ns, run_t0) = match wait_t0 {
-                            Some(t0) => {
-                                metrics.queue_pop();
-                                (
-                                    t0.elapsed().as_nanos() as u64,
-                                    Some(std::time::Instant::now()),
-                                )
-                            }
-                            None => (0, None),
-                        };
-                        let _ = catch_unwind(AssertUnwindSafe(job));
-                        #[cfg(feature = "metrics")]
-                        if let Some(t0) = run_t0 {
-                            metrics.record_worker_job(
-                                slot,
-                                t0.elapsed().as_nanos() as u64,
-                                idle_ns,
-                            );
+                        if let Some(t0) = wait_t0 {
+                            metrics.queue_pop();
+                            metrics.record_worker(slot + 1, 0, t0.elapsed().as_nanos() as u64, 0);
                         }
+                        let _ = catch_unwind(AssertUnwindSafe(move || {
+                            ticket.level.help(&ticket.rt, slot + 1);
+                        }));
                     }
                 })
                 .expect("spawning executor worker thread");
@@ -144,6 +147,7 @@ impl ExecPool {
             workers,
             tx: Some(tx),
             handles,
+            level: Arc::new(Level::new(0)),
             metrics,
         }
     }
@@ -158,11 +162,24 @@ impl ExecPool {
         self.workers
     }
 
-    /// Enqueues one job. Never blocks (the queue is unbounded); the job
-    /// starts as soon as a worker frees up.
-    pub(crate) fn submit(&self, job: Job) {
-        // The job box itself was billed at the caller's `Box::new`; this
-        // covers the channel's internal queue blocks.
+    /// Arms the level block for `width` executions and returns it. The
+    /// block is reset in place unless a ticket of an earlier level still
+    /// holds it (a helper that has not returned yet), so steady-state
+    /// levels allocate no block.
+    fn arm(&mut self, width: usize) -> Arc<Level> {
+        match Arc::get_mut(&mut self.level) {
+            Some(level) => *level = Level::new(width),
+            None => {
+                self.level = mem::with(mem::Tag::ExecPool, || Arc::new(Level::new(width)));
+            }
+        }
+        Arc::clone(&self.level)
+    }
+
+    /// Enqueues one ticket. Never blocks (the queue is unbounded); the
+    /// ticket starts as soon as a worker frees up.
+    fn submit(&self, ticket: Ticket) {
+        // Bills the channel's internal queue blocks.
         let _mem = alphonse_mem::scope(alphonse_mem::Tag::ExecPool);
         #[cfg(feature = "metrics")]
         if crate::metrics::enabled() {
@@ -171,93 +188,200 @@ impl ExecPool {
         self.tx
             .as_ref()
             .expect("pool alive until dropped")
-            .send(job)
+            .send(ticket)
             .expect("workers outlive the pool handle");
     }
 }
 
+/// The shared block of one pooled level: the claim index every executing
+/// thread draws from, and the barrier the driver waits at. The booked
+/// executions themselves sit in `Inner::level`, where a claimant takes its
+/// job in the same lock acquisition that pushes its frame.
+struct Level {
+    width: usize,
+    next: AtomicUsize,
+    barrier: Mutex<Barrier>,
+    all_in: Condvar,
+}
+
+struct Barrier {
+    /// Executions not yet reported finished.
+    pending: usize,
+    /// A helper's executor panicked: `pending` will never reach zero.
+    failed: bool,
+}
+
+/// One helper's share of a pooled level, sent through the pool queue by
+/// value: claim beside the driver until the level's index is used up.
+struct Ticket {
+    rt: Runtime,
+    level: Arc<Level>,
+}
+
+impl Level {
+    fn new(width: usize) -> Level {
+        Level {
+            width,
+            next: AtomicUsize::new(0),
+            barrier: Mutex::new(Barrier {
+                pending: width,
+                failed: false,
+            }),
+            all_in: Condvar::new(),
+        }
+    }
+
+    fn barrier(&self) -> MutexGuard<'_, Barrier> {
+        self.barrier.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// One helper ticket, run by the worker with gauge slot `slot`: claim
+    /// beside the driver, then report. A ticket that claimed nothing
+    /// touches neither lock.
+    #[cfg_attr(not(feature = "metrics"), allow(unused_variables))]
+    fn help(&self, rt: &Runtime, slot: usize) {
+        let _failed = FailOnUnwind(self);
+        #[cfg(feature = "metrics")]
+        let t0 = crate::metrics::enabled().then(std::time::Instant::now);
+        let ran = rt.run_claims(&self.next, self.width);
+        if ran == 0 {
+            return;
+        }
+        // Gauges first: once the barrier opens the driver may snapshot.
+        #[cfg(feature = "metrics")]
+        if let Some(t0) = t0 {
+            rt.metrics
+                .record_worker(slot, t0.elapsed().as_nanos() as u64, 0, ran);
+        }
+        let mut b = self.barrier();
+        b.pending -= ran as usize;
+        if b.pending == 0 {
+            self.all_in.notify_one();
+        }
+    }
+
+    /// The driver's side of the barrier: report its own `ran` executions,
+    /// then wait for the rest. `false` if a helper panicked.
+    fn wait(&self, ran: u64) -> bool {
+        let mut b = self.barrier();
+        b.pending -= ran as usize;
+        while b.pending > 0 && !b.failed {
+            b = self.all_in.wait(b).unwrap_or_else(|e| e.into_inner());
+        }
+        !b.failed
+    }
+}
+
+/// Marks a level failed and wakes its driver when a helper's claim loop
+/// unwinds, so a panicking executor cannot leave the barrier waiting.
+struct FailOnUnwind<'a>(&'a Level);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.barrier().failed = true;
+            self.0.all_in.notify_one();
+        }
+    }
+}
+
+/// Holds `Runtime::par_active` raised for one pooled level and lowers it
+/// on every exit, including a panic in an execution the driver claimed.
+struct ParWindow<'a>(&'a AtomicU32);
+
+impl Drop for ParWindow<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
+}
+
 impl Runtime {
-    /// Executes one booked level and returns the values in batch order.
-    /// This is the only place that chooses between inline and pooled
-    /// execution: the level runs inline on the driver when `parallelism <=
-    /// 1` or fewer than two eager nodes were booked, and on the `n`-worker
-    /// pool otherwise (created lazily, rebuilt when the knob changes size).
+    /// Executes the booked level in `Inner::level`, leaving each slot
+    /// `Done` for the driver's in-order commit. This is the only place
+    /// that decides how many threads execute: the driver plus
+    /// `min(parallelism, width) − 1` helpers from a pool of
+    /// `parallelism − 1` threads (created lazily, rebuilt when the knob
+    /// changes size). With no helpers the level runs on the driver alone
+    /// and no pool is touched.
     ///
     /// Takes the driver's booking guard and releases it for the execution
-    /// window. Inline, each execution pushes and pops its frame under its
-    /// own short lock; pooled, workers do the same on their per-worker
-    /// stacks while `par_active` makes lock contention block instead of
-    /// tripping the re-entrancy panic. `jobs` is drained, capacity kept.
-    pub(crate) fn run_level(
-        &self,
-        mut guard: MutexGuard<'_, Inner>,
-        jobs: &mut Vec<LevelJob>,
-    ) -> Vec<Box<dyn Value>> {
-        let workers = guard.parallelism;
-        if workers <= 1 || jobs.len() < 2 {
+    /// window. While helpers run, `par_active` makes lock contention block
+    /// instead of tripping the re-entrancy panic.
+    pub(crate) fn run_level(&self, mut guard: MutexGuard<'_, Inner>) {
+        let width = guard.level.len();
+        let helpers = guard.parallelism.min(width).saturating_sub(1);
+        if helpers == 0 {
             drop(guard);
-            return jobs.drain(..).map(|job| self.run_booked(job)).collect();
+            self.run_claims(&AtomicUsize::new(0), width);
+            return;
         }
         let inner = &mut *guard;
+        let pool_size = inner.parallelism - 1;
         if inner
             .exec_pool
             .as_ref()
-            .is_none_or(|p| p.workers() != workers)
+            .is_none_or(|p| p.workers() != pool_size)
         {
-            inner.exec_pool = Some(ExecPool::new(workers, Arc::clone(&self.metrics)));
+            inner.exec_pool = Some(ExecPool::new(pool_size, Arc::clone(&self.metrics)));
         }
-        if inner.worker_stacks.len() < workers {
-            inner.worker_stacks.resize_with(workers, Vec::new);
+        if inner.worker_stacks.len() < pool_size {
+            inner.worker_stacks.resize_with(pool_size, Vec::new);
         }
-        let width = jobs.len();
         inner.stats.parallel_levels += 1;
         inner.stats.parallel_executions += width as u64;
-        // Workers may contend for the lock from here on: flip the
-        // blocking-lock mode before the first job can start (jobs are
-        // submitted below while the guard is still held, so no worker can
-        // observe the flag too early).
+        // Helpers may contend for the lock from here on: open the
+        // blocking-lock window before the first ticket can start (tickets
+        // are submitted below while the guard is still held, so no helper
+        // can observe the flag too early).
         self.par_active.fetch_add(1, Ordering::Release);
+        let window = ParWindow(&self.par_active);
         #[cfg(feature = "metrics")]
         let level_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        let (tx, rx) = channel::<(usize, Box<dyn Value>)>();
-        let pool = inner.exec_pool.as_ref().expect("created above");
-        for (idx, job) in jobs.drain(..).enumerate() {
-            let rt = self.clone();
-            let tx = tx.clone();
-            pool.submit(mem::with(mem::Tag::ExecPool, || {
-                Box::new(move || {
-                    let _ = tx.send((idx, rt.run_booked(job)));
-                })
-            }));
+        let pool = inner.exec_pool.as_mut().expect("created above");
+        let level = pool.arm(width);
+        for _ in 0..helpers {
+            pool.submit(Ticket {
+                rt: self.clone(),
+                level: Arc::clone(&level),
+            });
         }
-        drop(tx);
         drop(guard);
-        // Level barrier: wait for every executor. A worker whose job
-        // panicked drops its sender without sending; surface that as the
-        // driver-side panic the sequential path would have had.
-        let mut results: Vec<Option<Box<dyn Value>>> = (0..width).map(|_| None).collect();
-        for (idx, value) in rx {
-            results[idx] = Some(value);
-        }
-        self.par_active.fetch_sub(1, Ordering::Release);
+        let ran = self.run_claims(&level.next, width);
         #[cfg(feature = "metrics")]
-        if let Some(t0) = level_t0 {
+        let wait_t0 = level_t0.map(|_| std::time::Instant::now());
+        let ok = level.wait(ran);
+        drop(window);
+        #[cfg(feature = "metrics")]
+        if let (Some(t0), Some(w0)) = (level_t0, wait_t0) {
+            self.metrics.record_worker(
+                0,
+                (w0 - t0).as_nanos() as u64,
+                w0.elapsed().as_nanos() as u64,
+                ran,
+            );
             self.metrics
                 .level_latency_ns
                 .record(t0.elapsed().as_nanos() as u64);
         }
-        results
-            .into_iter()
-            .map(|v| v.expect("an executor panicked on a worker; runtime state unspecified"))
-            .collect()
+        assert!(
+            ok,
+            "an executor panicked on a worker; runtime state unspecified"
+        );
     }
 }
 
 impl Drop for ExecPool {
     fn drop(&mut self) {
         drop(self.tx.take());
+        // A helper ticket holds a runtime handle, so the last handle can
+        // drop on a worker (a late ticket of a runtime the program already
+        // dropped); that worker cannot join itself, and exits on its own
+        // once it returns to the closed queue.
+        let me = std::thread::current().id();
         for handle in self.handles.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -274,63 +398,125 @@ impl std::fmt::Debug for ExecPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc::channel;
+    use crate::{Memo, Strategy, Var};
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
+
+    /// `width` vars feeding one eager cell each, at `parallelism`; every
+    /// cell runs `body` on its var's value.
+    fn row(
+        parallelism: usize,
+        width: usize,
+        body: impl Fn(i64) -> i64 + Send + Sync + Clone + 'static,
+    ) -> (Runtime, Vec<Var<i64>>, Vec<Memo<(), i64>>) {
+        let rt = Runtime::new();
+        rt.set_parallelism(parallelism);
+        let vars: Vec<Var<i64>> = (0..width).map(|i| rt.var(i as i64)).collect();
+        let cells = vars
+            .iter()
+            .map(|&v| {
+                let body = body.clone();
+                rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| body(v.get(rt)))
+            })
+            .collect::<Vec<Memo<(), i64>>>();
+        for c in &cells {
+            c.call(&rt, ());
+        }
+        (rt, vars, cells)
+    }
+
+    /// Records the thread identity of each cell body once armed. An armed
+    /// body also waits until `threads` bodies are in flight at once (or a
+    /// generous timeout passes), so every executing thread of the level
+    /// must claim one cell.
+    #[derive(Default)]
+    struct Rendezvous {
+        armed: AtomicBool,
+        arrived: AtomicUsize,
+        seen: Mutex<HashSet<Option<(u64, usize)>>>,
+    }
+
+    impl Rendezvous {
+        fn visit(&self, threads: usize) {
+            if !self.armed.load(Ordering::SeqCst) {
+                return;
+            }
+            self.arrived.fetch_add(1, Ordering::SeqCst);
+            let t0 = Instant::now();
+            while self.arrived.load(Ordering::SeqCst) < threads
+                && t0.elapsed() < Duration::from_secs(10)
+            {
+                std::thread::yield_now();
+            }
+            self.seen.lock().unwrap().insert(worker_identity());
+        }
+    }
 
     #[test]
-    fn jobs_run_and_results_come_back() {
-        let pool = ExecPool::new(3, Arc::new(RuntimeMetrics::new()));
-        let (tx, rx) = channel();
-        for i in 0..32usize {
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                tx.send(i * 2).unwrap();
-            }));
+    fn claimed_values_come_back_in_batch_order() {
+        let (rt, vars, cells) = row(3, 32, |x| x * 2);
+        for (i, v) in vars.iter().enumerate() {
+            v.set(&rt, 100 + i as i64);
         }
-        drop(tx);
-        let mut got: Vec<usize> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+        rt.propagate();
+        for (i, c) in cells.iter().enumerate() {
+            assert_eq!(c.call(&rt, ()), 2 * (100 + i as i64));
+        }
+        assert_eq!(rt.stats().parallel_executions, 32);
+        rt.check_invariants();
     }
 
     #[test]
     fn workers_have_distinct_identities() {
-        let pool = ExecPool::new(2, Arc::new(RuntimeMetrics::new()));
-        let (tx, rx) = channel();
-        // Hold both workers long enough that each runs at least one job.
-        for _ in 0..8 {
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                tx.send(worker_identity().expect("on a pool thread"))
-                    .unwrap();
-            }));
+        let meet = Arc::new(Rendezvous::default());
+        let m = Arc::clone(&meet);
+        let (rt, vars, _cells) = row(3, 3, move |x| {
+            m.visit(3);
+            x
+        });
+        meet.armed.store(true, Ordering::SeqCst);
+        for v in &vars {
+            v.set(&rt, -1);
         }
-        drop(tx);
-        let ids: std::collections::HashSet<(u64, usize)> = rx.iter().collect();
-        assert!(!ids.is_empty());
-        for &(pool_id, slot) in &ids {
-            assert_eq!(pool_id, pool.id());
-            assert!(slot < pool.workers());
-        }
-        assert_eq!(worker_identity(), None, "driver thread has no identity");
+        rt.propagate();
+        let pool = rt.lock().exec_pool.as_ref().expect("pool built").id();
+        let want: HashSet<_> = [None, Some((pool, 0)), Some((pool, 1))].into();
+        assert_eq!(
+            *meet.seen.lock().unwrap(),
+            want,
+            "the driver and both helpers each ran one cell"
+        );
+        assert_eq!(worker_identity(), None, "the test thread has no identity");
     }
 
     #[test]
-    fn a_panicking_job_does_not_kill_the_worker() {
-        let pool = ExecPool::new(1, Arc::new(RuntimeMetrics::new()));
-        let (tx, rx) = channel();
-        pool.submit(Box::new(|| panic!("boom")));
-        let tx2 = tx.clone();
-        pool.submit(Box::new(move || tx2.send(7u32).unwrap()));
-        drop(tx);
-        assert_eq!(rx.iter().collect::<Vec<_>>(), vec![7]);
-        let done = Arc::new(AtomicUsize::new(0));
-        let d = Arc::clone(&done);
-        pool.submit(Box::new(move || {
-            d.fetch_add(1, Ordering::SeqCst);
-        }));
-        drop(pool); // joins: the job above must have run
-        assert_eq!(done.load(Ordering::SeqCst), 1);
+    fn a_panicking_ticket_fails_its_level_and_the_worker_survives() {
+        let meet = Arc::new(Rendezvous::default());
+        let m = Arc::clone(&meet);
+        let (rt, vars, cells) = row(2, 2, move |x| {
+            m.visit(2);
+            x + 1
+        });
+        let mut pool = ExecPool::new(1, Arc::clone(&rt.metrics));
+        let pool_id = pool.id();
+        // A width-1 level with nothing booked in `Inner::level`: the
+        // helper's claim indexes past the empty slot list and panics.
+        let broken = pool.arm(1);
+        pool.submit(Ticket {
+            rt: rt.clone(),
+            level: Arc::clone(&broken),
+        });
+        assert!(!broken.wait(0), "the driver is woken, not left waiting");
+        // The same worker still claims its share of a real level.
+        rt.lock().exec_pool = Some(pool);
+        meet.armed.store(true, Ordering::SeqCst);
+        for v in &vars {
+            v.set(&rt, 50);
+        }
+        rt.propagate();
+        assert!(cells.iter().all(|c| c.call(&rt, ()) == 51));
+        let want: HashSet<_> = [None, Some((pool_id, 0))].into();
+        assert_eq!(*meet.seen.lock().unwrap(), want);
     }
 }

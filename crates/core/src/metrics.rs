@@ -365,8 +365,8 @@ pub struct RuntimeMetrics {
     pub(crate) level_width: Histogram,
     pub(crate) level_latency_ns: Histogram,
     pub(crate) workers: [WorkerGauges; MAX_WORKER_SLOTS],
-    /// Number of worker slots that have ever run a job (gauge readout stops
-    /// here).
+    /// One past the highest slot that has ever reported (gauge readout
+    /// stops here).
     pub(crate) workers_hwm: AtomicU64,
     pub(crate) queue_depth: AtomicU64,
     pub(crate) queue_depth_hwm: AtomicU64,
@@ -403,13 +403,15 @@ impl RuntimeMetrics {
         idx.min(MAX_WORKER_SLOTS - 1)
     }
 
-    /// Records one job executed by worker `slot`, with the time it spent
-    /// running it and the time it waited for it.
-    pub(crate) fn record_worker_job(&self, slot: usize, busy_ns: u64, idle_ns: u64) {
+    /// Adds to the gauges of executing thread `slot` of pooled levels
+    /// (slot 0 is the driver, 1.. the pool's workers): `jobs` executions
+    /// run in `busy_ns`, and `idle_ns` spent waiting (a worker for its
+    /// ticket, the driver at the level barrier).
+    pub(crate) fn record_worker(&self, slot: usize, busy_ns: u64, idle_ns: u64, jobs: u64) {
         let w = &self.workers[Self::slot(slot)];
         w.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
         w.idle_ns.fetch_add(idle_ns, Ordering::Relaxed);
-        w.jobs.fetch_add(1, Ordering::Relaxed);
+        w.jobs.fetch_add(jobs, Ordering::Relaxed);
         self.workers_hwm
             .fetch_max(Self::slot(slot) as u64 + 1, Ordering::Relaxed);
     }
@@ -454,17 +456,18 @@ impl Default for RuntimeMetrics {
     }
 }
 
-/// Gauges for one executor-pool worker slot.
+/// Gauges for one thread that executes pooled levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerSnapshot {
-    /// Worker slot index within the pool.
+    /// Executing-thread slot: 0 is the propagation driver, `1..n` the
+    /// pool's workers at [`set_parallelism(n)`](crate::Runtime::set_parallelism).
     pub slot: usize,
-    /// Nanoseconds spent running jobs.
+    /// Nanoseconds spent claiming and running executions.
     pub busy_ns: u64,
-    /// Nanoseconds spent waiting for jobs (between finishing one and
-    /// receiving the next).
+    /// Nanoseconds spent waiting: a worker for its next ticket, the driver
+    /// at the level barrier.
     pub idle_ns: u64,
-    /// Jobs executed.
+    /// Executions run on this thread.
     pub jobs: u64,
 }
 
@@ -591,9 +594,10 @@ pub struct MetricsSnapshot {
     pub level_width: HistogramSnapshot,
     /// Per-level drain latency, nanoseconds (pooled levels only).
     pub level_latency_ns: HistogramSnapshot,
-    /// Executor-pool worker gauges, one per slot that has run a job.
+    /// Per-thread gauges of pooled levels, one per slot up to the highest
+    /// that has reported (slot 0 is the driver).
     pub workers: Vec<WorkerSnapshot>,
-    /// Executor-pool jobs currently queued.
+    /// Executor-pool tickets currently queued.
     pub queue_depth: u64,
     /// High-water mark of [`queue_depth`](MetricsSnapshot::queue_depth).
     pub queue_depth_hwm: u64,

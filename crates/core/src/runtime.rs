@@ -19,7 +19,6 @@
 //! layout") for the full picture.
 
 use crate::dirty::{DirtySet, Scheduling};
-use crate::exec_pool::LevelJob;
 use crate::fxhash::FxHashMap;
 use crate::stats::Stats;
 #[cfg(feature = "trace")]
@@ -29,7 +28,7 @@ use crate::value::Value;
 use alphonse_graph::{DepGraph, NodeId, UnionFind};
 use alphonse_mem as mem;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
@@ -56,6 +55,17 @@ macro_rules! emit {
 /// body against the runtime and returns the fresh cached value. `Send +
 /// Sync` so a session owning the closure can move between threads.
 pub(crate) type Executor = Arc<dyn Fn(&Runtime) -> Box<dyn Value> + Send + Sync>;
+
+/// One booked execution of a level, as the claim loop moves it along.
+pub(crate) enum LevelSlot {
+    /// Booked by the driver: the executor and the call frame `exec_book`
+    /// prepared for it (the frame names the node).
+    Booked(Executor, Frame),
+    /// Claimed: the frame is on the claiming thread's stack.
+    Running,
+    /// Finished: the value awaiting the driver's in-order commit.
+    Done(Box<dyn Value>),
+}
 
 /// Evaluation strategy of an incremental procedure (paper Section 3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -176,12 +186,16 @@ pub(crate) struct Inner {
     pub(crate) worker_stacks: Vec<Vec<Frame>>,
     /// The `set_parallelism` knob: `0` = sequential evaluator (default),
     /// `1` = level-at-a-time draining with inline execution (the honest
-    /// single-worker control), `n >= 2` = dispatch multi-node levels to an
-    /// `n`-worker pool.
+    /// single-worker control), `n >= 2` = multi-node levels execute on `n`
+    /// threads, the driver plus an `n − 1`-worker pool.
     pub(crate) parallelism: usize,
-    /// Lazily created persistent worker pool (first multi-node level with
-    /// `parallelism >= 2`). Rebuilt if the knob changes size.
+    /// Lazily created persistent worker pool of `parallelism − 1` threads
+    /// (first multi-node level with `parallelism >= 2`). Rebuilt if the
+    /// knob changes size.
     pub(crate) exec_pool: Option<crate::exec_pool::ExecPool>,
+    /// The booked executions of the level being drained, indexed by claim
+    /// order (= batch order). Empty between levels; capacity is kept.
+    pub(crate) level: Vec<LevelSlot>,
     dirty: DirtyStore,
     partition: Option<UnionFind>,
     scheduling: Scheduling,
@@ -285,6 +299,7 @@ impl RuntimeBuilder {
                 worker_stacks: Vec::new(),
                 parallelism: 0,
                 exec_pool: None,
+                level: Vec::new(),
                 dirty,
                 partition: self.partitioning.then(UnionFind::new),
                 scheduling: self.scheduling,
@@ -714,28 +729,29 @@ impl Runtime {
     /// (a panic unwound out of a runtime operation) is entered anyway: the
     /// documented contract already declares the runtime
     /// unspecified-but-memory-safe after a panic.
+    ///
+    /// Every acquisition is tallied in [`Stats::lock_acquisitions`].
     #[inline]
     pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
-        match self.inner.try_lock() {
+        let mut guard = match self.inner.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
             Err(TryLockError::WouldBlock) => {
                 // While a level of executors runs on the worker pool the
                 // lock is legitimately contended — the driver and every
-                // worker take it for short frame/commit/read sections — so
+                // helper take it for short frame/commit/read sections — so
                 // block instead of treating contention as re-entrancy.
-                if self.par_active.load(Ordering::Acquire) > 0 {
-                    return match self.inner.lock() {
-                        Ok(guard) => guard,
-                        Err(e) => e.into_inner(),
-                    };
+                if self.par_active.load(Ordering::Acquire) == 0 {
+                    panic!(
+                        "runtime re-entered while internally locked: closures run by Var::with, \
+                         with_value and trace sinks must not call back into runtime operations"
+                    )
                 }
-                panic!(
-                    "runtime re-entered while internally locked: closures run by Var::with, \
-                     with_value and trace sinks must not call back into runtime operations"
-                )
+                self.inner.lock().unwrap_or_else(|e| e.into_inner())
             }
-        }
+        };
+        guard.stats.lock_acquisitions += 1;
+        guard
     }
 
     /// Creates a runtime with default configuration (no partitioning,
@@ -768,8 +784,10 @@ impl Runtime {
     ///   batching, barriers and trace brackets as the parallel scheduler
     ///   but zero worker threads — the honest single-worker control for
     ///   speedup measurements.
-    /// * `n >= 2` — multi-node levels run their eager executors
-    ///   concurrently on a persistent `n`-thread worker pool.
+    /// * `n >= 2` — multi-node levels run their eager executors on `n`
+    ///   threads at once: the propagating thread itself plus a persistent
+    ///   pool of `n − 1` workers. All of them claim executions from the
+    ///   level in turn, so a level of width `w < n` uses `w` threads.
     ///
     /// Level draining only engages for the default configuration
     /// (height-order scheduling, no partitioning); any other configuration
@@ -781,7 +799,11 @@ impl Runtime {
             inner.parallelism = n;
             // A pool of the wrong size is rebuilt lazily on the next
             // multi-node level; dropping it here joins its (idle) workers.
-            if inner.exec_pool.as_ref().is_some_and(|p| p.workers() != n) {
+            if inner
+                .exec_pool
+                .as_ref()
+                .is_some_and(|p| p.workers() + 1 != n)
+            {
                 inner.exec_pool = None;
             }
         }
@@ -1476,9 +1498,9 @@ impl Runtime {
     }
 
     /// The bookkeeping half of [`Runtime::exec_begin`]: everything except
-    /// pushing the call frame. The level-parallel scheduler books a whole
-    /// batch under one guard on the driver thread and hands each returned
-    /// frame to the worker that will run the executor (the frame must live
+    /// pushing the call frame. The level drain books a whole batch under
+    /// one guard on the driver thread and leaves each returned frame in
+    /// `Inner::level` for whichever thread claims it (the frame must live
     /// on the *executing* thread's stack for dependence recording to target
     /// it); the sequential path pushes it straight onto the current stack.
     fn exec_book(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64, Frame) {
@@ -1549,9 +1571,9 @@ impl Runtime {
 
     /// The frame half of [`Runtime::exec_end`]: pops the current thread's
     /// innermost frame, restores overwritten dedup stamps and drops the
-    /// node's on-stack depth. Under level-parallel draining each worker
-    /// pops its own frame as soon as its executor returns (before the
-    /// level's barrier), so re-queued dirt never sees a dead frame.
+    /// node's on-stack depth. Under level draining each claimant pops its
+    /// own frame as soon as its executor returns (before the level's
+    /// barrier), so re-queued dirt never sees a dead frame.
     fn pop_frame(&self, inner: &mut Inner, n: NodeId) {
         let frame = inner.active_stack().pop().expect("frame pushed above");
         self.exec_depth.fetch_sub(1, Ordering::Relaxed);
@@ -1914,9 +1936,9 @@ impl Runtime {
     ///    mutation-only nodes (locations, demand marking, on-stack
     ///    re-queue) inline, and book every eager node (`exec_book`, in
     ///    batch order — deterministic, matching the sequential pop order).
-    /// 2. **Execute**: [`Runtime::run_level`] runs the booked executors,
-    ///    inline or on the worker pool, and returns their values in batch
-    ///    order.
+    /// 2. **Execute**: [`Runtime::run_level`] runs the booked executors
+    ///    (the driver claims them, beside pool helpers when there are any)
+    ///    and leaves their values in `Inner::level`, in batch order.
     /// 3. **Commit** (one guard): store each result in batch order
     ///    (generation check, cutoff comparison), dirty the successors of
     ///    changed nodes and close the `LevelEnd` bracket.
@@ -1930,7 +1952,6 @@ impl Runtime {
         let mut steps = 0u64;
         let mut batch: Vec<NodeId> = Vec::new();
         let mut booked: Vec<(NodeId, u64)> = Vec::new();
-        let mut jobs: Vec<LevelJob> = Vec::new();
         while steps < max_steps {
             let mut guard = self.lock();
             let inner = &mut *guard;
@@ -1960,18 +1981,23 @@ impl Runtime {
                 if inner.step_popped(u) {
                     let (executor, my_gen, frame) = self.exec_book(inner, u);
                     booked.push((u, my_gen));
-                    jobs.push((executor, frame));
+                    inner.level.push(LevelSlot::Booked(executor, frame));
                 }
             }
-            let values = self.run_level(guard, &mut jobs);
+            self.run_level(guard);
             let mut guard = self.lock();
             let inner = &mut *guard;
-            for (&(u, my_gen), value) in booked.iter().zip(values) {
+            let mut level = std::mem::take(&mut inner.level);
+            for (&(u, my_gen), slot) in booked.iter().zip(level.drain(..)) {
+                let LevelSlot::Done(value) = slot else {
+                    unreachable!("level barrier passed with an unfinished execution");
+                };
                 let (_, changed) = self.exec_commit(inner, u, my_gen, value);
                 if changed {
                     inner.dirty_succs_of(u);
                 }
             }
+            inner.level = level;
             emit!(
                 inner,
                 TraceEvent::LevelEnd {
@@ -1984,17 +2010,47 @@ impl Runtime {
         }
     }
 
-    /// Runs one booked execution on the current thread: push its frame onto
-    /// this thread's stack, run the executor (its tracked reads and nested
-    /// memo calls record against that frame), pop the frame. The level
-    /// drain runs this inline on the driver or as a worker-pool job.
-    pub(crate) fn run_booked(&self, (executor, frame): LevelJob) -> Box<dyn Value> {
-        let n = frame.node;
-        self.lock().active_stack().push(frame);
-        self.exec_depth.fetch_add(1, Ordering::Relaxed);
-        let value = executor(self);
-        self.pop_frame(&mut self.lock(), n);
-        value
+    /// The level drain's claim loop, run by the driver and by each helper
+    /// ticket of a pooled level: claim the next index from `next`, run that
+    /// booked execution with its frame on this thread's stack (its tracked
+    /// reads and nested memo calls record against that frame), and repeat
+    /// until the index passes `width`. Each lock acquisition pops the
+    /// previous frame, stores its value, and pushes the next claim's frame,
+    /// so `k` executions cost `k + 1` acquisitions. A claimant that finds
+    /// the index exhausted before it ran anything returns without locking.
+    /// Returns the number of executions run.
+    pub(crate) fn run_claims(&self, next: &AtomicUsize, width: usize) -> u64 {
+        let mut ran = 0;
+        let mut finished: Option<(usize, NodeId, Box<dyn Value>)> = None;
+        loop {
+            // Relaxed: the index only has to be unique. The slot it names
+            // is read and written under the runtime lock, which orders it.
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= width && finished.is_none() {
+                return ran;
+            }
+            let mut guard = self.lock();
+            let inner = &mut *guard;
+            if let Some((done, n, value)) = finished.take() {
+                self.pop_frame(inner, n);
+                inner.level[done] = LevelSlot::Done(value);
+            }
+            if idx >= width {
+                return ran;
+            }
+            let LevelSlot::Booked(executor, frame) =
+                std::mem::replace(&mut inner.level[idx], LevelSlot::Running)
+            else {
+                unreachable!("each level index is claimed once");
+            };
+            let n = frame.node;
+            inner.active_stack().push(frame);
+            self.exec_depth.fetch_add(1, Ordering::Relaxed);
+            drop(guard);
+            let value = executor(self);
+            ran += 1;
+            finished = Some((idx, n, value));
+        }
     }
 
     /// Pops and processes one dirty node; mutation-only cases are handled

@@ -49,6 +49,7 @@ macro_rules! for_each_counter {
             parallel_levels,
             parallel_executions,
             level_width_hwm,
+            lock_acquisitions,
             mem_nodes,
             mem_edges_hwm,
             mem_bytes_hwm
@@ -136,18 +137,24 @@ pub struct Stats {
     /// successor scratch buffer. Once propagation reaches steady state this
     /// stops growing: fan-out performs zero heap allocations.
     pub scratch_hwm: u64,
-    /// Height levels whose eager batch was dispatched to the execution
-    /// worker pool ([`Runtime::set_parallelism`] of 2 or more). Single-node levels execute inline and are not counted.
+    /// Height levels drained with worker-pool helpers claiming executions
+    /// beside the driver ([`Runtime::set_parallelism`] of 2 or more).
+    /// Single-node levels run on the driver alone and are not counted.
     ///
     /// [`Runtime::set_parallelism`]: crate::Runtime::set_parallelism
     pub parallel_levels: u64,
-    /// Executor runs performed on worker-pool threads (the per-node share
-    /// of `parallel_levels`; always `<= executions`).
+    /// Executor runs in those levels, whichever thread claimed them (the
+    /// per-node share of `parallel_levels`; always `<= executions`).
     pub parallel_executions: u64,
     /// Widest dirty batch drained at a single height level — the available
     /// parallelism high-water mark. Maintained whenever the level-drain
     /// scheduler runs, including one-node levels.
     pub level_width_hwm: u64,
+    /// Acquisitions of the runtime's internal lock, from any thread — the
+    /// round-trips that frame pushes, reads, writes and commits cost.
+    /// Tallied under the acquired guard, so the count is exact; a
+    /// [`Runtime::stats`](crate::Runtime::stats) call counts its own.
+    pub lock_acquisitions: u64,
     /// Dependency-graph nodes currently resident. Nodes are never freed, so
     /// this equals `nodes_created` since the last reset plus whatever
     /// existed before it — kept separate so memory gauges survive

@@ -205,6 +205,7 @@ mod wired {
         let prom = snap.render_prometheus();
         for needle in [
             "# TYPE alphonse_executions counter",
+            "# TYPE alphonse_lock_acquisitions counter",
             "# TYPE alphonse_wave_latency_ns histogram",
             "alphonse_wave_latency_ns_bucket{le=\"+Inf\"}",
             "alphonse_exec_queue_depth 0",
@@ -220,6 +221,7 @@ mod wired {
         let json = snap.to_json();
         assert!(json.starts_with("{\"schema\":\"alphonse-metrics-v1\""));
         assert!(json.contains("\"wave_latency_ns\""));
+        assert!(json.contains("\"lock_acquisitions\""));
     }
 
     #[test]

@@ -304,7 +304,105 @@ fn worker_gauges_populate_only_under_pooled_draining() {
         assert!(w.utilization() <= 1.0);
     }
     assert!(snap.queue_depth_hwm >= 1, "jobs passed through the queue");
-    assert_eq!(snap.queue_depth, 0, "queue drained at quiescence");
     assert_eq!(snap.level_width.max, 6, "widest level was the cell row");
     assert!(snap.level_latency_ns.count() >= 1, "one pooled level timed");
+    // A helper ticket that arrives after the level's work is claimed may
+    // still be queued when `propagate` returns; dropping the pool joins
+    // its workers, which drain the queue first.
+    rt.set_parallelism(0);
+    assert_eq!(
+        rt.metrics_snapshot().queue_depth,
+        0,
+        "queue drained at quiescence"
+    );
+}
+
+/// A panicking executor must surface as a panic out of `propagate`, never
+/// as a hang at the level barrier — whether the driver or a pool helper
+/// claimed the failing execution. The failing cell moves across the level
+/// from one repetition to the next and every cell stalls briefly, so over
+/// the repetitions the failure lands on both.
+#[test]
+fn executor_panics_in_pooled_levels_reach_the_caller() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    const WIDTH: usize = 16;
+    const BOOM: i64 = -1;
+    for workers in [2usize, 4] {
+        for rep in 0..50 {
+            let rt = Runtime::new();
+            rt.set_parallelism(workers);
+            let vars: Vec<Var<i64>> = (0..WIDTH).map(|i| rt.var(i as i64)).collect();
+            let cells: Vec<alphonse::Memo<(), i64>> = vars
+                .iter()
+                .map(|v| {
+                    let v = *v;
+                    rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| {
+                        // A short stall keeps the driver from claiming the
+                        // whole level before a helper wakes up.
+                        std::thread::sleep(std::time::Duration::from_micros(50));
+                        let x = v.get(rt);
+                        assert_ne!(x, BOOM, "cell saw the poisoned value");
+                        x * 10
+                    })
+                })
+                .collect();
+            for c in &cells {
+                c.call(&rt, ());
+            }
+            for (i, v) in vars.iter().enumerate() {
+                let x = if i == rep % WIDTH {
+                    BOOM
+                } else {
+                    100 + i as i64
+                };
+                v.set(&rt, x);
+            }
+            let payload = catch_unwind(AssertUnwindSafe(|| rt.propagate()))
+                .expect_err("the executor's panic was swallowed");
+            // The driver either unwound from the cell itself or re-raised a
+            // helper's failure.
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("poisoned value") || message.contains("panicked on a worker"),
+                "parallelism {workers}, rep {rep}: unexpected panic {message:?}"
+            );
+        }
+    }
+}
+
+/// `Stats::lock_acquisitions` pins the fused frame swap: a claimant pops
+/// one frame and pushes the next under a single acquisition.
+#[test]
+fn one_inline_level_takes_one_frame_lock_per_execution_plus_one() {
+    const W: u64 = 8;
+    let rt = Runtime::new();
+    rt.set_parallelism(1);
+    let vars: Vec<Var<i64>> = (0..W).map(|i| rt.var(i as i64)).collect();
+    let cells: Vec<alphonse::Memo<(), i64>> = vars
+        .iter()
+        .map(|v| {
+            let v = *v;
+            rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| v.get(rt) + 1)
+        })
+        .collect();
+    for c in &cells {
+        c.call(&rt, ());
+    }
+    for v in &vars {
+        v.set(&rt, 1000);
+    }
+    let before = rt.stats();
+    rt.propagate();
+    let taken = rt.stats().delta_since(&before).lock_acquisitions;
+    // Wave open and close: 2. The var level: book + commit, 2. The cell
+    // level: book 1, frame swaps W + 1, one tracked read per cell W,
+    // commit 1. The final empty `pop_level`: 1. The closing `stats()`
+    // call counts itself: 1.
+    // Separate frame push and pop locks, 2 per execution instead of
+    // W + 1 in all, would take W - 1 more.
+    assert_eq!(taken, 2 + 2 + (1 + (W + 1) + W + 1) + 1 + 1);
 }
