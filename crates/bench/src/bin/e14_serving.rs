@@ -1,6 +1,12 @@
 //! Prints the E14 table (sharded multi-session serving on a `SessionPool`).
 //!
 //! Usage: `e14_serving [--quick]`
+//!
+//! Installs the subsystem-tagged tracking allocator so the `bytes_node`
+//! column carries a real measurement; without it the column reads zero.
+#[global_allocator]
+static ALLOC: alphonse::mem::TrackingAlloc = alphonse::mem::TrackingAlloc;
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let table = if quick {

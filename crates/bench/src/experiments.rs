@@ -7,14 +7,15 @@
 
 use crate::table::{percentile_cells, Table};
 use crate::workloads::{self, HEIGHT_PROGRAM};
+use alphonse::mem::MemSnapshot;
 use alphonse::{
-    Histogram, HistogramSnapshot, Memo, MetricsSnapshot, Runtime, Scheduling, SessionPool,
-    Strategy, Var,
+    Histogram, HistogramSnapshot, Memo, MetricsSnapshot, Runtime, Scheduling, Strategy, Var,
 };
 use alphonse_agkit::{
     parse_let, AgEvaluator, AgNodeId, AgTree, AttrVal, ExhaustiveAg, Grammar, LetLang,
 };
 use alphonse_lang::{compile, parse, transform, Interp, Mode, TransformOptions, Val};
+use alphonse_serve::SessionPool;
 use alphonse_sheet::{Addr, Formula, Op, RecalcSheet, Sheet};
 use alphonse_trees::{ClassicAvl, ExhaustiveTree, HandcodedTree, MaintainedAvl, NodeRef};
 use rand::Rng;
@@ -31,6 +32,25 @@ fn write_metrics_sidecar(id: &str, snap: &MetricsSnapshot) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }
+}
+
+/// The subsystem tags a runtime and its substrate bill their memory to;
+/// their summed live bytes are a session's measured footprint (E14, E17).
+const FOOTPRINT_TAGS: [&str; 7] = [
+    "graph_core",
+    "value_slab",
+    "memo",
+    "queues",
+    "substrate",
+    "exec_pool",
+    "metrics",
+];
+
+/// Growth of `tag`'s live bytes from `before` to `after` (zero unless the
+/// driving binary installs [`alphonse::mem::TrackingAlloc`]).
+fn live_growth(tag: &str, after: &MemSnapshot, before: &MemSnapshot) -> u64 {
+    let b = before.get(tag).map_or(0, |s| s.live_bytes);
+    after.get(tag).map_or(0, |s| s.live_bytes).saturating_sub(b)
 }
 
 /// Wall-clock microseconds since `start`.
@@ -1114,8 +1134,10 @@ fn serve_session(seed: u64) -> ServeSession {
 /// call…). Shards overlap stalls of different tenants, which is the
 /// scaling a sharded serving layer buys on any host. `scaling` is
 /// throughput relative to the 1-thread row of the same workload;
-/// `bytes_node` is `mem_bytes_hwm / mem_nodes` from the runtime's memory
-/// gauges — the per-node footprint of the struct-of-arrays columns.
+/// `bytes_node` is the tagged live bytes (`alphonse::mem`) that building
+/// session 0 adds, divided by its `node_count()` — measured, so it is zero
+/// unless the driving binary installs [`alphonse::mem::TrackingAlloc`]
+/// (the `e14_serving` and `all_experiments` binaries do).
 pub fn e14_serving(threads: &[usize], sessions: usize, waves: usize) -> Table {
     const LEAVES: usize = 64;
     const K: usize = 16;
@@ -1156,7 +1178,16 @@ pub fn e14_serving(threads: &[usize], sessions: usize, waves: usize) -> Table {
         let mut base_kwps = 0.0f64;
         for &n in threads {
             let pool = SessionPool::new(n);
-            for s in 0..sessions as u64 {
+            let mem0 = alphonse::mem::snapshot();
+            let first = serve_session(1400);
+            let mem1 = alphonse::mem::snapshot();
+            let bytes: u64 = FOOTPRINT_TAGS
+                .iter()
+                .map(|&tag| live_growth(tag, &mem1, &mem0))
+                .sum();
+            let bytes_node = bytes / first.rt.node_count().max(1) as u64;
+            pool.insert(0, first);
+            for s in 1..sessions as u64 {
                 pool.insert(s, serve_session(1400 + s));
             }
             pool.flush();
@@ -1182,19 +1213,13 @@ pub fn e14_serving(threads: &[usize], sessions: usize, waves: usize) -> Table {
             }
             pool.flush();
             let elapsed = start.elapsed().as_secs_f64();
-            // Harvest latency histograms and the memory gauges, then verify
-            // every session converged to its replayed edit stream.
+            // Harvest latency histograms, then verify every session
+            // converged to its replayed edit stream.
             let mut lat = HistogramSnapshot::empty();
-            let mut bytes_node = 0u64;
             for s in 0..sessions as u64 {
-                let (samples, stats) = pool.query(s, |sess: &mut ServeSession| {
-                    (sess.lat_us.snapshot(), sess.rt.stats())
-                });
+                let samples = pool.query(s, |sess: &mut ServeSession| sess.lat_us.snapshot());
                 assert_eq!(samples.count(), waves as u64, "every wave served");
                 lat.merge(&samples);
-                if s == 0 {
-                    bytes_node = stats.mem_bytes_hwm / stats.mem_nodes.max(1);
-                }
                 let expect: i64 = {
                     let mut leaves = vec![0i64; LEAVES];
                     let mut r = workloads::rng(1400 + s);
@@ -1603,13 +1628,6 @@ pub fn e17_scale(quick: bool) -> Table {
             "substrate_b/n",
         ],
     );
-    let live = |tag: &str,
-                after: &alphonse::mem::MemSnapshot,
-                before: &alphonse::mem::MemSnapshot|
-     -> u64 {
-        let b = before.get(tag).map_or(0, |s| s.live_bytes);
-        after.get(tag).map_or(0, |s| s.live_bytes).saturating_sub(b)
-    };
     // One finished run, substrate-agnostic.
     struct Run {
         nodes: u64,
@@ -1647,15 +1665,6 @@ pub fn e17_scale(quick: bool) -> Table {
         row.push(per("substrate"));
         t.row_strings(row);
     };
-    const TAGS: [&str; 7] = [
-        "graph_core",
-        "value_slab",
-        "memo",
-        "queues",
-        "substrate",
-        "exec_pool",
-        "metrics",
-    ];
     let (cols, rows, leaves, waves_n) = if quick {
         (512u32, 16u32, 2048usize, 8usize)
     } else {
@@ -1690,7 +1699,7 @@ pub fn e17_scale(quick: bool) -> Table {
             assert_eq!(got, Some(c as i64 + rows as i64 - 1), "column {c}");
         }
         let build_s = t0.elapsed().as_secs_f64();
-        let nodes = rt.stats().mem_nodes;
+        let nodes = rt.node_count() as u64;
         let mem1 = alphonse::mem::snapshot();
         let m0 = rt.metrics_snapshot();
         let mut r = workloads::rng(1700 + workers as u64);
@@ -1730,7 +1739,10 @@ pub fn e17_scale(quick: bool) -> Table {
             cells: cols as u64 * rows as u64,
             build_s,
             waves: delta.wave_latency_ns,
-            tag_bytes: TAGS.iter().map(|&n| (n, live(n, &mem1, &mem0))).collect(),
+            tag_bytes: FOOTPRINT_TAGS
+                .iter()
+                .map(|&n| (n, live_growth(n, &mem1, &mem0)))
+                .collect(),
             snapshot,
         }
     };
@@ -1770,7 +1782,7 @@ pub fn e17_scale(quick: bool) -> Table {
         let expect: i64 = mirror.iter().sum();
         assert_eq!(eval.syn(root, value).as_int(), expect);
         let build_s = t0.elapsed().as_secs_f64();
-        let nodes = rt.stats().mem_nodes;
+        let nodes = rt.node_count() as u64;
         let mem1 = alphonse::mem::snapshot();
         let m0 = rt.metrics_snapshot();
         let mut r = workloads::rng(1750 + workers as u64);
@@ -1792,7 +1804,10 @@ pub fn e17_scale(quick: bool) -> Table {
             cells: tree.len() as u64,
             build_s,
             waves: delta.wave_latency_ns,
-            tag_bytes: TAGS.iter().map(|&n| (n, live(n, &mem1, &mem0))).collect(),
+            tag_bytes: FOOTPRINT_TAGS
+                .iter()
+                .map(|&n| (n, live_growth(n, &mem1, &mem0)))
+                .collect(),
             snapshot,
         }
     };

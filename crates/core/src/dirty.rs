@@ -122,20 +122,6 @@ impl DirtySet {
         }
     }
 
-    /// Approximate heap bytes held by the set's containers, from their
-    /// capacities. Folded into the runtime's `mem_bytes_hwm` gauge so the
-    /// memory-per-node metric covers propagation state, not just the graph.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        match self {
-            DirtySet::Height(q) => q.approx_bytes(),
-            DirtySet::Fifo { queue, members } => {
-                let q = queue.capacity() * std::mem::size_of::<NodeId>();
-                let m = members.capacity() * std::mem::size_of::<NodeId>();
-                (q + m) as u64
-            }
-        }
-    }
-
     /// Moves all members of `other` into `self` (partition union).
     pub(crate) fn absorb(&mut self, other: &mut DirtySet) {
         let _mem = mem::scope(mem::Tag::Queues);

@@ -63,7 +63,6 @@ mod exec_pool;
 pub mod fxhash;
 mod memo;
 pub mod metrics;
-pub mod pool;
 mod runtime;
 mod stats;
 pub mod trace;
@@ -74,7 +73,6 @@ pub use batch::Batch;
 pub use dirty::Scheduling;
 pub use memo::{Memo, MemoArgs, MemoResult};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot};
-pub use pool::SessionPool;
 pub use runtime::{NodeKind, Runtime, RuntimeBuilder, Strategy};
 pub use stats::Stats;
 pub use value::Value;

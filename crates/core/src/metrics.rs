@@ -1,13 +1,13 @@
 //! Always-on runtime telemetry: lock-free counters, latency histograms and
-//! worker/shard gauges.
+//! worker gauges.
 //!
 //! The [`crate::stats`] counters answer *how much work* the runtime did; the
 //! [`crate::trace`] layer answers *which node and why*, but is forensic and
 //! off by default. This module fills the gap a production incremental
 //! service needs: cheap, always-on **distributions** — wave-latency
-//! percentiles, per-wave executed/wasted work, level widths, worker
-//! utilization and shard serving latency — recorded on the hot paths
-//! *without taking the runtime lock*.
+//! percentiles, per-wave executed/wasted work, level widths and worker
+//! utilization — recorded on the hot paths *without taking the runtime
+//! lock*.
 //!
 //! # Design
 //!
@@ -21,7 +21,7 @@
 //!   plain [`HistogramSnapshot`] that supports merge, delta, percentile
 //!   readout and a sparse wire form (only nonzero buckets).
 //! * **Gating** — the `metrics` cargo feature (on by default) compiles the
-//!   recording sites in `runtime`/`exec_pool`/`pool`; without it the hot
+//!   recording sites in `runtime`/`exec_pool`; without it the hot
 //!   paths carry zero instrumentation and [`Runtime::metrics_snapshot`]
 //!   returns an empty snapshot. At runtime, [`set_enabled`] is a global
 //!   kill-switch (one relaxed atomic load per site) so a single binary can
@@ -269,7 +269,7 @@ impl HistogramSnapshot {
     }
 
     /// Adds `other`'s samples into `self` (bucket-wise; `max` takes the
-    /// larger). Merging shard or run snapshots yields the same percentiles
+    /// larger). Merging session or run snapshots yields the same percentiles
     /// as one histogram that saw every sample.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -485,95 +485,6 @@ impl WorkerSnapshot {
     }
 }
 
-/// An [`std::time::Instant`] stamp, taken only when recording is compiled
-/// in (`metrics` feature) *and* enabled at runtime — the shared gate every
-/// latency site uses so disabled runs skip the clock read.
-pub(crate) fn stamp() -> Option<std::time::Instant> {
-    #[cfg(feature = "metrics")]
-    {
-        enabled().then(std::time::Instant::now)
-    }
-    #[cfg(not(feature = "metrics"))]
-    {
-        None
-    }
-}
-
-/// Per-shard gauges of one [`SessionPool`](crate::pool::SessionPool).
-#[derive(Debug, Default)]
-pub(crate) struct ShardGauges {
-    pub(crate) tenants: AtomicU64,
-    pub(crate) jobs: AtomicU64,
-}
-
-/// The live serving-layer registry owned by one
-/// [`SessionPool`](crate::pool::SessionPool); shard workers record into it
-/// lock-free, exactly like [`RuntimeMetrics`].
-#[derive(Debug)]
-pub(crate) struct PoolMetricsRegistry {
-    pub(crate) submit_sojourn_ns: Histogram,
-    pub(crate) flush_latency_ns: Histogram,
-    pub(crate) shards: Vec<ShardGauges>,
-}
-
-impl PoolMetricsRegistry {
-    pub(crate) fn new(n_shards: usize) -> PoolMetricsRegistry {
-        PoolMetricsRegistry {
-            submit_sojourn_ns: Histogram::new(),
-            flush_latency_ns: Histogram::new(),
-            shards: (0..n_shards).map(|_| ShardGauges::default()).collect(),
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            submit_sojourn_ns: self.submit_sojourn_ns.snapshot(),
-            flush_latency_ns: self.flush_latency_ns.snapshot(),
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, g)| ShardSnapshot {
-                    shard,
-                    tenants: g.tenants.load(Ordering::Relaxed),
-                    jobs: g.jobs.load(Ordering::Relaxed),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Gauges for one [`SessionPool`](crate::pool::SessionPool) shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardSnapshot {
-    /// Shard index.
-    pub shard: usize,
-    /// Sessions currently installed on this shard.
-    pub tenants: u64,
-    /// Work closures executed by this shard (submits and queries).
-    pub jobs: u64,
-}
-
-/// Serving-layer metrics for one [`SessionPool`](crate::pool::SessionPool):
-/// submit→service sojourn and flush latency, plus per-shard gauges.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PoolSnapshot {
-    /// Time from `submit`/`query` enqueue to the closure starting, in ns.
-    pub submit_sojourn_ns: HistogramSnapshot,
-    /// End-to-end `flush` barrier latency, in ns.
-    pub flush_latency_ns: HistogramSnapshot,
-    /// One entry per shard.
-    pub shards: Vec<ShardSnapshot>,
-}
-
-impl PoolSnapshot {
-    /// Sessions installed across all shards.
-    #[must_use]
-    pub fn tenants(&self) -> u64 {
-        self.shards.iter().map(|s| s.tenants).sum()
-    }
-}
-
 /// A complete point-in-time metrics snapshot: the [`Stats`](crate::Stats)
 /// counters plus every histogram and gauge. Produced by
 /// [`Runtime::metrics_snapshot`](crate::Runtime::metrics_snapshot); render
@@ -601,9 +512,6 @@ pub struct MetricsSnapshot {
     pub queue_depth: u64,
     /// High-water mark of [`queue_depth`](MetricsSnapshot::queue_depth).
     pub queue_depth_hwm: u64,
-    /// Serving-layer metrics, when the snapshot came from a
-    /// [`SessionPool`](crate::pool::SessionPool).
-    pub pool: Option<PoolSnapshot>,
     /// Subsystem-tagged allocator gauges: per-[`Tag`](alphonse_mem::Tag)
     /// live/HWM bytes and allocation counts, captured from the
     /// process-global counting allocator. Empty unless the binary installs
@@ -666,7 +574,7 @@ fn prom_hist(out: &mut String, name: &str, h: &HistogramSnapshot) {
 
 impl MetricsSnapshot {
     /// Merges `other` into `self`: counters and histograms add, gauges take
-    /// the maximum, worker/shard entries merge by slot. Used to aggregate
+    /// the maximum, worker entries merge by slot. Used to aggregate
     /// snapshots across independent runtimes or bench repetitions.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
@@ -693,29 +601,14 @@ impl MetricsSnapshot {
         self.workers.sort_by_key(|w| w.slot);
         self.queue_depth = self.queue_depth.max(other.queue_depth);
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
-        if let Some(op) = &other.pool {
-            let mine = self.pool.get_or_insert_with(PoolSnapshot::default);
-            mine.submit_sojourn_ns.merge(&op.submit_sojourn_ns);
-            mine.flush_latency_ns.merge(&op.flush_latency_ns);
-            for s in &op.shards {
-                match mine.shards.iter_mut().find(|m| m.shard == s.shard) {
-                    Some(m) => {
-                        m.tenants += s.tenants;
-                        m.jobs += s.jobs;
-                    }
-                    None => mine.shards.push(*s),
-                }
-            }
-            mine.shards.sort_by_key(|s| s.shard);
-        }
         // Mem gauges are process-global: two snapshots of the same process
         // must take the pointwise max, never sum (that would double-count).
         self.mem.merge_max(&other.mem);
     }
 
     /// Everything recorded between `earlier` and `self`. Counters and
-    /// histograms subtract; point-in-time gauges (queue depth, tenants,
-    /// worker totals) are carried from `self`.
+    /// histograms subtract; point-in-time gauges (queue depth, worker
+    /// totals) are carried from `self`.
     ///
     /// # Panics
     ///
@@ -745,16 +638,14 @@ impl MetricsSnapshot {
             workers: self.workers.clone(),
             queue_depth: self.queue_depth,
             queue_depth_hwm: self.queue_depth_hwm,
-            pool: self.pool.clone(),
             // Point-in-time gauges: carried, not subtracted.
             mem: self.mem.clone(),
         }
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
-    /// `alphonse_<counter>` counters, `alphonse_worker_*{slot=…}` /
-    /// `alphonse_shard_*{shard=…}` gauges and cumulative `_bucket{le=…}`
-    /// histograms.
+    /// `alphonse_<counter>` counters, `alphonse_worker_*{slot=…}` gauges
+    /// and cumulative `_bucket{le=…}` histograms.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write;
@@ -817,30 +708,6 @@ impl MetricsSnapshot {
                     };
                     let _ = writeln!(out, "{metric}{{tag=\"{}\"}} {v}", t.tag);
                 }
-            }
-        }
-        if let Some(pool) = &self.pool {
-            prom_hist(
-                &mut out,
-                "alphonse_pool_submit_sojourn_ns",
-                &pool.submit_sojourn_ns,
-            );
-            prom_hist(
-                &mut out,
-                "alphonse_pool_flush_latency_ns",
-                &pool.flush_latency_ns,
-            );
-            for s in &pool.shards {
-                let _ = writeln!(
-                    out,
-                    "alphonse_shard_tenants{{shard=\"{}\"}} {}",
-                    s.shard, s.tenants
-                );
-                let _ = writeln!(
-                    out,
-                    "alphonse_shard_jobs{{shard=\"{}\"}} {}",
-                    s.shard, s.jobs
-                );
             }
         }
         out
@@ -907,24 +774,6 @@ impl MetricsSnapshot {
                 );
             }
             out.push('}');
-        }
-        if let Some(pool) = &self.pool {
-            out.push_str(",\"pool\":{\"submit_sojourn_ns\":");
-            json_hist(&mut out, &pool.submit_sojourn_ns);
-            out.push_str(",\"flush_latency_ns\":");
-            json_hist(&mut out, &pool.flush_latency_ns);
-            out.push_str(",\"shards\":[");
-            for (k, s) in pool.shards.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"shard\":{},\"tenants\":{},\"jobs\":{}}}",
-                    s.shard, s.tenants, s.jobs
-                );
-            }
-            out.push_str("]}");
         }
         out.push('}');
         out

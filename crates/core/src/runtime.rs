@@ -330,16 +330,18 @@ impl RuntimeBuilder {
 /// values. It is a cheap handle (`Clone` shares the same underlying state).
 ///
 /// A session is a `Send` value: a whole runtime — including every handle
-/// cloned from it — may be *moved* to another thread, which is what
-/// [`crate::pool::SessionPool`] does to shard tenants over a fixed set of
-/// worker threads. The supported concurrency model is **one thread at a
-/// time**: the paper's evaluator is sequential and lists parallel execution
-/// of a *single* dependency graph as future work, so invoking operations on
-/// one runtime from two threads at once is a program error and trips the
-/// same fail-stop re-entrancy check as a sink calling back into the runtime
-/// (the internal lock is acquired with `try_lock`, never by blocking).
-/// Cross-session parallelism needs no such machinery because independent
-/// runtimes share nothing.
+/// cloned from it — may be *moved* to another thread, which is what the
+/// session pool of the `alphonse_serve` crate does to spread tenants over
+/// a fixed set of worker threads. The supported concurrency model for
+/// callers is **one thread at a time**: invoking operations on one runtime
+/// from two threads at once is a program error and trips the same
+/// fail-stop re-entrancy check as a sink calling back into the runtime.
+/// Threads *inside* one graph are the runtime's own business: with
+/// [`set_parallelism`](Runtime::set_parallelism) of 2 or more, the
+/// executions of one height level run on a worker pool beside the driver,
+/// and while such a level is active the internal lock blocks instead of
+/// failing (DESIGN.md, "Parallel waves"). Cross-session parallelism needs
+/// no such machinery because independent runtimes share nothing.
 ///
 /// # Example
 ///
@@ -481,30 +483,6 @@ impl Inner {
         }
     }
 
-    /// Approximate heap bytes held by the dependency graph plus the SoA
-    /// node columns and side tables, from vector capacities. Feeds the
-    /// `mem_bytes_hwm` gauge and E14's memory-per-node metric.
-    fn approx_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let values = self.values.capacity() * size_of::<Option<Box<dyn Value>>>();
-        let flags = self.flags.capacity();
-        let gens = self.gens.capacity() * size_of::<u64>();
-        let last = self.last_accessed.capacity() * size_of::<u64>();
-        let execs = self.executors.capacity() * size_of::<Option<Executor>>();
-        // Side tables charged per entry (hash-map overhead not modeled).
-        let names = self.names.len() * size_of::<(u32, Arc<str>)>();
-        let deep = self.deep_stack.len() * size_of::<(u32, u32)>();
-        // Propagation state: the inconsistent set(s) retain capacity across
-        // waves, so their footprint belongs to the steady-state bill too.
-        let dirty = match &self.dirty {
-            DirtyStore::Global(s) => s.approx_bytes(),
-            DirtyStore::Partitioned(m) => m.values().map(DirtySet::approx_bytes).sum(),
-        };
-        self.graph.approx_bytes()
-            + dirty
-            + (values + flags + gens + last + names + execs + deep) as u64
-    }
-
     /// Inserts `n` into the inconsistent set of its partition. `cause` is
     /// the predecessor that fanned dirt here ([`DirtyReason::Fanout`]),
     /// `None` when `n` itself originates the dirt.
@@ -580,7 +558,6 @@ impl Inner {
         self.graph.add_edge(n, v);
         self.stats.height_raises += self.graph.height_raises() - raises_before;
         self.stats.edges_created += 1;
-        self.stats.mem_edges_hwm = self.stats.mem_edges_hwm.max(self.graph.edge_count() as u64);
         emit!(self, TraceEvent::EdgeAdded { from: n, to: v });
         assert!(
             !self.graph.cycle_suspected(),
@@ -698,8 +675,6 @@ impl Inner {
             uf.ensure(n);
         }
         self.stats.nodes_created += 1;
-        self.stats.mem_nodes += 1;
-        self.stats.mem_bytes_hwm = self.stats.mem_bytes_hwm.max(self.approx_bytes());
         emit!(
             self,
             TraceEvent::NodeCreated {
@@ -720,12 +695,15 @@ enum Step {
 }
 
 impl Runtime {
-    /// Acquires the internal state lock. A session is used from one thread
-    /// at a time, so the lock can only be unavailable when a runtime
-    /// operation is re-entered — by a closure that runs under the lock (a
-    /// `Var::with` body, a trace sink) or by a second thread misusing one
-    /// session concurrently. `try_lock` keeps the `RefCell` fail-stop
-    /// diagnostics for both cases instead of deadlocking. A poisoned lock
+    /// Acquires the internal state lock. It is tried first. Contention
+    /// while a level of executors runs on the worker pool (`par_active >
+    /// 0`) is legitimate — the driver and the helpers share the lock for
+    /// short frame, read and commit sections — so the call then blocks.
+    /// At any other time a session is used from one thread, so contention
+    /// means a runtime operation was re-entered — by a closure that runs
+    /// under the lock (a `Var::with` body, a trace sink) or by a second
+    /// thread misusing one session concurrently — and the call panics
+    /// (fail-stop) instead of deadlocking. A poisoned lock
     /// (a panic unwound out of a runtime operation) is entered anyway: the
     /// documented contract already declares the runtime
     /// unspecified-but-memory-safe after a panic.
@@ -817,12 +795,7 @@ impl Runtime {
 
     /// A snapshot of the work counters.
     pub fn stats(&self) -> Stats {
-        let mut inner = self.lock();
-        // Refresh the byte gauge so callers see growth since the last
-        // allocation (side tables and scratch buffers grow on other paths).
-        let bytes = inner.approx_bytes();
-        inner.stats.mem_bytes_hwm = inner.stats.mem_bytes_hwm.max(bytes);
-        inner.stats
+        self.lock().stats
     }
 
     /// Resets all work counters to zero.
@@ -853,24 +826,8 @@ impl Runtime {
             workers: m.worker_snapshots(),
             queue_depth: m.queue_depth.load(Ordering::Relaxed),
             queue_depth_hwm: m.queue_depth_hwm.load(Ordering::Relaxed),
-            pool: None,
             mem: mem::snapshot(),
         }
-    }
-
-    /// Current approximate memory footprint as `(nodes, live_edges,
-    /// approx_bytes)`. Bytes cover the dependency graph arena, the SoA node
-    /// columns and the cold side tables, from vector capacities; E14's
-    /// memory-per-node metric is `approx_bytes / nodes`.
-    pub fn memory_footprint(&self) -> (u64, u64, u64) {
-        let mut inner = self.lock();
-        let bytes = inner.approx_bytes();
-        inner.stats.mem_bytes_hwm = inner.stats.mem_bytes_hwm.max(bytes);
-        (
-            inner.graph.node_count() as u64,
-            inner.graph.edge_count() as u64,
-            bytes,
-        )
     }
 
     /// Total propagation waves run since the runtime was built. Unlike
@@ -2203,23 +2160,6 @@ mod tests {
         let rt = Runtime::new();
         rt.propagate();
         assert_eq!(rt.stats().propagation_steps, 0);
-    }
-
-    #[test]
-    fn memory_gauges_grow_with_the_graph() {
-        let rt = Runtime::new();
-        let base = rt.stats();
-        let a = rt.var(1i64);
-        let m = rt.memo("m", move |rt, &(): &()| a.get(rt) + 1);
-        m.call(&rt, ());
-        let s = rt.stats();
-        assert_eq!(s.mem_nodes - base.mem_nodes, 2);
-        assert!(s.mem_edges_hwm >= 1);
-        assert!(s.mem_bytes_hwm > 0);
-        let (nodes, edges, bytes) = rt.memory_footprint();
-        assert_eq!(nodes, 2);
-        assert_eq!(edges, 1);
-        assert!(bytes >= s.mem_nodes); // at least a byte per node, trivially
     }
 
     #[test]

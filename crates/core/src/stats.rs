@@ -49,10 +49,7 @@ macro_rules! for_each_counter {
             parallel_levels,
             parallel_executions,
             level_width_hwm,
-            lock_acquisitions,
-            mem_nodes,
-            mem_edges_hwm,
-            mem_bytes_hwm
+            lock_acquisitions
         )
     };
 }
@@ -155,19 +152,6 @@ pub struct Stats {
     /// Tallied under the acquired guard, so the count is exact; a
     /// [`Runtime::stats`](crate::Runtime::stats) call counts its own.
     pub lock_acquisitions: u64,
-    /// Dependency-graph nodes currently resident. Nodes are never freed, so
-    /// this equals `nodes_created` since the last reset plus whatever
-    /// existed before it — kept separate so memory gauges survive
-    /// `reset_stats` semantics uniformly.
-    pub mem_nodes: u64,
-    /// High-water mark of live dependency edges — the edge component of the
-    /// runtime's memory footprint.
-    pub mem_edges_hwm: u64,
-    /// High-water mark of the approximate heap bytes held by the dependency
-    /// graph arena plus the struct-of-arrays node columns and side tables
-    /// (from vector capacities). E14's memory-per-node metric is
-    /// `mem_bytes_hwm / mem_nodes`.
-    pub mem_bytes_hwm: u64,
 }
 
 impl Stats {

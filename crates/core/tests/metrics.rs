@@ -1,7 +1,7 @@
 //! The always-on metrics layer: histogram laws (record/merge/percentile
 //! monotonicity), snapshot-delta round-trips mirroring the `Stats` delta
-//! test, and the runtime/pool wiring — wave latency, executed/wasted work
-//! and serving gauges flowing into `Runtime::metrics_snapshot`.
+//! test, and the runtime wiring — wave latency and executed/wasted work
+//! flowing into `Runtime::metrics_snapshot`.
 
 use alphonse::metrics::{bucket_index, bucket_upper_bound, N_BUCKETS};
 use alphonse::{Histogram, HistogramSnapshot, Runtime, Strategy, Var};
@@ -168,7 +168,6 @@ fn wasted_executions_counts_cutoff_stopped_work() {
 #[cfg(feature = "metrics")]
 mod wired {
     use super::*;
-    use alphonse::pool::SessionPool;
     use alphonse::MetricsSnapshot;
 
     #[test]
@@ -242,52 +241,23 @@ mod wired {
     }
 
     #[test]
-    fn session_pool_reports_serving_metrics() {
-        struct Sess {
-            rt: Runtime,
-            x: Var<i64>,
-        }
-        let pool = SessionPool::new(2);
-        for t in 0..4u64 {
-            let rt = Runtime::new();
-            let x = rt.var(t as i64);
-            pool.insert(t, Sess { rt, x });
-        }
-        for t in 0..4u64 {
-            pool.submit(t, move |s: &mut Sess| s.x.set(&s.rt, 99));
-        }
-        pool.flush();
-        let snap = pool.metrics_snapshot();
-        let p = snap.pool.as_ref().expect("pool section present");
-        assert_eq!(p.shards.len(), 2);
-        assert_eq!(p.tenants(), 4, "two tenants per shard");
-        assert_eq!(p.shards.iter().map(|s| s.jobs).sum::<u64>(), 4);
-        assert_eq!(p.submit_sojourn_ns.count(), 4, "every submit was timed");
-        assert_eq!(p.flush_latency_ns.count(), 1);
-        assert!(p.flush_latency_ns.sum > 0);
-        // Removal moves the gauge back down.
-        pool.remove(0);
-        pool.flush();
-        assert_eq!(pool.pool_metrics().tenants(), 3);
-        // And the pool section renders.
-        let prom = snap.render_prometheus();
-        assert!(prom.contains("alphonse_shard_tenants{shard=\"0\"} 2"));
-        assert!(prom.contains("alphonse_pool_submit_sojourn_ns_count 4"));
-    }
-
-    #[test]
     fn runtime_and_pool_snapshots_merge_into_one() {
         let rt = Runtime::new();
         let a = diamond(&rt);
         a.set(&rt, 20);
         rt.propagate();
-        let pool: SessionPool<()> = SessionPool::new(1);
-        pool.insert(0, ());
-        pool.flush();
+        let other = Runtime::new();
+        let b = diamond(&other);
+        b.set(&other, 30);
+        other.propagate();
         let mut full = rt.metrics_snapshot();
-        full.merge(&pool.metrics_snapshot());
+        full.merge(&other.metrics_snapshot());
         assert!(full.wave_latency_ns.count() > 0);
-        assert_eq!(full.pool.as_ref().unwrap().tenants(), 1);
+        assert_eq!(
+            full.wave_latency_ns.count(),
+            rt.metrics_snapshot().wave_latency_ns.count()
+                + other.metrics_snapshot().wave_latency_ns.count()
+        );
         let d = MetricsSnapshot::default();
         let round = full.delta_since(&d);
         assert_eq!(round.wave_latency_ns, full.wave_latency_ns);

@@ -3,11 +3,10 @@
 //! `Runtime` is a `Send` value — the struct-of-arrays node store, every
 //! cached `Box<dyn Value>`, every executor closure and every handle
 //! (`Var`, `Memo`) move together. These assertions are the API contract
-//! the `SessionPool` serving layer builds on; if a field ever regresses to
+//! the `alphonse-serve` session pool builds on; if a field ever regresses to
 //! a non-`Send` type (`Rc`, `RefCell`, a non-`Send` trait object), this
 //! file stops compiling.
 
-use alphonse::pool::SessionPool;
 use alphonse::{Memo, Runtime, Var};
 
 fn assert_send<T: Send>() {}
@@ -19,7 +18,6 @@ fn session_types_are_send() {
     assert_send::<Var<String>>();
     assert_send::<Memo<(), i64>>();
     assert_send::<Memo<String, Vec<i64>>>();
-    assert_send::<SessionPool<Runtime>>();
 }
 
 /// A session built on one thread keeps full history after moving to

@@ -406,16 +406,6 @@ impl DepGraph {
         out.clear();
         self.for_each_pred(v, |p| out.push(p));
     }
-
-    /// Approximate heap footprint of the graph arena in bytes, computed from
-    /// vector capacities (so it reflects what the allocator actually holds,
-    /// not just live entries). Feeds the runtime's memory-footprint gauges.
-    pub fn approx_bytes(&self) -> u64 {
-        let nodes = self.nodes.capacity() * std::mem::size_of::<NodeRec>();
-        let edges = self.edges.capacity() * std::mem::size_of::<Edge>();
-        let scratch = self.scratch.capacity() * std::mem::size_of::<u32>();
-        (nodes + edges + scratch + std::mem::size_of::<DepGraph>()) as u64
-    }
 }
 
 /// Iterator over successor nodes, created by [`DepGraph::succs`].
@@ -500,16 +490,6 @@ mod tests {
         assert_eq!(buf, vec![a, b]);
         g.preds_into(a, &mut buf);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn approx_bytes_grows_with_graph() {
-        let mut g = DepGraph::new();
-        let empty = g.approx_bytes();
-        let a = g.add_node();
-        let b = g.add_node();
-        g.add_edge(a, b);
-        assert!(g.approx_bytes() > empty);
     }
 
     #[test]

@@ -47,15 +47,6 @@ impl HeightQueue {
         Self::default()
     }
 
-    /// Approximate heap bytes held by the queue, from container capacities
-    /// (hash-set overhead charged per element). Feeds the runtime's
-    /// `mem_bytes_hwm` gauge.
-    pub fn approx_bytes(&self) -> u64 {
-        let heap = self.heap.capacity() * std::mem::size_of::<(Reverse<u32>, NodeId)>();
-        let members = self.members.capacity() * std::mem::size_of::<NodeId>();
-        (heap + members) as u64
-    }
-
     /// Inserts `n` with priority `height` unless it is already queued.
     /// Returns `true` if the node was newly inserted.
     pub fn insert(&mut self, n: NodeId, height: u32) -> bool {

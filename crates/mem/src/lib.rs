@@ -1,7 +1,7 @@
 //! Subsystem-tagged memory accounting for the Alphonse runtime.
 //!
-//! The runtime's `Stats::mem_bytes_hwm` gauge *estimates* footprint from
-//! container capacities; this crate *measures* it. [`TrackingAlloc`] is a
+//! This crate is the runtime's one memory view: it *measures* footprint
+//! rather than estimating it. [`TrackingAlloc`] is a
 //! [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper over the system
 //! allocator that bills every allocation to a subsystem [`Tag`] — whichever
 //! tag the allocating thread's innermost [`scope`] guard names — and keeps

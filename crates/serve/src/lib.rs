@@ -1,13 +1,13 @@
-//! Sharded multi-session serving.
+//! Sharded multi-session serving for Alphonse runtimes.
 //!
 //! A [`Runtime`] is a `Send` value: independent sessions share nothing, so
 //! cross-session parallelism needs no locks, no coordination and no changes
-//! to the single-threaded propagation machinery. [`SessionPool`] packages
-//! that observation as a serving layer: `N` worker threads, each owning a
-//! disjoint set of sessions, with tenants routed to shards by id. Inside a
-//! shard everything stays exactly as fast as the single-threaded runtime —
-//! the pool's only job is to move whole sessions onto worker threads and
-//! keep them there.
+//! to the propagation machinery. [`SessionPool`] packages that observation
+//! as a serving layer: `N` worker threads, each owning a disjoint set of
+//! sessions, with tenants routed to shards by id. Inside a shard everything
+//! stays exactly as fast as one runtime used from one thread — the pool's
+//! only job is to move whole sessions onto worker threads and keep them
+//! there. It is built on the runtime's public API alone.
 //!
 //! A "session" here is any `Send + 'static` value the caller defines —
 //! typically a struct bundling a [`Runtime`] with the `Var`/`Memo` handles
@@ -18,8 +18,8 @@
 //! # Example
 //!
 //! ```
-//! use alphonse::pool::SessionPool;
 //! use alphonse::{Memo, Runtime, Var};
+//! use alphonse_serve::SessionPool;
 //!
 //! struct Tenant {
 //!     rt: Runtime,
@@ -40,16 +40,17 @@
 //! assert_eq!(pool.query(3, |s: &mut Tenant| s.double.call(&s.rt, ())), 200);
 //! assert_eq!(pool.query(0, |s: &mut Tenant| s.double.call(&s.rt, ())), 0);
 //! ```
+//!
+//! [`Runtime`]: alphonse::Runtime
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
-use crate::metrics::{MetricsSnapshot, PoolMetricsRegistry, PoolSnapshot};
-use alphonse_mem as mem;
+use alphonse::mem;
 
 /// One unit of shard-worker input.
 enum Msg<S> {
@@ -57,10 +58,8 @@ enum Msg<S> {
     Insert(u64, S),
     /// Remove a session, sending it back to the caller.
     Remove(u64, SyncSender<Option<S>>),
-    /// Run a closure against a tenant's session. The stamp is the enqueue
-    /// time when metric recording is active (`None` otherwise); the shard
-    /// worker turns it into the submit→service sojourn histogram.
-    Work(u64, Option<Instant>, Box<dyn FnOnce(&mut S) + Send>),
+    /// Run a closure against a tenant's session.
+    Work(u64, Box<dyn FnOnce(&mut S) + Send>),
     /// Reply on the channel once every message queued before this one has
     /// been processed.
     Barrier(SyncSender<()>),
@@ -72,16 +71,13 @@ struct Shard<S> {
 }
 
 /// A fixed pool of worker threads, each serving the sessions of a disjoint
-/// set of tenants. See the [module docs](self) for the design.
+/// set of tenants. See the [crate docs](crate) for the design.
 ///
 /// Routing is static: tenant `t` always lands on shard `t % n_shards`, so
 /// all work for one tenant is serialized on one thread (per-tenant ordering
 /// is preserved) while different shards proceed in parallel.
 pub struct SessionPool<S: Send + 'static> {
     shards: Vec<Shard<S>>,
-    /// Serving-layer telemetry (submit sojourn, flush latency, per-shard
-    /// tenant/job gauges); shard workers share it lock-free.
-    metrics: Arc<PoolMetricsRegistry>,
 }
 
 impl<S: Send + 'static> SessionPool<S> {
@@ -94,14 +90,12 @@ impl<S: Send + 'static> SessionPool<S> {
     pub fn new(n_shards: usize) -> SessionPool<S> {
         assert!(n_shards > 0, "a session pool needs at least one shard");
         let _mem = mem::scope(mem::Tag::SessionPool);
-        let metrics = Arc::new(PoolMetricsRegistry::new(n_shards));
         let shards = (0..n_shards)
             .map(|i| {
                 let (tx, rx) = mpsc::channel::<Msg<S>>();
-                let metrics = Arc::clone(&metrics);
                 let handle = std::thread::Builder::new()
                     .name(format!("alphonse-shard-{i}"))
-                    .spawn(move || shard_main(&rx, i, &metrics))
+                    .spawn(move || shard_main(&rx))
                     .expect("spawning a pool shard thread");
                 Shard {
                     tx,
@@ -109,13 +103,7 @@ impl<S: Send + 'static> SessionPool<S> {
                 }
             })
             .collect();
-        SessionPool { shards, metrics }
-    }
-
-    /// Number of shards (worker threads).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        SessionPool { shards }
     }
 
     fn shard(&self, tenant: u64) -> &Shard<S> {
@@ -151,10 +139,7 @@ impl<S: Send + 'static> SessionPool<S> {
     /// (serving semantics: an evicted tenant's queued edits are void).
     pub fn submit(&self, tenant: u64, work: impl FnOnce(&mut S) + Send + 'static) {
         let _mem = mem::scope(mem::Tag::SessionPool);
-        self.send(
-            tenant,
-            Msg::Work(tenant, crate::metrics::stamp(), Box::new(work)),
-        );
+        self.send(tenant, Msg::Work(tenant, Box::new(work)));
     }
 
     /// Runs `f` against `tenant`'s session and blocks for its result,
@@ -181,7 +166,6 @@ impl<S: Send + 'static> SessionPool<S> {
     /// Blocks until every shard has drained all work queued before this
     /// call — the pool-wide quiescence point benches measure around.
     pub fn flush(&self) {
-        let t0 = crate::metrics::stamp();
         let (reply, rx) = mpsc::sync_channel(self.shards.len());
         for shard in &self.shards {
             shard
@@ -194,32 +178,6 @@ impl<S: Send + 'static> SessionPool<S> {
         for _ in &self.shards {
             rx.recv().expect("pool shard worker terminated");
         }
-        if let Some(t0) = t0 {
-            self.metrics
-                .flush_latency_ns
-                .record(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Serving-layer metrics: submit→service sojourn and flush-latency
-    /// histograms plus per-shard tenant and job gauges. The snapshot's
-    /// runtime-side histograms are empty — merge per-session
-    /// [`Runtime::metrics_snapshot`](crate::Runtime::metrics_snapshot)s
-    /// into it for a full picture
-    /// ([`MetricsSnapshot::merge`]).
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            pool: Some(self.pool_metrics()),
-            mem: mem::snapshot(),
-            ..MetricsSnapshot::default()
-        }
-    }
-
-    /// Just the serving-layer portion of [`SessionPool::metrics_snapshot`].
-    #[must_use]
-    pub fn pool_metrics(&self) -> PoolSnapshot {
-        self.metrics.snapshot()
     }
 }
 
@@ -244,34 +202,18 @@ impl<S: Send + 'static> Drop for SessionPool<S> {
 }
 
 /// Shard worker loop: owns this shard's sessions until the queue closes.
-/// Maintains this shard's gauges as a side effect: the tenant count after
-/// every insert/remove, one job tick per work closure, and the
-/// submit→service sojourn of every stamped message.
-fn shard_main<S>(rx: &Receiver<Msg<S>>, shard: usize, metrics: &PoolMetricsRegistry) {
-    let gauges = &metrics.shards[shard];
+fn shard_main<S>(rx: &Receiver<Msg<S>>) {
     let mut sessions: HashMap<u64, S> = HashMap::new();
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Insert(tenant, session) => {
                 let _mem = mem::scope(mem::Tag::SessionPool);
                 sessions.insert(tenant, session);
-                gauges
-                    .tenants
-                    .store(sessions.len() as u64, Ordering::Relaxed);
             }
             Msg::Remove(tenant, reply) => {
                 let _ = reply.send(sessions.remove(&tenant));
-                gauges
-                    .tenants
-                    .store(sessions.len() as u64, Ordering::Relaxed);
             }
-            Msg::Work(tenant, stamp, work) => {
-                if let Some(t0) = stamp {
-                    metrics
-                        .submit_sojourn_ns
-                        .record(t0.elapsed().as_nanos() as u64);
-                }
-                gauges.jobs.fetch_add(1, Ordering::Relaxed);
+            Msg::Work(tenant, work) => {
                 if let Some(session) = sessions.get_mut(&tenant) {
                     work(session);
                 }
@@ -283,22 +225,11 @@ fn shard_main<S>(rx: &Receiver<Msg<S>>, shard: usize, metrics: &PoolMetricsRegis
     }
 }
 
-/// Statically proves `SessionPool` itself crosses threads: a server can own
-/// one pool from any control thread.
-#[allow(dead_code)]
-fn assert_pool_send<S: Send + 'static>(pool: SessionPool<S>) -> impl Send {
-    pool
-}
-
-// `Arc` appears in the public example pattern below; keep the import used
-// even on minimal feature sets.
-#[allow(unused)]
-type SharedPool<S> = Arc<SessionPool<S>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Memo, Runtime, Var};
+    use alphonse::{Memo, Runtime, Var};
+    use std::sync::Arc;
 
     struct Sess {
         rt: Runtime,
@@ -311,6 +242,13 @@ mod tests {
         let x = rt.var(seed);
         let y = rt.memo("y", move |rt, &(): &()| x.get(rt) + 1);
         Sess { rt, x, y }
+    }
+
+    /// A server can own one pool from any control thread.
+    #[test]
+    fn session_pool_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<SessionPool<Runtime>>();
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! and **hot** ([`render::hot`], per-node execution counts and self time).
 //!
 //! Beyond traces, [`metrics`] reads the runtime's `alphonse-metrics-v1`
-//! snapshot files (wave-latency histograms, worker/shard gauges,
+//! snapshot files (wave-latency histograms, worker gauges,
 //! per-subsystem memory gauges) and renders percentile reports or the
 //! delta between two snapshots, [`benchdiff`] compares two bench result
 //! tables (`BENCH_<id>.json`) and flags bad-direction changes, and

@@ -55,8 +55,8 @@ commands:
   metrics <snapshot.json> [<baseline.json>]
       Pretty-print a runtime metrics snapshot (`MetricsSnapshot::to_json`
       output, e.g. a bench METRICS_<id>.json sidecar): counter totals,
-      p50/p90/p99/max per latency histogram, worker utilization, shard
-      gauges, and per-subsystem memory gauges with derived bytes/node when
+      p50/p90/p99/max per latency histogram, worker utilization, and
+      per-subsystem memory gauges with derived bytes/node when
       the producing binary installed the tracking allocator. With a second
       file, report the change from <baseline.json> to <snapshot.json>
       instead (counters and histograms subtract).

@@ -3,7 +3,7 @@
 //! The runtime's [`MetricsSnapshot::to_json`] (and the bench harness's
 //! `METRICS_<id>.json` sidecars) serialize histograms in sparse bucket
 //! form. This module parses them back — counters, the five runtime
-//! histograms, worker and shard gauges — and renders either one snapshot
+//! histograms, worker and memory gauges — and renders either one snapshot
 //! (percentile readout per histogram, utilization per worker) or the
 //! change between two (counters subtract, histograms bucket-subtract via
 //! [`HistogramSnapshot::delta_since`]).
@@ -27,17 +27,6 @@ pub struct WorkerRow {
     pub jobs: u64,
 }
 
-/// One parsed shard row (`pool.shards` of the snapshot document).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRow {
-    /// Shard index within the session pool.
-    pub shard: u64,
-    /// Tenants currently resident (a level gauge, not a counter).
-    pub tenants: u64,
-    /// Jobs executed by this shard.
-    pub jobs: u64,
-}
-
 /// One parsed memory-accounting row (`mem` object of the snapshot
 /// document), present when the producing binary installed the tracking
 /// allocator (`alphonse::mem::TrackingAlloc`).
@@ -53,18 +42,6 @@ pub struct MemRow {
     pub hwm_bytes: u64,
     /// Allocations ever made under this tag.
     pub total_allocs: u64,
-}
-
-/// The serving section of a snapshot (`pool`), present when the snapshot
-/// came from a `SessionPool`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolDoc {
-    /// Submit→execute sojourn latency histogram (ns).
-    pub submit_sojourn_ns: HistogramSnapshot,
-    /// `flush()` wall-time histogram (ns).
-    pub flush_latency_ns: HistogramSnapshot,
-    /// Per-shard gauges.
-    pub shards: Vec<ShardRow>,
 }
 
 /// A parsed `alphonse-metrics-v1` document.
@@ -84,8 +61,6 @@ pub struct MetricsDoc {
     /// Per-subsystem memory gauges (empty unless the producing binary
     /// installed the tracking allocator).
     pub mem: Vec<MemRow>,
-    /// Serving-layer section, when present.
-    pub pool: Option<PoolDoc>,
 }
 
 fn field_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
@@ -174,30 +149,6 @@ impl MetricsDoc {
                 });
             }
         }
-        let pool = match doc.get("pool") {
-            None => None,
-            Some(p) => {
-                let mut shards = Vec::new();
-                for s in p.get("shards").and_then(Json::as_arr).unwrap_or(&[]) {
-                    shards.push(ShardRow {
-                        shard: field_u64(s, "shard", "shard")?,
-                        tenants: field_u64(s, "tenants", "shard")?,
-                        jobs: field_u64(s, "jobs", "shard")?,
-                    });
-                }
-                Some(PoolDoc {
-                    submit_sojourn_ns: parse_hist(
-                        p.get("submit_sojourn_ns").ok_or("pool: missing sojourn")?,
-                        "submit_sojourn_ns",
-                    )?,
-                    flush_latency_ns: parse_hist(
-                        p.get("flush_latency_ns").ok_or("pool: missing flush")?,
-                        "flush_latency_ns",
-                    )?,
-                    shards,
-                })
-            }
-        };
         Ok(MetricsDoc {
             counters,
             histograms,
@@ -205,13 +156,12 @@ impl MetricsDoc {
             queue_depth_hwm: field_u64(gauges, "queue_depth_hwm", "gauges")?,
             workers,
             mem,
-            pool,
         })
     }
 
     /// The change from `before` to `self`: counters and histogram buckets
-    /// subtract (entries absent from `before` pass through); gauges, worker,
-    /// shard and memory rows are level readings, so the later snapshot's
+    /// subtract (entries absent from `before` pass through); gauges, worker
+    /// and memory rows are level readings, so the later snapshot's
     /// values are reported as-is.
     pub fn delta_since(&self, before: &MetricsDoc) -> MetricsDoc {
         let mut d = self.clone();
@@ -297,7 +247,7 @@ impl MetricsDoc {
             if let Some((_, nodes)) = self
                 .counters
                 .iter()
-                .find(|(n, _)| n == "mem_nodes")
+                .find(|(n, _)| n == "nodes_created")
                 .filter(|(_, n)| *n > 0)
             {
                 let _ = write!(
@@ -307,33 +257,6 @@ impl MetricsDoc {
                 );
             }
             let _ = writeln!(out);
-        }
-        if let Some(pool) = &self.pool {
-            let _ = writeln!(out, "\n## pool");
-            for (name, h) in [
-                ("submit_sojourn_ns", &pool.submit_sojourn_ns),
-                ("flush_latency_ns", &pool.flush_latency_ns),
-            ] {
-                if h.count() == 0 {
-                    let _ = writeln!(out, "{name:<18} (no samples)");
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "{name:<18} n={:<7} p50={:<9} p99={:<9} max={}",
-                        h.count(),
-                        fmt_ns(h.percentile(0.50)),
-                        fmt_ns(h.percentile(0.99)),
-                        fmt_ns(h.max),
-                    );
-                }
-            }
-            for s in &pool.shards {
-                let _ = writeln!(
-                    out,
-                    "shard {}: tenants {} jobs {}",
-                    s.shard, s.tenants, s.jobs
-                );
-            }
         }
         out
     }
@@ -433,7 +356,7 @@ mod tests {
     #[test]
     fn parses_and_renders_mem_section() {
         let text = "{\"schema\":\"alphonse-metrics-v1\",\
-                    \"counters\":{\"mem_nodes\":4},\"histograms\":{},\
+                    \"counters\":{\"nodes_created\":4},\"histograms\":{},\
                     \"gauges\":{\"queue_depth\":0,\"queue_depth_hwm\":0},\"workers\":[],\
                     \"mem\":{\"graph_core\":{\"live_bytes\":4096,\"live_allocs\":3,\
                     \"hwm_bytes\":8192,\"total_allocs\":10},\
@@ -456,6 +379,28 @@ mod tests {
         let plain = MetricsDoc::parse(&sample_doc()).unwrap();
         assert!(plain.mem.is_empty());
         assert!(!plain.render("snapshot").contains("## memory"));
+        // Legacy documents (older committed sidecars, archived artifacts)
+        // carry a `pool` object and the `mem_*` estimate counters: both
+        // still parse, the counters render as counters, `pool` is ignored.
+        let legacy = "{\"schema\":\"alphonse-metrics-v1\",\
+                      \"counters\":{\"nodes_created\":4,\"mem_nodes\":4,\
+                      \"mem_edges_hwm\":3,\"mem_bytes_hwm\":900},\"histograms\":{},\
+                      \"gauges\":{\"queue_depth\":0,\"queue_depth_hwm\":0},\"workers\":[],\
+                      \"mem\":{\"graph_core\":{\"live_bytes\":400,\"live_allocs\":2,\
+                      \"hwm_bytes\":400,\"total_allocs\":2}},\
+                      \"pool\":{\"submit_sojourn_ns\":{\"count\":1,\"sum\":5,\"max\":5,\
+                      \"buckets\":[[5,1]]},\"flush_latency_ns\":{\"count\":0,\"sum\":0,\
+                      \"max\":0,\"buckets\":[]},\"shards\":[{\"shard\":0,\"tenants\":1,\
+                      \"jobs\":1}]}}";
+        let doc = MetricsDoc::parse(legacy).expect("legacy document parses");
+        assert_eq!(doc.counters.len(), 4);
+        let rendered = doc.render("legacy");
+        assert!(rendered.contains("mem_bytes_hwm"), "got:\n{rendered}");
+        assert!(
+            rendered.contains("100 bytes/node over 4 nodes"),
+            "got:\n{rendered}"
+        );
+        assert!(!rendered.contains("shard"), "got:\n{rendered}");
     }
 
     #[test]

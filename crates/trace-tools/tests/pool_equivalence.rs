@@ -13,9 +13,9 @@
 //! deterministic functions of the event sequence — no timestamps — so this
 //! is an exact structural equality, not a fuzzy comparison.
 
-use alphonse::pool::SessionPool;
 use alphonse::trace::{Recorder, TraceSink};
 use alphonse::{Memo, Runtime, Scheduling, Strategy, Var};
+use alphonse_serve::SessionPool;
 use alphonse_trace_tools::model::TraceFile;
 use alphonse_trace_tools::report::{waves, WavesReport};
 use proptest::collection::vec;

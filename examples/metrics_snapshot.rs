@@ -63,7 +63,7 @@ fn main() {
     let nodes = snap
         .counters
         .iter()
-        .find(|(n, _)| *n == "mem_nodes")
+        .find(|(n, _)| *n == "nodes_created")
         .map(|&(_, v)| v)
         .unwrap_or(0);
     eprintln!("memory (live bytes by subsystem, {nodes} nodes):");
