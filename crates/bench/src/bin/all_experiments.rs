@@ -105,9 +105,9 @@ fn main() {
         }),
         ("E15", |q| {
             if q {
-                ex::e15_parallel(&[0, 1, 2, 4], 16, 6, 200)
+                ex::e15_parallel(&[1, 2, 4], 16, 6, 200)
             } else {
-                ex::e15_parallel(&[0, 1, 2, 4], 32, 20, 200)
+                ex::e15_parallel(&[1, 2, 4], 32, 20, 200)
             }
         }),
         ("E16", ex::e16_metrics_overhead),

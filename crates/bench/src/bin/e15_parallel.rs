@@ -7,9 +7,9 @@
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let table = if quick {
-        alphonse_bench::experiments::e15_parallel(&[0, 1, 2, 4], 16, 6, 200)
+        alphonse_bench::experiments::e15_parallel(&[1, 2, 4], 16, 6, 200)
     } else {
-        alphonse_bench::experiments::e15_parallel(&[0, 1, 2, 4], 32, 20, 200)
+        alphonse_bench::experiments::e15_parallel(&[1, 2, 4], 32, 20, 200)
     };
     print!("{table}");
     std::fs::write("BENCH_E15.json", table.to_json())

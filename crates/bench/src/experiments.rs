@@ -1271,11 +1271,10 @@ pub fn e14_serving(threads: &[usize], sessions: usize, waves: usize) -> Table {
 /// CI — only the stall workload can show wall-clock speedup, which is why
 /// it is the measured one (same methodology as E14's stall rows).
 ///
-/// `workers`: `0` = the sequential evaluator (no level machinery at all),
-/// `1` = level-at-a-time draining with inline execution (the honest
-/// baseline for the speedup column — it pays the batching overhead but
-/// runs no worker threads), `n >= 2` = a pooled level scheduler. `speedup`
-/// is relative to the 1-worker row.
+/// `workers`: `1` = the propagating thread runs each level alone (the
+/// baseline for the speedup column: no worker threads), `n >= 2` = wide
+/// levels run on `n` threads, that thread plus an `n − 1`-worker pool.
+/// `speedup` is relative to the 1-worker row.
 pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64) -> Table {
     let mut t = Table::new(
         "E15 — level-parallel waves: wide row graph, stall-bound cells",
@@ -1344,17 +1343,13 @@ pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64
         rt.check_invariants();
         metrics.merge(&rt.metrics_snapshot());
         rows.push(Row {
-            mode: if n == 0 {
-                "seq".into()
-            } else {
-                format!("par{n}")
-            },
+            mode: format!("par{n}"),
             elapsed,
             stats: rt.stats(),
         });
     }
-    // Speedup is measured against the 1-worker level scheduler (same
-    // batching, no threads); fall back to the first row if absent.
+    // Speedup is measured against the one-thread row; fall back to the
+    // first row if absent.
     let base = rows
         .iter()
         .find(|r| r.mode == "par1")

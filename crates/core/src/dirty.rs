@@ -62,33 +62,21 @@ impl DirtySet {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<NodeId> {
+    /// Drains the dirty nodes at the current minimum height into `out`, at
+    /// most `max` of them, returning that height. Nodes re-inserted while
+    /// the batch is in flight join a later level, never the current one;
+    /// nodes of the level beyond `max` stay queued.
+    ///
+    /// Fifo scheduling has no height levels: it pops a singleton batch (the
+    /// front node, reported as height 0).
+    pub(crate) fn pop_level(&mut self, out: &mut Vec<NodeId>, max: usize) -> Option<u32> {
         match self {
-            DirtySet::Height(q) => q.pop(),
+            DirtySet::Height(q) => q.pop_level(out, max),
+            DirtySet::Fifo { .. } if max == 0 => None,
             DirtySet::Fifo { queue, members } => {
                 let n = queue.pop_front()?;
                 members.remove(&n);
-                Some(n)
-            }
-        }
-    }
-
-    /// Drains the whole batch of dirty nodes at the current minimum height
-    /// into `out`, returning that height. Nodes re-inserted while the batch
-    /// is in flight join a later level, never the current one.
-    ///
-    /// Fifo scheduling has no height levels; it degrades to a singleton
-    /// batch (the front node, reported as height 0) so a level-at-a-time
-    /// caller behaves exactly like repeated [`pop`] calls.
-    ///
-    /// [`pop`]: DirtySet::pop
-    pub(crate) fn pop_level(&mut self, out: &mut Vec<NodeId>) -> Option<u32> {
-        let _mem = mem::scope(mem::Tag::Queues);
-        match self {
-            DirtySet::Height(q) => q.pop_level(out),
-            DirtySet::Fifo { queue, members } => {
-                let n = queue.pop_front()?;
-                members.remove(&n);
+                let _mem = mem::scope(mem::Tag::Queues);
                 out.push(n);
                 Some(0)
             }
@@ -156,6 +144,12 @@ mod tests {
         (0..n).map(|_| g.add_node()).collect()
     }
 
+    /// Pops one node through a one-node level.
+    fn pop(s: &mut DirtySet) -> Option<NodeId> {
+        let mut out = Vec::new();
+        s.pop_level(&mut out, 1).map(|_| out[0])
+    }
+
     #[test]
     fn fifo_preserves_insertion_order() {
         let ns = nodes(3);
@@ -163,10 +157,10 @@ mod tests {
         s.insert(ns[2], 9);
         s.insert(ns[0], 0);
         s.insert(ns[1], 5);
-        assert_eq!(s.pop(), Some(ns[2]));
-        assert_eq!(s.pop(), Some(ns[0]));
-        assert_eq!(s.pop(), Some(ns[1]));
-        assert_eq!(s.pop(), None);
+        assert_eq!(pop(&mut s), Some(ns[2]));
+        assert_eq!(pop(&mut s), Some(ns[0]));
+        assert_eq!(pop(&mut s), Some(ns[1]));
+        assert_eq!(pop(&mut s), None);
     }
 
     #[test]
@@ -176,9 +170,9 @@ mod tests {
         s.insert(ns[2], 9);
         s.insert(ns[0], 0);
         s.insert(ns[1], 5);
-        assert_eq!(s.pop(), Some(ns[0]));
-        assert_eq!(s.pop(), Some(ns[1]));
-        assert_eq!(s.pop(), Some(ns[2]));
+        assert_eq!(pop(&mut s), Some(ns[0]));
+        assert_eq!(pop(&mut s), Some(ns[1]));
+        assert_eq!(pop(&mut s), Some(ns[2]));
     }
 
     #[test]
@@ -188,7 +182,7 @@ mod tests {
         assert!(s.insert(ns[0], 0));
         assert!(!s.insert(ns[0], 0));
         assert_eq!(s.len(), 1);
-        s.pop();
+        pop(&mut s);
         assert!(s.is_empty());
     }
 
@@ -201,18 +195,18 @@ mod tests {
         s.insert(ns[2], 1);
         s.insert(ns[3], 0);
         let mut batch = Vec::new();
-        assert_eq!(s.pop_level(&mut batch), Some(0));
+        assert_eq!(s.pop_level(&mut batch, usize::MAX), Some(0));
         batch.sort();
         assert_eq!(batch, vec![ns[1], ns[3]]);
         batch.clear();
         // Same-height re-insertion during the "in-flight" window goes to
         // the next level, not the drained batch.
         s.insert(ns[1], 1);
-        assert_eq!(s.pop_level(&mut batch), Some(1));
+        assert_eq!(s.pop_level(&mut batch, usize::MAX), Some(1));
         batch.sort();
         assert_eq!(batch, vec![ns[0], ns[1], ns[2]]);
         batch.clear();
-        assert_eq!(s.pop_level(&mut batch), None);
+        assert_eq!(s.pop_level(&mut batch, usize::MAX), None);
     }
 
     #[test]
@@ -222,13 +216,13 @@ mod tests {
         s.insert(ns[2], 9);
         s.insert(ns[0], 0);
         let mut batch = Vec::new();
-        assert_eq!(s.pop_level(&mut batch), Some(0));
+        assert_eq!(s.pop_level(&mut batch, usize::MAX), Some(0));
         assert_eq!(batch, vec![ns[2]]);
         batch.clear();
-        assert_eq!(s.pop_level(&mut batch), Some(0));
+        assert_eq!(s.pop_level(&mut batch, usize::MAX), Some(0));
         assert_eq!(batch, vec![ns[0]]);
         batch.clear();
-        assert_eq!(s.pop_level(&mut batch), None);
+        assert_eq!(s.pop_level(&mut batch, usize::MAX), None);
         assert!(s.is_empty());
     }
 

@@ -1,24 +1,26 @@
 //! Persistent worker pool for level-parallel wave propagation.
 //!
-//! The paper's evaluator is sequential; its Section 4.5 observation that
-//! height-order draining visits nodes "in a topological order with respect
-//! to the graph" is also what makes one step of that order parallelizable:
-//! all dirty nodes at the current minimum height are mutually independent
-//! (an edge between them would force a height difference), so their
-//! executors may run concurrently. This module supplies the threads and
-//! the one seam through which the level drain (`drain_levels` in
-//! `runtime.rs`) executes a booked level: [`Runtime::run_level`].
+//! The evaluator (`drain_levels` in `runtime.rs`) drains the inconsistent
+//! set one height level at a time. The paper's Section 4.5 observation
+//! that height-order draining visits nodes "in a topological order with
+//! respect to the graph" is what makes a level parallelizable: all dirty
+//! nodes at the current minimum height are mutually independent (an edge
+//! between them would force a height difference), so their executors may
+//! run concurrently. At `set_parallelism` 0 or 1 the driver runs every
+//! level itself. At `n >= 2` a level of two or more executions goes
+//! through this module's one seam, [`Runtime::run_level`], which supplies
+//! the threads.
 //!
-//! A level is executed by *claiming*. The driver books the level's
+//! A pooled level is executed by *claiming*. The driver books the level's
 //! executions into `Inner::level`; every executing thread then runs the
 //! same claim loop (`Runtime::run_claims`): take the next index from the
 //! level's atomic claim counter, swap frames under one runtime-lock
-//! acquisition, run the executor, repeat until the index passes the
-//! level's width. At `set_parallelism(n)` the driver claims beside
-//! `min(n, width) − 1` helpers, each fed one *ticket* through the pool
-//! queue. The level's shared block is reused, so a steady-state level
-//! allocates nothing of its own. At `n = 1` (or on a one-node level) there are no
-//! helpers and the driver's claim loop is the whole execution window.
+//! acquisition (pop the finished execution's frame and compare its value,
+//! push the claimed one's), run the executor, repeat until the index
+//! passes the level's width. The
+//! driver claims beside `min(n, width) − 1` helpers, each fed one *ticket*
+//! through the pool queue. The level's shared block is reused, so a
+//! steady-state level allocates nothing of its own.
 //!
 //! The barrier counts executions, not threads: the driver waits until every
 //! *claimed* execution has reported (a `Mutex` + `Condvar` pending count).
@@ -296,26 +298,25 @@ impl Drop for ParWindow<'_> {
 }
 
 impl Runtime {
-    /// Executes the booked level in `Inner::level`, leaving each slot
-    /// `Done` for the driver's in-order commit. This is the only place
-    /// that decides how many threads execute: the driver plus
-    /// `min(parallelism, width) − 1` helpers from a pool of
+    /// Executes the pooled level booked in `Inner::level` on the driver
+    /// plus `min(parallelism, width) − 1` helpers from a pool of
     /// `parallelism − 1` threads (created lazily, rebuilt when the knob
-    /// changes size). With no helpers the level runs on the driver alone
-    /// and no pool is touched.
+    /// changes size). The drain calls this only for levels of two or more
+    /// executions at `parallelism >= 2`. Returns, holding the runtime lock
+    /// again, once every execution has reported, with each slot `Done` for
+    /// the driver's in-order commit.
     ///
-    /// Takes the driver's booking guard and releases it for the execution
-    /// window. While helpers run, `par_active` makes lock contention block
-    /// instead of tripping the re-entrancy panic.
-    pub(crate) fn run_level(&self, mut guard: MutexGuard<'_, Inner>) {
-        let width = guard.level.len();
-        let helpers = guard.parallelism.min(width).saturating_sub(1);
-        if helpers == 0 {
-            drop(guard);
-            self.run_claims(&AtomicUsize::new(0), width);
-            return;
-        }
+    /// Takes the driver's guard and releases it for the execution window.
+    /// While helpers run, `par_active` makes lock contention block instead
+    /// of tripping the re-entrancy panic.
+    pub(crate) fn run_level<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, Inner>,
+    ) -> MutexGuard<'a, Inner> {
         let inner = &mut *guard;
+        let width = inner.level.len();
+        let helpers = inner.parallelism.min(width) - 1;
+        debug_assert!(helpers >= 1, "a pooled level has at least one helper");
         let pool_size = inner.parallelism - 1;
         if inner
             .exec_pool
@@ -367,6 +368,7 @@ impl Runtime {
             ok,
             "an executor panicked on a worker; runtime state unspecified"
         );
+        self.lock()
     }
 }
 

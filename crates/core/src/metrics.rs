@@ -501,7 +501,9 @@ pub struct MetricsSnapshot {
     pub wave_executed: HistogramSnapshot,
     /// Cutoff-stopped (value-unchanged) executor runs per wave.
     pub wave_wasted: HistogramSnapshot,
-    /// Dirty-batch width per height level (level drains only).
+    /// Dirty-batch width per height level, recorded at
+    /// `set_parallelism(n >= 2)` only (`Stats::level_width_hwm` covers
+    /// every drain).
     pub level_width: HistogramSnapshot,
     /// Per-level drain latency, nanoseconds (pooled levels only).
     pub level_latency_ns: HistogramSnapshot,

@@ -56,15 +56,26 @@ macro_rules! emit {
 /// Sync` so a session owning the closure can move between threads.
 pub(crate) type Executor = Arc<dyn Fn(&Runtime) -> Box<dyn Value> + Send + Sync>;
 
-/// One booked execution of a level, as the claim loop moves it along.
+/// An execution booked by [`Inner::exec_book`]: its executor and
+/// generation, and the call frame the executing thread pushes.
+pub(crate) struct Booking {
+    executor: Executor,
+    my_gen: u64,
+    frame: Frame,
+    /// Predecessor edges booking dropped, reported when the frame is pushed.
+    removed: u64,
+}
+
+/// One execution of a pooled level, as the claim loop moves it along.
 pub(crate) enum LevelSlot {
-    /// Booked by the driver: the executor and the call frame `exec_book`
-    /// prepared for it (the frame names the node).
-    Booked(Executor, Frame),
+    /// Booked by the driver when it opened the level.
+    Booked(Booking),
     /// Claimed: the frame is on the claiming thread's stack.
     Running,
-    /// Finished: the value awaiting the driver's in-order commit.
-    Done(Box<dyn Value>),
+    /// Finished: the execution's generation, its value awaiting the
+    /// driver's in-order commit, and whether that value differs from the
+    /// cached one.
+    Done(u64, Box<dyn Value>, bool),
 }
 
 /// Evaluation strategy of an incremental procedure (paper Section 3.3).
@@ -184,22 +195,20 @@ pub(crate) struct Inner {
     /// while everything else (values, flags, the graph) stays shared behind
     /// the runtime lock. Empty between levels.
     pub(crate) worker_stacks: Vec<Vec<Frame>>,
-    /// The `set_parallelism` knob: `0` = sequential evaluator (default),
-    /// `1` = level-at-a-time draining with inline execution (the honest
-    /// single-worker control), `n >= 2` = multi-node levels execute on `n`
-    /// threads, the driver plus an `n − 1`-worker pool.
+    /// The `set_parallelism` knob: `0` or `1` = the driver runs each level
+    /// alone (default `0`), `n >= 2` = levels of two or more executions run
+    /// on `n` threads, the driver plus an `n − 1`-worker pool.
     pub(crate) parallelism: usize,
     /// Lazily created persistent worker pool of `parallelism − 1` threads
-    /// (first multi-node level with `parallelism >= 2`). Rebuilt if the
-    /// knob changes size.
+    /// (first pooled level with `parallelism >= 2`). Rebuilt if the knob
+    /// changes size.
     pub(crate) exec_pool: Option<crate::exec_pool::ExecPool>,
-    /// The booked executions of the level being drained, indexed by claim
+    /// The executions of the pooled level being drained, indexed by claim
     /// order (= batch order). Empty between levels; capacity is kept.
     pub(crate) level: Vec<LevelSlot>,
     dirty: DirtyStore,
     partition: Option<UnionFind>,
     scheduling: Scheduling,
-    dedup_edges: bool,
     evaluating: bool,
     /// Monotone propagation-wave counter: incremented every time the
     /// evaluation routine starts a (non-nested) run. Never reset — unlike
@@ -213,6 +222,10 @@ pub(crate) struct Inner {
     /// returned around each use so steady-state drains allocate nothing;
     /// its capacity high-water mark is tracked in `stats.scratch_hwm`.
     succ_scratch: Vec<NodeId>,
+    /// Reusable buffer for the level the drain has open: its batch, then
+    /// its eager executions. Taken and returned around each drain, like
+    /// `succ_scratch`.
+    level_scratch: Vec<NodeId>,
     /// Reusable buffers for [`Runtime::batch`]: the pending-write list and
     /// the `NodeId`-indexed coalescing slot map (`slot + 1`, `0` = none).
     /// Taken at batch start and returned cleared (capacity kept) at commit,
@@ -238,21 +251,10 @@ pub(crate) struct Inner {
 ///     .build();
 /// assert!(rt.is_partitioned());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeBuilder {
     partitioning: bool,
     scheduling: Scheduling,
-    dedup_edges: bool,
-}
-
-impl Default for RuntimeBuilder {
-    fn default() -> Self {
-        RuntimeBuilder {
-            partitioning: false,
-            scheduling: Scheduling::HeightOrder,
-            dedup_edges: true,
-        }
-    }
 }
 
 impl RuntimeBuilder {
@@ -267,14 +269,6 @@ impl RuntimeBuilder {
     /// (paper Section 4.5). Height order by default.
     pub fn scheduling(mut self, mode: Scheduling) -> Self {
         self.scheduling = mode;
-        self
-    }
-
-    /// Controls per-execution deduplication of dependency edges. On by
-    /// default; turning it off reproduces the paper's literal algorithm,
-    /// which may record parallel edges.
-    pub fn dedup_edges(mut self, on: bool) -> Self {
-        self.dedup_edges = on;
         self
     }
 
@@ -303,12 +297,12 @@ impl RuntimeBuilder {
                 dirty,
                 partition: self.partitioning.then(UnionFind::new),
                 scheduling: self.scheduling,
-                dedup_edges: self.dedup_edges,
                 evaluating: false,
                 wave: 0,
                 exec_gen: 0,
                 frame_epoch: 0,
                 succ_scratch: Vec::new(),
+                level_scratch: Vec::new(),
                 batch_pending: Vec::new(),
                 batch_slots: Vec::new(),
                 #[cfg(feature = "trace")]
@@ -413,6 +407,32 @@ impl Inner {
         match &self.dirty {
             DirtyStore::Global(s) => s.len(),
             DirtyStore::Partitioned(m) => m.values().map(DirtySet::len).sum(),
+        }
+    }
+
+    /// Pops the next level of at most `max` dirty nodes into `out` (see
+    /// [`DirtySet::pop_level`]). A partitioned store pops from `origin`'s
+    /// partition — its root re-found per level, since partitions merge as
+    /// executions record edges — or, with no origin, from the first
+    /// partition holding dirt.
+    fn pop_level(
+        &mut self,
+        origin: Option<NodeId>,
+        out: &mut Vec<NodeId>,
+        max: usize,
+    ) -> Option<u32> {
+        match &mut self.dirty {
+            DirtyStore::Global(s) => s.pop_level(out, max),
+            DirtyStore::Partitioned(m) => match origin {
+                Some(o) => {
+                    let uf = self
+                        .partition
+                        .as_mut()
+                        .expect("partitioned store implies union-find");
+                    m.get_mut(&uf.find(o))?.pop_level(out, max)
+                }
+                None => m.values_mut().find_map(|s| s.pop_level(out, max)),
+            },
         }
     }
 
@@ -533,27 +553,25 @@ impl Inner {
             self.stats.untracked_reads += 1;
             return;
         }
-        if self.dedup_edges {
-            // O(1) per-execution dedup: the edge was already recorded iff
-            // the node's stamp equals this frame's epoch. Epochs are
-            // globally unique, so stamps left by finished frames can never
-            // be mistaken for the current one. Concurrent same-level frames
-            // may clobber each other's stamps; that only weakens dedup (a
-            // parallel edge may slip through), never loses an edge.
-            let stamp = self.last_accessed[n.index()];
-            if stamp == epoch {
-                self.stats.dedup_hits += 1;
-                return;
-            }
-            if stamp != 0 && depth > 1 {
-                // The stamp may belong to a live enclosing frame; remember
-                // it so popping this frame restores the enclosing
-                // execution's dedup set.
-                let frame = self.active_stack().last_mut().expect("frame checked above");
-                frame.overflow.push((n, stamp));
-            }
-            self.last_accessed[n.index()] = epoch;
+        // O(1) per-execution dedup: the edge was already recorded iff the
+        // node's stamp equals this frame's epoch. Epochs are globally
+        // unique, so stamps left by finished frames can never be mistaken
+        // for the current one. Concurrent same-level frames may clobber
+        // each other's stamps; that only weakens dedup (a parallel edge may
+        // slip through), never loses an edge.
+        let stamp = self.last_accessed[n.index()];
+        if stamp == epoch {
+            self.stats.dedup_hits += 1;
+            return;
         }
+        if stamp != 0 && depth > 1 {
+            // The stamp may belong to a live enclosing frame; remember it
+            // so popping this frame restores the enclosing execution's
+            // dedup set.
+            let frame = self.active_stack().last_mut().expect("frame checked above");
+            frame.overflow.push((n, stamp));
+        }
+        self.last_accessed[n.index()] = epoch;
         let raises_before = self.graph.height_raises();
         self.graph.add_edge(n, v);
         self.stats.height_raises += self.graph.height_raises() - raises_before;
@@ -687,13 +705,6 @@ impl Inner {
     }
 }
 
-/// What the evaluator decided to do with one dirty node.
-enum Step {
-    Idle,
-    Continue,
-    Execute(NodeId),
-}
-
 impl Runtime {
     /// Acquires the internal state lock. It is tried first. Contention
     /// while a level of executors runs on the worker pool (`par_active >
@@ -733,7 +744,7 @@ impl Runtime {
     }
 
     /// Creates a runtime with default configuration (no partitioning,
-    /// height-order scheduling, edge deduplication on).
+    /// height-order scheduling).
     pub fn new() -> Self {
         RuntimeBuilder::default().build()
     }
@@ -754,22 +765,20 @@ impl Runtime {
         self.lock().scheduling
     }
 
-    /// Sets the wave-propagation parallelism:
+    /// Sets the wave-propagation parallelism. The evaluator always drains
+    /// the inconsistent set one height level at a time (Section 4.5); this
+    /// knob only decides how many threads execute a level:
     ///
-    /// * `0` — the sequential evaluator (default; exactly the paper's
-    ///   Section 4.5 routine).
-    /// * `1` — level-at-a-time draining with inline execution: the same
-    ///   batching, barriers and trace brackets as the parallel scheduler
-    ///   but zero worker threads — the honest single-worker control for
-    ///   speedup measurements.
-    /// * `n >= 2` — multi-node levels run their eager executors on `n`
-    ///   threads at once: the propagating thread itself plus a persistent
-    ///   pool of `n − 1` workers. All of them claim executions from the
-    ///   level in turn, so a level of width `w < n` uses `w` threads.
+    /// * `0` (the default) or `1` — the propagating thread runs each level
+    ///   alone, committing every execution as it finishes.
+    /// * `n >= 2` — a level of two or more eager executions runs on up to
+    ///   `n` threads at once: the propagating thread itself plus a
+    ///   persistent pool of `n − 1` workers. All of them claim executions
+    ///   from the level in turn, so a level of `w < n` executions uses `w`
+    ///   threads, and the results commit in batch order at the level's end.
     ///
-    /// Level draining only engages for the default configuration
-    /// (height-order scheduling, no partitioning); any other configuration
-    /// keeps the sequential evaluator regardless of this knob. See
+    /// Every scheduling and partitioning configuration drains through the
+    /// same levels; under Fifo scheduling every level is a single node. See
     /// DESIGN.md ("Parallel waves") for the execution model.
     pub fn set_parallelism(&self, n: usize) {
         let mut inner = self.lock();
@@ -787,8 +796,8 @@ impl Runtime {
         }
     }
 
-    /// The current wave-propagation parallelism (`0` = sequential
-    /// evaluator).
+    /// The current wave-propagation parallelism (see
+    /// [`Runtime::set_parallelism`]).
     pub fn parallelism(&self) -> usize {
         self.lock().parallelism
     }
@@ -1434,10 +1443,11 @@ impl Runtime {
 
     /// First half of re-executing computation node `n` per Algorithm 5
     /// (see [`Runtime::execute_recording`] and the evaluation loop): drops
-    /// its old dependencies, books the execution and pushes the call frame,
-    /// handing back the executor to run *outside* the lock. Takes the
-    /// caller's guard so booking can share a lock round-trip with whatever
-    /// precedes it (the dirty-node pop in the evaluation loop).
+    /// its old dependencies, books the execution and pushes the call frame
+    /// onto the current thread's stack, handing back the executor to run
+    /// *outside* the lock. Takes the caller's guard so booking can share a
+    /// lock round-trip with whatever precedes it (the previous execution's
+    /// commit in the evaluation loop).
     ///
     /// Re-entrant executions (an instance re-executing while an older
     /// execution of the same instance is still on the stack, as the AVL
@@ -1448,51 +1458,25 @@ impl Runtime {
     /// [`Runtime::exec_end`]) but leaves cache, consistency flag and
     /// dependency edges to the fresher run.
     fn exec_begin(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64) {
-        let (executor, my_gen, frame) = self.exec_book(inner, n);
-        inner.active_stack().push(frame);
-        self.exec_depth.fetch_add(1, Ordering::Relaxed);
+        let Booking {
+            executor,
+            my_gen,
+            frame,
+            removed,
+        } = inner.exec_book(n);
+        self.push_frame(inner, frame, removed);
         (executor, my_gen)
     }
 
-    /// The bookkeeping half of [`Runtime::exec_begin`]: everything except
-    /// pushing the call frame. The level drain books a whole batch under
-    /// one guard on the driver thread and leaves each returned frame in
-    /// `Inner::level` for whichever thread claims it (the frame must live
-    /// on the *executing* thread's stack for dependence recording to target
-    /// it); the sequential path pushes it straight onto the current stack.
-    fn exec_book(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64, Frame) {
-        inner.stats.executions += 1;
-        let before = inner.graph.edges_removed();
-        inner.graph.remove_pred_edges(n);
-        let removed = inner.graph.edges_removed() - before;
-        inner.stats.edges_removed += removed;
-        inner.exec_gen += 1;
-        let my_gen = inner.exec_gen;
-        let i = n.index();
-        debug_assert!(inner.flags[i] & F_COMP != 0, "execute on a location");
-        // If an older execution of `n` is still running it is now
-        // superseded: its result will be discarded, so stop it from
-        // recording any further dependence edges.
-        if inner.flags[i] & F_ON_STACK != 0 {
-            inner.mark_stale_frames(n);
-        }
-        inner.flags[i] |= F_CONSISTENT;
-        inner.on_stack_inc(i);
-        inner.gens[i] = my_gen;
-        let executor = Arc::clone(
-            inner.executors[i]
-                .as_ref()
-                .expect("computation node has an executor"),
-        );
-        inner.frame_epoch += 1;
-        let epoch = inner.frame_epoch;
-        let frame = Frame {
-            node: n,
-            epoch,
-            overflow: Vec::new(),
-            suppress: 0,
-            stale: false,
-        };
+    /// The stack half of [`Runtime::exec_begin`], run by the executing
+    /// thread: pushes `frame` onto that thread's stack and opens the
+    /// execution's trace span. A pooled level's claimant pushes the frame
+    /// the driver booked for it.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+    fn push_frame(&self, inner: &mut Inner, frame: Frame, removed: u64) {
+        let n = frame.node;
+        inner.active_stack().push(frame);
+        self.exec_depth.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "trace")]
         {
             emit!(inner, TraceEvent::ExecuteBegin { node: n });
@@ -1506,14 +1490,13 @@ impl Runtime {
                 );
             }
         }
-        (executor, my_gen, frame)
     }
 
     /// Second half of an execution: pops the call frame and commits (or,
     /// when superseded — the `Some` return — hands back) the computed
-    /// value, plus whether the cache changed. Runs
-    /// under the caller's guard so the commit can share a lock round-trip
-    /// with whatever follows it (successor dirtying in the evaluation loop,
+    /// value, plus whether the cache changed. Runs under the caller's guard
+    /// so the commit can share a lock round-trip with whatever follows it
+    /// (successor dirtying and the next booking in the evaluation loop,
     /// dependence recording on the memo call path).
     fn exec_end(
         &self,
@@ -1522,16 +1505,17 @@ impl Runtime {
         my_gen: u64,
         value: Box<dyn Value>,
     ) -> (Option<Box<dyn Value>>, bool) {
-        self.pop_frame(inner, n);
-        self.exec_commit(inner, n, my_gen, value)
+        let changed = self.exec_pop(inner, n, my_gen, &*value);
+        inner.exec_store(n, my_gen, value, changed)
     }
 
-    /// The frame half of [`Runtime::exec_end`]: pops the current thread's
-    /// innermost frame, restores overwritten dedup stamps and drops the
-    /// node's on-stack depth. Under level draining each claimant pops its
-    /// own frame as soon as its executor returns (before the level's
-    /// barrier), so re-queued dirt never sees a dead frame.
-    fn pop_frame(&self, inner: &mut Inner, n: NodeId) {
+    /// The frame half of [`Runtime::exec_end`], run by the thread that
+    /// executed `n` as soon as its executor returns: pops that thread's
+    /// innermost frame, restores overwritten dedup stamps, drops the node's
+    /// on-stack depth, and compares `value` against the still-cached old
+    /// one (the cutoff comparison). Closes the execution's trace span and
+    /// returns whether the value changed (`false` when superseded).
+    fn exec_pop(&self, inner: &mut Inner, n: NodeId, my_gen: u64, value: &dyn Value) -> bool {
         let frame = inner.active_stack().pop().expect("frame pushed above");
         self.exec_depth.fetch_sub(1, Ordering::Relaxed);
         debug_assert_eq!(frame.node, n, "call stack imbalance");
@@ -1542,50 +1526,17 @@ impl Runtime {
         for (node, stamp) in frame.overflow.into_iter().rev() {
             inner.last_accessed[node.index()] = stamp;
         }
-        inner.on_stack_dec(n.index());
-    }
-
-    /// The commit half of [`Runtime::exec_end`]: generation supersession
-    /// check, cutoff comparison, cache store and re-queue handling. The
-    /// level-parallel scheduler commits a whole level's results in batch
-    /// order under one guard; the sequential path commits immediately after
-    /// popping the frame.
-    fn exec_commit(
-        &self,
-        inner: &mut Inner,
-        n: NodeId,
-        my_gen: u64,
-        value: Box<dyn Value>,
-    ) -> (Option<Box<dyn Value>>, bool) {
         let i = n.index();
-        let superseded = inner.gens[i] != my_gen;
-        let requeue = if superseded {
-            false
-        } else {
-            let r = inner.flags[i] & F_REQUEUE != 0;
-            inner.flags[i] &= !F_REQUEUE;
-            r
-        };
-        if superseded {
-            // A nested execution superseded this one; its cache entry is the
-            // one that matches the current program state. Hand our value to
-            // the caller without committing it.
-            emit!(
-                inner,
-                TraceEvent::ExecuteEnd {
-                    node: n,
-                    changed: false,
-                }
-            );
-            return (Some(value), false);
-        }
-        // A first execution has no previous value: it counts as changed
-        // without charging a cutoff comparison.
+        inner.on_stack_dec(i);
+        // A superseded execution's value is handed back, never compared:
+        // the fresher run owns the cache.
         let (changed, compared) = match &inner.values[i] {
-            Some(old) => (!old.dyn_eq(&*value), true),
+            _ if inner.gens[i] != my_gen => (false, false),
+            // A first execution has no previous value: it counts as changed
+            // without charging a cutoff comparison.
             None => (true, false),
+            Some(old) => (!old.dyn_eq(value), true),
         };
-        inner.values[i] = Some(value);
         if compared {
             inner.stats.comparisons += 1;
             if !changed {
@@ -1600,12 +1551,8 @@ impl Runtime {
         if compared && !changed {
             emit!(inner, TraceEvent::CutoffStop { node: n });
         }
-        if requeue {
-            inner.insert_dirty(n, DirtyReason::Requeue, None);
-        }
-        (None, changed)
+        changed
     }
-
     /// Explains why a node has its current value: lists its recorded
     /// dependencies (the paper's referenced-argument set `R(p)`), one line
     /// per predecessor with kind, diagnostic name and cached value.
@@ -1770,54 +1717,30 @@ impl Runtime {
         self.evaluate_bounded(origin, u64::MAX);
     }
 
-    /// Core evaluation loop (Section 4.5). `origin`: evaluate only the
-    /// partition containing this node; `None`: evaluate everything.
-    /// `max_steps` bounds the number of dirty nodes processed (preemption).
+    /// The evaluation routine (Section 4.5). `origin`: with partitioning,
+    /// evaluate only the partition containing this node; `None`: evaluate
+    /// everything. `max_steps` bounds the number of dirty nodes processed
+    /// (preemption). The wave opens and closes under the drain's first and
+    /// last guards.
     fn evaluate_bounded(&self, origin: Option<NodeId>, max_steps: u64) {
-        #[cfg(feature = "trace")]
-        let steps_before;
-        #[cfg(feature = "metrics")]
-        let (execs_before, wasted_before);
-        let level_mode;
-        {
-            let mut inner = self.lock();
-            if inner.evaluating {
-                return;
-            }
-            inner.evaluating = true;
-            inner.wave += 1;
-            inner.stats.waves += 1;
-            #[cfg(feature = "trace")]
-            {
-                steps_before = inner.stats.propagation_steps;
-            }
-            #[cfg(feature = "metrics")]
-            {
-                execs_before = inner.stats.executions;
-                wasted_before = inner.stats.wasted_executions;
-            }
-            // Level draining requires the default configuration: a single
-            // global inconsistent set (so one `pop_level` sees the whole
-            // frontier; `origin` is then irrelevant — the sequential
-            // evaluator also drains the global set regardless of origin)
-            // and height-order scheduling (Fifo has no independence
-            // guarantee between queue neighbours).
-            level_mode = inner.parallelism >= 1
-                && inner.scheduling == Scheduling::HeightOrder
-                && matches!(inner.dirty, DirtyStore::Global(_));
-            emit!(inner, TraceEvent::PropagateBegin { wave: inner.wave });
+        let mut inner = self.lock();
+        if inner.evaluating {
+            return;
         }
-        // Wave clock: stamped outside the lock, after the nested-wave early
-        // return, so only real (outermost) waves are timed and a disabled
-        // switch skips the clock read entirely.
+        inner.evaluating = true;
+        inner.wave += 1;
+        inner.stats.waves += 1;
+        #[cfg(feature = "trace")]
+        let steps_before = inner.stats.propagation_steps;
+        #[cfg(feature = "metrics")]
+        let (execs_before, wasted_before) = (inner.stats.executions, inner.stats.wasted_executions);
+        emit!(inner, TraceEvent::PropagateBegin { wave: inner.wave });
+        // Wave clock: stamped after the nested-wave early return, so only
+        // real (outermost) waves are timed and a disabled switch skips the
+        // clock read entirely.
         #[cfg(feature = "metrics")]
         let wave_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        if level_mode {
-            self.drain_levels(max_steps);
-        } else {
-            self.drain_sequential(origin, max_steps);
-        }
-        let mut inner = self.lock();
+        let mut inner = self.drain_levels(inner, origin, max_steps);
         inner.evaluating = false;
         emit!(
             inner,
@@ -1841,144 +1764,132 @@ impl Runtime {
         }
     }
 
-    /// The paper's sequential drain, one dirty node at a time in scheduling
-    /// order. Each pass through the outer loop holds the lock once: commit
-    /// the previous execution, pump mutation-only steps, and book the next
-    /// execution, all under the same guard — one amortized lock round-trip
-    /// per executed node. Only the executor itself (which re-enters the
-    /// runtime through tracked reads and nested calls) runs unlocked.
-    fn drain_sequential(&self, origin: Option<NodeId>, max_steps: u64) {
+    /// The drain: processes the inconsistent set one *height level* at a
+    /// time, for every scheduling, partitioning and parallelism setting.
+    /// All dirty nodes at the current minimum height are mutually
+    /// independent (an edge between two nodes forces a height difference),
+    /// so a level's eager executions may run in any order, or at once.
+    ///
+    /// Each level is popped (at most the remaining step budget of it, from
+    /// `origin`'s partition when partitioned) and its mutation-only nodes —
+    /// locations, demand marking, on-stack re-queues — are handled at once;
+    /// its eager nodes become the level's executions. The driver runs those
+    /// itself, one at a time, with one lock acquisition between two
+    /// executions that pops and commits the previous one (dirtying its
+    /// successors when it changed), closes a finished level, pops and opens
+    /// the next, and books the next execution. The lock is released only
+    /// while an executor runs. A level of two or more executions at
+    /// `parallelism >= 2` is instead booked whole and handed to
+    /// [`Runtime::run_level`], which runs it beside pool helpers and leaves
+    /// its results for the commit below, in batch order.
+    ///
+    /// Takes the guard that opened the wave and returns the one that
+    /// closes it.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))] // `height` feeds the trace brackets
+    fn drain_levels<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, Inner>,
+        origin: Option<NodeId>,
+        max_steps: u64,
+    ) -> MutexGuard<'a, Inner> {
         let mut steps = 0u64;
-        let mut running: Option<(NodeId, Executor, u64)> = None;
+        // The open level's eager executions in batch order, how many of
+        // them the driver has started, and its height.
+        let mut execs = std::mem::take(&mut guard.level_scratch);
+        let mut next = 0;
+        let mut height = None;
         loop {
-            let finished = running.take().map(|(u, executor, my_gen)| {
-                let value = executor(self);
-                (u, my_gen, value)
-            });
-            let mut guard = self.lock();
             let inner = &mut *guard;
-            if let Some((u, my_gen, value)) = finished {
+            if next < execs.len() {
+                let u = execs[next];
+                next += 1;
+                let (executor, my_gen) = self.exec_begin(inner, u);
+                drop(guard);
+                let value = executor(self);
+                guard = self.lock();
+                let inner = &mut *guard;
                 let (_, changed) = self.exec_end(inner, u, my_gen, value);
                 if changed {
                     inner.dirty_succs_of(u);
                 }
+                continue;
             }
-            while steps < max_steps {
-                steps += 1;
-                match self.evaluation_step(inner, origin) {
-                    Step::Idle => break,
-                    Step::Continue => {}
-                    Step::Execute(u) => {
-                        let (executor, my_gen) = self.exec_begin(inner, u);
-                        running = Some((u, executor, my_gen));
-                        break;
+            if let Some(height) = height.take() {
+                emit!(
+                    inner,
+                    TraceEvent::LevelEnd {
+                        wave: inner.wave,
+                        height,
+                        executed: execs.len() as u64,
                     }
-                }
+                );
             }
-            if running.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Level drain: processes the inconsistent set one *height level* at a
-    /// time. All dirty nodes at the current minimum height are mutually
-    /// independent (an edge between two nodes forces a height difference),
-    /// so the level's eager executors may run concurrently.
-    ///
-    /// Lock discipline per level — one driver acquisition on each side of
-    /// the execution window:
-    ///
-    /// 1. **Drain + book** (one guard): `pop_level` the batch, handle
-    ///    mutation-only nodes (locations, demand marking, on-stack
-    ///    re-queue) inline, and book every eager node (`exec_book`, in
-    ///    batch order — deterministic, matching the sequential pop order).
-    /// 2. **Execute**: [`Runtime::run_level`] runs the booked executors
-    ///    (the driver claims them, beside pool helpers when there are any)
-    ///    and leaves their values in `Inner::level`, in batch order.
-    /// 3. **Commit** (one guard): store each result in batch order
-    ///    (generation check, cutoff comparison), dirty the successors of
-    ///    changed nodes and close the `LevelEnd` bracket.
-    ///
-    /// The `max_steps` preemption bound is checked between levels (a level
-    /// is never split), so bounded drains are level-granular here — coarser
-    /// than the sequential evaluator's per-node bound but with the same
-    /// contract: remaining work stays queued for a later slice.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))] // `height` feeds the trace brackets
-    fn drain_levels(&self, max_steps: u64) {
-        let mut steps = 0u64;
-        let mut batch: Vec<NodeId> = Vec::new();
-        let mut booked: Vec<(NodeId, u64)> = Vec::new();
-        while steps < max_steps {
-            let mut guard = self.lock();
-            let inner = &mut *guard;
-            batch.clear();
-            let DirtyStore::Global(dirty) = &mut inner.dirty else {
-                unreachable!("level mode requires the global dirty store");
+            execs.clear();
+            next = 0;
+            let budget = usize::try_from(max_steps - steps).unwrap_or(usize::MAX);
+            let Some(h) = inner.pop_level(origin, &mut execs, budget) else {
+                inner.level_scratch = execs;
+                return guard;
             };
-            let Some(height) = dirty.pop_level(&mut batch) else {
-                break;
-            };
-            let width = batch.len() as u64;
+            height = Some(h);
+            let width = execs.len() as u64;
+            steps += width;
             inner.stats.level_width_hwm = inner.stats.level_width_hwm.max(width);
+            // Only a runtime that may pool pays the per-level histogram
+            // write: the widths are the parallelism its pool had to use.
             #[cfg(feature = "metrics")]
-            self.metrics.level_width.record(width);
+            if inner.parallelism >= 2 {
+                self.metrics.level_width.record(width);
+            }
             emit!(
                 inner,
                 TraceEvent::LevelBegin {
                     wave: inner.wave,
-                    height,
+                    height: h,
                     width,
                 }
             );
-            for &u in &batch {
-                steps += 1;
-                // Successors of a location or demand node sit at strictly
-                // greater heights, so they join later levels, never this one.
-                if inner.step_popped(u) {
-                    let (executor, my_gen, frame) = self.exec_book(inner, u);
-                    booked.push((u, my_gen));
-                    inner.level.push(LevelSlot::Booked(executor, frame));
+            // Successors of a location or demand node sit at strictly
+            // greater heights, so they join later levels, never this one.
+            execs.retain(|&u| inner.step_popped(u));
+            if inner.parallelism.min(execs.len()) >= 2 {
+                // Book every execution before any claimant starts: the
+                // claim locks are the contended ones, so they only swap
+                // frames.
+                for &u in &execs {
+                    let booking = inner.exec_book(u);
+                    inner.level.push(LevelSlot::Booked(booking));
                 }
+                guard = self.run_level(guard);
+                let inner = &mut *guard;
+                let mut level = std::mem::take(&mut inner.level);
+                for (&u, slot) in execs.iter().zip(level.drain(..)) {
+                    let LevelSlot::Done(my_gen, value, changed) = slot else {
+                        unreachable!("level barrier passed with an unfinished execution");
+                    };
+                    if let (None, true) = inner.exec_store(u, my_gen, value, changed) {
+                        inner.dirty_succs_of(u);
+                    }
+                }
+                inner.level = level;
+                next = execs.len();
             }
-            self.run_level(guard);
-            let mut guard = self.lock();
-            let inner = &mut *guard;
-            let mut level = std::mem::take(&mut inner.level);
-            for (&(u, my_gen), slot) in booked.iter().zip(level.drain(..)) {
-                let LevelSlot::Done(value) = slot else {
-                    unreachable!("level barrier passed with an unfinished execution");
-                };
-                let (_, changed) = self.exec_commit(inner, u, my_gen, value);
-                if changed {
-                    inner.dirty_succs_of(u);
-                }
-            }
-            inner.level = level;
-            emit!(
-                inner,
-                TraceEvent::LevelEnd {
-                    wave: inner.wave,
-                    height,
-                    executed: booked.len() as u64,
-                }
-            );
-            booked.clear();
         }
     }
 
-    /// The level drain's claim loop, run by the driver and by each helper
-    /// ticket of a pooled level: claim the next index from `next`, run that
-    /// booked execution with its frame on this thread's stack (its tracked
-    /// reads and nested memo calls record against that frame), and repeat
+    /// The claim loop of a pooled level, run by the driver and by each
+    /// helper ticket: claim the next index from `next`, push that booked
+    /// execution's frame onto this thread's stack (its tracked reads and
+    /// nested memo calls record against that frame), run it, and repeat
     /// until the index passes `width`. Each lock acquisition pops the
-    /// previous frame, stores its value, and pushes the next claim's frame,
-    /// so `k` executions cost `k + 1` acquisitions. A claimant that finds
-    /// the index exhausted before it ran anything returns without locking.
-    /// Returns the number of executions run.
+    /// previous frame, compares its value and leaves it for the driver's
+    /// in-order commit, and pushes the next claim's frame, so `k`
+    /// executions cost `k + 1` acquisitions. A claimant that finds the index exhausted before it
+    /// ran anything returns without locking. Returns the number of
+    /// executions run.
     pub(crate) fn run_claims(&self, next: &AtomicUsize, width: usize) -> u64 {
         let mut ran = 0;
-        let mut finished: Option<(usize, NodeId, Box<dyn Value>)> = None;
+        let mut finished: Option<(usize, NodeId, u64, Box<dyn Value>)> = None;
         loop {
             // Relaxed: the index only has to be unique. The slot it names
             // is read and written under the runtime lock, which orders it.
@@ -1988,51 +1899,97 @@ impl Runtime {
             }
             let mut guard = self.lock();
             let inner = &mut *guard;
-            if let Some((done, n, value)) = finished.take() {
-                self.pop_frame(inner, n);
-                inner.level[done] = LevelSlot::Done(value);
+            if let Some((done, n, my_gen, value)) = finished.take() {
+                let changed = self.exec_pop(inner, n, my_gen, &*value);
+                inner.level[done] = LevelSlot::Done(my_gen, value, changed);
             }
             if idx >= width {
                 return ran;
             }
-            let LevelSlot::Booked(executor, frame) =
+            let LevelSlot::Booked(booking) =
                 std::mem::replace(&mut inner.level[idx], LevelSlot::Running)
             else {
                 unreachable!("each level index is claimed once");
             };
-            let n = frame.node;
-            inner.active_stack().push(frame);
-            self.exec_depth.fetch_add(1, Ordering::Relaxed);
+            let n = booking.frame.node;
+            self.push_frame(inner, booking.frame, booking.removed);
             drop(guard);
-            let value = executor(self);
+            let value = (booking.executor)(self);
             ran += 1;
-            finished = Some((idx, n, value));
-        }
-    }
-
-    /// Pops and processes one dirty node; mutation-only cases are handled
-    /// inline, eager re-execution is returned to the caller so the lock
-    /// can be released first.
-    fn evaluation_step(&self, inner: &mut Inner, origin: Option<NodeId>) -> Step {
-        // Partitions may have merged since the last step; re-find each time.
-        let root = match origin {
-            Some(o) => inner.partition.as_mut().map(|uf| uf.find(o)),
-            None => None,
-        };
-        let popped = match (&mut inner.dirty, root) {
-            (DirtyStore::Global(s), _) => s.pop(),
-            (DirtyStore::Partitioned(m), Some(root)) => m.get_mut(&root).and_then(DirtySet::pop),
-            (DirtyStore::Partitioned(m), None) => m.values_mut().find_map(|s| s.pop()),
-        };
-        match popped {
-            None => Step::Idle,
-            Some(u) if inner.step_popped(u) => Step::Execute(u),
-            Some(_) => Step::Continue,
+            finished = Some((idx, n, booking.my_gen, value));
         }
     }
 }
 
 impl Inner {
+    /// The bookkeeping half of [`Runtime::exec_begin`]: everything but
+    /// pushing the frame. A pooled level books all its executions under
+    /// the driver's guard before any claimant starts.
+    fn exec_book(&mut self, n: NodeId) -> Booking {
+        self.stats.executions += 1;
+        let before = self.graph.edges_removed();
+        self.graph.remove_pred_edges(n);
+        let removed = self.graph.edges_removed() - before;
+        self.stats.edges_removed += removed;
+        self.exec_gen += 1;
+        let my_gen = self.exec_gen;
+        let i = n.index();
+        debug_assert!(self.flags[i] & F_COMP != 0, "execute on a location");
+        // If an older execution of `n` is still running it is now
+        // superseded: its result will be discarded, so stop it from
+        // recording any further dependence edges.
+        if self.flags[i] & F_ON_STACK != 0 {
+            self.mark_stale_frames(n);
+        }
+        self.flags[i] |= F_CONSISTENT;
+        self.on_stack_inc(i);
+        self.gens[i] = my_gen;
+        let executor = Arc::clone(
+            self.executors[i]
+                .as_ref()
+                .expect("computation node has an executor"),
+        );
+        self.frame_epoch += 1;
+        Booking {
+            executor,
+            my_gen,
+            frame: Frame {
+                node: n,
+                epoch: self.frame_epoch,
+                overflow: Vec::new(),
+                suppress: 0,
+                stale: false,
+            },
+            removed,
+        }
+    }
+
+    /// The commit half of [`Runtime::exec_end`]: unless a fresher execution
+    /// of `n` superseded this one (the value is then handed back, the
+    /// `Some` case), stores `value` in the cache and re-queues a node the
+    /// evaluator wanted to re-execute while it ran. `changed` is
+    /// [`Runtime::exec_pop`]'s comparison; it is returned for committed
+    /// values. A pooled level commits its results in batch order after its
+    /// barrier; everywhere else the commit follows the pop directly.
+    fn exec_store(
+        &mut self,
+        n: NodeId,
+        my_gen: u64,
+        value: Box<dyn Value>,
+        changed: bool,
+    ) -> (Option<Box<dyn Value>>, bool) {
+        let i = n.index();
+        if self.gens[i] != my_gen {
+            return (Some(value), false);
+        }
+        self.values[i] = Some(value);
+        if self.flags[i] & F_REQUEUE != 0 {
+            self.flags[i] &= !F_REQUEUE;
+            self.insert_dirty(n, DirtyReason::Requeue, None);
+        }
+        (None, changed)
+    }
+
     /// One propagation step on a node just popped from an inconsistent set
     /// (Section 4.5). Mutation-only cases are handled here; returns `true`
     /// when `u` is an eager instance the caller must re-execute (and, if
@@ -2141,7 +2098,6 @@ mod tests {
         let rt = Runtime::builder()
             .partitioning(true)
             .scheduling(Scheduling::Fifo)
-            .dedup_edges(false)
             .build();
         assert!(rt.is_partitioned());
         assert_eq!(rt.scheduling(), Scheduling::Fifo);

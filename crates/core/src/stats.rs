@@ -136,7 +136,7 @@ pub struct Stats {
     pub scratch_hwm: u64,
     /// Height levels drained with worker-pool helpers claiming executions
     /// beside the driver ([`Runtime::set_parallelism`] of 2 or more).
-    /// Single-node levels run on the driver alone and are not counted.
+    /// Levels of one execution run on the driver alone and are not counted.
     ///
     /// [`Runtime::set_parallelism`]: crate::Runtime::set_parallelism
     pub parallel_levels: u64,
@@ -144,8 +144,8 @@ pub struct Stats {
     /// per-node share of `parallel_levels`; always `<= executions`).
     pub parallel_executions: u64,
     /// Widest dirty batch drained at a single height level — the available
-    /// parallelism high-water mark. Maintained whenever the level-drain
-    /// scheduler runs, including one-node levels.
+    /// parallelism high-water mark. Maintained by every drain, at any
+    /// parallelism.
     pub level_width_hwm: u64,
     /// Acquisitions of the runtime's internal lock, from any thread — the
     /// round-trips that frame pushes, reads, writes and commits cost.

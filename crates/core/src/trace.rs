@@ -188,12 +188,14 @@ pub enum TraceEvent {
         /// Dirty nodes processed during this run.
         steps: u64,
     },
-    /// The level-drain scheduler
-    /// ([`Runtime::set_parallelism`](crate::Runtime::set_parallelism)) pulled
-    /// the full batch of dirty nodes at one height and is about to process
-    /// it. Every [`TraceEvent::ExecuteBegin`]/[`TraceEvent::ExecuteEnd`]
-    /// pair until the matching [`TraceEvent::LevelEnd`] belongs to this
-    /// level; executions within a level may overlap in time.
+    /// The evaluator pulled the batch of dirty nodes at one height (all
+    /// of them, unless a `propagate_steps` budget capped it) and is about
+    /// to process it. Every [`TraceEvent::ExecuteBegin`]/
+    /// [`TraceEvent::ExecuteEnd`] pair until the matching
+    /// [`TraceEvent::LevelEnd`] belongs to this level. Executions within a
+    /// level overlap in time only when it runs on a pool
+    /// ([`Runtime::set_parallelism`](crate::Runtime::set_parallelism) of 2
+    /// or more); each thread's spans still nest.
     LevelBegin {
         /// The propagation wave this level belongs to.
         wave: u64,
@@ -224,8 +226,8 @@ pub enum TraceEvent {
     ExecuteEnd {
         /// The computation node.
         node: NodeId,
-        /// Whether the committed value differs from the previous one
-        /// (always `false` for superseded re-entrant executions).
+        /// Whether the new value differs from the cached one (always
+        /// `false` for superseded re-entrant executions).
         changed: bool,
     },
     /// A call was answered from the cache without running the body.
@@ -568,8 +570,9 @@ fn variant_name(ev: &TraceEvent) -> &'static str {
 /// `wave` is the stamping slot tracking the currently open propagation wave:
 /// [`TraceEvent::PropagateBegin`] opens it, [`TraceEvent::PropagateEnd`]
 /// closes it, and every event in between is stamped `"wave":N`. The
-/// propagation brackets and [`TraceEvent::BatchCommit`] carry their own wave
-/// fields instead. Node-bearing events carry the node's resolved `"label"`
+/// propagation and level brackets and [`TraceEvent::BatchCommit`] are
+/// stamped with their own wave fields instead, so they stay readable in a
+/// recording that lost their `PropagateBegin`. Node-bearing events carry the node's resolved `"label"`
 /// when one is known, so a trace file stays self-contained; node ids
 /// serialize as their dense indices.
 fn jsonl_line(ts: u64, wave: &mut Option<u64>, ev: &TraceEvent, labels: &Labels) -> String {
@@ -582,7 +585,9 @@ fn jsonl_line(ts: u64, wave: &mut Option<u64>, ev: &TraceEvent, labels: &Labels)
             *wave = None;
             Some(*w)
         }
-        TraceEvent::BatchCommit { wave: w, .. } => Some(*w),
+        TraceEvent::BatchCommit { wave: w, .. }
+        | TraceEvent::LevelBegin { wave: w, .. }
+        | TraceEvent::LevelEnd { wave: w, .. } => Some(*w),
         _ => *wave,
     };
     let mut out = String::with_capacity(64);

@@ -1,7 +1,7 @@
 //! Behavioral tests for level-parallel wave propagation: correctness of
-//! the level scheduler at 0/1/N workers, the parallel stats counters, and
-//! the configuration gates that keep every non-default setup on the
-//! sequential evaluator.
+//! the level drain at 0/1/N workers under every scheduling and
+//! partitioning setting, the parallel stats counters, and the lock
+//! acquisitions an inline level costs.
 
 use alphonse::{Runtime, Scheduling, Strategy, Var};
 
@@ -86,22 +86,7 @@ fn single_worker_control_counts_levels_but_spawns_no_pool_work() {
 }
 
 #[test]
-fn sequential_default_keeps_parallel_counters_at_zero() {
-    let rt = Runtime::new();
-    let (vars, _) = fan(&rt, 4);
-    rt.reset_stats();
-    for v in &vars {
-        v.set(&rt, 7);
-    }
-    rt.propagate();
-    let s = rt.stats();
-    assert_eq!(s.parallel_levels, 0);
-    assert_eq!(s.parallel_executions, 0);
-    assert_eq!(s.level_width_hwm, 0, "sequential drain never batches");
-}
-
-#[test]
-fn fifo_scheduling_stays_sequential_despite_the_knob() {
+fn fifo_levels_are_single_nodes() {
     let rt = Runtime::builder().scheduling(Scheduling::Fifo).build();
     rt.set_parallelism(4);
     let (vars, total) = fan(&rt, 4);
@@ -111,13 +96,15 @@ fn fifo_scheduling_stays_sequential_despite_the_knob() {
     }
     rt.propagate();
     let s = rt.stats();
+    // Fifo order gives no independence guarantee between queue
+    // neighbours, so every level is one node and none reaches the pool.
     assert_eq!(s.parallel_levels, 0);
-    assert_eq!(s.level_width_hwm, 0);
+    assert_eq!(s.level_width_hwm, 1);
     assert_eq!(total.call(&rt, ()), 4 * 3 * 10);
 }
 
 #[test]
-fn partitioned_runtimes_stay_sequential_despite_the_knob() {
+fn partitioned_runtimes_pool_their_levels() {
     let rt = Runtime::builder().partitioning(true).build();
     rt.set_parallelism(4);
     let (vars, total) = fan(&rt, 4);
@@ -125,11 +112,13 @@ fn partitioned_runtimes_stay_sequential_despite_the_knob() {
     for v in &vars {
         v.set(&rt, 5);
     }
-    rt.propagate();
-    let s = rt.stats();
-    assert_eq!(s.parallel_levels, 0);
-    assert_eq!(s.level_width_hwm, 0);
+    // A query drains only its own partition — here, the whole fan.
     assert_eq!(total.call(&rt, ()), 4 * 5 * 10);
+    let s = rt.stats();
+    assert_eq!(s.parallel_levels, 1, "the cell level ran on the pool");
+    assert_eq!(s.parallel_executions, 4);
+    assert_eq!(s.level_width_hwm, 4);
+    rt.check_invariants();
 }
 
 #[test]
@@ -164,22 +153,29 @@ fn nested_memo_calls_from_workers_record_dependencies() {
 }
 
 #[test]
-fn bounded_drains_are_level_granular_and_resume() {
+fn bounded_drains_take_at_most_k_steps_and_resume() {
     let rt = Runtime::new();
     rt.set_parallelism(2);
     let (vars, total) = fan(&rt, 6);
     for v in &vars {
         v.set(&rt, 1000);
     }
-    // One step only: the first level (the 6 dirty vars) is never split,
-    // so one bounded call drains at least that level; the cells and the
-    // total still owe work.
+    // One step only: the level of 6 dirty vars is capped to one of them,
+    // and the rest stays queued for the next slice.
+    rt.reset_stats();
     let done = rt.propagate_steps(1);
     assert!(!done, "work must remain after a one-step slice");
-    assert!(rt.dirty_count() > 0);
-    while !rt.propagate_steps(1) {}
+    assert_eq!(rt.stats().propagation_steps, 1);
+    assert_eq!(rt.dirty_count(), 5 + 1, "5 vars and the fanned-out cell");
+    // Four-step slices split the 6-cell level too, and it still reaches
+    // the pool in parts of two or more.
+    while !rt.propagate_steps(4) {}
     assert_eq!(rt.dirty_count(), 0);
     assert_eq!(total.call(&rt, ()), 6 * 1000 * 10);
+    let s = rt.stats();
+    assert_eq!(s.propagation_steps, 6 + 6 + 1);
+    assert!(s.level_width_hwm <= 4);
+    rt.check_invariants();
 }
 
 #[test]
@@ -236,7 +232,8 @@ fn level_brackets_appear_in_the_trace() {
 
 /// Worker busy/idle gauges come from the executor pool, so they populate
 /// only when a pool actually runs — `set_parallelism(n >= 2)` with a
-/// multi-node level — never under sequential or inline (n = 1) draining.
+/// level of two or more executions — never when the driver runs every
+/// level alone (n = 0 or 1).
 #[cfg(feature = "metrics")]
 #[test]
 fn worker_gauges_populate_only_under_pooled_draining() {
@@ -374,10 +371,12 @@ fn executor_panics_in_pooled_levels_reach_the_caller() {
     }
 }
 
-/// `Stats::lock_acquisitions` pins the fused frame swap: a claimant pops
-/// one frame and pushes the next under a single acquisition.
+/// `Stats::lock_acquisitions` pins the fused frame swap: between two
+/// inline executions the driver takes the lock once, to commit the one
+/// that finished, move on to the next level when a level is done, and
+/// book the next.
 #[test]
-fn one_inline_level_takes_one_frame_lock_per_execution_plus_one() {
+fn one_inline_level_takes_one_lock_per_execution() {
     const W: u64 = 8;
     let rt = Runtime::new();
     rt.set_parallelism(1);
@@ -398,11 +397,54 @@ fn one_inline_level_takes_one_frame_lock_per_execution_plus_one() {
     let before = rt.stats();
     rt.propagate();
     let taken = rt.stats().delta_since(&before).lock_acquisitions;
-    // Wave open and close: 2. The var level: book + commit, 2. The cell
-    // level: book 1, frame swaps W + 1, one tracked read per cell W,
-    // commit 1. The final empty `pop_level`: 1. The closing `stats()`
-    // call counts itself: 1.
-    // Separate frame push and pop locks, 2 per execution instead of
-    // W + 1 in all, would take W - 1 more.
-    assert_eq!(taken, 2 + 2 + (1 + (W + 1) + W + 1) + 1 + 1);
+    // Opening the wave, draining the var level and booking the first cell
+    // share one acquisition. Then, per cell, one tracked read and one
+    // swap; the last swap finds no level left and closes the wave. The
+    // closing `stats()` call counts itself: 1.
+    assert_eq!(taken, 1 + 2 * W + 1);
+}
+
+/// `Stats::lock_acquisitions` for one write and one `propagate` at the
+/// default parallelism: the acquisitions of `n` executions are the write,
+/// one to open the wave and book the first execution, one per tracked
+/// read or call in the bodies, one per execution to commit it and book
+/// the next, and the counting `stats()` call itself: `2n + 3`.
+fn locks_per_wave(rt: &Runtime, write: impl FnOnce(), n: u64) {
+    let before = rt.stats();
+    write();
+    rt.propagate();
+    let taken = rt.stats().delta_since(&before).lock_acquisitions;
+    assert_eq!(taken, 2 * n + 3);
+}
+
+#[test]
+fn a_chain_of_eager_memos_takes_two_locks_per_execution() {
+    // Every level is one node: the swap lock spans the level boundary.
+    let rt = Runtime::new();
+    let v = rt.var(0i64);
+    let mut link = rt.memo_with("link", Strategy::Eager, move |rt, &(): &()| v.get(rt) + 1);
+    for _ in 1..64 {
+        let prev = link.clone();
+        link = rt.memo_with("link", Strategy::Eager, move |rt, &(): &()| {
+            prev.call(rt, ()) + 1
+        });
+    }
+    assert_eq!(link.call(&rt, ()), 64);
+    locks_per_wave(&rt, || v.set(&rt, 1), 64);
+    assert_eq!(link.call(&rt, ()), 65);
+}
+
+#[test]
+fn a_level_of_one_read_cells_takes_two_locks_per_execution() {
+    let rt = Runtime::new();
+    let v = rt.var(0i64);
+    let cells: Vec<alphonse::Memo<(), i64>> = (0..64)
+        .map(|_| rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| v.get(rt) + 1))
+        .collect();
+    for c in &cells {
+        c.call(&rt, ());
+    }
+    locks_per_wave(&rt, || v.set(&rt, 1), 64);
+    assert_eq!(rt.stats().level_width_hwm, 64);
+    assert!(cells.iter().all(|c| c.call(&rt, ()) == 2));
 }

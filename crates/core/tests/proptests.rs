@@ -42,7 +42,9 @@ struct Case {
     script: Vec<Op>,
     partitioning: bool,
     fifo: bool,
-    dedup: bool,
+    /// `1`: the driver runs every level alone; `2`: levels of two or more
+    /// eager executions run beside a pool helper.
+    parallelism: usize,
 }
 
 /// Ground truth: evaluate memo `k` directly from variable values.
@@ -67,8 +69,8 @@ fn run_case(case: &Case) {
         } else {
             Scheduling::HeightOrder
         })
-        .dedup_edges(case.dedup)
         .build();
+    rt.set_parallelism(case.parallelism);
     let vars: Vec<_> = case.init.iter().map(|&v| rt.var(v)).collect();
     // Memos can call earlier memos; closures resolve callees through this
     // shared registry (and keep it alive via their captured Arc).
@@ -119,8 +121,8 @@ fn run_case(case: &Case) {
                 let want = oracle(&case.memos, &shadow, k);
                 assert_eq!(
                     got, want,
-                    "memo m{k} diverged from conventional execution (cfg: part={}, fifo={}, dedup={})",
-                    case.partitioning, case.fifo, case.dedup
+                    "memo m{k} diverged from conventional execution (cfg: part={}, fifo={}, par={})",
+                    case.partitioning, case.fifo, case.parallelism
                 );
             }
             Op::Propagate => rt.propagate(),
@@ -140,9 +142,9 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         1usize..10,
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
+        1usize..=2,
     )
-        .prop_flat_map(|(n_vars, n_memos, partitioning, fifo, dedup)| {
+        .prop_flat_map(|(n_vars, n_memos, partitioning, fifo, parallelism)| {
             let memo_spec = move |k: usize| {
                 let input = prop_oneof![
                     (0..n_vars).prop_map(Input::Var),
@@ -181,7 +183,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                     script,
                     partitioning,
                     fifo,
-                    dedup,
+                    parallelism,
                 })
         })
 }

@@ -308,12 +308,6 @@ fn edges_are_deduplicated_per_execution_by_default() {
     let m = rt.memo("m", move |rt, &(): &()| a.get(rt) + a.get(rt) + a.get(rt));
     m.call(&rt, ());
     assert_eq!(rt.stats().edges_created, 1);
-
-    let rt2 = Runtime::builder().dedup_edges(false).build();
-    let b = rt2.var(1i64);
-    let m2 = rt2.memo("m2", move |rt, &(): &()| b.get(rt) + b.get(rt) + b.get(rt));
-    m2.call(&rt2, ());
-    assert_eq!(rt2.stats().edges_created, 3, "paper-literal parallel edges");
 }
 
 #[test]

@@ -63,6 +63,13 @@ fn diamond_write_produces_exact_event_sequence() {
             cause: None,
         },
         TraceEvent::PropagateBegin { wave: 1 },
+        // The evaluator drains one height level at a time; `a` alone is
+        // level 0.
+        TraceEvent::LevelBegin {
+            wave: 1,
+            height: 0,
+            width: 1,
+        },
         // Draining `a` fans the dirt out to both arms, in `a`'s
         // successor-list order; each carries `a` as its cause.
         TraceEvent::Dirtied {
@@ -75,8 +82,18 @@ fn diamond_write_produces_exact_event_sequence() {
             reason: DirtyReason::Fanout,
             cause: Some(na),
         },
+        TraceEvent::LevelEnd {
+            wave: 1,
+            height: 0,
+            executed: 0,
+        },
         // Both arms sit at height 1; the height queue breaks the tie
         // toward the higher node id, so `right` re-executes first.
+        TraceEvent::LevelBegin {
+            wave: 1,
+            height: 1,
+            width: 2,
+        },
         TraceEvent::ExecuteBegin { node: nright },
         TraceEvent::EdgesRemoved {
             node: nright,
@@ -113,8 +130,18 @@ fn diamond_write_produces_exact_event_sequence() {
             changed: false,
         },
         TraceEvent::CutoffStop { node: nleft },
+        TraceEvent::LevelEnd {
+            wave: 1,
+            height: 1,
+            executed: 2,
+        },
         // The single re-execution above the fan-in: both arms answer from
         // cache, and only the changed sum commits.
+        TraceEvent::LevelBegin {
+            wave: 1,
+            height: 2,
+            width: 1,
+        },
         TraceEvent::ExecuteBegin { node: ntop },
         TraceEvent::EdgesRemoved {
             node: ntop,
@@ -133,6 +160,11 @@ fn diamond_write_produces_exact_event_sequence() {
         TraceEvent::ExecuteEnd {
             node: ntop,
             changed: true,
+        },
+        TraceEvent::LevelEnd {
+            wave: 1,
+            height: 2,
+            executed: 1,
         },
         // Four dirty nodes processed: a, right, left, top.
         TraceEvent::PropagateEnd { wave: 1, steps: 4 },

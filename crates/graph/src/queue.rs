@@ -70,8 +70,9 @@ impl HeightQueue {
         None
     }
 
-    /// Drains every queued node at the current minimum height into `out`,
-    /// returning that height (or `None` if the queue is empty).
+    /// Drains the queued nodes at the current minimum height into `out`, at
+    /// most `max` of them, returning that height (or `None` if the queue is
+    /// empty or `max` is 0). Nodes of the level beyond `max` stay queued.
     ///
     /// The batch is removed from the set *before* the caller sees it, so a
     /// node re-inserted at the drained height while the batch is being
@@ -82,19 +83,22 @@ impl HeightQueue {
     /// one-at-a-time drain.
     ///
     /// [`pop`]: HeightQueue::pop
-    pub fn pop_level(&mut self, out: &mut Vec<NodeId>) -> Option<u32> {
+    pub fn pop_level(&mut self, out: &mut Vec<NodeId>, max: usize) -> Option<u32> {
         let _mem = mem::scope(mem::Tag::Queues);
         let mut level: Option<u32> = None;
-        while let Some(&(Reverse(h), n)) = self.heap.peek() {
-            if let Some(l) = level {
-                if h != l {
-                    break;
-                }
+        let mut taken = 0;
+        while taken < max {
+            let Some(&(Reverse(h), n)) = self.heap.peek() else {
+                break;
+            };
+            if level.is_some_and(|l| l != h) {
+                break;
             }
             self.heap.pop();
             if self.members.remove(&n) {
                 level = Some(h);
                 out.push(n);
+                taken += 1;
             }
             // Stale heap entries (nodes removed via `remove`) are skipped
             // without pinning the level height.
@@ -225,18 +229,18 @@ mod tests {
         q.insert(ns[3], 0);
         q.insert(ns[4], 2);
         let mut batch = Vec::new();
-        assert_eq!(q.pop_level(&mut batch), Some(0));
+        assert_eq!(q.pop_level(&mut batch, usize::MAX), Some(0));
         batch.sort();
         assert_eq!(batch, vec![ns[1], ns[3]]);
         batch.clear();
-        assert_eq!(q.pop_level(&mut batch), Some(1));
+        assert_eq!(q.pop_level(&mut batch, usize::MAX), Some(1));
         batch.sort();
         assert_eq!(batch, vec![ns[0], ns[2]]);
         batch.clear();
-        assert_eq!(q.pop_level(&mut batch), Some(2));
+        assert_eq!(q.pop_level(&mut batch, usize::MAX), Some(2));
         assert_eq!(batch, vec![ns[4]]);
         batch.clear();
-        assert_eq!(q.pop_level(&mut batch), None);
+        assert_eq!(q.pop_level(&mut batch, usize::MAX), None);
         assert!(batch.is_empty());
     }
 
@@ -252,7 +256,7 @@ mod tests {
             b.insert(n, (i % 2) as u32);
         }
         let mut level_order = Vec::new();
-        while a.pop_level(&mut level_order).is_some() {}
+        while a.pop_level(&mut level_order, usize::MAX).is_some() {}
         let pop_order: Vec<_> = std::iter::from_fn(|| b.pop()).collect();
         assert_eq!(level_order, pop_order);
     }
@@ -267,16 +271,34 @@ mod tests {
         q.insert(ns[0], 4);
         q.insert(ns[1], 4);
         let mut batch = Vec::new();
-        assert_eq!(q.pop_level(&mut batch), Some(4));
+        assert_eq!(q.pop_level(&mut batch, usize::MAX), Some(4));
         assert_eq!(batch.len(), 2);
         // "While the batch executes", ns[2] and a batch member are dirtied
         // at the very height just drained.
         assert!(q.insert(ns[2], 4));
         assert!(q.insert(ns[0], 4));
         let mut next = Vec::new();
-        assert_eq!(q.pop_level(&mut next), Some(4));
+        assert_eq!(q.pop_level(&mut next, usize::MAX), Some(4));
         next.sort();
         assert_eq!(next, vec![ns[0], ns[2]]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_level_respects_its_cap() {
+        let ns = nodes(3);
+        let mut q = HeightQueue::new();
+        for &n in &ns {
+            q.insert(n, 2);
+        }
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_level(&mut batch, 0), None);
+        assert_eq!(q.pop_level(&mut batch, 2), Some(2));
+        assert_eq!(batch, vec![ns[2], ns[1]]);
+        batch.clear();
+        // The rest of the level stays queued for the next call.
+        assert_eq!(q.pop_level(&mut batch, 2), Some(2));
+        assert_eq!(batch, vec![ns[0]]);
         assert!(q.is_empty());
     }
 
@@ -291,9 +313,9 @@ mod tests {
         assert!(q.remove(ns[2])); // stale entry inside the next level
         let mut batch = Vec::new();
         // The stale height-0 entry must not pin the level to height 0.
-        assert_eq!(q.pop_level(&mut batch), Some(1));
+        assert_eq!(q.pop_level(&mut batch, usize::MAX), Some(1));
         assert_eq!(batch, vec![ns[1]]);
-        assert_eq!(q.pop_level(&mut batch), None);
+        assert_eq!(q.pop_level(&mut batch, usize::MAX), None);
     }
 
     #[test]

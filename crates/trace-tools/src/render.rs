@@ -40,8 +40,9 @@ struct OpenSpan {
 /// Reads and new edges are tallied into the execution's `args` instead of
 /// emitted one by one, which keeps large traces loadable. A new edge counts
 /// toward its depending node's span. A read counts toward the innermost open
-/// span, which is exact for sequential runs. In a pooled level every
-/// execution is open at once, so its reads land on the last-begun one.
+/// span, which is exact when one thread runs the wave. In a pooled level
+/// the executions of different threads overlap, so a read lands on the
+/// last-begun one.
 /// Spans the trace never closes end at its last timestamp and carry
 /// `"unfinished":true`.
 pub fn chrome(tf: &TraceFile) -> String {

@@ -94,8 +94,8 @@ pub struct WaveStats {
     pub depth: usize,
     /// That longest chain, origin first, rendered with labels.
     pub critical_path: Vec<String>,
-    /// Height levels drained by the level scheduler (`LevelBegin` events).
-    /// Zero for sequential runs, which emit no level brackets.
+    /// Height levels drained (`LevelBegin` events). Zero for traces
+    /// recorded before every drain emitted level brackets.
     pub levels: usize,
     /// Widest level batch of the wave — the parallelism actually available.
     pub level_width_max: u64,

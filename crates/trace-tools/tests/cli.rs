@@ -16,9 +16,11 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("alphonse-trace-test-{}-{name}", std::process::id()))
 }
 
-/// Writes a complete diamond trace to a temp file and returns its path.
-fn recorded_diamond(name: &str, capacity: usize) -> PathBuf {
+/// Records the diamond at `parallelism` into a recorder of `capacity`
+/// events, writes its JSONL to a temp file and returns the path.
+fn recorded_diamond(name: &str, capacity: usize, parallelism: usize) -> PathBuf {
     let rt = Runtime::new();
+    rt.set_parallelism(parallelism);
     let rec = Arc::new(Recorder::new(capacity));
     rt.set_sink(Some(rec.clone() as Arc<dyn TraceSink>));
     let a = rt.var_named("a", 10i64);
@@ -39,7 +41,7 @@ fn recorded_diamond(name: &str, capacity: usize) -> PathBuf {
 
 #[test]
 fn why_waves_waste_run_over_a_recorded_trace() {
-    let path = recorded_diamond("full.jsonl", 4096);
+    let path = recorded_diamond("full.jsonl", 4096, 0);
 
     let why = bin().args(["why", "top"]).arg(&path).output().unwrap();
     assert!(
@@ -75,7 +77,7 @@ fn why_waves_waste_run_over_a_recorded_trace() {
 
 #[test]
 fn chrome_dot_hot_render_a_recorded_trace() {
-    let path = recorded_diamond("render.jsonl", 4096);
+    let path = recorded_diamond("render.jsonl", 4096, 0);
     let first_line = |args: &[&str]| -> String {
         let out = bin().args(args).arg(&path).output().unwrap();
         assert!(
@@ -107,7 +109,7 @@ fn chrome_dot_hot_render_a_recorded_trace() {
 #[test]
 fn why_refuses_truncated_traces_without_the_flag() {
     // Capacity 4 cannot hold the diamond's event stream: events drop.
-    let path = recorded_diamond("truncated.jsonl", 4);
+    let path = recorded_diamond("truncated.jsonl", 4, 0);
 
     let refused = bin().args(["why", "top"]).arg(&path).output().unwrap();
     assert!(!refused.status.success(), "truncated trace must be refused");
@@ -124,6 +126,33 @@ fn why_refuses_truncated_traces_without_the_flag() {
         .unwrap();
     let err = String::from_utf8_lossy(&allowed.stderr);
     assert!(!err.contains("--allow-truncated"), "{err}");
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn truncated_level_drain_traces_stay_readable() {
+    // Capacity 4 keeps only the tail of the wave: its last level closes
+    // after the `PropagateBegin` that opened the wave was dropped, so the
+    // level brackets must carry their own wave stamp.
+    let path = recorded_diamond("truncated-levels.jsonl", 4, 1);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(r#""ev":"LevelEnd""#), "{text}");
+    assert!(!text.contains(r#""ev":"PropagateBegin""#), "{text}");
+
+    let waves = bin().arg("waves").arg(&path).output().unwrap();
+    let err = String::from_utf8_lossy(&waves.stderr);
+    assert!(waves.status.success(), "{err}");
+
+    // `top` is n1; its label went with the dropped events.
+    let why = bin()
+        .args(["why", "n1", "--allow-truncated"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&why.stderr);
+    assert!(!err.contains("missing or non-integer"), "{err}");
+    assert!(err.contains("never dirtied"), "{err}");
 
     std::fs::remove_file(&path).ok();
 }

@@ -30,10 +30,11 @@ impl SharedBuf {
 }
 
 /// Runs the canonical diamond (`a` feeds `left = a/100` and `right = a*2`,
-/// both feed `top`) under `sink`: initial call, then a changed write and a
-/// propagation wave.
-fn run_diamond(sink: Arc<dyn TraceSink>) {
+/// both feed `top`) under `sink` at `parallelism`: initial call, then a
+/// changed write and a propagation wave.
+fn run_diamond(sink: Arc<dyn TraceSink>, parallelism: usize) {
     let rt = Runtime::new();
+    rt.set_parallelism(parallelism);
     rt.set_sink(Some(sink));
     let a = rt.var_named("a", 10i64);
     let left = rt.memo_with("left", Strategy::Eager, move |rt, &(): &()| a.get(rt) / 100);
@@ -51,10 +52,18 @@ fn run_diamond(sink: Arc<dyn TraceSink>) {
 /// Records the diamond simultaneously into a [`Recorder`] (live truth) and
 /// a [`JsonlSink`] (the on-disk format), returning both views.
 fn record_diamond() -> (Arc<Recorder>, String) {
+    record_diamond_at(0)
+}
+
+/// [`record_diamond`] at a given parallelism.
+fn record_diamond_at(parallelism: usize) -> (Arc<Recorder>, String) {
     let buf = SharedBuf::default();
     let rec = Arc::new(Recorder::new(4096));
     let jsonl = Arc::new(JsonlSink::new(buf.clone()).unwrap());
-    run_diamond(Arc::new(Tee::new(vec![rec.clone(), jsonl.clone()])));
+    run_diamond(
+        Arc::new(Tee::new(vec![rec.clone(), jsonl.clone()])),
+        parallelism,
+    );
     jsonl.flush().unwrap();
     (rec, buf.take_string())
 }
@@ -150,6 +159,37 @@ fn chrome_spans_nest_in_a_sequential_trace() {
     assert_eq!(spans.len(), 7);
     // One thread runs the diamond, so any two spans are disjoint or one
     // contains the other.
+    for (i, a) in spans.iter().enumerate() {
+        for b in &spans[i + 1..] {
+            let disjoint = a.1 <= b.0 || b.1 <= a.0;
+            let nested = (a.0 <= b.0 && b.1 <= a.1) || (b.0 <= a.0 && a.1 <= b.1);
+            assert!(disjoint || nested, "spans {a:?} and {b:?} overlap");
+        }
+    }
+}
+
+#[test]
+fn chrome_spans_nest_at_parallelism_one() {
+    // Parallelism 0 and 1 are the same drain: the same events, in the same
+    // order.
+    let (seq, _) = record_diamond();
+    let (one, text) = record_diamond_at(1);
+    assert_eq!(one.events(), seq.events());
+    // The driver opens each span when it pushes the frame and closes it
+    // when it pops the frame, so the one-thread spans nest.
+    let tf = TraceFile::parse(&text).unwrap();
+    let doc = Json::parse(&render::chrome(&tf)).expect("Chrome trace is valid JSON");
+    let spans: Vec<(u64, u64)> = doc
+        .as_arr()
+        .expect("top level is an array")
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|ev| {
+            let ts = ev.get("ts").and_then(Json::as_u64).unwrap();
+            (ts, ts + ev.get("dur").and_then(Json::as_u64).unwrap())
+        })
+        .collect();
+    assert_eq!(spans.len(), 7);
     for (i, a) in spans.iter().enumerate() {
         for b in &spans[i + 1..] {
             let disjoint = a.1 <= b.0 || b.1 <= a.0;

@@ -1,17 +1,15 @@
-//! Level-parallel wave propagation must be a legal linearization of the
-//! sequential schedule: same final values, same work counters, same
-//! per-wave propagation analytics — the only permitted difference is the
-//! level brackets themselves.
+//! Pooled level execution must be a legal linearization of the one-thread
+//! schedule: same final values, same work counters, same per-wave
+//! propagation analytics.
 //!
 //! Each run records its full event stream with a `Recorder`, the JSONL dump
 //! is parsed back with [`TraceFile::parse`], and the per-wave statistics
 //! (dirtied / executed / changed / cutoffs / cache hits, causal depth,
-//! critical path) must be *identical* between the parallel and sequential
-//! runs once the parallel report's level fields (`levels`,
-//! `level_width_max`, `level_executed` — zero by construction in sequential
-//! traces) are normalized away. Within a wave the runtime books and commits
-//! a level's executions in batch order — the exact order the sequential
-//! evaluator would have popped them — so even the causal critical path must
+//! critical path, and the level counts and widths) must be *identical*
+//! between `set_parallelism(1)`, where the driver runs every level alone,
+//! and `set_parallelism(2..=4)`, where wide levels run on a pool. Within a
+//! wave the pool commits a level's executions in batch order — the order
+//! the driver alone runs them in — so even the causal critical path must
 //! agree event-for-event, not just in aggregate.
 
 use alphonse::trace::{Recorder, TraceSink};
@@ -83,26 +81,15 @@ fn analytics(rec: &Recorder) -> WavesReport {
     waves(&tf)
 }
 
-/// Strips the level brackets' footprint from a report, leaving only the
-/// schedule-independent propagation statistics.
-fn without_levels(mut report: WavesReport) -> WavesReport {
-    for w in &mut report.waves {
-        w.levels = 0;
-        w.level_width_max = 0;
-        w.level_executed = 0;
-    }
-    report
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn parallel_schedule_matches_sequential(
-        workers in 1usize..=4,
+        workers in 2usize..=4,
         script in vec(vec((0usize..VARS, -16i64..16), 1..6), 1..5),
     ) {
-        // Sequential reference.
-        let seq = session(3, 0);
+        // One-thread reference.
+        let seq = session(3, 1);
         apply(&seq, &script);
         prop_assert_eq!(seq.rt.dirty_count(), 0);
         let seq_waves = analytics(&seq.rec);
@@ -110,7 +97,7 @@ proptest! {
         let seq_vals: Vec<i64> = seq.vars.iter().map(|v| v.get_untracked(&seq.rt)).collect();
         let seq_total = seq.total.call(&seq.rt, ());
 
-        // The same session driven through the level scheduler.
+        // The same session with pooled levels.
         let par = session(3, workers);
         apply(&par, &script);
         prop_assert_eq!(par.rt.dirty_count(), 0);
@@ -138,9 +125,8 @@ proptest! {
             prop_assert_eq!(graph_size(&tf), (s.rt.node_count(), s.rt.edge_count()));
         }
 
-        // ...and the same per-wave analytics once the level brackets —
-        // absent by construction from sequential traces — are normalized.
-        prop_assert_eq!(without_levels(par_waves.clone()), without_levels(seq_waves));
+        // ...and the same per-wave analytics, level brackets included.
+        prop_assert_eq!(&par_waves, &seq_waves);
 
         // Legality of the level schedule itself.
         for w in &par_waves.waves {
@@ -156,9 +142,7 @@ proptest! {
             // execution of this fixture happens inside its level.
             prop_assert_eq!(w.level_executed as usize, w.executed);
         }
-        if workers >= 2 {
-            prop_assert!(par_stats.parallel_executions <= par_stats.executions);
-            prop_assert!(par_stats.level_width_hwm >= 1);
-        }
+        prop_assert!(par_stats.parallel_executions <= par_stats.executions);
+        prop_assert_eq!(par_stats.level_width_hwm, seq_stats.level_width_hwm);
     }
 }

@@ -489,29 +489,49 @@ mod synthetic_streams {
 // Pooled levels
 // ---------------------------------------------------------------------------
 
-/// The eager fan of `crates/core/tests/parallel.rs`, on two pool workers:
-/// 8 vars, one eager `cell` memo per var, one eager `total` over the
-/// cells. Updating every var makes one 8-wide pooled level of cells. The
-/// level emits all 8 `ExecuteBegin`s, then all 8 `ExecuteEnd`s in the same
-/// order, so its spans overlap and only pairing by node matches them.
+/// The eager fan of `crates/core/tests/parallel.rs`, on two threads: 8
+/// vars, one eager `cell` memo per var, one eager `total` over the cells.
+/// Updating every var makes one 8-wide pooled level of cells. Each thread
+/// emits `ExecuteBegin` when it claims a cell and `ExecuteEnd` when that
+/// cell returns; the first two cells wait for each other, so the driver's
+/// and the helper's spans overlap and only pairing by node matches them.
 #[test]
 fn pooled_level_pairs_each_end_with_its_own_begin() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
     let rt = Runtime::new();
     rt.set_parallelism(2);
     let rec = Arc::new(Recorder::new(1 << 14));
     rt.set_sink(Some(rec.clone() as Arc<dyn TraceSink>));
+    let armed = Arc::new(AtomicBool::new(false));
+    let arrived = Arc::new(AtomicUsize::new(0));
     let vars: Vec<Var<i64>> = (0..8).map(|i| rt.var(i as i64)).collect();
     let cells: Vec<alphonse::Memo<(), i64>> = vars
         .iter()
         .map(|v| {
             let v = *v;
-            rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| v.get(rt) * 10)
+            let (armed, arrived) = (Arc::clone(&armed), Arc::clone(&arrived));
+            rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| {
+                if armed.load(Ordering::SeqCst) {
+                    // Hold until both threads are inside a cell (or a
+                    // generous timeout passes).
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let t0 = Instant::now();
+                    while arrived.load(Ordering::SeqCst) < 2
+                        && t0.elapsed() < Duration::from_secs(10)
+                    {
+                        std::thread::yield_now();
+                    }
+                }
+                v.get(rt) * 10
+            })
         })
         .collect();
     let total = rt.memo_with("total", Strategy::Eager, move |rt, &(): &()| {
         cells.iter().map(|c| c.call(rt, ())).sum::<i64>()
     });
     total.call(&rt, ());
+    armed.store(true, Ordering::SeqCst);
     for (i, v) in vars.iter().enumerate() {
         v.set(&rt, i as i64 + 100);
     }
