@@ -1,7 +1,7 @@
 //! Incremental procedures: cached functions and maintained methods.
 
 use crate::fxhash::FxHashMap;
-use crate::runtime::{Executor, Runtime, Strategy};
+use crate::runtime::{Executor, Instance, Runtime, Strategy};
 use crate::value::{downcast_ref, Value};
 use alphonse_graph::NodeId;
 use alphonse_mem as mem;
@@ -12,8 +12,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Bound required of memo argument vectors: they key the *argument table*
 /// of Section 4.2, so they must be hashable, comparable and clonable —
-/// plus `Send + Sync`, because the argument vector is captured by the
-/// instance's re-execution closure and sessions move across threads.
+/// plus `Send + Sync`, because the argument vector is held by the
+/// instance's executor and sessions move across threads.
 pub trait MemoArgs: Eq + Hash + Clone + Send + Sync + 'static {}
 impl<T: Eq + Hash + Clone + Send + Sync + 'static> MemoArgs for T {}
 
@@ -21,12 +21,6 @@ impl<T: Eq + Hash + Clone + Send + Sync + 'static> MemoArgs for T {}
 /// cutoff, so they must be comparable, and are handed out by clone.
 pub trait MemoResult: Value + PartialEq + Clone {}
 impl<T: Value + PartialEq + Clone> MemoResult for T {}
-
-/// One argument-table entry with its LRU stamp.
-struct Entry {
-    node: NodeId,
-    last_use: u64,
-}
 
 pub(crate) struct MemoInner<A, R> {
     name: Arc<str>,
@@ -40,15 +34,16 @@ pub(crate) struct MemoInner<A, R> {
     f: Box<dyn Fn(&Runtime, &A) -> R + Send + Sync>,
     /// The paper's *argument table* (Section 4.2): one dependency-graph node
     /// per distinct argument vector. FxHash-keyed: probed on every call.
-    /// Locked with the same single-thread discipline as the runtime's own
-    /// state (sessions are `Send`, not `Sync`), so the lock is uncontended;
-    /// it is scoped tightly in `settle` so body re-execution — which may
-    /// recursively call back into this memo — never holds it.
+    /// Callers use a session from one thread at a time (the runtime's
+    /// fail-stop lock enforces it), so the lock is uncontended except
+    /// between the executor-pool threads of a parallel level; it is scoped
+    /// tightly in `settle` so body re-execution — which may recursively
+    /// call back into this memo — never holds it.
     table: Mutex<Table<A>>,
     /// Single-instance shortcut for zero-sized argument types: an inhabited
     /// ZST has exactly one value, so the argument table holds at most one
     /// entry. Its node is published here by the first call; every later
-    /// call is one atomic load instead of a table lock plus LRU stamp.
+    /// call is one atomic load instead of a table lock.
     single: OnceLock<NodeId>,
     /// Values dropped by the replacement policy so far.
     evictions: AtomicU64,
@@ -59,20 +54,94 @@ pub(crate) struct MemoInner<A, R> {
     height_hint: AtomicU32,
 }
 
-/// The guarded argument-table state: the instance map plus the logical
-/// clock for LRU stamps (advanced under the same lock as the probe that
-/// uses it, so stamping costs no extra atomic).
-struct Table<A> {
-    map: FxHashMap<A, Entry>,
-    clock: u64,
+/// The guarded argument-table state. An unbounded memo maps each argument
+/// vector to its instance node and nothing else; only a bounded one
+/// (`memo_bounded`) stamps its entries from a logical clock for LRU
+/// replacement, advanced under the same lock as the probe that uses it.
+enum Table<A> {
+    Unbounded(FxHashMap<A, NodeId>),
+    Lru {
+        /// Instance node and last-use stamp per argument vector.
+        map: FxHashMap<A, (NodeId, u64)>,
+        clock: u64,
+    },
 }
 
-impl<A> Default for Table<A> {
-    fn default() -> Self {
-        Table {
-            map: FxHashMap::default(),
-            clock: 0,
+impl<A> Table<A> {
+    fn len(&self) -> usize {
+        match self {
+            Table::Unbounded(map) => map.len(),
+            Table::Lru { map, .. } => map.len(),
         }
+    }
+}
+
+impl<A: Eq + Hash> Table<A> {
+    fn new(capacity: Option<usize>) -> Self {
+        match capacity {
+            None => Table::Unbounded(FxHashMap::default()),
+            Some(_) => Table::Lru {
+                map: FxHashMap::default(),
+                clock: 0,
+            },
+        }
+    }
+
+    /// The instance node for `args`, without touching recency.
+    fn get(&self, args: &A) -> Option<NodeId> {
+        match self {
+            Table::Unbounded(map) => map.get(args).copied(),
+            Table::Lru { map, .. } => map.get(args).map(|&(node, _)| node),
+        }
+    }
+
+    /// The instance node for `args` as a call sees it: a bounded table
+    /// stamps the hit as most recently used.
+    fn probe(&mut self, args: &A) -> Option<NodeId> {
+        match self {
+            Table::Unbounded(map) => map.get(args).copied(),
+            Table::Lru { map, clock } => {
+                let (node, last_use) = map.get_mut(args)?;
+                *clock += 1;
+                *last_use = *clock;
+                Some(*node)
+            }
+        }
+    }
+
+    /// Enters a just-created instance, most recently used in a bounded
+    /// table.
+    fn insert(&mut self, args: A, node: NodeId) {
+        match self {
+            Table::Unbounded(map) => {
+                map.insert(args, node);
+            }
+            Table::Lru { map, clock } => {
+                *clock += 1;
+                map.insert(args, (node, *clock));
+            }
+        }
+    }
+}
+
+/// The executor of one memo instance: its procedure and the argument
+/// vector it was created for — the instance's whole footprint outside the
+/// graph node and the argument-table key.
+struct MemoInstance<A, R> {
+    memo: Arc<MemoInner<A, R>>,
+    args: A,
+}
+
+impl<A: MemoArgs, R: MemoResult> Instance for MemoInstance<A, R> {
+    fn run(&self, rt: &Runtime) -> Box<dyn Value> {
+        // Run the user body untagged (its allocations are workload
+        // memory), then bill the result box to the value slab.
+        let result = (self.memo.f)(rt, &self.args);
+        mem::with(mem::Tag::ValueSlab, || Box::new(result) as Box<dyn Value>)
+    }
+
+    fn name(&self) -> &Arc<str> {
+        &self.memo.name
     }
 }
 
@@ -126,7 +195,7 @@ impl<A, R> fmt::Debug for Memo<A, R> {
         f.debug_struct("Memo")
             .field("name", &self.inner.name)
             .field("strategy", &self.inner.strategy)
-            .field("instances", &self.inner.table().map.len())
+            .field("instances", &self.inner.table().len())
             .finish()
     }
 }
@@ -162,7 +231,7 @@ impl Runtime {
                 rt_id: self.id,
                 capacity: None,
                 f: Box::new(f),
-                table: Mutex::new(Table::default()),
+                table: Mutex::new(Table::new(None)),
                 single: OnceLock::new(),
                 evictions: AtomicU64::new(0),
                 height_hint: AtomicU32::new(0),
@@ -198,7 +267,7 @@ impl Runtime {
                 rt_id: self.id,
                 capacity: Some(capacity),
                 f: Box::new(f),
-                table: Mutex::new(Table::default()),
+                table: Mutex::new(Table::new(Some(capacity))),
                 single: OnceLock::new(),
                 evictions: AtomicU64::new(0),
                 height_hint: AtomicU32::new(0),
@@ -253,7 +322,7 @@ impl Runtime {
                     };
                     f(rt, &me, a)
                 }),
-                table: Mutex::new(Table::default()),
+                table: Mutex::new(Table::new(None)),
                 single: OnceLock::new(),
                 evictions: AtomicU64::new(0),
                 height_hint: AtomicU32::new(0),
@@ -276,7 +345,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
 
     /// Number of distinct argument vectors instantiated so far.
     pub fn instance_count(&self) -> usize {
-        self.inner.table().map.len()
+        self.inner.table().len()
     }
 
     /// Calls the procedure — the paper's instrumented `call` operation
@@ -346,7 +415,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         );
         // Single-instance fast path: once the sole instance of a
         // zero-sized argument type is published, the whole settle step is
-        // one atomic load (LRU stamps are pointless with one entry).
+        // one atomic load (an LRU stamp is pointless with one entry).
         if std::mem::size_of::<A>() == 0 {
             if let Some(&node) = self.inner.single.get() {
                 return (node, None);
@@ -355,38 +424,21 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         let mut begun = None;
         let node = {
             let mut table = self.inner.table();
-            table.clock += 1;
-            let stamp = table.clock;
-            match table.map.get_mut(&args) {
-                Some(entry) => {
-                    entry.last_use = stamp;
-                    entry.node
-                }
+            match table.probe(&args) {
+                Some(node) => node,
                 None => {
                     let _mem = mem::scope(mem::Tag::Memo);
-                    let inner = Arc::clone(&self.inner);
-                    let a = args.clone();
-                    let executor: Executor = Arc::new(move |rt| {
-                        // Run the user body untagged (its allocations are
-                        // workload memory), then bill the result box to the
-                        // value slab.
-                        let result = (inner.f)(rt, &a);
-                        mem::with(mem::Tag::ValueSlab, || Box::new(result) as Box<dyn Value>)
+                    let executor: Executor = Arc::new(MemoInstance {
+                        memo: Arc::clone(&self.inner),
+                        args: args.clone(),
                     });
                     let (n, executor, my_gen) = rt.alloc_comp_begun(
-                        Arc::clone(&self.inner.name),
                         self.inner.strategy,
                         executor,
                         self.inner.height_hint.load(Ordering::Relaxed),
                     );
                     begun = Some((executor, my_gen));
-                    table.map.insert(
-                        args,
-                        Entry {
-                            node: n,
-                            last_use: stamp,
-                        },
-                    );
+                    table.insert(args, n);
                     n
                 }
             }
@@ -440,7 +492,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// The dependency-graph node for a given argument vector, if that
     /// instance exists.
     pub fn instance_node(&self, args: &A) -> Option<NodeId> {
-        self.inner.table().map.get(args).map(|e| e.node)
+        self.inner.table().get(args)
     }
 
     /// Cache capacity, if bounded.
@@ -480,13 +532,15 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
             return;
         };
         let table = self.inner.table();
-        let mut live: Vec<(u64, NodeId)> = table
-            .map
+        let Table::Lru { map, .. } = &*table else {
+            unreachable!("a bounded memo keeps an LRU table");
+        };
+        let mut live: Vec<(u64, NodeId)> = map
             .values()
-            .filter(|e| {
-                e.node != just_created && rt.node_has_value(e.node) && !rt.node_on_stack(e.node)
+            .filter(|&&(node, _)| {
+                node != just_created && rt.node_has_value(node) && !rt.node_on_stack(node)
             })
-            .map(|e| (e.last_use, e.node))
+            .map(|&(node, last_use)| (last_use, node))
             .collect();
         drop(table);
         // +1 for the instance about to be (or just) computed.

@@ -12,11 +12,13 @@
 //! # Memory layout
 //!
 //! Per-node state is stored struct-of-arrays: the evaluator's hot loop only
-//! touches the dense `values` / `flags` / `gens` / `last_accessed` vectors
-//! (all indexed by `NodeId::index()`), while cold bookkeeping — diagnostic
-//! names, executor closures, re-entrant stack depths — lives in out-of-line
-//! side tables that propagation never reads. See DESIGN.md ("Memory
-//! layout") for the full picture.
+//! touches the dense `values` / `flags` / `gens` / `last_accessed` /
+//! `executors` vectors (all indexed by `NodeId::index()`), while cold
+//! bookkeeping — explicit diagnostic labels, re-entrant stack depths — lives
+//! in out-of-line side tables that propagation never reads. A memo
+//! instance's executor is the instance object itself (procedure plus
+//! argument vector), which also names it, so unlabeled instances take no
+//! side-table entry. See DESIGN.md ("Memory layout") for the full picture.
 
 use crate::dirty::{DirtySet, Scheduling};
 use crate::fxhash::FxHashMap;
@@ -51,10 +53,21 @@ macro_rules! emit {
     };
 }
 
-/// The re-execution closure of an incremental procedure instance: runs the
-/// body against the runtime and returns the fresh cached value. `Send +
-/// Sync` so a session owning the closure can move between threads.
-pub(crate) type Executor = Arc<dyn Fn(&Runtime) -> Box<dyn Value> + Send + Sync>;
+/// What an incremental procedure instance holds besides its graph node:
+/// its procedure and argument vector. It re-executes the body and names
+/// the procedure, so an unlabeled instance's diagnostic label costs no
+/// per-node entry. `Send + Sync` so a session owning it can move between
+/// threads.
+pub(crate) trait Instance: Send + Sync {
+    /// Runs the body against the runtime and returns the fresh cached value.
+    fn run(&self, rt: &Runtime) -> Box<dyn Value>;
+    /// The procedure's diagnostic name.
+    fn name(&self) -> &Arc<str>;
+}
+
+/// The instance object of a computation node, shared between its column
+/// slot and the executions booked from it.
+pub(crate) type Executor = Arc<dyn Instance>;
 
 /// An execution booked by [`Inner::exec_book`]: its executor and
 /// generation, and the call frame the executing thread pushes.
@@ -174,15 +187,17 @@ pub(crate) struct Inner {
     /// for "never accessed". Epochs are globally unique per frame, so a
     /// stale stamp can never be mistaken for the current frame's.
     last_accessed: Vec<u64>,
-    /// Re-execution closure of each computation node (`None` for
-    /// variables). A dense column rather than a side table: the executor
-    /// is fetched on *every* execution, and at graph sizes past the cache
-    /// a hash probe per execution is a guaranteed random miss.
+    /// Instance object of each computation node (`None` for variables):
+    /// it re-executes the body and names the procedure. A dense column
+    /// rather than a side table: the executor is fetched on *every*
+    /// execution, and at graph sizes past the cache a hash probe per
+    /// execution is a guaranteed random miss.
     executors: Vec<Option<Executor>>,
     // ------------------------------------------------------------------
     // Cold out-of-line side tables, keyed by `NodeId::index()` as u32.
     // ------------------------------------------------------------------
-    /// Diagnostic labels (memo names, `var_named`, `set_label`).
+    /// Explicit diagnostic labels (`var_named`, `set_label`). An unlabeled
+    /// computation is named by its executor's procedure instead.
     names: FxHashMap<u32, Arc<str>>,
     /// Extra on-stack depth beyond 1 for re-entrantly executing nodes;
     /// an entry `d` means total depth `1 + d`. Empty in steady state.
@@ -366,8 +381,10 @@ pub struct Runtime {
     /// [`Runtime::in_tracked_context`] — the gate embedded hosts consult on
     /// *every* untracked location read (Section 6.1) — costs one atomic
     /// load instead of a lock round-trip. Updated only while the lock is
-    /// held (at frame push/pop), and the runtime is not `Sync`, so a
-    /// relaxed load always observes the current thread's latest update.
+    /// held (at frame push/pop), and callers use a runtime from one thread
+    /// at a time (the fail-stop lock enforces it, though the type is
+    /// `Sync`), so a relaxed load observes the calling thread's latest
+    /// update.
     exec_depth: Arc<AtomicU32>,
     /// Nonzero while a level of executors is running on the worker pool.
     /// [`Runtime::lock`] consults it on contention: during a parallel level
@@ -436,12 +453,17 @@ impl Inner {
         }
     }
 
-    /// The diagnostic label of `n`, for error messages.
-    fn name_of(&self, n: NodeId) -> &str {
+    /// The diagnostic label of `n`: its explicit label, else — for a
+    /// computation — its procedure's name.
+    fn label_of(&self, n: NodeId) -> Option<&Arc<str>> {
         self.names
             .get(&(n.index() as u32))
-            .map(|s| &**s)
-            .unwrap_or("<unnamed>")
+            .or_else(|| self.executors[n.index()].as_ref().map(|e| e.name()))
+    }
+
+    /// The diagnostic label of `n`, for error messages.
+    fn name_of(&self, n: NodeId) -> &str {
+        self.label_of(n).map_or("<unnamed>", |s| &**s)
     }
 
     /// The call stack of the *current thread*: an executor-pool worker of
@@ -660,19 +682,15 @@ impl Inner {
         &mut self,
         value: Option<Box<dyn Value>>,
         comp: Option<(Strategy, Executor)>,
-        name: Option<Arc<str>>,
     ) -> NodeId {
         let n = self.graph.add_node();
         debug_assert_eq!(n.index(), self.values.len());
         #[cfg(feature = "trace")]
-        let (kind, label) = (
-            if comp.is_some() {
-                NodeKind::Computation
-            } else {
-                NodeKind::Location
-            },
-            name.clone(),
-        );
+        let kind = if comp.is_some() {
+            NodeKind::Computation
+        } else {
+            NodeKind::Location
+        };
         let flags = match &comp {
             None => 0,
             Some((Strategy::Demand, _)) => F_COMP,
@@ -686,9 +704,6 @@ impl Inner {
         self.gens.push(0);
         self.last_accessed.push(0);
         self.executors.push(comp.map(|(_, executor)| executor));
-        if let Some(name) = name {
-            self.names.insert(n.index() as u32, name);
-        }
         if let Some(uf) = self.partition.as_mut() {
             uf.ensure(n);
         }
@@ -698,7 +713,7 @@ impl Inner {
             TraceEvent::NodeCreated {
                 node: n,
                 kind,
-                label
+                label: self.label_of(n).cloned(),
             }
         );
         n
@@ -921,9 +936,9 @@ impl Runtime {
         emit!(inner, TraceEvent::Labeled { node: n, label });
     }
 
-    /// The diagnostic label of node `n`, if one was assigned (memo names
-    /// are assigned automatically; [`Runtime::var_named`] and
-    /// [`Runtime::set_label`] cover the rest).
+    /// The diagnostic label of node `n`, if it has one: the label given by
+    /// [`Runtime::var_named`] or [`Runtime::set_label`], else — for a memo
+    /// instance — its procedure's name.
     ///
     /// # Panics
     ///
@@ -931,7 +946,7 @@ impl Runtime {
     pub fn node_label(&self, n: NodeId) -> Option<String> {
         let inner = self.lock();
         assert!(n.index() < inner.values.len(), "unknown node {n}");
-        inner.names.get(&(n.index() as u32)).map(|s| s.to_string())
+        inner.label_of(n).map(|s| s.to_string())
     }
 
     /// Verifies the runtime's internal data-structure invariants. Debug
@@ -1145,7 +1160,7 @@ impl Runtime {
     /// front ends that manage their own storage; prefer
     /// [`Runtime::var`](crate::Runtime::var) in application code.
     pub fn raw_alloc(&self, initial: Box<dyn Value>) -> NodeId {
-        self.lock().alloc_node(Some(initial), None, None)
+        self.lock().alloc_node(Some(initial), None)
     }
 
     /// Allocates a location holding `initial` *and* records the executing
@@ -1158,7 +1173,7 @@ impl Runtime {
         let mut inner = self.lock();
         inner.stats.reads += 1;
         inner.stats.borrow_reads += 1;
-        let node = inner.alloc_node(Some(initial), None, None);
+        let node = inner.alloc_node(Some(initial), None);
         emit!(inner, TraceEvent::Read { node });
         inner.record_dependence(node);
         node
@@ -1307,7 +1322,6 @@ impl Runtime {
     /// conservative priorities — heights only order processing).
     pub(crate) fn alloc_comp_begun(
         &self,
-        name: Arc<str>,
         strategy: Strategy,
         executor: Executor,
         height_hint: u32,
@@ -1316,7 +1330,7 @@ impl Runtime {
         let inner = &mut *guard;
         inner.stats.calls += 1;
         inner.stats.memo_probes += 1;
-        let n = inner.alloc_node(None, Some((strategy, executor)), Some(name));
+        let n = inner.alloc_node(None, Some((strategy, executor)));
         if height_hint > 0 && inner.graph.set_min_height(n, height_hint) {
             inner.stats.height_seeded += 1;
         }
@@ -1425,7 +1439,7 @@ impl Runtime {
         my_gen: u64,
         f: impl FnOnce(&dyn Value) -> R,
     ) -> R {
-        let value = executor(self);
+        let value = executor.run(self);
         let mut guard = self.lock();
         let inner = &mut *guard;
         let (uncommitted, _) = self.exec_end(inner, n, my_gen, value);
@@ -1632,7 +1646,7 @@ impl Runtime {
                     if f & F_EAGER != 0 { ",eager" } else { "" }
                 )
             };
-            let name = inner.names.get(&(i as u32)).map(|s| &**s).unwrap_or("-");
+            let name = inner.label_of(n).map_or("-", |s| &**s);
             inner.graph.succs_into(n, &mut succs);
             let _ = write!(
                 out,
@@ -1805,7 +1819,7 @@ impl Runtime {
                 next += 1;
                 let (executor, my_gen) = self.exec_begin(inner, u);
                 drop(guard);
-                let value = executor(self);
+                let value = executor.run(self);
                 guard = self.lock();
                 let inner = &mut *guard;
                 let (_, changed) = self.exec_end(inner, u, my_gen, value);
@@ -1914,7 +1928,7 @@ impl Runtime {
             let n = booking.frame.node;
             self.push_frame(inner, booking.frame, booking.removed);
             drop(guard);
-            let value = (booking.executor)(self);
+            let value = booking.executor.run(self);
             ran += 1;
             finished = Some((idx, n, booking.my_gen, value));
         }
@@ -2119,10 +2133,36 @@ mod tests {
     }
 
     #[test]
+    fn memo_instances_take_no_name_entries() {
+        let rt = Runtime::new();
+        rt.set_sink(None);
+        let x = rt.var_named("x", 1i64);
+        let m = rt.memo("scaled", move |rt, &k: &u32| x.get(rt) * i64::from(k));
+        for k in 0..8 {
+            m.call(&rt, k);
+        }
+        let inner = rt.lock();
+        assert_eq!(inner.names.len(), 1, "only the explicit label");
+        assert_eq!(inner.label_of(x.node()).map(|s| &**s), Some("x"));
+        let n = m.instance_node(&3).unwrap();
+        assert_eq!(inner.label_of(n).map(|s| &**s), Some("scaled"));
+    }
+
+    #[test]
     fn runtime_and_handles_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<Runtime>();
         assert_send::<crate::Var<i64>>();
+    }
+
+    /// `Sync` too, so a shared reference may cross threads; the contract
+    /// stays one caller thread at a time, enforced by the fail-stop lock.
+    #[test]
+    fn runtime_and_handles_are_sync() {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<Runtime>();
+        assert_sync::<crate::Var<i64>>();
+        assert_sync::<crate::Memo<u32, i64>>();
     }
 
     #[test]

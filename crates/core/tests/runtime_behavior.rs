@@ -523,6 +523,79 @@ fn dump_graph_renders_every_node() {
 }
 
 #[test]
+fn untraced_instances_are_named_by_their_memo() {
+    let rt = Runtime::new();
+    rt.set_sink(None);
+    assert!(!rt.tracing());
+    let a = rt.var(1i64);
+    let sq = rt.memo("square", move |rt, &k: &i64| a.get(rt) * k * k);
+    let sqc = sq.clone();
+    let top = rt.memo("top", move |rt, &(): &()| sqc.call(rt, 3) + 1);
+    assert_eq!(top.call(&rt, ()), 10);
+    let node = sq.instance_node(&3).unwrap();
+    assert_eq!(rt.node_label(node).as_deref(), Some("square"));
+    assert_eq!(rt.node_label(a.node()), None, "unlabeled variable");
+    let why = top.explain(&rt, &()).unwrap();
+    assert!(why.contains("instance of top (consistent)"), "{why}");
+    assert!(why.contains("depends on n"), "{why}");
+    assert!(why.contains("instance of square (consistent)"), "{why}");
+    let dump = rt.dump_graph();
+    assert!(dump.contains(&format!("{node} comp(ok) square ")), "{dump}");
+    assert!(dump.contains(" top "), "{dump}");
+    assert!(dump.contains(&format!("{} loc  - ", a.node())), "{dump}");
+}
+
+#[test]
+fn set_label_overrides_the_memo_name() {
+    let rt = Runtime::new();
+    let m = rt.memo("generic", |_rt, &k: &i64| k);
+    m.call(&rt, 7);
+    let node = m.instance_node(&7).unwrap();
+    rt.set_label(node, "seven");
+    assert_eq!(rt.node_label(node).as_deref(), Some("seven"));
+    assert!(m.explain(&rt, &7).unwrap().contains("instance of seven"));
+    assert!(rt.dump_graph().contains(" seven "));
+    m.call(&rt, 8);
+    let other = m.instance_node(&8).unwrap();
+    assert_eq!(rt.node_label(other).as_deref(), Some("generic"));
+}
+
+#[test]
+#[should_panic(
+    expected = "incremental procedure narcissus recursively depends on its own first execution"
+)]
+fn det_panic_names_the_memo() {
+    let rt = Runtime::new();
+    rt.set_sink(None);
+    let bad = rt.memo_recursive("narcissus", |rt, me, &n: &u32| -> u32 { me.call(rt, n) });
+    bad.call(&rt, 1);
+}
+
+#[test]
+fn bounded_memo_hit_refreshes_recency() {
+    let rt = Runtime::new();
+    let (n, bump) = counter();
+    let m = rt.memo_bounded("recent", Strategy::Demand, 3, move |_rt, &k: &i64| {
+        bump();
+        k * 10
+    });
+    for k in 1..=3 {
+        assert_eq!(m.call(&rt, k), k * 10);
+    }
+    // The hit makes 1 more recent than 2 and 3 ...
+    assert_eq!(m.call(&rt, 1), 10);
+    assert_eq!(n.get(), 3);
+    // ... so the fourth instance evicts 2, the least recently used.
+    assert_eq!(m.call(&rt, 4), 40);
+    assert_eq!(m.evictions(), 1);
+    assert_eq!(m.call(&rt, 1), 10);
+    assert_eq!(m.call(&rt, 3), 30);
+    assert_eq!(n.get(), 4, "1 and 3 kept their values");
+    assert_eq!(m.call(&rt, 2), 20);
+    assert_eq!(n.get(), 5, "2 was evicted and recomputes");
+}
+
+#[test]
 fn bounded_memo_evicts_lru_values() {
     let rt = Runtime::new();
     let base = rt.var(1i64);

@@ -93,16 +93,29 @@ impl BenchTable {
     }
 }
 
-/// Whether a larger value of this column is an improvement. Rates and hit
-/// counts improve upward; latencies, byte counts and work counters improve
-/// downward.
+/// Whether a larger value of this column is an improvement, decided by
+/// the unit suffix first and the stem only when the header has no time
+/// unit:
+///
+/// - a rate improves upward: the header ends in `/s`, `_s` or `per_sec`.
+///   `_s` is read as "per second" (`kwrites_s`, `waves_s`), because the
+///   tables spell durations `_us`, `_ms` or `_ns`;
+/// - a duration improves downward: any `_`/`/`-separated part of the
+///   header is `us`, `ms` or `ns` (`hits_us`, `set_us/wave`,
+///   `ns/update`), whatever its stem says;
+/// - otherwise throughput, speedup and hit counts (`cache_hits`) improve
+///   upward, and byte counts and work counters downward.
 fn higher_is_better(header: &str) -> bool {
     let h = header.to_ascii_lowercase();
-    h.contains("/s")
-        || h.contains("per_sec")
-        || h.contains("throughput")
-        || h.contains("speedup")
-        || h.contains("hit")
+    if h.ends_with("/s") || h.ends_with("_s") || h.ends_with("per_sec") {
+        return true;
+    }
+    if h.split(['_', '/'])
+        .any(|part| matches!(part, "us" | "ms" | "ns"))
+    {
+        return false;
+    }
+    h.contains("throughput") || h.contains("speedup") || h.contains("hit")
 }
 
 /// One numeric column's change between baseline and candidate.
@@ -171,7 +184,13 @@ pub fn diff(before: &BenchTable, after: &BenchTable) -> DiffReport {
     let mut only_after = Vec::new();
     for (i, row) in after.rows.iter().enumerate() {
         let key = BenchTable::row_key(row, i);
-        let Some(bi) = keyed_before.iter().position(|(k, _)| *k == key) else {
+        // Rows sharing a key (E14's `scaling` column repeats) pair up in
+        // order of occurrence.
+        let Some(bi) = keyed_before
+            .iter()
+            .zip(&matched_before)
+            .position(|((k, _), &m)| !m && *k == key)
+        else {
             only_after.push(key);
             continue;
         };
@@ -378,6 +397,56 @@ mod tests {
         assert_eq!(d.rows[0].cols[0].pct, None);
         assert_eq!(d.worst_regression_pct(), 0.0);
         assert!(d.render(5.0).contains("baseline 0"));
+    }
+
+    #[test]
+    fn time_unit_suffix_beats_hit_stem() {
+        // E8's hit-path latency: slower is worse despite the "hit" stem.
+        assert!(!higher_is_better("hits_us"));
+        assert!(higher_is_better("cache_hits"));
+    }
+
+    #[test]
+    fn underscore_s_suffix_is_a_rate() {
+        // E14 and E15 throughput columns.
+        assert!(higher_is_better("kwrites_s"));
+        assert!(higher_is_better("waves_s"));
+        assert!(higher_is_better("knodes/s"));
+        assert!(!higher_is_better("set_us/wave"));
+        assert!(!higher_is_better("elapsed_ms"));
+    }
+
+    #[test]
+    fn slower_hits_and_fewer_kwrites_regress() {
+        let base = BenchTable::parse(
+            r#"{"title": "t", "rows": [{"w": "x", "hits_us": 10, "kwrites_s": 100}]}"#,
+        )
+        .unwrap();
+        let cand = BenchTable::parse(
+            r#"{"title": "t", "rows": [{"w": "x", "hits_us": 15, "kwrites_s": 50}]}"#,
+        )
+        .unwrap();
+        let d = diff(&base, &cand);
+        let worst = d.worst_regression_pct();
+        assert!((worst - 50.0).abs() < 1e-9, "worst = {worst}");
+        for col in &d.rows[0].cols {
+            assert!(col.regression_pct() > 0.0, "{} not flagged", col.header);
+        }
+    }
+
+    #[test]
+    fn rows_with_repeated_keys_pair_in_order() {
+        let t = BenchTable::parse(
+            r#"{"title": "t", "rows": [
+              {"scaling": "1.00x", "threads": 1},
+              {"scaling": "1.00x", "threads": 2}
+            ]}"#,
+        )
+        .unwrap();
+        let d = diff(&t, &t);
+        assert_eq!(d.rows.len(), 2);
+        assert!(d.only_before.is_empty());
+        assert_eq!(d.worst_regression_pct(), 0.0);
     }
 
     #[test]
