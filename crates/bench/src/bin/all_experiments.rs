@@ -1,17 +1,19 @@
 //! Prints every experiment table in order (regenerates EXPERIMENTS.md data).
 //!
-//! Usage: `all_experiments [--json] [--quick] [--trace <chrome|dot|hot>] [e2 e7 ...]`
+//! Usage:
+//! `all_experiments [--json] [--quick] [--trace <1|jsonl[:path]|path> | --trace-out <path>] [e2 e7 ...]`
 //!
 //! With `--json`, each table is additionally written to `BENCH_<ID>.json`
 //! in the current directory so future changes have a machine-readable perf
 //! trajectory to diff against. With `--quick`, every experiment runs on a
 //! reduced parameter set (CI smoke mode — same columns, smaller sizes).
-//! With `--trace`, every runtime the experiments build reports into the
-//! chosen trace consumer: `chrome` writes a Perfetto-loadable
-//! `TRACE_all.json`, `dot` writes the final dependency graph to
-//! `TRACE_all.dot`, `hot` prints a per-node hot-spot table (see
-//! `alphonse_bench::trace_support`). Positional arguments select a subset
-//! of experiments by id (case-insensitive), e.g.
+//! With `--trace` or `--trace-out`, every runtime the experiments build
+//! reports into the chosen trace consumer: `1` dumps events on stderr,
+//! `jsonl` writes `TRACE_all.jsonl`, and `jsonl:<path>`, a bare path or
+//! `--trace-out <path>` write JSONL to that path (see
+//! `alphonse_bench::trace_support`); `alphonse-trace chrome|dot|hot`
+//! renders the other views from the JSONL. Positional arguments select a
+//! subset of experiments by id (case-insensitive), e.g.
 //! `all_experiments --json e2`.
 use alphonse_bench::experiments as ex;
 use alphonse_bench::table::Table;
@@ -25,8 +27,8 @@ static ALLOC: alphonse::mem::TrackingAlloc = alphonse::mem::TrackingAlloc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Must come first: removes `--trace <mode>` so the mode token is not
-    // mistaken for an experiment-id filter below.
+    // Must come first: removes `--trace <spec>` / `--trace-out <path>` so
+    // the value token is not mistaken for an experiment-id filter below.
     let trace = TraceSession::from_args(&mut args, "all");
     let json = args.iter().any(|a| a == "--json");
     let quick = args.iter().any(|a| a == "--quick");
@@ -36,7 +38,8 @@ fn main() {
     {
         eprintln!("unknown flag: {unknown}");
         eprintln!(
-            "usage: all_experiments [--json] [--quick] [--trace <chrome|dot|hot>] [e2 e7 ...]"
+            "usage: all_experiments [--json] [--quick] \
+             [--trace <1|jsonl[:path]|path> | --trace-out <path>] [e2 e7 ...]"
         );
         std::process::exit(2);
     }

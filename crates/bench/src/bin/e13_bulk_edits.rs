@@ -1,6 +1,6 @@
 //! Prints the E13 table (bulk edits: `Var::set` vs `Runtime::batch`).
 //!
-//! Usage: `e13_bulk_edits [--trace <chrome|dot|hot>]`
+//! Usage: `e13_bulk_edits [--trace <1|jsonl[:path]|path> | --trace-out <path>]`
 use alphonse_bench::trace_support::TraceSession;
 
 fn main() {

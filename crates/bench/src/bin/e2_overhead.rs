@@ -1,6 +1,6 @@
 //! Prints the E2 table (instrumentation overhead, §9.2 + §6.1).
 //!
-//! Usage: `e2_overhead [--trace <chrome|dot|hot>]`
+//! Usage: `e2_overhead [--trace <1|jsonl[:path]|path> | --trace-out <path>]`
 use alphonse_bench::trace_support::TraceSession;
 
 fn main() {

@@ -1,6 +1,6 @@
 //! Prints the E6 tables (spreadsheet §7.2 and attribute grammar §7.1).
 //!
-//! Usage: `e6_sheet [--trace <chrome|dot|hot>]`
+//! Usage: `e6_sheet [--trace <1|jsonl[:path]|path> | --trace-out <path>]`
 use alphonse_bench::trace_support::TraceSession;
 
 fn main() {

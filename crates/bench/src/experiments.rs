@@ -1387,8 +1387,7 @@ pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64
 /// `overhead_pct` compares the arms' median per-chunk times, which drops
 /// burst outliers from both arms entirely. The acceptance bar
 /// is overhead ≤2%. The on-arm chunks supply the first recorded
-/// wave-latency p50/p99 trajectory (`-` when the `metrics` feature is
-/// compiled out, where both arms are identical by construction).
+/// wave-latency p50/p99 trajectory.
 ///
 /// The same interleaved methodology then measures the subsystem-tagged
 /// memory accounting (`mem_*` columns): both arms run with the metrics

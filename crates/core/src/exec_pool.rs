@@ -90,10 +90,7 @@ pub(crate) struct ExecPool {
     level: Arc<Level>,
     /// The owning runtime's telemetry registry: workers tally busy/idle
     /// time and execution counts into its per-thread gauges, `submit`
-    /// maintains the queue-depth gauge. Recording is compiled in by the
-    /// `metrics` feature; the handle itself is always carried so the
-    /// constructor signature is feature-independent.
-    #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
+    /// maintains the queue-depth gauge.
     metrics: Arc<RuntimeMetrics>,
 }
 
@@ -110,7 +107,6 @@ impl ExecPool {
         let mut handles = Vec::with_capacity(workers);
         for slot in 0..workers {
             let rx = Arc::clone(&rx);
-            #[cfg_attr(not(feature = "metrics"), allow(unused_variables))]
             let metrics = Arc::clone(&metrics);
             let handle = std::thread::Builder::new()
                 .name(format!("alphonse-exec-{id}-{slot}"))
@@ -118,7 +114,6 @@ impl ExecPool {
                     WORKER_IDENTITY.with(|c| c.set(Some((id, slot))));
                     loop {
                         // The clock read is skipped while recording is off.
-                        #[cfg(feature = "metrics")]
                         let wait_t0 = crate::metrics::enabled().then(std::time::Instant::now);
                         // Take the next ticket while holding the queue
                         // mutex, then release it before running, so other
@@ -131,7 +126,6 @@ impl ExecPool {
                         // The wait is this thread's idle time; the ticket
                         // records its own busy time and executions before
                         // it reports to the level barrier.
-                        #[cfg(feature = "metrics")]
                         if let Some(t0) = wait_t0 {
                             metrics.queue_pop();
                             metrics.record_worker(slot + 1, 0, t0.elapsed().as_nanos() as u64, 0);
@@ -183,7 +177,6 @@ impl ExecPool {
     fn submit(&self, ticket: Ticket) {
         // Bills the channel's internal queue blocks.
         let _mem = alphonse_mem::scope(alphonse_mem::Tag::ExecPool);
-        #[cfg(feature = "metrics")]
         if crate::metrics::enabled() {
             self.metrics.queue_push();
         }
@@ -240,17 +233,14 @@ impl Level {
     /// One helper ticket, run by the worker with gauge slot `slot`: claim
     /// beside the driver, then report. A ticket that claimed nothing
     /// touches neither lock.
-    #[cfg_attr(not(feature = "metrics"), allow(unused_variables))]
     fn help(&self, rt: &Runtime, slot: usize) {
         let _failed = FailOnUnwind(self);
-        #[cfg(feature = "metrics")]
         let t0 = crate::metrics::enabled().then(std::time::Instant::now);
         let ran = rt.run_claims(&self.next, self.width);
         if ran == 0 {
             return;
         }
         // Gauges first: once the barrier opens the driver may snapshot.
-        #[cfg(feature = "metrics")]
         if let Some(t0) = t0 {
             rt.metrics
                 .record_worker(slot, t0.elapsed().as_nanos() as u64, 0, ran);
@@ -336,7 +326,6 @@ impl Runtime {
         // can observe the flag too early).
         self.par_active.fetch_add(1, Ordering::Release);
         let window = ParWindow(&self.par_active);
-        #[cfg(feature = "metrics")]
         let level_t0 = crate::metrics::enabled().then(std::time::Instant::now);
         let pool = inner.exec_pool.as_mut().expect("created above");
         let level = pool.arm(width);
@@ -348,11 +337,9 @@ impl Runtime {
         }
         drop(guard);
         let ran = self.run_claims(&level.next, width);
-        #[cfg(feature = "metrics")]
         let wait_t0 = level_t0.map(|_| std::time::Instant::now());
         let ok = level.wait(ran);
         drop(window);
-        #[cfg(feature = "metrics")]
         if let (Some(t0), Some(w0)) = (level_t0, wait_t0) {
             self.metrics.record_worker(
                 0,

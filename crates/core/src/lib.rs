@@ -82,10 +82,8 @@ pub use alphonse_graph::NodeId;
 
 /// Subsystem-tagged memory accounting (re-export of `alphonse-mem`).
 ///
-/// With the `metrics` feature (default) this is the real counting-allocator
-/// layer: install [`mem::TrackingAlloc`](alphonse_mem::TrackingAlloc) as the
+/// Install [`mem::TrackingAlloc`](alphonse_mem::TrackingAlloc) as the
 /// binary's `#[global_allocator]` and every runtime allocation is billed to
 /// a subsystem [`mem::Tag`](alphonse_mem::Tag); per-tag live/HWM bytes then
-/// appear in [`MetricsSnapshot::mem`]. Without it, the guards are zero-sized
-/// no-ops and no allocator code is compiled.
+/// appear in [`MetricsSnapshot::mem`].
 pub use alphonse_mem as mem;

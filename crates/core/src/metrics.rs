@@ -20,13 +20,10 @@
 //! * **Snapshots** — [`Histogram::snapshot`] copies the buckets into a
 //!   plain [`HistogramSnapshot`] that supports merge, delta, percentile
 //!   readout and a sparse wire form (only nonzero buckets).
-//! * **Gating** — the `metrics` cargo feature (on by default) compiles the
-//!   recording sites in `runtime`/`exec_pool`; without it the hot
-//!   paths carry zero instrumentation and [`Runtime::metrics_snapshot`]
-//!   returns an empty snapshot. At runtime, [`set_enabled`] is a global
-//!   kill-switch (one relaxed atomic load per site) so a single binary can
-//!   measure its own instrumentation cost — experiment E16 uses exactly
-//!   this to bound the overhead.
+//! * **Gating** — [`set_enabled`] is a global run-time kill-switch for the
+//!   recording sites in `runtime`/`exec_pool` (one relaxed atomic load per
+//!   site), so a single binary can measure its own instrumentation cost —
+//!   experiment E16 uses exactly this to bound the overhead.
 //!
 //! # Reading metrics
 //!
@@ -39,7 +36,6 @@
 //! v.set(&rt, 3);
 //! rt.propagate();
 //! let snap = rt.metrics_snapshot();
-//! # #[cfg(feature = "metrics")]
 //! assert!(snap.wave_latency_ns.count() > 0);
 //! println!("p99 wave latency: {} ns", snap.wave_latency_ns.percentile(0.99));
 //! println!("{}", snap.render_prometheus());
@@ -70,7 +66,6 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 /// This is the runtime kill-switch: with recording disabled every
 /// instrumentation site reduces to one relaxed atomic load (and skips its
 /// clock reads), which is what lets one binary measure its own overhead.
-/// For a zero-cost build, compile without the `metrics` feature instead.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -372,9 +367,6 @@ pub struct RuntimeMetrics {
     pub(crate) queue_depth_hwm: AtomicU64,
 }
 
-// Without the `metrics` feature the recording sites are compiled out and
-// these helpers go unused; the registry itself stays for API stability.
-#[cfg_attr(not(feature = "metrics"), allow(dead_code))]
 impl RuntimeMetrics {
     pub(crate) const fn new() -> RuntimeMetrics {
         RuntimeMetrics {
@@ -518,9 +510,9 @@ pub struct MetricsSnapshot {
     /// live/HWM bytes and allocation counts, captured from the
     /// process-global counting allocator. Empty unless the binary installs
     /// [`mem::TrackingAlloc`](alphonse_mem::TrackingAlloc) as its
-    /// `#[global_allocator]` (and the `metrics` feature is on). Note these
-    /// gauges are **process-wide**, not per-runtime: in a multi-runtime
-    /// process every snapshot sees the same totals.
+    /// `#[global_allocator]`. Note these gauges are **process-wide**, not
+    /// per-runtime: in a multi-runtime process every snapshot sees the same
+    /// totals.
     pub mem: memacct::MemSnapshot,
 }
 

@@ -23,9 +23,7 @@
 use crate::dirty::{DirtySet, Scheduling};
 use crate::fxhash::FxHashMap;
 use crate::stats::Stats;
-#[cfg(feature = "trace")]
-use crate::trace::TraceEvent;
-use crate::trace::{DirtyReason, TraceSink};
+use crate::trace::{DirtyReason, TraceEvent, TraceSink};
 use crate::value::Value;
 use alphonse_graph::{DepGraph, NodeId, UnionFind};
 use alphonse_mem as mem;
@@ -38,17 +36,13 @@ static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 /// Delivers an event to the installed trace sink, if any.
 ///
 /// The event expression is only evaluated inside the sink-present branch, so
-/// with no sink each site costs a single untaken, well-predicted branch;
-/// without the `trace` feature the sites compile out entirely. The sink is
-/// cloned out of the slot first (an `Arc` bump) so the event may borrow the
-/// same `Inner` the slot lives in.
+/// with no sink each site costs a single untaken, well-predicted branch. The
+/// sink is cloned out of the slot first (an `Arc` bump) so the event may
+/// borrow the same `Inner` the slot lives in.
 macro_rules! emit {
     ($inner:expr, $ev:expr) => {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(sink) = $inner.sink.as_ref().map(Arc::clone) {
-                sink.event(&$ev);
-            }
+        if let Some(sink) = $inner.sink.as_ref().map(Arc::clone) {
+            sink.event(&$ev);
         }
     };
 }
@@ -162,8 +156,11 @@ pub(crate) struct Frame {
 enum DirtyStore {
     Global(DirtySet),
     /// One inconsistent set per dependency-graph partition, keyed by the
-    /// partition's current union-find root (Section 6.3).
-    Partitioned(FxHashMap<NodeId, DirtySet>),
+    /// partition's current root in `uf` (Section 6.3).
+    Partitioned {
+        uf: UnionFind,
+        sets: FxHashMap<NodeId, DirtySet>,
+    },
 }
 
 pub(crate) struct Inner {
@@ -222,7 +219,6 @@ pub(crate) struct Inner {
     /// order (= batch order). Empty between levels; capacity is kept.
     pub(crate) level: Vec<LevelSlot>,
     dirty: DirtyStore,
-    partition: Option<UnionFind>,
     scheduling: Scheduling,
     evaluating: bool,
     /// Monotone propagation-wave counter: incremented every time the
@@ -249,7 +245,6 @@ pub(crate) struct Inner {
     batch_slots: Vec<usize>,
     /// Installed trace sink ([`crate::trace`]). `None` — the default — keeps
     /// every emission site down to one untaken branch.
-    #[cfg(feature = "trace")]
     sink: Option<Arc<dyn TraceSink>>,
     pub(crate) stats: Stats,
 }
@@ -290,7 +285,10 @@ impl RuntimeBuilder {
     /// Builds the runtime.
     pub fn build(self) -> Runtime {
         let dirty = if self.partitioning {
-            DirtyStore::Partitioned(FxHashMap::default())
+            DirtyStore::Partitioned {
+                uf: UnionFind::new(),
+                sets: FxHashMap::default(),
+            }
         } else {
             DirtyStore::Global(DirtySet::new(self.scheduling))
         };
@@ -310,7 +308,6 @@ impl RuntimeBuilder {
                 exec_pool: None,
                 level: Vec::new(),
                 dirty,
-                partition: self.partitioning.then(UnionFind::new),
                 scheduling: self.scheduling,
                 evaluating: false,
                 wave: 0,
@@ -320,7 +317,6 @@ impl RuntimeBuilder {
                 level_scratch: Vec::new(),
                 batch_pending: Vec::new(),
                 batch_slots: Vec::new(),
-                #[cfg(feature = "trace")]
                 sink: crate::trace::default_sink(),
                 stats: Stats::default(),
             })),
@@ -394,9 +390,6 @@ pub struct Runtime {
     pub(crate) par_active: Arc<AtomicU32>,
     /// Lock-free telemetry registry ([`crate::metrics`]): wave/level
     /// histograms and worker gauges, recorded outside the runtime lock.
-    /// Always present so `metrics_snapshot` stays source-compatible; the
-    /// recording sites are compiled in by the `metrics` feature.
-    #[cfg_attr(not(feature = "metrics"), allow(dead_code))]
     pub(crate) metrics: Arc<crate::metrics::RuntimeMetrics>,
     pub(crate) id: u64,
 }
@@ -423,7 +416,7 @@ impl Inner {
     fn dirty_len(&self) -> usize {
         match &self.dirty {
             DirtyStore::Global(s) => s.len(),
-            DirtyStore::Partitioned(m) => m.values().map(DirtySet::len).sum(),
+            DirtyStore::Partitioned { sets, .. } => sets.values().map(DirtySet::len).sum(),
         }
     }
 
@@ -440,15 +433,9 @@ impl Inner {
     ) -> Option<u32> {
         match &mut self.dirty {
             DirtyStore::Global(s) => s.pop_level(out, max),
-            DirtyStore::Partitioned(m) => match origin {
-                Some(o) => {
-                    let uf = self
-                        .partition
-                        .as_mut()
-                        .expect("partitioned store implies union-find");
-                    m.get_mut(&uf.find(o))?.pop_level(out, max)
-                }
-                None => m.values_mut().find_map(|s| s.pop_level(out, max)),
+            DirtyStore::Partitioned { uf, sets } => match origin {
+                Some(o) => sets.get_mut(&uf.find(o))?.pop_level(out, max),
+                None => sets.values_mut().find_map(|s| s.pop_level(out, max)),
             },
         }
     }
@@ -528,15 +515,13 @@ impl Inner {
     /// Inserts `n` into the inconsistent set of its partition. `cause` is
     /// the predecessor that fanned dirt here ([`DirtyReason::Fanout`]),
     /// `None` when `n` itself originates the dirt.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     fn insert_dirty(&mut self, n: NodeId, reason: DirtyReason, cause: Option<NodeId>) {
         let height = self.graph.height(n);
         let scheduling = self.scheduling;
-        let root = self.partition.as_mut().map(|uf| uf.find(n));
         let fresh = match &mut self.dirty {
             DirtyStore::Global(s) => s.insert(n, height),
-            DirtyStore::Partitioned(m) => m
-                .entry(root.expect("partitioned store implies union-find"))
+            DirtyStore::Partitioned { uf, sets } => sets
+                .entry(uf.find(n))
                 .or_insert_with(|| DirtySet::new(scheduling))
                 .insert(n, height),
         };
@@ -607,17 +592,15 @@ impl Inner {
             v,
             self.name_of(v),
         );
-        if let Some(uf) = self.partition.as_mut() {
+        if let DirtyStore::Partitioned { uf, sets } = &mut self.dirty {
             uf.ensure(n);
             uf.ensure(v);
             if let Some((win, lose)) = uf.union(n, v) {
-                if let DirtyStore::Partitioned(m) = &mut self.dirty {
-                    if let Some(mut lost) = m.remove(&lose) {
-                        let scheduling = self.scheduling;
-                        m.entry(win)
-                            .or_insert_with(|| DirtySet::new(scheduling))
-                            .absorb(&mut lost);
-                    }
+                if let Some(mut lost) = sets.remove(&lose) {
+                    let scheduling = self.scheduling;
+                    sets.entry(win)
+                        .or_insert_with(|| DirtySet::new(scheduling))
+                        .absorb(&mut lost);
                 }
             }
         }
@@ -657,7 +640,6 @@ impl Inner {
             self.stats.comparisons += 1;
         }
         emit!(self, TraceEvent::Write { node: n, changed });
-        #[cfg(feature = "trace")]
         if compared && !changed {
             emit!(self, TraceEvent::CutoffStop { node: n });
         }
@@ -685,7 +667,6 @@ impl Inner {
     ) -> NodeId {
         let n = self.graph.add_node();
         debug_assert_eq!(n.index(), self.values.len());
-        #[cfg(feature = "trace")]
         let kind = if comp.is_some() {
             NodeKind::Computation
         } else {
@@ -704,7 +685,7 @@ impl Inner {
         self.gens.push(0);
         self.last_accessed.push(0);
         self.executors.push(comp.map(|(_, executor)| executor));
-        if let Some(uf) = self.partition.as_mut() {
+        if let DirtyStore::Partitioned { uf, .. } = &mut self.dirty {
             uf.ensure(n);
         }
         self.stats.nodes_created += 1;
@@ -772,7 +753,7 @@ impl Runtime {
     /// Returns `true` if this runtime maintains per-partition inconsistent
     /// sets (Section 6.3).
     pub fn is_partitioned(&self) -> bool {
-        self.lock().partition.is_some()
+        matches!(self.lock().dirty, DirtyStore::Partitioned { .. })
     }
 
     /// The dirty-node draining order in use.
@@ -834,9 +815,8 @@ impl Runtime {
     /// cleared by [`Runtime::reset_stats`]; isolate a phase with
     /// [`MetricsSnapshot::delta_since`](crate::metrics::MetricsSnapshot::delta_since).
     ///
-    /// Without the `metrics` feature the recording sites are compiled out:
-    /// the counters are still populated but every histogram and gauge reads
-    /// as empty.
+    /// While recording is switched off ([`crate::metrics::set_enabled`]) the
+    /// counters still advance but the histograms and gauges do not.
     pub fn metrics_snapshot(&self) -> crate::metrics::MetricsSnapshot {
         let m = &*self.metrics;
         let _mem = mem::scope(mem::Tag::Metrics);
@@ -870,17 +850,8 @@ impl Runtime {
     /// the runtime is internally locked — see [`crate::trace`] for the
     /// sink contract (in short: a sink must never re-enter runtime
     /// operations).
-    #[cfg(feature = "trace")]
     pub fn set_sink(&self, sink: Option<Arc<dyn TraceSink>>) -> Option<Arc<dyn TraceSink>> {
         std::mem::replace(&mut self.lock().sink, sink)
-    }
-
-    /// Without the `trace` feature sinks cannot be attached: this stub
-    /// ignores `sink` and returns `None`, keeping callers source-compatible
-    /// across feature configurations.
-    #[cfg(not(feature = "trace"))]
-    pub fn set_sink(&self, _sink: Option<Arc<dyn TraceSink>>) -> Option<Arc<dyn TraceSink>> {
-        None
     }
 
     /// Runs `f` with `sink` installed, then restores the previously
@@ -906,19 +877,11 @@ impl Runtime {
         out
     }
 
-    /// Returns `true` if a trace sink is currently installed (always
-    /// `false` without the `trace` feature). Substrates consult this before
-    /// allocating diagnostic labels on hot construction paths, keeping the
-    /// no-observer configuration allocation-free.
+    /// Returns `true` if a trace sink is currently installed. Substrates
+    /// consult this before allocating diagnostic labels on hot construction
+    /// paths, keeping the no-observer configuration allocation-free.
     pub fn tracing(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.lock().sink.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.lock().sink.is_some()
     }
 
     /// Assigns a diagnostic label to node `n`, visible in
@@ -1018,8 +981,7 @@ impl Runtime {
             }
             // Dirty-set sanity.
             let mut dirty_total = 0usize;
-            let mut uf = inner.partition.as_mut();
-            match &inner.dirty {
+            match &mut inner.dirty {
                 DirtyStore::Global(s) => s.for_each_member(|m| {
                     assert!(
                         m.index() < n_nodes,
@@ -1027,21 +989,19 @@ impl Runtime {
                     );
                     dirty_total += 1;
                 }),
-                DirtyStore::Partitioned(map) => {
-                    for (&root, s) in map {
+                DirtyStore::Partitioned { uf, sets } => {
+                    for (&root, s) in sets.iter() {
                         s.for_each_member(|m| {
                             assert!(
                                 m.index() < n_nodes,
                                 "check_invariants: dirty set contains unknown node {m}"
                             );
-                            if let Some(uf) = uf.as_deref_mut() {
-                                assert_eq!(
-                                    uf.find(m),
-                                    root,
-                                    "check_invariants: node {m} queued under stale partition \
-                                     root {root}"
-                                );
-                            }
+                            assert_eq!(
+                                uf.find(m),
+                                root,
+                                "check_invariants: node {m} queued under stale partition root \
+                                 {root}"
+                            );
                             dirty_total += 1;
                         });
                     }
@@ -1363,12 +1323,10 @@ impl Runtime {
             let pending = if inner.evaluating {
                 false
             } else {
-                let root = inner.partition.as_mut().map(|uf| uf.find(n));
                 match &mut inner.dirty {
                     DirtyStore::Global(s) => !s.is_empty(),
-                    DirtyStore::Partitioned(m) => {
-                        let root = root.expect("partitioned store implies union-find");
-                        m.get(&root).is_some_and(|s| !s.is_empty())
+                    DirtyStore::Partitioned { uf, sets } => {
+                        sets.get(&uf.find(n)).is_some_and(|s| !s.is_empty())
                     }
                 }
             };
@@ -1486,23 +1444,19 @@ impl Runtime {
     /// thread: pushes `frame` onto that thread's stack and opens the
     /// execution's trace span. A pooled level's claimant pushes the frame
     /// the driver booked for it.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     fn push_frame(&self, inner: &mut Inner, frame: Frame, removed: u64) {
         let n = frame.node;
         inner.active_stack().push(frame);
         self.exec_depth.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "trace")]
-        {
-            emit!(inner, TraceEvent::ExecuteBegin { node: n });
-            if removed > 0 {
-                emit!(
-                    inner,
-                    TraceEvent::EdgesRemoved {
-                        node: n,
-                        count: removed,
-                    }
-                );
-            }
+        emit!(inner, TraceEvent::ExecuteBegin { node: n });
+        if removed > 0 {
+            emit!(
+                inner,
+                TraceEvent::EdgesRemoved {
+                    node: n,
+                    count: removed,
+                }
+            );
         }
     }
 
@@ -1561,7 +1515,6 @@ impl Runtime {
             }
         }
         emit!(inner, TraceEvent::ExecuteEnd { node: n, changed });
-        #[cfg(feature = "trace")]
         if compared && !changed {
             emit!(inner, TraceEvent::CutoffStop { node: n });
         }
@@ -1744,15 +1697,12 @@ impl Runtime {
         inner.evaluating = true;
         inner.wave += 1;
         inner.stats.waves += 1;
-        #[cfg(feature = "trace")]
         let steps_before = inner.stats.propagation_steps;
-        #[cfg(feature = "metrics")]
         let (execs_before, wasted_before) = (inner.stats.executions, inner.stats.wasted_executions);
         emit!(inner, TraceEvent::PropagateBegin { wave: inner.wave });
         // Wave clock: stamped after the nested-wave early return, so only
         // real (outermost) waves are timed and a disabled switch skips the
         // clock read entirely.
-        #[cfg(feature = "metrics")]
         let wave_t0 = crate::metrics::enabled().then(std::time::Instant::now);
         let mut inner = self.drain_levels(inner, origin, max_steps);
         inner.evaluating = false;
@@ -1763,18 +1713,15 @@ impl Runtime {
                 steps: inner.stats.propagation_steps - steps_before,
             }
         );
-        #[cfg(feature = "metrics")]
-        {
-            // Per-wave work deltas come from the counters while the guard
-            // is still held; the histogram writes happen after it drops —
-            // metric recording itself never holds the runtime lock.
-            let executed = inner.stats.executions - execs_before;
-            let wasted = inner.stats.wasted_executions - wasted_before;
-            drop(inner);
-            if let Some(t0) = wave_t0 {
-                self.metrics
-                    .record_wave(t0.elapsed().as_nanos() as u64, executed, wasted);
-            }
+        // Per-wave work deltas come from the counters while the guard is
+        // still held; the histogram writes happen after it drops — metric
+        // recording itself never holds the runtime lock.
+        let executed = inner.stats.executions - execs_before;
+        let wasted = inner.stats.wasted_executions - wasted_before;
+        drop(inner);
+        if let Some(t0) = wave_t0 {
+            self.metrics
+                .record_wave(t0.elapsed().as_nanos() as u64, executed, wasted);
         }
     }
 
@@ -1799,7 +1746,6 @@ impl Runtime {
     ///
     /// Takes the guard that opened the wave and returns the one that
     /// closes it.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))] // `height` feeds the trace brackets
     fn drain_levels<'a>(
         &'a self,
         mut guard: MutexGuard<'a, Inner>,
@@ -1851,7 +1797,6 @@ impl Runtime {
             inner.stats.level_width_hwm = inner.stats.level_width_hwm.max(width);
             // Only a runtime that may pool pays the per-level histogram
             // write: the widths are the parallelism its pool had to use.
-            #[cfg(feature = "metrics")]
             if inner.parallelism >= 2 {
                 self.metrics.level_width.record(width);
             }

@@ -12,10 +12,8 @@
 //!
 //! With no sink installed, every emission site costs exactly one untaken,
 //! well-predicted branch (`Option::is_some` on the sink slot); no event
-//! value is ever constructed. Compiling `alphonse` with
-//! `--no-default-features` (dropping the `trace` feature) removes the sites
-//! entirely. Experiment E2's instrumentation-overhead ratio is the
-//! regression gate for this claim.
+//! value is ever constructed. Experiment E2's instrumentation-overhead ratio
+//! is the regression gate for this claim.
 //!
 //! # Sink contract
 //!
@@ -330,7 +328,6 @@ pub fn set_default_sink(sink: Option<Arc<dyn TraceSink>>) -> Option<Arc<dyn Trac
     DEFAULT_SINK.with(|s| std::mem::replace(&mut *s.borrow_mut(), sink))
 }
 
-#[cfg_attr(not(feature = "trace"), allow(dead_code))]
 pub(crate) fn default_sink() -> Option<Arc<dyn TraceSink>> {
     DEFAULT_SINK.with(|s| s.borrow().clone())
 }

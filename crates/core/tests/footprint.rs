@@ -6,7 +6,6 @@
 //! `memo` live-byte deltas around the calls. The counters are
 //! process-global, so the measurement serializes on a lock (other test
 //! threads in this binary only allocate untagged).
-#![cfg(feature = "metrics")]
 
 use alphonse::mem::{snapshot, TrackingAlloc};
 use alphonse::Runtime;

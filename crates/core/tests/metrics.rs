@@ -165,7 +165,6 @@ fn wasted_executions_counts_cutoff_stopped_work() {
     assert!(s.executions > s.wasted_executions);
 }
 
-#[cfg(feature = "metrics")]
 mod wired {
     use super::*;
     use alphonse::MetricsSnapshot;

@@ -196,7 +196,6 @@ fn parallelism_knob_survives_resizing() {
     rt.check_invariants();
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn level_brackets_appear_in_the_trace() {
     use alphonse::trace::{Recorder, TraceEvent};
@@ -234,7 +233,6 @@ fn level_brackets_appear_in_the_trace() {
 /// only when a pool actually runs — `set_parallelism(n >= 2)` with a
 /// level of two or more executions — never when the driver runs every
 /// level alone (n = 0 or 1).
-#[cfg(feature = "metrics")]
 #[test]
 fn worker_gauges_populate_only_under_pooled_draining() {
     use std::time::Duration;

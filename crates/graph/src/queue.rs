@@ -61,13 +61,17 @@ impl HeightQueue {
 
     /// Removes and returns the queued node with the smallest height.
     pub fn pop(&mut self) -> Option<NodeId> {
-        while let Some((_, n)) = self.heap.pop() {
-            if self.members.remove(&n) {
-                return Some(n);
-            }
-            // Stale heap entry for a node removed via `remove`; skip.
-        }
-        None
+        let (_, n) = self.heap.pop()?;
+        self.forget(n);
+        Some(n)
+    }
+
+    /// Drops `n`, just popped off the heap, from the member set. The heap
+    /// and the set hold the same nodes: `insert` adds to both, and the pops
+    /// and `absorb` take from both.
+    fn forget(&mut self, n: NodeId) {
+        let was_member = self.members.remove(&n);
+        debug_assert!(was_member, "heap and member set disagree on {n}");
     }
 
     /// Drains the queued nodes at the current minimum height into `out`, at
@@ -95,25 +99,12 @@ impl HeightQueue {
                 break;
             }
             self.heap.pop();
-            if self.members.remove(&n) {
-                level = Some(h);
-                out.push(n);
-                taken += 1;
-            }
-            // Stale heap entries (nodes removed via `remove`) are skipped
-            // without pinning the level height.
+            self.forget(n);
+            level = Some(h);
+            out.push(n);
+            taken += 1;
         }
         level
-    }
-
-    /// Removes `n` from the set if queued. Returns `true` if it was present.
-    pub fn remove(&mut self, n: NodeId) -> bool {
-        self.members.remove(&n)
-    }
-
-    /// Returns `true` if `n` is currently queued.
-    pub fn contains(&self, n: NodeId) -> bool {
-        self.members.contains(&n)
     }
 
     /// Visits every queued node, in no particular order.
@@ -138,7 +129,7 @@ impl HeightQueue {
     pub fn absorb(&mut self, other: &mut HeightQueue) {
         let _mem = mem::scope(mem::Tag::Queues);
         for (h, n) in other.heap.drain() {
-            if other.members.remove(&n) && self.members.insert(n) {
+            if self.members.insert(n) {
                 self.heap.push((h, n));
             }
         }
@@ -177,29 +168,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some(ns[0]));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn remove_cancels_queued_node() {
-        let ns = nodes(2);
-        let mut q = HeightQueue::new();
-        q.insert(ns[0], 0);
-        q.insert(ns[1], 1);
-        assert!(q.remove(ns[0]));
-        assert!(!q.remove(ns[0]));
-        assert_eq!(q.pop(), Some(ns[1]));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn contains_tracks_membership() {
-        let ns = nodes(1);
-        let mut q = HeightQueue::new();
-        assert!(!q.contains(ns[0]));
-        q.insert(ns[0], 0);
-        assert!(q.contains(ns[0]));
-        q.pop();
-        assert!(!q.contains(ns[0]));
     }
 
     #[test]
@@ -300,22 +268,6 @@ mod tests {
         assert_eq!(q.pop_level(&mut batch, 2), Some(2));
         assert_eq!(batch, vec![ns[0]]);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_level_skips_stale_entries() {
-        let ns = nodes(3);
-        let mut q = HeightQueue::new();
-        q.insert(ns[0], 0);
-        q.insert(ns[1], 1);
-        q.insert(ns[2], 1);
-        assert!(q.remove(ns[0])); // leaves a stale heap entry at height 0
-        assert!(q.remove(ns[2])); // stale entry inside the next level
-        let mut batch = Vec::new();
-        // The stale height-0 entry must not pin the level to height 0.
-        assert_eq!(q.pop_level(&mut batch, usize::MAX), Some(1));
-        assert_eq!(batch, vec![ns[1]]);
-        assert_eq!(q.pop_level(&mut batch, usize::MAX), None);
     }
 
     #[test]

@@ -31,10 +31,9 @@
 //!   of blocks allocated while enabled stay correct. Same discipline as the
 //!   runtime's `metrics::set_enabled`.
 //! * **Feature gate.** Everything above only exists with the `count`
-//!   feature (the runtime's `metrics` feature enables it). Without it,
-//!   [`scope`] returns a zero-sized guard, [`snapshot`] returns an empty
-//!   report, and no unsafe code is compiled — `--no-default-features`
-//!   builds carry literally zero accounting cost.
+//!   feature (the runtime always enables it). Without it — this crate
+//!   built on its own — [`scope`] returns a zero-sized guard, [`snapshot`]
+//!   returns an empty report, and no unsafe code is compiled.
 //! * **Process-global counters.** Gauges aggregate over every runtime in
 //!   the process (the allocator is global); per-runtime attribution would
 //!   need a scope per runtime id and is out of scope here.

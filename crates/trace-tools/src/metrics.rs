@@ -310,8 +310,8 @@ mod tests {
         let rendered = doc.render("snapshot");
         assert!(rendered.contains("## counters"));
         assert!(rendered.contains("waves"));
-        // trace-tools always builds alphonse with its default features, so
-        // the wiring is live and the snapshot carries real waves.
+        // Metrics recording is on by default, so the snapshot carries real
+        // waves.
         let (_, waves) = doc.counters.iter().find(|(n, _)| n == "waves").unwrap();
         assert!(*waves >= 5);
         let (_, h) = doc
