@@ -1,18 +1,16 @@
 //! Prints every experiment table in order (regenerates EXPERIMENTS.md data).
 //!
 //! Usage:
-//! `all_experiments [--json] [--quick] [--trace <1|jsonl[:path]|path> | --trace-out <path>] [e2 e7 ...]`
+//! `all_experiments [--json] [--quick] [--trace-out <path>] [e2 e7 ...]`
 //!
 //! With `--json`, each table is additionally written to `BENCH_<ID>.json`
 //! in the current directory so future changes have a machine-readable perf
 //! trajectory to diff against. With `--quick`, every experiment runs on a
 //! reduced parameter set (CI smoke mode — same columns, smaller sizes).
-//! With `--trace` or `--trace-out`, every runtime the experiments build
-//! reports into the chosen trace consumer: `1` dumps events on stderr,
-//! `jsonl` writes `TRACE_all.jsonl`, and `jsonl:<path>`, a bare path or
-//! `--trace-out <path>` write JSONL to that path (see
+//! With `--trace-out <path>` (or `ALPHONSE_TRACE=<path>`), every runtime
+//! the experiments build streams its events to that JSONL file (see
 //! `alphonse_bench::trace_support`); `alphonse-trace chrome|dot|hot`
-//! renders the other views from the JSONL. Positional arguments select a
+//! renders the other views from it. Positional arguments select a
 //! subset of experiments by id (case-insensitive), e.g.
 //! `all_experiments --json e2`.
 use alphonse_bench::experiments as ex;
@@ -27,9 +25,9 @@ static ALLOC: alphonse::mem::TrackingAlloc = alphonse::mem::TrackingAlloc;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Must come first: removes `--trace <spec>` / `--trace-out <path>` so
+    // Must come first: removes `--trace-out <path>` so
     // the value token is not mistaken for an experiment-id filter below.
-    let trace = TraceSession::from_args(&mut args, "all");
+    let trace = TraceSession::from_args(&mut args);
     let json = args.iter().any(|a| a == "--json");
     let quick = args.iter().any(|a| a == "--quick");
     if let Some(unknown) = args
@@ -37,10 +35,7 @@ fn main() {
         .find(|a| a.starts_with("--") && *a != "--json" && *a != "--quick")
     {
         eprintln!("unknown flag: {unknown}");
-        eprintln!(
-            "usage: all_experiments [--json] [--quick] \
-             [--trace <1|jsonl[:path]|path> | --trace-out <path>] [e2 e7 ...]"
-        );
+        eprintln!("usage: all_experiments [--json] [--quick] [--trace-out <path>] [e2 e7 ...]");
         std::process::exit(2);
     }
     let filter: Vec<String> = args

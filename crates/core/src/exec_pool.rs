@@ -88,16 +88,13 @@ pub(crate) struct ExecPool {
     /// The shared block of the current (or last) pooled level, re-armed in
     /// place for each level ([`ExecPool::arm`]).
     level: Arc<Level>,
-    /// The owning runtime's telemetry registry: workers tally busy/idle
-    /// time and execution counts into its per-thread gauges, `submit`
-    /// maintains the queue-depth gauge.
-    metrics: Arc<RuntimeMetrics>,
 }
 
 impl ExecPool {
     /// Spawns `workers` (>= 1) persistent threads, all draining one shared
-    /// ticket queue. Worker `slot` reports as gauge slot `slot + 1` (slot 0
-    /// is the propagation driver).
+    /// ticket queue. Worker `slot` reports to the owning runtime's
+    /// `metrics` as gauge slot `slot + 1` (slot 0 is the propagation
+    /// driver).
     pub(crate) fn new(workers: usize, metrics: Arc<RuntimeMetrics>) -> ExecPool {
         assert!(workers >= 1, "a worker pool needs at least one thread");
         let _mem = alphonse_mem::scope(alphonse_mem::Tag::ExecPool);
@@ -127,7 +124,6 @@ impl ExecPool {
                         // records its own busy time and executions before
                         // it reports to the level barrier.
                         if let Some(t0) = wait_t0 {
-                            metrics.queue_pop();
                             metrics.record_worker(slot + 1, 0, t0.elapsed().as_nanos() as u64, 0);
                         }
                         let _ = catch_unwind(AssertUnwindSafe(move || {
@@ -144,7 +140,6 @@ impl ExecPool {
             tx: Some(tx),
             handles,
             level: Arc::new(Level::new(0)),
-            metrics,
         }
     }
 
@@ -177,9 +172,6 @@ impl ExecPool {
     fn submit(&self, ticket: Ticket) {
         // Bills the channel's internal queue blocks.
         let _mem = alphonse_mem::scope(alphonse_mem::Tag::ExecPool);
-        if crate::metrics::enabled() {
-            self.metrics.queue_push();
-        }
         self.tx
             .as_ref()
             .expect("pool alive until dropped")

@@ -77,16 +77,6 @@ impl<A> Table<A> {
 }
 
 impl<A: Eq + Hash> Table<A> {
-    fn new(capacity: Option<usize>) -> Self {
-        match capacity {
-            None => Table::Unbounded(FxHashMap::default()),
-            Some(_) => Table::Lru {
-                map: FxHashMap::default(),
-                clock: 0,
-            },
-        }
-    }
-
     /// The instance node for `args`, without touching recency.
     fn get(&self, args: &A) -> Option<NodeId> {
         match self {
@@ -146,6 +136,35 @@ impl<A: MemoArgs, R: MemoResult> Instance for MemoInstance<A, R> {
 }
 
 impl<A, R> MemoInner<A, R> {
+    /// A procedure with an empty argument table: an LRU one when
+    /// `capacity` bounds it.
+    #[allow(clippy::type_complexity)]
+    fn new(
+        name: Arc<str>,
+        strategy: Strategy,
+        rt_id: u64,
+        capacity: Option<usize>,
+        f: Box<dyn Fn(&Runtime, &A) -> R + Send + Sync>,
+    ) -> Self {
+        MemoInner {
+            name,
+            strategy,
+            rt_id,
+            capacity,
+            f,
+            table: Mutex::new(match capacity {
+                None => Table::Unbounded(FxHashMap::default()),
+                Some(_) => Table::Lru {
+                    map: FxHashMap::default(),
+                    clock: 0,
+                },
+            }),
+            single: OnceLock::new(),
+            evictions: AtomicU64::new(0),
+            height_hint: AtomicU32::new(0),
+        }
+    }
+
     /// Locks the argument table; a poisoned lock (panic unwound out of a
     /// memo operation) is entered anyway, matching the runtime's
     /// unspecified-but-memory-safe post-panic contract.
@@ -225,17 +244,13 @@ impl Runtime {
     ) -> Memo<A, R> {
         let _mem = mem::scope(mem::Tag::Memo);
         Memo {
-            inner: Arc::new(MemoInner {
-                name: Arc::from(name),
+            inner: Arc::new(MemoInner::new(
+                name.into(),
                 strategy,
-                rt_id: self.id,
-                capacity: None,
-                f: Box::new(f),
-                table: Mutex::new(Table::new(None)),
-                single: OnceLock::new(),
-                evictions: AtomicU64::new(0),
-                height_hint: AtomicU32::new(0),
-            }),
+                self.id,
+                None,
+                Box::new(f),
+            )),
         }
     }
 
@@ -261,17 +276,13 @@ impl Runtime {
         assert!(capacity > 0, "memo cache capacity must be positive");
         let _mem = mem::scope(mem::Tag::Memo);
         Memo {
-            inner: Arc::new(MemoInner {
-                name: Arc::from(name),
+            inner: Arc::new(MemoInner::new(
+                name.into(),
                 strategy,
-                rt_id: self.id,
-                capacity: Some(capacity),
-                f: Box::new(f),
-                table: Mutex::new(Table::new(Some(capacity))),
-                single: OnceLock::new(),
-                evictions: AtomicU64::new(0),
-                height_hint: AtomicU32::new(0),
-            }),
+                self.id,
+                Some(capacity),
+                Box::new(f),
+            )),
         }
     }
 
@@ -307,26 +318,17 @@ impl Runtime {
         f: impl Fn(&Runtime, &Memo<A, R>, &A) -> R + Send + Sync + 'static,
     ) -> Memo<A, R> {
         let _mem = mem::scope(mem::Tag::Memo);
-        let name: Arc<str> = Arc::from(name);
+        let name: Arc<str> = name.into();
         let rt_id = self.id;
         let inner = Arc::new_cyclic(|weak: &Weak<MemoInner<A, R>>| {
             let weak = weak.clone();
-            MemoInner {
-                name,
-                strategy,
-                rt_id,
-                capacity: None,
-                f: Box::new(move |rt, a| {
-                    let me = Memo {
-                        inner: weak.upgrade().expect("memo table dropped during call"),
-                    };
-                    f(rt, &me, a)
-                }),
-                table: Mutex::new(Table::new(None)),
-                single: OnceLock::new(),
-                evictions: AtomicU64::new(0),
-                height_hint: AtomicU32::new(0),
-            }
+            let body = move |rt: &Runtime, a: &A| {
+                let me = Memo {
+                    inner: weak.upgrade().expect("memo table dropped during call"),
+                };
+                f(rt, &me, a)
+            };
+            MemoInner::new(name, strategy, rt_id, None, Box::new(body))
         });
         Memo { inner }
     }

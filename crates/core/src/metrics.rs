@@ -38,7 +38,7 @@
 //! let snap = rt.metrics_snapshot();
 //! assert!(snap.wave_latency_ns.count() > 0);
 //! println!("p99 wave latency: {} ns", snap.wave_latency_ns.percentile(0.99));
-//! println!("{}", snap.render_prometheus());
+//! println!("{}", snap.to_json());
 //! ```
 //!
 //! [`Runtime::metrics_snapshot`]: crate::Runtime::metrics_snapshot
@@ -363,8 +363,6 @@ pub struct RuntimeMetrics {
     /// One past the highest slot that has ever reported (gauge readout
     /// stops here).
     pub(crate) workers_hwm: AtomicU64,
-    pub(crate) queue_depth: AtomicU64,
-    pub(crate) queue_depth_hwm: AtomicU64,
 }
 
 impl RuntimeMetrics {
@@ -377,8 +375,6 @@ impl RuntimeMetrics {
             level_latency_ns: Histogram::new(),
             workers: [const { WorkerGauges::new() }; MAX_WORKER_SLOTS],
             workers_hwm: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_depth_hwm: AtomicU64::new(0),
         }
     }
 
@@ -406,23 +402,6 @@ impl RuntimeMetrics {
         w.jobs.fetch_add(jobs, Ordering::Relaxed);
         self.workers_hwm
             .fetch_max(Self::slot(slot) as u64 + 1, Ordering::Relaxed);
-    }
-
-    /// A job entered the executor-pool queue.
-    pub(crate) fn queue_push(&self) {
-        let now = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_hwm.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// A job left the executor-pool queue.
-    pub(crate) fn queue_pop(&self) {
-        // Saturating: a disable/enable flip mid-level may unbalance the
-        // push/pop pair; never underflow the gauge.
-        let _ = self
-            .queue_depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                Some(d.saturating_sub(1))
-            });
     }
 
     /// Snapshot of the per-worker gauges, one entry per slot that has run
@@ -480,8 +459,7 @@ impl WorkerSnapshot {
 /// A complete point-in-time metrics snapshot: the [`Stats`](crate::Stats)
 /// counters plus every histogram and gauge. Produced by
 /// [`Runtime::metrics_snapshot`](crate::Runtime::metrics_snapshot); render
-/// with [`render_prometheus`](MetricsSnapshot::render_prometheus) or
-/// [`to_json`](MetricsSnapshot::to_json).
+/// with [`to_json`](MetricsSnapshot::to_json).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Every [`Stats`](crate::Stats) counter as `(name, value)`, in
@@ -502,10 +480,6 @@ pub struct MetricsSnapshot {
     /// Per-thread gauges of pooled levels, one per slot up to the highest
     /// that has reported (slot 0 is the driver).
     pub workers: Vec<WorkerSnapshot>,
-    /// Executor-pool tickets currently queued.
-    pub queue_depth: u64,
-    /// High-water mark of [`queue_depth`](MetricsSnapshot::queue_depth).
-    pub queue_depth_hwm: u64,
     /// Subsystem-tagged allocator gauges: per-[`Tag`](alphonse_mem::Tag)
     /// live/HWM bytes and allocation counts, captured from the
     /// process-global counting allocator. Empty unless the binary installs
@@ -549,26 +523,9 @@ fn json_hist(out: &mut String, h: &HistogramSnapshot) {
     out.push_str("]}");
 }
 
-fn prom_hist(out: &mut String, name: &str, h: &HistogramSnapshot) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cum = 0u64;
-    for (i, c) in h.to_sparse() {
-        cum += c;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{le=\"{}\"}} {cum}",
-            bucket_upper_bound(i)
-        );
-    }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
-    let _ = writeln!(out, "{name}_sum {}", h.sum);
-    let _ = writeln!(out, "{name}_count {}", h.count());
-}
-
 impl MetricsSnapshot {
-    /// Merges `other` into `self`: counters and histograms add, gauges take
-    /// the maximum, worker entries merge by slot. Used to aggregate
+    /// Merges `other` into `self`: counters and histograms add, worker
+    /// entries merge by slot, memory gauges take the maximum. Used to aggregate
     /// snapshots across independent runtimes or bench repetitions.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
@@ -593,16 +550,14 @@ impl MetricsSnapshot {
             }
         }
         self.workers.sort_by_key(|w| w.slot);
-        self.queue_depth = self.queue_depth.max(other.queue_depth);
-        self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
         // Mem gauges are process-global: two snapshots of the same process
         // must take the pointwise max, never sum (that would double-count).
         self.mem.merge_max(&other.mem);
     }
 
     /// Everything recorded between `earlier` and `self`. Counters and
-    /// histograms subtract; point-in-time gauges (queue depth, worker
-    /// totals) are carried from `self`.
+    /// histograms subtract; point-in-time gauges (worker totals, memory)
+    /// are carried from `self`.
     ///
     /// # Panics
     ///
@@ -630,81 +585,9 @@ impl MetricsSnapshot {
             level_width: self.level_width.delta_since(&earlier.level_width),
             level_latency_ns: self.level_latency_ns.delta_since(&earlier.level_latency_ns),
             workers: self.workers.clone(),
-            queue_depth: self.queue_depth,
-            queue_depth_hwm: self.queue_depth_hwm,
             // Point-in-time gauges: carried, not subtracted.
             mem: self.mem.clone(),
         }
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format:
-    /// `alphonse_<counter>` counters, `alphonse_worker_*{slot=…}` gauges
-    /// and cumulative `_bucket{le=…}` histograms.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let _mem = memacct::scope(memacct::Tag::Metrics);
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "# TYPE alphonse_{name} counter");
-            let _ = writeln!(out, "alphonse_{name} {v}");
-        }
-        prom_hist(&mut out, "alphonse_wave_latency_ns", &self.wave_latency_ns);
-        prom_hist(&mut out, "alphonse_wave_executed", &self.wave_executed);
-        prom_hist(&mut out, "alphonse_wave_wasted", &self.wave_wasted);
-        prom_hist(&mut out, "alphonse_level_width", &self.level_width);
-        prom_hist(
-            &mut out,
-            "alphonse_level_latency_ns",
-            &self.level_latency_ns,
-        );
-        let _ = writeln!(out, "# TYPE alphonse_exec_queue_depth gauge");
-        let _ = writeln!(out, "alphonse_exec_queue_depth {}", self.queue_depth);
-        let _ = writeln!(out, "# TYPE alphonse_exec_queue_depth_hwm gauge");
-        let _ = writeln!(
-            out,
-            "alphonse_exec_queue_depth_hwm {}",
-            self.queue_depth_hwm
-        );
-        for w in &self.workers {
-            let _ = writeln!(
-                out,
-                "alphonse_worker_busy_ns{{slot=\"{}\"}} {}",
-                w.slot, w.busy_ns
-            );
-            let _ = writeln!(
-                out,
-                "alphonse_worker_idle_ns{{slot=\"{}\"}} {}",
-                w.slot, w.idle_ns
-            );
-            let _ = writeln!(
-                out,
-                "alphonse_worker_jobs{{slot=\"{}\"}} {}",
-                w.slot, w.jobs
-            );
-        }
-        // Suppressed entirely when no tracking allocator fed the counters
-        // (every tag zero), so allocator-less binaries keep their old output.
-        if !self.mem.is_empty() {
-            for (metric, kind) in [
-                ("alphonse_mem_live_bytes", "gauge"),
-                ("alphonse_mem_live_allocs", "gauge"),
-                ("alphonse_mem_hwm_bytes", "gauge"),
-                ("alphonse_mem_total_allocs", "counter"),
-            ] {
-                let _ = writeln!(out, "# TYPE {metric} {kind}");
-                for t in &self.mem.tags {
-                    let v = match metric {
-                        "alphonse_mem_live_bytes" => t.live_bytes,
-                        "alphonse_mem_live_allocs" => t.live_allocs,
-                        "alphonse_mem_hwm_bytes" => t.hwm_bytes,
-                        _ => t.total_allocs,
-                    };
-                    let _ = writeln!(out, "{metric}{{tag=\"{}\"}} {v}", t.tag);
-                }
-            }
-        }
-        out
     }
 
     /// Renders the snapshot as one JSON document (the format
@@ -738,11 +621,7 @@ impl MetricsSnapshot {
             out.push(':');
             json_hist(&mut out, h);
         }
-        let _ = write!(
-            out,
-            "}},\"gauges\":{{\"queue_depth\":{},\"queue_depth_hwm\":{}}},\"workers\":[",
-            self.queue_depth, self.queue_depth_hwm
-        );
+        out.push_str("},\"workers\":[");
         for (k, w) in self.workers.iter().enumerate() {
             if k > 0 {
                 out.push(',');
@@ -917,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_and_prometheus_render() {
+    fn snapshot_renders_json() {
         let _g = serial();
         let h = Histogram::new();
         h.record(10);
@@ -933,15 +812,11 @@ mod tests {
             }],
             ..MetricsSnapshot::default()
         };
-        let prom = snap.render_prometheus();
-        assert!(prom.contains("alphonse_executions 5"));
-        assert!(prom.contains("alphonse_wave_latency_ns_count 2"));
-        assert!(prom.contains("alphonse_wave_latency_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(prom.contains("alphonse_worker_busy_ns{slot=\"0\"} 100"));
         let json = snap.to_json();
         assert!(json.starts_with("{\"schema\":\"alphonse-metrics-v1\""));
         assert!(json.contains("\"executions\":5"));
         assert!(json.contains("\"wave_latency_ns\":{\"count\":2"));
+        assert!(json.contains("\"workers\":[{\"slot\":0,\"busy_ns\":100,"));
     }
 
     #[test]

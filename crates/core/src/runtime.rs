@@ -218,6 +218,9 @@ pub(crate) struct Inner {
     /// The executions of the pooled level being drained, indexed by claim
     /// order (= batch order). Empty between levels; capacity is kept.
     pub(crate) level: Vec<LevelSlot>,
+    /// Main-stack depth when the open pooled level started. Frames below
+    /// it belong to callers suspended until the level finishes.
+    level_base: usize,
     dirty: DirtyStore,
     scheduling: Scheduling,
     evaluating: bool,
@@ -307,6 +310,7 @@ impl RuntimeBuilder {
                 parallelism: 0,
                 exec_pool: None,
                 level: Vec::new(),
+                level_base: 0,
                 dirty,
                 scheduling: self.scheduling,
                 evaluating: false,
@@ -459,14 +463,35 @@ impl Inner {
     /// propagation driver — uses the main stack. A runtime that never
     /// built a pool skips the thread-local identity read.
     fn active_stack(&mut self) -> &mut Vec<Frame> {
-        if let Some(pool) = &self.exec_pool {
-            if let Some((pool_id, slot)) = crate::exec_pool::worker_identity() {
-                if pool.id() == pool_id {
-                    return &mut self.worker_stacks[slot];
-                }
-            }
+        match self.worker_slot() {
+            Some(slot) => &mut self.worker_stacks[slot],
+            None => &mut self.stack,
         }
-        &mut self.stack
+    }
+
+    /// The pool slot of the current thread, when it is a worker of this
+    /// runtime's executor pool.
+    fn worker_slot(&self) -> Option<usize> {
+        let pool = self.exec_pool.as_ref()?;
+        let (pool_id, slot) = crate::exec_pool::worker_identity()?;
+        (pool.id() == pool_id).then_some(slot)
+    }
+
+    /// Whether an execution of `n` runs on another thread of a pooled
+    /// level: a frame of it sits on a stack other than the current
+    /// thread's, above the level's suspended callers. Its commit will
+    /// replace the cached value. A booked but unclaimed level member has
+    /// no frame yet, and frames on the caller's own stack are Section 7.3
+    /// re-entrancy; neither counts.
+    fn executing_elsewhere(&self, n: NodeId) -> bool {
+        if self.flags[n.index()] & F_ON_STACK == 0 {
+            return false;
+        }
+        let own = self.worker_slot();
+        let holds = |stack: &[Frame]| stack.iter().any(|f| f.node == n);
+        (own.is_some() && holds(&self.stack[self.level_base..]))
+            || (self.worker_stacks.iter().enumerate())
+                .any(|(slot, stack)| own != Some(slot) && holds(stack))
     }
 
     /// Marks every live frame of node `n` stale, on the main stack and —
@@ -828,8 +853,6 @@ impl Runtime {
             level_width: m.level_width.snapshot(),
             level_latency_ns: m.level_latency_ns.snapshot(),
             workers: m.worker_snapshots(),
-            queue_depth: m.queue_depth.load(Ordering::Relaxed),
-            queue_depth_hwm: m.queue_depth_hwm.load(Ordering::Relaxed),
             mem: mem::snapshot(),
         }
     }
@@ -1309,33 +1332,41 @@ impl Runtime {
     ///
     /// Only the rare pending case pays more than one lock: the evaluation
     /// routine must run unlocked (it re-enters the runtime), so that path
-    /// re-locks for the probe afterwards.
+    /// re-locks for the probe afterwards. So does a call to a node another
+    /// pool claimant is executing, which yields until that execution
+    /// commits.
     pub(crate) fn precall_cached<R>(
         &self,
         n: NodeId,
         f: impl FnOnce(&dyn Value) -> R,
     ) -> Option<R> {
-        {
-            let mut guard = self.lock();
-            let inner = &mut *guard;
-            inner.stats.calls += 1;
-            inner.stats.memo_probes += 1;
-            let pending = if inner.evaluating {
-                false
-            } else {
-                match &mut inner.dirty {
-                    DirtyStore::Global(s) => !s.is_empty(),
-                    DirtyStore::Partitioned { uf, sets } => {
-                        sets.get(&uf.find(n)).is_some_and(|s| !s.is_empty())
-                    }
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.stats.calls += 1;
+        inner.stats.memo_probes += 1;
+        let pending = if inner.evaluating {
+            false
+        } else {
+            match &mut inner.dirty {
+                DirtyStore::Global(s) => !s.is_empty(),
+                DirtyStore::Partitioned { uf, sets } => {
+                    sets.get(&uf.find(n)).is_some_and(|s| !s.is_empty())
                 }
-            };
-            if !pending {
-                return self.try_hit(inner, n, f);
             }
+        };
+        if pending {
+            drop(guard);
+            self.evaluate(Some(n));
+            guard = self.lock();
         }
-        self.evaluate(Some(n));
-        self.try_hit(&mut self.lock(), n, f)
+        // Another claimant of a pooled level is executing `n`: its cached
+        // value is the pre-wave one, so wait for the commit.
+        while guard.executing_elsewhere(n) {
+            drop(guard);
+            std::thread::yield_now();
+            guard = self.lock();
+        }
+        self.try_hit(&mut guard, n, f)
     }
 
     /// Cache probe under the caller's guard: runs `f` on the cached value if
@@ -1819,6 +1850,7 @@ impl Runtime {
                     let booking = inner.exec_book(u);
                     inner.level.push(LevelSlot::Booked(booking));
                 }
+                inner.level_base = inner.stack.len();
                 guard = self.run_level(guard);
                 let inner = &mut *guard;
                 let mut level = std::mem::take(&mut inner.level);

@@ -10,14 +10,12 @@
 //! [`crate::trace`] module, which streams the individual operations these
 //! tallies aggregate.
 
-use std::fmt;
-
 /// Applies a macro to the complete list of [`Stats`] counter fields.
 ///
 /// This is the single source of truth for the field list: `delta_since`
 /// builds an exhaustive struct literal from it (so a newly added counter
 /// that is missing here fails to compile rather than silently skipping
-/// delta math), and [`Stats::fields`] / `Display` render from it.
+/// delta math), and [`Stats::fields`] renders from it.
 macro_rules! for_each_counter {
     ($m:ident) => {
         $m!(
@@ -59,8 +57,8 @@ macro_rules! for_each_counter {
 /// Obtain one with [`Runtime::stats`](crate::Runtime::stats); reset the
 /// tallies with [`Runtime::reset_stats`](crate::Runtime::reset_stats).
 /// Subtracting two snapshots (via [`Stats::delta_since`]) isolates the work
-/// done by one phase of a program. The `Display` implementation renders an
-/// aligned name/value table.
+/// done by one phase of a program; [`Stats::fields`] lists every counter
+/// by name.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Stats {
@@ -184,37 +182,6 @@ impl Stats {
         }
         for_each_counter!(list)
     }
-
-    /// Total "work" proxy: executions plus propagation steps plus edge
-    /// maintenance. Used by benches as a machine-independent cost measure.
-    #[must_use]
-    pub fn work(&self) -> u64 {
-        self.executions + self.propagation_steps + self.edges_created + self.edges_removed
-    }
-}
-
-impl fmt::Display for Stats {
-    /// Renders the counters as an aligned two-column table (names
-    /// left-aligned, values right-aligned), with the [`Stats::work`]
-    /// aggregate as the final row.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut rows = self.fields();
-        rows.push(("work()", self.work()));
-        let name_w = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        let val_w = rows
-            .iter()
-            .map(|(_, v)| v.to_string().len())
-            .max()
-            .unwrap_or(1);
-        for (i, (name, value)) in rows.iter().enumerate() {
-            if i + 1 == rows.len() {
-                write!(f, "{name:<name_w$}  {value:>val_w$}")?;
-            } else {
-                writeln!(f, "{name:<name_w$}  {value:>val_w$}")?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -236,7 +203,6 @@ mod tests {
     #[test]
     fn default_is_zero() {
         let s = Stats::default();
-        assert_eq!(s.work(), 0);
         assert_eq!(s.executions, 0);
         assert!(s.fields().iter().all(|&(_, v)| v == 0));
     }
@@ -279,45 +245,6 @@ mod tests {
         }
         // And the delta against zero recovers `late` exactly.
         assert_eq!(late.delta_since(&Stats::default()), late);
-    }
-
-    #[test]
-    fn display_is_aligned_and_complete() {
-        let mut s = Stats::default();
-        set_all(&mut s, |i| 10u64.pow((i % 5) as u32));
-        let table = s.to_string();
-        let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(
-            lines.len(),
-            s.fields().len() + 1,
-            "one row per counter plus the work() footer"
-        );
-        // Aligned: every row has the same width.
-        let widths: Vec<usize> = lines.iter().map(|l| l.len()).collect();
-        assert!(
-            widths.windows(2).all(|w| w[0] == w[1]),
-            "rows not aligned:\n{table}"
-        );
-        assert!(lines.last().unwrap().starts_with("work()"));
-        for (name, _) in s.fields() {
-            assert!(
-                table.contains(name),
-                "missing counter `{name}` in:\n{table}"
-            );
-        }
-    }
-
-    #[test]
-    fn work_sums_cost_fields() {
-        let s = Stats {
-            executions: 1,
-            propagation_steps: 2,
-            edges_created: 3,
-            edges_removed: 4,
-            cache_hits: 100, // not part of work
-            ..Stats::default()
-        };
-        assert_eq!(s.work(), 10);
     }
 
     #[test]

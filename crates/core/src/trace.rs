@@ -97,7 +97,7 @@ pub mod provenance;
 pub mod session;
 
 pub use provenance::Provenance;
-pub use session::{ActiveTrace, TraceConfig};
+pub use session::ActiveTrace;
 
 /// Locks a sink-internal mutex, ignoring poison: tracing is diagnostic and
 /// keeps working even after a panic elsewhere left a guard poisoned.
@@ -409,29 +409,6 @@ impl Recorder {
             .collect()
     }
 
-    /// Renders the held events as a human-readable report, one line per
-    /// event with its timestamp and resolved labels. When the ring bound
-    /// evicted events, the report is prefixed with a
-    /// `N events dropped (ring capacity K)` warning so a truncated recording
-    /// is never mistaken for a complete one.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        if self.dropped.load(Ordering::Relaxed) > 0 {
-            let _ = writeln!(
-                out,
-                "warning: {} events dropped (ring capacity {}) — the recording is truncated",
-                self.dropped.load(Ordering::Relaxed),
-                self.capacity
-            );
-        }
-        let labels = Labels::default();
-        for (ts, ev) in lock(&self.buf).iter() {
-            labels.observe(ev);
-            let _ = writeln!(out, "{ts:>10} us  {}", describe_event(ev, &labels));
-        }
-        out
-    }
-
     /// Exports the held events as a JSONL trace document (the same format
     /// [`JsonlSink`] streams), prefixed with a meta line recording how many
     /// events the ring bound evicted — consumers such as `alphonse-trace`
@@ -452,68 +429,6 @@ impl Recorder {
             out.push('\n');
         }
         out
-    }
-}
-
-/// One human-readable line for `ev`, with labels resolved through `labels`.
-fn describe_event(ev: &TraceEvent, labels: &Labels) -> String {
-    match ev {
-        TraceEvent::NodeCreated { node, kind, label } => format!(
-            "create {kind:?} {}{}",
-            node,
-            label
-                .as_deref()
-                .map(|l| format!(" \"{l}\""))
-                .unwrap_or_default()
-        ),
-        TraceEvent::Labeled { node, label } => format!("label {node} \"{label}\""),
-        TraceEvent::Read { node } => format!("read {}", labels.of(*node)),
-        TraceEvent::Write { node, changed } => {
-            format!("write {} changed={changed}", labels.of(*node))
-        }
-        TraceEvent::Dirtied {
-            node,
-            reason,
-            cause,
-        } => match cause {
-            Some(c) => format!(
-                "dirty {} [{reason:?} <- {}]",
-                labels.of(*node),
-                labels.of(*c)
-            ),
-            None => format!("dirty {} [{reason:?}]", labels.of(*node)),
-        },
-        TraceEvent::PropagateBegin { wave } => format!("propagate begin (wave {wave})"),
-        TraceEvent::PropagateEnd { wave, steps } => {
-            format!("propagate end (wave {wave}, {steps} steps)")
-        }
-        TraceEvent::LevelBegin {
-            wave,
-            height,
-            width,
-        } => format!("level begin (wave {wave}, height {height}, width {width})"),
-        TraceEvent::LevelEnd {
-            wave,
-            height,
-            executed,
-        } => format!("level end (wave {wave}, height {height}, {executed} executed)"),
-        TraceEvent::ExecuteBegin { node } => format!("exec begin {}", labels.of(*node)),
-        TraceEvent::ExecuteEnd { node, changed } => {
-            format!("exec end {} changed={changed}", labels.of(*node))
-        }
-        TraceEvent::CacheHit { node } => format!("cache hit {}", labels.of(*node)),
-        TraceEvent::CutoffStop { node } => format!("cutoff {}", labels.of(*node)),
-        TraceEvent::EdgeAdded { from, to } => {
-            format!("edge {} -> {}", labels.of(*from), labels.of(*to))
-        }
-        TraceEvent::EdgesRemoved { node, count } => {
-            format!("edges removed {} ({count})", labels.of(*node))
-        }
-        TraceEvent::BatchCommit {
-            writes,
-            coalesced,
-            wave,
-        } => format!("batch commit ({writes} writes, {coalesced} coalesced, -> wave {wave})"),
     }
 }
 
@@ -730,8 +645,8 @@ impl TraceSink for JsonlSink {
 
 /// Delivers every event to each of its sinks, in order.
 ///
-/// [`session::ActiveTrace`] uses it to run the live [`Provenance`] index
-/// alongside whichever consumer the user asked for.
+/// [`ActiveTrace`] uses it to run the live [`Provenance`] index alongside
+/// the JSONL file.
 pub struct Tee {
     sinks: Vec<Arc<dyn TraceSink>>,
 }
@@ -781,13 +696,6 @@ impl Labels {
                 names[i] = Some(Arc::clone(label));
             }
             _ => {}
-        }
-    }
-
-    fn of(&self, n: NodeId) -> String {
-        match lock(&self.names).get(n.index()) {
-            Some(Some(name)) => format!("{name} ({n})"),
-            _ => n.to_string(),
         }
     }
 

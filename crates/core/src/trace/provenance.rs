@@ -114,7 +114,10 @@ impl Provenance {
 
     /// Label plus id, e.g. `top (n1)`, or just `n1` when unlabeled.
     pub fn display(&self, n: NodeId) -> String {
-        self.labels.of(n)
+        match self.labels.raw(n) {
+            Some(name) => format!("{name} ({n})"),
+            None => n.to_string(),
+        }
     }
 
     /// The most recently created node carrying `label` (instances shadow
@@ -195,7 +198,7 @@ impl Provenance {
     pub fn why_report(&self, n: NodeId) -> Option<String> {
         let chain = self.why(n)?;
         let mut out = String::new();
-        let _ = write!(out, "why {}", self.labels.of(n));
+        let _ = write!(out, "why {}", self.display(n));
         match chain.wave {
             Some(w) => {
                 let _ = writeln!(out, ": wave {w}");
@@ -205,7 +208,7 @@ impl Provenance {
             }
         }
         if let Some((loc, changed)) = chain.write {
-            let _ = writeln!(out, "  write {} changed={changed}", self.labels.of(loc));
+            let _ = writeln!(out, "  write {} changed={changed}", self.display(loc));
         }
         for step in &chain.steps {
             match step.cause {
@@ -213,16 +216,16 @@ impl Provenance {
                     let _ = writeln!(
                         out,
                         "  -> dirtied {} [{:?} <- {}]",
-                        self.labels.of(step.node),
+                        self.display(step.node),
                         step.reason,
-                        self.labels.of(c)
+                        self.display(c)
                     );
                 }
                 None => {
                     let _ = writeln!(
                         out,
                         "  -> dirtied {} [{:?}]",
-                        self.labels.of(step.node),
+                        self.display(step.node),
                         step.reason
                     );
                 }
@@ -230,7 +233,7 @@ impl Provenance {
         }
         match chain.exec {
             Some(changed) => {
-                let _ = writeln!(out, "  -> executed {} changed={changed}", self.labels.of(n));
+                let _ = writeln!(out, "  -> executed {} changed={changed}", self.display(n));
             }
             None => {
                 let _ = writeln!(out, "  (no re-execution after this dirtying)");
@@ -249,12 +252,12 @@ impl Provenance {
             let _ = writeln!(
                 out,
                 "  w [label=\"write {}\\nchanged={changed}\" shape=note style=filled fillcolor=khaki];",
-                self.labels.of(loc).replace('"', "'")
+                self.display(loc).replace('"', "'")
             );
             let _ = writeln!(out, "  w -> {};", chain.steps[0].node);
         }
         for step in &chain.steps {
-            let mut label = self.labels.of(step.node).replace('"', "'");
+            let mut label = self.display(step.node).replace('"', "'");
             let _ = write!(label, "\\n{:?}", step.reason);
             let shape = if step.node == n {
                 "doubleoctagon"

@@ -1,136 +1,73 @@
-//! Shared trace activation: one spec grammar for every entry point.
+//! Trace activation: one switch, an output path.
 //!
-//! The bench bins (`--trace <mode>`, `--trace-out <path>`) and the lang
-//! interpreter (`ALPHONSE_TRACE=<spec>`) used to grow divergent activation
-//! code; both now funnel through [`TraceConfig`]. The spec grammar:
-//!
-//! | spec | consumer |
-//! |---|---|
-//! | `1` | stderr event dump via a bounded [`Recorder`] |
-//! | `jsonl[:path]`, or any path-like value | JSONL event stream ([`JsonlSink`], default `TRACE_<stem>.jsonl`) |
-//!
-//! JSONL is the one persisted format. Chrome spans, the DOT graph and the
-//! hot-node table render offline from it: record with
-//! `--trace-out run.jsonl` (or `ALPHONSE_TRACE=run.jsonl`), then run
+//! Every entry point that records a trace — the bench bins'
+//! `--trace-out <path>`, the lang interpreter and the examples — starts
+//! it the same way: [`ActiveTrace::create`] on a path, or
+//! [`ActiveTrace::from_env`], which reads that path from the
+//! `ALPHONSE_TRACE` environment variable. The events stream to the file
+//! as JSONL, the one persisted format; Chrome spans, the DOT graph and the
+//! hot-node table render offline from it with
 //! `alphonse-trace chrome|dot|hot run.jsonl`.
 //!
-//! [`TraceConfig::start`] yields an [`ActiveTrace`]: the requested consumer
-//! teed with a live [`Provenance`] index, so causal `why(node)` queries are
-//! always available while tracing — the lang interpreter quotes them in
-//! runtime error messages.
+//! The [`JsonlSink`] is teed with a live [`Provenance`] index, so causal
+//! `why(node)` queries are available while tracing — the lang interpreter
+//! quotes them in runtime error messages.
 
 use super::provenance::Provenance;
-use super::{JsonlSink, Recorder, Tee, TraceSink};
+use super::{JsonlSink, Tee, TraceSink};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Capacity of the stderr recorder (spec `1`). Large enough for small
-/// programs to be complete; the dump warns when the ring dropped events.
-const STDERR_RING: usize = 8192;
-
-/// A parsed trace spec: which consumer to attach and where its output goes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceConfig {
-    /// Record everything and dump human-readable lines to stderr at the end.
-    Stderr,
-    /// Stream every event as JSON lines to this file.
-    Jsonl(PathBuf),
-}
-
-impl TraceConfig {
-    /// Parses a trace spec (see the [module docs](self) for the grammar).
-    /// `stem` names the default output file, `TRACE_<stem>.jsonl`.
-    pub fn parse(spec: &str, stem: &str) -> Result<TraceConfig, String> {
-        let (head, arg) = match spec.split_once(':') {
-            Some((h, a)) => (h, Some(a)),
-            None => (spec, None),
-        };
-        match head {
-            "1" if arg.is_none() => Ok(TraceConfig::Stderr),
-            "chrome" | "dot" | "hot" => {
-                let top = match (head, arg) {
-                    ("hot", Some(k)) => format!(" --top {k}"),
-                    _ => String::new(),
-                };
-                Err(format!(
-                    "trace spec `{spec}` is gone: record with `--trace-out run.jsonl` \
-                     (or `ALPHONSE_TRACE=run.jsonl`), then run \
-                     `alphonse-trace {head} run.jsonl{top}`"
-                ))
-            }
-            "jsonl" => Ok(TraceConfig::Jsonl(
-                arg.map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from(format!("TRACE_{stem}.jsonl"))),
-            )),
-            // Any path-like value is shorthand for `jsonl:<path>` — the
-            // common `ALPHONSE_TRACE=trace.jsonl` case.
-            _ if spec.contains('.') || spec.contains('/') => {
-                Ok(TraceConfig::Jsonl(PathBuf::from(spec)))
-            }
-            _ => Err(format!(
-                "unrecognized trace spec `{spec}` (expected 1, jsonl[:path], or a file path)"
-            )),
-        }
-    }
-
-    /// Reads the `ALPHONSE_TRACE` environment variable. `None` when unset
-    /// or empty; `Some(Err(…))` when set but malformed.
-    pub fn from_env(stem: &str) -> Option<Result<TraceConfig, String>> {
-        match std::env::var("ALPHONSE_TRACE") {
-            Ok(v) if !v.is_empty() => Some(TraceConfig::parse(&v, stem)),
-            _ => None,
-        }
-    }
-
-    /// Builds the consumer (creating output files where needed) and tees it
-    /// with a live [`Provenance`] index.
-    pub fn start(self) -> io::Result<ActiveTrace> {
-        let provenance = Arc::new(Provenance::new());
-        let (consumer, consumer_sink): (Consumer, Arc<dyn TraceSink>) = match self {
-            TraceConfig::Stderr => {
-                let rec = Arc::new(Recorder::new(STDERR_RING));
-                (Consumer::Stderr(rec.clone()), rec)
-            }
-            TraceConfig::Jsonl(path) => {
-                let sink = Arc::new(JsonlSink::create(&path)?);
-                (
-                    Consumer::Jsonl {
-                        sink: sink.clone(),
-                        path,
-                    },
-                    sink,
-                )
-            }
-        };
-        let sink = Arc::new(Tee::new(vec![
-            provenance.clone() as Arc<dyn TraceSink>,
-            consumer_sink,
-        ]));
-        Ok(ActiveTrace {
-            consumer,
-            provenance,
-            sink,
-        })
-    }
-}
-
-enum Consumer {
-    Stderr(Arc<Recorder>),
-    Jsonl { sink: Arc<JsonlSink>, path: PathBuf },
-}
-
 /// A started trace: hand [`ActiveTrace::sink`] to the runtime (or install
 /// it as the thread default), then call [`ActiveTrace::finish`] once the
-/// workload is done to flush/write/print the consumer's output.
+/// workload is done to flush the file.
 pub struct ActiveTrace {
-    consumer: Consumer,
+    path: PathBuf,
+    jsonl: Arc<JsonlSink>,
     provenance: Arc<Provenance>,
     sink: Arc<Tee>,
 }
 
 impl ActiveTrace {
-    /// The sink to attach (tee of the consumer and the provenance index).
+    /// Creates (truncating) `path` and streams the trace to it as JSONL,
+    /// teed with a live [`Provenance`] index.
+    pub fn create(path: impl Into<PathBuf>) -> io::Result<ActiveTrace> {
+        let path = path.into();
+        let jsonl = Arc::new(JsonlSink::create(&path)?);
+        let provenance = Arc::new(Provenance::new());
+        let sink = Arc::new(Tee::new(vec![
+            provenance.clone() as Arc<dyn TraceSink>,
+            jsonl.clone(),
+        ]));
+        Ok(ActiveTrace {
+            path,
+            jsonl,
+            provenance,
+            sink,
+        })
+    }
+
+    /// Starts a trace to the path named by `ALPHONSE_TRACE`. `None` when
+    /// the variable is unset or empty, and also when the file cannot be
+    /// created: that is reported on stderr, and the program runs on
+    /// untraced — an observability knob must never turn a working program
+    /// into a failing one.
+    pub fn from_env() -> Option<ActiveTrace> {
+        let path = std::env::var_os("ALPHONSE_TRACE").filter(|p| !p.is_empty())?;
+        match ActiveTrace::create(&path) {
+            Ok(active) => Some(active),
+            Err(e) => {
+                eprintln!(
+                    "ALPHONSE_TRACE={}: {e}; tracing disabled",
+                    path.to_string_lossy()
+                );
+                None
+            }
+        }
+    }
+
+    /// The sink to attach (tee of the JSONL file and the provenance index).
     pub fn sink(&self) -> Arc<dyn TraceSink> {
         self.sink.clone() as Arc<dyn TraceSink>
     }
@@ -146,20 +83,10 @@ impl ActiveTrace {
         super::set_default_sink(Some(self.sink()))
     }
 
-    /// Finalizes the consumer: dump the stderr recording or flush the
-    /// JSONL file. Returns a one-line completion message naming the file
-    /// the JSONL consumer wrote (the stderr dump is printed directly).
-    pub fn finish(self) -> io::Result<Option<String>> {
-        match self.consumer {
-            Consumer::Stderr(rec) => {
-                eprint!("{}", rec.dump());
-                Ok(None)
-            }
-            Consumer::Jsonl { sink, path } => {
-                sink.flush()?;
-                Ok(Some(format!("trace: wrote {}", path.display())))
-            }
-        }
+    /// Flushes the JSONL file and returns its path.
+    pub fn finish(self) -> io::Result<PathBuf> {
+        self.jsonl.flush()?;
+        Ok(self.path)
     }
 }
 
@@ -169,33 +96,10 @@ mod tests {
     use crate::Runtime;
 
     #[test]
-    fn parse_covers_the_grammar() {
-        let p = |s: &str| TraceConfig::parse(s, "bin");
-        assert_eq!(p("1"), Ok(TraceConfig::Stderr));
-        assert_eq!(p("jsonl"), Ok(TraceConfig::Jsonl("TRACE_bin.jsonl".into())));
-        assert_eq!(p("jsonl:x.jsonl"), Ok(TraceConfig::Jsonl("x.jsonl".into())));
-        assert_eq!(
-            p("out/t.jsonl"),
-            Ok(TraceConfig::Jsonl("out/t.jsonl".into()))
-        );
-        // The renderers moved offline; their old specs name the replacement.
-        for (spec, cmd) in [
-            ("chrome", "alphonse-trace chrome run.jsonl`"),
-            ("chrome:x.json", "alphonse-trace chrome run.jsonl`"),
-            ("dot", "alphonse-trace dot run.jsonl`"),
-            ("hot", "alphonse-trace hot run.jsonl`"),
-            ("hot:5", "alphonse-trace hot run.jsonl --top 5`"),
-        ] {
-            let err = p(spec).unwrap_err();
-            assert!(err.contains("--trace-out run.jsonl"), "{spec}: {err}");
-            assert!(err.contains(cmd), "{spec}: {err}");
-        }
-        assert!(p("bogus").is_err());
-    }
-
-    #[test]
-    fn stderr_session_feeds_provenance() {
-        let active = TraceConfig::Stderr.start().unwrap();
+    fn jsonl_session_feeds_file_and_provenance() {
+        let path =
+            std::env::temp_dir().join(format!("alphonse-session-{}.jsonl", std::process::id()));
+        let active = ActiveTrace::create(&path).unwrap();
         let rt = Runtime::new();
         rt.set_sink(Some(active.sink()));
         let v = rt.var_named("v", 1i64);
@@ -208,7 +112,27 @@ mod tests {
         let n = double.instance_node(&()).unwrap();
         let chain = prov.why(n).expect("double was dirtied by the write");
         assert_eq!(chain.write, Some((v.node(), true)));
-        // finish() dumps to stderr and returns no message.
-        assert_eq!(active.finish().unwrap(), None);
+        assert_eq!(active.finish().unwrap(), path);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let mut lines = text.lines();
+        assert!(lines
+            .next()
+            .unwrap()
+            .starts_with(r#"{"meta":{"format":"alphonse-trace""#));
+        let events: Vec<&str> = lines.collect();
+        for ev in ["Write", "Dirtied", "PropagateBegin", "ExecuteEnd"] {
+            let tag = format!(r#""ev":"{ev}""#);
+            assert!(events.iter().any(|l| l.contains(&tag)), "no {ev} event");
+        }
+        assert!(events.iter().any(|l| l.contains(r#""label":"double""#)));
+    }
+
+    #[test]
+    fn create_on_an_unwritable_path_is_an_error() {
+        let path = std::env::temp_dir()
+            .join(format!("alphonse-no-such-dir-{}", std::process::id()))
+            .join("t.jsonl");
+        assert!(ActiveTrace::create(path).is_err());
     }
 }

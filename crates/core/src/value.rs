@@ -27,9 +27,6 @@ pub trait Value: Any + fmt::Debug + Send {
     /// later write of the same concrete type coalesces onto it, reusing the
     /// existing allocation instead of boxing a fresh one.
     fn as_any_mut(&mut self) -> &mut dyn Any;
-    /// Consuming upcast: lets an owned boxed value be downcast to its
-    /// concrete type without cloning.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl<T: Any + fmt::Debug + PartialEq + Clone + Send> Value for T {
@@ -50,16 +47,12 @@ impl<T: Any + fmt::Debug + PartialEq + Clone + Send> Value for T {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// Downcasts a cached value to its concrete type, cloning it out.
 ///
-/// The production read paths are borrow-based ([`downcast_ref`]) or
-/// consuming via `into_any`; this cloning form survives for tests.
+/// The production read paths are borrow-based ([`downcast_ref`]); this
+/// cloning form survives for tests.
 ///
 /// # Panics
 ///

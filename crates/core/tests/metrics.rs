@@ -194,32 +194,21 @@ mod wired {
     }
 
     #[test]
-    fn snapshot_renders_prometheus_and_json() {
+    fn snapshot_renders_json() {
         let rt = Runtime::new();
         let a = diamond(&rt);
         a.set(&rt, 20);
         rt.propagate();
-        let snap = rt.metrics_snapshot();
-        let prom = snap.render_prometheus();
-        for needle in [
-            "# TYPE alphonse_executions counter",
-            "# TYPE alphonse_lock_acquisitions counter",
-            "# TYPE alphonse_wave_latency_ns histogram",
-            "alphonse_wave_latency_ns_bucket{le=\"+Inf\"}",
-            "alphonse_exec_queue_depth 0",
-        ] {
-            assert!(prom.contains(needle), "missing `{needle}` in:\n{prom}");
-        }
-        // Every non-comment line is `name[{labels}] value`.
-        for line in prom.lines().filter(|l| !l.starts_with('#')) {
-            let (name, value) = line.rsplit_once(' ').expect("name value");
-            assert!(!name.is_empty());
-            assert!(value.parse::<u64>().is_ok(), "unparseable sample `{line}`");
-        }
-        let json = snap.to_json();
+        let json = rt.metrics_snapshot().to_json();
         assert!(json.starts_with("{\"schema\":\"alphonse-metrics-v1\""));
-        assert!(json.contains("\"wave_latency_ns\""));
-        assert!(json.contains("\"lock_acquisitions\""));
+        for needle in [
+            "\"executions\":",
+            "\"lock_acquisitions\":",
+            "\"wave_latency_ns\":{\"count\":1,",
+            "\"workers\":[]",
+        ] {
+            assert!(json.contains(needle), "missing `{needle}` in:\n{json}");
+        }
     }
 
     #[test]

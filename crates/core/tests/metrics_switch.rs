@@ -101,7 +101,6 @@ fn disabled_switch_stops_recording_and_enabling_resumes_it() {
             "a wave at parallelism {parallelism} recorded while disabled"
         );
         assert!(snap1.workers.is_empty(), "no gauge may have reported");
-        assert_eq!(snap1.queue_depth_hwm, 0);
         // The work counters are not telemetry: they still advance.
         assert_eq!(stats1.waves, stats0.waves + 1);
         assert_eq!(stats1.executions, stats0.executions + 5);

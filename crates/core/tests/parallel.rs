@@ -152,6 +152,123 @@ fn nested_memo_calls_from_workers_record_dependencies() {
     rt.check_invariants();
 }
 
+/// Two claimants of one pooled level call the same out-of-date demand
+/// memo. The first to enter executes it, and its body holds on until the
+/// second is about to call, then lingers a few ms, so the second call
+/// lands while the execution runs on the other thread. That call must
+/// wait for the commit, not hit the pre-wave value.
+#[test]
+fn a_call_to_a_memo_executing_on_another_thread_waits_for_its_commit() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    let rt = Runtime::new();
+    rt.set_parallelism(2);
+    let armed = Arc::new(AtomicBool::new(false));
+    let entered = Arc::new(AtomicUsize::new(0));
+    let second_calls = Arc::new(AtomicBool::new(false));
+    let base = rt.var(2i64);
+    let shared = {
+        let (armed, second_calls) = (armed.clone(), second_calls.clone());
+        rt.memo("shared", move |rt, &(): &()| {
+            if armed.load(Ordering::SeqCst) {
+                // The second outer can only start on the other thread
+                // while this one is parked here.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !second_calls.load(Ordering::SeqCst) {
+                    assert!(Instant::now() < deadline, "second claimant never started");
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            base.get(rt) * 100
+        })
+    };
+    let outers: Vec<alphonse::Memo<(), i64>> = (0..2)
+        .map(|i| {
+            let (shared, armed) = (shared.clone(), armed.clone());
+            let (entered, second_calls) = (entered.clone(), second_calls.clone());
+            let v = rt.var(i as i64);
+            rt.memo_with("outer", Strategy::Eager, move |rt, &(): &()| {
+                if armed.load(Ordering::SeqCst) && entered.fetch_add(1, Ordering::SeqCst) == 1 {
+                    second_calls.store(true, Ordering::SeqCst);
+                }
+                v.get(rt) + shared.call(rt, ())
+            })
+        })
+        .collect();
+    let sum = {
+        let outers = outers.clone();
+        rt.memo_with("sum", Strategy::Eager, move |rt, &(): &()| {
+            outers.iter().map(|m| m.call(rt, ())).sum::<i64>()
+        })
+    };
+    assert_eq!(sum.call(&rt, ()), 1 + 2 * 200);
+    armed.store(true, Ordering::SeqCst);
+    base.set(&rt, 3);
+    rt.propagate();
+    assert_eq!(
+        entered.load(Ordering::SeqCst),
+        2,
+        "both outers ran in the wave"
+    );
+    assert_eq!(sum.call(&rt, ()), 1 + 2 * 300);
+    rt.check_invariants();
+}
+
+/// A first execution of `x(5)` finds dirt pending when it calls `y` and
+/// drains it from inside its body, on the pool. The first `z` of that
+/// level to enter holds its thread until the second has entered, so the
+/// second (usually the pool helper) is the one that calls `x(5)` back.
+/// That call reads an execution suspended until the level ends: waiting
+/// for its commit would never return, so it must fail as the same DET
+/// violation the inline drain reports.
+#[test]
+fn a_level_calling_back_into_its_suspended_caller_fails_instead_of_waiting() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc};
+    use std::time::{Duration, Instant};
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let rt = Runtime::new();
+        rt.set_parallelism(2);
+        let k = rt.var(0i64);
+        let y = rt.memo("y", |_, &(): &()| 1i64);
+        y.call(&rt, ());
+        let x = rt.memo("x", move |rt, &a: &i64| a + y.call(rt, ()));
+        let entered = Arc::new(AtomicUsize::new(0));
+        for i in 0..2 {
+            let (x, entered) = (x.clone(), entered.clone());
+            let z = rt.memo_with("z", Strategy::Eager, move |rt, &(): &()| {
+                let k = k.get(rt);
+                if k == 0 {
+                    return i;
+                }
+                if entered.fetch_add(1, Ordering::SeqCst) == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while entered.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    return i;
+                }
+                x.call(rt, k)
+            });
+            z.call(&rt, ());
+        }
+        k.set(&rt, 5);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            x.call(&rt, 5);
+        }));
+        tx.send(outcome.is_err()).unwrap();
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the call back into the suspended caller never returned");
+    assert!(panicked, "the DET violation was not reported");
+}
+
 #[test]
 fn bounded_drains_take_at_most_k_steps_and_resume() {
     let rt = Runtime::new();
@@ -270,7 +387,6 @@ fn worker_gauges_populate_only_under_pooled_draining() {
             snap.workers.is_empty(),
             "no pool ran at parallelism {workers}, yet worker gauges appeared"
         );
-        assert_eq!(snap.queue_depth_hwm, 0);
         // The wave itself is still observed, pool or not.
         assert!(snap.wave_latency_ns.count() > 0);
     }
@@ -298,18 +414,8 @@ fn worker_gauges_populate_only_under_pooled_draining() {
         assert!(w.slot < 4);
         assert!(w.utilization() <= 1.0);
     }
-    assert!(snap.queue_depth_hwm >= 1, "jobs passed through the queue");
     assert_eq!(snap.level_width.max, 6, "widest level was the cell row");
     assert!(snap.level_latency_ns.count() >= 1, "one pooled level timed");
-    // A helper ticket that arrives after the level's work is claimed may
-    // still be queued when `propagate` returns; dropping the pool joins
-    // its workers, which drain the queue first.
-    rt.set_parallelism(0);
-    assert_eq!(
-        rt.metrics_snapshot().queue_depth,
-        0,
-        "queue drained at quiescence"
-    );
 }
 
 /// A panicking executor must surface as a panic out of `propagate`, never

@@ -21,7 +21,7 @@ use crate::error::{LangError, Result};
 use crate::heap::{default_val, Heap, Slot};
 use crate::hir::*;
 use crate::value::{ObjId, Val};
-use alphonse::trace::{ActiveTrace, TraceConfig};
+use alphonse::trace::ActiveTrace;
 use alphonse::{Memo, Runtime, Strategy as RtStrategy};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,38 +64,6 @@ enum Flow {
 /// Per-procedure argument table (paper Section 4.2), created lazily.
 type ProcMemo = Memo<Vec<Val>, Val>;
 
-/// File-name stem the interpreter passes to the shared trace-spec parser:
-/// `ALPHONSE_TRACE=jsonl` writes `TRACE_alphonse.jsonl`.
-const TRACE_STEM: &str = "alphonse";
-
-/// Parses `ALPHONSE_TRACE` through the shared [`TraceConfig`] grammar
-/// (`1` → stderr dump; `jsonl[:path]` or a bare file path → JSONL, which
-/// `alphonse-trace chrome|dot|hot|why` renders offline) and attaches the
-/// resulting sink — teed with a live [`alphonse::trace::Provenance`] index that
-/// runtime error messages quote — to `rt`.
-///
-/// A malformed value is reported on stderr and ignored — an observability
-/// knob must never turn a working program into a failing one.
-fn trace_from_env(rt: &Runtime) -> Option<ActiveTrace> {
-    let config = match TraceConfig::from_env(TRACE_STEM)? {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("ALPHONSE_TRACE: {e}; tracing disabled");
-            return None;
-        }
-    };
-    match config.start() {
-        Ok(active) => {
-            rt.set_sink(Some(active.sink()));
-            Some(active)
-        }
-        Err(e) => {
-            eprintln!("ALPHONSE_TRACE: failed to start trace: {e}; tracing disabled");
-            None
-        }
-    }
-}
-
 struct Shared {
     program: Arc<Program>,
     mode: Mode,
@@ -108,7 +76,7 @@ struct Shared {
     /// conventional mode). Seeded into each memo so instance nodes are
     /// born at their final height instead of cascading online raises.
     static_heights: Vec<u32>,
-    /// `ALPHONSE_TRACE` consumer (with its live provenance index), flushed
+    /// `ALPHONSE_TRACE` JSONL trace (with its live provenance index), flushed
     /// when the interpreter drops.
     trace: Option<ActiveTrace>,
     heap: Mutex<Heap>,
@@ -182,7 +150,13 @@ impl Interp {
             .iter()
             .map(|g| Slot::new(default_val(g.ty)))
             .collect();
-        let trace = rt.as_ref().and_then(trace_from_env);
+        // `ALPHONSE_TRACE=<path>` streams the run to a JSONL file, teed with
+        // a live provenance index that runtime error messages quote.
+        let trace = rt.as_ref().and_then(|rt| {
+            let active = ActiveTrace::from_env()?;
+            rt.set_sink(Some(active.sink()));
+            Some(active)
+        });
         let effects = infer(&program);
         let instr = analyze_with(&program, &effects);
         // Static strata only matter when the runtime will build a graph.
@@ -562,8 +536,7 @@ impl Drop for Shared {
                 rt.set_sink(None);
             }
             match active.finish() {
-                Ok(Some(msg)) => eprintln!("ALPHONSE_TRACE: {msg}"),
-                Ok(None) => {}
+                Ok(path) => eprintln!("ALPHONSE_TRACE: wrote {}", path.display()),
                 Err(e) => eprintln!("ALPHONSE_TRACE: failed to write trace: {e}"),
             }
         }

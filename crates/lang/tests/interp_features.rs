@@ -543,3 +543,41 @@ fn static_strata_seed_instance_heights() {
     interp.set_global("base", Val::Int(1)).unwrap();
     assert_eq!(interp.call("Total", vec![]).unwrap(), Val::Int(6));
 }
+
+/// An `ALPHONSE_TRACE` path that cannot be created is reported on stderr
+/// and the program runs untraced. The variable is process-wide, so the
+/// test re-runs itself in a child process that has it set.
+#[test]
+fn unwritable_trace_path_warns_and_runs_untraced() {
+    const NAME: &str = "unwritable_trace_path_warns_and_runs_untraced";
+    if std::env::var_os("ALPHONSE_TRACE").is_some() {
+        let interp = run(
+            "(*CACHED*) PROCEDURE Double(n : INTEGER) : INTEGER =
+             BEGIN RETURN n + n; END Double;",
+            Mode::Alphonse,
+        );
+        assert_eq!(
+            interp.call("Double", vec![Val::Int(21)]).unwrap(),
+            Val::Int(42)
+        );
+        return;
+    }
+    let unwritable = std::env::temp_dir()
+        .join(format!("alphonse-no-such-dir-{}", std::process::id()))
+        .join("trace.jsonl");
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", NAME, "--nocapture"])
+        .env("ALPHONSE_TRACE", &unwritable)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child run failed:\n{stderr}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("1 passed"),
+        "the child did not run the test"
+    );
+    assert!(
+        stderr.contains("tracing disabled"),
+        "no warning on stderr:\n{stderr}"
+    );
+}

@@ -30,10 +30,6 @@
 //!   blocks are stamped *not counted*); headers are still written so frees
 //!   of blocks allocated while enabled stay correct. Same discipline as the
 //!   runtime's `metrics::set_enabled`.
-//! * **Feature gate.** Everything above only exists with the `count`
-//!   feature (the runtime always enables it). Without it — this crate
-//!   built on its own — [`scope`] returns a zero-sized guard, [`snapshot`]
-//!   returns an empty report, and no unsafe code is compiled.
 //! * **Process-global counters.** Gauges aggregate over every runtime in
 //!   the process (the allocator is global); per-runtime attribution would
 //!   need a scope per runtime id and is out of scope here.
@@ -42,7 +38,6 @@
 //! formatting machinery — land on [`Tag::Untagged`]; a large untagged share
 //! in a report means the workload itself, not the runtime, owns the bytes.
 
-#![cfg_attr(not(feature = "count"), forbid(unsafe_code))]
 #![warn(missing_docs)]
 
 /// Subsystem a block of memory is billed to.
@@ -94,7 +89,7 @@ pub const ALL_TAGS: [Tag; TAG_COUNT] = [
 ];
 
 impl Tag {
-    /// Stable snake_case name used in snapshots, Prometheus labels, and JSON.
+    /// Stable snake_case name used in snapshots and their JSON.
     pub fn name(self) -> &'static str {
         match self {
             Tag::GraphCore => "graph_core",
@@ -128,8 +123,8 @@ pub struct TagStats {
     pub total_allocs: u64,
 }
 
-/// Per-tag accounting report; empty when the `count` feature is off or the
-/// tracking allocator is not installed as the binary's `#[global_allocator]`.
+/// Per-tag accounting report; all zero when the tracking allocator is not
+/// installed as the binary's `#[global_allocator]`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MemSnapshot {
     /// One entry per [`Tag`], in [`ALL_TAGS`] order.
@@ -137,8 +132,8 @@ pub struct MemSnapshot {
 }
 
 impl MemSnapshot {
-    /// True when no accounting data is present (feature off, or allocator
-    /// not installed so every counter is zero).
+    /// True when no accounting data is present (a default report, or the
+    /// allocator not installed so every counter is zero).
     pub fn is_empty(&self) -> bool {
         self.tags.is_empty() || self.tags.iter().all(|t| t.total_allocs == 0)
     }
@@ -170,7 +165,6 @@ impl MemSnapshot {
     }
 }
 
-#[cfg(feature = "count")]
 mod imp {
     use super::{MemSnapshot, Tag, TagStats, ALL_TAGS, TAG_COUNT};
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -556,42 +550,7 @@ mod imp {
     }
 }
 
-#[cfg(feature = "count")]
 pub use imp::{enabled, scope, set_enabled, snapshot, ScopeGuard, TrackingAlloc};
-
-#[cfg(not(feature = "count"))]
-mod noop {
-    use super::{MemSnapshot, Tag};
-
-    /// Zero-sized no-op guard (the `count` feature is off).
-    #[must_use = "the tag scope ends when the guard drops"]
-    pub struct ScopeGuard;
-
-    /// No-op: accounting is compiled out.
-    #[inline(always)]
-    pub fn scope(_tag: Tag) -> ScopeGuard {
-        ScopeGuard
-    }
-
-    /// No-op: accounting is compiled out.
-    #[inline(always)]
-    pub fn set_enabled(_enabled: bool) {}
-
-    /// Always false: accounting is compiled out.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// Always empty: accounting is compiled out.
-    #[inline(always)]
-    pub fn snapshot() -> MemSnapshot {
-        MemSnapshot::default()
-    }
-}
-
-#[cfg(not(feature = "count"))]
-pub use noop::{enabled, scope, set_enabled, snapshot, ScopeGuard};
 
 /// Runs `f` with allocations billed to `tag` (sugar over [`scope`]).
 #[inline]
@@ -624,9 +583,9 @@ mod tests {
     }
 
     #[test]
-    fn scope_guard_compiles_in_both_configurations() {
-        // Behavior is exercised in tests/balance.rs (count on); here we
-        // only pin the API shape shared by both configurations.
+    fn scope_guard_and_with_pass_values_through() {
+        // Billing is exercised in tests/balance.rs, which installs the
+        // allocator; here the guards run over the system allocator.
         let _g = scope(Tag::GraphCore);
         let v = with(Tag::ValueSlab, || vec![1u8, 2, 3]);
         assert_eq!(v.len(), 3);
@@ -665,13 +624,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_shape_matches_feature() {
-        let s = snapshot();
-        if cfg!(feature = "count") {
-            assert_eq!(s.tags.len(), TAG_COUNT);
-        } else {
-            assert!(s.tags.is_empty());
-            assert!(s.is_empty());
-        }
+    fn snapshot_reports_every_tag() {
+        assert_eq!(snapshot().tags.len(), TAG_COUNT);
     }
 }

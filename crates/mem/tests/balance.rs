@@ -5,7 +5,6 @@
 //! runs tests on multiple threads, so absolute values are meaningless but
 //! deltas under the lock are exact (other test threads in this binary only
 //! allocate Untagged, and we never assert on Untagged).
-#![cfg(feature = "count")]
 
 use alphonse_mem::{scope, set_enabled, snapshot, with, Tag, ALL_TAGS};
 use proptest::prelude::*;

@@ -1,9 +1,10 @@
 //! Offline analysis of Alphonse JSONL traces.
 //!
-//! The runtime's `JsonlSink` (activated with `--trace-out <path>` on the
-//! bench binaries or `ALPHONSE_TRACE=<path>` in the lang interpreter)
-//! streams every [`TraceEvent`](alphonse::trace::TraceEvent) as one JSON
-//! line. This crate reads those documents back and answers the questions an
+//! A runtime trace (`alphonse::trace::ActiveTrace`, switched on by one
+//! output path: `--trace-out <path>` on the bench binaries, or
+//! `ALPHONSE_TRACE=<path>` for them, the lang interpreter and the
+//! spreadsheet REPL example) streams every
+//! [`TraceEvent`](alphonse::trace::TraceEvent) as one JSON line. This crate reads those documents back and answers the questions an
 //! incremental-computation user asks after a run:
 //!
 //! * **why** did this node recompute? — [`model::TraceFile::replay_provenance`]

@@ -12,8 +12,9 @@
 //! alphonse-trace check-static <trace.jsonl> <staticgraph.json>
 //! ```
 //!
-//! Record a trace with `--trace-out run.jsonl` on any bench binary or
-//! `ALPHONSE_TRACE=run.jsonl` on the lang interpreter, then ask why a node
+//! Record a trace with `--trace-out run.jsonl` on any bench binary, or
+//! `ALPHONSE_TRACE=run.jsonl` on a bench binary, the lang interpreter or
+//! the spreadsheet REPL example, then ask why a node
 //! recomputed, how each propagation wave went, and which executions were
 //! wasted, or render the run as Chrome spans, a DOT graph, or a hot-node
 //! table.

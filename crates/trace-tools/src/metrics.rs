@@ -52,10 +52,6 @@ pub struct MetricsDoc {
     /// Named histograms, in document order. Names ending in `_ns` hold
     /// nanosecond latencies; the rest hold dimensionless per-wave counts.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Current pooled-executor queue depth.
-    pub queue_depth: u64,
-    /// High-water mark of the executor queue.
-    pub queue_depth_hwm: u64,
     /// Per-worker busy/idle gauges (empty unless a worker pool ran).
     pub workers: Vec<WorkerRow>,
     /// Per-subsystem memory gauges (empty unless the producing binary
@@ -126,7 +122,6 @@ impl MetricsDoc {
                 histograms.push((name.clone(), parse_hist(v, name)?));
             }
         }
-        let gauges = doc.get("gauges").ok_or("missing `gauges` section")?;
         let mut workers = Vec::new();
         for w in doc.get("workers").and_then(Json::as_arr).unwrap_or(&[]) {
             workers.push(WorkerRow {
@@ -152,17 +147,15 @@ impl MetricsDoc {
         Ok(MetricsDoc {
             counters,
             histograms,
-            queue_depth: field_u64(gauges, "queue_depth", "gauges")?,
-            queue_depth_hwm: field_u64(gauges, "queue_depth_hwm", "gauges")?,
             workers,
             mem,
         })
     }
 
     /// The change from `before` to `self`: counters and histogram buckets
-    /// subtract (entries absent from `before` pass through); gauges, worker
-    /// and memory rows are level readings, so the later snapshot's
-    /// values are reported as-is.
+    /// subtract (entries absent from `before` pass through); worker and
+    /// memory rows are level readings, so the later snapshot's values are
+    /// reported as-is.
     pub fn delta_since(&self, before: &MetricsDoc) -> MetricsDoc {
         let mut d = self.clone();
         for (name, v) in &mut d.counters {
@@ -205,12 +198,9 @@ impl MetricsDoc {
                 cell(h.max),
             );
         }
-        let _ = writeln!(out, "\n## executor");
-        let _ = writeln!(
-            out,
-            "queue_depth {} (hwm {})",
-            self.queue_depth, self.queue_depth_hwm
-        );
+        if !self.workers.is_empty() {
+            let _ = writeln!(out, "\n## executor");
+        }
         for w in &self.workers {
             let total = w.busy_ns + w.idle_ns;
             let util = if total == 0 {
@@ -348,7 +338,7 @@ mod tests {
         assert!(MetricsDoc::parse("{}").is_err());
         let bad = "{\"schema\":\"alphonse-metrics-v1\",\"counters\":{},\"histograms\":{\
                    \"h\":{\"count\":2,\"sum\":1,\"max\":1,\"buckets\":[[1,1]]}},\
-                   \"gauges\":{\"queue_depth\":0,\"queue_depth_hwm\":0},\"workers\":[]}";
+                   \"workers\":[]}";
         let err = MetricsDoc::parse(bad).unwrap_err();
         assert!(err.contains("declared count"), "got: {err}");
     }
@@ -356,8 +346,7 @@ mod tests {
     #[test]
     fn parses_and_renders_mem_section() {
         let text = "{\"schema\":\"alphonse-metrics-v1\",\
-                    \"counters\":{\"nodes_created\":4},\"histograms\":{},\
-                    \"gauges\":{\"queue_depth\":0,\"queue_depth_hwm\":0},\"workers\":[],\
+                    \"counters\":{\"nodes_created\":4},\"histograms\":{},\"workers\":[],\
                     \"mem\":{\"graph_core\":{\"live_bytes\":4096,\"live_allocs\":3,\
                     \"hwm_bytes\":8192,\"total_allocs\":10},\
                     \"value_slab\":{\"live_bytes\":64,\"live_allocs\":4,\
@@ -379,9 +368,12 @@ mod tests {
         let plain = MetricsDoc::parse(&sample_doc()).unwrap();
         assert!(plain.mem.is_empty());
         assert!(!plain.render("snapshot").contains("## memory"));
+        // Nor, without a worker pool, an executor section.
+        assert!(!plain.render("snapshot").contains("## executor"));
         // Legacy documents (older committed sidecars, archived artifacts)
-        // carry a `pool` object and the `mem_*` estimate counters: both
-        // still parse, the counters render as counters, `pool` is ignored.
+        // carry `gauges` and `pool` objects and the `mem_*` estimate
+        // counters: all still parse, the counters render as counters,
+        // `gauges` and `pool` are ignored.
         let legacy = "{\"schema\":\"alphonse-metrics-v1\",\
                       \"counters\":{\"nodes_created\":4,\"mem_nodes\":4,\
                       \"mem_edges_hwm\":3,\"mem_bytes_hwm\":900},\"histograms\":{},\
@@ -401,6 +393,7 @@ mod tests {
             "got:\n{rendered}"
         );
         assert!(!rendered.contains("shard"), "got:\n{rendered}");
+        assert!(!rendered.contains("queue_depth"), "got:\n{rendered}");
     }
 
     #[test]

@@ -19,14 +19,14 @@
 //! cause links, a wasted re-execution stopped by cutoff on the left arm,
 //! and the productive re-executions on the right.
 
-use alphonse::trace::TraceConfig;
+use alphonse::trace::ActiveTrace;
 use alphonse::{Runtime, Strategy};
 
 fn main() -> std::io::Result<()> {
     let out = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "TRACE_diamond.jsonl".to_string());
-    let active = TraceConfig::Jsonl(out.clone().into()).start()?;
+    let active = ActiveTrace::create(out)?;
 
     let rt = Runtime::new();
     rt.set_sink(Some(active.sink()));
@@ -51,8 +51,6 @@ fn main() -> std::io::Result<()> {
     print!("\n{}", prov.why_report(n).expect("top was dirtied"));
 
     rt.set_sink(None);
-    if let Some(msg) = active.finish()? {
-        println!("\n{msg}");
-    }
+    println!("\ntrace: wrote {}", active.finish()?.display());
     Ok(())
 }

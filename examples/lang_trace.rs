@@ -20,7 +20,7 @@
 //! deliberately-divergent lint fixtures) are tolerated: the trace recorded
 //! up to the failure is still a valid sample of the dynamic graph.
 
-use alphonse::trace::TraceConfig;
+use alphonse::trace::ActiveTrace;
 use alphonse::Runtime;
 use alphonse_lang::hir::Ty;
 use alphonse_lang::{compile, Interp, Val};
@@ -47,7 +47,7 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let active = match TraceConfig::Jsonl(out.clone().into()).start() {
+    let active = match ActiveTrace::create(out) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("lang_trace: {out}: {e}");

@@ -1,9 +1,9 @@
 //! Drive the canonical diamond through a burst of updates and expose the
-//! always-on runtime metrics three ways.
+//! always-on runtime metrics.
 //!
 //! Run with `cargo run --example metrics_snapshot [-- <out.json>]`. It
-//! prints the Prometheus exposition text to stdout, and when an output
-//! path is given also writes the JSON snapshot there so it can be
+//! prints a typed readout to stderr and the JSON snapshot to stdout, and
+//! when an output path is given also writes the JSON there so it can be
 //! inspected offline:
 //!
 //! ```text
@@ -17,7 +17,7 @@
 //! productive work from cutoff-stopped recomputation.
 //!
 //! The example also installs the subsystem-tagged counting allocator, so
-//! every surface carries the `mem` section: per-tag live/HWM bytes and the
+//! both readouts carry the `mem` section: per-tag live/HWM bytes and the
 //! derived bytes-per-node figure README walks through.
 
 use alphonse::{mem, Runtime, Strategy};
@@ -44,9 +44,8 @@ fn main() {
     }
     eprintln!("final: top = {value}");
 
-    // One snapshot, three surfaces: the typed struct for assertions in
-    // code, Prometheus text for scrapers, JSON for `alphonse-trace
-    // metrics`.
+    // One snapshot, two surfaces: the typed struct for assertions in
+    // code, JSON for `alphonse-trace metrics`.
     let snap = rt.metrics_snapshot();
     let waves = snap
         .counters
@@ -83,10 +82,10 @@ fn main() {
         );
     }
 
-    print!("{}", snap.render_prometheus());
-
+    let json = snap.to_json();
+    println!("{json}");
     if let Some(out) = std::env::args().nth(1) {
-        std::fs::write(&out, snap.to_json()).expect("write snapshot");
+        std::fs::write(&out, json).expect("write snapshot");
         eprintln!("wrote {out}");
     }
 }

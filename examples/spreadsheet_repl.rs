@@ -9,9 +9,9 @@
 //! Tracing: `ALPHONSE_TRACE=sheet.jsonl cargo run --example
 //! spreadsheet_repl` records every runtime event for the `alphonse-trace`
 //! CLI (`why B2 sheet.jsonl`, `waves`, `waste`, and the `chrome`, `dot`
-//! and `hot` renderers). `ALPHONSE_TRACE=1` dumps the events to stderr.
+//! and `hot` renderers).
 
-use alphonse::trace::{ActiveTrace, TraceConfig};
+use alphonse::trace::ActiveTrace;
 use alphonse::Runtime;
 use alphonse_sheet::{Addr, CellValue, Sheet};
 use std::io::{self, BufRead, Write};
@@ -19,26 +19,8 @@ use std::io::{self, BufRead, Write};
 const W: u32 = 8;
 const H: u32 = 12;
 
-/// Starts the trace session requested via `ALPHONSE_TRACE`, if any.
-fn trace_from_env() -> Option<ActiveTrace> {
-    let config = match TraceConfig::from_env("sheet")? {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("ALPHONSE_TRACE: {e}; tracing disabled");
-            return None;
-        }
-    };
-    match config.start() {
-        Ok(active) => Some(active),
-        Err(e) => {
-            eprintln!("ALPHONSE_TRACE: {e}; tracing disabled");
-            None
-        }
-    }
-}
-
 fn main() {
-    let trace = trace_from_env();
+    let trace = ActiveTrace::from_env();
     let rt = Runtime::new();
     if let Some(active) = &trace {
         rt.set_sink(Some(active.sink()));
@@ -87,8 +69,7 @@ fn main() {
     if let Some(active) = trace {
         rt.set_sink(None);
         match active.finish() {
-            Ok(Some(msg)) => eprintln!("ALPHONSE_TRACE: {msg}"),
-            Ok(None) => {}
+            Ok(path) => eprintln!("ALPHONSE_TRACE: wrote {}", path.display()),
             Err(e) => eprintln!("ALPHONSE_TRACE: failed to flush trace: {e}"),
         }
     }
