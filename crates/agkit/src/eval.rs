@@ -6,7 +6,7 @@ use crate::value::AttrVal;
 use alphonse::{Memo, Runtime, Strategy};
 use std::cell::Cell;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Incremental attribute evaluator — the Section 7.1 translation running on
 /// the Alphonse runtime.
@@ -58,24 +58,27 @@ impl fmt::Debug for AgEvaluator {
     }
 }
 
-struct Backend {
-    tree: Arc<AgTree>,
-    syn: Memo<(AgNodeId, SynId), AttrVal>,
-    inh: Memo<(AgNodeId, InhId), AttrVal>,
-    rt: Runtime,
+/// What an attribute equation reaches during one execution: borrowed
+/// from the executing memo and its closure, so running a body touches no
+/// reference count.
+struct Backend<'a> {
+    tree: &'a AgTree,
+    syn: &'a Memo<(AgNodeId, SynId), AttrVal>,
+    inh: &'a Memo<(AgNodeId, InhId), AttrVal>,
+    rt: &'a Runtime,
 }
 
-impl AttrBackend for Backend {
+impl AttrBackend for Backend<'_> {
     fn syn(&self, node: AgNodeId, attr: SynId) -> AttrVal {
-        self.syn.call(&self.rt, (node, attr))
+        self.syn.call(self.rt, (node, attr))
     }
 
     fn inh(&self, node: AgNodeId, attr: InhId) -> AttrVal {
-        self.inh.call(&self.rt, (node, attr))
+        self.inh.call(self.rt, (node, attr))
     }
 
     fn tree(&self) -> &AgTree {
-        &self.tree
+        self.tree
     }
 }
 
@@ -99,33 +102,26 @@ impl AgEvaluator {
     ///
     /// Panics if `rt` is not the runtime `tree` was created in.
     pub fn with_strategy(rt: &Runtime, tree: Arc<AgTree>, strategy: Strategy) -> AgEvaluator {
-        // The two memos are mutually recursive: tie the knot through a cell
-        // that the closures read at call time.
-        type Cellule<T> = Arc<Mutex<Option<T>>>;
-        let syn_cell: Cellule<Memo<(AgNodeId, SynId), AttrVal>> = Arc::default();
-        let inh_cell: Cellule<Memo<(AgNodeId, InhId), AttrVal>> = Arc::default();
+        // The two memos are mutually recursive: each body gets its own
+        // handle from the runtime and the other one from a cell filled once
+        // both exist.
+        let syn_cell: Arc<OnceLock<Memo<(AgNodeId, SynId), AttrVal>>> = Arc::default();
+        let inh_cell: Arc<OnceLock<Memo<(AgNodeId, InhId), AttrVal>>> = Arc::default();
+        const UNTIED: &str = "evaluator fully constructed";
 
         let grammar: Arc<Grammar> = Arc::clone(tree.grammar());
         let t = Arc::clone(&tree);
-        let (sc, ic) = (Arc::clone(&syn_cell), Arc::clone(&inh_cell));
+        let ic = Arc::clone(&inh_cell);
         let g = Arc::clone(&grammar);
         let syn = rt.memo_recursive_with(
             "ag_syn",
             strategy,
-            move |rt, _me, &(node, attr): &(AgNodeId, SynId)| {
+            move |rt, me, &(node, attr): &(AgNodeId, SynId)| {
                 let backend = Backend {
-                    tree: Arc::clone(&t),
-                    syn: sc
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone()
-                        .expect("evaluator fully constructed"),
-                    inh: ic
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone()
-                        .expect("evaluator fully constructed"),
-                    rt: rt.clone(),
+                    tree: &t,
+                    syn: me,
+                    inh: ic.get().expect(UNTIED),
+                    rt,
                 };
                 let prod = t.prod(node);
                 let eq = Arc::clone(g.syn_eq(prod, attr));
@@ -136,25 +132,17 @@ impl AgEvaluator {
             },
         );
         let t = Arc::clone(&tree);
-        let (sc, ic) = (Arc::clone(&syn_cell), Arc::clone(&inh_cell));
+        let sc = Arc::clone(&syn_cell);
         let g = Arc::clone(&grammar);
         let inh = rt.memo_recursive_with(
             "ag_inh",
             strategy,
-            move |rt, _me, &(node, attr): &(AgNodeId, InhId)| {
+            move |rt, me, &(node, attr): &(AgNodeId, InhId)| {
                 let backend = Backend {
-                    tree: Arc::clone(&t),
-                    syn: sc
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone()
-                        .expect("evaluator fully constructed"),
-                    inh: ic
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .clone()
-                        .expect("evaluator fully constructed"),
-                    rt: rt.clone(),
+                    tree: &t,
+                    syn: sc.get().expect(UNTIED),
+                    inh: me,
+                    rt,
                 };
                 // Context dispatch at the parent (paper Section 7.1).
                 let (parent, child_index) = t.child_index(node).unwrap_or_else(|| {
@@ -172,14 +160,8 @@ impl AgEvaluator {
                 })
             },
         );
-        syn_cell
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .replace(syn.clone());
-        inh_cell
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .replace(inh.clone());
+        let _ = syn_cell.set(syn.clone());
+        let _ = inh_cell.set(inh.clone());
         AgEvaluator {
             rt: rt.clone(),
             tree,

@@ -5,7 +5,9 @@
 //!
 //! With `--json`, each table is additionally written to `BENCH_<ID>.json`
 //! in the current directory so future changes have a machine-readable perf
-//! trajectory to diff against. With `--quick`, every experiment runs on a
+//! trajectory to diff against; E9, E15 and E17 also write their merged
+//! metrics snapshot to `METRICS_<ID>.json` beside it. Without `--json`
+//! nothing is written. With `--quick`, every experiment runs on a
 //! reduced parameter set (CI smoke mode — same columns, smaller sizes).
 //! With `--trace-out <path>` (or `ALPHONSE_TRACE=<path>`), every runtime
 //! the experiments build streams its events to that JSONL file (see
@@ -30,14 +32,14 @@ fn main() {
     let trace = TraceSession::from_args(&mut args);
     let json = args.iter().any(|a| a == "--json");
     let quick = args.iter().any(|a| a == "--quick");
-    if let Some(unknown) = args
-        .iter()
-        .find(|a| a.starts_with("--") && *a != "--json" && *a != "--quick")
-    {
-        eprintln!("unknown flag: {unknown}");
-        eprintln!("usage: all_experiments [--json] [--quick] [--trace-out <path>] [e2 e7 ...]");
-        std::process::exit(2);
-    }
+    let unknown: Vec<String> = (args.iter())
+        .filter(|a| a.starts_with("--") && *a != "--json" && *a != "--quick")
+        .cloned()
+        .collect();
+    alphonse_bench::reject_unknown_flags(
+        &unknown,
+        "all_experiments [--json] [--quick] [--trace-out <path>] [e2 e7 ...]",
+    );
     let filter: Vec<String> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -126,10 +128,7 @@ fn main() {
         first = false;
         print!("{table}");
         if json {
-            let path = format!("BENCH_{id}.json");
-            std::fs::write(&path, table.to_json())
-                .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-            eprintln!("wrote {path}");
+            table.write_files(id);
         }
     }
     if !matched {

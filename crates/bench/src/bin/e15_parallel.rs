@@ -2,6 +2,9 @@
 //!
 //! Usage: `e15_parallel [--quick]`
 //!
+//! Writes `BENCH_E15.json` and the run's merged metrics snapshot,
+//! `METRICS_E15.json`, into the current directory.
+//!
 //! On a single-core host the speedup column comes from overlapping the
 //! cells' sleeping stalls, not from CPU parallelism.
 fn main() {
@@ -12,7 +15,5 @@ fn main() {
         alphonse_bench::experiments::e15_parallel(&[1, 2, 4], 32, 20, 200)
     };
     print!("{table}");
-    std::fs::write("BENCH_E15.json", table.to_json())
-        .unwrap_or_else(|e| panic!("failed to write BENCH_E15.json: {e}"));
-    eprintln!("wrote BENCH_E15.json");
+    table.write_files("E15");
 }

@@ -3,6 +3,9 @@
 //!
 //! Usage: `e17_scale [--quick]`
 //!
+//! Writes `BENCH_E17.json` and the run's merged metrics snapshot,
+//! `METRICS_E17.json`, into the current directory.
+//!
 //! Installs the subsystem-tagged tracking allocator so the bytes/node
 //! columns (and the `mem` section of `METRICS_E17.json`) carry real
 //! measurements; without it every memory column reads zero.
@@ -13,7 +16,5 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let table = alphonse_bench::experiments::e17_scale(quick);
     print!("{table}");
-    std::fs::write("BENCH_E17.json", table.to_json())
-        .unwrap_or_else(|e| panic!("failed to write BENCH_E17.json: {e}"));
-    eprintln!("wrote BENCH_E17.json");
+    table.write_files("E17");
 }

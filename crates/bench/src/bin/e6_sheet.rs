@@ -6,6 +6,7 @@ use alphonse_bench::trace_support::TraceSession;
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let trace = TraceSession::from_args(&mut args);
+    alphonse_bench::reject_unknown_flags(&args, "e6_sheet [--trace-out <path>]");
     print!("{}", alphonse_bench::experiments::e6_sheet(&[16, 64, 256]));
     println!();
     print!("{}", alphonse_bench::experiments::e6_ag(&[8, 12, 16, 20]));

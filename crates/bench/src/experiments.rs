@@ -22,18 +22,6 @@ use rand::Rng;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Writes an experiment's merged metrics snapshot next to its BENCH json
-/// (`METRICS_<id>.json`) so `alphonse-trace metrics` can report the wave
-/// latency percentiles the run produced. Failures are reported, not fatal:
-/// the table stays the experiment's primary output.
-fn write_metrics_sidecar(id: &str, snap: &MetricsSnapshot) {
-    let path = format!("METRICS_{id}.json");
-    match std::fs::write(&path, snap.to_json()) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
 /// The subsystem tags a runtime and its substrate bill their memory to;
 /// their summed live bytes are a session's measured footprint (E14, E17).
 const FOOTPRINT_TAGS: [&str; 7] = [
@@ -184,7 +172,7 @@ pub fn e1_height_tree(sizes: &[usize]) -> Table {
 /// time for the from-scratch run and the 100-round update loop (the
 /// instrumented/conventional overhead ratio the paper claims is a
 /// constant factor), plus the runtime's hot-path counters: reads served
-/// borrow-only vs. cloned, frame-epoch dedup hits, and memo-table probes.
+/// borrow-only vs. cloned, dependence-log dedup hits, and memo-table probes.
 pub fn e2_overhead(depths: &[i64]) -> Table {
     let mut t = Table::new(
         "E2 — instrumentation overhead (§9.2): steps, wall-clock, hot-path counters, §6.1 sites",
@@ -762,7 +750,7 @@ pub fn e9_schedule(depths: &[usize]) -> Table {
             format!("{f_us:.1}"),
         ]);
     }
-    write_metrics_sidecar("E9", &metrics);
+    t.metrics = Some(metrics.to_json());
     t
 }
 
@@ -1370,7 +1358,7 @@ pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64
             r.stats.executions.to_string(),
         ]);
     }
-    write_metrics_sidecar("E15", &metrics);
+    t.metrics = Some(metrics.to_json());
     t
 }
 
@@ -1818,6 +1806,6 @@ pub fn e17_scale(quick: bool) -> Table {
         sidecar.merge(&run.snapshot);
         emit(&mut t, "ag_sumtree", mode, run);
     }
-    write_metrics_sidecar("E17", &sidecar);
+    t.metrics = Some(sidecar.to_json());
     t
 }

@@ -17,3 +17,14 @@ pub mod trace_support;
 pub mod workloads;
 
 pub use table::Table;
+
+/// Rejects the arguments a binary did not consume: when `leftover` is not
+/// empty, prints `unknown flag: <first>` and `usage` to stderr and exits
+/// with status 2, so a typo or a retired flag never runs silently.
+pub fn reject_unknown_flags(leftover: &[String], usage: &str) {
+    if let Some(unknown) = leftover.first() {
+        eprintln!("unknown flag: {unknown}");
+        eprintln!("usage: {usage}");
+        std::process::exit(2);
+    }
+}

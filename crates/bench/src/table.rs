@@ -29,6 +29,9 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Data rows.
     pub rows: Vec<Vec<String>>,
+    /// The merged metrics snapshot of the run, as its JSON document, for
+    /// experiments that keep one (`alphonse-trace metrics` reads it).
+    pub metrics: Option<String>,
 }
 
 impl Table {
@@ -38,6 +41,7 @@ impl Table {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            metrics: None,
         }
     }
 
@@ -104,6 +108,26 @@ impl Table {
         }
         out.push_str("  ]\n}\n");
         out
+    }
+}
+
+impl Table {
+    /// Writes the table to `BENCH_<id>.json` in the current directory and,
+    /// when the run kept a metrics snapshot, that snapshot to
+    /// `METRICS_<id>.json` beside it, naming each file on stderr. A sidecar
+    /// is only ever written with its table, so the two always come from
+    /// the same run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a file cannot be written.
+    pub fn write_files(&self, id: &str) {
+        let table = self.to_json();
+        let sidecar = (self.metrics.as_deref()).map(|m| (format!("METRICS_{id}.json"), m));
+        for (path, body) in std::iter::once((format!("BENCH_{id}.json"), &*table)).chain(sidecar) {
+            std::fs::write(&path, body).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
+            eprintln!("wrote {path}");
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use alphonse_mem as mem;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Bound required of memo argument vectors: they key the *argument table*
 /// of Section 4.2, so they must be hashable, comparable and clonable —
@@ -30,8 +30,9 @@ pub(crate) struct MemoInner<A, R> {
     /// "additional pragma arguments allow the specification of … cache
     /// size, and the replacement algorithm"). `None` = unbounded.
     capacity: Option<usize>,
-    #[allow(clippy::type_complexity)]
-    f: Box<dyn Fn(&Runtime, &A) -> R + Send + Sync>,
+    /// The body. It receives the procedure's own handle, which a recursive
+    /// procedure calls and every other procedure ignores.
+    f: Body<A, R>,
     /// The paper's *argument table* (Section 4.2): one dependency-graph node
     /// per distinct argument vector. FxHash-keyed: probed on every call.
     /// Callers use a session from one thread at a time (the runtime's
@@ -49,10 +50,12 @@ pub(crate) struct MemoInner<A, R> {
     evictions: AtomicU64,
     /// Static-stratum seed applied to fresh instance nodes (see
     /// [`Memo::set_height_hint`]). Zero means "no hint". Atomic because
-    /// recursive memos are built through `Arc::new_cyclic`, so the hint
-    /// must be settable after construction through a shared handle.
+    /// the hint is set after construction through a shared handle.
     height_hint: AtomicU32,
 }
+
+/// The boxed body of an incremental procedure.
+type Body<A, R> = Box<dyn Fn(&Runtime, &Memo<A, R>, &A) -> R + Send + Sync>;
 
 /// The guarded argument-table state. An unbounded memo maps each argument
 /// vector to its instance node and nothing else; only a bounded one
@@ -118,7 +121,7 @@ impl<A: Eq + Hash> Table<A> {
 /// vector it was created for — the instance's whole footprint outside the
 /// graph node and the argument-table key.
 struct MemoInstance<A, R> {
-    memo: Arc<MemoInner<A, R>>,
+    memo: Memo<A, R>,
     args: A,
 }
 
@@ -126,25 +129,24 @@ impl<A: MemoArgs, R: MemoResult> Instance for MemoInstance<A, R> {
     fn run(&self, rt: &Runtime) -> Box<dyn Value> {
         // Run the user body untagged (its allocations are workload
         // memory), then bill the result box to the value slab.
-        let result = (self.memo.f)(rt, &self.args);
+        let result = (self.memo.inner.f)(rt, &self.memo, &self.args);
         mem::with(mem::Tag::ValueSlab, || Box::new(result) as Box<dyn Value>)
     }
 
     fn name(&self) -> &Arc<str> {
-        &self.memo.name
+        &self.memo.inner.name
     }
 }
 
 impl<A, R> MemoInner<A, R> {
     /// A procedure with an empty argument table: an LRU one when
     /// `capacity` bounds it.
-    #[allow(clippy::type_complexity)]
     fn new(
         name: Arc<str>,
         strategy: Strategy,
         rt_id: u64,
         capacity: Option<usize>,
-        f: Box<dyn Fn(&Runtime, &A) -> R + Send + Sync>,
+        f: Body<A, R>,
     ) -> Self {
         MemoInner {
             name,
@@ -249,7 +251,7 @@ impl Runtime {
                 strategy,
                 self.id,
                 None,
-                Box::new(f),
+                Box::new(move |rt, _me, a| f(rt, a)),
             )),
         }
     }
@@ -281,7 +283,7 @@ impl Runtime {
                 strategy,
                 self.id,
                 Some(capacity),
-                Box::new(f),
+                Box::new(move |rt, _me, a| f(rt, a)),
             )),
         }
     }
@@ -318,19 +320,15 @@ impl Runtime {
         f: impl Fn(&Runtime, &Memo<A, R>, &A) -> R + Send + Sync + 'static,
     ) -> Memo<A, R> {
         let _mem = mem::scope(mem::Tag::Memo);
-        let name: Arc<str> = name.into();
-        let rt_id = self.id;
-        let inner = Arc::new_cyclic(|weak: &Weak<MemoInner<A, R>>| {
-            let weak = weak.clone();
-            let body = move |rt: &Runtime, a: &A| {
-                let me = Memo {
-                    inner: weak.upgrade().expect("memo table dropped during call"),
-                };
-                f(rt, &me, a)
-            };
-            MemoInner::new(name, strategy, rt_id, None, Box::new(body))
-        });
-        Memo { inner }
+        Memo {
+            inner: Arc::new(MemoInner::new(
+                name.into(),
+                strategy,
+                self.id,
+                None,
+                Box::new(f),
+            )),
+        }
     }
 }
 
@@ -431,7 +429,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
                 None => {
                     let _mem = mem::scope(mem::Tag::Memo);
                     let executor: Executor = Arc::new(MemoInstance {
-                        memo: Arc::clone(&self.inner),
+                        memo: self.clone(),
                         args: args.clone(),
                     });
                     let (n, executor, my_gen) = rt.alloc_comp_begun(

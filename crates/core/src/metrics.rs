@@ -88,7 +88,7 @@ pub fn bucket_index(v: u64) -> usize {
     }
     // Which third of the octave `2^e..2^(e+1)` the value falls in:
     // floor(3v / 2^e) is in 3..=5 for v in that range. Widened to u128 so
-    // the multiply cannot overflow near u64::MAX.
+    // the multiply stays exact near u64::MAX.
     let sub = ((SUBS_PER_OCTAVE as u128 * v as u128) >> e) as usize - SUBS_PER_OCTAVE as usize;
     LINEAR_MAX as usize + (e - 3) * SUBS_PER_OCTAVE as usize + sub
 }

@@ -9,13 +9,25 @@
 //! Section 4.5 is [`Runtime::propagate`] plus the internal evaluation that
 //! runs before incremental calls.
 //!
+//! # Dependence recording
+//!
+//! The paper's `call` drops a computation's predecessor edges before it
+//! re-executes and `access` records each one again. Here an execution
+//! leaves the graph alone while it runs: each tracked access appends the
+//! node to the execution's frame log, and the lock acquisition that pops
+//! the frame reconciles the log with the retained edges
+//! (`Inner::reconcile`) — unchanged edges stay, stale ones go, new ones
+//! are added. The edge set is R(p) of the latest execution, as in the
+//! paper; a re-execution that reads what its previous run read costs no
+//! graph work. See DESIGN.md ("Retained dependence edges").
+//!
 //! # Memory layout
 //!
 //! Per-node state is stored struct-of-arrays: the evaluator's hot loop only
-//! touches the dense `values` / `flags` / `gens` / `last_accessed` /
-//! `executors` vectors (all indexed by `NodeId::index()`), while cold
-//! bookkeeping — explicit diagnostic labels, re-entrant stack depths — lives
-//! in out-of-line side tables that propagation never reads. A memo
+//! touches the dense `values` / `flags` / `gens` / `executors` vectors (all
+//! indexed by `NodeId::index()`), while cold bookkeeping — explicit
+//! diagnostic labels, re-entrant stack depths — lives in out-of-line side
+//! tables that propagation never reads. A memo
 //! instance's executor is the instance object itself (procedure plus
 //! argument vector), which also names it, so unlabeled instances take no
 //! side-table entry. See DESIGN.md ("Memory layout") for the full picture.
@@ -69,8 +81,6 @@ pub(crate) struct Booking {
     executor: Executor,
     my_gen: u64,
     frame: Frame,
-    /// Predecessor edges booking dropped, reported when the frame is pushed.
-    removed: u64,
 }
 
 /// One execution of a pooled level, as the claim loop moves it along.
@@ -127,6 +137,17 @@ const F_REQUEUE: u8 = 1 << 3;
 /// Depth beyond one (the paper's AVL `balance` re-entrancy, Section 7.3) is
 /// rare and tracked out of line in `Inner::deep_stack`.
 const F_ON_STACK: u8 = 1 << 4;
+/// Scratch mark of log deduplication and reconciliation: set on the nodes
+/// of one dependence log and cleared again within the same lock hold, so
+/// the frames of a pooled level, which share the flag bytes, never see
+/// each other's marks.
+const F_MARK: u8 = 1 << 5;
+
+/// A dependence log is first compacted in place when it reaches this
+/// length, then each time it doubles past its last compacted length: short
+/// logs cost less to carry than to deduplicate, and a long one stays
+/// within twice its distinct entries at amortized O(1) per access.
+const LOG_COMPACT_MIN: usize = 32;
 
 /// Buffered batch writes: one `(location, final value)` entry per distinct
 /// written location, in first-write order.
@@ -134,22 +155,24 @@ pub(crate) type PendingWrites = Vec<(NodeId, Box<dyn Value>)>;
 
 pub(crate) struct Frame {
     node: NodeId,
-    /// This execution's stamp in the runtime-wide `last_accessed` table.
-    /// Per-execution edge deduplication checks a node's stamp against this
-    /// epoch instead of probing a per-frame hash set, so starting a frame
-    /// allocates nothing.
-    epoch: u64,
-    /// Stamps this frame overwrote that may belong to a live enclosing
-    /// frame; restored LIFO when this frame pops so the enclosing
-    /// execution's dedup set survives nested (incl. re-entrant) calls.
-    overflow: Vec<(NodeId, u64)>,
+    /// The dependence log: every node this execution read (or wrote, or
+    /// called) so far, in first-access order. An access equal to the last
+    /// entry is dropped at once; other repeats stay until the log is
+    /// compacted ([`LOG_COMPACT_MIN`]) or reconciled. The frame pop
+    /// reconciles the log with the node's retained predecessor edges
+    /// ([`Inner::reconcile`]); the buffer then returns to
+    /// `Inner::spare_logs`, so starting a frame allocates nothing.
+    log: Vec<NodeId>,
+    /// Length of `log` after its last compaction: the log is compacted
+    /// again when it has doubled past it.
+    compacted: usize,
     /// Depth of nested `untracked` regions active in this frame
     /// (the `(*UNCHECKED*)` pragma of Section 6.4).
     suppress: u32,
     /// Set when a fresher execution of the same node started while this one
     /// was still running. A stale execution's result will be discarded, so
-    /// recording further dependence edges for it would only pollute the
-    /// fresher execution's edge set.
+    /// it logs nothing further and its log is dropped unreconciled: the
+    /// fresher execution's log decides the node's edges.
     stale: bool,
 }
 
@@ -179,11 +202,6 @@ pub(crate) struct Inner {
     /// stale) executions hand their value to their caller but leave the
     /// cache to the fresher run.
     gens: Vec<u64>,
-    /// Frame-epoch stamp per node: the epoch of the execution frame that
-    /// most recently recorded a dependence on the node. Epoch 0 is reserved
-    /// for "never accessed". Epochs are globally unique per frame, so a
-    /// stale stamp can never be mistaken for the current frame's.
-    last_accessed: Vec<u64>,
     /// Instance object of each computation node (`None` for variables):
     /// it re-executes the body and names the procedure. A dense column
     /// rather than a side table: the executor is fetched on *every*
@@ -200,6 +218,9 @@ pub(crate) struct Inner {
     /// an entry `d` means total depth `1 + d`. Empty in steady state.
     deep_stack: FxHashMap<u32, u32>,
     stack: Vec<Frame>,
+    /// Emptied dependence logs of popped frames, handed to the next
+    /// bookings so steady-state executions log into warm buffers.
+    spare_logs: Vec<Vec<NodeId>>,
     /// One call stack per executor-pool worker slot, indexed by the slot in
     /// the worker's thread-local identity. Level-parallel draining gives
     /// each concurrently running executor its own frame stack — dependence
@@ -230,8 +251,6 @@ pub(crate) struct Inner {
     /// [`Runtime::reset_stats`].
     wave: u64,
     exec_gen: u64,
-    /// Epoch of the most recently started execution frame.
-    frame_epoch: u64,
     /// Reusable buffer for successor fan-out during propagation. Taken and
     /// returned around each use so steady-state drains allocate nothing;
     /// its capacity high-water mark is tracked in `stats.scratch_hwm`.
@@ -301,11 +320,11 @@ impl RuntimeBuilder {
                 values: Vec::new(),
                 flags: Vec::new(),
                 gens: Vec::new(),
-                last_accessed: Vec::new(),
                 executors: Vec::new(),
                 names: FxHashMap::default(),
                 deep_stack: FxHashMap::default(),
                 stack: Vec::new(),
+                spare_logs: Vec::new(),
                 worker_stacks: Vec::new(),
                 parallelism: 0,
                 exec_pool: None,
@@ -316,7 +335,6 @@ impl RuntimeBuilder {
                 evaluating: false,
                 wave: 0,
                 exec_gen: 0,
-                frame_epoch: 0,
                 succ_scratch: Vec::new(),
                 level_scratch: Vec::new(),
                 batch_pending: Vec::new(),
@@ -427,7 +445,7 @@ impl Inner {
     /// Pops the next level of at most `max` dirty nodes into `out` (see
     /// [`DirtySet::pop_level`]). A partitioned store pops from `origin`'s
     /// partition — its root re-found per level, since partitions merge as
-    /// executions record edges — or, with no origin, from the first
+    /// executions read — or, with no origin, from the first
     /// partition holding dirt.
     fn pop_level(
         &mut self,
@@ -497,7 +515,7 @@ impl Inner {
     /// Marks every live frame of node `n` stale, on the main stack and —
     /// under level-parallel draining — on every worker stack. A stale
     /// execution's result will be discarded (generation supersession), so
-    /// it must stop recording dependence edges.
+    /// it must stop logging dependences.
     fn mark_stale_frames(&mut self, n: NodeId) {
         for frame in &mut self.stack {
             if frame.node == n {
@@ -563,60 +581,49 @@ impl Inner {
         }
     }
 
-    /// Records the edge `n -> top-of-stack` if an incremental procedure is
-    /// executing (paper Algorithm 3's `CreateEdge` step), merging partitions
-    /// as Section 6.3 prescribes.
-    fn record_dependence(&mut self, n: NodeId) {
-        // Copy the top frame's routing state out first: `active_stack`
-        // borrows all of `self`, so the frame reference cannot be held
-        // across the counter/table updates below.
-        let (depth, epoch, v, stale, suppressed) = {
-            let stack = self.active_stack();
-            let depth = stack.len();
-            match stack.last() {
-                None => return,
-                Some(f) => (depth, f.epoch, f.node, f.stale, f.suppress > 0),
-            }
+    /// Logs the dependence of the executing incremental procedure (the top
+    /// frame of this thread's stack) on `n` — paper Algorithm 3's
+    /// `CreateEdge` step, deferred: the edge itself is reconciled into the
+    /// graph when the frame pops. Returns `true` when the frame records
+    /// (the log holds `n`), `false` when no frame is executing, it is
+    /// stale or its recording is suppressed.
+    ///
+    /// With partitioning, the partitions of `n` and the reader merge here
+    /// (Section 6.3), at the read, so a nested call's pending-change check
+    /// sees the partition eager recording would have built.
+    fn record_dependence(&mut self, n: NodeId) -> bool {
+        let stack = match self.worker_slot() {
+            Some(slot) => &mut self.worker_stacks[slot],
+            None => &mut self.stack,
         };
-        if stale {
-            return;
+        let Some(frame) = stack.last_mut() else {
+            return false;
+        };
+        if frame.stale {
+            return false;
         }
-        if suppressed {
+        if frame.suppress > 0 {
             self.stats.untracked_reads += 1;
-            return;
+            return false;
         }
-        // O(1) per-execution dedup: the edge was already recorded iff the
-        // node's stamp equals this frame's epoch. Epochs are globally
-        // unique, so stamps left by finished frames can never be mistaken
-        // for the current one. Concurrent same-level frames may clobber
-        // each other's stamps; that only weakens dedup (a parallel edge may
-        // slip through), never loses an edge.
-        let stamp = self.last_accessed[n.index()];
-        if stamp == epoch {
+        if frame.log.last() == Some(&n) {
             self.stats.dedup_hits += 1;
-            return;
+            return true;
         }
-        if stamp != 0 && depth > 1 {
-            // The stamp may belong to a live enclosing frame; remember it
-            // so popping this frame restores the enclosing execution's
-            // dedup set.
-            let frame = self.active_stack().last_mut().expect("frame checked above");
-            frame.overflow.push((n, stamp));
+        if frame.log.len() == frame.log.capacity() {
+            let _mem = mem::scope(mem::Tag::GraphCore);
+            frame.log.push(n);
+        } else {
+            frame.log.push(n);
         }
-        self.last_accessed[n.index()] = epoch;
-        let raises_before = self.graph.height_raises();
-        self.graph.add_edge(n, v);
-        self.stats.height_raises += self.graph.height_raises() - raises_before;
-        self.stats.edges_created += 1;
-        emit!(self, TraceEvent::EdgeAdded { from: n, to: v });
-        assert!(
-            !self.graph.cycle_suspected(),
-            "dependency cycle detected at {} -> {} ({}): incremental procedures must be \
-             deterministic and acyclic (paper restriction DET)",
-            n,
-            v,
-            self.name_of(v),
-        );
+        if frame.log.len() >= LOG_COMPACT_MIN.max(2 * frame.compacted) {
+            self.stats.dedup_hits += dedup_marked(&mut frame.log, &mut self.flags);
+            for &u in &frame.log {
+                self.flags[u.index()] &= !F_MARK;
+            }
+            frame.compacted = frame.log.len();
+        }
+        let v = frame.node;
         if let DirtyStore::Partitioned { uf, sets } = &mut self.dirty {
             uf.ensure(n);
             uf.ensure(v);
@@ -629,6 +636,105 @@ impl Inner {
                 }
             }
         }
+        true
+    }
+
+    /// Reconciles the retained predecessor edges of `v` with `log`, what
+    /// its execution accessed: an edge from a logged node stays untouched,
+    /// an edge from any other node is removed, and a logged node with no
+    /// edge yet gets one. The result is exactly the edge set eager
+    /// recording builds (Algorithm 5 drops every predecessor edge, then
+    /// Algorithm 3 records each access again), at no graph cost for the
+    /// edges an execution reads again. `log` is left deduplicated.
+    fn reconcile(&mut self, v: NodeId, log: &mut Vec<NodeId>) {
+        self.stats.dedup_hits += dedup_marked(log, &mut self.flags);
+        // Every logged node is marked now; a retained edge from a marked
+        // node consumes its mark, so the marks left over are the new edges.
+        let flags = &mut self.flags;
+        let sink = self.sink.clone();
+        self.stats.edges_removed += self.graph.retain_preds(v, |u| {
+            let f = &mut flags[u.index()];
+            if *f & F_MARK != 0 {
+                *f &= !F_MARK;
+                return true;
+            }
+            if let Some(sink) = &sink {
+                sink.event(&TraceEvent::EdgeRemoved { from: u, to: v });
+            }
+            false
+        });
+        for &u in log.iter() {
+            if self.flags[u.index()] & F_MARK != 0 {
+                self.flags[u.index()] &= !F_MARK;
+                self.add_dependence(u, v);
+            }
+        }
+    }
+
+    /// Adds the edge `u -> v`, raising heights, and fails stop on a
+    /// dependency cycle.
+    fn add_dependence(&mut self, u: NodeId, v: NodeId) {
+        let raises_before = self.graph.height_raises();
+        self.graph.add_edge(u, v);
+        self.stats.height_raises += self.graph.height_raises() - raises_before;
+        self.stats.edges_created += 1;
+        emit!(self, TraceEvent::EdgeAdded { from: u, to: v });
+        assert!(
+            !self.graph.cycle_suspected(),
+            "dependency cycle detected at {} -> {} ({}): incremental procedures must be \
+             deterministic and acyclic (paper restriction DET)",
+            u,
+            v,
+            self.name_of(v),
+        );
+    }
+
+    /// Reconciles every live frame on this thread's stack with its log so
+    /// far. Run before an evaluation starts under executing procedures (a
+    /// memo call that finds pending changes, `propagate` from a body), so
+    /// the nested propagation sees the graph eager recording would have
+    /// built — including the removal of last run's edges this run has not
+    /// read yet.
+    fn reconcile_live(&mut self) {
+        let slot = self.worker_slot();
+        let mut stack = std::mem::take(match slot {
+            Some(slot) => &mut self.worker_stacks[slot],
+            None => &mut self.stack,
+        });
+        for frame in stack.iter_mut().filter(|f| !f.stale) {
+            self.reconcile(frame.node, &mut frame.log);
+            frame.compacted = frame.log.len();
+        }
+        match slot {
+            Some(slot) => self.worker_stacks[slot] = stack,
+            None => self.stack = stack,
+        }
+    }
+
+    /// Whether a changed write to location `x` must queue it: some
+    /// computation depends on `x` in the graph eager recording would have
+    /// built. While executions are live, their nodes' retained edges
+    /// stand for their previous runs, so for those nodes the live frame's
+    /// log decides instead.
+    fn has_readers(&self, x: NodeId) -> bool {
+        let live = || {
+            let booked = self.level.iter().filter_map(|slot| match slot {
+                LevelSlot::Booked(booking) => Some(&booking.frame),
+                _ => None,
+            });
+            (self.stack.iter())
+                .chain(self.worker_stacks.iter().flatten())
+                .chain(booked)
+                .filter(|f| !f.stale)
+        };
+        if live().next().is_none() {
+            return self.graph.has_succs(x);
+        }
+        live().any(|f| f.log.contains(&x))
+            || self
+                .graph
+                .succs(x)
+                .any(|y| self.flags[y.index()] & F_ON_STACK == 0 || !live().any(|f| f.node == y))
     }
 
     /// Marks every successor of `u` dirty — the fan-out step of the
@@ -653,7 +759,7 @@ impl Inner {
     /// comparison is only charged when a prior value exists), and dirty the
     /// location's readers when the value actually changed.
     fn write_location(&mut self, n: NodeId, value: Box<dyn Value>) {
-        self.record_dependence(n);
+        let recorded = self.record_dependence(n);
         let i = n.index();
         debug_assert!(self.flags[i] & F_COMP == 0, "write on a computation node");
         let (changed, compared) = match &self.values[i] {
@@ -677,8 +783,9 @@ impl Inner {
             // the first reader exists would be processed *after* that
             // reader consumed the post-write value, spuriously marking it
             // mid-construction and breaking the frontier invariant of the
-            // Section 4.5 marking rule.
-            if self.graph.has_succs(n) {
+            // Section 4.5 marking rule. A recording writer is a reader of
+            // its own write.
+            if recorded || self.has_readers(n) {
                 self.insert_dirty(n, DirtyReason::WriteChanged, None);
             }
         }
@@ -708,7 +815,6 @@ impl Inner {
         self.values.push(value);
         self.flags.push(flags);
         self.gens.push(0);
-        self.last_accessed.push(0);
         self.executors.push(comp.map(|(_, executor)| executor));
         if let DirtyStore::Partitioned { uf, .. } = &mut self.dirty {
             uf.ensure(n);
@@ -977,6 +1083,10 @@ impl Runtime {
                 assert!(
                     f & F_ON_STACK == 0,
                     "check_invariants: node {i} is flagged on-stack with an empty call stack"
+                );
+                assert!(
+                    f & F_MARK == 0,
+                    "check_invariants: node {i} kept a dependence-log mark past its lock hold"
                 );
             }
             assert!(
@@ -1445,8 +1555,8 @@ impl Runtime {
     }
 
     /// First half of re-executing computation node `n` per Algorithm 5
-    /// (see [`Runtime::execute_recording`] and the evaluation loop): drops
-    /// its old dependencies, books the execution and pushes the call frame
+    /// (see [`Runtime::execute_recording`] and the evaluation loop): books
+    /// the execution and pushes the call frame
     /// onto the current thread's stack, handing back the executor to run
     /// *outside* the lock. Takes the caller's guard so booking can share a
     /// lock round-trip with whatever precedes it (the previous execution's
@@ -1465,9 +1575,8 @@ impl Runtime {
             executor,
             my_gen,
             frame,
-            removed,
         } = inner.exec_book(n);
-        self.push_frame(inner, frame, removed);
+        self.push_frame(inner, frame);
         (executor, my_gen)
     }
 
@@ -1475,20 +1584,11 @@ impl Runtime {
     /// thread: pushes `frame` onto that thread's stack and opens the
     /// execution's trace span. A pooled level's claimant pushes the frame
     /// the driver booked for it.
-    fn push_frame(&self, inner: &mut Inner, frame: Frame, removed: u64) {
+    fn push_frame(&self, inner: &mut Inner, frame: Frame) {
         let n = frame.node;
         inner.active_stack().push(frame);
         self.exec_depth.fetch_add(1, Ordering::Relaxed);
         emit!(inner, TraceEvent::ExecuteBegin { node: n });
-        if removed > 0 {
-            emit!(
-                inner,
-                TraceEvent::EdgesRemoved {
-                    node: n,
-                    count: removed,
-                }
-            );
-        }
     }
 
     /// Second half of an execution: pops the call frame and commits (or,
@@ -1510,21 +1610,22 @@ impl Runtime {
 
     /// The frame half of [`Runtime::exec_end`], run by the thread that
     /// executed `n` as soon as its executor returns: pops that thread's
-    /// innermost frame, restores overwritten dedup stamps, drops the node's
-    /// on-stack depth, and compares `value` against the still-cached old
-    /// one (the cutoff comparison). Closes the execution's trace span and
-    /// returns whether the value changed (`false` when superseded).
+    /// innermost frame, reconciles its dependence log with the node's
+    /// retained edges (a superseded frame's log is dropped instead), drops
+    /// the node's on-stack depth, and compares `value` against the
+    /// still-cached old one (the cutoff comparison). Closes the
+    /// execution's trace span and returns whether the value changed
+    /// (`false` when superseded).
     fn exec_pop(&self, inner: &mut Inner, n: NodeId, my_gen: u64, value: &dyn Value) -> bool {
-        let frame = inner.active_stack().pop().expect("frame pushed above");
+        let mut frame = inner.active_stack().pop().expect("frame pushed above");
         self.exec_depth.fetch_sub(1, Ordering::Relaxed);
         debug_assert_eq!(frame.node, n, "call stack imbalance");
-        // Restore the stamps this frame overwrote, newest first, so the
-        // enclosing execution's dedup set is exactly what it was before the
-        // nested call (a node stamped by several nested frames gets its
-        // oldest surviving stamp back).
-        for (node, stamp) in frame.overflow.into_iter().rev() {
-            inner.last_accessed[node.index()] = stamp;
+        debug_assert_eq!(frame.stale, inner.gens[n.index()] != my_gen);
+        if !frame.stale {
+            inner.reconcile(n, &mut frame.log);
         }
+        frame.log.clear();
+        inner.spare_logs.push(frame.log);
         let i = n.index();
         inner.on_stack_dec(i);
         // A superseded execution's value is handed back, never compared:
@@ -1725,6 +1826,9 @@ impl Runtime {
         if inner.evaluating {
             return;
         }
+        if !inner.active_stack().is_empty() {
+            inner.reconcile_live();
+        }
         inner.evaluating = true;
         inner.wave += 1;
         inner.stats.waves += 1;
@@ -1903,7 +2007,7 @@ impl Runtime {
                 unreachable!("each level index is claimed once");
             };
             let n = booking.frame.node;
-            self.push_frame(inner, booking.frame, booking.removed);
+            self.push_frame(inner, booking.frame);
             drop(guard);
             let value = booking.executor.run(self);
             ran += 1;
@@ -1912,23 +2016,38 @@ impl Runtime {
     }
 }
 
+/// Drops the repeats of `log` in place, keeping each node's first entry in
+/// order, and leaves every kept node marked with [`F_MARK`] (the caller
+/// clears the marks before releasing the lock). Returns the number of
+/// entries dropped.
+fn dedup_marked(log: &mut Vec<NodeId>, flags: &mut [u8]) -> u64 {
+    let before = log.len();
+    log.retain(|&u| {
+        let f = &mut flags[u.index()];
+        let first = *f & F_MARK == 0;
+        *f |= F_MARK;
+        first
+    });
+    (before - log.len()) as u64
+}
+
 impl Inner {
     /// The bookkeeping half of [`Runtime::exec_begin`]: everything but
     /// pushing the frame. A pooled level books all its executions under
     /// the driver's guard before any claimant starts.
+    ///
+    /// Booking keeps the node's predecessor edges: they stand for the
+    /// previous execution until this one's frame pops and reconciles them
+    /// with its dependence log.
     fn exec_book(&mut self, n: NodeId) -> Booking {
         self.stats.executions += 1;
-        let before = self.graph.edges_removed();
-        self.graph.remove_pred_edges(n);
-        let removed = self.graph.edges_removed() - before;
-        self.stats.edges_removed += removed;
         self.exec_gen += 1;
         let my_gen = self.exec_gen;
         let i = n.index();
         debug_assert!(self.flags[i] & F_COMP != 0, "execute on a location");
         // If an older execution of `n` is still running it is now
         // superseded: its result will be discarded, so stop it from
-        // recording any further dependence edges.
+        // logging any further dependences.
         if self.flags[i] & F_ON_STACK != 0 {
             self.mark_stale_frames(n);
         }
@@ -1940,18 +2059,16 @@ impl Inner {
                 .as_ref()
                 .expect("computation node has an executor"),
         );
-        self.frame_epoch += 1;
         Booking {
             executor,
             my_gen,
             frame: Frame {
                 node: n,
-                epoch: self.frame_epoch,
-                overflow: Vec::new(),
+                log: self.spare_logs.pop().unwrap_or_default(),
+                compacted: 0,
                 suppress: 0,
                 stale: false,
             },
-            removed,
         }
     }
 

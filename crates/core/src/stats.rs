@@ -82,9 +82,12 @@ pub struct Stats {
     /// Writes whose new value differed from the stored one (the changes that
     /// seed quiescence propagation).
     pub changes: u64,
-    /// Dependency edges recorded (after per-execution deduplication).
+    /// Dependency edges added to the graph: an execution's reconcile adds
+    /// one per node it accessed that its previous execution did not.
     pub edges_created: u64,
-    /// Dependency edges discarded by `RemovePredEdges` before re-execution.
+    /// Dependency edges removed from the graph: an execution's reconcile
+    /// removes one per node its previous execution accessed and it did
+    /// not (the part of `RemovePredEdges` that changes the graph).
     pub edges_removed: u64,
     /// Nodes inserted into an inconsistent set.
     pub dirtied: u64,
@@ -115,8 +118,9 @@ pub struct Stats {
     /// Tracked reads that cloned the value out of the cache
     /// (`Runtime::raw_read` and typed reads whose value escapes).
     pub cloned_reads: u64,
-    /// Dependence recordings skipped because the frame-epoch table showed
-    /// the edge was already recorded in the current execution frame.
+    /// Repeated accesses within one execution dropped from its dependence
+    /// log: at the access (a repeat of the log's last entry), at a
+    /// compaction or at the reconcile.
     pub dedup_hits: u64,
     /// Memo argument-table lookups (hash probes on the call path).
     pub memo_probes: u64,

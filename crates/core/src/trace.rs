@@ -239,20 +239,27 @@ pub enum TraceEvent {
         /// The node whose value did not change.
         node: NodeId,
     },
-    /// A dependence edge was recorded (`CreateEdge`, Algorithm 3).
+    /// A dependence edge entered the graph (`CreateEdge`, Algorithm 3):
+    /// the finishing execution of `to` accessed `from`, which its previous
+    /// execution did not. Emitted when the execution's frame pops and its
+    /// dependence log is reconciled, before its
+    /// [`ExecuteEnd`](TraceEvent::ExecuteEnd); an edge the execution reads
+    /// again stays in place and emits nothing.
     EdgeAdded {
         /// The node depended upon (predecessor).
         from: NodeId,
-        /// The depending computation (successor, top of the call stack).
+        /// The depending computation (successor).
         to: NodeId,
     },
-    /// `RemovePredEdges` dropped a node's incoming edges before
-    /// re-execution (Algorithm 5).
-    EdgesRemoved {
-        /// The computation whose dependencies were discarded.
-        node: NodeId,
-        /// Number of edges dropped.
-        count: u64,
+    /// A dependence edge left the graph (Algorithm 5's `RemovePredEdges`,
+    /// per edge): the finishing execution of `to` no longer accessed
+    /// `from`. Emitted by the same reconciliation as
+    /// [`EdgeAdded`](TraceEvent::EdgeAdded), removals first.
+    EdgeRemoved {
+        /// The node no longer depended upon (predecessor).
+        from: NodeId,
+        /// The computation whose dependency was dropped (successor).
+        to: NodeId,
     },
     /// A write transaction committed ([`Runtime::batch`](crate::Runtime::batch)).
     BatchCommit {
@@ -270,11 +277,11 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// The node this event is about, if any.
     ///
-    /// [`TraceEvent::EdgeAdded`] is attributed to the depending successor
-    /// `to` — the edge is a fact about the executing computation's
-    /// dependency set, not about the storage it read. (The predecessor
-    /// endpoint still appears in [`Recorder::timeline`] views of both
-    /// nodes.)
+    /// [`TraceEvent::EdgeAdded`] and [`TraceEvent::EdgeRemoved`] are
+    /// attributed to the depending successor `to` — an edge is a fact
+    /// about the executing computation's dependency set, not about the
+    /// storage it read. (The predecessor endpoint still appears in
+    /// [`Recorder::timeline`] views of both nodes.)
     pub fn node(&self) -> Option<NodeId> {
         match self {
             TraceEvent::NodeCreated { node, .. }
@@ -285,9 +292,8 @@ impl TraceEvent {
             | TraceEvent::ExecuteBegin { node }
             | TraceEvent::ExecuteEnd { node, .. }
             | TraceEvent::CacheHit { node }
-            | TraceEvent::CutoffStop { node }
-            | TraceEvent::EdgesRemoved { node, .. } => Some(*node),
-            TraceEvent::EdgeAdded { to, .. } => Some(*to),
+            | TraceEvent::CutoffStop { node } => Some(*node),
+            TraceEvent::EdgeAdded { to, .. } | TraceEvent::EdgeRemoved { to, .. } => Some(*to),
             TraceEvent::PropagateBegin { .. }
             | TraceEvent::PropagateEnd { .. }
             | TraceEvent::LevelBegin { .. }
@@ -403,7 +409,9 @@ impl Recorder {
         lock(&self.buf)
             .iter()
             .filter(|(_, e)| {
-                e.node() == Some(n) || matches!(e, TraceEvent::EdgeAdded { from, .. } if *from == n)
+                e.node() == Some(n)
+                    || matches!(e, TraceEvent::EdgeAdded { from, .. }
+                        | TraceEvent::EdgeRemoved { from, .. } if *from == n)
             })
             .cloned()
             .collect()
@@ -472,7 +480,7 @@ fn variant_name(ev: &TraceEvent) -> &'static str {
         TraceEvent::CacheHit { .. } => "CacheHit",
         TraceEvent::CutoffStop { .. } => "CutoffStop",
         TraceEvent::EdgeAdded { .. } => "EdgeAdded",
-        TraceEvent::EdgesRemoved { .. } => "EdgesRemoved",
+        TraceEvent::EdgeRemoved { .. } => "EdgeRemoved",
         TraceEvent::BatchCommit { .. } => "BatchCommit",
     }
 }
@@ -546,11 +554,8 @@ fn jsonl_line(ts: u64, wave: &mut Option<u64>, ev: &TraceEvent, labels: &Labels)
         } => {
             let _ = write!(out, r#","height":{height},"executed":{executed}"#);
         }
-        TraceEvent::EdgeAdded { from, to } => {
+        TraceEvent::EdgeAdded { from, to } | TraceEvent::EdgeRemoved { from, to } => {
             let _ = write!(out, r#","from":{},"to":{}"#, from.index(), to.index());
-        }
-        TraceEvent::EdgesRemoved { node, count } => {
-            let _ = write!(out, r#","node":{},"count":{count}"#, node.index());
         }
         TraceEvent::BatchCommit {
             writes, coalesced, ..

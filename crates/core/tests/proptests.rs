@@ -8,7 +8,7 @@
 //! random evaluation strategies and random mutation scripts, for every
 //! runtime configuration.
 
-use alphonse::{Memo, Runtime, Scheduling, Strategy as EvalStrategy};
+use alphonse::{Memo, Runtime, Scheduling, Strategy as EvalStrategy, Var};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -61,7 +61,9 @@ fn oracle(memos: &[MemoSpec], vars: &[i64], k: usize) -> i64 {
     acc
 }
 
-fn run_case(case: &Case) {
+/// A runtime configured as `case` says, with one var per `init` value and
+/// every memo of the case defined (none called yet).
+fn build(case: &Case, init: &[i64]) -> (Runtime, Vec<Var<i64>>, Vec<Memo<(), i64>>) {
     let rt = Runtime::builder()
         .partitioning(case.partitioning)
         .scheduling(if case.fifo {
@@ -71,7 +73,7 @@ fn run_case(case: &Case) {
         })
         .build();
     rt.set_parallelism(case.parallelism);
-    let vars: Vec<_> = case.init.iter().map(|&v| rt.var(v)).collect();
+    let vars: Vec<_> = init.iter().map(|&v| rt.var(v)).collect();
     // Memos can call earlier memos; closures resolve callees through this
     // shared registry (and keep it alive via their captured Arc).
     let registry: Arc<Mutex<Vec<Memo<(), i64>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -100,11 +102,15 @@ fn run_case(case: &Case) {
         });
         registry.lock().unwrap().push(memo);
     }
+    let memos = registry.lock().unwrap().clone();
+    (rt, vars, memos)
+}
 
+fn run_case(case: &Case) {
+    let (rt, vars, memos) = build(case, &case.init);
     let mut shadow = case.init.clone();
     // Query everything once so the dependency graph is fully populated.
-    for k in 0..case.memos.len() {
-        let m = registry.lock().unwrap()[k].clone();
+    for (k, m) in memos.iter().enumerate() {
         assert_eq!(m.call(&rt, ()), oracle(&case.memos, &shadow, k));
     }
     for op in &case.script {
@@ -116,8 +122,7 @@ fn run_case(case: &Case) {
             }
             Op::Query { memo } => {
                 let k = memo % case.memos.len();
-                let m = registry.lock().unwrap()[k].clone();
-                let got = m.call(&rt, ());
+                let got = memos[k].call(&rt, ());
                 let want = oracle(&case.memos, &shadow, k);
                 assert_eq!(
                     got, want,
@@ -130,10 +135,24 @@ fn run_case(case: &Case) {
     }
     // Final full audit.
     rt.propagate();
-    for k in 0..case.memos.len() {
-        let m = registry.lock().unwrap()[k].clone();
+    for (k, m) in memos.iter().enumerate() {
         assert_eq!(m.call(&rt, ()), oracle(&case.memos, &shadow, k));
     }
+    // Retained edges are exactly the latest executions' reads: the graph
+    // has as many edges as a fresh runtime built by the same calls.
+    let (fresh, _, fresh_memos) = build(case, &shadow);
+    for m in &fresh_memos {
+        m.call(&fresh, ());
+    }
+    assert_eq!(
+        rt.edge_count(),
+        fresh.edge_count(),
+        "retained edges diverged from a fresh build (cfg: part={}, fifo={}, par={})",
+        case.partitioning,
+        case.fifo,
+        case.parallelism
+    );
+    rt.check_invariants();
 }
 
 fn case_strategy() -> impl Strategy<Value = Case> {

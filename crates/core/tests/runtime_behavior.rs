@@ -2,6 +2,7 @@
 //! strategies, quiescence cutoff, partitioning, UNCHECKED regions, and the
 //! paper's fixpoint behaviour for procedures that write tracked state.
 
+use alphonse::trace::{Recorder, TraceEvent};
 use alphonse::{Runtime, Scheduling, Strategy};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -311,20 +312,19 @@ fn edges_are_deduplicated_per_execution_by_default() {
 }
 
 #[test]
-fn epoch_dedup_survives_nested_frames() {
+fn log_dedup_survives_nested_frames() {
     // Nested calls: outer reads `a`, calls inner (which reads `a` itself),
-    // then reads `a` again. The nested frame overwrites `a`'s epoch stamp;
-    // popping it must restore the outer frame's stamp so the second outer
-    // read is recognized as already recorded — without the restore the set
-    // "leaks" and a duplicate a→outer edge appears.
+    // then reads `a` again. Each frame logs into its own dependence log, so
+    // the nested frame's read of `a` neither hides nor duplicates outer's:
+    // the second outer read is recognized as already logged.
     let rt = Runtime::new();
     let a = rt.var(1i64);
     let inner = rt.memo("inner", move |rt, &(): &()| a.get(rt) * 2);
     let ic = inner.clone();
     let outer = rt.memo("outer", move |rt, &(): &()| {
-        let x = a.get(rt); // edge a → outer
-        let y = ic.call(rt, ()); // nested frame: edge a → inner
-        let z = a.get(rt); // must dedup against the first outer read
+        let x = a.get(rt); // logs a for outer
+        let y = ic.call(rt, ()); // nested frame: logs a for inner
+        let z = a.get(rt); // a repeat of outer's first read
         x + y + z
     });
     assert_eq!(outer.call(&rt, ()), 4);
@@ -334,10 +334,9 @@ fn epoch_dedup_survives_nested_frames() {
 }
 
 #[test]
-fn epoch_dedup_does_not_leak_between_executions() {
-    // Stamps left by finished frames must never be mistaken for the current
-    // frame's: consecutive executions of different instances reading the
-    // same var each record their own edge.
+fn log_dedup_does_not_leak_between_executions() {
+    // Logs are per execution: consecutive executions of different
+    // instances reading the same var each record their own edge.
     let rt = Runtime::new();
     let a = rt.var(1i64);
     let m1 = rt.memo("m1", move |rt, &(): &()| a.get(rt));
@@ -347,6 +346,178 @@ fn epoch_dedup_does_not_leak_between_executions() {
     let s = rt.stats();
     assert_eq!(s.edges_created, 2, "one edge per instance");
     assert_eq!(s.dedup_hits, 0, "no false dedup across executions");
+}
+
+#[test]
+fn re_execution_reading_the_same_nodes_moves_no_edges() {
+    // The retained edges of the previous execution are the reconciled
+    // log of the next one: nothing is unlinked or linked again.
+    let rt = Runtime::new();
+    let a = rt.var(1i64);
+    let b = rt.var(2i64);
+    let sum = rt.memo_with("sum", Strategy::Eager, move |rt, &(): &()| {
+        a.get(rt) + b.get(rt)
+    });
+    let twice = sum.clone();
+    let top = rt.memo_with("top", Strategy::Eager, move |rt, &(): &()| {
+        twice.call(rt, ()) * 2
+    });
+    assert_eq!(top.call(&rt, ()), 6);
+    let edges = rt.edge_count();
+    let before = rt.stats();
+    for k in 0..10 {
+        a.set(&rt, k);
+        rt.propagate();
+    }
+    assert_eq!(top.call(&rt, ()), 2 * (9 + 2));
+    let d = rt.stats().delta_since(&before);
+    assert_eq!(d.executions, 20, "both instances re-ran every wave");
+    assert_eq!((d.edges_created, d.edges_removed), (0, 0));
+    assert_eq!(rt.edge_count(), edges);
+    rt.check_invariants();
+}
+
+#[test]
+fn swapping_one_dependency_moves_exactly_that_edge() {
+    let rt = Runtime::new();
+    let pick_b = rt.var(true);
+    let a = rt.var(1i64);
+    let b = rt.var(10i64);
+    let c = rt.var(100i64);
+    let m = rt.memo("pick", move |rt, &(): &()| {
+        a.get(rt) + if pick_b.get(rt) { b.get(rt) } else { c.get(rt) }
+    });
+    assert_eq!(m.call(&rt, ()), 11);
+    let n = m.instance_node(&()).unwrap();
+    let rec = Arc::new(Recorder::new(256));
+    rt.set_sink(Some(rec.clone()));
+    let before = rt.stats();
+    pick_b.set(&rt, false);
+    assert_eq!(m.call(&rt, ()), 101);
+    rt.set_sink(None);
+    let d = rt.stats().delta_since(&before);
+    assert_eq!((d.edges_created, d.edges_removed), (1, 1));
+    // The reconcile reports the removal, then the addition, and both
+    // before the execution's end.
+    let edge_or_end: Vec<_> = (rec.events().into_iter())
+        .filter(|e| {
+            matches!(
+                e,
+                TraceEvent::EdgeAdded { .. }
+                    | TraceEvent::EdgeRemoved { .. }
+                    | TraceEvent::ExecuteEnd { .. }
+            )
+        })
+        .collect();
+    assert_eq!(
+        edge_or_end,
+        vec![
+            TraceEvent::EdgeRemoved {
+                from: b.node(),
+                to: n
+            },
+            TraceEvent::EdgeAdded {
+                from: c.node(),
+                to: n
+            },
+            TraceEvent::ExecuteEnd {
+                node: n,
+                changed: true
+            },
+        ]
+    );
+    let why = rt.explain(n);
+    assert!(why.contains(&format!("depends on {}", c.node())), "{why}");
+    assert!(!why.contains(&format!("depends on {}", b.node())), "{why}");
+    // The dropped dependency no longer reaches the instance.
+    b.set(&rt, 0);
+    assert_eq!(rt.dirty_count(), 0, "b has no reader left");
+    rt.check_invariants();
+}
+
+/// A memo whose first run reads `y` and whose later runs (after `flag`
+/// turns false) write `y` untracked instead — the write-after-read shape
+/// of the Section 7.3 `balance` method. `propagate_inside` makes the
+/// later runs propagate from inside the body.
+fn writer_of_its_old_read(
+    propagate_inside: bool,
+) -> (
+    Runtime,
+    alphonse::Var<bool>,
+    alphonse::Var<i64>,
+    alphonse::Memo<(), i64>,
+    ExecCount,
+) {
+    let rt = Runtime::new();
+    let flag = rt.var(true);
+    let y = rt.var(0i64);
+    let (runs, bump) = counter();
+    let m = rt.memo("m", move |rt, &(): &()| {
+        bump();
+        if flag.get(rt) {
+            return y.get(rt);
+        }
+        rt.untracked(|| y.set(rt, 7));
+        if propagate_inside {
+            rt.propagate();
+        }
+        -1
+    });
+    assert_eq!(m.call(&rt, ()), 0);
+    (rt, flag, y, m, runs)
+}
+
+#[test]
+fn a_write_to_what_only_the_live_executions_last_run_read_queues_nothing() {
+    // The edge y -> m stands for m's previous run; the live run has not
+    // read y, so y has no reader and its change needs no propagation.
+    let (rt, flag, _y, m, runs) = writer_of_its_old_read(false);
+    let before = rt.stats();
+    flag.set(&rt, false);
+    assert_eq!(m.call(&rt, ()), -1);
+    let d = rt.stats().delta_since(&before);
+    assert_eq!((d.executions, d.dirtied), (1, 2), "flag and m, never y");
+    assert_eq!(rt.dirty_count(), 0);
+    assert_eq!(m.call(&rt, ()), -1);
+    assert_eq!(runs.get(), 2);
+    rt.check_invariants();
+}
+
+#[test]
+fn nested_evaluation_does_not_reach_a_live_frame_through_its_previous_reads() {
+    // A second reader keeps y's write relevant. The body then propagates
+    // while its frame is live: the nested wave drains y, and the retained
+    // edge y -> m — from the previous run only — must be gone by then, or
+    // the live execution would be invalidated and run a third time.
+    let (rt, flag, y, m, runs) = writer_of_its_old_read(true);
+    let r = rt.memo("r", move |rt, &(): &()| y.get(rt));
+    assert_eq!(r.call(&rt, ()), 0);
+    let before = rt.stats();
+    flag.set(&rt, false);
+    assert_eq!(m.call(&rt, ()), -1);
+    let d = rt.stats().delta_since(&before);
+    assert_eq!((d.executions, d.dirtied), (1, 4), "flag, m, y and r");
+    assert_eq!(m.call(&rt, ()), -1);
+    assert_eq!(runs.get(), 2, "the live execution stayed valid");
+    assert_eq!(r.call(&rt, ()), 7);
+    rt.check_invariants();
+}
+
+#[test]
+fn a_long_repetitive_log_dedups_to_its_distinct_reads() {
+    // Alternating reads defeat the last-entry check; the log's in-place
+    // compaction and the reconcile drop every repeat.
+    let rt = Runtime::new();
+    let a = rt.var(1i64);
+    let b = rt.var(2i64);
+    let m = rt.memo("pingpong", move |rt, &(): &()| {
+        (0..100_000).map(|_| a.get(rt) + b.get(rt)).sum::<i64>()
+    });
+    assert_eq!(m.call(&rt, ()), 300_000);
+    let s = rt.stats();
+    assert_eq!(s.edges_created, 2);
+    assert_eq!(s.dedup_hits, 199_998);
+    rt.check_invariants();
 }
 
 #[test]

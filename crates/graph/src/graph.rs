@@ -24,7 +24,7 @@ impl NodeId {
     /// Panics if `index` does not fit in 32 bits.
     #[inline]
     pub fn from_index(index: usize) -> Self {
-        NodeId(u32::try_from(index).expect("node index overflow"))
+        NodeId(u32::try_from(index).expect("node index exceeds u32"))
     }
 }
 
@@ -45,17 +45,19 @@ const NIL: u32 = u32::MAX;
 
 /// One bidirectional dependency edge `src -> dst` ("dst depends on src").
 ///
-/// Edges live simultaneously on two intrusive doubly-linked lists: the
-/// successor (out) list of `src` and the predecessor (in) list of `dst`.
-/// This is the Rust equivalent of the paper's "doubly linked list of
-/// bidirectional edges" (Section 9.2) and gives O(1) unlinking.
+/// Edges live simultaneously on two intrusive lists: the doubly-linked
+/// successor (out) list of `src` and the singly-linked predecessor (in)
+/// list of `dst`. The out list is the Rust equivalent of the paper's
+/// "doubly linked list of bidirectional edges" (Section 9.2): an edge
+/// leaves it in O(1) from anywhere. The in list needs no back link,
+/// because an edge only ever leaves it during a walk of that same list
+/// ([`DepGraph::retain_preds`]), which carries the predecessor along.
 #[derive(Clone, Copy)]
 struct Edge {
     src: u32,
     dst: u32,
     prev_out: u32,
     next_out: u32,
-    prev_in: u32,
     next_in: u32,
 }
 
@@ -84,7 +86,7 @@ struct NodeRec {
 /// g.add_edge(a, b);
 /// g.add_edge(b, c);
 /// assert_eq!(g.preds(c).collect::<Vec<_>>(), vec![b]);
-/// g.remove_pred_edges(c);
+/// g.retain_preds(c, |_| false);
 /// assert_eq!(g.preds(c).count(), 0);
 /// assert_eq!(g.succs(b).count(), 0);
 /// ```
@@ -238,7 +240,6 @@ impl DepGraph {
             dst: v.0,
             prev_out: NIL,
             next_out: self.nodes[u.index()].first_out,
-            prev_in: NIL,
             next_in: self.nodes[v.index()].first_in,
         });
         let old_out = self.nodes[u.index()].first_out;
@@ -246,10 +247,6 @@ impl DepGraph {
             self.edges[old_out as usize].prev_out = e;
         }
         self.nodes[u.index()].first_out = e;
-        let old_in = self.nodes[v.index()].first_in;
-        if old_in != NIL {
-            self.edges[old_in as usize].prev_in = e;
-        }
         self.nodes[v.index()].first_in = e;
         self.raise_height(u, v);
     }
@@ -292,9 +289,10 @@ impl DepGraph {
         self.scratch = work;
     }
 
-    fn unlink(&mut self, e: u32) {
+    /// Unlinks edge `e` from its source's out list and frees its slot. The
+    /// caller has already spliced it out of its target's in list.
+    fn unlink_out(&mut self, e: u32) {
         let edge = self.edges[e as usize];
-        // Out list of src.
         if edge.prev_out != NIL {
             self.edges[edge.prev_out as usize].next_out = edge.next_out;
         } else {
@@ -303,15 +301,6 @@ impl DepGraph {
         if edge.next_out != NIL {
             self.edges[edge.next_out as usize].prev_out = edge.prev_out;
         }
-        // In list of dst.
-        if edge.prev_in != NIL {
-            self.edges[edge.prev_in as usize].next_in = edge.next_in;
-        } else {
-            self.nodes[edge.dst as usize].first_in = edge.next_in;
-        }
-        if edge.next_in != NIL {
-            self.edges[edge.next_in as usize].prev_in = edge.prev_in;
-        }
         // Return to free list.
         self.edges[e as usize].next_out = self.free_edge;
         self.free_edge = e;
@@ -319,18 +308,35 @@ impl DepGraph {
         self.edges_removed += 1;
     }
 
-    /// Removes every incoming edge of `v` — the `RemovePredEdges` step run
-    /// before re-executing an incremental procedure (paper Algorithm 5).
+    /// Walks the incoming edges of `v` once and removes each edge whose
+    /// source `keep` rejects, leaving the others in place — how a
+    /// re-executed incremental procedure's retained dependencies are
+    /// reconciled with what its latest execution read (the runtime's
+    /// form of Algorithm 5's `RemovePredEdges`). `keep` sees every
+    /// predecessor once per edge, in in-list order. Returns the number of
+    /// edges removed.
     ///
-    /// Cost is O(1) per removed edge.
-    pub fn remove_pred_edges(&mut self, v: NodeId) {
+    /// Cost is O(1) per visited edge.
+    pub fn retain_preds(&mut self, v: NodeId, mut keep: impl FnMut(NodeId) -> bool) -> u64 {
+        let mut removed = 0;
+        let mut prev = NIL;
         let mut e = self.nodes[v.index()].first_in;
         while e != NIL {
-            let next = self.edges[e as usize].next_in;
-            self.unlink(e);
-            e = next;
+            let edge = self.edges[e as usize];
+            if keep(NodeId(edge.src)) {
+                prev = e;
+            } else {
+                if prev == NIL {
+                    self.nodes[v.index()].first_in = edge.next_in;
+                } else {
+                    self.edges[prev as usize].next_in = edge.next_in;
+                }
+                self.unlink_out(e);
+                removed += 1;
+            }
+            e = edge.next_in;
         }
-        debug_assert_eq!(self.nodes[v.index()].first_in, NIL);
+        removed
     }
 
     /// Returns `true` if `u` has at least one successor (some node depends
@@ -528,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_pred_edges_clears_both_directions() {
+    fn retain_preds_rejecting_all_clears_both_directions() {
         let mut g = DepGraph::new();
         let a = g.add_node();
         let b = g.add_node();
@@ -536,7 +542,7 @@ mod tests {
         g.add_edge(a, c);
         g.add_edge(b, c);
         g.add_edge(a, b);
-        g.remove_pred_edges(c);
+        assert_eq!(g.retain_preds(c, |_| false), 2);
         assert_eq!(g.preds(c).count(), 0);
         assert_eq!(g.succs(a).collect::<Vec<_>>(), vec![b]);
         assert_eq!(g.succs(b).count(), 0);
@@ -551,7 +557,7 @@ mod tests {
         let b = g.add_node();
         for _ in 0..10 {
             g.add_edge(a, b);
-            g.remove_pred_edges(b);
+            g.retain_preds(b, |_| false);
         }
         assert_eq!(g.edges.len(), 1, "freelist should recycle the single slot");
         assert_eq!(g.edges_created(), 10);
@@ -566,7 +572,7 @@ mod tests {
         g.add_edge(a, b);
         g.add_edge(a, b);
         assert_eq!(g.succs(a).count(), 2);
-        g.remove_pred_edges(b);
+        g.retain_preds(b, |_| false);
         assert_eq!(g.succs(a).count(), 0);
     }
 
@@ -669,10 +675,45 @@ mod tests {
         g.add_edge(s2, t);
         g.add_edge(s3, t);
         // t's in-list: s3, s2, s1 (head insertion). Remove all; then rebuild.
-        g.remove_pred_edges(t);
+        g.retain_preds(t, |_| false);
         g.add_edge(s2, t);
         assert_eq!(g.preds(t).collect::<Vec<_>>(), vec![s2]);
         assert_eq!(g.succs(s1).count(), 0);
         assert_eq!(g.succs(s3).count(), 0);
+    }
+
+    #[test]
+    fn retain_preds_removes_only_rejected_edges() {
+        // Rejecting the middle, head and tail of an in-list in turn keeps
+        // both lists of every survivor intact.
+        let mut g = DepGraph::new();
+        let s: Vec<_> = (0..4).map(|_| g.add_node()).collect();
+        let t = g.add_node();
+        for &x in &s {
+            g.add_edge(x, t);
+            g.add_edge(x, s[0]); // a second out edge on every source
+        }
+        // t's in-list: s3, s2, s1, s0 (head insertion).
+        let mut seen = Vec::new();
+        let removed = g.retain_preds(t, |p| {
+            seen.push(p);
+            p != s[2]
+        });
+        assert_eq!(removed, 1);
+        assert_eq!(seen, vec![s[3], s[2], s[1], s[0]]);
+        assert_eq!(g.preds(t).collect::<Vec<_>>(), vec![s[3], s[1], s[0]]);
+        assert_eq!(g.succs(s[2]).collect::<Vec<_>>(), vec![s[0]]);
+        g.retain_preds(t, |p| p != s[3] && p != s[0]);
+        assert_eq!(g.preds(t).collect::<Vec<_>>(), vec![s[1]]);
+        assert_eq!(g.succs(s[3]).collect::<Vec<_>>(), vec![s[0]]);
+        assert_eq!(g.succs(s[1]).count(), 2);
+        assert_eq!(g.edge_count(), 5);
+        g.add_edge(s[2], t);
+        assert_eq!(g.preds(t).collect::<Vec<_>>(), vec![s[2], s[1]]);
+    }
+
+    #[test]
+    fn edges_are_twenty_bytes() {
+        assert_eq!(std::mem::size_of::<Edge>(), 20);
     }
 }

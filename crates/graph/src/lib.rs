@@ -6,10 +6,11 @@
 //! Abstraction* (Hoover, PLDI 1992):
 //!
 //! * [`DepGraph`] — an arena of dependency nodes connected by bidirectional
-//!   edges stored in intrusive doubly-linked lists, so that removing all
-//!   predecessor edges of a node (the `RemovePredEdges` step of the paper's
-//!   Algorithm 5) costs O(1) per edge, which Section 9.2 relies on for the
-//!   overall O(T) translation bound.
+//!   edges stored in intrusive lists, so that removing a node's stale
+//!   predecessor edges while walking its in-list (the `RemovePredEdges`
+//!   step of the paper's Algorithm 5, [`DepGraph::retain_preds`]) costs
+//!   O(1) per edge, which Section 9.2 relies on for the overall O(T)
+//!   translation bound.
 //! * Longest-path **heights** maintained online per node, used to process the
 //!   inconsistent set in (approximate) topological order as suggested in
 //!   Section 4.5.

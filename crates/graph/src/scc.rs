@@ -313,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn deep_chain_does_not_overflow_stack() {
+    fn deep_chain_needs_no_recursion() {
         // 100k-node path: recursion would blow the thread stack.
         let n = 100_000;
         let c = condense(n, |v, f| {

@@ -84,7 +84,7 @@ impl UnionFind {
         } else {
             (rb, ra)
         };
-        self.parent[lose.index()] = u32::try_from(win.index()).expect("node index overflow");
+        self.parent[lose.index()] = u32::try_from(win.index()).expect("node index exceeds u32");
         self.size[win.index()] += self.size[lose.index()];
         Some((win, lose))
     }

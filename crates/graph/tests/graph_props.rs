@@ -10,15 +10,16 @@ enum GraphOp {
     AddNode,
     /// Add edge between existing nodes (indices mod node count).
     AddEdge(usize, usize),
-    /// Remove all pred edges of a node.
-    RemovePreds(usize),
+    /// Remove the pred edges of a node whose source index is a multiple
+    /// of the divisor (1 removes them all).
+    RetainPreds(usize, usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = GraphOp> {
     prop_oneof![
         2 => Just(GraphOp::AddNode),
         4 => (any::<usize>(), any::<usize>()).prop_map(|(a, b)| GraphOp::AddEdge(a, b)),
-        2 => any::<usize>().prop_map(GraphOp::RemovePreds),
+        2 => (any::<usize>(), 1usize..4).prop_map(|(v, d)| GraphOp::RetainPreds(v, d)),
     ]
 }
 
@@ -33,7 +34,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The intrusive edge lists agree with a simple edge-multiset model
-    /// under arbitrary interleavings of insertion and pred-removal.
+    /// under arbitrary interleavings of insertion and partial pred-removal.
     #[test]
     fn graph_matches_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
         let mut g = DepGraph::new();
@@ -56,10 +57,12 @@ proptest! {
                         m.edges.push((a, b));
                     }
                 }
-                GraphOp::RemovePreds(v) => {
+                GraphOp::RetainPreds(v, d) => {
                     let v = v % m.nodes;
-                    g.remove_pred_edges(NodeId::from_index(v));
-                    m.edges.retain(|&(_, dst)| dst != v);
+                    let before = m.edges.len();
+                    m.edges.retain(|&(src, dst)| dst != v || src % d != 0);
+                    let removed = g.retain_preds(NodeId::from_index(v), |p| p.index() % d != 0);
+                    prop_assert_eq!(removed as usize, before - m.edges.len());
                 }
             }
             prop_assert_eq!(g.edge_count(), m.edges.len());

@@ -91,20 +91,32 @@ impl fmt::Debug for Sheet {
     }
 }
 
+/// Labels the `cell_value` instance of `addr` with the address, once.
+fn label_instance(rt: &Runtime, value: &Memo<Addr, CellValue>, addr: Addr) {
+    let Some(node) = value.instance_node(&addr) else {
+        return;
+    };
+    let label = addr.to_string();
+    if rt.node_label(node).as_deref() != Some(label.as_str()) {
+        rt.set_label(node, &label);
+    }
+}
+
 impl Sheet {
     /// Creates a `width × height` sheet of empty (`0`) cells tracked in
     /// `rt`.
     pub fn new(rt: &Runtime, width: u32, height: u32) -> Sheet {
         let _mem = mem::scope(mem::Tag::Substrate);
+        // Trace labels carry the cell address so exporters and `why` name
+        // cells, not bare node ids: a cell's computed value is labeled
+        // "B2" and its formula variable "B2.formula". Skipped entirely on
+        // untraced runtimes.
         let tracing = rt.tracing();
         let formulas = (0..width as usize * height as usize)
             .map(|i| {
-                // Trace labels carry the cell address ("A1", "B7", …) so
-                // exporters name cells, not bare node ids. Skipped entirely
-                // on untraced runtimes.
                 if tracing {
                     let a = Addr::new(i as u32 % width, i as u32 / width);
-                    rt.var_named(&a.to_string(), Formula::Num(0))
+                    rt.var_named(&format!("{a}.formula"), Formula::Num(0))
                 } else {
                     rt.var(Formula::Num(0))
                 }
@@ -117,6 +129,9 @@ impl Sheet {
         });
         let c = Arc::clone(&cells);
         let value = rt.memo_recursive("cell_value", move |rt, me, &addr: &Addr| {
+            if tracing {
+                label_instance(rt, me, addr);
+            }
             let formula = {
                 let cells = &c;
                 match cells.index(addr) {

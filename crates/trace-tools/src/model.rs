@@ -160,9 +160,9 @@ fn parse_event(obj: &Json, label: Option<&str>, line: usize) -> Result<TraceEven
             from: node("from")?,
             to: node("to")?,
         },
-        "EdgesRemoved" => TraceEvent::EdgesRemoved {
-            node: node("node")?,
-            count: field_u64(obj, "count", line)?,
+        "EdgeRemoved" => TraceEvent::EdgeRemoved {
+            from: node("from")?,
+            to: node("to")?,
         },
         "BatchCommit" => TraceEvent::BatchCommit {
             writes: field_u64(obj, "writes", line)?,

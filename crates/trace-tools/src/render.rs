@@ -201,7 +201,7 @@ pub fn chrome(tf: &TraceFile) -> String {
 #[derive(Clone)]
 struct GraphNode {
     kind: NodeKind,
-    /// Incoming edges: the direction `RemovePredEdges` clears in bulk.
+    /// Incoming edges, as `EdgeAdded` / `EdgeRemoved` maintain them.
     preds: Vec<NodeId>,
     dirty: bool,
     execs: u64,
@@ -261,7 +261,12 @@ impl Graph {
                 self.node(to).preds.push(from);
                 self.partitions.union(from, to);
             }
-            TraceEvent::EdgesRemoved { node, .. } => self.node(node).preds.clear(),
+            TraceEvent::EdgeRemoved { from, to } => {
+                let preds = &mut self.node(to).preds;
+                if let Some(i) = preds.iter().position(|&p| p == from) {
+                    preds.remove(i);
+                }
+            }
             TraceEvent::Dirtied { node, .. } => self.node(node).dirty = true,
             TraceEvent::ExecuteBegin { node } => {
                 self.exec_clock += 1;

@@ -158,8 +158,8 @@ pub struct Violation {
 /// The result of replaying one trace against one static graph.
 #[derive(Debug, Clone)]
 pub struct CoverageReport {
-    /// Total `EdgeAdded` events in the trace (re-recorded edges counted
-    /// each time).
+    /// Total `EdgeAdded` events in the trace (an edge removed and added
+    /// again counts each time it is added).
     pub dynamic_edges: usize,
     /// Distinct (from-label, to-label) dependence pairs observed.
     pub distinct_pairs: usize,

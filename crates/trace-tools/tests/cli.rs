@@ -2,8 +2,9 @@
 //! and the chrome/dot/hot renderers over a real recorded trace, and the
 //! truncation refusal.
 
-use alphonse::trace::{Recorder, TraceSink};
+use alphonse::trace::{ActiveTrace, Recorder, TraceSink};
 use alphonse::{Runtime, Strategy};
+use alphonse_sheet::{CellValue, Sheet};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
@@ -37,6 +38,52 @@ fn recorded_diamond(name: &str, capacity: usize, parallelism: usize) -> PathBuf 
     let path = temp_path(name);
     std::fs::write(&path, rec.to_jsonl()).unwrap();
     path
+}
+
+/// Records the scripted demo of `examples/spreadsheet_repl.rs` (its
+/// cell entries, the `A2 = 1000` edit and the reads after it) through a
+/// JSONL trace session and returns the trace path.
+fn recorded_sheet_demo(name: &str) -> PathBuf {
+    let path = temp_path(name);
+    let trace = ActiveTrace::create(&path).unwrap();
+    let rt = Runtime::new();
+    rt.set_sink(Some(trace.sink()));
+    let sheet = Sheet::new(&rt, 8, 12);
+    for (addr, src) in [
+        ("A1", "100"),
+        ("A2", "250"),
+        ("A3", "400"),
+        ("B1", "=A1+A2+A3"),
+        ("B2", "=SUM(A1:A3)"),
+        ("B3", "=B1-B2"),
+        ("C1", "=B2*2"),
+    ] {
+        sheet.set(addr, src).unwrap();
+    }
+    for addr in ["B1", "B2", "B3", "C1"] {
+        sheet.value(addr).unwrap();
+    }
+    sheet.set("A2", "1000").unwrap();
+    assert_eq!(sheet.value("B2").unwrap(), CellValue::Num(1500));
+    assert_eq!(sheet.value("C1").unwrap(), CellValue::Num(3000));
+    rt.set_sink(None);
+    trace.finish().unwrap()
+}
+
+#[test]
+fn why_names_a_spreadsheet_cell_by_its_address() {
+    let path = recorded_sheet_demo("sheet.jsonl");
+    let why = bin().args(["why", "B2"]).arg(&path).output().unwrap();
+    let out = String::from_utf8_lossy(&why.stdout);
+    assert!(
+        why.status.success(),
+        "{out}{}",
+        String::from_utf8_lossy(&why.stderr)
+    );
+    assert!(out.starts_with("why B2 (n"), "{out}");
+    assert!(out.contains("write A2.formula"), "{out}");
+    assert!(out.contains("-> executed B2"), "{out}");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -358,14 +358,42 @@ mod synthetic_streams {
         ];
         assert_eq!(graph_size(&synthetic(events.clone())), (2, 1));
         assert!(render::dot(&synthetic(events.clone())).contains("  n0 -> n1;\n"));
+        // A second dependency of n1, then the first one goes: only that
+        // edge leaves the picture.
         events.push((
             3,
-            TraceEvent::EdgesRemoved {
-                node: node(1),
-                count: 1,
+            TraceEvent::NodeCreated {
+                node: node(2),
+                kind: NodeKind::Location,
+                label: None,
             },
         ));
-        assert_eq!(graph_size(&synthetic(events.clone())), (2, 0));
+        events.push((
+            4,
+            TraceEvent::EdgeAdded {
+                from: node(2),
+                to: node(1),
+            },
+        ));
+        events.push((
+            5,
+            TraceEvent::EdgeRemoved {
+                from: node(0),
+                to: node(1),
+            },
+        ));
+        assert_eq!(graph_size(&synthetic(events.clone())), (3, 1));
+        let dot = render::dot(&synthetic(events.clone()));
+        assert!(dot.contains("  n2 -> n1;\n"), "{dot}");
+        assert!(!dot.contains("n0 -> n1"), "{dot}");
+        events.push((
+            6,
+            TraceEvent::EdgeRemoved {
+                from: node(2),
+                to: node(1),
+            },
+        ));
+        assert_eq!(graph_size(&synthetic(events.clone())), (3, 0));
         let dot = render::dot(&synthetic(events));
         assert!(dot.starts_with("digraph alphonse {\n"));
         assert!(!dot.contains("->"), "{dot}");

@@ -520,11 +520,11 @@ mod tests {
     fn reentrant_balance_keeps_edge_dedup_sound() {
         // `avl_balance` re-enters itself after a rotation (it calls the memo
         // on the rotated root while the original execution is still on the
-        // stack), so its frames exercise the epoch-stamp overflow path: the
-        // inner frame restamps nodes the superseded outer frame already
-        // recorded, and popping it must restore those stamps. If restoration
-        // broke, the enclosing frames would either drop edges (stale results
-        // after mutations) or duplicate them. Sorted insertion maximizes
+        // stack): the inner frame logs nodes the superseded outer frame
+        // already logged, the outer frame's log is dropped unreconciled and
+        // the inner one decides the node's edges. If that broke, the
+        // enclosing frames would either drop edges (stale results after
+        // mutations) or duplicate them. Sorted insertion maximizes
         // rotations.
         let rt = Runtime::new();
         let mut avl = MaintainedAvl::new(&rt);

@@ -106,3 +106,27 @@ proptest! {
         }
     }
 }
+
+/// Work counters of a fixed AVL session: sorted inserts (rotations make
+/// `balance` re-enter itself, Section 7.3), removals, and the field writes
+/// `balance` makes after reading them. Pinned to the figures of the
+/// drop-and-re-record edge scheme: retaining edges across executions must
+/// not change how much is dirtied or executed.
+#[test]
+fn reentrant_balance_work_matches_eager_edge_recording() {
+    let rt = Runtime::new();
+    let mut avl = MaintainedAvl::new(&rt);
+    for k in 0..96 {
+        avl.insert(k);
+        avl.rebalance();
+    }
+    for k in (0..96).step_by(3) {
+        avl.remove(k);
+        avl.rebalance();
+    }
+    avl.insert_all([200, 150, 175, 160, 170]);
+    avl.rebalance();
+    assert!(avl.is_avl() && avl.is_bst());
+    let s = rt.stats();
+    assert_eq!((s.executions, s.dirtied, s.comparisons), (1822, 2339, 4056));
+}
