@@ -1,7 +1,7 @@
 //! The experiments reproducing the paper's quantitative claims.
 //!
 //! Every function returns a [`Table`] of machine-independent work counters;
-//! the `eN_*` binaries print them and EXPERIMENTS.md records the comparison
+//! the `all_experiments` binary prints them and EXPERIMENTS.md records the comparison
 //! against the paper's claims. Wall-clock columns (`*_us`, `*_ms`) sit beside
 //! the counters they explain.
 
@@ -1125,7 +1125,7 @@ fn serve_session(seed: u64) -> ServeSession {
 /// `bytes_node` is the tagged live bytes (`alphonse::mem`) that building
 /// session 0 adds, divided by its `node_count()` — measured, so it is zero
 /// unless the driving binary installs [`alphonse::mem::TrackingAlloc`]
-/// (the `e14_serving` and `all_experiments` binaries do).
+/// (`all_experiments` does).
 pub fn e14_serving(threads: &[usize], sessions: usize, waves: usize) -> Table {
     const LEAVES: usize = 64;
     const K: usize = 16;
@@ -1381,8 +1381,7 @@ pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64
 /// memory accounting (`mem_*` columns): both arms run with the metrics
 /// recording left in its ambient state and toggle
 /// [`alphonse::mem::set_enabled`] instead. When the driving binary
-/// installs [`alphonse::mem::TrackingAlloc`] (the `e16_metrics_overhead`
-/// binary does), both arms pay the allocator's header stamping, so
+/// installs [`alphonse::mem::TrackingAlloc`] (`all_experiments` does), both arms pay the allocator's header stamping, so
 /// `mem_overhead_pct` isolates the per-allocation relaxed counter updates
 /// the kill-switch gates — the same ≤2% bar applies. Without the
 /// allocator installed (plain `cargo test`), the toggle gates nothing and
@@ -1589,7 +1588,7 @@ pub fn e16_metrics_overhead(quick: bool) -> Table {
 /// from its start to full materialization — its own high-water mark, since
 /// the structure only grows — divided by the node count. They are all zero
 /// unless the driving binary installs [`alphonse::mem::TrackingAlloc`]
-/// (the `e17_scale` and `all_experiments` binaries do).
+/// (`all_experiments` does).
 pub fn e17_scale(quick: bool) -> Table {
     let mut t = Table::new(
         "E17 — million-node scale stress: bulk build throughput, wave latency, bytes/node",

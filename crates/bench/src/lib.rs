@@ -4,9 +4,9 @@
 //! evaluation is the asymptotic analysis of Section 9 plus per-example cost
 //! claims. Each claim is reproduced here as an experiment (see DESIGN.md's
 //! experiment index): a workload generator plus machine-independent work
-//! counters, printed as a table by the `eN_*` binaries and timed by the
-//! Criterion benches. EXPERIMENTS.md records paper-claim vs. measured
-//! shape for each one.
+//! counters, printed as tables by the `all_experiments` binary (one table
+//! per experiment id, wall-clock columns beside the counters).
+//! EXPERIMENTS.md records paper-claim vs. measured shape for each one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,6 @@
 //! Markdown-ish table rendering for experiment output.
 
+use alphonse::trace::json_escape;
 use alphonse::HistogramSnapshot;
 use std::fmt;
 
@@ -63,20 +64,6 @@ impl Table {
     /// JSON numbers so downstream tooling can chart the perf trajectory.
     /// Hand-rolled because the workspace builds offline without serde.
     pub fn to_json(&self) -> String {
-        fn escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn cell_value(s: &str) -> String {
             if let Ok(v) = s.parse::<i64>() {
                 return v.to_string();
@@ -86,11 +73,11 @@ impl Table {
                     return format!("{v}");
                 }
             }
-            format!("\"{}\"", escape(s))
+            format!("\"{}\"", json_escape(s))
         }
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"title\": \"{}\",\n", escape(&self.title)));
+        out.push_str(&format!("  \"title\": \"{}\",\n", json_escape(&self.title)));
         out.push_str("  \"rows\": [\n");
         for (ri, row) in self.rows.iter().enumerate() {
             out.push_str("    {");
@@ -98,7 +85,11 @@ impl Table {
                 if ci > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{}\": {}", escape(header), cell_value(cell)));
+                out.push_str(&format!(
+                    "\"{}\": {}",
+                    json_escape(header),
+                    cell_value(cell)
+                ));
             }
             out.push('}');
             if ri + 1 < self.rows.len() {

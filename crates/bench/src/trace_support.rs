@@ -1,19 +1,19 @@
-//! `--trace-out <path>` plumbing shared by the benchmark binaries.
+//! `--trace-out <path>` plumbing of the `all_experiments` binary.
 //!
-//! The bench bins construct their runtimes internally, so a sink cannot be
+//! The experiments construct their runtimes internally, so a sink cannot be
 //! attached by hand; instead this module installs a thread-local *default*
 //! sink ([`alphonse::trace::set_default_sink`]) before the experiments run,
 //! which every runtime built afterwards picks up. The events stream to
 //! `<path>` as JSONL through [`alphonse::trace::ActiveTrace`].
 //!
 //! Without the flag, the `ALPHONSE_TRACE` environment variable names the
-//! path, so `ALPHONSE_TRACE=trace.jsonl cargo run --bin e2_overhead` works
-//! the same as it does for the interpreter. The JSONL artifact is the one
+//! path, so `ALPHONSE_TRACE=trace.jsonl cargo run --bin all_experiments --
+//! e2` works the same as it does for the interpreter. The JSONL artifact is the one
 //! persisted trace; the `alphonse-trace` CLI renders every other view from
 //! it:
 //!
 //! ```text
-//! cargo run --release -p alphonse-bench --bin e6_sheet -- --trace-out run.jsonl
+//! cargo run --release -p alphonse-bench --bin all_experiments -- --trace-out run.jsonl e6_sheet
 //! alphonse-trace chrome run.jsonl > run.json   # Perfetto / chrome://tracing
 //! alphonse-trace dot run.jsonl > run.dot       # dependency graph
 //! alphonse-trace hot run.jsonl --top 10        # hottest nodes by self time

@@ -1,41 +1,41 @@
-//! The experiment binaries' argument handling: a flag a binary does not
-//! know is an error, never silently ignored.
+//! `all_experiments` argument handling: a flag it does not know is an
+//! error, never silently ignored, and files are written only on request.
 
 use std::process::Command;
 
-fn run(bin: &str, args: &[&str]) -> std::process::Output {
-    Command::new(bin)
+fn run(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_all_experiments"))
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"))
+        .expect("cannot run all_experiments")
 }
 
 #[test]
-fn retired_trace_flag_is_rejected_by_e2_overhead() {
-    let out = run(env!("CARGO_BIN_EXE_e2_overhead"), &["--trace", "1"]);
+fn retired_trace_flag_is_rejected_with_the_usage_line() {
+    let out = run(&["--trace", "1"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag: --trace"), "{stderr}");
-    assert!(stderr.contains("usage: e2_overhead"), "{stderr}");
+    assert!(stderr.contains("usage: all_experiments"), "{stderr}");
     assert!(out.stdout.is_empty(), "no table was printed");
 }
 
 #[test]
-fn unknown_flags_are_rejected_by_every_traced_binary() {
-    for bin in [
-        env!("CARGO_BIN_EXE_e6_sheet"),
-        env!("CARGO_BIN_EXE_e13_bulk_edits"),
-        env!("CARGO_BIN_EXE_all_experiments"),
-    ] {
-        let out = run(bin, &["--bogus"]);
-        assert_eq!(out.status.code(), Some(2), "{bin}");
+fn unknown_flags_are_rejected() {
+    for flag in ["--bogus", "--quik"] {
+        let out = run(&[flag, "e9"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown flag: --bogus"), "{bin}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag: {flag}")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: no table was printed");
     }
 }
 
 #[test]
-fn metrics_sidecar_is_written_only_with_its_table() {
+fn tables_and_sidecars_are_written_only_with_json() {
     let dir = std::env::temp_dir().join(format!("alphonse-bench-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let bin = env!("CARGO_BIN_EXE_all_experiments");

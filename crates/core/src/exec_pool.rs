@@ -36,10 +36,12 @@
 //!   them and reused across levels, waves and propagations, so steady-state
 //!   parallel draining spawns nothing.
 //! * Each worker stamps a thread-local identity `(pool id, slot)` at
-//!   startup. The runtime routes execution frames through this identity
-//!   (`Inner::worker_stacks`), giving every worker its own call stack for
-//!   dependence recording while all other node state stays behind the
-//!   runtime's single lock.
+//!   startup, where worker `k` has slot `k + 1` (slot 0 is every thread
+//!   outside the pool, the driver included). The runtime routes execution
+//!   frames through this slot (`Inner::stacks`), giving every worker its
+//!   own call stack for dependence recording while all other node state
+//!   stays behind the runtime's single lock; the worker gauges use the same
+//!   slots.
 //!
 //! Panics: a job that panics is caught so the worker survives. A helper
 //! ticket whose executor panics marks its level failed on the way out (a
@@ -64,10 +66,11 @@ use alphonse_mem as mem;
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// `(pool id, worker slot)` of the current thread, set once at worker
-    /// startup; `None` on every non-pool thread. The pool id keeps a worker
-    /// of one runtime from being mistaken for a worker of another (a body
-    /// running on runtime A's pool may legally touch runtime B).
+    /// `(pool id, slot)` of the current thread, set once at worker startup
+    /// (worker `k` has slot `k + 1`); `None` on every non-pool thread. The
+    /// pool id keeps a worker of one runtime from being mistaken for a
+    /// worker of another (a body running on runtime A's pool may legally
+    /// touch runtime B).
     static WORKER_IDENTITY: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
 }
 
@@ -92,9 +95,9 @@ pub(crate) struct ExecPool {
 
 impl ExecPool {
     /// Spawns `workers` (>= 1) persistent threads, all draining one shared
-    /// ticket queue. Worker `slot` reports to the owning runtime's
-    /// `metrics` as gauge slot `slot + 1` (slot 0 is the propagation
-    /// driver).
+    /// ticket queue. Worker `k` takes slot `k + 1`, its stack slot and its
+    /// gauge slot in the owning runtime's `metrics` (slot 0 is the
+    /// propagation driver).
     pub(crate) fn new(workers: usize, metrics: Arc<RuntimeMetrics>) -> ExecPool {
         assert!(workers >= 1, "a worker pool needs at least one thread");
         let _mem = alphonse_mem::scope(alphonse_mem::Tag::ExecPool);
@@ -102,7 +105,7 @@ impl ExecPool {
         let (tx, rx) = channel::<Ticket>();
         let rx: Arc<Mutex<Receiver<Ticket>>> = Arc::new(Mutex::new(rx));
         let mut handles = Vec::with_capacity(workers);
-        for slot in 0..workers {
+        for slot in 1..=workers {
             let rx = Arc::clone(&rx);
             let metrics = Arc::clone(&metrics);
             let handle = std::thread::Builder::new()
@@ -124,10 +127,10 @@ impl ExecPool {
                         // records its own busy time and executions before
                         // it reports to the level barrier.
                         if let Some(t0) = wait_t0 {
-                            metrics.record_worker(slot + 1, 0, t0.elapsed().as_nanos() as u64, 0);
+                            metrics.record_worker(slot, 0, t0.elapsed().as_nanos() as u64, 0);
                         }
                         let _ = catch_unwind(AssertUnwindSafe(move || {
-                            ticket.level.help(&ticket.rt, slot + 1);
+                            ticket.level.help(&ticket.rt, slot);
                         }));
                     }
                 })
@@ -307,8 +310,8 @@ impl Runtime {
         {
             inner.exec_pool = Some(ExecPool::new(pool_size, Arc::clone(&self.metrics)));
         }
-        if inner.worker_stacks.len() < pool_size {
-            inner.worker_stacks.resize_with(pool_size, Vec::new);
+        if inner.stacks.len() <= pool_size {
+            inner.stacks.resize_with(pool_size + 1, Vec::new);
         }
         inner.stats.parallel_levels += 1;
         inner.stats.parallel_executions += width as u64;
@@ -462,7 +465,7 @@ mod tests {
         }
         rt.propagate();
         let pool = rt.lock().exec_pool.as_ref().expect("pool built").id();
-        let want: HashSet<_> = [None, Some((pool, 0)), Some((pool, 1))].into();
+        let want: HashSet<_> = [None, Some((pool, 1)), Some((pool, 2))].into();
         assert_eq!(
             *meet.seen.lock().unwrap(),
             want,
@@ -497,7 +500,7 @@ mod tests {
         }
         rt.propagate();
         assert!(cells.iter().all(|c| c.call(&rt, ()) == 51));
-        let want: HashSet<_> = [None, Some((pool_id, 0))].into();
+        let want: HashSet<_> = [None, Some((pool_id, 1))].into();
         assert_eq!(*meet.seen.lock().unwrap(), want);
     }
 }

@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 mod batch;
-mod dirty;
 mod exec_pool;
 pub mod fxhash;
 mod memo;
@@ -70,10 +69,9 @@ mod value;
 mod var;
 
 pub use batch::Batch;
-pub use dirty::Scheduling;
 pub use memo::{Memo, MemoArgs, MemoResult};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot};
-pub use runtime::{NodeKind, Runtime, RuntimeBuilder, Strategy};
+pub use runtime::{NodeKind, Runtime, RuntimeBuilder, Scheduling, Strategy};
 pub use stats::Stats;
 pub use value::Value;
 pub use var::Var;

@@ -490,18 +490,10 @@ pub struct MetricsSnapshot {
     pub mem: memacct::MemSnapshot,
 }
 
-/// Appends one escaped JSON string.
+/// Appends one quoted, escaped JSON string.
 fn json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    out.push_str(&crate::trace::json_escape(s));
     out.push('"');
 }
 

@@ -32,12 +32,11 @@
 //! argument vector), which also names it, so unlabeled instances take no
 //! side-table entry. See DESIGN.md ("Memory layout") for the full picture.
 
-use crate::dirty::{DirtySet, Scheduling};
 use crate::fxhash::FxHashMap;
 use crate::stats::Stats;
 use crate::trace::{DirtyReason, TraceEvent, TraceSink};
 use crate::value::Value;
-use alphonse_graph::{DepGraph, NodeId, UnionFind};
+use alphonse_graph::{DepGraph, HeightQueue, NodeId, UnionFind};
 use alphonse_mem as mem;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -176,13 +175,15 @@ pub(crate) struct Frame {
     stale: bool,
 }
 
+/// The inconsistent set(s). Both schedulings queue dirt in a
+/// [`HeightQueue`]; [`Scheduling`] only picks the key it is drained by.
 enum DirtyStore {
-    Global(DirtySet),
+    Global(HeightQueue),
     /// One inconsistent set per dependency-graph partition, keyed by the
     /// partition's current root in `uf` (Section 6.3).
     Partitioned {
         uf: UnionFind,
-        sets: FxHashMap<NodeId, DirtySet>,
+        sets: FxHashMap<NodeId, HeightQueue>,
     },
 }
 
@@ -217,17 +218,18 @@ pub(crate) struct Inner {
     /// Extra on-stack depth beyond 1 for re-entrantly executing nodes;
     /// an entry `d` means total depth `1 + d`. Empty in steady state.
     deep_stack: FxHashMap<u32, u32>,
-    stack: Vec<Frame>,
+    /// The call stacks, one per thread slot ([`Inner::slot`]): slot 0 for
+    /// every thread outside this runtime's executor pool, slot `k + 1` for
+    /// pool worker `k` — the numbering of the worker gauges. Level-parallel
+    /// draining gives each concurrently running executor its own frame
+    /// stack (dependence recording targets the innermost frame of the
+    /// recording thread's slot), while everything else (values, flags, the
+    /// graph) stays shared behind the runtime lock. Worker slots are empty
+    /// between levels.
+    pub(crate) stacks: Vec<Vec<Frame>>,
     /// Emptied dependence logs of popped frames, handed to the next
     /// bookings so steady-state executions log into warm buffers.
     spare_logs: Vec<Vec<NodeId>>,
-    /// One call stack per executor-pool worker slot, indexed by the slot in
-    /// the worker's thread-local identity. Level-parallel draining gives
-    /// each concurrently running executor its own frame stack — dependence
-    /// recording on a worker thread targets that worker's innermost frame —
-    /// while everything else (values, flags, the graph) stays shared behind
-    /// the runtime lock. Empty between levels.
-    pub(crate) worker_stacks: Vec<Vec<Frame>>,
     /// The `set_parallelism` knob: `0` or `1` = the driver runs each level
     /// alone (default `0`), `n >= 2` = levels of two or more executions run
     /// on `n` threads, the driver plus an `n − 1`-worker pool.
@@ -239,11 +241,15 @@ pub(crate) struct Inner {
     /// The executions of the pooled level being drained, indexed by claim
     /// order (= batch order). Empty between levels; capacity is kept.
     pub(crate) level: Vec<LevelSlot>,
-    /// Main-stack depth when the open pooled level started. Frames below
+    /// Slot-0 stack depth when the open pooled level started. Frames below
     /// it belong to callers suspended until the level finishes.
     level_base: usize,
     dirty: DirtyStore,
     scheduling: Scheduling,
+    /// Fifo scheduling's queue key: a per-runtime insertion counter. It
+    /// may wrap; a Fifo level is one node, so a wrapped key can only
+    /// reorder the drain, never merge two nodes into one level.
+    fifo_clock: u32,
     evaluating: bool,
     /// Monotone propagation-wave counter: incremented every time the
     /// evaluation routine starts a (non-nested) run. Never reset — unlike
@@ -269,6 +275,26 @@ pub(crate) struct Inner {
     /// every emission site down to one untaken branch.
     sink: Option<Arc<dyn TraceSink>>,
     pub(crate) stats: Stats,
+}
+
+/// Order in which the evaluator drains the inconsistent set.
+///
+/// Section 4.5 of the paper: "The amount of computation is minimized when
+/// done in a topological order with respect to the graph". [`HeightOrder`]
+/// approximates that order by longest-path height (the scheme of Hoover's
+/// incremental graph evaluation work cited there); [`Fifo`] is the naive
+/// alternative, kept as an ablation knob for experiment E9. Both queue
+/// dirt in the same height queue; the scheduling picks its key.
+///
+/// [`HeightOrder`]: Scheduling::HeightOrder
+/// [`Fifo`]: Scheduling::Fifo
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Scheduling {
+    /// Drain dirty nodes in ascending dependency height (default).
+    #[default]
+    HeightOrder,
+    /// Drain dirty nodes in first-in first-out order, one per level.
+    Fifo,
 }
 
 /// Configures and builds a [`Runtime`].
@@ -312,7 +338,7 @@ impl RuntimeBuilder {
                 sets: FxHashMap::default(),
             }
         } else {
-            DirtyStore::Global(DirtySet::new(self.scheduling))
+            DirtyStore::Global(HeightQueue::new())
         };
         Runtime {
             inner: Arc::new(Mutex::new(Inner {
@@ -323,15 +349,15 @@ impl RuntimeBuilder {
                 executors: Vec::new(),
                 names: FxHashMap::default(),
                 deep_stack: FxHashMap::default(),
-                stack: Vec::new(),
+                stacks: vec![Vec::new()],
                 spare_logs: Vec::new(),
-                worker_stacks: Vec::new(),
                 parallelism: 0,
                 exec_pool: None,
                 level: Vec::new(),
                 level_base: 0,
                 dirty,
                 scheduling: self.scheduling,
+                fifo_clock: 0,
                 evaluating: false,
                 wave: 0,
                 exec_gen: 0,
@@ -437,29 +463,33 @@ impl Default for Runtime {
 impl Inner {
     fn dirty_len(&self) -> usize {
         match &self.dirty {
-            DirtyStore::Global(s) => s.len(),
-            DirtyStore::Partitioned { sets, .. } => sets.values().map(DirtySet::len).sum(),
+            DirtyStore::Global(q) => q.len(),
+            DirtyStore::Partitioned { sets, .. } => sets.values().map(HeightQueue::len).sum(),
         }
     }
 
-    /// Pops the next level of at most `max` dirty nodes into `out` (see
-    /// [`DirtySet::pop_level`]). A partitioned store pops from `origin`'s
-    /// partition — its root re-found per level, since partitions merge as
-    /// executions read — or, with no origin, from the first
-    /// partition holding dirt.
+    /// Pops the next level of at most `max` dirty nodes into `out` and
+    /// returns its height (see [`HeightQueue::pop_level`]). A partitioned
+    /// store pops from `origin`'s partition — its root re-found per level,
+    /// since partitions merge as executions read — or, with no origin,
+    /// from the first partition holding dirt. A Fifo level is the single
+    /// oldest node, reported as height 0: its key is an insertion stamp.
     fn pop_level(
         &mut self,
         origin: Option<NodeId>,
         out: &mut Vec<NodeId>,
         max: usize,
     ) -> Option<u32> {
-        match &mut self.dirty {
-            DirtyStore::Global(s) => s.pop_level(out, max),
+        let fifo = self.scheduling == Scheduling::Fifo;
+        let max = if fifo { max.min(1) } else { max };
+        let height = match &mut self.dirty {
+            DirtyStore::Global(q) => q.pop_level(out, max),
             DirtyStore::Partitioned { uf, sets } => match origin {
                 Some(o) => sets.get_mut(&uf.find(o))?.pop_level(out, max),
-                None => sets.values_mut().find_map(|s| s.pop_level(out, max)),
+                None => sets.values_mut().find_map(|q| q.pop_level(out, max)),
             },
-        }
+        }?;
+        Some(if fifo { 0 } else { height })
     }
 
     /// The diagnostic label of `n`: its explicit label, else — for a
@@ -475,58 +505,51 @@ impl Inner {
         self.label_of(n).map_or("<unnamed>", |s| &**s)
     }
 
-    /// The call stack of the *current thread*: an executor-pool worker of
-    /// this runtime gets its own per-slot stack (concurrent executors must
-    /// not see each other's frames), every other thread — including the
-    /// propagation driver — uses the main stack. A runtime that never
-    /// built a pool skips the thread-local identity read.
-    fn active_stack(&mut self) -> &mut Vec<Frame> {
-        match self.worker_slot() {
-            Some(slot) => &mut self.worker_stacks[slot],
-            None => &mut self.stack,
+    /// The stack slot of the current thread: `k + 1` on worker `k` of this
+    /// runtime's executor pool (concurrent executors must not see each
+    /// other's frames), 0 on every other thread — the propagation driver
+    /// included. A runtime that never built a pool skips the thread-local
+    /// identity read.
+    fn slot(&self) -> usize {
+        let Some(pool) = &self.exec_pool else {
+            return 0;
+        };
+        match crate::exec_pool::worker_identity() {
+            Some((pool_id, slot)) if pool_id == pool.id() => slot,
+            _ => 0,
         }
     }
 
-    /// The pool slot of the current thread, when it is a worker of this
-    /// runtime's executor pool.
-    fn worker_slot(&self) -> Option<usize> {
-        let pool = self.exec_pool.as_ref()?;
-        let (pool_id, slot) = crate::exec_pool::worker_identity()?;
-        (pool.id() == pool_id).then_some(slot)
+    /// The call stack of the current thread.
+    fn active_stack(&mut self) -> &mut Vec<Frame> {
+        let slot = self.slot();
+        &mut self.stacks[slot]
     }
 
     /// Whether an execution of `n` runs on another thread of a pooled
     /// level: a frame of it sits on a stack other than the current
-    /// thread's, above the level's suspended callers. Its commit will
-    /// replace the cached value. A booked but unclaimed level member has
-    /// no frame yet, and frames on the caller's own stack are Section 7.3
-    /// re-entrancy; neither counts.
+    /// thread's, above the level's suspended callers on slot 0. Its commit
+    /// will replace the cached value. A booked but unclaimed level member
+    /// has no frame yet, and frames on the caller's own stack are
+    /// Section 7.3 re-entrancy; neither counts.
     fn executing_elsewhere(&self, n: NodeId) -> bool {
         if self.flags[n.index()] & F_ON_STACK == 0 {
             return false;
         }
-        let own = self.worker_slot();
-        let holds = |stack: &[Frame]| stack.iter().any(|f| f.node == n);
-        (own.is_some() && holds(&self.stack[self.level_base..]))
-            || (self.worker_stacks.iter().enumerate())
-                .any(|(slot, stack)| own != Some(slot) && holds(stack))
+        let own = self.slot();
+        (self.stacks.iter().enumerate()).any(|(slot, stack)| {
+            let base = if slot == 0 { self.level_base } else { 0 };
+            slot != own && stack[base..].iter().any(|f| f.node == n)
+        })
     }
 
-    /// Marks every live frame of node `n` stale, on the main stack and —
-    /// under level-parallel draining — on every worker stack. A stale
+    /// Marks every live frame of node `n` stale, on every stack. A stale
     /// execution's result will be discarded (generation supersession), so
     /// it must stop logging dependences.
     fn mark_stale_frames(&mut self, n: NodeId) {
-        for frame in &mut self.stack {
+        for frame in self.stacks.iter_mut().flatten() {
             if frame.node == n {
                 frame.stale = true;
-            }
-        }
-        for stack in &mut self.worker_stacks {
-            for frame in stack {
-                if frame.node == n {
-                    frame.stale = true;
-                }
             }
         }
     }
@@ -555,18 +578,23 @@ impl Inner {
         }
     }
 
-    /// Inserts `n` into the inconsistent set of its partition. `cause` is
+    /// Inserts `n` into the inconsistent set of its partition, keyed by its
+    /// height or, under Fifo scheduling, by the insertion clock. `cause` is
     /// the predecessor that fanned dirt here ([`DirtyReason::Fanout`]),
     /// `None` when `n` itself originates the dirt.
     fn insert_dirty(&mut self, n: NodeId, reason: DirtyReason, cause: Option<NodeId>) {
-        let height = self.graph.height(n);
-        let scheduling = self.scheduling;
+        let key = match self.scheduling {
+            Scheduling::HeightOrder => self.graph.height(n),
+            Scheduling::Fifo => {
+                self.fifo_clock = self.fifo_clock.wrapping_add(1);
+                self.fifo_clock
+            }
+        };
         let fresh = match &mut self.dirty {
-            DirtyStore::Global(s) => s.insert(n, height),
-            DirtyStore::Partitioned { uf, sets } => sets
-                .entry(uf.find(n))
-                .or_insert_with(|| DirtySet::new(scheduling))
-                .insert(n, height),
+            DirtyStore::Global(q) => q.insert(n, key),
+            DirtyStore::Partitioned { uf, sets } => {
+                sets.entry(uf.find(n)).or_default().insert(n, key)
+            }
         };
         if fresh {
             self.stats.dirtied += 1;
@@ -592,11 +620,8 @@ impl Inner {
     /// (Section 6.3), at the read, so a nested call's pending-change check
     /// sees the partition eager recording would have built.
     fn record_dependence(&mut self, n: NodeId) -> bool {
-        let stack = match self.worker_slot() {
-            Some(slot) => &mut self.worker_stacks[slot],
-            None => &mut self.stack,
-        };
-        let Some(frame) = stack.last_mut() else {
+        let slot = self.slot();
+        let Some(frame) = self.stacks[slot].last_mut() else {
             return false;
         };
         if frame.stale {
@@ -629,10 +654,7 @@ impl Inner {
             uf.ensure(v);
             if let Some((win, lose)) = uf.union(n, v) {
                 if let Some(mut lost) = sets.remove(&lose) {
-                    let scheduling = self.scheduling;
-                    sets.entry(win)
-                        .or_insert_with(|| DirtySet::new(scheduling))
-                        .absorb(&mut lost);
+                    sets.entry(win).or_default().absorb(&mut lost);
                 }
             }
         }
@@ -674,9 +696,7 @@ impl Inner {
     /// Adds the edge `u -> v`, raising heights, and fails stop on a
     /// dependency cycle.
     fn add_dependence(&mut self, u: NodeId, v: NodeId) {
-        let raises_before = self.graph.height_raises();
-        self.graph.add_edge(u, v);
-        self.stats.height_raises += self.graph.height_raises() - raises_before;
+        self.stats.height_raises += self.graph.add_edge(u, v);
         self.stats.edges_created += 1;
         emit!(self, TraceEvent::EdgeAdded { from: u, to: v });
         assert!(
@@ -696,19 +716,13 @@ impl Inner {
     /// built — including the removal of last run's edges this run has not
     /// read yet.
     fn reconcile_live(&mut self) {
-        let slot = self.worker_slot();
-        let mut stack = std::mem::take(match slot {
-            Some(slot) => &mut self.worker_stacks[slot],
-            None => &mut self.stack,
-        });
+        let slot = self.slot();
+        let mut stack = std::mem::take(&mut self.stacks[slot]);
         for frame in stack.iter_mut().filter(|f| !f.stale) {
             self.reconcile(frame.node, &mut frame.log);
             frame.compacted = frame.log.len();
         }
-        match slot {
-            Some(slot) => self.worker_stacks[slot] = stack,
-            None => self.stack = stack,
-        }
+        self.stacks[slot] = stack;
     }
 
     /// Whether a changed write to location `x` must queue it: some
@@ -722,8 +736,7 @@ impl Inner {
                 LevelSlot::Booked(booking) => Some(&booking.frame),
                 _ => None,
             });
-            (self.stack.iter())
-                .chain(self.worker_stacks.iter().flatten())
+            (self.stacks.iter().flatten())
                 .chain(booked)
                 .filter(|f| !f.stale)
         };
@@ -1065,16 +1078,11 @@ impl Runtime {
         {
             let mut guard = self.lock();
             let inner = &mut *guard;
-            assert!(
-                inner.stack.is_empty(),
-                "check_invariants: {} execution frame(s) still active; only call between \
-                 top-level operations",
-                inner.stack.len()
-            );
-            for (slot, stack) in inner.worker_stacks.iter().enumerate() {
+            for (slot, stack) in inner.stacks.iter().enumerate() {
                 assert!(
                     stack.is_empty(),
-                    "check_invariants: worker {slot} still holds {} execution frame(s)",
+                    "check_invariants: {} execution frame(s) still active on stack slot \
+                     {slot}; only call between top-level operations",
                     stack.len()
                 );
             }
@@ -1458,9 +1466,9 @@ impl Runtime {
             false
         } else {
             match &mut inner.dirty {
-                DirtyStore::Global(s) => !s.is_empty(),
+                DirtyStore::Global(q) => !q.is_empty(),
                 DirtyStore::Partitioned { uf, sets } => {
-                    sets.get(&uf.find(n)).is_some_and(|s| !s.is_empty())
+                    sets.get(&uf.find(n)).is_some_and(|q| !q.is_empty())
                 }
             }
         };
@@ -1954,7 +1962,7 @@ impl Runtime {
                     let booking = inner.exec_book(u);
                     inner.level.push(LevelSlot::Booked(booking));
                 }
-                inner.level_base = inner.stack.len();
+                inner.level_base = inner.stacks[0].len();
                 guard = self.run_level(guard);
                 let inner = &mut *guard;
                 let mut level = std::mem::take(&mut inner.level);

@@ -712,13 +712,19 @@ impl Labels {
 }
 
 /// Escapes `s` for embedding in a JSON string literal: quotes, backslashes
-/// and control characters.
+/// and control characters (`\n`, `\r` and `\t` in their short forms, the
+/// rest as `\u00XX`). The one JSON string escaper of the workspace: every
+/// JSON writer (traces, metrics snapshots, bench tables, `alphonse-check`
+/// reports) goes through it.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -749,6 +755,7 @@ mod tests {
 
     #[test]
     fn json_escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\r\t\u{1}é"), "\\r\\t\\u0001é");
     }
 }

@@ -3,7 +3,7 @@
 //! paper's fixpoint behaviour for procedures that write tracked state.
 
 use alphonse::trace::{Recorder, TraceEvent};
-use alphonse::{Runtime, Scheduling, Strategy};
+use alphonse::{NodeId, Runtime, Scheduling, Strategy, Var};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -284,6 +284,124 @@ fn schedule_experiment(mode: Scheduling) -> (u64, u32) {
     assert_eq!(j.call(&rt, ()), 30);
     let d = rt.stats().delta_since(&before);
     (d.executions, nj.get() - before_j)
+}
+
+/// An eager fan under Fifo scheduling: one variable per eager cell, each
+/// cell reading only its own variable. Returns the variables and the
+/// cells' node ids.
+fn fifo_fan(rt: &Runtime, width: usize) -> (Vec<Var<i64>>, Vec<NodeId>) {
+    let vars: Vec<Var<i64>> = (0..width).map(|i| rt.var(i as i64)).collect();
+    let cells = vars
+        .iter()
+        .map(|&v| {
+            let cell = rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| v.get(rt) * 10);
+            cell.call(rt, ());
+            cell.instance_node(&()).unwrap()
+        })
+        .collect();
+    (vars, cells)
+}
+
+/// Runs `f` under a recorder and returns the indices into `cells` of the
+/// executions it began, in order.
+fn execution_order(rt: &Runtime, cells: &[NodeId], f: impl FnOnce()) -> Vec<usize> {
+    let rec = Arc::new(Recorder::new(4096));
+    rt.with_trace(rec.clone(), f);
+    (rec.events().into_iter())
+        .filter_map(|e| match e {
+            TraceEvent::ExecuteBegin { node } => cells.iter().position(|&c| c == node),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn fifo_drains_in_insertion_order() {
+    let rt = Runtime::builder().scheduling(Scheduling::Fifo).build();
+    let (vars, cells) = fifo_fan(&rt, 4);
+    let order = execution_order(&rt, &cells, || {
+        for i in [2, 0, 3, 1] {
+            vars[i].set(&rt, 100);
+        }
+        rt.propagate();
+    });
+    assert_eq!(
+        order,
+        vec![2, 0, 3, 1],
+        "cells run in the order their inputs were written"
+    );
+    // Height order ignores the write order: every cell sits one level up.
+    let rt = Runtime::new();
+    let (vars, cells) = fifo_fan(&rt, 4);
+    let order = execution_order(&rt, &cells, || {
+        for i in [2, 0, 3, 1] {
+            vars[i].set(&rt, 100);
+        }
+        rt.propagate();
+    });
+    assert_eq!(order, vec![3, 2, 1, 0]);
+}
+
+#[test]
+fn fifo_requeues_a_redirtied_node_at_the_back() {
+    let rt = Runtime::builder().scheduling(Scheduling::Fifo).build();
+    let (vars, cells) = fifo_fan(&rt, 2);
+    let order = execution_order(&rt, &cells, || {
+        vars[0].set(&rt, 5);
+        vars[1].set(&rt, 6);
+        // Pops the first write; its cell joins the queue behind the second.
+        assert!(!rt.propagate_steps(1));
+        // Written again after its pop, the first variable queues last.
+        vars[0].set(&rt, 7);
+        rt.propagate();
+    });
+    assert_eq!(order, vec![0, 1, 0]);
+    rt.check_invariants();
+}
+
+#[test]
+fn fifo_queues_a_repeatedly_dirtied_node_once() {
+    let rt = Runtime::builder().scheduling(Scheduling::Fifo).build();
+    let (vars, cells) = fifo_fan(&rt, 2);
+    let order = execution_order(&rt, &cells, || {
+        vars[0].set(&rt, 1);
+        vars[1].set(&rt, 2);
+        // Re-dirtying a queued node keeps its place and adds no entry.
+        vars[0].set(&rt, 3);
+        vars[0].set(&rt, 4);
+        assert_eq!(rt.dirty_count(), 2);
+        rt.propagate();
+    });
+    assert_eq!(order, vec![0, 1]);
+    assert_eq!(rt.dirty_count(), 0);
+}
+
+#[test]
+fn partitioned_fifo_merge_keeps_every_queued_node() {
+    let rt = Runtime::builder()
+        .partitioning(true)
+        .scheduling(Scheduling::Fifo)
+        .build();
+    let (vars, cells) = fifo_fan(&rt, 3);
+    let order = execution_order(&rt, &cells, || {
+        // Three partitions, each with queued dirt.
+        for i in [1, 2, 0] {
+            vars[i].set(&rt, 50 + i as i64);
+        }
+        assert_eq!(rt.dirty_count(), 3);
+        // A fresh instance reading all three merges their partitions.
+        let (x, y, z) = (vars[0], vars[1], vars[2]);
+        let join = rt.memo("join", move |rt, &(): &()| {
+            x.get(rt) + y.get(rt) + z.get(rt)
+        });
+        assert_eq!(join.call(&rt, ()), 153);
+        assert_eq!(rt.dirty_count(), 3, "the merged queue lost nothing");
+        rt.propagate();
+    });
+    // The merged queue drains in write order across the old partitions.
+    assert_eq!(order, vec![1, 2, 0]);
+    assert_eq!(rt.dirty_count(), 0);
+    rt.check_invariants();
 }
 
 #[test]

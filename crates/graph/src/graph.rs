@@ -96,12 +96,6 @@ pub struct DepGraph {
     /// Head of the free list threaded through `edges[i].next_out`.
     free_edge: u32,
     edges_live: usize,
-    edges_created: u64,
-    edges_removed: u64,
-    /// Node-height increases performed by online propagation (each node
-    /// whose height rose counts once per rise). Static height seeding
-    /// exists to shrink this number.
-    height_raises: u64,
     /// Set when height propagation exceeds its budget, which can only
     /// happen if the dependency relation is cyclic (a violation of the
     /// paper's DET/termination assumptions).
@@ -126,9 +120,6 @@ impl Default for DepGraph {
             edges: Vec::new(),
             free_edge: NIL,
             edges_live: 0,
-            edges_created: 0,
-            edges_removed: 0,
-            height_raises: 0,
             cycle_suspected: false,
             scratch: Vec::new(),
         }
@@ -163,26 +154,10 @@ impl DepGraph {
         self.edges_live
     }
 
-    /// Total number of edges created over the graph's lifetime.
-    pub fn edges_created(&self) -> u64 {
-        self.edges_created
-    }
-
-    /// Total number of edges removed over the graph's lifetime.
-    pub fn edges_removed(&self) -> u64 {
-        self.edges_removed
-    }
-
     /// Evaluation priority of `n`: the length of the longest known
     /// dependency path ending at `n`.
     pub fn height(&self, n: NodeId) -> u32 {
         self.nodes[n.index()].height
-    }
-
-    /// Total node-height increases performed by online propagation
-    /// ([`DepGraph::add_edge`]'s raise step) over the graph's lifetime.
-    pub fn height_raises(&self) -> u64 {
-        self.height_raises
     }
 
     /// Lifts `n`'s height to at least `h`, returning `true` if it rose.
@@ -213,7 +188,6 @@ impl DepGraph {
     }
 
     fn alloc_edge(&mut self, e: Edge) -> u32 {
-        self.edges_created += 1;
         self.edges_live += 1;
         if self.free_edge != NIL {
             let id = self.free_edge;
@@ -230,11 +204,13 @@ impl DepGraph {
 
     /// Adds the dependency edge `u -> v` ("v depends on u") and raises `v`'s
     /// height above `u`'s if needed, propagating to `v`'s transitive
-    /// successors.
+    /// successors. Returns the number of height raises that took (each
+    /// node whose height rose counts once per rise); static height seeding
+    /// ([`DepGraph::set_min_height`]) exists to shrink this number.
     ///
     /// Duplicate edges are permitted (the runtime deduplicates per
     /// execution); each call creates a distinct edge record.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
+    pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> u64 {
         let e = self.alloc_edge(Edge {
             src: u.0,
             dst: v.0,
@@ -248,14 +224,15 @@ impl DepGraph {
         }
         self.nodes[u.index()].first_out = e;
         self.nodes[v.index()].first_in = e;
-        self.raise_height(u, v);
+        self.raise_height(u, v)
     }
 
     /// Ensures `height(v) > height(u)`, propagating increases forward.
-    fn raise_height(&mut self, u: NodeId, v: NodeId) {
+    /// Returns the number of raises.
+    fn raise_height(&mut self, u: NodeId, v: NodeId) -> u64 {
         let hu = self.nodes[u.index()].height;
         if self.nodes[v.index()].height > hu {
-            return;
+            return 0;
         }
         // Budget: in a DAG a single edge insertion can raise each node's
         // height at most once per level; a generous budget distinguishes
@@ -266,7 +243,7 @@ impl DepGraph {
         let mut work = std::mem::take(&mut self.scratch);
         work.clear();
         self.nodes[v.index()].height = hu + 1;
-        self.height_raises += 1;
+        let mut raises = 1;
         work.push(v.0);
         while let Some(x) = work.pop() {
             steps += 1;
@@ -280,13 +257,14 @@ impl DepGraph {
                 let edge = self.edges[e as usize];
                 if self.nodes[edge.dst as usize].height <= hx {
                     self.nodes[edge.dst as usize].height = hx + 1;
-                    self.height_raises += 1;
+                    raises += 1;
                     work.push(edge.dst);
                 }
                 e = edge.next_out;
             }
         }
         self.scratch = work;
+        raises
     }
 
     /// Unlinks edge `e` from its source's out list and frees its slot. The
@@ -305,7 +283,6 @@ impl DepGraph {
         self.edges[e as usize].next_out = self.free_edge;
         self.free_edge = e;
         self.edges_live -= 1;
-        self.edges_removed += 1;
     }
 
     /// Walks the incoming edges of `v` once and removes each edge whose
@@ -363,44 +340,17 @@ impl DepGraph {
         }
     }
 
-    /// Calls `f` once per successor of `u` (including duplicates from
-    /// parallel edges), without constructing an iterator adapter chain.
-    ///
-    /// This is the fan-out primitive of the propagation drain loop: callers
-    /// that must release a borrow of the graph before acting on the
-    /// successors pair it with [`DepGraph::succs_into`] and a reusable
-    /// scratch buffer instead of collecting into a fresh `Vec`.
-    #[inline]
-    pub fn for_each_succ(&self, u: NodeId, mut f: impl FnMut(NodeId)) {
-        let mut e = self.nodes[u.index()].first_out;
-        while e != NIL {
-            let edge = self.edges[e as usize];
-            f(NodeId(edge.dst));
-            e = edge.next_out;
-        }
-    }
-
     /// Clears `out` and fills it with the successors of `u` (duplicates
-    /// included). Reusing one caller-owned buffer across calls makes the
-    /// steady-state fan-out allocation-free: once the buffer's capacity
-    /// covers the widest fan-out seen, no further heap traffic occurs.
+    /// included) — the fan-out primitive of the propagation drain loop,
+    /// for callers that must release a borrow of the graph before acting
+    /// on the successors. Reusing one caller-owned buffer across calls
+    /// makes the steady-state fan-out allocation-free: once the buffer's
+    /// capacity covers the widest fan-out seen, no further heap traffic
+    /// occurs.
     #[inline]
     pub fn succs_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
-        self.for_each_succ(u, |s| out.push(s));
-    }
-
-    /// Calls `f` once per predecessor of `v` (including duplicates from
-    /// parallel edges), without constructing an iterator adapter chain —
-    /// the fan-in counterpart of [`DepGraph::for_each_succ`].
-    #[inline]
-    pub fn for_each_pred(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        let mut e = self.nodes[v.index()].first_in;
-        while e != NIL {
-            let edge = self.edges[e as usize];
-            f(NodeId(edge.src));
-            e = edge.next_in;
-        }
+        out.extend(self.succs(u));
     }
 
     /// Clears `out` and fills it with the predecessors of `v` (duplicates
@@ -410,7 +360,7 @@ impl DepGraph {
     #[inline]
     pub fn preds_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
         out.clear();
-        self.for_each_pred(v, |p| out.push(p));
+        out.extend(self.preds(v));
     }
 }
 
@@ -527,7 +477,7 @@ mod tests {
         for w in deep.windows(2) {
             g.add_edge(w[0], w[1]);
         }
-        g.add_edge(deep[3], chain[0]);
+        assert_eq!(g.add_edge(deep[3], chain[0]), 5, "one raise per chain node");
         assert_eq!(g.height(chain[0]), 4);
         assert_eq!(g.height(chain[4]), 8);
         assert!(!g.cycle_suspected());
@@ -547,7 +497,6 @@ mod tests {
         assert_eq!(g.succs(a).collect::<Vec<_>>(), vec![b]);
         assert_eq!(g.succs(b).count(), 0);
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.edges_removed(), 2);
     }
 
     #[test]
@@ -560,8 +509,7 @@ mod tests {
             g.retain_preds(b, |_| false);
         }
         assert_eq!(g.edges.len(), 1, "freelist should recycle the single slot");
-        assert_eq!(g.edges_created(), 10);
-        assert_eq!(g.edges_removed(), 10);
+        assert_eq!(g.edge_count(), 0);
     }
 
     #[test]
@@ -584,21 +532,6 @@ mod tests {
         g.add_edge(a, b);
         g.add_edge(b, a);
         assert!(g.cycle_suspected());
-    }
-
-    #[test]
-    fn for_each_succ_matches_iterator() {
-        let mut g = DepGraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        let c = g.add_node();
-        g.add_edge(a, b);
-        g.add_edge(a, c);
-        g.add_edge(a, b); // parallel edge preserved by both forms
-        let mut via_fn = Vec::new();
-        g.for_each_succ(a, |s| via_fn.push(s));
-        assert_eq!(via_fn, g.succs(a).collect::<Vec<_>>());
-        assert_eq!(via_fn.len(), 3);
     }
 
     #[test]
@@ -644,10 +577,8 @@ mod tests {
         // (b first rises above a at height 1, then again when a rises).
         let mut g = DepGraph::new();
         let (loc, a, b) = (g.add_node(), g.add_node(), g.add_node());
-        g.add_edge(a, b);
-        g.add_edge(loc, a);
-        let unseeded = g.height_raises();
-        assert!(unseeded >= 3);
+        assert_eq!(g.add_edge(a, b), 1);
+        assert_eq!(g.add_edge(loc, a), 2);
 
         // Seeded at their static strata, the same insertion order does no
         // raise work at all.
@@ -656,9 +587,8 @@ mod tests {
         assert!(g.set_min_height(a, 1));
         assert!(g.set_min_height(b, 2));
         assert!(!g.set_min_height(b, 2), "second lift is a no-op");
-        g.add_edge(a, b);
-        g.add_edge(loc, a);
-        assert_eq!(g.height_raises(), 0);
+        assert_eq!(g.add_edge(a, b), 0);
+        assert_eq!(g.add_edge(loc, a), 0);
         assert_eq!(g.height(b), 2);
         assert_eq!(g.height(loc), 0);
     }
