@@ -43,13 +43,13 @@
 //!   stays behind the runtime's single lock; the worker gauges use the same
 //!   slots.
 //!
-//! Panics: a job that panics is caught so the worker survives. A helper
-//! ticket whose executor panics marks its level failed on the way out (a
-//! drop guard), which wakes the driver; the driver then panics with "an
-//! executor panicked on a worker" on its own thread. A panic in an
-//! execution the driver claimed unwinds straight out of `run_level`,
-//! closing the blocking-lock window as it goes. Either way the runtime is
-//! left unspecified-but-memory-safe, as for any executor panic.
+//! Panics: the claim loop catches a body's panic and leaves its outcome in
+//! the slot for the driver to roll back in batch order, so a level always
+//! runs to completion. Only a fail-stop panic the runtime raises outside a
+//! body (a cycle found while a log is reconciled) unwinds out of a claim
+//! loop: a helper's drop guard then marks the level failed and wakes the
+//! driver, which panics in turn, and a job that panics is caught so the
+//! worker survives.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -197,7 +197,8 @@ struct Level {
 struct Barrier {
     /// Executions not yet reported finished.
     pending: usize,
-    /// A helper's executor panicked: `pending` will never reach zero.
+    /// A helper's claim loop unwound with a fail-stop panic: `pending` will
+    /// never reach zero.
     failed: bool,
 }
 
@@ -248,7 +249,7 @@ impl Level {
     }
 
     /// The driver's side of the barrier: report its own `ran` executions,
-    /// then wait for the rest. `false` if a helper panicked.
+    /// then wait for the rest. `false` if a helper's claim loop unwound.
     fn wait(&self, ran: u64) -> bool {
         let mut b = self.barrier();
         b.pending -= ran as usize;
@@ -260,7 +261,8 @@ impl Level {
 }
 
 /// Marks a level failed and wakes its driver when a helper's claim loop
-/// unwinds, so a panicking executor cannot leave the barrier waiting.
+/// unwinds with one of the runtime's fail-stop panics, so the barrier is
+/// not left waiting.
 struct FailOnUnwind<'a>(&'a Level);
 
 impl Drop for FailOnUnwind<'_> {
@@ -348,7 +350,7 @@ impl Runtime {
         }
         assert!(
             ok,
-            "an executor panicked on a worker; runtime state unspecified"
+            "a runtime check failed on a pool worker (see its panic message above)"
         );
         self.lock()
     }

@@ -53,6 +53,9 @@
 //! procedures must additionally keep their side effects unobservable (OBS).
 //! Violations are detected where possible (dependency cycles panic with a
 //! diagnostic) but cannot be checked in general, mirroring the paper.
+//! A body may fail by panicking (a host's typed payload carries its own
+//! errors): the execution is rolled back and the panic reaches the caller
+//! with the runtime still usable (see [`Runtime`]'s panic contract).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

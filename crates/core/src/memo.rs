@@ -167,9 +167,9 @@ impl<A, R> MemoInner<A, R> {
         }
     }
 
-    /// Locks the argument table; a poisoned lock (panic unwound out of a
-    /// memo operation) is entered anyway, matching the runtime's
-    /// unspecified-but-memory-safe post-panic contract.
+    /// Locks the argument table. No body runs while it is held, so only a
+    /// fail-stop runtime panic can poison it; a poisoned lock is entered
+    /// anyway, as the runtime's own lock is.
     fn table(&self) -> MutexGuard<'_, Table<A>> {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -362,7 +362,9 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// # Panics
     ///
     /// Panics if `rt` is not the runtime the memo was defined in, or if the
-    /// computation turns out to be cyclic (paper restriction DET).
+    /// computation turns out to be cyclic (paper restriction DET). A panic
+    /// of the body reaches the caller after the executions it unwound
+    /// through are rolled back (see [`Runtime`]'s panic contract).
     pub fn call(&self, rt: &Runtime, args: A) -> R {
         let (node, begun) = self.settle(rt, args);
         self.finish(rt, node, begun, R::clone)
@@ -552,25 +554,6 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         for &(_, node) in live.iter().take(over) {
             rt.evict_value(node);
             self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drops the cached value for `args`, forcing recomputation on the
-    /// next call, exactly like LRU eviction (dependency edges are kept, so
-    /// change propagation through the instance stays sound). Returns `true`
-    /// if a live value was dropped. Instances that are currently executing
-    /// are left untouched.
-    ///
-    /// Hosts use this to un-cache results that are known to be invalid for
-    /// reasons the runtime cannot see — e.g. a language interpreter whose
-    /// procedure body raised an error after the memo committed a sentinel.
-    pub fn forget(&self, rt: &Runtime, args: &A) -> bool {
-        match self.instance_node(args) {
-            Some(n) if rt.node_has_value(n) && !rt.node_on_stack(n) => {
-                rt.evict_value(n);
-                true
-            }
-            _ => false,
         }
     }
 

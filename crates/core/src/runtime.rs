@@ -39,6 +39,7 @@ use crate::value::Value;
 use alphonse_graph::{DepGraph, HeightQueue, NodeId, UnionFind};
 use alphonse_mem as mem;
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
@@ -82,16 +83,20 @@ pub(crate) struct Booking {
     frame: Frame,
 }
 
+/// What running an executor's body produced: its value, or the payload of
+/// the panic that unwound out of it.
+pub(crate) type Outcome = std::thread::Result<Box<dyn Value>>;
+
 /// One execution of a pooled level, as the claim loop moves it along.
 pub(crate) enum LevelSlot {
     /// Booked by the driver when it opened the level.
     Booked(Booking),
     /// Claimed: the frame is on the claiming thread's stack.
     Running,
-    /// Finished: the execution's generation, its value awaiting the
-    /// driver's in-order commit, and whether that value differs from the
+    /// Finished: the execution's generation, its outcome awaiting the
+    /// driver's in-order commit, and whether its value differs from the
     /// cached one.
-    Done(u64, Box<dyn Value>, bool),
+    Done(u64, Outcome, bool),
 }
 
 /// Evaluation strategy of an incremental procedure (paper Section 3.3).
@@ -412,12 +417,18 @@ impl RuntimeBuilder {
 ///
 /// # Panics
 ///
-/// Runtime operations panic if the program violates the paper's
-/// restrictions (Section 3.5): a dependency cycle (a procedure transitively
-/// depending on its own result, which breaks DET) is reported as soon as it
-/// is detected. A panic unwinding out of an incremental procedure body
-/// leaves the runtime in an unspecified (but memory-safe) state; it must not
-/// be reused afterwards.
+/// A panic unwinding out of an incremental procedure body rolls that
+/// execution back: nothing is committed and the instance is left out of
+/// date, so the next demand re-executes it. The panic then reaches the
+/// caller, through every calling execution (each rolled back alike) or out
+/// of [`propagate`](Runtime::propagate), and the runtime stays usable. A
+/// body must not catch a callee's panic and return normally: the failed
+/// run logged no dependences, so no repair would invalidate the caller.
+///
+/// The runtime's own panics are fail-stop, after which it is memory-safe
+/// but not guaranteed consistent: a dependency cycle (which breaks the
+/// paper's DET restriction, Section 3.5) is reported as soon as it is
+/// detected, and so is re-entrant use from a closure run under its lock.
 #[derive(Clone)]
 pub struct Runtime {
     pub(crate) inner: Arc<Mutex<Inner>>,
@@ -854,10 +865,10 @@ impl Runtime {
     /// means a runtime operation was re-entered — by a closure that runs
     /// under the lock (a `Var::with` body, a trace sink) or by a second
     /// thread misusing one session concurrently — and the call panics
-    /// (fail-stop) instead of deadlocking. A poisoned lock
-    /// (a panic unwound out of a runtime operation) is entered anyway: the
-    /// documented contract already declares the runtime
-    /// unspecified-but-memory-safe after a panic.
+    /// (fail-stop) instead of deadlocking. A poisoned lock is entered
+    /// anyway: a panic raised while it was held came either from a closure
+    /// run under it (a `Var::with` body, rolled back with its execution
+    /// like any body panic) or from a fail-stop check.
     ///
     /// Every acquisition is tallied in [`Stats::lock_acquisitions`].
     #[inline]
@@ -1546,10 +1557,16 @@ impl Runtime {
         my_gen: u64,
         f: impl FnOnce(&dyn Value) -> R,
     ) -> R {
-        let value = executor.run(self);
+        let outcome = self.run_body(executor);
         let mut guard = self.lock();
         let inner = &mut *guard;
-        let (uncommitted, _) = self.exec_end(inner, n, my_gen, value);
+        let uncommitted = match self.exec_end(inner, n, my_gen, outcome) {
+            Ok((uncommitted, _)) => uncommitted,
+            Err(payload) => {
+                drop(guard);
+                resume_unwind(payload)
+            }
+        };
         inner.record_dependence(n);
         match uncommitted {
             Some(v) => f(&*v),
@@ -1599,10 +1616,18 @@ impl Runtime {
         emit!(inner, TraceEvent::ExecuteBegin { node: n });
     }
 
+    /// Runs an executor's body unlocked, catching a panic that unwinds out
+    /// of it so the caller can roll the execution back before passing the
+    /// payload on.
+    fn run_body(&self, executor: &Executor) -> Outcome {
+        catch_unwind(AssertUnwindSafe(|| executor.run(self)))
+    }
+
     /// Second half of an execution: pops the call frame and commits (or,
     /// when superseded — the `Some` return — hands back) the computed
-    /// value, plus whether the cache changed. Runs under the caller's guard
-    /// so the commit can share a lock round-trip with whatever follows it
+    /// value, plus whether the cache changed; a failed execution is rolled
+    /// back and its payload returned. Runs under the caller's guard so the
+    /// commit can share a lock round-trip with whatever follows it
     /// (successor dirtying and the next booking in the evaluation loop,
     /// dependence recording on the memo call path).
     fn exec_end(
@@ -1610,40 +1635,42 @@ impl Runtime {
         inner: &mut Inner,
         n: NodeId,
         my_gen: u64,
-        value: Box<dyn Value>,
-    ) -> (Option<Box<dyn Value>>, bool) {
-        let changed = self.exec_pop(inner, n, my_gen, &*value);
-        inner.exec_store(n, my_gen, value, changed)
+        outcome: Outcome,
+    ) -> std::thread::Result<(Option<Box<dyn Value>>, bool)> {
+        let changed = self.exec_pop(inner, n, my_gen, &outcome);
+        inner.exec_store(n, my_gen, outcome, changed)
     }
 
     /// The frame half of [`Runtime::exec_end`], run by the thread that
     /// executed `n` as soon as its executor returns: pops that thread's
     /// innermost frame, reconciles its dependence log with the node's
-    /// retained edges (a superseded frame's log is dropped instead), drops
-    /// the node's on-stack depth, and compares `value` against the
-    /// still-cached old one (the cutoff comparison). Closes the
-    /// execution's trace span and returns whether the value changed
-    /// (`false` when superseded).
-    fn exec_pop(&self, inner: &mut Inner, n: NodeId, my_gen: u64, value: &dyn Value) -> bool {
+    /// retained edges (a superseded or failed execution's log is dropped
+    /// instead), drops the node's on-stack depth, and compares the value
+    /// against the still-cached old one (the cutoff comparison). Closes
+    /// the execution's trace span and returns whether the value changed
+    /// (`false` when superseded or failed).
+    fn exec_pop(&self, inner: &mut Inner, n: NodeId, my_gen: u64, outcome: &Outcome) -> bool {
+        let value = outcome.as_deref().ok();
         let mut frame = inner.active_stack().pop().expect("frame pushed above");
         self.exec_depth.fetch_sub(1, Ordering::Relaxed);
         debug_assert_eq!(frame.node, n, "call stack imbalance");
         debug_assert_eq!(frame.stale, inner.gens[n.index()] != my_gen);
-        if !frame.stale {
+        if !frame.stale && value.is_some() {
             inner.reconcile(n, &mut frame.log);
         }
         frame.log.clear();
         inner.spare_logs.push(frame.log);
         let i = n.index();
         inner.on_stack_dec(i);
-        // A superseded execution's value is handed back, never compared:
-        // the fresher run owns the cache.
-        let (changed, compared) = match &inner.values[i] {
+        let (changed, compared) = match (value, &inner.values[i]) {
+            // A failed execution has no value, and a superseded one's is
+            // handed back, never compared: the fresher run owns the cache.
+            (None, _) => (false, false),
             _ if inner.gens[i] != my_gen => (false, false),
             // A first execution has no previous value: it counts as changed
             // without charging a cutoff comparison.
-            None => (true, false),
-            Some(old) => (!old.dyn_eq(value), true),
+            (Some(_), None) => (true, false),
+            (Some(value), Some(old)) => (!old.dyn_eq(value), true),
         };
         if compared {
             inner.stats.comparisons += 1;
@@ -1763,6 +1790,9 @@ impl Runtime {
     /// the paper's evaluation routine, intended to be "called whenever
     /// cycles are available" (Section 4.5). Eager procedures re-execute
     /// here; demand procedures are only marked out-of-date.
+    /// If an eager body panics, the rest of its level still runs, then the
+    /// wave closes and the first failure's panic resumes, leaving the
+    /// remaining dirt queued (see [`Runtime`]'s panic contract).
     pub fn propagate(&self) {
         self.evaluate_bounded(None, u64::MAX);
     }
@@ -1847,7 +1877,7 @@ impl Runtime {
         // real (outermost) waves are timed and a disabled switch skips the
         // clock read entirely.
         let wave_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        let mut inner = self.drain_levels(inner, origin, max_steps);
+        let (mut inner, failure) = self.drain_levels(inner, origin, max_steps);
         inner.evaluating = false;
         emit!(
             inner,
@@ -1865,6 +1895,9 @@ impl Runtime {
         if let Some(t0) = wave_t0 {
             self.metrics
                 .record_wave(t0.elapsed().as_nanos() as u64, executed, wasted);
+        }
+        if let Some(payload) = failure {
+            resume_unwind(payload);
         }
     }
 
@@ -1887,6 +1920,8 @@ impl Runtime {
     /// [`Runtime::run_level`], which runs it beside pool helpers and leaves
     /// its results for the commit below, in batch order.
     ///
+    /// A level with a failed execution still runs to completion; the drain
+    /// then stops and returns the first failure's payload in batch order.
     /// Takes the guard that opened the wave and returns the one that
     /// closes it.
     fn drain_levels<'a>(
@@ -1894,13 +1929,14 @@ impl Runtime {
         mut guard: MutexGuard<'a, Inner>,
         origin: Option<NodeId>,
         max_steps: u64,
-    ) -> MutexGuard<'a, Inner> {
+    ) -> (MutexGuard<'a, Inner>, Option<Box<dyn std::any::Any + Send>>) {
         let mut steps = 0u64;
         // The open level's eager executions in batch order, how many of
         // them the driver has started, and its height.
         let mut execs = std::mem::take(&mut guard.level_scratch);
         let mut next = 0;
         let mut height = None;
+        let mut failure = None;
         loop {
             let inner = &mut *guard;
             if next < execs.len() {
@@ -1908,12 +1944,13 @@ impl Runtime {
                 next += 1;
                 let (executor, my_gen) = self.exec_begin(inner, u);
                 drop(guard);
-                let value = executor.run(self);
+                let outcome = self.run_body(&executor);
                 guard = self.lock();
                 let inner = &mut *guard;
-                let (_, changed) = self.exec_end(inner, u, my_gen, value);
-                if changed {
-                    inner.dirty_succs_of(u);
+                match self.exec_end(inner, u, my_gen, outcome) {
+                    Ok((None, true)) => inner.dirty_succs_of(u),
+                    Ok(_) => {}
+                    Err(payload) => failure = failure.or(Some(payload)),
                 }
                 continue;
             }
@@ -1930,9 +1967,12 @@ impl Runtime {
             execs.clear();
             next = 0;
             let budget = usize::try_from(max_steps - steps).unwrap_or(usize::MAX);
-            let Some(h) = inner.pop_level(origin, &mut execs, budget) else {
+            let popped = failure
+                .is_none()
+                .then(|| inner.pop_level(origin, &mut execs, budget));
+            let Some(h) = popped.flatten() else {
                 inner.level_scratch = execs;
-                return guard;
+                return (guard, failure);
             };
             height = Some(h);
             let width = execs.len() as u64;
@@ -1967,11 +2007,13 @@ impl Runtime {
                 let inner = &mut *guard;
                 let mut level = std::mem::take(&mut inner.level);
                 for (&u, slot) in execs.iter().zip(level.drain(..)) {
-                    let LevelSlot::Done(my_gen, value, changed) = slot else {
+                    let LevelSlot::Done(my_gen, outcome, changed) = slot else {
                         unreachable!("level barrier passed with an unfinished execution");
                     };
-                    if let (None, true) = inner.exec_store(u, my_gen, value, changed) {
-                        inner.dirty_succs_of(u);
+                    match inner.exec_store(u, my_gen, outcome, changed) {
+                        Ok((None, true)) => inner.dirty_succs_of(u),
+                        Ok(_) => {}
+                        Err(payload) => failure = failure.or(Some(payload)),
                     }
                 }
                 inner.level = level;
@@ -1985,14 +2027,14 @@ impl Runtime {
     /// execution's frame onto this thread's stack (its tracked reads and
     /// nested memo calls record against that frame), run it, and repeat
     /// until the index passes `width`. Each lock acquisition pops the
-    /// previous frame, compares its value and leaves it for the driver's
-    /// in-order commit, and pushes the next claim's frame, so `k`
+    /// previous frame, compares its value and leaves its outcome for the
+    /// driver's in-order commit, and pushes the next claim's frame, so `k`
     /// executions cost `k + 1` acquisitions. A claimant that finds the index exhausted before it
     /// ran anything returns without locking. Returns the number of
     /// executions run.
     pub(crate) fn run_claims(&self, next: &AtomicUsize, width: usize) -> u64 {
         let mut ran = 0;
-        let mut finished: Option<(usize, NodeId, u64, Box<dyn Value>)> = None;
+        let mut finished: Option<(usize, NodeId, u64, Outcome)> = None;
         loop {
             // Relaxed: the index only has to be unique. The slot it names
             // is read and written under the runtime lock, which orders it.
@@ -2002,9 +2044,9 @@ impl Runtime {
             }
             let mut guard = self.lock();
             let inner = &mut *guard;
-            if let Some((done, n, my_gen, value)) = finished.take() {
-                let changed = self.exec_pop(inner, n, my_gen, &*value);
-                inner.level[done] = LevelSlot::Done(my_gen, value, changed);
+            if let Some((done, n, my_gen, outcome)) = finished.take() {
+                let changed = self.exec_pop(inner, n, my_gen, &outcome);
+                inner.level[done] = LevelSlot::Done(my_gen, outcome, changed);
             }
             if idx >= width {
                 return ran;
@@ -2017,9 +2059,9 @@ impl Runtime {
             let n = booking.frame.node;
             self.push_frame(inner, booking.frame);
             drop(guard);
-            let value = booking.executor.run(self);
+            let outcome = self.run_body(&booking.executor);
             ran += 1;
-            finished = Some((idx, n, booking.my_gen, value));
+            finished = Some((idx, n, booking.my_gen, outcome));
         }
     }
 }
@@ -2085,25 +2127,37 @@ impl Inner {
     /// `Some` case), stores `value` in the cache and re-queues a node the
     /// evaluator wanted to re-execute while it ran. `changed` is
     /// [`Runtime::exec_pop`]'s comparison; it is returned for committed
-    /// values. A pooled level commits its results in batch order after its
-    /// barrier; everywhere else the commit follows the pop directly.
+    /// values. A failed execution is rolled back: nothing is stored and,
+    /// unless superseded, `n` is left inconsistent with its successors
+    /// dirtied, so the marking frontier holds and the next demand
+    /// re-executes it. A pooled level commits its results in batch order
+    /// after its barrier; everywhere else the commit follows the pop
+    /// directly.
     fn exec_store(
         &mut self,
         n: NodeId,
         my_gen: u64,
-        value: Box<dyn Value>,
+        outcome: Outcome,
         changed: bool,
-    ) -> (Option<Box<dyn Value>>, bool) {
+    ) -> std::thread::Result<(Option<Box<dyn Value>>, bool)> {
         let i = n.index();
         if self.gens[i] != my_gen {
-            return (Some(value), false);
+            return outcome.map(|value| (Some(value), false));
         }
+        let value = match outcome {
+            Ok(value) => value,
+            Err(payload) => {
+                self.flags[i] &= !(F_CONSISTENT | F_REQUEUE);
+                self.dirty_succs_of(n);
+                return Err(payload);
+            }
+        };
         self.values[i] = Some(value);
         if self.flags[i] & F_REQUEUE != 0 {
             self.flags[i] &= !F_REQUEUE;
             self.insert_dirty(n, DirtyReason::Requeue, None);
         }
-        (None, changed)
+        Ok((None, changed))
     }
 
     /// One propagation step on a node just popped from an inconsistent set

@@ -418,9 +418,10 @@ fn worker_gauges_populate_only_under_pooled_draining() {
     assert!(snap.level_latency_ns.count() >= 1, "one pooled level timed");
 }
 
-/// A panicking executor must surface as a panic out of `propagate`, never
-/// as a hang at the level barrier — whether the driver or a pool helper
-/// claimed the failing execution. The failing cell moves across the level
+/// A panicking executor must surface as its own panic out of `propagate`,
+/// never as a hang at the level barrier — whether the driver or a pool
+/// helper claimed the failing execution — and the rolled-back execution
+/// must leave the runtime usable. The failing cell moves across the level
 /// from one repetition to the next and every cell stalls briefly, so over
 /// the repetitions the failure lands on both.
 #[test]
@@ -450,27 +451,35 @@ fn executor_panics_in_pooled_levels_reach_the_caller() {
             for c in &cells {
                 c.call(&rt, ());
             }
+            let bad = rep % WIDTH;
             for (i, v) in vars.iter().enumerate() {
-                let x = if i == rep % WIDTH {
-                    BOOM
-                } else {
-                    100 + i as i64
-                };
-                v.set(&rt, x);
+                v.set(&rt, if i == bad { BOOM } else { 100 + i as i64 });
             }
             let payload = catch_unwind(AssertUnwindSafe(|| rt.propagate()))
                 .expect_err("the executor's panic was swallowed");
-            // The driver either unwound from the cell itself or re-raised a
-            // helper's failure.
+            // The cell's own panic, whichever thread claimed it.
             let message = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or_default();
             assert!(
-                message.contains("poisoned value") || message.contains("panicked on a worker"),
+                message.contains("poisoned value"),
                 "parallelism {workers}, rep {rep}: unexpected panic {message:?}"
             );
+            rt.check_invariants();
+            // Repair the var: the rolled-back cell re-executes and the
+            // runtime is consistent again.
+            vars[bad].set(&rt, 100 + bad as i64);
+            rt.propagate();
+            for (i, c) in cells.iter().enumerate() {
+                assert_eq!(
+                    c.call(&rt, ()),
+                    10 * (100 + i as i64),
+                    "parallelism {workers}, rep {rep}: cell {i}"
+                );
+            }
+            rt.check_invariants();
         }
     }
 }

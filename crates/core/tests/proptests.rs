@@ -6,10 +6,13 @@
 //! memo must return exactly what recomputing its definition from the current
 //! variable values would return. We check that over random dataflow DAGs,
 //! random evaluation strategies and random mutation scripts, for every
-//! runtime configuration.
+//! runtime configuration, and again with panics injected into random
+//! executions.
 
 use alphonse::{Memo, Runtime, Scheduling, Strategy as EvalStrategy, Var};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One input of a derived computation.
@@ -47,6 +50,29 @@ struct Case {
     parallelism: usize,
 }
 
+/// Injected executor faults: every memo execution counts `countdown` down
+/// after its first input read, and the one that takes it from 1 to 0
+/// panics. Zero means disarmed.
+#[derive(Default)]
+struct Fault {
+    countdown: AtomicUsize,
+}
+
+impl Fault {
+    /// Makes the `after`-th execution from now (`after >= 1`) panic.
+    fn arm(&self, after: usize) {
+        self.countdown.store(after, Ordering::SeqCst);
+    }
+
+    fn strikes(&self) -> bool {
+        self.countdown
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| c.checked_sub(1))
+            == Ok(1)
+    }
+}
+
+const INJECTED: &str = "injected executor fault";
+
 /// Ground truth: evaluate memo `k` directly from variable values.
 fn oracle(memos: &[MemoSpec], vars: &[i64], k: usize) -> i64 {
     let spec = &memos[k];
@@ -62,8 +88,13 @@ fn oracle(memos: &[MemoSpec], vars: &[i64], k: usize) -> i64 {
 }
 
 /// A runtime configured as `case` says, with one var per `init` value and
-/// every memo of the case defined (none called yet).
-fn build(case: &Case, init: &[i64]) -> (Runtime, Vec<Var<i64>>, Vec<Memo<(), i64>>) {
+/// every memo of the case defined (none called yet). Every execution
+/// consults `fault`.
+fn build(
+    case: &Case,
+    init: &[i64],
+    fault: &Arc<Fault>,
+) -> (Runtime, Vec<Var<i64>>, Vec<Memo<(), i64>>) {
     let rt = Runtime::builder()
         .partitioning(case.partitioning)
         .scheduling(if case.fifo {
@@ -81,6 +112,7 @@ fn build(case: &Case, init: &[i64]) -> (Runtime, Vec<Var<i64>>, Vec<Memo<(), i64
         let spec = spec.clone();
         let vars = vars.clone();
         let reg = Arc::clone(&registry);
+        let fault = Arc::clone(fault);
         let strategy = if spec.eager {
             EvalStrategy::Eager
         } else {
@@ -88,7 +120,7 @@ fn build(case: &Case, init: &[i64]) -> (Runtime, Vec<Var<i64>>, Vec<Memo<(), i64
         };
         let memo = rt.memo_with(&format!("m{k}"), strategy, move |rt, &(): &()| {
             let mut acc = spec.offset;
-            for &(input, coeff) in &spec.inputs {
+            for (idx, &(input, coeff)) in spec.inputs.iter().enumerate() {
                 let v = match input {
                     Input::Var(i) => vars[i].get(rt),
                     Input::Memo(j) => {
@@ -96,6 +128,9 @@ fn build(case: &Case, init: &[i64]) -> (Runtime, Vec<Var<i64>>, Vec<Memo<(), i64
                         callee.call(rt, ())
                     }
                 };
+                if idx == 0 && fault.strikes() {
+                    panic!("{INJECTED} in m{k}");
+                }
                 acc = acc.wrapping_add(v.wrapping_mul(coeff));
             }
             acc
@@ -107,7 +142,7 @@ fn build(case: &Case, init: &[i64]) -> (Runtime, Vec<Var<i64>>, Vec<Memo<(), i64
 }
 
 fn run_case(case: &Case) {
-    let (rt, vars, memos) = build(case, &case.init);
+    let (rt, vars, memos) = build(case, &case.init, &Arc::default());
     let mut shadow = case.init.clone();
     // Query everything once so the dependency graph is fully populated.
     for (k, m) in memos.iter().enumerate() {
@@ -140,7 +175,14 @@ fn run_case(case: &Case) {
     }
     // Retained edges are exactly the latest executions' reads: the graph
     // has as many edges as a fresh runtime built by the same calls.
-    let (fresh, _, fresh_memos) = build(case, &shadow);
+    assert_edges_match_fresh_build(case, &rt, &shadow);
+    rt.check_invariants();
+}
+
+/// Retained edges are exactly the latest executions' reads: the graph has
+/// as many edges as a fresh runtime built by the same calls.
+fn assert_edges_match_fresh_build(case: &Case, rt: &Runtime, vars: &[i64]) {
+    let (fresh, _, fresh_memos) = build(case, vars, &Arc::default());
     for m in &fresh_memos {
         m.call(&fresh, ());
     }
@@ -152,6 +194,88 @@ fn run_case(case: &Case) {
         case.fifo,
         case.parallelism
     );
+}
+
+/// Runs `op` with faults armed, catching an injected panic (any other
+/// panic is passed on). After a caught fault the runtime must satisfy its
+/// invariants at once, and once the fault is cleared, `propagate` must
+/// succeed and every memo must match the oracle again.
+fn faulty<T>(
+    case: &Case,
+    rt: &Runtime,
+    memos: &[Memo<(), i64>],
+    shadow: &[i64],
+    op: impl FnOnce() -> T,
+) -> Option<T> {
+    let payload = match catch_unwind(AssertUnwindSafe(op)) {
+        Ok(out) => return Some(out),
+        Err(payload) => payload,
+    };
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    if !message.starts_with(INJECTED) {
+        resume_unwind(payload);
+    }
+    rt.check_invariants();
+    rt.propagate();
+    for (k, m) in memos.iter().enumerate() {
+        assert_eq!(
+            m.call(rt, ()),
+            oracle(&case.memos, shadow, k),
+            "memo m{k} diverged after a rolled-back fault (cfg: part={}, fifo={}, par={})",
+            case.partitioning,
+            case.fifo,
+            case.parallelism
+        );
+    }
+    rt.check_invariants();
+    None
+}
+
+/// `run_case` with a panic armed before the build (`build_fault`) and
+/// before each script step (`faults[i]`): each names how many executions
+/// from then on the fault fires, and stays armed until it does.
+fn run_faulty_case(case: &Case, build_fault: Option<usize>, faults: &[Option<usize>]) {
+    let fault = Arc::new(Fault::default());
+    let (rt, vars, memos) = build(case, &case.init, &fault);
+    let mut shadow = case.init.clone();
+    if let Some(after) = build_fault {
+        fault.arm(after);
+    }
+    for (k, m) in memos.iter().enumerate() {
+        if let Some(got) = faulty(case, &rt, &memos, &shadow, || m.call(&rt, ())) {
+            assert_eq!(got, oracle(&case.memos, &shadow, k));
+        }
+    }
+    for (op, armed) in case.script.iter().zip(faults) {
+        if let Some(after) = *armed {
+            fault.arm(after);
+        }
+        match *op {
+            Op::Set { var, value } => {
+                let i = var % case.n_vars;
+                vars[i].set(&rt, value);
+                shadow[i] = value;
+            }
+            Op::Query { memo } => {
+                let k = memo % case.memos.len();
+                if let Some(got) = faulty(case, &rt, &memos, &shadow, || memos[k].call(&rt, ())) {
+                    assert_eq!(got, oracle(&case.memos, &shadow, k), "memo m{k}");
+                }
+            }
+            Op::Propagate => {
+                faulty(case, &rt, &memos, &shadow, || rt.propagate());
+            }
+        }
+    }
+    fault.arm(0);
+    rt.propagate();
+    for (k, m) in memos.iter().enumerate() {
+        assert_eq!(m.call(&rt, ()), oracle(&case.memos, &shadow, k));
+    }
+    assert_edges_match_fresh_build(case, &rt, &shadow);
     rt.check_invariants();
 }
 
@@ -215,6 +339,19 @@ proptest! {
     #[test]
     fn incremental_matches_conventional(case in case_strategy()) {
         run_case(&case);
+    }
+
+    /// Rollback: a panic injected into a random execution during the build
+    /// or a mutation script unwinds with no frame, mark or stack depth
+    /// left behind, and once the fault is cleared every memo matches the
+    /// from-scratch oracle again.
+    #[test]
+    fn injected_panics_roll_back_their_executions(
+        case in case_strategy(),
+        build_fault in proptest::option::of(1usize..12),
+        faults in proptest::collection::vec(proptest::option::of(1usize..6), 40),
+    ) {
+        run_faulty_case(&case, build_fault, &faults);
     }
 
     /// Vars behave like plain storage under arbitrary write sequences.

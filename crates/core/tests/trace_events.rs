@@ -282,3 +282,121 @@ fn detached_sink_receives_nothing() {
     let x = rt.var(1i64);
     x.set(&rt, 2); // must not reach PanicSink
 }
+
+/// A body that panics during a wave is rolled back: its span closes with
+/// `ExecuteEnd { changed: false }` and no edge or cutoff event, the rest
+/// of its level still runs, and the wave closes with the dirt above the
+/// level left queued before the panic reaches the caller.
+#[test]
+fn a_panicking_body_rolls_back_and_ends_the_wave_after_its_level() {
+    let rt = Runtime::new();
+    let a = rt.var_named("a", 10i64);
+    let left = rt.memo_with("left", Strategy::Eager, move |rt, &(): &()| {
+        let x = a.get(rt);
+        assert_ne!(x, 20, "left failed");
+        x / 100
+    });
+    let right = rt.memo_with("right", Strategy::Eager, move |rt, &(): &()| a.get(rt) * 2);
+    let (l, r) = (left.clone(), right.clone());
+    let top = rt.memo_with("top", Strategy::Eager, move |rt, &(): &()| {
+        l.call(rt, ()) + r.call(rt, ())
+    });
+    assert_eq!(top.call(&rt, ()), 20);
+    let [na, nleft, nright, ntop] = [
+        a.node(),
+        left.instance_node(&()).unwrap(),
+        right.instance_node(&()).unwrap(),
+        top.instance_node(&()).unwrap(),
+    ];
+    let edges = rt.edge_count();
+
+    let rec = Arc::new(Recorder::new(1024));
+    rt.set_sink(Some(rec.clone()));
+    a.set(&rt, 20);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.propagate()))
+        .expect_err("the body's panic reaches the caller");
+    rt.set_sink(None);
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(message.contains("left failed"), "{message}");
+
+    let expected = vec![
+        TraceEvent::Write {
+            node: na,
+            changed: true,
+        },
+        TraceEvent::Dirtied {
+            node: na,
+            reason: DirtyReason::WriteChanged,
+            cause: None,
+        },
+        TraceEvent::PropagateBegin { wave: 1 },
+        TraceEvent::LevelBegin {
+            wave: 1,
+            height: 0,
+            width: 1,
+        },
+        TraceEvent::Dirtied {
+            node: nright,
+            reason: DirtyReason::Fanout,
+            cause: Some(na),
+        },
+        TraceEvent::Dirtied {
+            node: nleft,
+            reason: DirtyReason::Fanout,
+            cause: Some(na),
+        },
+        TraceEvent::LevelEnd {
+            wave: 1,
+            height: 0,
+            executed: 0,
+        },
+        TraceEvent::LevelBegin {
+            wave: 1,
+            height: 1,
+            width: 2,
+        },
+        TraceEvent::ExecuteBegin { node: nright },
+        TraceEvent::Read { node: na },
+        TraceEvent::ExecuteEnd {
+            node: nright,
+            changed: true,
+        },
+        TraceEvent::Dirtied {
+            node: ntop,
+            reason: DirtyReason::Fanout,
+            cause: Some(nright),
+        },
+        // The rolled-back execution: nothing compared or committed, its
+        // log dropped, and `top`, already queued, is not queued again.
+        TraceEvent::ExecuteBegin { node: nleft },
+        TraceEvent::Read { node: na },
+        TraceEvent::ExecuteEnd {
+            node: nleft,
+            changed: false,
+        },
+        TraceEvent::LevelEnd {
+            wave: 1,
+            height: 1,
+            executed: 2,
+        },
+        // The wave stops after the failing level: `top` stays queued.
+        TraceEvent::PropagateEnd { wave: 1, steps: 3 },
+    ];
+    let got = rec.events();
+    assert_eq!(
+        got, expected,
+        "rollback trace diverged.\ngot:\n{got:#?}\nexpected:\n{expected:#?}"
+    );
+    assert_eq!(rt.dirty_count(), 1, "top is still queued");
+    assert_eq!(rt.edge_count(), edges, "the retained edges are untouched");
+    rt.check_invariants();
+
+    a.set(&rt, 30);
+    rt.propagate();
+    assert_eq!(top.call(&rt, ()), 60);
+    assert_eq!(rt.dirty_count(), 0);
+    rt.check_invariants();
+}

@@ -24,6 +24,7 @@ use crate::value::{ObjId, Val};
 use alphonse::trace::ActiveTrace;
 use alphonse::{Memo, Runtime, Strategy as RtStrategy};
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError, Weak};
 
@@ -64,6 +65,15 @@ enum Flow {
 /// Per-procedure argument table (paper Section 4.2), created lazily.
 type ProcMemo = Memo<Vec<Val>, Val>;
 
+/// The panic payload a failing memo body unwinds with: its error and the
+/// failing instance. The runtime rolls back every execution the unwind
+/// passes through; [`Shared::boundary`] turns it back into the error.
+struct Failure {
+    error: LangError,
+    pid: ProcId,
+    args: Vec<Val>,
+}
+
 struct Shared {
     program: Arc<Program>,
     mode: Mode,
@@ -83,10 +93,6 @@ struct Shared {
     globals: Mutex<Vec<Slot>>,
     memos: Mutex<Vec<Option<ProcMemo>>>,
     output: Mutex<String>,
-    pending_error: Mutex<Option<LangError>>,
-    /// Instances whose cached value was committed while an error was
-    /// pending — their sentinel `Nil` results must not be reused.
-    poisoned: Mutex<Vec<(ProcId, Vec<Val>)>>,
     steps: AtomicU64,
     fuel: AtomicU64,
 }
@@ -186,24 +192,19 @@ impl Interp {
             globals: Mutex::new(globals),
             memos: Mutex::new(vec![None; n_procs]),
             output: Mutex::new(String::new()),
-            pending_error: Mutex::new(None),
-            poisoned: Mutex::new(Vec::new()),
             steps: AtomicU64::new(0),
             fuel: AtomicU64::new(DEFAULT_FUEL),
         });
         // Run global initializers in declaration order (mutator context).
-        let inits: Vec<(usize, HExpr)> = shared
-            .program
-            .globals
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| g.init.clone().map(|e| (i, e)))
-            .collect();
-        for (i, init) in inits {
-            let mut frame = Vec::new();
-            let v = shared.eval_expr(&init, &mut frame)?;
-            lock(&shared.globals)[i].write(shared.rt_global(i), v);
-        }
+        shared.boundary(|| {
+            for (i, g) in shared.program.globals.iter().enumerate() {
+                if let Some(init) = &g.init {
+                    let v = shared.eval_expr(init, &mut Vec::new())?;
+                    lock(&shared.globals)[i].write(shared.rt_global(i), v);
+                }
+            }
+            Ok(())
+        })?;
         Ok(Interp { shared })
     }
 
@@ -265,26 +266,16 @@ impl Interp {
     /// # Errors
     ///
     /// Surfaces any runtime error raised by an eager procedure during
-    /// propagation; the failing instances are un-cached so they re-execute
-    /// on the next demand.
+    /// propagation; the failing executions are rolled back, so they
+    /// re-execute on the next demand.
     pub fn propagate(&self) -> Result<()> {
-        if let Some(rt) = &self.shared.rt {
-            rt.propagate();
+        match &self.shared.rt {
+            Some(rt) => self.shared.boundary(|| {
+                rt.propagate();
+                Ok(())
+            }),
+            None => Ok(()),
         }
-        self.boundary(Ok(()))
-    }
-
-    fn boundary<T>(&self, r: Result<T>) -> Result<T> {
-        // Surface an error trapped inside a memoized execution (annotated
-        // with its causal provenance while the failing instance still
-        // exists), and forget every sentinel value it left behind.
-        let pending = lock(&self.shared.pending_error).take();
-        let pending = pending.map(|e| self.shared.annotate_error(e));
-        self.shared.drain_poisoned();
-        if let Some(e) = pending {
-            return Err(e);
-        }
-        r
     }
 
     /// Calls a top-level procedure by name (mutator → Maintained portion).
@@ -300,8 +291,7 @@ impl Interp {
             .proc_by_name
             .get(name)
             .ok_or_else(|| LangError::resolve(format!("unknown procedure {name}")))?;
-        let r = self.shared.call_proc(pid, args);
-        self.boundary(r)
+        self.shared.boundary(|| self.shared.call_proc(pid, args))
     }
 
     /// Calls a method on an object by name, with dynamic dispatch.
@@ -325,8 +315,7 @@ impl Interp {
         })?;
         let pid = self.shared.program.types[ty].methods[slot].impl_proc;
         args.insert(0, Val::Obj(o));
-        let r = self.shared.call_proc(pid, args);
-        self.boundary(r)
+        self.shared.boundary(|| self.shared.call_proc(pid, args))
     }
 
     /// Reads a top-level variable (mutator read: never records dependence).
@@ -588,47 +577,27 @@ impl Shared {
         Ok(())
     }
 
-    /// Appends a causal provenance note to a runtime error when tracing is
-    /// active: the `why` chain (input write → fan-out → re-execution) of
-    /// the first instance that failed under the error. Must run *before*
-    /// [`Shared::drain_poisoned`] — forgetting the instance discards the
-    /// node the chain is anchored to — which also makes it idempotent: once
-    /// drained, there is nothing left to annotate.
-    fn annotate_error(&self, e: LangError) -> LangError {
-        let LangError::Runtime { message } = &e else {
-            return e;
+    /// Runs a host entry point `f`. A failing memo body unwinds to here
+    /// with its [`Failure`] payload, which becomes `f`'s error again; with
+    /// tracing active, a runtime error gains the failing instance's causal
+    /// `why` chain (input write → fan-out → re-execution). Any other panic
+    /// passes on.
+    fn boundary<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
+        let payload = match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(result) => return result,
+            Err(payload) => payload,
         };
-        let Some(active) = self.trace.as_ref() else {
-            return e;
-        };
-        let Some((pid, args)) = lock(&self.poisoned).first().cloned() else {
-            return e;
-        };
-        let Some(memo) = lock(&self.memos)[pid].clone() else {
-            return e;
-        };
-        let Some(n) = memo.instance_node(&args) else {
-            return e;
-        };
-        let Some(report) = active.provenance().why_report(n) else {
-            return e;
-        };
-        LangError::runtime(format!(
-            "{message}\nprovenance of the failing call:\n{report}"
-        ))
-    }
-
-    /// Un-caches every instance whose value was committed under a pending
-    /// error, so failed computations re-execute instead of replaying a
-    /// sentinel `Nil`.
-    fn drain_poisoned(&self) {
-        let Some(rt) = self.rt.as_ref() else { return };
-        let poisoned = std::mem::take(&mut *lock(&self.poisoned));
-        for (pid, args) in poisoned {
-            if let Some(memo) = lock(&self.memos)[pid].clone() {
-                memo.forget(rt, &args);
-            }
-        }
+        let Failure { error, pid, args } = *payload.downcast().unwrap_or_else(|p| resume_unwind(p));
+        let report = self.trace.as_ref().and_then(|active| {
+            let memo = lock(&self.memos)[pid].clone()?;
+            active.provenance().why_report(memo.instance_node(&args)?)
+        });
+        Err(match (error, report) {
+            (LangError::Runtime { message }, Some(report)) => LangError::runtime(format!(
+                "{message}\nprovenance of the failing call:\n{report}"
+            )),
+            (error, _) => error,
+        })
     }
 
     /// Calls a procedure: through its memo (Algorithm 5) when it is an
@@ -643,19 +612,11 @@ impl Shared {
             // not record a dependence on them. The memo still runs the call
             // (preserving caching, LRU bounds, and cycle detection); only
             // the caller→instance edge is suppressed.
-            let out = if self.instr.pure_procs[pid] {
+            Ok(if self.instr.pure_procs[pid] {
                 rt.untracked(|| memo.call(rt, args))
             } else {
                 memo.call(rt, args)
-            };
-            let pending = lock(&self.pending_error).clone();
-            if let Some(e) = pending {
-                let e = self.annotate_error(e);
-                *lock(&self.pending_error) = Some(e.clone());
-                self.drain_poisoned();
-                return Err(e);
-            }
-            Ok(out)
+            })
         } else {
             self.execute_proc(pid, args)
         }
@@ -677,20 +638,16 @@ impl Shared {
         let rt = self.rt.as_ref().expect("Alphonse mode has a runtime");
         let body = move |_rt: &Runtime, args: &Vec<Val>| {
             let shared = weak.upgrade().expect("interpreter dropped during call");
-            let out = match shared.execute_proc(pid, args.clone()) {
+            match shared.execute_proc(pid, args.clone()) {
                 Ok(v) => v,
-                Err(e) => {
-                    lock(&shared.pending_error).get_or_insert(e);
-                    Val::Nil
-                }
-            };
-            // Any value committed while an error is pending is a sentinel
-            // (either this body failed, or the quick-unwind skipped it); it
-            // must be forgotten before the cache can be trusted again.
-            if lock(&shared.pending_error).is_some() {
-                lock(&shared.poisoned).push((pid, args.clone()));
+                // The runtime rolls back this execution and every caller's
+                // the unwind passes through, up to the host boundary.
+                Err(error) => resume_unwind(Box::new(Failure {
+                    error,
+                    pid,
+                    args: args.clone(),
+                })),
             }
-            out
         };
         let memo = match info.cache_capacity {
             Some(capacity) => rt.memo_bounded(&info.name, rt_strategy, capacity, body),
@@ -705,10 +662,6 @@ impl Shared {
 
     /// Runs a procedure body in a fresh frame.
     fn execute_proc(self: &Arc<Self>, pid: ProcId, args: Vec<Val>) -> Result<Val> {
-        if lock(&self.pending_error).is_some() {
-            // An inner memoized execution already failed; unwind quickly.
-            return Ok(Val::Nil);
-        }
         let info = &self.program.procs[pid];
         debug_assert_eq!(args.len(), info.params.len(), "arity checked statically");
         let mut frame = args;

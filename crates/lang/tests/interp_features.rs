@@ -498,6 +498,77 @@ fn propagate_surfaces_eager_errors_and_recovers() {
     assert_eq!(interp.call("Div", vec![]).unwrap(), Val::Int(25));
 }
 
+/// A global initializer that calls a failing cached procedure makes
+/// construction fail with that procedure's error, in both models.
+#[test]
+fn failing_global_initializer_fails_construction() {
+    let src = r#"
+        VAR d : INTEGER := 0;
+        (*CACHED*) PROCEDURE Div(n : INTEGER) : INTEGER =
+        BEGIN RETURN n DIV d; END Div;
+        VAR q : INTEGER := Div(10);
+    "#;
+    for mode in [Mode::Conventional, Mode::Alphonse] {
+        let err = Interp::new(compile(src).unwrap(), mode).unwrap_err();
+        assert_eq!(
+            err,
+            LangError::Runtime {
+                message: "DIV by zero".to_string()
+            },
+            "{mode:?}"
+        );
+    }
+}
+
+/// An error raised two cached calls deep reaches the host unchanged, and
+/// both rolled-back instances recompute once the state is repaired.
+#[test]
+fn nested_cached_errors_reach_the_host_and_both_instances_recompute() {
+    let src = r#"
+        VAR d : INTEGER := 5;
+        (*CACHED*) PROCEDURE Inner(n : INTEGER) : INTEGER =
+        BEGIN RETURN n DIV d; END Inner;
+        (*CACHED*) PROCEDURE Outer(n : INTEGER) : INTEGER =
+        BEGIN RETURN Inner(n) + 1; END Outer;
+    "#;
+    let interp = run(src, Mode::Alphonse);
+    let rt = interp.runtime().unwrap().clone();
+    assert_eq!(
+        interp.call("Outer", vec![Val::Int(10)]).unwrap(),
+        Val::Int(3)
+    );
+    interp.set_global("d", Val::Int(0)).unwrap();
+    let err = interp.call("Outer", vec![Val::Int(10)]).unwrap_err();
+    assert_eq!(
+        err,
+        LangError::Runtime {
+            message: "DIV by zero".to_string()
+        }
+    );
+    rt.check_invariants();
+    interp.set_global("d", Val::Int(2)).unwrap();
+    let before = rt.stats();
+    assert_eq!(
+        interp.call("Outer", vec![Val::Int(10)]).unwrap(),
+        Val::Int(6)
+    );
+    assert_eq!(
+        rt.stats().delta_since(&before).executions,
+        2,
+        "Outer and Inner both re-execute"
+    );
+    let before = rt.stats();
+    assert_eq!(
+        interp.call("Outer", vec![Val::Int(10)]).unwrap(),
+        Val::Int(6)
+    );
+    assert_eq!(
+        rt.stats().delta_since(&before).executions,
+        0,
+        "cached again"
+    );
+}
+
 #[test]
 fn new_static_rejections() {
     // Duplicate parameter names.
@@ -579,5 +650,49 @@ fn unwritable_trace_path_warns_and_runs_untraced() {
     assert!(
         stderr.contains("tracing disabled"),
         "no warning on stderr:\n{stderr}"
+    );
+}
+
+/// Under `ALPHONSE_TRACE`, the error of a failing cached call quotes the
+/// causal chain that led to the failing execution. The variable is
+/// process-wide, so the test re-runs itself in a child process that has
+/// it set.
+#[test]
+fn traced_errors_carry_the_failing_calls_provenance() {
+    const NAME: &str = "traced_errors_carry_the_failing_calls_provenance";
+    if std::env::var_os("ALPHONSE_TRACE").is_some() {
+        let interp = run(
+            "VAR d : INTEGER := 5;
+             (*CACHED*) PROCEDURE Div(n : INTEGER) : INTEGER =
+             BEGIN RETURN n DIV d; END Div;",
+            Mode::Alphonse,
+        );
+        assert_eq!(interp.call("Div", vec![Val::Int(10)]).unwrap(), Val::Int(2));
+        interp.set_global("d", Val::Int(0)).unwrap();
+        let err = interp
+            .call("Div", vec![Val::Int(10)])
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("DIV by zero"), "{err}");
+        assert!(err.contains("provenance of the failing call"), "{err}");
+        assert!(
+            err.contains("changed=true"),
+            "the chain starts at the write of d: {err}"
+        );
+        return;
+    }
+    let path =
+        std::env::temp_dir().join(format!("alphonse-provenance-{}.jsonl", std::process::id()));
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", NAME, "--nocapture"])
+        .env("ALPHONSE_TRACE", &path)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child run failed:\n{stderr}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("1 passed"),
+        "the child did not run the test"
     );
 }
