@@ -20,7 +20,7 @@ use alphonse_bench::table::Table;
 use alphonse_bench::trace_support::TraceSession;
 
 /// Subsystem-tagged memory accounting: E17's bytes/node columns and every
-/// METRICS_<ID>.json `mem` section need the counting allocator installed
+/// `METRICS_<ID>.json` `mem` section need the counting allocator installed
 /// at the binary root (the library cannot install it).
 #[global_allocator]
 static ALLOC: alphonse::mem::TrackingAlloc = alphonse::mem::TrackingAlloc;

@@ -171,8 +171,8 @@ pub fn e1_height_tree(sizes: &[usize]) -> Table {
 /// Besides the machine-independent step counts, this reports wall-clock
 /// time for the from-scratch run and the 100-round update loop (the
 /// instrumented/conventional overhead ratio the paper claims is a
-/// constant factor), plus the runtime's hot-path counters: reads served
-/// borrow-only vs. cloned, dependence-log dedup hits, and memo-table probes.
+/// constant factor), plus the runtime's hot-path counters: dependence-log
+/// dedup hits and memo-table probes.
 pub fn e2_overhead(depths: &[i64]) -> Table {
     let mut t = Table::new(
         "E2 — instrumentation overhead (§9.2): steps, wall-clock, hot-path counters, §6.1 sites",
@@ -188,8 +188,6 @@ pub fn e2_overhead(depths: &[i64]) -> Table {
             "conv_upd_us",
             "alph_upd_us",
             "upd_speedup",
-            "borrow_reads",
-            "cloned_reads",
             "dedup_hits",
             "memo_probes",
             "sites_uniform",
@@ -275,8 +273,6 @@ pub fn e2_overhead(depths: &[i64]) -> Table {
             format!("{conv_upd_us:.1}"),
             format!("{alph_upd_us:.1}"),
             format!("{:.2}", conv_upd_us / alph_upd_us),
-            hot.borrow_reads.to_string(),
-            hot.cloned_reads.to_string(),
             hot.dedup_hits.to_string(),
             hot.memo_probes.to_string(),
             uniform.instrumented().to_string(),

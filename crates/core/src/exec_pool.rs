@@ -6,21 +6,22 @@
 //! respect to the graph" is what makes a level parallelizable: all dirty
 //! nodes at the current minimum height are mutually independent (an edge
 //! between them would force a height difference), so their executors may
-//! run concurrently. At `set_parallelism` 0 or 1 the driver runs every
-//! level itself. At `n >= 2` a level of two or more executions goes
-//! through this module's one seam, [`Runtime::run_level`], which supplies
-//! the threads.
+//! run concurrently. Every level with eager executions goes through this
+//! module's one seam, [`Runtime::run_level`], which supplies the threads.
 //!
-//! A pooled level is executed by *claiming*. The driver books the level's
+//! A level is executed by *claiming*. The driver books the level's
 //! executions into `Inner::level`; every executing thread then runs the
 //! same claim loop (`Runtime::run_claims`): take the next index from the
 //! level's atomic claim counter, swap frames under one runtime-lock
 //! acquisition (pop the finished execution's frame and compare its value,
 //! push the claimed one's), run the executor, repeat until the index
-//! passes the level's width. The
-//! driver claims beside `min(n, width) − 1` helpers, each fed one *ticket*
-//! through the pool queue. The level's shared block is reused, so a
-//! steady-state level allocates nothing of its own.
+//! passes the level's width. The driver claims beside
+//! `min(n, width) − 1` helpers, each fed one *ticket* through the pool
+//! queue; with none (`set_parallelism` 0 or 1, or a level of one
+//! execution) it runs the level alone and no pool is built. Either way
+//! the driver commits the results in batch order after the level. The
+//! level's shared block is reused, so a steady-state level allocates
+//! nothing of its own.
 //!
 //! The barrier counts executions, not threads: the driver waits until every
 //! *claimed* execution has reported (a `Mutex` + `Condvar` pending count).
@@ -232,7 +233,10 @@ impl Level {
     fn help(&self, rt: &Runtime, slot: usize) {
         let _failed = FailOnUnwind(self);
         let t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        let ran = rt.run_claims(&self.next, self.width);
+        let (ran, guard) = rt.run_claims(None, &self.next, self.width);
+        // Released before reporting: once the barrier opens, the driver
+        // relocks with contention treated as re-entrancy again.
+        drop(guard);
         if ran == 0 {
             return;
         }
@@ -285,25 +289,31 @@ impl Drop for ParWindow<'_> {
 }
 
 impl Runtime {
-    /// Executes the pooled level booked in `Inner::level` on the driver
-    /// plus `min(parallelism, width) − 1` helpers from a pool of
+    /// Executes the level booked in `Inner::level` on the driver plus
+    /// `min(parallelism, width) − 1` helpers from a pool of
     /// `parallelism − 1` threads (created lazily, rebuilt when the knob
-    /// changes size). The drain calls this only for levels of two or more
-    /// executions at `parallelism >= 2`. Returns, holding the runtime lock
-    /// again, once every execution has reported, with each slot `Done` for
-    /// the driver's in-order commit.
+    /// changes size). Returns, holding the runtime lock again, once every
+    /// execution has reported, with each slot `Done` for the driver's
+    /// batch-order commit.
     ///
-    /// Takes the driver's guard and releases it for the execution window.
-    /// While helpers run, `par_active` makes lock contention block instead
-    /// of tripping the re-entrancy panic.
+    /// The driver enters its claim loop with the guard it booked the level
+    /// under. With no helpers it runs the level alone and keeps the guard
+    /// of its last pop, so a level of `k` executions costs `k` lock
+    /// acquisitions and the pool is never built. Otherwise it releases
+    /// that guard to wait at the barrier, and while helpers run,
+    /// `par_active` makes lock contention block instead of tripping the
+    /// re-entrancy panic.
     pub(crate) fn run_level<'a>(
         &'a self,
         mut guard: MutexGuard<'a, Inner>,
     ) -> MutexGuard<'a, Inner> {
         let inner = &mut *guard;
         let width = inner.level.len();
-        let helpers = inner.parallelism.min(width) - 1;
-        debug_assert!(helpers >= 1, "a pooled level has at least one helper");
+        let helpers = inner.parallelism.min(width).saturating_sub(1);
+        if helpers == 0 {
+            let (_, guard) = self.run_claims(Some(guard), &AtomicUsize::new(0), width);
+            return guard.expect("the driver claims holding its guard");
+        }
         let pool_size = inner.parallelism - 1;
         if inner
             .exec_pool
@@ -332,8 +342,8 @@ impl Runtime {
                 level: Arc::clone(&level),
             });
         }
+        let (ran, guard) = self.run_claims(Some(guard), &level.next, width);
         drop(guard);
-        let ran = self.run_claims(&level.next, width);
         let wait_t0 = level_t0.map(|_| std::time::Instant::now());
         let ok = level.wait(ran);
         drop(window);

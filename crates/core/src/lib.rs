@@ -16,7 +16,7 @@
 //! | Paper concept | Library form |
 //! |---|---|
 //! | top-level storage location | [`Var<T>`] |
-//! | `access(v)` (Algorithm 3) | [`Var::get`] / [`Var::with`] / [`Runtime::with_value`] / [`Runtime::raw_read`] |
+//! | `access(v)` (Algorithm 3) | [`Var::get`] / [`Var::with`] / [`Runtime::with_value`] |
 //! | `modify(l, v)` (Algorithm 4) | [`Var::set`] / [`Runtime::raw_write`] |
 //! | batched `modify` sequence | [`Runtime::batch`] + [`Var::set_in`] / [`Batch::write`] |
 //! | `(*CACHED*)` / `(*MAINTAINED*)` procedure | [`Memo<A, R>`] |
@@ -83,8 +83,7 @@ pub use alphonse_graph::NodeId;
 
 /// Subsystem-tagged memory accounting (re-export of `alphonse-mem`).
 ///
-/// Install [`mem::TrackingAlloc`](alphonse_mem::TrackingAlloc) as the
-/// binary's `#[global_allocator]` and every runtime allocation is billed to
-/// a subsystem [`mem::Tag`](alphonse_mem::Tag); per-tag live/HWM bytes then
-/// appear in [`MetricsSnapshot::mem`].
+/// Install [`mem::TrackingAlloc`] as the binary's `#[global_allocator]`
+/// and every runtime allocation is billed to a subsystem [`mem::Tag`];
+/// per-tag live/HWM bytes then appear in [`MetricsSnapshot::mem`].
 pub use alphonse_mem as mem;

@@ -464,31 +464,35 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         begun: Option<(Executor, u64)>,
         f: impl FnOnce(&R) -> O,
     ) -> O {
-        // A just-created instance cannot hit and its execution is already
-        // booked ([`Memo::settle`]): run it to completion directly.
-        if let Some((executor, my_gen)) = begun {
-            return rt.finish_exec_recording(node, &executor, my_gen, |v| {
-                f(downcast_ref::<R>(v, self.name()))
-            });
-        }
         // `f` runs at most once; the Option lets the consistent-cache
-        // closure and the post-execution paths share it.
+        // closure and the post-execution path share it.
         let mut f = Some(f);
-        // Note: the paper's Algorithm 5 records the caller's dependence edge
-        // before checking consistency. We record it after the callee has
-        // settled (cache hit or completed re-execution) instead — the
-        // resulting edge set is identical, but re-entrant patterns like the
-        // AVL balance method (Section 7.3) would otherwise transiently pair
-        // a stale caller→callee edge with the fresh callee→caller one and
-        // trip cycle detection.
-        let hit = rt.precall_cached(node, |v| {
-            (f.take().expect("first use of f"))(downcast_ref::<R>(v, self.name()))
-        });
-        if let Some(out) = hit {
-            return out;
-        }
+        let (executor, my_gen) = match begun {
+            // A just-created instance cannot hit and its execution is
+            // already booked ([`Memo::settle`]): run it to completion.
+            Some(begun) => begun,
+            None => {
+                // Note: the paper's Algorithm 5 records the caller's
+                // dependence edge before checking consistency. We record it
+                // after the callee has settled (cache hit or completed
+                // re-execution) instead — the resulting edge set is
+                // identical, but re-entrant patterns like the AVL balance
+                // method (Section 7.3) would otherwise transiently pair a
+                // stale caller→callee edge with the fresh callee→caller one
+                // and trip cycle detection.
+                let hit = rt.precall_cached(node, |v| {
+                    (f.take().expect("first use of f"))(downcast_ref::<R>(v, self.name()))
+                });
+                if let Some(out) = hit {
+                    return out;
+                }
+                rt.exec_begin(&mut rt.lock(), node)
+            }
+        };
         let f = f.take().expect("cache miss: f not yet used");
-        rt.execute_recording(node, |v| f(downcast_ref::<R>(v, self.name())))
+        rt.finish_exec_recording(node, &executor, my_gen, |v| {
+            f(downcast_ref::<R>(v, self.name()))
+        })
     }
 
     /// The dependency-graph node for a given argument vector, if that

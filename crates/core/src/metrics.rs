@@ -1,9 +1,9 @@
 //! Always-on runtime telemetry: lock-free counters, latency histograms and
 //! worker gauges.
 //!
-//! The [`crate::stats`] counters answer *how much work* the runtime did; the
-//! [`crate::trace`] layer answers *which node and why*, but is forensic and
-//! off by default. This module fills the gap a production incremental
+//! The [`Stats`](crate::Stats) counters answer *how much work* the runtime
+//! did; the [`crate::trace`] layer answers *which node and why*, but is
+//! forensic and off by default. This module fills the gap a production incremental
 //! service needs: cheap, always-on **distributions** — wave-latency
 //! percentiles, per-wave executed/wasted work, level widths and worker
 //! utilization — recorded on the hot paths *without taking the runtime

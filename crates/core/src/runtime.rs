@@ -4,7 +4,7 @@
 //! This module implements the paper's Sections 4 and 5 as a library instead
 //! of a source transformation: the three instrumented operations
 //! `access` / `modify` / `call` (Algorithms 3, 4 and 5) are the methods
-//! [`Runtime::raw_read`], [`Runtime::raw_write`] and
+//! [`Runtime::with_value`], [`Runtime::raw_write`] and
 //! [`Memo::call`](crate::Memo::call), and the evaluation routine of
 //! Section 4.5 is [`Runtime::propagate`] plus the internal evaluation that
 //! runs before incremental calls.
@@ -26,8 +26,8 @@
 //! Per-node state is stored struct-of-arrays: the evaluator's hot loop only
 //! touches the dense `values` / `flags` / `gens` / `executors` vectors (all
 //! indexed by `NodeId::index()`), while cold bookkeeping — explicit
-//! diagnostic labels, re-entrant stack depths — lives in out-of-line side
-//! tables that propagation never reads. A memo
+//! diagnostic labels — lives in an out-of-line side table that
+//! propagation never reads. A memo
 //! instance's executor is the instance object itself (procedure plus
 //! argument vector), which also names it, so unlabeled instances take no
 //! side-table entry. See DESIGN.md ("Memory layout") for the full picture.
@@ -87,7 +87,7 @@ pub(crate) struct Booking {
 /// the panic that unwound out of it.
 pub(crate) type Outcome = std::thread::Result<Box<dyn Value>>;
 
-/// One execution of a pooled level, as the claim loop moves it along.
+/// One execution of a level, as the claim loop moves it along.
 pub(crate) enum LevelSlot {
     /// Booked by the driver when it opened the level.
     Booked(Booking),
@@ -137,9 +137,9 @@ const F_EAGER: u8 = 1 << 2;
 /// The evaluator wanted to re-execute this eager node while it was still
 /// running; it is re-queued when the execution finishes.
 const F_REQUEUE: u8 = 1 << 3;
-/// At least one execution of this node is currently on the call stack.
-/// Depth beyond one (the paper's AVL `balance` re-entrancy, Section 7.3) is
-/// rare and tracked out of line in `Inner::deep_stack`.
+/// At least one execution of this node is booked or on a call stack. A
+/// re-entrant execution (the paper's AVL `balance`, Section 7.3) leaves the
+/// bit to its outermost frame ([`Frame::reentrant`]).
 const F_ON_STACK: u8 = 1 << 4;
 /// Scratch mark of log deduplication and reconciliation: set on the nodes
 /// of one dependence log and cleared again within the same lock hold, so
@@ -178,6 +178,10 @@ pub(crate) struct Frame {
     /// it logs nothing further and its log is dropped unreconciled: the
     /// fresher execution's log decides the node's edges.
     stale: bool,
+    /// Booked while an older execution of the same node was on a stack.
+    /// Frames of one node nest LIFO on one stack, so only the outermost
+    /// frame, the one without this bit, clears [`F_ON_STACK`] when it pops.
+    reentrant: bool,
 }
 
 /// The inconsistent set(s). Both schedulings queue dirt in a
@@ -220,9 +224,6 @@ pub(crate) struct Inner {
     /// Explicit diagnostic labels (`var_named`, `set_label`). An unlabeled
     /// computation is named by its executor's procedure instead.
     names: FxHashMap<u32, Arc<str>>,
-    /// Extra on-stack depth beyond 1 for re-entrantly executing nodes;
-    /// an entry `d` means total depth `1 + d`. Empty in steady state.
-    deep_stack: FxHashMap<u32, u32>,
     /// The call stacks, one per thread slot ([`Inner::slot`]): slot 0 for
     /// every thread outside this runtime's executor pool, slot `k + 1` for
     /// pool worker `k` — the numbering of the worker gauges. Level-parallel
@@ -236,17 +237,18 @@ pub(crate) struct Inner {
     /// bookings so steady-state executions log into warm buffers.
     spare_logs: Vec<Vec<NodeId>>,
     /// The `set_parallelism` knob: `0` or `1` = the driver runs each level
-    /// alone (default `0`), `n >= 2` = levels of two or more executions run
-    /// on `n` threads, the driver plus an `n − 1`-worker pool.
+    /// alone (default `0`), `n >= 2` = a level of `w` executions runs on
+    /// `min(n, w)` threads, the driver plus helpers of an `n − 1`-worker
+    /// pool.
     pub(crate) parallelism: usize,
     /// Lazily created persistent worker pool of `parallelism − 1` threads
-    /// (first pooled level with `parallelism >= 2`). Rebuilt if the knob
+    /// (first level with helpers). Rebuilt if the knob
     /// changes size.
     pub(crate) exec_pool: Option<crate::exec_pool::ExecPool>,
-    /// The executions of the pooled level being drained, indexed by claim
+    /// The executions of the level being drained, indexed by claim
     /// order (= batch order). Empty between levels; capacity is kept.
     pub(crate) level: Vec<LevelSlot>,
-    /// Slot-0 stack depth when the open pooled level started. Frames below
+    /// Slot-0 stack depth when the open level started. Frames below
     /// it belong to callers suspended until the level finishes.
     level_base: usize,
     dirty: DirtyStore,
@@ -353,7 +355,6 @@ impl RuntimeBuilder {
                 gens: Vec::new(),
                 executors: Vec::new(),
                 names: FxHashMap::default(),
-                deep_stack: FxHashMap::default(),
                 stacks: vec![Vec::new()],
                 spare_logs: Vec::new(),
                 parallelism: 0,
@@ -539,10 +540,9 @@ impl Inner {
 
     /// Whether an execution of `n` runs on another thread of a pooled
     /// level: a frame of it sits on a stack other than the current
-    /// thread's, above the level's suspended callers on slot 0. Its commit
-    /// will replace the cached value. A booked but unclaimed level member
-    /// has no frame yet, and frames on the caller's own stack are
-    /// Section 7.3 re-entrancy; neither counts.
+    /// thread's, above the level's suspended callers on slot 0. A booked
+    /// but unclaimed level member has no frame yet, and frames on the
+    /// caller's own stack are Section 7.3 re-entrancy; neither counts.
     fn executing_elsewhere(&self, n: NodeId) -> bool {
         if self.flags[n.index()] & F_ON_STACK == 0 {
             return false;
@@ -561,30 +561,6 @@ impl Inner {
         for frame in self.stacks.iter_mut().flatten() {
             if frame.node == n {
                 frame.stale = true;
-            }
-        }
-    }
-
-    /// Bumps the on-stack depth of node `i`. Depth 1 lives in the flag
-    /// byte; deeper re-entrancy spills to the `deep_stack` side table.
-    fn on_stack_inc(&mut self, i: usize) {
-        if self.flags[i] & F_ON_STACK == 0 {
-            self.flags[i] |= F_ON_STACK;
-        } else {
-            *self.deep_stack.entry(i as u32).or_insert(0) += 1;
-        }
-    }
-
-    /// Drops the on-stack depth of node `i`, clearing the flag at zero.
-    fn on_stack_dec(&mut self, i: usize) {
-        match self.deep_stack.get_mut(&(i as u32)) {
-            Some(d) if *d == 1 => {
-                self.deep_stack.remove(&(i as u32));
-            }
-            Some(d) => *d -= 1,
-            None => {
-                debug_assert!(self.flags[i] & F_ON_STACK != 0, "on_stack underflow");
-                self.flags[i] &= !F_ON_STACK;
             }
         }
     }
@@ -917,20 +893,22 @@ impl Runtime {
     }
 
     /// Sets the wave-propagation parallelism. The evaluator always drains
-    /// the inconsistent set one height level at a time (Section 4.5); this
-    /// knob only decides how many threads execute a level:
+    /// the inconsistent set one height level at a time (Section 4.5) and
+    /// commits a level's results in batch order after its last execution;
+    /// this knob only decides how many threads execute a level:
     ///
     /// * `0` (the default) or `1` — the propagating thread runs each level
-    ///   alone, committing every execution as it finishes.
-    /// * `n >= 2` — a level of two or more eager executions runs on up to
-    ///   `n` threads at once: the propagating thread itself plus a
-    ///   persistent pool of `n − 1` workers. All of them claim executions
-    ///   from the level in turn, so a level of `w < n` executions uses `w`
-    ///   threads, and the results commit in batch order at the level's end.
+    ///   alone.
+    /// * `n >= 2` — a level of `w` eager executions runs on `min(n, w)`
+    ///   threads: the propagating thread itself plus helpers from a
+    ///   persistent pool of `n − 1` workers, all claiming executions from
+    ///   the level in turn.
     ///
-    /// Every scheduling and partitioning configuration drains through the
-    /// same levels; under Fifo scheduling every level is a single node. See
-    /// DESIGN.md ("Parallel waves") for the execution model.
+    /// Values, work counters and the dirt every level leaves are the same
+    /// at every setting. Every scheduling and partitioning configuration
+    /// drains through the same levels; under Fifo scheduling every level
+    /// is a single node. See DESIGN.md ("Parallel waves") for the
+    /// execution model.
     pub fn set_parallelism(&self, n: usize) {
         let mut inner = self.lock();
         if inner.parallelism != n {
@@ -1072,7 +1050,7 @@ impl Runtime {
     /// Checked invariants:
     ///
     /// * the call stack is empty (only call this between top-level
-    ///   operations) and every node's on-stack flag/depth is zero;
+    ///   operations) and no node is flagged on-stack;
     /// * edge symmetry: the graph's successor and predecessor lists agree
     ///   as edge multisets;
     /// * every queued dirty node is a node of this runtime, and with
@@ -1108,10 +1086,6 @@ impl Runtime {
                     "check_invariants: node {i} kept a dependence-log mark past its lock hold"
                 );
             }
-            assert!(
-                inner.deep_stack.is_empty(),
-                "check_invariants: deep-stack side table non-empty with an empty call stack"
-            );
             // Edge symmetry: every succ edge must have a matching pred edge
             // and vice versa, as multisets.
             let mut balance: FxHashMap<(NodeId, NodeId), i64> = FxHashMap::default();
@@ -1284,46 +1258,18 @@ impl Runtime {
     pub(crate) fn alloc_accessed(&self, initial: Box<dyn Value>) -> NodeId {
         let mut inner = self.lock();
         inner.stats.reads += 1;
-        inner.stats.borrow_reads += 1;
         let node = inner.alloc_node(Some(initial), None);
         emit!(inner, TraceEvent::Read { node });
         inner.record_dependence(node);
         node
     }
 
-    /// Reads a location, recording the dependence of the currently executing
-    /// incremental procedure (if any) on it — the paper's `access`
-    /// (Algorithm 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a location of this runtime.
-    pub fn raw_read(&self, n: NodeId) -> Box<dyn Value> {
-        let mut inner = self.lock();
-        inner.stats.reads += 1;
-        inner.stats.cloned_reads += 1;
-        emit!(inner, TraceEvent::Read { node: n });
-        inner.record_dependence(n);
-        let i = n.index();
-        debug_assert!(
-            inner.flags[i] & F_COMP == 0,
-            "raw_read on a computation node"
-        );
-        inner.values[i]
-            .as_ref()
-            .expect("location always holds a value")
-            .dyn_clone()
-    }
-
-    /// Reads a location in place, without boxing or cloning the value: the
-    /// borrow-based form of the paper's `access` (Algorithm 3). The
-    /// dependence of the currently executing incremental procedure (if any)
-    /// is recorded exactly as for [`Runtime::raw_read`], but the cached
-    /// value is handed to `f` by reference instead of being cloned out.
-    ///
-    /// This is the hot-path read used by [`Var::get`](crate::Var::get) and
-    /// [`Var::with`](crate::Var::with). Use [`Runtime::raw_read`] only when
-    /// the value must outlive the read (escape the closure).
+    /// Reads a location in place — the paper's `access` (Algorithm 3):
+    /// records the dependence of the currently executing incremental
+    /// procedure (if any) on it, then hands the cached value to `f` by
+    /// reference, without boxing or cloning it. [`Var::get`](crate::Var::get)
+    /// and [`Var::with`](crate::Var::with) are built on it; `f` clones the
+    /// value when it must outlive the read.
     ///
     /// The runtime is locked for the duration of `f`: the closure must not
     /// re-enter runtime operations (writes, memo calls, propagation, even
@@ -1335,7 +1281,6 @@ impl Runtime {
     pub fn with_value<R>(&self, n: NodeId, f: impl FnOnce(&dyn Value) -> R) -> R {
         let mut inner = self.lock();
         inner.stats.reads += 1;
-        inner.stats.borrow_reads += 1;
         emit!(inner, TraceEvent::Read { node: n });
         inner.record_dependence(n);
         let i = n.index();
@@ -1462,8 +1407,8 @@ impl Runtime {
     /// Only the rare pending case pays more than one lock: the evaluation
     /// routine must run unlocked (it re-enters the runtime), so that path
     /// re-locks for the probe afterwards. So does a call to a node another
-    /// pool claimant is executing, which yields until that execution
-    /// commits.
+    /// pool claimant is executing, which yields until that execution's
+    /// frame pops.
     pub(crate) fn precall_cached<R>(
         &self,
         n: NodeId,
@@ -1488,8 +1433,9 @@ impl Runtime {
             self.evaluate(Some(n));
             guard = self.lock();
         }
-        // Another claimant of a pooled level is executing `n`: its cached
-        // value is the pre-wave one, so wait for the commit.
+        // Another claimant of a pooled level is executing `n`: wait until
+        // its frame pops. A memo call commits there; a level member commits
+        // after the level, and re-dirties this caller if its value changed.
         while guard.executing_elsewhere(n) {
             drop(guard);
             std::thread::yield_now();
@@ -1534,22 +1480,15 @@ impl Runtime {
         None
     }
 
-    /// Cache-miss tail of the memo call path: executes `n`, records the
-    /// caller's dependence on it, and runs `f` on the resulting value — the
-    /// commit, the dependence edge and the read all share the post-execution
-    /// lock. `f` sees the committed value in the common case, or the
-    /// superseded execution's uncommitted result when a nested re-execution
-    /// won the generation race (Section 7.3 re-entrancy).
-    pub(crate) fn execute_recording<R>(&self, n: NodeId, f: impl FnOnce(&dyn Value) -> R) -> R {
-        let (executor, my_gen) = self.exec_begin(&mut self.lock(), n);
-        self.finish_exec_recording(n, &executor, my_gen, f)
-    }
-
-    /// Second half of [`Runtime::execute_recording`] for callers that
-    /// already booked the execution (fresh memo instances book theirs
-    /// inside [`Runtime::alloc_comp_begun`]'s guard): runs the executor
-    /// unlocked, then finishes, records the caller's dependence and reads
-    /// the result under one final guard.
+    /// The tail of a memo call that executes `n`, booked by
+    /// [`Runtime::exec_begin`] (or, for a fresh instance, inside
+    /// [`Runtime::alloc_comp_begun`]'s guard): runs the executor unlocked,
+    /// then pops and commits the execution, records the caller's dependence
+    /// on `n` and runs `f` on the result, all under one final guard. `f`
+    /// sees the committed value in the common case, or the superseded
+    /// execution's uncommitted result when a nested re-execution won the
+    /// generation race (Section 7.3 re-entrancy). A failed execution is
+    /// rolled back and its panic resumes once the guard is released.
     pub(crate) fn finish_exec_recording<R>(
         &self,
         n: NodeId,
@@ -1560,7 +1499,8 @@ impl Runtime {
         let outcome = self.run_body(executor);
         let mut guard = self.lock();
         let inner = &mut *guard;
-        let uncommitted = match self.exec_end(inner, n, my_gen, outcome) {
+        let changed = self.exec_pop(inner, n, my_gen, &outcome);
+        let uncommitted = match inner.exec_store(n, my_gen, outcome, changed) {
             Ok((uncommitted, _)) => uncommitted,
             Err(payload) => {
                 drop(guard);
@@ -1579,23 +1519,19 @@ impl Runtime {
         }
     }
 
-    /// First half of re-executing computation node `n` per Algorithm 5
-    /// (see [`Runtime::execute_recording`] and the evaluation loop): books
-    /// the execution and pushes the call frame
-    /// onto the current thread's stack, handing back the executor to run
-    /// *outside* the lock. Takes the caller's guard so booking can share a
-    /// lock round-trip with whatever precedes it (the previous execution's
-    /// commit in the evaluation loop).
+    /// Books an execution of computation node `n` per Algorithm 5 and
+    /// pushes its call frame onto the current thread's stack, handing back
+    /// the executor to run *outside* the lock. Takes the caller's guard so
+    /// booking can share a lock round-trip with whatever precedes it.
     ///
     /// Re-entrant executions (an instance re-executing while an older
     /// execution of the same instance is still on the stack, as the AVL
     /// `balance` method of Section 7.3 provokes after rotations) are
     /// resolved by generation stamps: only the latest-started execution
     /// commits to the cache; a superseded outer execution still returns its
-    /// computed value to its caller (the `Some` case of
-    /// [`Runtime::exec_end`]) but leaves cache, consistency flag and
+    /// computed value to its caller but leaves cache, consistency flag and
     /// dependency edges to the fresher run.
-    fn exec_begin(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64) {
+    pub(crate) fn exec_begin(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64) {
         let Booking {
             executor,
             my_gen,
@@ -1607,8 +1543,8 @@ impl Runtime {
 
     /// The stack half of [`Runtime::exec_begin`], run by the executing
     /// thread: pushes `frame` onto that thread's stack and opens the
-    /// execution's trace span. A pooled level's claimant pushes the frame
-    /// the driver booked for it.
+    /// execution's trace span. A level's claimant pushes the frame the
+    /// driver booked for it.
     fn push_frame(&self, inner: &mut Inner, frame: Frame) {
         let n = frame.node;
         inner.active_stack().push(frame);
@@ -1623,32 +1559,15 @@ impl Runtime {
         catch_unwind(AssertUnwindSafe(|| executor.run(self)))
     }
 
-    /// Second half of an execution: pops the call frame and commits (or,
-    /// when superseded — the `Some` return — hands back) the computed
-    /// value, plus whether the cache changed; a failed execution is rolled
-    /// back and its payload returned. Runs under the caller's guard so the
-    /// commit can share a lock round-trip with whatever follows it
-    /// (successor dirtying and the next booking in the evaluation loop,
-    /// dependence recording on the memo call path).
-    fn exec_end(
-        &self,
-        inner: &mut Inner,
-        n: NodeId,
-        my_gen: u64,
-        outcome: Outcome,
-    ) -> std::thread::Result<(Option<Box<dyn Value>>, bool)> {
-        let changed = self.exec_pop(inner, n, my_gen, &outcome);
-        inner.exec_store(n, my_gen, outcome, changed)
-    }
-
-    /// The frame half of [`Runtime::exec_end`], run by the thread that
+    /// The frame half of finishing an execution, run by the thread that
     /// executed `n` as soon as its executor returns: pops that thread's
     /// innermost frame, reconciles its dependence log with the node's
     /// retained edges (a superseded or failed execution's log is dropped
-    /// instead), drops the node's on-stack depth, and compares the value
-    /// against the still-cached old one (the cutoff comparison). Closes
-    /// the execution's trace span and returns whether the value changed
-    /// (`false` when superseded or failed).
+    /// instead), clears the node's on-stack bit unless the frame is
+    /// re-entrant, and compares the value against the still-cached old one
+    /// (the cutoff comparison). Closes the execution's trace span and
+    /// returns whether the value changed (`false` when superseded or
+    /// failed); [`Inner::exec_store`] commits it.
     fn exec_pop(&self, inner: &mut Inner, n: NodeId, my_gen: u64, outcome: &Outcome) -> bool {
         let value = outcome.as_deref().ok();
         let mut frame = inner.active_stack().pop().expect("frame pushed above");
@@ -1661,7 +1580,9 @@ impl Runtime {
         frame.log.clear();
         inner.spare_logs.push(frame.log);
         let i = n.index();
-        inner.on_stack_dec(i);
+        if !frame.reentrant {
+            inner.flags[i] &= !F_ON_STACK;
+        }
         let (changed, compared) = match (value, &inner.values[i]) {
             // A failed execution has no value, and a superseded one's is
             // handed back, never compared: the fresher run owns the cache.
@@ -1910,15 +1831,12 @@ impl Runtime {
     /// Each level is popped (at most the remaining step budget of it, from
     /// `origin`'s partition when partitioned) and its mutation-only nodes —
     /// locations, demand marking, on-stack re-queues — are handled at once;
-    /// its eager nodes become the level's executions. The driver runs those
-    /// itself, one at a time, with one lock acquisition between two
-    /// executions that pops and commits the previous one (dirtying its
-    /// successors when it changed), closes a finished level, pops and opens
-    /// the next, and books the next execution. The lock is released only
-    /// while an executor runs. A level of two or more executions at
-    /// `parallelism >= 2` is instead booked whole and handed to
-    /// [`Runtime::run_level`], which runs it beside pool helpers and leaves
-    /// its results for the commit below, in batch order.
+    /// its eager nodes become the level's executions. Those are booked into
+    /// `Inner::level` and handed to [`Runtime::run_level`], which runs them
+    /// on the driver, beside pool helpers at `parallelism >= 2`. Their
+    /// results then commit in batch order, each changed one dirtying its
+    /// successors, under the guard that closes the level and opens the
+    /// next.
     ///
     /// A level with a failed execution still runs to completion; the drain
     /// then stops and returns the first failure's payload in batch order.
@@ -1931,50 +1849,20 @@ impl Runtime {
         max_steps: u64,
     ) -> (MutexGuard<'a, Inner>, Option<Box<dyn std::any::Any + Send>>) {
         let mut steps = 0u64;
-        // The open level's eager executions in batch order, how many of
-        // them the driver has started, and its height.
+        // The open level's nodes in batch order, then its eager executions.
         let mut execs = std::mem::take(&mut guard.level_scratch);
-        let mut next = 0;
-        let mut height = None;
         let mut failure = None;
         loop {
             let inner = &mut *guard;
-            if next < execs.len() {
-                let u = execs[next];
-                next += 1;
-                let (executor, my_gen) = self.exec_begin(inner, u);
-                drop(guard);
-                let outcome = self.run_body(&executor);
-                guard = self.lock();
-                let inner = &mut *guard;
-                match self.exec_end(inner, u, my_gen, outcome) {
-                    Ok((None, true)) => inner.dirty_succs_of(u),
-                    Ok(_) => {}
-                    Err(payload) => failure = failure.or(Some(payload)),
-                }
-                continue;
-            }
-            if let Some(height) = height.take() {
-                emit!(
-                    inner,
-                    TraceEvent::LevelEnd {
-                        wave: inner.wave,
-                        height,
-                        executed: execs.len() as u64,
-                    }
-                );
-            }
             execs.clear();
-            next = 0;
             let budget = usize::try_from(max_steps - steps).unwrap_or(usize::MAX);
             let popped = failure
                 .is_none()
                 .then(|| inner.pop_level(origin, &mut execs, budget));
-            let Some(h) = popped.flatten() else {
+            let Some(height) = popped.flatten() else {
                 inner.level_scratch = execs;
                 return (guard, failure);
             };
-            height = Some(h);
             let width = execs.len() as u64;
             steps += width;
             inner.stats.level_width_hwm = inner.stats.level_width_hwm.max(width);
@@ -1987,14 +1875,14 @@ impl Runtime {
                 inner,
                 TraceEvent::LevelBegin {
                     wave: inner.wave,
-                    height: h,
+                    height,
                     width,
                 }
             );
             // Successors of a location or demand node sit at strictly
             // greater heights, so they join later levels, never this one.
             execs.retain(|&u| inner.step_popped(u));
-            if inner.parallelism.min(execs.len()) >= 2 {
+            if !execs.is_empty() {
                 // Book every execution before any claimant starts: the
                 // claim locks are the contended ones, so they only swap
                 // frames.
@@ -2008,7 +1896,7 @@ impl Runtime {
                 let mut level = std::mem::take(&mut inner.level);
                 for (&u, slot) in execs.iter().zip(level.drain(..)) {
                     let LevelSlot::Done(my_gen, outcome, changed) = slot else {
-                        unreachable!("level barrier passed with an unfinished execution");
+                        unreachable!("level finished with an unfinished execution");
                     };
                     match inner.exec_store(u, my_gen, outcome, changed) {
                         Ok((None, true)) => inner.dirty_succs_of(u),
@@ -2017,51 +1905,65 @@ impl Runtime {
                     }
                 }
                 inner.level = level;
-                next = execs.len();
             }
+            emit!(
+                guard,
+                TraceEvent::LevelEnd {
+                    wave: guard.wave,
+                    height,
+                    executed: execs.len() as u64,
+                }
+            );
         }
     }
 
-    /// The claim loop of a pooled level, run by the driver and by each
-    /// helper ticket: claim the next index from `next`, push that booked
+    /// The claim loop of a level, run by the driver and by each helper
+    /// ticket: claim the next index from `next`, push that booked
     /// execution's frame onto this thread's stack (its tracked reads and
     /// nested memo calls record against that frame), run it, and repeat
     /// until the index passes `width`. Each lock acquisition pops the
     /// previous frame, compares its value and leaves its outcome for the
-    /// driver's in-order commit, and pushes the next claim's frame, so `k`
-    /// executions cost `k + 1` acquisitions. A claimant that finds the index exhausted before it
-    /// ran anything returns without locking. Returns the number of
-    /// executions run.
-    pub(crate) fn run_claims(&self, next: &AtomicUsize, width: usize) -> u64 {
+    /// driver's batch-order commit, and pushes the next claim's frame.
+    ///
+    /// A claimant may enter holding `guard` (the driver does) and leaves
+    /// with the guard of its last pop, so `k` executions cost `k`
+    /// acquisitions, plus one for a claimant that entered without a guard.
+    /// One that finds the index exhausted before it ran anything returns
+    /// without locking. Returns the number of executions run and the guard
+    /// held, if any.
+    pub(crate) fn run_claims<'a>(
+        &'a self,
+        mut guard: Option<MutexGuard<'a, Inner>>,
+        next: &AtomicUsize,
+        width: usize,
+    ) -> (u64, Option<MutexGuard<'a, Inner>>) {
         let mut ran = 0;
-        let mut finished: Option<(usize, NodeId, u64, Outcome)> = None;
         loop {
             // Relaxed: the index only has to be unique. The slot it names
             // is read and written under the runtime lock, which orders it.
             let idx = next.fetch_add(1, Ordering::Relaxed);
-            if idx >= width && finished.is_none() {
-                return ran;
-            }
-            let mut guard = self.lock();
-            let inner = &mut *guard;
-            if let Some((done, n, my_gen, outcome)) = finished.take() {
-                let changed = self.exec_pop(inner, n, my_gen, &outcome);
-                inner.level[done] = LevelSlot::Done(my_gen, outcome, changed);
-            }
             if idx >= width {
-                return ran;
+                return (ran, guard);
             }
-            let LevelSlot::Booked(booking) =
-                std::mem::replace(&mut inner.level[idx], LevelSlot::Running)
+            let mut claim = guard.take().unwrap_or_else(|| self.lock());
+            let inner = &mut *claim;
+            let LevelSlot::Booked(Booking {
+                executor,
+                my_gen,
+                frame,
+            }) = std::mem::replace(&mut inner.level[idx], LevelSlot::Running)
             else {
                 unreachable!("each level index is claimed once");
             };
-            let n = booking.frame.node;
-            self.push_frame(inner, booking.frame);
-            drop(guard);
-            let outcome = self.run_body(&booking.executor);
+            let n = frame.node;
+            self.push_frame(inner, frame);
+            drop(claim);
+            let outcome = self.run_body(&executor);
             ran += 1;
-            finished = Some((idx, n, booking.my_gen, outcome));
+            let mut done = self.lock();
+            let changed = self.exec_pop(&mut done, n, my_gen, &outcome);
+            done.level[idx] = LevelSlot::Done(my_gen, outcome, changed);
+            guard = Some(done);
         }
     }
 }
@@ -2083,8 +1985,8 @@ fn dedup_marked(log: &mut Vec<NodeId>, flags: &mut [u8]) -> u64 {
 
 impl Inner {
     /// The bookkeeping half of [`Runtime::exec_begin`]: everything but
-    /// pushing the frame. A pooled level books all its executions under
-    /// the driver's guard before any claimant starts.
+    /// pushing the frame. A level books all its executions under the
+    /// driver's guard before any claimant starts.
     ///
     /// Booking keeps the node's predecessor edges: they stand for the
     /// previous execution until this one's frame pops and reconciles them
@@ -2098,11 +2000,11 @@ impl Inner {
         // If an older execution of `n` is still running it is now
         // superseded: its result will be discarded, so stop it from
         // logging any further dependences.
-        if self.flags[i] & F_ON_STACK != 0 {
+        let reentrant = self.flags[i] & F_ON_STACK != 0;
+        if reentrant {
             self.mark_stale_frames(n);
         }
-        self.flags[i] |= F_CONSISTENT;
-        self.on_stack_inc(i);
+        self.flags[i] |= F_CONSISTENT | F_ON_STACK;
         self.gens[i] = my_gen;
         let executor = Arc::clone(
             self.executors[i]
@@ -2118,21 +2020,21 @@ impl Inner {
                 compacted: 0,
                 suppress: 0,
                 stale: false,
+                reentrant,
             },
         }
     }
 
-    /// The commit half of [`Runtime::exec_end`]: unless a fresher execution
-    /// of `n` superseded this one (the value is then handed back, the
-    /// `Some` case), stores `value` in the cache and re-queues a node the
-    /// evaluator wanted to re-execute while it ran. `changed` is
+    /// The commit half of finishing an execution: unless a fresher
+    /// execution of `n` superseded this one (the value is then handed back,
+    /// the `Some` case), stores `value` in the cache and re-queues a node
+    /// the evaluator wanted to re-execute while it ran. `changed` is
     /// [`Runtime::exec_pop`]'s comparison; it is returned for committed
     /// values. A failed execution is rolled back: nothing is stored and,
     /// unless superseded, `n` is left inconsistent with its successors
     /// dirtied, so the marking frontier holds and the next demand
-    /// re-executes it. A pooled level commits its results in batch order
-    /// after its barrier; everywhere else the commit follows the pop
-    /// directly.
+    /// re-executes it. A level commits its results in batch order after
+    /// its last execution; a memo call commits right after the pop.
     fn exec_store(
         &mut self,
         n: NodeId,
@@ -2203,10 +2105,9 @@ mod tests {
         let rt = Runtime::new();
         let n = rt.raw_alloc(Box::new(5i64));
         assert_eq!(rt.node_kind(n), NodeKind::Location);
-        let v = rt.raw_read(n);
-        assert!(v.dyn_eq(&5i64));
+        assert!(rt.with_value(n, |v| v.dyn_eq(&5i64)));
         rt.raw_write(n, Box::new(9i64));
-        assert!(rt.raw_read(n).dyn_eq(&9i64));
+        assert!(rt.with_value(n, |v| v.dyn_eq(&9i64)));
     }
 
     #[test]
@@ -2214,7 +2115,7 @@ mod tests {
         let rt = Runtime::new();
         let n = rt.raw_alloc(Box::new(1i64));
         rt.raw_write(n, Box::new(2i64));
-        let _ = rt.raw_read(n);
+        rt.with_value(n, |_| ());
         assert_eq!(rt.edge_count(), 0);
         assert_eq!(rt.stats().reads, 1);
         assert_eq!(rt.stats().writes, 1);
@@ -2226,7 +2127,7 @@ mod tests {
         let n = rt.raw_alloc(Box::new(1i64));
         // Give the location a reader so writes are propagation-relevant.
         let probe = rt.memo("probe", move |rt, &(): &()| {
-            crate::value::downcast_value::<i64>(&*rt.raw_read(n), "probe")
+            rt.with_value(n, |v| crate::value::downcast_value::<i64>(v, "probe"))
         });
         probe.call(&rt, ());
         rt.raw_write(n, Box::new(1i64));
@@ -2252,8 +2153,7 @@ mod tests {
     fn untracked_outside_procedure_is_noop() {
         let rt = Runtime::new();
         let n = rt.raw_alloc(Box::new(1i64));
-        let v = rt.untracked(|| rt.raw_read(n));
-        assert!(v.dyn_eq(&1i64));
+        assert!(rt.untracked(|| rt.with_value(n, |v| v.dyn_eq(&1i64))));
         assert!(!rt.in_tracked_context());
     }
 

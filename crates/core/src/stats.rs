@@ -36,8 +36,6 @@ macro_rules! for_each_counter {
             comparisons,
             nodes_created,
             untracked_reads,
-            borrow_reads,
-            cloned_reads,
             dedup_hits,
             memo_probes,
             batches,
@@ -111,13 +109,6 @@ pub struct Stats {
     pub nodes_created: u64,
     /// Reads performed inside `untracked` regions (Section 6.4 UNCHECKED).
     pub untracked_reads: u64,
-    /// Tracked reads served in place through the borrow-based API
-    /// (`Runtime::with_value` and the typed wrappers built on it) — no
-    /// clone, no box.
-    pub borrow_reads: u64,
-    /// Tracked reads that cloned the value out of the cache
-    /// (`Runtime::raw_read` and typed reads whose value escapes).
-    pub cloned_reads: u64,
     /// Repeated accesses within one execution dropped from its dependence
     /// log: at the access (a repeat of the log's last entry), at a
     /// compaction or at the reconcile.

@@ -322,9 +322,9 @@ thread_local! {
     static DEFAULT_SINK: RefCell<Option<Arc<dyn TraceSink>>> = const { RefCell::new(None) };
 }
 
-/// Installs a sink that every [`Runtime`] *built after this call* (on this
-/// thread) starts with, and returns the previous default. Pass `None` to
-/// clear.
+/// Installs a sink that every [`Runtime`](crate::Runtime) *built after
+/// this call* (on this thread) starts with, and returns the previous
+/// default. Pass `None` to clear.
 ///
 /// This is the hook benchmark harnesses use to trace workloads that
 /// construct their runtimes internally; prefer

@@ -34,7 +34,7 @@ fn fan(rt: &Runtime, width: usize, meet: &Rendezvous) -> Vec<Var<i64>> {
 }
 
 /// A one-shot meeting point for two executions. Starts (and stays) open
-/// until armed, so inline waves never wait.
+/// until armed, so one-thread waves never wait.
 #[derive(Clone)]
 struct Rendezvous(Arc<AtomicUsize>);
 

@@ -1,9 +1,11 @@
 //! Behavioral tests for level-parallel wave propagation: correctness of
 //! the level drain at 0/1/N workers under every scheduling and
 //! partitioning setting, the parallel stats counters, and the lock
-//! acquisitions an inline level costs.
+//! acquisitions a level the driver runs alone costs.
 
+use alphonse::trace::{Recorder, TraceEvent};
 use alphonse::{Runtime, Scheduling, Strategy, Var};
+use std::sync::Arc;
 
 /// A wide two-layer fan: `width` vars, one eager memo per var (height 1),
 /// one eager sum over all of them (height 2). Every update wave is one
@@ -60,8 +62,8 @@ fn pool_levels_are_counted_and_bounded() {
     }
     rt.propagate();
     let s = rt.stats();
-    // The 8-cell level runs on the pool; the single-node total level is
-    // inline and therefore not a "parallel level".
+    // The 8-cell level runs on the pool; the driver runs the single-node
+    // total level alone, so it is not a "parallel level".
     assert_eq!(s.parallel_levels, 1);
     assert_eq!(s.parallel_executions, 8);
     assert!(s.parallel_executions <= s.executions);
@@ -80,7 +82,7 @@ fn single_worker_control_counts_levels_but_spawns_no_pool_work() {
     vars[1].set(&rt, 51);
     rt.propagate();
     let s = rt.stats();
-    assert_eq!(s.parallel_levels, 0, "inline levels are not pool levels");
+    assert_eq!(s.parallel_levels, 0, "levels run alone are not pool levels");
     assert_eq!(s.parallel_executions, 0);
     assert_eq!(s.level_width_hwm, 2, "level drain still batches by height");
 }
@@ -223,7 +225,7 @@ fn a_call_to_a_memo_executing_on_another_thread_waits_for_its_commit() {
 /// second (usually the pool helper) is the one that calls `x(5)` back.
 /// That call reads an execution suspended until the level ends: waiting
 /// for its commit would never return, so it must fail as the same DET
-/// violation the inline drain reports.
+/// violation a level the driver runs alone reports.
 #[test]
 fn a_level_calling_back_into_its_suspended_caller_fails_instead_of_waiting() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -485,11 +487,11 @@ fn executor_panics_in_pooled_levels_reach_the_caller() {
 }
 
 /// `Stats::lock_acquisitions` pins the fused frame swap: between two
-/// inline executions the driver takes the lock once, to commit the one
-/// that finished, move on to the next level when a level is done, and
-/// book the next.
+/// executions of a level it runs alone the driver takes the lock once, to
+/// pop the one that finished and push the next; the last pop's guard
+/// commits the level and opens the next one.
 #[test]
-fn one_inline_level_takes_one_lock_per_execution() {
+fn a_level_run_alone_takes_one_lock_per_execution() {
     const W: u64 = 8;
     let rt = Runtime::new();
     rt.set_parallelism(1);
@@ -510,18 +512,19 @@ fn one_inline_level_takes_one_lock_per_execution() {
     let before = rt.stats();
     rt.propagate();
     let taken = rt.stats().delta_since(&before).lock_acquisitions;
-    // Opening the wave, draining the var level and booking the first cell
-    // share one acquisition. Then, per cell, one tracked read and one
-    // swap; the last swap finds no level left and closes the wave. The
-    // closing `stats()` call counts itself: 1.
+    // Opening the wave, draining the var level, booking the cells and
+    // pushing the first share one acquisition. Then, per cell, one tracked
+    // read and one swap; the last swap's guard commits the cells, finds no
+    // level left and closes the wave. The closing `stats()` call counts
+    // itself: 1.
     assert_eq!(taken, 1 + 2 * W + 1);
 }
 
 /// `Stats::lock_acquisitions` for one write and one `propagate` at the
 /// default parallelism: the acquisitions of `n` executions are the write,
-/// one to open the wave and book the first execution, one per tracked
-/// read or call in the bodies, one per execution to commit it and book
-/// the next, and the counting `stats()` call itself: `2n + 3`.
+/// one to open the wave and start the first execution, one per tracked
+/// read or call in the bodies, one per execution to pop it and start the
+/// next, and the counting `stats()` call itself: `2n + 3`.
 fn locks_per_wave(rt: &Runtime, write: impl FnOnce(), n: u64) {
     let before = rt.stats();
     write();
@@ -560,4 +563,65 @@ fn a_level_of_one_read_cells_takes_two_locks_per_execution() {
     locks_per_wave(&rt, || v.set(&rt, 1), 64);
     assert_eq!(rt.stats().level_width_hwm, 64);
     assert!(cells.iter().all(|c| c.call(&rt, ()) == 2));
+}
+
+/// Eager `b` (defined first) calls eager `a` of its own height once `y` is
+/// set, and one batch changes both inputs. Members of one level are
+/// independent (Section 4.5), so `b`'s first run reads `a`'s pre-wave
+/// value, and `a`'s batch-order commit sends `b` round again at its raised
+/// height: three executions whether the driver runs the level alone or
+/// beside a pool helper, with the same levels and the same dirt.
+#[test]
+fn a_same_level_call_costs_the_same_at_every_parallelism() {
+    let run = |parallelism: usize| {
+        let rt = Runtime::new();
+        rt.set_parallelism(parallelism);
+        let x = rt.var(0i64);
+        let y = rt.var(0i64);
+        let a_slot: Arc<std::sync::OnceLock<alphonse::Memo<(), i64>>> = Arc::default();
+        let a_ref = Arc::clone(&a_slot);
+        let b = rt.memo_with("b", Strategy::Eager, move |rt, &(): &()| {
+            let y = y.get(rt);
+            if y == 0 {
+                0
+            } else {
+                a_ref.get().expect("a is defined").call(rt, ()) + y
+            }
+        });
+        assert_eq!(b.call(&rt, ()), 0);
+        let a = rt.memo_with("a", Strategy::Eager, move |rt, &(): &()| x.get(rt) + 1);
+        assert_eq!(a.call(&rt, ()), 1);
+        assert!(a_slot.set(a).is_ok());
+        let rec = Arc::new(Recorder::new(1024));
+        rt.set_sink(Some(rec.clone()));
+        let before = rt.stats();
+        rt.batch(|tx| {
+            x.set_in(tx, 10);
+            y.set_in(tx, 10);
+        });
+        rt.propagate();
+        let executions = rt.stats().delta_since(&before).executions;
+        rt.set_sink(None);
+        assert_eq!(b.call(&rt, ()), 21, "parallelism {parallelism}");
+        rt.check_invariants();
+        let outside_executions: Vec<TraceEvent> = rec
+            .events()
+            .into_iter()
+            .filter(|ev| {
+                matches!(
+                    ev,
+                    TraceEvent::LevelBegin { .. }
+                        | TraceEvent::LevelEnd { .. }
+                        | TraceEvent::Dirtied { .. }
+                        | TraceEvent::PropagateBegin { .. }
+                        | TraceEvent::PropagateEnd { .. }
+                )
+            })
+            .collect();
+        (executions, outside_executions)
+    };
+    let (alone, alone_events) = run(1);
+    let (pooled, pooled_events) = run(2);
+    assert_eq!((alone, pooled), (3, 3), "executions at parallelism 1 and 2");
+    assert_eq!(alone_events, pooled_events);
 }

@@ -639,16 +639,13 @@ fn a_long_repetitive_log_dedups_to_its_distinct_reads() {
 }
 
 #[test]
-fn read_counters_distinguish_borrow_and_clone() {
+fn read_counter_counts_every_read_form() {
     let rt = Runtime::new();
     let v = rt.var(7i64);
-    assert_eq!(v.get(&rt), 7); // borrow-based typed read
-    assert_eq!(v.with(&rt, |&x| x * 2), 14); // borrow-based in-place read
-    assert!(rt.raw_read(v.node()).dyn_eq(&7i64)); // boxing read
-    let s = rt.stats();
-    assert_eq!(s.reads, 3);
-    assert_eq!(s.borrow_reads, 2);
-    assert_eq!(s.cloned_reads, 1);
+    assert_eq!(v.get(&rt), 7); // typed read
+    assert_eq!(v.with(&rt, |&x| x * 2), 14); // in-place typed read
+    assert!(rt.with_value(v.node(), |x| x.dyn_eq(&7i64))); // untyped read
+    assert_eq!(rt.stats().reads, 3);
 }
 
 #[test]
@@ -689,17 +686,6 @@ fn with_value_rejects_computation_nodes() {
     m.call(&rt, ());
     let n = m.instance_node(&()).expect("instance exists");
     rt.with_value(n, |_| ());
-}
-
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "on a computation node")]
-fn raw_read_rejects_computation_nodes() {
-    let rt = Runtime::new();
-    let m = rt.memo("m", |_rt, &(): &()| 1i64);
-    m.call(&rt, ());
-    let n = m.instance_node(&()).expect("instance exists");
-    let _ = rt.raw_read(n);
 }
 
 #[test]

@@ -100,12 +100,6 @@ fn diamond_write_produces_exact_event_sequence() {
             node: nright,
             changed: true,
         },
-        // Only the changed arm dirties `top`.
-        TraceEvent::Dirtied {
-            node: ntop,
-            reason: DirtyReason::Fanout,
-            cause: Some(nright),
-        },
         // The cutoff arm: 20/100 == 10/100, so change stops here.
         TraceEvent::ExecuteBegin { node: nleft },
         TraceEvent::Read { node: na },
@@ -114,6 +108,13 @@ fn diamond_write_produces_exact_event_sequence() {
             changed: false,
         },
         TraceEvent::CutoffStop { node: nleft },
+        // The level commits in batch order after its last execution, and
+        // only the changed arm dirties `top`.
+        TraceEvent::Dirtied {
+            node: ntop,
+            reason: DirtyReason::Fanout,
+            cause: Some(nright),
+        },
         TraceEvent::LevelEnd {
             wave: 1,
             height: 1,
@@ -364,18 +365,20 @@ fn a_panicking_body_rolls_back_and_ends_the_wave_after_its_level() {
             node: nright,
             changed: true,
         },
-        TraceEvent::Dirtied {
-            node: ntop,
-            reason: DirtyReason::Fanout,
-            cause: Some(nright),
-        },
-        // The rolled-back execution: nothing compared or committed, its
-        // log dropped, and `top`, already queued, is not queued again.
+        // The failing execution: nothing compared, its log dropped.
         TraceEvent::ExecuteBegin { node: nleft },
         TraceEvent::Read { node: na },
         TraceEvent::ExecuteEnd {
             node: nleft,
             changed: false,
+        },
+        // The batch-order commit after the level: `right` dirties `top`,
+        // and the rolled-back `left` commits nothing and finds `top`
+        // already queued.
+        TraceEvent::Dirtied {
+            node: ntop,
+            reason: DirtyReason::Fanout,
+            cause: Some(nright),
         },
         TraceEvent::LevelEnd {
             wave: 1,
