@@ -66,11 +66,6 @@ impl<'rt> Batch<'rt> {
         self.rt
     }
 
-    /// Number of distinct locations with a pending write.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Buffers a write of `value` to location `n` — the untyped form of
     /// [`Var::set_in`](crate::Var::set_in). A later write to the same
     /// location within this batch replaces the buffered value.
@@ -193,7 +188,6 @@ mod tests {
             for i in 1..=4 {
                 a.set_in(tx, i);
             }
-            assert_eq!(tx.pending_len(), 1);
         });
         assert_eq!(a.get(&rt), 4);
         let s = rt.stats();

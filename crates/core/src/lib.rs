@@ -25,7 +25,7 @@
 //! | evaluation routine (Section 4.5) | [`Runtime::propagate`] + automatic pre-call evaluation |
 //! | graph partitioning (Section 6.3) | [`RuntimeBuilder::partitioning`] |
 //! | `(*UNCHECKED*)` (Section 6.4) | [`Runtime::untracked`] / [`Var::get_untracked`] |
-//! | dependency information for debugging (Section 1) | [`Runtime::explain`] / [`trace`] sinks ([`Runtime::set_sink`]) |
+//! | dependency information for debugging (Section 1) | the [`trace`] event stream ([`Runtime::set_sink`]): live `why` from [`trace::Provenance`], offline `alphonse-trace why` / `dot` |
 //!
 //! # Quickstart
 //!

@@ -523,11 +523,6 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         self.inner.height_hint.store(h, Ordering::Relaxed);
     }
 
-    /// The current static height hint (zero = none).
-    pub fn height_hint(&self) -> u32 {
-        self.inner.height_hint.load(Ordering::Relaxed)
-    }
-
     /// Drops least-recently-used cached values until at most `capacity`
     /// remain live. Instances that are currently executing are never
     /// evicted. Dependency edges are kept — eviction forgets results, not
@@ -541,45 +536,18 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         let Table::Lru { map, .. } = &*table else {
             unreachable!("a bounded memo keeps an LRU table");
         };
-        let mut live: Vec<(u64, NodeId)> = map
+        let entries: Vec<(u64, NodeId)> = map
             .values()
-            .filter(|&&(node, _)| {
-                node != just_created && rt.node_has_value(node) && !rt.node_on_stack(node)
-            })
+            .filter(|&&(node, _)| node != just_created)
             .map(|&(node, last_use)| (last_use, node))
             .collect();
         drop(table);
-        // +1 for the instance about to be (or just) computed.
-        let over = (live.len() + 1).saturating_sub(capacity);
-        if over == 0 {
-            return;
-        }
-        live.sort_unstable();
-        for &(_, node) in live.iter().take(over) {
-            rt.evict_value(node);
-            self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Explains why the instance for `args` has its current value by
-    /// listing its recorded dependencies — the "sophisticated debugging"
-    /// use of the dependency information (paper Section 1). Returns `None`
-    /// if the instance was never called.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use alphonse::Runtime;
-    /// let rt = Runtime::new();
-    /// let base = rt.var(2i64);
-    /// let m = rt.memo("double", move |rt, &(): &()| base.get(rt) * 2);
-    /// m.call(&rt, ());
-    /// let why = m.explain(&rt, &()).unwrap();
-    /// assert!(why.contains("instance of double"));
-    /// assert!(why.contains("depends on"));
-    /// ```
-    pub fn explain(&self, rt: &Runtime, args: &A) -> Option<String> {
-        self.instance_node(args).map(|n| rt.explain(n))
+        // One slot stays free for the instance about to be (or just)
+        // computed.
+        let evicted = rt.evict_lru(entries, capacity - 1);
+        self.inner
+            .evictions
+            .fetch_add(evicted as u64, Ordering::Relaxed);
     }
 }
 

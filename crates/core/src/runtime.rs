@@ -146,6 +146,10 @@ const F_ON_STACK: u8 = 1 << 4;
 /// the frames of a pooled level, which share the flag bytes, never see
 /// each other's marks.
 const F_MARK: u8 = 1 << 5;
+/// The node is queued in an inconsistent set (Section 4.4): the set's
+/// membership, kept in the node's own flag byte so a repeated dirtying
+/// costs one bit test and the height queue needs no member set.
+const F_QUEUED: u8 = 1 << 6;
 
 /// A dependence log is first compacted in place when it reaches this
 /// length, then each time it doubles past its last compacted length: short
@@ -314,7 +318,9 @@ pub enum Scheduling {
 ///     .partitioning(true)
 ///     .scheduling(Scheduling::HeightOrder)
 ///     .build();
-/// assert!(rt.is_partitioned());
+/// let x = rt.var(1i64);
+/// let double = rt.memo("double", move |rt, &(): &()| x.get(rt) * 2);
+/// assert_eq!(double.call(&rt, ()), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeBuilder {
@@ -494,6 +500,7 @@ impl Inner {
     ) -> Option<u32> {
         let fifo = self.scheduling == Scheduling::Fifo;
         let max = if fifo { max.min(1) } else { max };
+        let start = out.len();
         let height = match &mut self.dirty {
             DirtyStore::Global(q) => q.pop_level(out, max),
             DirtyStore::Partitioned { uf, sets } => match origin {
@@ -501,6 +508,9 @@ impl Inner {
                 None => sets.values_mut().find_map(|q| q.pop_level(out, max)),
             },
         }?;
+        for &n in &out[start..] {
+            self.flags[n.index()] &= !F_QUEUED;
+        }
         Some(if fifo { 0 } else { height })
     }
 
@@ -566,10 +576,16 @@ impl Inner {
     }
 
     /// Inserts `n` into the inconsistent set of its partition, keyed by its
-    /// height or, under Fifo scheduling, by the insertion clock. `cause` is
+    /// height or, under Fifo scheduling, by the insertion clock, unless it
+    /// is already queued ([`F_QUEUED`]). `cause` is
     /// the predecessor that fanned dirt here ([`DirtyReason::Fanout`]),
     /// `None` when `n` itself originates the dirt.
     fn insert_dirty(&mut self, n: NodeId, reason: DirtyReason, cause: Option<NodeId>) {
+        let flags = &mut self.flags[n.index()];
+        if *flags & F_QUEUED != 0 {
+            return;
+        }
+        *flags |= F_QUEUED;
         let key = match self.scheduling {
             Scheduling::HeightOrder => self.graph.height(n),
             Scheduling::Fifo => {
@@ -577,23 +593,21 @@ impl Inner {
                 self.fifo_clock
             }
         };
-        let fresh = match &mut self.dirty {
+        match &mut self.dirty {
             DirtyStore::Global(q) => q.insert(n, key),
             DirtyStore::Partitioned { uf, sets } => {
                 sets.entry(uf.find(n)).or_default().insert(n, key)
             }
-        };
-        if fresh {
-            self.stats.dirtied += 1;
-            emit!(
-                self,
-                TraceEvent::Dirtied {
-                    node: n,
-                    reason,
-                    cause,
-                }
-            );
         }
+        self.stats.dirtied += 1;
+        emit!(
+            self,
+            TraceEvent::Dirtied {
+                node: n,
+                reason,
+                cause,
+            }
+        );
     }
 
     /// Logs the dependence of the executing incremental procedure (the top
@@ -881,17 +895,6 @@ impl Runtime {
         RuntimeBuilder::default()
     }
 
-    /// Returns `true` if this runtime maintains per-partition inconsistent
-    /// sets (Section 6.3).
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self.lock().dirty, DirtyStore::Partitioned { .. })
-    }
-
-    /// The dirty-node draining order in use.
-    pub fn scheduling(&self) -> Scheduling {
-        self.lock().scheduling
-    }
-
     /// Sets the wave-propagation parallelism. The evaluator always drains
     /// the inconsistent set one height level at a time (Section 4.5) and
     /// commits a level's results in batch order after its last execution;
@@ -985,29 +988,6 @@ impl Runtime {
         std::mem::replace(&mut self.lock().sink, sink)
     }
 
-    /// Runs `f` with `sink` installed, then restores the previously
-    /// installed sink (a scoped form of [`Runtime::set_sink`]).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use alphonse::trace::Recorder;
-    /// use alphonse::Runtime;
-    /// use std::sync::Arc;
-    ///
-    /// let rt = Runtime::new();
-    /// let x = rt.var(1i64);
-    /// let rec = Arc::new(Recorder::new(64));
-    /// rt.with_trace(rec.clone(), || x.set(&rt, 2));
-    /// assert!(!rec.is_empty());
-    /// ```
-    pub fn with_trace<R>(&self, sink: Arc<dyn TraceSink>, f: impl FnOnce() -> R) -> R {
-        let prev = self.set_sink(Some(sink));
-        let out = f();
-        self.set_sink(prev);
-        out
-    }
-
     /// Returns `true` if a trace sink is currently installed. Substrates
     /// consult this before allocating diagnostic labels on hot construction
     /// paths, keeping the no-observer configuration allocation-free.
@@ -1016,8 +996,9 @@ impl Runtime {
     }
 
     /// Assigns a diagnostic label to node `n`, visible in
-    /// [`Runtime::explain`], [`Runtime::dump_graph`], graph snapshots and
-    /// the trace stream ([`crate::trace::TraceEvent::Labeled`]).
+    /// [`Runtime::node_label`], error messages and the trace stream
+    /// ([`crate::trace::TraceEvent::Labeled`]), from which
+    /// `alphonse-trace why|dot` name the node.
     ///
     /// # Panics
     ///
@@ -1055,6 +1036,8 @@ impl Runtime {
     ///   as edge multisets;
     /// * every queued dirty node is a node of this runtime, and with
     ///   partitioning on it is queued under its own partition root;
+    /// * as many nodes are flagged queued as the inconsistent sets hold, so
+    ///   no node is queued twice;
     /// * at quiescence (no dirty nodes anywhere), the Section 4.5 marking
     ///   frontier invariant: every computation that depends on an
     ///   inconsistent computation is itself inconsistent.
@@ -1133,6 +1116,11 @@ impl Runtime {
                     }
                 }
             }
+            let flagged = inner.flags.iter().filter(|&&f| f & F_QUEUED != 0).count();
+            assert_eq!(
+                flagged, dirty_total,
+                "check_invariants: {flagged} node(s) flagged queued, {dirty_total} queued"
+            );
             // Marking frontier (Section 4.5): once all dirt has drained,
             // nothing consistent may sit downstream of anything inconsistent.
             if dirty_total == 0 {
@@ -1186,19 +1174,6 @@ impl Runtime {
     pub fn recording_context(&self) -> bool {
         let mut inner = self.lock();
         matches!(inner.active_stack().last(), Some(f) if !f.stale && f.suppress == 0)
-    }
-
-    /// What kind of entity node `n` represents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` does not belong to this runtime.
-    pub fn node_kind(&self, n: NodeId) -> NodeKind {
-        if self.lock().flags[n.index()] & F_COMP != 0 {
-            NodeKind::Computation
-        } else {
-            NodeKind::Location
-        }
     }
 
     /// Runs `f` with dependence recording suppressed for the *current*
@@ -1608,104 +1583,6 @@ impl Runtime {
         }
         changed
     }
-    /// Explains why a node has its current value: lists its recorded
-    /// dependencies (the paper's referenced-argument set `R(p)`), one line
-    /// per predecessor with kind, diagnostic name and cached value.
-    ///
-    /// This realizes the "sophisticated debugging" benefit the paper's
-    /// introduction attributes to the maintained dependency information.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` does not belong to this runtime.
-    pub fn explain(&self, n: NodeId) -> String {
-        use std::fmt::Write;
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        let describe = |inner: &Inner, id: NodeId| -> String {
-            let i = id.index();
-            let f = inner.flags[i];
-            let kind = if f & F_COMP == 0 {
-                "location".to_string()
-            } else {
-                format!(
-                    "instance of {} ({})",
-                    inner.name_of(id),
-                    if f & F_CONSISTENT != 0 {
-                        "consistent"
-                    } else {
-                        "stale"
-                    }
-                )
-            };
-            let value = inner.values[i]
-                .as_ref()
-                .map(|v| format!("{v:?}"))
-                .unwrap_or_else(|| "<never computed>".to_string());
-            format!("{id}: {kind} = {value}")
-        };
-        let mut out = describe(inner, n);
-        out.push('\n');
-        // Predecessors are staged through the runtime-owned scratch buffer
-        // (same pattern as `dirty_succs_of`), so this diagnostic allocates
-        // nothing beyond the output string at steady state.
-        let mut preds = std::mem::take(&mut inner.succ_scratch);
-        inner.graph.preds_into(n, &mut preds);
-        preds.sort_unstable();
-        preds.dedup();
-        if preds.is_empty() {
-            out.push_str("  (no recorded dependencies)\n");
-        }
-        for &p in &preds {
-            let _ = writeln!(out, "  depends on {}", describe(inner, p));
-        }
-        inner.succ_scratch = preds;
-        out
-    }
-
-    /// Renders the dependency graph in a human-readable form: one line per
-    /// node with its kind, diagnostic name, height, consistency and
-    /// successors. Intended for debugging and tests.
-    pub fn dump_graph(&self) -> String {
-        use std::fmt::Write;
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        let mut out = String::new();
-        // Successors are staged through the reusable scratch buffer and
-        // written straight into the output, instead of collecting a fresh
-        // `Vec<String>` per node.
-        let mut succs = std::mem::take(&mut inner.succ_scratch);
-        for i in 0..inner.values.len() {
-            let n = NodeId::from_index(i);
-            let f = inner.flags[i];
-            let kind = if f & F_COMP == 0 {
-                "loc ".to_string()
-            } else {
-                format!(
-                    "comp({}{})",
-                    if f & F_CONSISTENT != 0 { "ok" } else { "dirty" },
-                    if f & F_EAGER != 0 { ",eager" } else { "" }
-                )
-            };
-            let name = inner.label_of(n).map_or("-", |s| &**s);
-            inner.graph.succs_into(n, &mut succs);
-            let _ = write!(
-                out,
-                "{n} {kind} {name} h={} v={:?} -> [",
-                inner.graph.height(n),
-                inner.values[i].as_ref().map(|v| format!("{v:?}")),
-            );
-            for (k, s) in succs.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{s}");
-            }
-            out.push_str("]\n");
-        }
-        inner.succ_scratch = succs;
-        out
-    }
 
     /// Runs quiescence propagation until every inconsistent set is empty —
     /// the paper's evaluation routine, intended to be "called whenever
@@ -1742,33 +1619,33 @@ impl Runtime {
         self.dirty_count() == 0
     }
 
-    // Capacity / eviction support (used by bounded memos).
-
-    pub(crate) fn node_has_value(&self, n: NodeId) -> bool {
-        self.lock().values[n.index()].is_some()
-    }
-
-    pub(crate) fn node_on_stack(&self, n: NodeId) -> bool {
-        self.lock().flags[n.index()] & F_ON_STACK != 0
-    }
-
-    /// Drops the cached value of a computation node, forcing recomputation
-    /// on its next call. The consistency flag and dependency edges are
-    /// deliberately untouched: flipping the flag without queueing the
-    /// node's successors would violate the marking frontier invariant
-    /// ("successors of an inconsistent node are already inconsistent"), and
-    /// the edges are what keeps change propagation through the evicted
-    /// instance sound. An evicted node is thus "consistent but value-less":
-    /// its dependents' cached results are still valid, only *its* result
-    /// must be recomputed when next demanded.
-    pub(crate) fn evict_value(&self, n: NodeId) {
+    /// Bounded-memo replacement (Section 3.3) under one guard. `entries`
+    /// are `(last use, instance)` pairs of one memo's argument table; of
+    /// those that hold a value and are not executing, the least recently
+    /// used lose their cached values until at most `keep` remain. Returns
+    /// the number of values dropped.
+    ///
+    /// The consistency flag and dependency edges are deliberately
+    /// untouched: flipping the flag without queueing the node's successors
+    /// would violate the marking frontier invariant ("successors of an
+    /// inconsistent node are already inconsistent"), and the edges are what
+    /// keeps change propagation through the evicted instance sound. An
+    /// evicted node is thus "consistent but value-less": its dependents'
+    /// cached results are still valid, only *its* result must be recomputed
+    /// when next demanded.
+    pub(crate) fn evict_lru(&self, mut entries: Vec<(u64, NodeId)>, keep: usize) -> usize {
         let mut inner = self.lock();
-        let i = n.index();
-        debug_assert!(
-            inner.flags[i] & F_COMP != 0 && inner.flags[i] & F_ON_STACK == 0,
-            "cannot evict an executing instance"
-        );
-        inner.values[i] = None;
+        entries.retain(|&(_, n)| {
+            inner.values[n.index()].is_some() && inner.flags[n.index()] & F_ON_STACK == 0
+        });
+        let over = entries.len().saturating_sub(keep);
+        if over > 0 {
+            entries.sort_unstable();
+            for &(_, n) in &entries[..over] {
+                inner.values[n.index()] = None;
+            }
+        }
+        over
     }
 
     fn evaluate(&self, origin: Option<NodeId>) {
@@ -2104,7 +1981,6 @@ mod tests {
     fn raw_locations_read_back_written_values() {
         let rt = Runtime::new();
         let n = rt.raw_alloc(Box::new(5i64));
-        assert_eq!(rt.node_kind(n), NodeKind::Location);
         assert!(rt.with_value(n, |v| v.dyn_eq(&5i64)));
         rt.raw_write(n, Box::new(9i64));
         assert!(rt.with_value(n, |v| v.dyn_eq(&9i64)));
@@ -2161,16 +2037,6 @@ mod tests {
     fn runtime_debug_is_nonempty() {
         let rt = Runtime::new();
         assert!(format!("{rt:?}").contains("Runtime"));
-    }
-
-    #[test]
-    fn builder_configures_partitioning_and_scheduling() {
-        let rt = Runtime::builder()
-            .partitioning(true)
-            .scheduling(Scheduling::Fifo)
-            .build();
-        assert!(rt.is_partitioned());
-        assert_eq!(rt.scheduling(), Scheduling::Fifo);
     }
 
     #[test]

@@ -5,8 +5,15 @@
 //! instrumented operation of the paper — `access`, `modify`, `call`
 //! (Algorithms 3–5) and the Section 4.5 evaluation routine — emits a
 //! [`TraceEvent`] to the sink installed with
-//! [`Runtime::set_sink`](crate::Runtime::set_sink) (or
-//! [`Runtime::with_trace`](crate::Runtime::with_trace)).
+//! [`Runtime::set_sink`](crate::Runtime::set_sink), which hands back the
+//! previous sink for a caller that wants to restore it.
+//!
+//! The stream is the runtime's one debugging path (the paper's Section 1
+//! "sophisticated debugging"): the runtime renders no graph view of its
+//! own. It carries the dependence edges, dirtying with its causes,
+//! executions, cutoffs and levels. It does not carry cached values or
+//! node heights, and they are not added back: a `why` chain names what
+//! changed and what re-ran, not what the values were.
 //!
 //! # Zero-cost when disabled
 //!
@@ -36,8 +43,9 @@
 //! Every other view renders offline from a JSONL trace with the
 //! `alphonse-trace` CLI (`crates/trace-tools`): `chrome` (Chrome /
 //! [Perfetto](https://ui.perfetto.dev) spans: where wall-clock time goes),
-//! `dot` (the dependency graph), `hot` (per-node execution counts and
-//! self/cumulative time), plus `why`, `waves` and `waste`.
+//! `dot` (the dependency graph with dirty state and partitions), `hot`
+//! (per-node execution counts and self/cumulative time), plus `why`,
+//! `waves` and `waste`.
 //!
 //! # Causality
 //!

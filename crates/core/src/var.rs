@@ -228,10 +228,11 @@ impl Runtime {
     }
 
     /// Allocates a tracked variable with a diagnostic label, shown by
-    /// [`Runtime::explain`], [`Runtime::dump_graph`] and trace sinks
-    /// ([`crate::trace`]). Substrates that create many variables should
-    /// guard label construction with [`Runtime::tracing`] to keep their
-    /// build paths allocation-lean when nothing is listening.
+    /// [`Runtime::node_label`], error messages and the trace stream
+    /// ([`crate::trace`]), from which `alphonse-trace why|dot` name it.
+    /// Substrates that create many variables should guard label
+    /// construction with [`Runtime::tracing`] to keep their build paths
+    /// allocation-lean when nothing is listening.
     pub fn var_named<T: Value + PartialEq + Clone>(&self, name: &str, initial: T) -> Var<T> {
         let v = self.var(initial);
         self.set_label(v.node, name);

@@ -323,12 +323,12 @@ fn level_brackets_appear_in_the_trace() {
     rt.set_parallelism(2);
     let (vars, _) = fan(&rt, 4);
     let rec = Arc::new(Recorder::new(1 << 12));
-    rt.with_trace(rec.clone(), || {
-        for v in &vars {
-            v.set(&rt, -1);
-        }
-        rt.propagate();
-    });
+    rt.set_sink(Some(rec.clone()));
+    for v in &vars {
+        v.set(&rt, -1);
+    }
+    rt.propagate();
+    rt.set_sink(None);
     let events = rec.events();
     let mut begins = 0;
     let mut executed_in_levels = 0;

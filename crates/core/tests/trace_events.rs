@@ -151,14 +151,20 @@ fn diamond_write_produces_exact_event_sequence() {
 }
 
 #[test]
-fn with_trace_restores_previous_sink() {
+fn set_sink_hands_back_the_previous_sink() {
     let rt = Runtime::new();
     let x = rt.var(1i64);
     let outer = Arc::new(Recorder::new(64));
     let inner = Arc::new(Recorder::new(64));
-    rt.set_sink(Some(outer.clone()));
+    assert!(rt.set_sink(Some(outer.clone())).is_none());
     x.set(&rt, 2); // seen by outer
-    rt.with_trace(inner.clone(), || x.set(&rt, 3)); // seen by inner only
+    let prev = rt.set_sink(Some(inner.clone()));
+    x.set(&rt, 3); // seen by inner only
+    let swapped = rt.set_sink(prev).expect("inner was installed");
+    assert!(Arc::ptr_eq(
+        &swapped,
+        &(inner.clone() as Arc<dyn TraceSink>)
+    ));
     x.set(&rt, 4); // seen by outer
     rt.set_sink(None);
     assert_eq!(outer.events().len(), 2);

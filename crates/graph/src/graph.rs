@@ -352,16 +352,6 @@ impl DepGraph {
         out.clear();
         out.extend(self.succs(u));
     }
-
-    /// Clears `out` and fills it with the predecessors of `v` (duplicates
-    /// included) — the fan-in counterpart of [`DepGraph::succs_into`], used
-    /// by diagnostic paths that want to reuse one scratch buffer instead of
-    /// collecting a fresh `Vec` per node.
-    #[inline]
-    pub fn preds_into(&self, v: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.preds(v));
-    }
 }
 
 /// Iterator over successor nodes, created by [`DepGraph::succs`].
@@ -430,22 +420,6 @@ mod tests {
         let mut p: Vec<_> = g.preds(c).collect();
         p.sort();
         assert_eq!(p, vec![a, b]);
-    }
-
-    #[test]
-    fn preds_into_reuses_buffer() {
-        let mut g = DepGraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        let c = g.add_node();
-        g.add_edge(a, c);
-        g.add_edge(b, c);
-        let mut buf = vec![a]; // stale content must be cleared
-        g.preds_into(c, &mut buf);
-        buf.sort();
-        assert_eq!(buf, vec![a, b]);
-        g.preds_into(a, &mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]

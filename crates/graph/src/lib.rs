@@ -17,8 +17,8 @@
 //! * [`UnionFind`] — the disjoint-set structure used by the dynamic graph
 //!   partitioning optimization of Section 6.3.
 //! * [`HeightQueue`] — the *inconsistent set*: a priority queue of dirty
-//!   nodes ordered by height, with set semantics (re-inserting a queued node
-//!   is a no-op).
+//!   nodes ordered by height. Membership is the caller's: the runtime keeps
+//!   it in one flag bit per node and never queues a node twice.
 //! * [`scc`] — Tarjan strongly-connected components and condensation, the
 //!   compile-time counterpart of the online heights: static strata, cycle
 //!   candidates, and callee-first scheduling for the effect fixpoint.

@@ -1,11 +1,11 @@
-//! The inconsistent set: a height-ordered priority queue with set semantics.
+//! The inconsistent set: a height-ordered priority queue of dirty nodes.
 
 use crate::NodeId;
 use alphonse_mem as mem;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-/// A set of dirty dependency-graph nodes drained in ascending height order.
+/// Dirty dependency-graph nodes drained in ascending height order.
 ///
 /// This realizes the paper's *inconsistent set* (Section 4.4) together with
 /// the topological-order selection policy of Section 4.5: draining nodes in
@@ -13,11 +13,12 @@ use std::collections::{BinaryHeap, HashSet};
 /// dependency DAG, which minimizes redundant re-executions during quiescence
 /// propagation.
 ///
-/// Inserting a node that is already queued is a no-op, so the structure
-/// behaves as a set. Heights are captured at insertion time; if a node's
-/// height changes while queued the stale priority is tolerated (correctness
-/// of quiescence propagation does not depend on the order, only its
-/// efficiency does).
+/// The queue keeps no member set: a node inserted twice is popped twice.
+/// Set semantics belong to the caller, which keeps whether a node is queued
+/// in one flag bit and inserts a node only while it is not queued. Heights
+/// are captured at insertion time; if a node's height changes while queued
+/// the stale priority is tolerated (correctness of quiescence propagation
+/// does not depend on the order, only its efficiency does).
 ///
 /// # Example
 ///
@@ -30,7 +31,6 @@ use std::collections::{BinaryHeap, HashSet};
 /// let mut q = HeightQueue::new();
 /// q.insert(b, g.height(b));
 /// q.insert(a, g.height(a));
-/// q.insert(a, g.height(a)); // duplicate, ignored
 /// assert_eq!(q.pop(), Some(a));
 /// assert_eq!(q.pop(), Some(b));
 /// assert_eq!(q.pop(), None);
@@ -38,7 +38,6 @@ use std::collections::{BinaryHeap, HashSet};
 #[derive(Debug, Default)]
 pub struct HeightQueue {
     heap: BinaryHeap<(Reverse<u32>, NodeId)>,
-    members: HashSet<NodeId>,
 }
 
 impl HeightQueue {
@@ -47,38 +46,23 @@ impl HeightQueue {
         Self::default()
     }
 
-    /// Inserts `n` with priority `height` unless it is already queued.
-    /// Returns `true` if the node was newly inserted.
-    pub fn insert(&mut self, n: NodeId, height: u32) -> bool {
+    /// Queues `n` with priority `height`. The caller queues a node only
+    /// while it is not already queued.
+    pub fn insert(&mut self, n: NodeId, height: u32) {
         let _mem = mem::scope(mem::Tag::Queues);
-        if self.members.insert(n) {
-            self.heap.push((Reverse(height), n));
-            true
-        } else {
-            false
-        }
+        self.heap.push((Reverse(height), n));
     }
 
     /// Removes and returns the queued node with the smallest height.
     pub fn pop(&mut self) -> Option<NodeId> {
-        let (_, n) = self.heap.pop()?;
-        self.forget(n);
-        Some(n)
-    }
-
-    /// Drops `n`, just popped off the heap, from the member set. The heap
-    /// and the set hold the same nodes: `insert` adds to both, and the pops
-    /// and `absorb` take from both.
-    fn forget(&mut self, n: NodeId) {
-        let was_member = self.members.remove(&n);
-        debug_assert!(was_member, "heap and member set disagree on {n}");
+        self.heap.pop().map(|(_, n)| n)
     }
 
     /// Drains the queued nodes at the current minimum height into `out`, at
     /// most `max` of them, returning that height (or `None` if the queue is
     /// empty or `max` is 0). Nodes of the level beyond `max` stay queued.
     ///
-    /// The batch is removed from the set *before* the caller sees it, so a
+    /// The batch is removed from the queue *before* the caller sees it, so a
     /// node re-inserted at the drained height while the batch is being
     /// processed lands in a subsequent level, never in the in-flight one.
     /// Within the level, nodes come out in the same order repeated [`pop`]
@@ -99,7 +83,6 @@ impl HeightQueue {
                 break;
             }
             self.heap.pop();
-            self.forget(n);
             level = Some(h);
             out.push(n);
             taken += 1;
@@ -109,31 +92,27 @@ impl HeightQueue {
 
     /// Visits every queued node, in no particular order.
     pub fn for_each_member(&self, mut f: impl FnMut(NodeId)) {
-        for &n in &self.members {
+        for &(_, n) in &self.heap {
             f(n);
         }
     }
 
     /// Number of queued nodes.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.heap.len()
     }
 
     /// Returns `true` if no nodes are queued.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.heap.is_empty()
     }
 
     /// Moves every element of `other` into `self` (used when two graph
-    /// partitions are unioned, Section 6.3).
+    /// partitions are unioned, Section 6.3). The two queues hold disjoint
+    /// nodes.
     pub fn absorb(&mut self, other: &mut HeightQueue) {
         let _mem = mem::scope(mem::Tag::Queues);
-        for (h, n) in other.heap.drain() {
-            if self.members.insert(n) {
-                self.heap.push((h, n));
-            }
-        }
-        other.members.clear();
+        self.heap.append(&mut other.heap);
     }
 }
 
@@ -160,24 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_insert_is_noop() {
-        let ns = nodes(1);
-        let mut q = HeightQueue::new();
-        assert!(q.insert(ns[0], 3));
-        assert!(!q.insert(ns[0], 5));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some(ns[0]));
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn absorb_merges_and_empties_other() {
         let ns = nodes(4);
         let mut a = HeightQueue::new();
         let mut b = HeightQueue::new();
         a.insert(ns[0], 2);
         b.insert(ns[1], 0);
-        b.insert(ns[0], 9); // duplicate of a's element
         b.insert(ns[2], 1);
         a.absorb(&mut b);
         assert!(b.is_empty());
@@ -215,7 +182,7 @@ mod tests {
     #[test]
     fn pop_level_matches_pop_order_within_a_level() {
         // The level drain must be a stable reordering of the one-at-a-time
-        // drain: same members, same within-level sequence.
+        // drain: same nodes, same within-level sequence.
         let ns = nodes(6);
         let mut a = HeightQueue::new();
         let mut b = HeightQueue::new();
@@ -233,7 +200,7 @@ mod tests {
     fn same_height_reinsert_during_drain_joins_next_level() {
         // A node re-queued at the height currently being drained must NOT
         // join the in-flight batch: pop_level removed the batch from the
-        // set before the caller processes it.
+        // queue before the caller processes it.
         let ns = nodes(3);
         let mut q = HeightQueue::new();
         q.insert(ns[0], 4);
@@ -243,8 +210,8 @@ mod tests {
         assert_eq!(batch.len(), 2);
         // "While the batch executes", ns[2] and a batch member are dirtied
         // at the very height just drained.
-        assert!(q.insert(ns[2], 4));
-        assert!(q.insert(ns[0], 4));
+        q.insert(ns[2], 4);
+        q.insert(ns[0], 4);
         let mut next = Vec::new();
         assert_eq!(q.pop_level(&mut next, usize::MAX), Some(4));
         next.sort();
@@ -276,7 +243,7 @@ mod tests {
         let mut q = HeightQueue::new();
         q.insert(ns[0], 1);
         assert_eq!(q.pop(), Some(ns[0]));
-        assert!(q.insert(ns[0], 2));
+        q.insert(ns[0], 2);
         assert_eq!(q.pop(), Some(ns[0]));
     }
 }

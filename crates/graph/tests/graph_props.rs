@@ -111,12 +111,11 @@ proptest! {
         let mut expected = BTreeSet::new();
         let mut height_of = BTreeMap::new();
         for (n, h) in items {
-            let node = NodeId::from_index(n);
+            // The caller keeps set semantics: a queued node is not
+            // inserted again.
             if expected.insert(n) {
-                q.insert(node, h);
+                q.insert(NodeId::from_index(n), h);
                 height_of.insert(n, h);
-            } else {
-                q.insert(node, h); // duplicate: ignored, original height kept
             }
         }
         prop_assert_eq!(q.len(), expected.len());
