@@ -1308,7 +1308,7 @@ pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64
         };
         total.call(&rt, ());
         rt.propagate();
-        rt.reset_stats();
+        let (before, m0) = (rt.stats(), rt.metrics_snapshot());
         let start = Instant::now();
         for w in 0..waves {
             rt.batch(|tx| {
@@ -1325,11 +1325,11 @@ pub fn e15_parallel(workers: &[usize], width: usize, waves: usize, stall_us: u64
         let expect: i64 = (0..width).map(|i| (last * width + i) as i64 + 2).sum();
         assert_eq!(total.call(&rt, ()), expect, "parallel run diverged");
         rt.check_invariants();
-        metrics.merge(&rt.metrics_snapshot());
+        metrics.merge(&rt.metrics_snapshot().delta_since(&m0));
         rows.push(Row {
             mode: format!("par{n}"),
             elapsed,
-            stats: rt.stats(),
+            stats: rt.stats().delta_since(&before),
         });
     }
     // Speedup is measured against the one-thread row; fall back to the

@@ -1,12 +1,12 @@
 //! Batched write transactions.
 //!
-//! Every [`Var::set`](crate::Var::set) takes its own `RefCell` borrow of the
-//! runtime, performs its own cutoff comparison, and seeds its own dirty
-//! insertion. Bulk mutators — a spreadsheet paste, a tree rebalance, an
+//! Every [`Var::set`](crate::Var::set) takes its own acquisition of the
+//! runtime's lock, performs its own cutoff comparison, and seeds its own
+//! dirty insertion. Bulk mutators — a spreadsheet paste, a tree rebalance, an
 //! interpreter heap update — pay those constants once per write.
 //! [`Runtime::batch`] amortizes them: writes submitted through the [`Batch`]
 //! handle are buffered, repeated writes to the same location coalesce
-//! (last write wins), and commit takes the inner borrow **once**, performs a
+//! (last write wins), and commit takes the lock **once**, performs a
 //! single equality check per distinct location against its pre-batch value,
 //! and enqueues one deduplicated dirty frontier.
 //!
@@ -24,13 +24,11 @@ use alphonse_mem as mem;
 
 /// A write transaction created by [`Runtime::batch`].
 ///
-/// Writes go through [`Var::set_in`](crate::Var::set_in) /
-/// [`Var::update_in`](crate::Var::update_in) (or [`Batch::write`] at the
-/// untyped layer) and are buffered until the closure returns; the runtime
-/// itself stays fully readable inside the closure, but reads through the
-/// plain APIs observe *pre-batch* state. Use
-/// [`Var::get_in`](crate::Var::get_in) for read-your-writes visibility of
-/// pending values.
+/// Writes go through [`Var::set_in`](crate::Var::set_in) and are buffered
+/// until the closure returns; the runtime itself stays fully readable
+/// inside the closure, but reads through the plain APIs observe
+/// *pre-batch* state. Use [`Var::get_in`](crate::Var::get_in) for
+/// read-your-writes visibility of pending values.
 ///
 /// # Example
 ///
@@ -62,30 +60,16 @@ pub struct Batch<'rt> {
 
 impl<'rt> Batch<'rt> {
     /// The runtime this transaction writes to.
-    pub fn runtime(&self) -> &'rt Runtime {
+    pub(crate) fn runtime(&self) -> &'rt Runtime {
         self.rt
     }
 
-    /// Buffers a write of `value` to location `n` — the untyped form of
-    /// [`Var::set_in`](crate::Var::set_in). A later write to the same
-    /// location within this batch replaces the buffered value.
-    pub fn write(&mut self, n: NodeId, value: Box<dyn Value>) {
-        self.submitted += 1;
-        match self.slot(n) {
-            None => {
-                self.pending.push((n, value));
-                self.slot_of[n.index()] = self.pending.len(); // slot + 1
-            }
-            Some(s) => self.pending[s].1 = value,
-        }
-    }
-
-    /// Buffers a write of `value` to location `n` without boxing when it
-    /// coalesces: if the location already has a buffered value of the same
-    /// concrete type, the new value is stored into the existing allocation.
-    /// [`Var::set_in`](crate::Var::set_in) routes through this, so a bulk
-    /// mutator that hammers a small set of locations allocates once per
-    /// *location*, not once per write.
+    /// Buffers a write of `value` to location `n`; a later write to the
+    /// same location within this batch replaces it, without boxing when
+    /// both have the same concrete type (the new value is stored into the
+    /// existing allocation). [`Var::set_in`](crate::Var::set_in) routes
+    /// through this, so a bulk mutator that hammers a small set of
+    /// locations allocates once per *location*, not once per write.
     pub(crate) fn write_typed<T: Value>(&mut self, n: NodeId, value: T) {
         self.submitted += 1;
         let _mem = mem::scope(mem::Tag::ValueSlab);
@@ -134,7 +118,7 @@ impl Runtime {
     /// (one cutoff comparison per location, however many times it was
     /// written), and dirty the location's readers only when the value
     /// actually changed. Reader-less locations skip dirtying exactly as
-    /// [`Runtime::raw_write`] does.
+    /// [`Var::set`](crate::Var::set) does.
     ///
     /// Batches do not nest usefully: an inner `batch` commits when *it*
     /// returns, so an outer batch's buffered write to the same location
@@ -216,7 +200,7 @@ mod tests {
             assert_eq!(a.get_in(tx), 1, "falls back to stored value");
             a.set_in(tx, 2);
             assert_eq!(a.get_in(tx), 2, "sees the buffered value");
-            a.update_in(tx, |v| v * 10);
+            a.set_in(tx, a.get_in(tx) * 10);
             assert_eq!(a.get_in(tx), 20);
         });
         assert_eq!(a.get(&rt), 20);

@@ -16,9 +16,9 @@
 //! | Paper concept | Library form |
 //! |---|---|
 //! | top-level storage location | [`Var<T>`] |
-//! | `access(v)` (Algorithm 3) | [`Var::get`] / [`Var::with`] / [`Runtime::with_value`] |
-//! | `modify(l, v)` (Algorithm 4) | [`Var::set`] / [`Runtime::raw_write`] |
-//! | batched `modify` sequence | [`Runtime::batch`] + [`Var::set_in`] / [`Batch::write`] |
+//! | `access(v)` (Algorithm 3) | [`Var::get`] / [`Var::with`] |
+//! | `modify(l, v)` (Algorithm 4) | [`Var::set`] |
+//! | batched `modify` sequence | [`Runtime::batch`] + [`Var::set_in`] |
 //! | `(*CACHED*)` / `(*MAINTAINED*)` procedure | [`Memo<A, R>`] |
 //! | `call(p, a…)` (Algorithm 5) | [`Memo::call`] |
 //! | `DEMAND` / `EAGER` evaluation | [`Strategy`] |

@@ -333,16 +333,6 @@ impl Runtime {
 }
 
 impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
-    /// The diagnostic name given at definition time.
-    pub fn name(&self) -> &str {
-        &self.inner.name
-    }
-
-    /// The evaluation strategy of this procedure.
-    pub fn strategy(&self) -> Strategy {
-        self.inner.strategy
-    }
-
     /// Number of distinct argument vectors instantiated so far.
     pub fn instance_count(&self) -> usize {
         self.inner.table().len()
@@ -367,38 +357,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// through are rolled back (see [`Runtime`]'s panic contract).
     pub fn call(&self, rt: &Runtime, args: A) -> R {
         let (node, begun) = self.settle(rt, args);
-        self.finish(rt, node, begun, R::clone)
-    }
-
-    /// Calls the procedure and hands the result to `f` by reference instead
-    /// of cloning it out of the cache — the zero-allocation form of
-    /// [`Memo::call`] for results that do not need to escape.
-    ///
-    /// Dependence recording, cache consultation and re-execution are
-    /// identical to [`Memo::call`]; only the final hand-off differs. On a
-    /// cache hit no clone of `R` happens at all. The runtime is internally
-    /// locked while `f` runs: the closure must not re-enter runtime
-    /// operations, or the fail-stop re-entrancy check panics.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use alphonse::Runtime;
-    /// let rt = Runtime::new();
-    /// let words = rt.var(vec!["a".to_string(), "bb".to_string()]);
-    /// let joined = rt.memo("joined", move |rt, &(): &()| {
-    ///     words.with(rt, |w| w.join("+"))
-    /// });
-    /// let len = joined.call_with(&rt, (), |s| s.len());
-    /// assert_eq!(len, 4);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// As for [`Memo::call`].
-    pub fn call_with<O>(&self, rt: &Runtime, args: A, f: impl FnOnce(&R) -> O) -> O {
-        let (node, begun) = self.settle(rt, args);
-        self.finish(rt, node, begun, f)
+        self.finish(rt, node, begun)
     }
 
     /// Steps 1–2 of Algorithm 5: argument-table lookup (instantiating on a
@@ -455,18 +414,9 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     }
 
     /// Steps 3–4 of Algorithm 5: consult the cache, re-execute on a miss,
-    /// record the caller's dependence, and hand the typed result to `f`
-    /// in place (no `Box`, and no clone unless `f` itself clones).
-    fn finish<O>(
-        &self,
-        rt: &Runtime,
-        node: NodeId,
-        begun: Option<(Executor, u64)>,
-        f: impl FnOnce(&R) -> O,
-    ) -> O {
-        // `f` runs at most once; the Option lets the consistent-cache
-        // closure and the post-execution path share it.
-        let mut f = Some(f);
+    /// record the caller's dependence, and clone the typed result out.
+    fn finish(&self, rt: &Runtime, node: NodeId, begun: Option<(Executor, u64)>) -> R {
+        let read = |v: &dyn Value| downcast_ref::<R>(v, &self.inner.name).clone();
         let (executor, my_gen) = match begun {
             // A just-created instance cannot hit and its execution is
             // already booked ([`Memo::settle`]): run it to completion.
@@ -480,19 +430,13 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
                 // method (Section 7.3) would otherwise transiently pair a
                 // stale caller→callee edge with the fresh callee→caller one
                 // and trip cycle detection.
-                let hit = rt.precall_cached(node, |v| {
-                    (f.take().expect("first use of f"))(downcast_ref::<R>(v, self.name()))
-                });
-                if let Some(out) = hit {
+                if let Some(out) = rt.precall_cached(node, read) {
                     return out;
                 }
                 rt.exec_begin(&mut rt.lock(), node)
             }
         };
-        let f = f.take().expect("cache miss: f not yet used");
-        rt.finish_exec_recording(node, &executor, my_gen, |v| {
-            f(downcast_ref::<R>(v, self.name()))
-        })
+        rt.finish_exec_recording(node, &executor, my_gen, read)
     }
 
     /// The dependency-graph node for a given argument vector, if that
@@ -647,15 +591,5 @@ mod tests {
         let rt = Runtime::new();
         let m = rt.memo("shown", |_rt, x: &i64| *x);
         assert!(format!("{m:?}").contains("shown"));
-    }
-
-    #[test]
-    fn strategy_accessors() {
-        let rt = Runtime::new();
-        let d = rt.memo("d", |_rt, x: &i64| *x);
-        let e = rt.memo_with("e", Strategy::Eager, |_rt, x: &i64| *x);
-        assert_eq!(d.strategy(), Strategy::Demand);
-        assert_eq!(e.strategy(), Strategy::Eager);
-        assert_eq!(d.name(), "d");
     }
 }

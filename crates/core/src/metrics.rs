@@ -353,7 +353,7 @@ impl WorkerGauges {
 /// wave/level histograms plus executor-pool worker gauges. All fields are
 /// atomics — recording never takes the runtime lock.
 #[derive(Debug)]
-pub struct RuntimeMetrics {
+pub(crate) struct RuntimeMetrics {
     pub(crate) wave_latency_ns: Histogram,
     pub(crate) wave_executed: Histogram,
     pub(crate) wave_wasted: Histogram,
@@ -418,12 +418,6 @@ impl RuntimeMetrics {
                 jobs: w.jobs.load(Ordering::Relaxed),
             })
             .collect()
-    }
-}
-
-impl Default for RuntimeMetrics {
-    fn default() -> Self {
-        RuntimeMetrics::new()
     }
 }
 
@@ -517,13 +511,15 @@ fn json_hist(out: &mut String, h: &HistogramSnapshot) {
 
 impl MetricsSnapshot {
     /// Merges `other` into `self`: counters and histograms add, worker
-    /// entries merge by slot, memory gauges take the maximum. Used to aggregate
-    /// snapshots across independent runtimes or bench repetitions.
+    /// entries merge by slot, high-water marks (`*_hwm` counters) and
+    /// memory gauges take the maximum. Used to aggregate snapshots across
+    /// independent runtimes or bench repetitions.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
+        for &(name, v) in &other.counters {
+            match self.counters.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, mine)) if crate::stats::is_high_water_mark(name) => *mine = (*mine).max(v),
                 Some((_, mine)) => *mine += v,
-                None => self.counters.push((name, *v)),
+                None => self.counters.push((name, v)),
             }
         }
         self.wave_latency_ns.merge(&other.wave_latency_ns);
@@ -548,8 +544,8 @@ impl MetricsSnapshot {
     }
 
     /// Everything recorded between `earlier` and `self`. Counters and
-    /// histograms subtract; point-in-time gauges (worker totals, memory)
-    /// are carried from `self`.
+    /// histograms subtract; high-water marks and point-in-time gauges
+    /// (worker totals, memory) are carried from `self`.
     ///
     /// # Panics
     ///
@@ -566,7 +562,11 @@ impl MetricsSnapshot {
                     .find(|(n, _)| *n == name)
                     .map_or(0, |&(_, b)| b);
                 debug_assert!(v >= before, "counter `{name}` went backwards");
-                (name, v.saturating_sub(before))
+                if crate::stats::is_high_water_mark(name) {
+                    (name, v)
+                } else {
+                    (name, v.saturating_sub(before))
+                }
             })
             .collect();
         MetricsSnapshot {
@@ -832,6 +832,39 @@ mod tests {
         let d = mk(5).delta_since(&mk(3));
         assert_eq!(d.counters, vec![("executions", 2)]);
         assert_eq!(d.wave_latency_ns.count(), 2);
+    }
+
+    #[test]
+    fn high_water_marks_merge_by_max_and_carry_through_deltas() {
+        // Three runs of one width merge to that width, not three times it.
+        let mk = |hwm: u64, execs: u64| MetricsSnapshot {
+            counters: vec![
+                ("executions", execs),
+                ("scratch_hwm", hwm),
+                ("level_width_hwm", hwm),
+            ],
+            ..MetricsSnapshot::default()
+        };
+        let mut merged = mk(32, 10);
+        merged.merge(&mk(32, 10));
+        merged.merge(&mk(16, 10));
+        assert_eq!(
+            merged.counters,
+            vec![
+                ("executions", 30),
+                ("scratch_hwm", 32),
+                ("level_width_hwm", 32)
+            ]
+        );
+        let d = mk(32, 25).delta_since(&mk(16, 10));
+        assert_eq!(
+            d.counters,
+            vec![
+                ("executions", 15),
+                ("scratch_hwm", 32),
+                ("level_width_hwm", 32)
+            ]
+        );
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! This module implements the paper's Sections 4 and 5 as a library instead
 //! of a source transformation: the three instrumented operations
-//! `access` / `modify` / `call` (Algorithms 3, 4 and 5) are the methods
-//! [`Runtime::with_value`], [`Runtime::raw_write`] and
-//! [`Memo::call`](crate::Memo::call), and the evaluation routine of
-//! Section 4.5 is [`Runtime::propagate`] plus the internal evaluation that
-//! runs before incremental calls.
+//! `access` / `modify` / `call` (Algorithms 3, 4 and 5) are
+//! `Runtime::with_value` and `Runtime::raw_write` (the untyped layer under
+//! [`Var`](crate::Var)) and [`Memo::call`](crate::Memo::call), and the
+//! evaluation routine of Section 4.5 is [`Runtime::propagate`] plus the
+//! internal evaluation that runs before incremental calls.
 //!
 //! # Dependence recording
 //!
@@ -262,11 +262,6 @@ pub(crate) struct Inner {
     /// reorder the drain, never merge two nodes into one level.
     fifo_clock: u32,
     evaluating: bool,
-    /// Monotone propagation-wave counter: incremented every time the
-    /// evaluation routine starts a (non-nested) run. Never reset — unlike
-    /// [`Stats::waves`] — so trace wave ids stay unique across
-    /// [`Runtime::reset_stats`].
-    wave: u64,
     exec_gen: u64,
     /// Reusable buffer for successor fan-out during propagation. Taken and
     /// returned around each use so steady-state drains allocate nothing;
@@ -371,7 +366,6 @@ impl RuntimeBuilder {
                 scheduling: self.scheduling,
                 fifo_clock: 0,
                 evaluating: false,
-                wave: 0,
                 exec_gen: 0,
                 succ_scratch: Vec::new(),
                 level_scratch: Vec::new(),
@@ -873,8 +867,8 @@ impl Runtime {
                 // block instead of treating contention as re-entrancy.
                 if self.par_active.load(Ordering::Acquire) == 0 {
                     panic!(
-                        "runtime re-entered while internally locked: closures run by Var::with, \
-                         with_value and trace sinks must not call back into runtime operations"
+                        "runtime re-entered while internally locked: closures run by Var::with \
+                         and trace sinks must not call back into runtime operations"
                     )
                 }
                 self.inner.lock().unwrap_or_else(|e| e.into_inner())
@@ -939,16 +933,11 @@ impl Runtime {
         self.lock().stats
     }
 
-    /// Resets all work counters to zero.
-    pub fn reset_stats(&self) {
-        self.lock().stats = Stats::default();
-    }
-
     /// A complete telemetry snapshot: every [`Stats`] counter plus the
     /// always-on wave/level latency histograms and executor-pool worker
     /// gauges maintained by [`crate::metrics`]. The histograms are
-    /// maintained lock-free outside the runtime lock and are **not**
-    /// cleared by [`Runtime::reset_stats`]; isolate a phase with
+    /// maintained lock-free outside the runtime lock; like the counters
+    /// they cover the runtime's whole life, so isolate a phase with
     /// [`MetricsSnapshot::delta_since`](crate::metrics::MetricsSnapshot::delta_since).
     ///
     /// While recording is switched off ([`crate::metrics::set_enabled`]) the
@@ -966,13 +955,6 @@ impl Runtime {
             workers: m.worker_snapshots(),
             mem: mem::snapshot(),
         }
-    }
-
-    /// Total propagation waves run since the runtime was built. Unlike
-    /// [`Stats::waves`] this is never reset, so it matches the `wave` ids
-    /// stamped on [`crate::trace::TraceEvent::PropagateBegin`] events.
-    pub fn waves(&self) -> u64 {
-        self.lock().wave
     }
 
     // ------------------------------------------------------------------
@@ -1215,12 +1197,9 @@ impl Runtime {
     // Low-level location API (the paper's `access`/`modify` operations).
     // ------------------------------------------------------------------
 
-    /// Allocates a tracked storage location holding `initial`.
-    ///
-    /// This is the low-level API used by [`Var`](crate::Var) and by language
-    /// front ends that manage their own storage; prefer
-    /// [`Runtime::var`](crate::Runtime::var) in application code.
-    pub fn raw_alloc(&self, initial: Box<dyn Value>) -> NodeId {
+    /// Allocates a tracked storage location holding `initial`: the untyped
+    /// layer under [`Runtime::var`](crate::Runtime::var).
+    pub(crate) fn raw_alloc(&self, initial: Box<dyn Value>) -> NodeId {
         self.lock().alloc_node(Some(initial), None)
     }
 
@@ -1228,7 +1207,7 @@ impl Runtime {
     /// incremental procedure's dependence on it, under one guard — the
     /// lazy-promotion `access` of Algorithm 3, where a location read for
     /// the first time inside a tracked context gets its graph node and its
-    /// first dependence edge together. Equivalent to [`Runtime::raw_alloc`]
+    /// first dependence edge together. Equivalent to `raw_alloc`
     /// followed by a read, minus the second lock round-trip.
     pub(crate) fn alloc_accessed(&self, initial: Box<dyn Value>) -> NodeId {
         let mut inner = self.lock();
@@ -1249,11 +1228,7 @@ impl Runtime {
     /// The runtime is locked for the duration of `f`: the closure must not
     /// re-enter runtime operations (writes, memo calls, propagation, even
     /// reads) or the fail-stop re-entrancy check panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a location of this runtime.
-    pub fn with_value<R>(&self, n: NodeId, f: impl FnOnce(&dyn Value) -> R) -> R {
+    pub(crate) fn with_value<R>(&self, n: NodeId, f: impl FnOnce(&dyn Value) -> R) -> R {
         let mut inner = self.lock();
         inner.stats.reads += 1;
         emit!(inner, TraceEvent::Read { node: n });
@@ -1271,12 +1246,8 @@ impl Runtime {
     /// Writes a location — the paper's `modify` (Algorithm 4): the write
     /// first records a dependence (a procedure depends on storage it writes,
     /// Section 4.3), then stores the value, and dirties the node if the
-    /// value actually changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a location of this runtime.
-    pub fn raw_write(&self, n: NodeId, value: Box<dyn Value>) {
+    /// value actually changed. [`Var::set`](crate::Var::set) is built on it.
+    pub(crate) fn raw_write(&self, n: NodeId, value: Box<dyn Value>) {
         let mut inner = self.lock();
         inner.stats.writes += 1;
         inner.write_location(n, value);
@@ -1294,7 +1265,7 @@ impl Runtime {
 
     /// Commits a coalesced write transaction: one lock of the runtime for
     /// the whole set of writes, each applied with the same `modify`
-    /// semantics as [`Runtime::raw_write`]. `pending` holds one entry per
+    /// semantics as `raw_write`. `pending` holds one entry per
     /// distinct written location (last write wins); `submitted` and
     /// `coalesced` are the transaction's raw tallies for the stats. The
     /// drained buffers are stowed back on the runtime for the next batch.
@@ -1318,9 +1289,9 @@ impl Runtime {
                 // when committing mid-propagation, otherwise the next to
                 // begin.
                 wave: if inner.evaluating {
-                    inner.wave
+                    inner.stats.waves
                 } else {
-                    inner.wave + 1
+                    inner.stats.waves + 1
                 },
             }
         );
@@ -1666,11 +1637,11 @@ impl Runtime {
             inner.reconcile_live();
         }
         inner.evaluating = true;
-        inner.wave += 1;
         inner.stats.waves += 1;
+        let wave = inner.stats.waves;
         let steps_before = inner.stats.propagation_steps;
         let (execs_before, wasted_before) = (inner.stats.executions, inner.stats.wasted_executions);
-        emit!(inner, TraceEvent::PropagateBegin { wave: inner.wave });
+        emit!(inner, TraceEvent::PropagateBegin { wave });
         // Wave clock: stamped after the nested-wave early return, so only
         // real (outermost) waves are timed and a disabled switch skips the
         // clock read entirely.
@@ -1680,7 +1651,7 @@ impl Runtime {
         emit!(
             inner,
             TraceEvent::PropagateEnd {
-                wave: inner.wave,
+                wave,
                 steps: inner.stats.propagation_steps - steps_before,
             }
         );
@@ -1751,7 +1722,7 @@ impl Runtime {
             emit!(
                 inner,
                 TraceEvent::LevelBegin {
-                    wave: inner.wave,
+                    wave: inner.stats.waves,
                     height,
                     width,
                 }
@@ -1786,7 +1757,7 @@ impl Runtime {
             emit!(
                 guard,
                 TraceEvent::LevelEnd {
-                    wave: guard.wave,
+                    wave: guard.stats.waves,
                     height,
                     executed: execs.len() as u64,
                 }
@@ -2023,6 +1994,17 @@ mod tests {
         rt.raw_write(n, Box::new(3i64));
         assert_eq!(rt.dirty_count(), 0);
         assert_eq!(rt.stats().changes, 2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "on a computation node")]
+    fn with_value_rejects_computation_nodes() {
+        let rt = Runtime::new();
+        let m = rt.memo("m", |_rt, &(): &()| 1i64);
+        m.call(&rt, ());
+        let n = m.instance_node(&()).expect("instance exists");
+        rt.with_value(n, |_| ());
     }
 
     #[test]

@@ -50,13 +50,19 @@ macro_rules! for_each_counter {
     };
 }
 
+/// Whether the counter `name` is a high-water mark (its name ends in
+/// `_hwm`) rather than a tally: a delta carries its later value instead of
+/// subtracting, and a merge takes the maximum instead of summing.
+pub(crate) fn is_high_water_mark(name: &str) -> bool {
+    name.ends_with("_hwm")
+}
+
 /// A snapshot of runtime work counters.
 ///
-/// Obtain one with [`Runtime::stats`](crate::Runtime::stats); reset the
-/// tallies with [`Runtime::reset_stats`](crate::Runtime::reset_stats).
-/// Subtracting two snapshots (via [`Stats::delta_since`]) isolates the work
-/// done by one phase of a program; [`Stats::fields`] lists every counter
-/// by name.
+/// Obtain one with [`Runtime::stats`](crate::Runtime::stats). Counters
+/// live as long as their runtime; subtracting two snapshots (via
+/// [`Stats::delta_since`]) isolates the work done by one phase of a
+/// program. [`Stats::fields`] lists every counter by name.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Stats {
@@ -97,9 +103,8 @@ pub struct Stats {
     /// compares it with seeding on and off.
     pub height_raises: u64,
     /// Propagation waves: non-nested entries into the Section 4.5
-    /// evaluation routine. Matches the `wave` ids on trace events (see
-    /// [`Runtime::waves`](crate::Runtime::waves) for the never-reset
-    /// counterpart).
+    /// evaluation routine. The count is the id of the latest wave, as
+    /// stamped on its trace events.
     pub waves: u64,
     /// Nodes processed by the evaluator.
     pub propagation_steps: u64,
@@ -148,7 +153,9 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Returns the per-field difference `self - earlier`.
+    /// Returns the per-field difference `self - earlier`. The high-water
+    /// marks (`scratch_hwm`, `level_width_hwm`) are not differences: they
+    /// carry `self`'s value.
     ///
     /// # Panics
     ///
@@ -162,7 +169,11 @@ impl Stats {
             ($($f:ident),* $(,)?) => {
                 Stats { $($f: {
                     debug_assert!(self.$f >= earlier.$f, concat!("stats went backwards: ", stringify!($f)));
-                    self.$f - earlier.$f
+                    if is_high_water_mark(stringify!($f)) {
+                        self.$f
+                    } else {
+                        self.$f - earlier.$f
+                    }
                 }),* }
             };
         }
@@ -228,7 +239,7 @@ mod tests {
         // `delta_since` are all generated from `for_each_counter!`, a new
         // counter is covered here automatically — and a counter missing
         // from the macro list breaks `delta_since`'s struct literal at
-        // compile time.
+        // compile time. A high-water mark carries the later value.
         let mut early = Stats::default();
         let mut late = Stats::default();
         set_all(&mut early, |i| i + 1);
@@ -236,10 +247,26 @@ mod tests {
         let d = late.delta_since(&early);
         for (i, (name, v)) in d.fields().into_iter().enumerate() {
             let i = i as u64;
-            assert_eq!(v, (i + 1) * 9, "delta miscomputed for counter `{name}`");
+            let want = if is_high_water_mark(name) {
+                (i + 1) * 10
+            } else {
+                (i + 1) * 9
+            };
+            assert_eq!(v, want, "delta miscomputed for counter `{name}`");
         }
         // And the delta against zero recovers `late` exactly.
         assert_eq!(late.delta_since(&Stats::default()), late);
+    }
+
+    #[test]
+    fn high_water_marks_are_the_hwm_counters() {
+        let marks: Vec<&str> = Stats::default()
+            .fields()
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| is_high_water_mark(name))
+            .collect();
+        assert_eq!(marks, ["scratch_hwm", "level_width_hwm"]);
     }
 
     #[test]

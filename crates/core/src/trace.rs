@@ -36,7 +36,7 @@
 //!
 //! | Consumer | Question it answers |
 //! |---|---|
-//! | [`Recorder`] | "what exactly happened, in order?" — bounded ring buffer with per-node timelines |
+//! | [`Recorder`] | "what exactly happened, in order?" — every event, in memory |
 //! | [`JsonlSink`] | "keep everything for later" — streams every event as one JSON line, the one persisted trace format |
 //! | [`provenance::Provenance`] | "why did this node recompute?" — live causal `why(node)` chains |
 //!
@@ -79,7 +79,7 @@
 //! let double = rt.memo("double", move |rt, &(): &()| v.get(rt) * 2);
 //! double.call(&rt, ());
 //!
-//! let rec = Arc::new(Recorder::new(128));
+//! let rec = Arc::new(Recorder::new());
 //! rt.set_sink(Some(rec.clone()));
 //! v.set(&rt, 3);
 //! rt.set_sink(None);
@@ -94,10 +94,8 @@ use crate::runtime::NodeKind;
 use alphonse_graph::NodeId;
 use alphonse_mem as memacct;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write as IoWrite;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -288,8 +286,7 @@ impl TraceEvent {
     /// [`TraceEvent::EdgeAdded`] and [`TraceEvent::EdgeRemoved`] are
     /// attributed to the depending successor `to` — an edge is a fact
     /// about the executing computation's dependency set, not about the
-    /// storage it read. (The predecessor endpoint still appears in
-    /// [`Recorder::timeline`] views of both nodes.)
+    /// storage it read.
     pub fn node(&self) -> Option<NodeId> {
         match self {
             TraceEvent::NodeCreated { node, .. }
@@ -347,117 +344,44 @@ pub(crate) fn default_sink() -> Option<Arc<dyn TraceSink>> {
 }
 
 // ---------------------------------------------------------------------------
-// Recorder: bounded in-memory ring buffer
+// Recorder: in-memory event log
 // ---------------------------------------------------------------------------
 
-/// A bounded in-memory event recorder with queryable per-node timelines.
-///
-/// Keeps the most recent `capacity` events (older ones are dropped and
-/// counted in [`Recorder::dropped`]); each record carries a microsecond
-/// timestamp relative to the recorder's creation.
+/// An in-memory log of every event, oldest first — the live counterpart
+/// of a JSONL trace, for tests and tools that inspect a run in process.
+/// It keeps everything, so record bounded runs; stream long ones to a
+/// [`JsonlSink`] instead.
+#[derive(Default)]
 pub struct Recorder {
-    start: Instant,
-    capacity: usize,
-    buf: Mutex<VecDeque<(u64, TraceEvent)>>,
-    dropped: AtomicU64,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl Recorder {
-    /// Creates a recorder keeping at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Recorder {
-        assert!(capacity > 0, "recorder capacity must be positive");
-        let _mem = memacct::scope(memacct::Tag::Trace);
-        Recorder {
-            start: Instant::now(),
-            capacity,
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            dropped: AtomicU64::new(0),
-        }
+    /// Creates an empty recorder.
+    pub fn new() -> Recorder {
+        Recorder::default()
     }
 
-    /// Number of events currently held.
+    /// Number of events recorded.
     pub fn len(&self) -> usize {
-        lock(&self.buf).len()
+        lock(&self.events).len()
     }
 
-    /// Returns `true` if no events are held.
+    /// Returns `true` if no events were recorded.
     pub fn is_empty(&self) -> bool {
-        lock(&self.buf).is_empty()
+        lock(&self.events).is_empty()
     }
 
-    /// Events evicted by the ring bound so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Discards all held events (the drop counter is kept).
-    pub fn clear(&self) {
-        lock(&self.buf).clear();
-    }
-
-    /// All held events, oldest first.
+    /// Every recorded event, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        lock(&self.buf).iter().map(|(_, e)| e.clone()).collect()
-    }
-
-    /// All held events with their timestamps (µs since recorder creation).
-    pub fn records(&self) -> Vec<(u64, TraceEvent)> {
-        lock(&self.buf).iter().cloned().collect()
-    }
-
-    /// The timeline of one node: every held event about `n`, oldest first,
-    /// with timestamps (µs since recorder creation). Edge events appear in
-    /// the timeline of **both** endpoints ([`TraceEvent::node`] attributes
-    /// them to the successor; the predecessor view is added here).
-    pub fn timeline(&self, n: NodeId) -> Vec<(u64, TraceEvent)> {
-        lock(&self.buf)
-            .iter()
-            .filter(|(_, e)| {
-                e.node() == Some(n)
-                    || matches!(e, TraceEvent::EdgeAdded { from, .. }
-                        | TraceEvent::EdgeRemoved { from, .. } if *from == n)
-            })
-            .cloned()
-            .collect()
-    }
-
-    /// Exports the held events as a JSONL trace document (the same format
-    /// [`JsonlSink`] streams), prefixed with a meta line recording how many
-    /// events the ring bound evicted — consumers such as `alphonse-trace`
-    /// use it to refuse causal queries over truncated recordings.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            r#"{{"meta":{{"format":"{JSONL_FORMAT}","version":{JSONL_VERSION},"dropped":{},"capacity":{}}}}}"#,
-            self.dropped.load(Ordering::Relaxed),
-            self.capacity
-        );
-        let labels = Labels::default();
-        let mut wave = None;
-        for (ts, ev) in lock(&self.buf).iter() {
-            labels.observe(ev);
-            out.push_str(&jsonl_line(*ts, &mut wave, ev, &labels));
-            out.push('\n');
-        }
-        out
+        lock(&self.events).clone()
     }
 }
 
 impl TraceSink for Recorder {
     fn event(&self, ev: &TraceEvent) {
         let _mem = memacct::scope(memacct::Tag::Trace);
-        let ts = self.start.elapsed().as_micros() as u64;
-        let mut buf = lock(&self.buf);
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back((ts, ev.clone()));
+        lock(&self.events).push(ev.clone());
     }
 }
 
@@ -499,10 +423,10 @@ fn variant_name(ev: &TraceEvent) -> &'static str {
 /// [`TraceEvent::PropagateBegin`] opens it, [`TraceEvent::PropagateEnd`]
 /// closes it, and every event in between is stamped `"wave":N`. The
 /// propagation and level brackets and [`TraceEvent::BatchCommit`] are
-/// stamped with their own wave fields instead, so they stay readable in a
-/// recording that lost their `PropagateBegin`. Node-bearing events carry the node's resolved `"label"`
-/// when one is known, so a trace file stays self-contained; node ids
-/// serialize as their dense indices.
+/// stamped with their own wave fields instead, so each line names its
+/// wave without the lines before it. Node-bearing events carry the node's
+/// resolved `"label"` when one is known, so a trace file stays
+/// self-contained; node ids serialize as their dense indices.
 fn jsonl_line(ts: u64, wave: &mut Option<u64>, ev: &TraceEvent, labels: &Labels) -> String {
     let stamped = match ev {
         TraceEvent::PropagateBegin { wave: w } => {
@@ -584,12 +508,10 @@ fn jsonl_line(ts: u64, wave: &mut Option<u64>, ev: &TraceEvent, labels: &Labels)
 /// trace the `alphonse-trace` CLI replays).
 ///
 /// The document begins with a meta line
-/// (`{"meta":{"format":…,"version":…,"dropped":0}}`); each subsequent line
-/// is one event with a microsecond timestamp, the propagation-wave stamp,
-/// and resolved node labels (see [`Recorder::to_jsonl`] for the same format
-/// produced from a bounded in-memory recording — there `dropped` can be
-/// non-zero). Write errors after construction are ignored: tracing must
-/// never take down the traced program.
+/// (`{"meta":{"format":"alphonse-trace","version":1}}`); each subsequent
+/// line is one event with a microsecond timestamp, the propagation-wave
+/// stamp, and resolved node labels. Write errors after construction are
+/// ignored: tracing must never take down the traced program.
 pub struct JsonlSink {
     start: Instant,
     labels: Labels,
@@ -609,7 +531,7 @@ impl JsonlSink {
         let mut out: Box<dyn IoWrite + Send> = Box::new(out);
         writeln!(
             out,
-            r#"{{"meta":{{"format":"{JSONL_FORMAT}","version":{JSONL_VERSION},"dropped":0}}}}"#
+            r#"{{"meta":{{"format":"{JSONL_FORMAT}","version":{JSONL_VERSION}}}}}"#
         )?;
         Ok(JsonlSink {
             start: Instant::now(),
@@ -747,18 +669,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recorder_ring_drops_oldest() {
-        let rec = Recorder::new(2);
+    fn recorder_keeps_every_event_in_order() {
+        let rec = Recorder::new();
         for i in 0..3 {
             rec.event(&TraceEvent::Read {
                 node: NodeId::from_index(i),
             });
         }
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 1);
-        let evs = rec.events();
-        assert_eq!(evs[0].node(), Some(NodeId::from_index(1)));
-        assert_eq!(evs[1].node(), Some(NodeId::from_index(2)));
+        assert_eq!(rec.len(), 3);
+        let nodes: Vec<_> = rec.events().iter().map(TraceEvent::node).collect();
+        assert_eq!(
+            nodes,
+            (0..3)
+                .map(|i| Some(NodeId::from_index(i)))
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -85,9 +85,10 @@ impl<T: Value + PartialEq + Clone> Var<T> {
     /// read for values that do not need to escape (e.g. summing a field of
     /// a large struct).
     ///
-    /// The runtime is borrowed while `f` runs: the closure must not write
-    /// tracked state, call memos or run propagation, or the underlying
-    /// `RefCell` panics. Use [`Var::get`] when the value must escape.
+    /// The runtime's lock is held while `f` runs: the closure must not
+    /// read or write tracked state, call memos or run propagation, or the
+    /// lock's fail-stop re-entrancy check panics. Use [`Var::get`] when
+    /// the value must escape.
     ///
     /// # Example
     ///
@@ -181,18 +182,6 @@ impl<T: Value + PartialEq + Clone> Var<T> {
             Some(v) => downcast_ref::<T>(v, "Var::get_in").clone(),
             None => self.get(tx.runtime()),
         }
-    }
-
-    /// Applies `f` to the value visible in the transaction (pending write if
-    /// any, committed value otherwise) and buffers the result — the batched
-    /// form of [`Var::update`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tx` belongs to a different runtime than this variable.
-    pub fn update_in(&self, tx: &mut Batch<'_>, f: impl FnOnce(T) -> T) {
-        let v = self.get_in(tx);
-        self.set_in(tx, f(v));
     }
 
     /// The dependency-graph node backing this variable.

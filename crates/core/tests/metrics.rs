@@ -157,10 +157,10 @@ fn diamond(rt: &Runtime) -> Var<i64> {
 fn wasted_executions_counts_cutoff_stopped_work() {
     let rt = Runtime::new();
     let a = diamond(&rt);
-    rt.reset_stats();
+    let before = rt.stats();
     a.set(&rt, 20); // coarse: 0 -> 0 (wasted), double: 20 -> 40 (productive)
     rt.propagate();
-    let s = rt.stats();
+    let s = rt.stats().delta_since(&before);
     assert_eq!(s.wasted_executions, 1, "exactly the cutoff arm is wasted");
     assert!(s.executions > s.wasted_executions);
 }

@@ -56,12 +56,12 @@ fn pool_levels_are_counted_and_bounded() {
     let rt = Runtime::new();
     rt.set_parallelism(4);
     let (vars, _) = fan(&rt, 8);
-    rt.reset_stats();
+    let before = rt.stats();
     for v in &vars {
         v.set(&rt, 999);
     }
     rt.propagate();
-    let s = rt.stats();
+    let s = rt.stats().delta_since(&before);
     // The 8-cell level runs on the pool; the driver runs the single-node
     // total level alone, so it is not a "parallel level".
     assert_eq!(s.parallel_levels, 1);
@@ -77,11 +77,11 @@ fn single_worker_control_counts_levels_but_spawns_no_pool_work() {
     let rt = Runtime::new();
     rt.set_parallelism(1);
     let (vars, _) = fan(&rt, 4);
-    rt.reset_stats();
+    let before = rt.stats();
     vars[0].set(&rt, 50);
     vars[1].set(&rt, 51);
     rt.propagate();
-    let s = rt.stats();
+    let s = rt.stats().delta_since(&before);
     assert_eq!(s.parallel_levels, 0, "levels run alone are not pool levels");
     assert_eq!(s.parallel_executions, 0);
     assert_eq!(s.level_width_hwm, 2, "level drain still batches by height");
@@ -92,12 +92,12 @@ fn fifo_levels_are_single_nodes() {
     let rt = Runtime::builder().scheduling(Scheduling::Fifo).build();
     rt.set_parallelism(4);
     let (vars, total) = fan(&rt, 4);
-    rt.reset_stats();
+    let before = rt.stats();
     for v in &vars {
         v.set(&rt, 3);
     }
     rt.propagate();
-    let s = rt.stats();
+    let s = rt.stats().delta_since(&before);
     // Fifo order gives no independence guarantee between queue
     // neighbours, so every level is one node and none reaches the pool.
     assert_eq!(s.parallel_levels, 0);
@@ -110,13 +110,13 @@ fn partitioned_runtimes_pool_their_levels() {
     let rt = Runtime::builder().partitioning(true).build();
     rt.set_parallelism(4);
     let (vars, total) = fan(&rt, 4);
-    rt.reset_stats();
+    let before = rt.stats();
     for v in &vars {
         v.set(&rt, 5);
     }
     // A query drains only its own partition — here, the whole fan.
     assert_eq!(total.call(&rt, ()), 4 * 5 * 10);
-    let s = rt.stats();
+    let s = rt.stats().delta_since(&before);
     assert_eq!(s.parallel_levels, 1, "the cell level ran on the pool");
     assert_eq!(s.parallel_executions, 4);
     assert_eq!(s.level_width_hwm, 4);
@@ -281,17 +281,17 @@ fn bounded_drains_take_at_most_k_steps_and_resume() {
     }
     // One step only: the level of 6 dirty vars is capped to one of them,
     // and the rest stays queued for the next slice.
-    rt.reset_stats();
+    let before = rt.stats();
     let done = rt.propagate_steps(1);
     assert!(!done, "work must remain after a one-step slice");
-    assert_eq!(rt.stats().propagation_steps, 1);
+    assert_eq!(rt.stats().delta_since(&before).propagation_steps, 1);
     assert_eq!(rt.dirty_count(), 5 + 1, "5 vars and the fanned-out cell");
     // Four-step slices split the 6-cell level too, and it still reaches
     // the pool in parts of two or more.
     while !rt.propagate_steps(4) {}
     assert_eq!(rt.dirty_count(), 0);
     assert_eq!(total.call(&rt, ()), 6 * 1000 * 10);
-    let s = rt.stats();
+    let s = rt.stats().delta_since(&before);
     assert_eq!(s.propagation_steps, 6 + 6 + 1);
     assert!(s.level_width_hwm <= 4);
     rt.check_invariants();
@@ -322,7 +322,7 @@ fn level_brackets_appear_in_the_trace() {
     let rt = Runtime::new();
     rt.set_parallelism(2);
     let (vars, _) = fan(&rt, 4);
-    let rec = Arc::new(Recorder::new(1 << 12));
+    let rec = Arc::new(Recorder::new());
     rt.set_sink(Some(rec.clone()));
     for v in &vars {
         v.set(&rt, -1);
@@ -592,7 +592,7 @@ fn a_same_level_call_costs_the_same_at_every_parallelism() {
         let a = rt.memo_with("a", Strategy::Eager, move |rt, &(): &()| x.get(rt) + 1);
         assert_eq!(a.call(&rt, ()), 1);
         assert!(a_slot.set(a).is_ok());
-        let rec = Arc::new(Recorder::new(1024));
+        let rec = Arc::new(Recorder::new());
         rt.set_sink(Some(rec.clone()));
         let before = rt.stats();
         rt.batch(|tx| {

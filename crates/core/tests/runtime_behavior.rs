@@ -305,7 +305,7 @@ fn fifo_fan(rt: &Runtime, width: usize) -> (Vec<Var<i64>>, Vec<NodeId>) {
 /// Runs `f` under a recorder and returns the indices into `cells` of the
 /// executions it began, in order.
 fn execution_order(rt: &Runtime, cells: &[NodeId], f: impl FnOnce()) -> Vec<usize> {
-    let rec = Arc::new(Recorder::new(4096));
+    let rec = Arc::new(Recorder::new());
     let prev = rt.set_sink(Some(rec.clone()));
     f();
     rt.set_sink(prev);
@@ -509,7 +509,7 @@ fn swapping_one_dependency_moves_exactly_that_edge() {
     });
     assert_eq!(m.call(&rt, ()), 11);
     let n = m.instance_node(&()).unwrap();
-    let rec = Arc::new(Recorder::new(256));
+    let rec = Arc::new(Recorder::new());
     rt.set_sink(Some(rec.clone()));
     let before = rt.stats();
     pick_b.set(&rt, false);
@@ -643,7 +643,7 @@ fn read_counter_counts_every_read_form() {
     let v = rt.var(7i64);
     assert_eq!(v.get(&rt), 7); // typed read
     assert_eq!(v.with(&rt, |&x| x * 2), 14); // in-place typed read
-    assert!(rt.with_value(v.node(), |x| x.dyn_eq(&7i64))); // untyped read
+    assert_eq!(rt.batch(|tx| v.get_in(tx)), 7); // read through a batch
     assert_eq!(rt.stats().reads, 3);
 }
 
@@ -654,37 +654,8 @@ fn memo_probes_count_argument_table_lookups() {
     for _ in 0..3 {
         m.call(&rt, 1);
     }
-    m.call_with(&rt, 2, |&v| assert_eq!(v, 4));
+    assert_eq!(m.call(&rt, 2), 4);
     assert_eq!(rt.stats().memo_probes, 4, "one probe per call");
-}
-
-#[test]
-fn call_with_matches_call() {
-    let rt = Runtime::new();
-    let base = rt.var(vec![1i64, 2, 3]);
-    let sum = rt.memo("sum", move |rt, &(): &()| base.with(rt, |xs| xs.to_vec()));
-    // Cache miss path…
-    assert_eq!(sum.call_with(&rt, (), |v| v.len()), 3);
-    // …and cache hit path read the same value `call` clones out.
-    assert_eq!(sum.call_with(&rt, (), |v| v.iter().sum::<i64>()), 6);
-    assert_eq!(sum.call(&rt, ()), vec![1, 2, 3]);
-    base.set(&rt, vec![10]);
-    assert_eq!(
-        sum.call_with(&rt, (), |v| v[0]),
-        10,
-        "invalidation reaches call_with"
-    );
-}
-
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "on a computation node")]
-fn with_value_rejects_computation_nodes() {
-    let rt = Runtime::new();
-    let m = rt.memo("m", |_rt, &(): &()| 1i64);
-    m.call(&rt, ());
-    let n = m.instance_node(&()).expect("instance exists");
-    rt.with_value(n, |_| ());
 }
 
 #[test]
@@ -765,7 +736,7 @@ fn batched_changes_coalesce() {
 #[test]
 fn recorded_edges_list_dependencies() {
     let rt = Runtime::new();
-    let rec = Arc::new(Recorder::new(256));
+    let rec = Arc::new(Recorder::new());
     rt.set_sink(Some(rec.clone()));
     let a = rt.var(2i64);
     let b = rt.var(3i64);

@@ -44,7 +44,7 @@ fn diamond_write_produces_exact_event_sequence() {
     let rt = Runtime::new();
     let (a, [na, nleft, nright, ntop]) = diamond(&rt);
 
-    let rec = Arc::new(Recorder::new(1024));
+    let rec = Arc::new(Recorder::new());
     rt.set_sink(Some(rec.clone()));
     a.set(&rt, 20);
     rt.propagate();
@@ -154,8 +154,8 @@ fn diamond_write_produces_exact_event_sequence() {
 fn set_sink_hands_back_the_previous_sink() {
     let rt = Runtime::new();
     let x = rt.var(1i64);
-    let outer = Arc::new(Recorder::new(64));
-    let inner = Arc::new(Recorder::new(64));
+    let outer = Arc::new(Recorder::new());
+    let inner = Arc::new(Recorder::new());
     assert!(rt.set_sink(Some(outer.clone())).is_none());
     x.set(&rt, 2); // seen by outer
     let prev = rt.set_sink(Some(inner.clone()));
@@ -181,50 +181,78 @@ fn edge_added_is_attributed_to_the_successor() {
     assert_eq!(TraceEvent::EdgeAdded { from, to }.node(), Some(to));
     assert_eq!(TraceEvent::EdgeRemoved { from, to }.node(), Some(to));
 
-    // Per-node timelines still show the edge from both endpoints. The
-    // edges enter the graph as the diamond is built.
+    // The edges enter the graph as the diamond is built.
     let rt = Runtime::new();
-    let rec = Arc::new(Recorder::new(1024));
+    let rec = Arc::new(Recorder::new());
     rt.set_sink(Some(rec.clone()));
     let (_, [na, _, nright, _]) = diamond(&rt);
     rt.set_sink(None);
-    let has_edge = |n: NodeId| {
-        rec.timeline(n)
-            .iter()
-            .any(|(_, e)| matches!(e, TraceEvent::EdgeAdded { from, to } if *from == na && *to == nright))
-    };
-    assert!(has_edge(nright), "successor timeline must carry the edge");
-    assert!(has_edge(na), "predecessor timeline must carry the edge");
+    let edge = rec
+        .events()
+        .into_iter()
+        .find(|e| matches!(e, TraceEvent::EdgeAdded { from, to } if *from == na && *to == nright))
+        .expect("building the diamond records the a -> right edge");
+    assert_eq!(edge.node(), Some(nright));
 }
 
 #[test]
-fn recorder_timeline_filters_per_node() {
+fn events_are_filed_under_their_nodes() {
     let rt = Runtime::new();
     let (a, [na, nleft, ..]) = diamond(&rt);
-    let rec = Arc::new(Recorder::new(1024));
+    let rec = Arc::new(Recorder::new());
     rt.set_sink(Some(rec.clone()));
     a.set(&rt, 20);
     rt.propagate();
     rt.set_sink(None);
 
-    let a_line = rec.timeline(na);
-    assert!(a_line
+    let of = |n: NodeId| -> Vec<TraceEvent> {
+        rec.events()
+            .into_iter()
+            .filter(|e| e.node() == Some(n))
+            .collect()
+    };
+    assert!(of(na).iter().any(|e| matches!(e, TraceEvent::Write { .. })));
+    assert!(of(nleft)
         .iter()
-        .all(|(_, e)| e.node() == Some(na) || matches!(e, TraceEvent::EdgeAdded { .. })));
-    assert!(a_line
+        .any(|e| matches!(e, TraceEvent::CutoffStop { .. })));
+}
+
+#[test]
+fn the_wave_count_is_the_last_wave_id() {
+    let rt = Runtime::new();
+    let rec = Arc::new(Recorder::new());
+    rt.set_sink(Some(rec.clone()));
+    let x = rt.var(1i64);
+    // The body propagates from inside: run by a call outside any wave
+    // that opens a wave of its own; run inside a wave it opens none.
+    let twice = rt.memo_with("twice", Strategy::Eager, move |rt, &(): &()| {
+        rt.propagate();
+        x.get(rt) * 2
+    });
+    assert_eq!(twice.call(&rt, ()), 2);
+    rt.propagate(); // nothing dirty: still a wave
+    x.set(&rt, 2);
+    rt.propagate(); // re-runs `twice`, whose propagate nests
+    assert_eq!(twice.call(&rt, ()), 4);
+    rt.set_sink(None);
+
+    let ids: Vec<u64> = rec
+        .events()
         .iter()
-        .any(|(_, e)| matches!(e, TraceEvent::Write { .. })));
-    let left_line = rec.timeline(nleft);
-    assert!(left_line
-        .iter()
-        .any(|(_, e)| matches!(e, TraceEvent::CutoffStop { .. })));
-    // Timestamps are monotone.
-    assert!(a_line.windows(2).all(|w| w[0].0 <= w[1].0));
+        .filter_map(|e| match e {
+            TraceEvent::PropagateBegin { wave } => Some(*wave),
+            _ => None,
+        })
+        .collect();
+    let waves = rt.stats().waves;
+    assert!(waves >= 3, "{ids:?}");
+    assert_eq!(ids.last(), Some(&waves));
+    assert_eq!(ids, (1..=waves).collect::<Vec<_>>());
 }
 
 #[test]
 fn default_sink_attaches_to_runtimes_built_after_install() {
-    let rec = Arc::new(Recorder::new(64));
+    let rec = Arc::new(Recorder::new());
     let prev = alphonse::trace::set_default_sink(Some(rec.clone()));
     assert!(prev.is_none());
     let rt = Runtime::new();
@@ -247,7 +275,7 @@ fn default_sink_attaches_to_runtimes_built_after_install() {
 fn tracing_reflects_sink_presence() {
     let rt = Runtime::new();
     assert!(!rt.tracing());
-    rt.set_sink(Some(Arc::new(Recorder::new(8))));
+    rt.set_sink(Some(Arc::new(Recorder::new())));
     assert!(rt.tracing());
     rt.set_sink(None);
     assert!(!rt.tracing());
@@ -317,7 +345,7 @@ fn a_panicking_body_rolls_back_and_ends_the_wave_after_its_level() {
     ];
     let edges = rt.edge_count();
 
-    let rec = Arc::new(Recorder::new(1024));
+    let rec = Arc::new(Recorder::new());
     rt.set_sink(Some(rec.clone()));
     a.set(&rt, 20);
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.propagate()))

@@ -57,7 +57,7 @@ pub enum Tag {
     Memo = 2,
     /// Dirty sets and height-bucketed propagation queues.
     Queues = 3,
-    /// Trace ring buffers, JSONL sinks, event rendering.
+    /// Trace recorders, JSONL sinks, event rendering.
     Trace = 4,
     /// Metrics snapshots, histogram rendering, exposition strings.
     Metrics = 5,

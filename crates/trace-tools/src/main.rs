@@ -1,7 +1,7 @@
 //! `alphonse-trace` — replay and analyze Alphonse JSONL trace files.
 //!
 //! ```text
-//! alphonse-trace why <node|label> <trace.jsonl> [--dot] [--allow-truncated]
+//! alphonse-trace why <node|label> <trace.jsonl> [--dot]
 //! alphonse-trace waves <trace.jsonl>
 //! alphonse-trace waste <trace.jsonl>
 //! alphonse-trace chrome <trace.jsonl>
@@ -29,12 +29,11 @@ const USAGE: &str = "\
 usage: alphonse-trace <command> ...
 
 commands:
-  why <node|label> <trace.jsonl> [--dot] [--allow-truncated]
+  why <node|label> <trace.jsonl> [--dot]
       Print the causal chain that last dirtied the node: the originating
       write, the dirtying fan-out path, and the re-execution (or its
       absence). <node> is a label (`top`), an id (`n3`), or a bare index
-      (`3`). --dot emits a Graphviz digraph instead of text. Traces whose
-      recorder dropped events are refused unless --allow-truncated is given.
+      (`3`). --dot emits a Graphviz digraph instead of text.
   waves <trace.jsonl>
       Per-propagation-wave statistics: dirtied/executed/cutoffs/cache hits,
       causal depth, and the critical (longest) dirtying path.
@@ -107,7 +106,6 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
 
 fn cmd_why(mut args: Vec<String>) -> ExitCode {
     let dot = take_flag(&mut args, "--dot");
-    let allow_truncated = take_flag(&mut args, "--allow-truncated");
     let [target, path] = args.as_slice() else {
         return fail("why takes exactly <node|label> <trace.jsonl>\n\n— see alphonse-trace --help");
     };
@@ -115,19 +113,6 @@ fn cmd_why(mut args: Vec<String>) -> ExitCode {
         Ok(tf) => tf,
         Err(e) => return fail(&e),
     };
-    if tf.meta.dropped > 0 && !allow_truncated {
-        let cap = tf
-            .meta
-            .capacity
-            .map(|c| format!(" (ring capacity {c})"))
-            .unwrap_or_default();
-        return fail(&format!(
-            "{path} is truncated: {} events were dropped{cap}, so causal chains may be \
-             incomplete or wrong. Re-record with a JSONL sink (unbounded) or pass \
-             --allow-truncated to query anyway.",
-            tf.meta.dropped
-        ));
-    }
     let prov = tf.replay_provenance();
     // `n3` / `3` select by id; anything else resolves as a label.
     let node = target
@@ -157,22 +142,12 @@ fn cmd_why(mut args: Vec<String>) -> ExitCode {
     }
 }
 
-fn warn_truncated(tf: &TraceFile) {
-    if tf.meta.dropped > 0 {
-        eprintln!(
-            "warning: trace is truncated ({} events dropped) — counts undercount",
-            tf.meta.dropped
-        );
-    }
-}
-
 fn cmd_report(args: Vec<String>, render: impl Fn(&TraceFile) -> String) -> ExitCode {
     let [path] = args.as_slice() else {
         return fail("expected exactly one <trace.jsonl> argument");
     };
     match load(path) {
         Ok(tf) => {
-            warn_truncated(&tf);
             emit(&render(&tf));
             ExitCode::SUCCESS
         }
@@ -282,7 +257,6 @@ fn cmd_check_static(args: Vec<String>) -> ExitCode {
         Ok(tf) => tf,
         Err(e) => return fail(&e),
     };
-    warn_truncated(&tf);
     let graph = match std::fs::read_to_string(graph_path)
         .map_err(|e| format!("cannot read {graph_path}: {e}"))
         .and_then(|text| {

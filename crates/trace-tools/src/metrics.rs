@@ -153,12 +153,15 @@ impl MetricsDoc {
     }
 
     /// The change from `before` to `self`: counters and histogram buckets
-    /// subtract (entries absent from `before` pass through); worker and
-    /// memory rows are level readings, so the later snapshot's values are
-    /// reported as-is.
+    /// subtract (entries absent from `before` pass through); high-water
+    /// marks (`*_hwm` counters), worker and memory rows are level
+    /// readings, so the later snapshot's values are reported as-is.
     pub fn delta_since(&self, before: &MetricsDoc) -> MetricsDoc {
         let mut d = self.clone();
         for (name, v) in &mut d.counters {
+            if name.ends_with("_hwm") {
+                continue;
+            }
             if let Some((_, b)) = before.counters.iter().find(|(n, _)| n == name) {
                 *v = v.saturating_sub(*b);
             }
@@ -326,7 +329,15 @@ mod tests {
             h.merge(&a.histograms[i].1);
         }
         let d = twice.delta_since(&b);
-        assert_eq!(d.counters, a.counters);
+        for (i, (name, v)) in d.counters.iter().enumerate() {
+            // A high-water mark is a level reading: the later one stands.
+            let want = if name.ends_with("_hwm") {
+                twice.counters[i].1
+            } else {
+                a.counters[i].1
+            };
+            assert_eq!(*v, want, "{name}");
+        }
         for (i, (_, h)) in d.histograms.iter().enumerate() {
             assert_eq!(h.count(), a.histograms[i].1.count());
         }

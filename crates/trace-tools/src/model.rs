@@ -1,9 +1,10 @@
 //! The JSONL trace document model: meta line, event records, and a replay
 //! into the live [`Provenance`] index from `alphonse::trace`.
 //!
-//! The format is produced by `alphonse::trace::JsonlSink` (and
-//! `Recorder::to_jsonl`): one meta object on the first line, then one event
-//! object per line. This module parses it back into real
+//! The format is produced by `alphonse::trace::JsonlSink`: one meta object
+//! on the first line, then one event object per line. Files written before
+//! the meta line lost its always-zero `"dropped"` key still parse: keys
+//! the model does not read are ignored. This module parses it back into real
 //! [`TraceEvent`] values, so every analysis downstream reuses the same
 //! types — and the same causal index — the runtime feeds live.
 
@@ -19,12 +20,6 @@ pub struct Meta {
     pub format: String,
     /// Line-layout version.
     pub version: u64,
-    /// Events evicted before the document was written. Non-zero only for
-    /// documents exported from a bounded `Recorder`; a truncated trace
-    /// cannot answer causal queries trustworthily.
-    pub dropped: u64,
-    /// Ring capacity of the recorder that produced a truncated document.
-    pub capacity: Option<u64>,
 }
 
 /// One event line: timestamp, optional wave stamp, the decoded event, and
@@ -194,8 +189,6 @@ impl TraceFile {
                 .unwrap_or_default()
                 .to_string(),
             version: field_u64(meta_obj, "version", line_no)?,
-            dropped: field_u64(meta_obj, "dropped", line_no)?,
-            capacity: meta_obj.get("capacity").and_then(Json::as_u64),
         };
         if meta.format != alphonse::trace::JSONL_FORMAT {
             return Err(format!(
@@ -272,8 +265,7 @@ mod tests {
     #[test]
     fn parses_meta_and_records() {
         let tf = TraceFile::parse(SAMPLE).unwrap();
-        assert_eq!(tf.meta.dropped, 0);
-        assert_eq!(tf.meta.capacity, None);
+        assert_eq!(tf.meta.version, 1);
         assert_eq!(tf.records.len(), 7);
         assert_eq!(tf.records[0].label.as_deref(), Some("a"));
         assert_eq!(
@@ -301,7 +293,7 @@ mod tests {
 
     #[test]
     fn parses_level_brackets() {
-        let text = r#"{"meta":{"format":"alphonse-trace","version":1,"dropped":0}}
+        let text = r#"{"meta":{"format":"alphonse-trace","version":1}}
 {"ts":0,"wave":3,"ev":"PropagateBegin"}
 {"ts":1,"wave":3,"ev":"LevelBegin","height":2,"width":5}
 {"ts":2,"wave":3,"ev":"LevelEnd","height":2,"executed":4}

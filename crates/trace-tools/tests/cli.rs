@@ -1,8 +1,8 @@
 //! Smoke tests of the `alphonse-trace` binary: the why/waves/waste commands
-//! and the chrome/dot/hot renderers over a real recorded trace, and the
-//! truncation refusal.
+//! and the chrome/dot/hot renderers over a real recorded trace, also one
+//! cut short.
 
-use alphonse::trace::{ActiveTrace, Recorder, TraceSink};
+use alphonse::trace::{ActiveTrace, JsonlSink};
 use alphonse::{Runtime, Strategy};
 use alphonse_sheet::{CellValue, Sheet};
 use std::path::PathBuf;
@@ -17,13 +17,14 @@ fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("alphonse-trace-test-{}-{name}", std::process::id()))
 }
 
-/// Records the diamond at `parallelism` into a recorder of `capacity`
-/// events, writes its JSONL to a temp file and returns the path.
-fn recorded_diamond(name: &str, capacity: usize, parallelism: usize) -> PathBuf {
+/// Records the diamond at `parallelism` into a JSONL trace file and
+/// returns its path.
+fn recorded_diamond(name: &str, parallelism: usize) -> PathBuf {
+    let path = temp_path(name);
     let rt = Runtime::new();
     rt.set_parallelism(parallelism);
-    let rec = Arc::new(Recorder::new(capacity));
-    rt.set_sink(Some(rec.clone() as Arc<dyn TraceSink>));
+    let sink = Arc::new(JsonlSink::create(&path).unwrap());
+    rt.set_sink(Some(sink.clone()));
     let a = rt.var_named("a", 10i64);
     let left = rt.memo_with("left", Strategy::Eager, move |rt, &(): &()| a.get(rt) / 100);
     let right = rt.memo_with("right", Strategy::Eager, move |rt, &(): &()| a.get(rt) * 2);
@@ -35,8 +36,7 @@ fn recorded_diamond(name: &str, capacity: usize, parallelism: usize) -> PathBuf 
     a.set(&rt, 20);
     rt.propagate();
     rt.set_sink(None);
-    let path = temp_path(name);
-    std::fs::write(&path, rec.to_jsonl()).unwrap();
+    sink.flush().unwrap();
     path
 }
 
@@ -88,7 +88,7 @@ fn why_names_a_spreadsheet_cell_by_its_address() {
 
 #[test]
 fn why_waves_waste_run_over_a_recorded_trace() {
-    let path = recorded_diamond("full.jsonl", 4096, 0);
+    let path = recorded_diamond("full.jsonl", 0);
 
     let why = bin().args(["why", "top"]).arg(&path).output().unwrap();
     assert!(
@@ -124,7 +124,7 @@ fn why_waves_waste_run_over_a_recorded_trace() {
 
 #[test]
 fn chrome_dot_hot_render_a_recorded_trace() {
-    let path = recorded_diamond("render.jsonl", 4096, 0);
+    let path = recorded_diamond("render.jsonl", 0);
     let first_line = |args: &[&str]| -> String {
         let out = bin().args(args).arg(&path).output().unwrap();
         assert!(
@@ -154,53 +154,37 @@ fn chrome_dot_hot_render_a_recorded_trace() {
 }
 
 #[test]
-fn why_refuses_truncated_traces_without_the_flag() {
-    // Capacity 4 cannot hold the diamond's event stream: events drop.
-    let path = recorded_diamond("truncated.jsonl", 4, 0);
-
-    let refused = bin().args(["why", "top"]).arg(&path).output().unwrap();
-    assert!(!refused.status.success(), "truncated trace must be refused");
-    let err = String::from_utf8_lossy(&refused.stderr);
-    assert!(err.contains("truncated"), "{err}");
-    assert!(err.contains("--allow-truncated"), "{err}");
-
-    // With the override the query runs (it may still fail to find a chain —
-    // only the refusal itself must be bypassed).
-    let allowed = bin()
-        .args(["why", "top", "--allow-truncated"])
-        .arg(&path)
-        .output()
-        .unwrap();
-    let err = String::from_utf8_lossy(&allowed.stderr);
-    assert!(!err.contains("--allow-truncated"), "{err}");
-
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn truncated_level_drain_traces_stay_readable() {
-    // Capacity 4 keeps only the tail of the wave: its last level closes
-    // after the `PropagateBegin` that opened the wave was dropped, so the
-    // level brackets must carry their own wave stamp.
-    let path = recorded_diamond("truncated-levels.jsonl", 4, 1);
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains(r#""ev":"LevelEnd""#), "{text}");
-    assert!(!text.contains(r#""ev":"PropagateBegin""#), "{text}");
+fn a_trace_cut_short_stays_readable() {
+    // A run stopped mid-wave leaves a trace without its closing lines:
+    // keep the diamond's wave only up to the line before its last level
+    // begins, so the wave is still open and `top` never re-executes.
+    let full = recorded_diamond("cut-full.jsonl", 1);
+    let text = std::fs::read_to_string(&full).unwrap();
+    let last_level = text
+        .rfind(r#""ev":"LevelBegin""#)
+        .expect("the wave drains by level");
+    let cut = &text[..=text[..last_level].rfind('\n').unwrap()];
+    assert!(cut.contains(r#""ev":"PropagateBegin""#), "{cut}");
+    assert!(!cut.contains(r#""ev":"PropagateEnd""#), "{cut}");
+    let path = temp_path("cut.jsonl");
+    std::fs::write(&path, cut).unwrap();
 
     let waves = bin().arg("waves").arg(&path).output().unwrap();
     let err = String::from_utf8_lossy(&waves.stderr);
     assert!(waves.status.success(), "{err}");
 
-    // `top` is n1; its label went with the dropped events.
-    let why = bin()
-        .args(["why", "n1", "--allow-truncated"])
-        .arg(&path)
-        .output()
-        .unwrap();
-    let err = String::from_utf8_lossy(&why.stderr);
-    assert!(!err.contains("missing or non-integer"), "{err}");
-    assert!(err.contains("never dirtied"), "{err}");
+    // The first level's commit already dirtied `top`: the chain from the
+    // write is in the part that was kept.
+    let why = bin().args(["why", "top"]).arg(&path).output().unwrap();
+    let out = String::from_utf8_lossy(&why.stdout);
+    assert!(
+        why.status.success(),
+        "{out}{}",
+        String::from_utf8_lossy(&why.stderr)
+    );
+    assert!(out.contains("write a (n0) changed=true"), "{out}");
 
+    std::fs::remove_file(&full).ok();
     std::fs::remove_file(&path).ok();
 }
 

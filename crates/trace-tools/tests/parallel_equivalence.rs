@@ -2,7 +2,7 @@
 //! schedule: same final values, same work counters, same per-wave
 //! propagation analytics.
 //!
-//! Each run records its full event stream with a `Recorder`, the JSONL dump
+//! Each run records its full event stream with a JSONL sink, the document
 //! is parsed back with [`TraceFile::parse`], and the per-wave statistics
 //! (dirtied / executed / changed / cutoffs / cache hits, causal depth,
 //! critical path, and the level counts and widths) must be *identical*
@@ -12,23 +12,24 @@
 //! the driver alone runs them in — so even the causal critical path must
 //! agree event-for-event, not just in aggregate.
 
-use alphonse::trace::{Recorder, TraceSink};
+mod common;
+
 use alphonse::{Memo, Runtime, Strategy, Var};
 use alphonse_trace_tools::model::TraceFile;
 use alphonse_trace_tools::render::graph_size;
 use alphonse_trace_tools::report::{waves, WavesReport};
+use common::Capture;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const VARS: usize = 8;
 const GROUP: usize = 4;
 
 /// The `pool_equivalence` fixture shape: vars feed eager group memos feed
-/// one eager total, with an always-on recorder.
+/// one eager total, with an always-on trace.
 struct Session {
     rt: Runtime,
-    rec: Arc<Recorder>,
+    trace: Capture,
     vars: Vec<Var<i64>>,
     total: Memo<(), i64>,
 }
@@ -36,8 +37,8 @@ struct Session {
 fn session(seed: i64, parallelism: usize) -> Session {
     let rt = Runtime::new();
     rt.set_parallelism(parallelism);
-    let rec = Arc::new(Recorder::new(1 << 16));
-    rt.set_sink(Some(Arc::clone(&rec) as Arc<dyn TraceSink>));
+    let trace = Capture::new();
+    rt.set_sink(Some(trace.sink()));
     let vars: Vec<_> = (0..VARS).map(|i| rt.var(seed + i as i64)).collect();
     let groups: Vec<Memo<(), i64>> = vars
         .chunks(GROUP)
@@ -59,7 +60,7 @@ fn session(seed: i64, parallelism: usize) -> Session {
     rt.propagate();
     Session {
         rt,
-        rec,
+        trace,
         vars,
         total,
     }
@@ -75,9 +76,9 @@ fn apply(s: &Session, script: &[Vec<(usize, i64)>]) {
     }
 }
 
-/// Offline wave analytics of everything the session's recorder has seen.
-fn analytics(rec: &Recorder) -> WavesReport {
-    let tf = TraceFile::parse(&rec.to_jsonl()).expect("recorder emits parseable JSONL");
+/// Offline wave analytics of everything the session's trace has seen.
+fn analytics(trace: &Capture) -> WavesReport {
+    let tf = TraceFile::parse(&trace.text()).expect("the sink writes parseable JSONL");
     waves(&tf)
 }
 
@@ -92,7 +93,7 @@ proptest! {
         let seq = session(3, 1);
         apply(&seq, &script);
         prop_assert_eq!(seq.rt.dirty_count(), 0);
-        let seq_waves = analytics(&seq.rec);
+        let seq_waves = analytics(&seq.trace);
         let seq_stats = seq.rt.stats();
         let seq_vals: Vec<i64> = seq.vars.iter().map(|v| v.get_untracked(&seq.rt)).collect();
         let seq_total = seq.total.call(&seq.rt, ());
@@ -101,7 +102,7 @@ proptest! {
         let par = session(3, workers);
         apply(&par, &script);
         prop_assert_eq!(par.rt.dirty_count(), 0);
-        let par_waves = analytics(&par.rec);
+        let par_waves = analytics(&par.trace);
         let par_stats = par.rt.stats();
 
         // Exact same values...
@@ -121,7 +122,7 @@ proptest! {
 
         // The offline graph replay ends with the runtime's own topology.
         for s in [&seq, &par] {
-            let tf = TraceFile::parse(&s.rec.to_jsonl()).unwrap();
+            let tf = TraceFile::parse(&s.trace.text()).unwrap();
             prop_assert_eq!(graph_size(&tf), (s.rt.node_count(), s.rt.edge_count()));
         }
 

@@ -6,31 +6,32 @@
 //!
 //! Values are compared directly. Propagation behavior is compared through
 //! the `waves` analytics of this crate: each runtime records its full event
-//! stream with a `Recorder`, the JSONL dump is parsed back with
+//! stream with a JSONL sink, the document is parsed back with
 //! [`TraceFile::parse`], and the per-wave statistics (dirtied / executed /
 //! changed / cutoffs / cache hits, causal depth, critical path) must be
 //! *identical* between the pooled and the sequential run. The reports are
 //! deterministic functions of the event sequence — no timestamps — so this
 //! is an exact structural equality, not a fuzzy comparison.
 
-use alphonse::trace::{Recorder, TraceSink};
+mod common;
+
 use alphonse::{Memo, Runtime, Scheduling, Strategy, Var};
 use alphonse_serve::SessionPool;
 use alphonse_trace_tools::model::TraceFile;
 use alphonse_trace_tools::report::{waves, WavesReport};
+use common::Capture;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const VARS: usize = 8;
 const GROUP: usize = 4;
 
 /// One tenant's dependency graph: vars feed group memos feed one total —
 /// the same shape as the `batch_props` equivalence fixture, with an
-/// always-on recorder so the propagation waves can be replayed offline.
+/// always-on trace so the propagation waves can be replayed offline.
 struct Session {
     rt: Runtime,
-    rec: Arc<Recorder>,
+    trace: Capture,
     vars: Vec<Var<i64>>,
     total: Memo<(), i64>,
 }
@@ -43,8 +44,8 @@ fn session(seed: i64, fifo: bool) -> Session {
             Scheduling::HeightOrder
         })
         .build();
-    let rec = Arc::new(Recorder::new(1 << 16));
-    rt.set_sink(Some(Arc::clone(&rec) as Arc<dyn TraceSink>));
+    let trace = Capture::new();
+    rt.set_sink(Some(trace.sink()));
     let vars: Vec<_> = (0..VARS).map(|i| rt.var(seed + i as i64)).collect();
     let groups: Vec<Memo<(), i64>> = vars
         .chunks(GROUP)
@@ -66,7 +67,7 @@ fn session(seed: i64, fifo: bool) -> Session {
     rt.propagate();
     Session {
         rt,
-        rec,
+        trace,
         vars,
         total,
     }
@@ -83,9 +84,9 @@ fn apply(s: &Session, script: &[Vec<(usize, i64)>], offset: i64) {
     }
 }
 
-/// Offline wave analytics of everything the session's recorder has seen.
-fn analytics(rec: &Recorder) -> WavesReport {
-    let tf = TraceFile::parse(&rec.to_jsonl()).expect("recorder emits parseable JSONL");
+/// Offline wave analytics of everything the session's trace has seen.
+fn analytics(trace: &Capture) -> WavesReport {
+    let tf = TraceFile::parse(&trace.text()).expect("the sink writes parseable JSONL");
     waves(&tf)
 }
 
@@ -106,7 +107,7 @@ proptest! {
             let s = session(t as i64, fifo);
             apply(&s, &script, t as i64);
             prop_assert_eq!(s.rt.dirty_count(), 0);
-            let report = analytics(&s.rec);
+            let report = analytics(&s.trace);
             let vals: Vec<i64> = s.vars.iter().map(|v| v.get_untracked(&s.rt)).collect();
             let total = s.total.call(&s.rt, ());
             reference.push((total, vals, report));
@@ -120,7 +121,7 @@ proptest! {
         let mut recs = Vec::new();
         for t in 0..n_sessions {
             let s = session(t as i64, fifo);
-            recs.push(Arc::clone(&s.rec));
+            recs.push(s.trace.clone());
             pool.insert(t as u64, s);
         }
         for t in 0..n_sessions {

@@ -7,11 +7,13 @@
 //! `diamond.chrome.json` and `diamond.hot.txt` are what the live sinks
 //! printed. The renderers replay the JSONL and must agree with them.
 
-use alphonse::trace::{Recorder, TraceSink};
+mod common;
+
 use alphonse::{NodeId, Runtime, Strategy, Var};
 use alphonse_trace_tools::json::Json;
 use alphonse_trace_tools::model::{Meta, Record, TraceFile};
 use alphonse_trace_tools::render::{self, graph_size};
+use common::Capture;
 use std::sync::Arc;
 
 fn golden(name: &str) -> String {
@@ -44,11 +46,11 @@ fn diamond(rt: &Runtime) -> Var<i64> {
 /// Records the diamond live and returns the runtime with its parsed trace.
 fn recorded_diamond() -> (Runtime, TraceFile) {
     let rt = Runtime::new();
-    let rec = Arc::new(Recorder::new(4096));
-    rt.set_sink(Some(rec.clone() as Arc<dyn TraceSink>));
+    let trace = Capture::new();
+    rt.set_sink(Some(trace.sink()));
     diamond(&rt);
     rt.set_sink(None);
-    let tf = TraceFile::parse(&rec.to_jsonl()).unwrap();
+    let tf = TraceFile::parse(&trace.text()).unwrap();
     (rt, tf)
 }
 
@@ -58,8 +60,6 @@ fn synthetic(events: Vec<(u64, alphonse::trace::TraceEvent)>) -> TraceFile {
         meta: Meta {
             format: alphonse::trace::JSONL_FORMAT.into(),
             version: alphonse::trace::JSONL_VERSION.into(),
-            dropped: 0,
-            capacity: None,
         },
         records: events
             .into_iter()
@@ -529,8 +529,8 @@ fn pooled_level_pairs_each_end_with_its_own_begin() {
     use std::time::{Duration, Instant};
     let rt = Runtime::new();
     rt.set_parallelism(2);
-    let rec = Arc::new(Recorder::new(1 << 14));
-    rt.set_sink(Some(rec.clone() as Arc<dyn TraceSink>));
+    let trace = Capture::new();
+    rt.set_sink(Some(trace.sink()));
     let armed = Arc::new(AtomicBool::new(false));
     let arrived = Arc::new(AtomicUsize::new(0));
     let vars: Vec<Var<i64>> = (0..8).map(|i| rt.var(i as i64)).collect();
@@ -567,7 +567,7 @@ fn pooled_level_pairs_each_end_with_its_own_begin() {
     rt.set_sink(None);
     assert!(rt.stats().parallel_executions > 0, "the level ran pooled");
 
-    let tf = TraceFile::parse(&rec.to_jsonl()).unwrap();
+    let tf = TraceFile::parse(&trace.text()).unwrap();
     let wave = TraceFile {
         meta: tf.meta.clone(),
         records: tf

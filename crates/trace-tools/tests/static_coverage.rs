@@ -14,32 +14,18 @@
 //!   one — any dynamic edge without static cover is a soundness bug in
 //!   the abstract interpretation.
 
-use alphonse::trace::JsonlSink;
+mod common;
+
 use alphonse::Runtime;
 use alphonse_lang::hir::Ty;
 use alphonse_lang::{compile, depgraph, effects, Interp, Val};
 use alphonse_trace_tools::model::TraceFile;
 use alphonse_trace_tools::staticgraph::{self, StaticGraphFile};
+use common::Capture;
 use proptest::prelude::*;
 use std::fs;
-use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-/// An `io::Write` that appends into a shared buffer, so the trace written
-/// by the sink (which owns its writer) can be read back afterwards.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
+use std::sync::Arc;
 
 /// Executes `source` under a JSONL trace with a generic mutator script:
 /// call every all-INTEGER-parameter procedure, try every zero-argument
@@ -58,11 +44,9 @@ fn drive(source: &str) -> (TraceFile, StaticGraphFile) {
     let graph_json = depgraph::build(&program, &table).to_json(&program, "test.alf");
     let graph = StaticGraphFile::parse(&graph_json).expect("graph round-trips");
 
-    let buf = SharedBuf::default();
+    let capture = Capture::new();
     let rt = Runtime::new();
-    rt.set_sink(Some(Arc::new(
-        JsonlSink::new(buf.clone()).expect("sink writes"),
-    )));
+    rt.set_sink(Some(capture.sink()));
     let interp = Interp::with_runtime(Arc::clone(&program), rt).expect("interp builds");
     // Deliberately-divergent fixtures (W05) must fail fast, not hang.
     interp.set_fuel(200_000);
@@ -122,10 +106,9 @@ fn drive(source: &str) -> (TraceFile, StaticGraphFile) {
             }
         }
     }
-    drop(interp); // flushes the sink
+    drop(interp);
 
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).expect("utf8 trace");
-    let trace = TraceFile::parse(&text).expect("trace parses");
+    let trace = TraceFile::parse(&capture.text()).expect("trace parses");
     (trace, graph)
 }
 

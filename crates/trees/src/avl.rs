@@ -396,9 +396,9 @@ mod tests {
         // The final per-insert rebalance touches O(log n) instances, not
         // O(n): measure the last one.
         avl.insert(1000);
-        rt.reset_stats();
+        let before = rt.stats();
         avl.rebalance();
-        let d = rt.stats();
+        let d = rt.stats().delta_since(&before);
         assert!(
             d.executions <= 64,
             "single-insert rebalance re-ran {} instances",
