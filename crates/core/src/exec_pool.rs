@@ -10,18 +10,32 @@
 //! module's one seam, [`Runtime::run_level`], which supplies the threads.
 //!
 //! A level is executed by *claiming*. The driver books the level's
-//! executions into `Inner::level`; every executing thread then runs the
-//! same claim loop (`Runtime::run_claims`): take the next index from the
-//! level's atomic claim counter, swap frames under one runtime-lock
-//! acquisition (pop the finished execution's frame and compare its value,
-//! push the claimed one's), run the executor, repeat until the index
-//! passes the level's width. The driver claims beside
-//! `min(n, width) − 1` helpers, each fed one *ticket* through the pool
-//! queue; with none (`set_parallelism` 0 or 1, or a level of one
-//! execution) it runs the level alone and no pool is built. Either way
-//! the driver commits the results in batch order after the level. The
-//! level's shared block is reused, so a steady-state level allocates
-//! nothing of its own.
+//! executions into `Core::level`; every executing thread then runs the
+//! same claim loop (`Runtime::run_claims`): take the next execution, swap
+//! frames under one runtime-lock acquisition (pop the finished
+//! execution's frame and compare its value, push the claimed one's), run
+//! the executor, repeat until the level's executions are used up. The
+//! driver claims beside `min(n, width) − 1` helpers, each fed one *ticket*
+//! through the pool queue; with none (`set_parallelism` 0 or 1, or a level
+//! of one execution) it runs the level alone under its exclusive guard and
+//! no pool is built. With helpers the bookings move into the pool's
+//! [`Level`] block for the level: one lock per execution, so claimants
+//! take and finish theirs without the runtime lock, an atomic claim index
+//! and the barrier. Either way the driver commits the results in batch
+//! order after the level, under exclusive access. The block is reused, so
+//! a steady-state level allocates nothing of its own.
+//!
+//! In a pooled level every claimant — the driver too — runs under
+//! **shared** access to the runtime state, and writes only what belongs
+//! to its own thread: the frames, spare logs and tallies of its thread
+//! slot (`Inner::slots`), its node's on-stack bit, and its level
+//! booking. Reads, cache hits, frame pushes and the pop of a
+//! re-execution that read what its previous run read (no edge changes)
+//! all stay shared. What changes shared state escalates: the claimant
+//! drops its shared access and takes exclusive access, which blocks until
+//! the other claimants' short sections end — a pop whose edges change, a
+//! memo miss, a write, a node allocation, a read that merges partitions, a
+//! call to a node with an execution booked or running.
 //!
 //! The barrier counts executions, not threads: the driver waits until every
 //! *claimed* execution has reported (a `Mutex` + `Condvar` pending count).
@@ -39,13 +53,11 @@
 //! * Each worker stamps a thread-local identity `(pool id, slot)` at
 //!   startup, where worker `k` has slot `k + 1` (slot 0 is every thread
 //!   outside the pool, the driver included). The runtime routes execution
-//!   frames through this slot (`Inner::stacks`), giving every worker its
-//!   own call stack for dependence recording while all other node state
-//!   stays behind the runtime's single lock; the worker gauges use the same
-//!   slots.
+//!   frames through this slot, giving every worker its own call stack for
+//!   dependence recording; the worker gauges use the same slots.
 //!
 //! Panics: the claim loop catches a body's panic and leaves its outcome in
-//! the slot for the driver to roll back in batch order, so a level always
+//! the block for the driver to roll back in batch order, so a level always
 //! runs to completion. Only a fail-stop panic the runtime raises outside a
 //! body (a cycle found while a log is reconciled) unwinds out of a claim
 //! loop: a helper's drop guard then marks the level failed and wakes the
@@ -56,12 +68,13 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::metrics::RuntimeMetrics;
-use crate::runtime::Inner;
+use crate::runtime::{Guard, LevelSlot};
 use crate::Runtime;
+use alphonse_graph::NodeId;
 use alphonse_mem as mem;
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
@@ -92,6 +105,9 @@ pub(crate) struct ExecPool {
     /// The shared block of the current (or last) pooled level, re-armed in
     /// place for each level ([`ExecPool::arm`]).
     level: Arc<Level>,
+    /// A second block, for when a helper ticket of the last level still
+    /// holds the first as the next level is armed.
+    spare: Arc<Level>,
 }
 
 impl ExecPool {
@@ -143,7 +159,8 @@ impl ExecPool {
             workers,
             tx: Some(tx),
             handles,
-            level: Arc::new(Level::new(0)),
+            level: Arc::default(),
+            spare: Arc::default(),
         }
     }
 
@@ -157,18 +174,38 @@ impl ExecPool {
         self.workers
     }
 
-    /// Arms the level block for `width` executions and returns it. The
-    /// block is reset in place unless a ticket of an earlier level still
-    /// holds it (a helper that has not returned yet), so steady-state
-    /// levels allocate no block.
-    fn arm(&mut self, width: usize) -> Arc<Level> {
-        match Arc::get_mut(&mut self.level) {
-            Some(level) => *level = Level::new(width),
-            None => {
-                self.level = mem::with(mem::Tag::ExecPool, || Arc::new(Level::new(width)));
-            }
+    /// Moves the bookings of a level into a block for its claimants and
+    /// returns the block. Of the pool's two blocks it re-arms one no ticket
+    /// of an earlier level still holds (a helper that has not returned
+    /// yet), so steady-state levels allocate no block.
+    fn arm(&mut self, bookings: &mut Vec<LevelSlot>) -> Arc<Level> {
+        if Arc::get_mut(&mut self.level).is_none() {
+            std::mem::swap(&mut self.level, &mut self.spare);
         }
+        if Arc::get_mut(&mut self.level).is_none() {
+            self.level = mem::with(mem::Tag::ExecPool, Arc::default);
+        }
+        let level = Arc::get_mut(&mut self.level).expect("a block no ticket holds");
+        level.slots.clear();
+        level
+            .slots
+            .extend(bookings.drain(..).map(|slot| Claim(Mutex::new(slot))));
+        *level.next.get_mut() = 0;
+        *level
+            .barrier
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = Barrier {
+            pending: level.slots.len(),
+            failed: false,
+        };
         Arc::clone(&self.level)
+    }
+
+    /// Whether an execution of `n` is booked in the pool's current block
+    /// and not yet claimed.
+    pub(crate) fn is_booked(&self, n: NodeId) -> bool {
+        (0..self.level.width())
+            .any(|idx| matches!(&*self.level.slot(idx), LevelSlot::Booked(b) if b.node() == n))
     }
 
     /// Enqueues one ticket. Never blocks (the queue is unbounded); the
@@ -184,17 +221,24 @@ impl ExecPool {
     }
 }
 
-/// The shared block of one pooled level: the claim index every executing
-/// thread draws from, and the barrier the driver waits at. The booked
-/// executions themselves sit in `Inner::level`, where a claimant takes its
-/// job in the same lock acquisition that pushes its frame.
-struct Level {
-    width: usize,
+/// The shared block of one pooled level: its booked executions in batch
+/// order, each behind its own lock so a claimant takes and finishes its
+/// booking without the runtime lock, the claim index every executing
+/// thread draws from, and the barrier the driver waits at.
+#[derive(Default)]
+pub(crate) struct Level {
+    slots: Vec<Claim>,
     next: AtomicUsize,
     barrier: Mutex<Barrier>,
     all_in: Condvar,
 }
 
+/// The lock of one execution of a pooled level, aligned to its own cache
+/// lines: the claimants take and finish neighbouring executions at once.
+#[repr(align(128))]
+struct Claim(Mutex<LevelSlot>);
+
+#[derive(Default)]
 struct Barrier {
     /// Executions not yet reported finished.
     pending: usize,
@@ -211,16 +255,37 @@ struct Ticket {
 }
 
 impl Level {
-    fn new(width: usize) -> Level {
-        Level {
-            width,
-            next: AtomicUsize::new(0),
-            barrier: Mutex::new(Barrier {
-                pending: width,
-                failed: false,
-            }),
-            all_in: Condvar::new(),
-        }
+    /// Number of executions booked.
+    fn width(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The lock of execution `idx`. No body runs while one is held, so
+    /// only a fail-stop panic can poison it; it is entered anyway.
+    fn slot(&self, idx: usize) -> MutexGuard<'_, LevelSlot> {
+        self.slots[idx]
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the next execution: its index and what its slot held (the
+    /// booking), leaving it running. `None` once every execution is
+    /// claimed. The index is drawn relaxed: it only has to be unique, and
+    /// the booking it names is handed over under that index's own lock.
+    pub(crate) fn claim(&self) -> Option<(usize, LevelSlot)> {
+        let idx = self.next.fetch_add(1, Ordering::Relaxed);
+        (idx < self.width()).then(|| {
+            (
+                idx,
+                std::mem::replace(&mut *self.slot(idx), LevelSlot::Running),
+            )
+        })
+    }
+
+    /// Leaves the outcome of execution `idx` for the batch-order commit.
+    pub(crate) fn finish(&self, idx: usize, done: LevelSlot) {
+        *self.slot(idx) = done;
     }
 
     fn barrier(&self) -> MutexGuard<'_, Barrier> {
@@ -233,7 +298,7 @@ impl Level {
     fn help(&self, rt: &Runtime, slot: usize) {
         let _failed = FailOnUnwind(self);
         let t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        let (ran, guard) = rt.run_claims(None, &self.next, self.width);
+        let (ran, guard) = rt.run_claims(None, Some(self));
         // Released before reporting: once the barrier opens, the driver
         // relocks with contention treated as re-entrancy again.
         drop(guard);
@@ -289,29 +354,26 @@ impl Drop for ParWindow<'_> {
 }
 
 impl Runtime {
-    /// Executes the level booked in `Inner::level` on the driver plus
+    /// Executes the level booked in `Core::level` on the driver plus
     /// `min(parallelism, width) − 1` helpers from a pool of
     /// `parallelism − 1` threads (created lazily, rebuilt when the knob
-    /// changes size). Returns, holding the runtime lock again, once every
-    /// execution has reported, with each slot `Done` for the driver's
+    /// changes size). Returns, holding exclusive access again, once every
+    /// execution has reported, with each booking `Done` for the driver's
     /// batch-order commit.
     ///
-    /// The driver enters its claim loop with the guard it booked the level
-    /// under. With no helpers it runs the level alone and keeps the guard
-    /// of its last pop, so a level of `k` executions costs `k` lock
-    /// acquisitions and the pool is never built. Otherwise it releases
-    /// that guard to wait at the barrier, and while helpers run,
-    /// `par_active` makes lock contention block instead of tripping the
-    /// re-entrancy panic.
-    pub(crate) fn run_level<'a>(
-        &'a self,
-        mut guard: MutexGuard<'a, Inner>,
-    ) -> MutexGuard<'a, Inner> {
+    /// With no helpers the driver runs the level alone under the guard it
+    /// booked the level with, and keeps the guard of its last pop, so a
+    /// level of `k` executions costs `k` exclusive acquisitions and the
+    /// pool is never built. Otherwise it releases that guard and claims
+    /// beside the helpers under shared access, then waits at the barrier;
+    /// while the level runs, `par_active` makes exclusive contention block
+    /// instead of tripping the re-entrancy panic.
+    pub(crate) fn run_level<'a>(&'a self, mut guard: Guard<'a>) -> Guard<'a> {
         let inner = &mut *guard;
         let width = inner.level.len();
         let helpers = inner.parallelism.min(width).saturating_sub(1);
         if helpers == 0 {
-            let (_, guard) = self.run_claims(Some(guard), &AtomicUsize::new(0), width);
+            let (_, guard) = self.run_claims(Some(guard), None);
             return guard.expect("the driver claims holding its guard");
         }
         let pool_size = inner.parallelism - 1;
@@ -322,27 +384,29 @@ impl Runtime {
         {
             inner.exec_pool = Some(ExecPool::new(pool_size, Arc::clone(&self.metrics)));
         }
-        if inner.stacks.len() <= pool_size {
-            inner.stacks.resize_with(pool_size + 1, Vec::new);
+        if inner.slots.len() <= pool_size {
+            inner.slots.resize_with(pool_size + 1, Mutex::default);
         }
         inner.stats.parallel_levels += 1;
         inner.stats.parallel_executions += width as u64;
-        // Helpers may contend for the lock from here on: open the
-        // blocking-lock window before the first ticket can start (tickets
-        // are submitted below while the guard is still held, so no helper
-        // can observe the flag too early).
+        // Claimants run under shared access from here on, and exclusive
+        // contention blocks: open the window before the first ticket can
+        // start (tickets are submitted below while the guard is still
+        // held, so no helper can observe the flag too early).
         self.par_active.fetch_add(1, Ordering::Release);
         let window = ParWindow(&self.par_active);
         let level_t0 = crate::metrics::enabled().then(std::time::Instant::now);
+        let mut bookings = std::mem::take(&mut inner.level);
         let pool = inner.exec_pool.as_mut().expect("created above");
-        let level = pool.arm(width);
+        let level = pool.arm(&mut bookings);
         for _ in 0..helpers {
             pool.submit(Ticket {
                 rt: self.clone(),
                 level: Arc::clone(&level),
             });
         }
-        let (ran, guard) = self.run_claims(Some(guard), &level.next, width);
+        drop(guard);
+        let (ran, guard) = self.run_claims(None, Some(&level));
         drop(guard);
         let wait_t0 = level_t0.map(|_| std::time::Instant::now());
         let ok = level.wait(ran);
@@ -362,7 +426,13 @@ impl Runtime {
             ok,
             "a runtime check failed on a pool worker (see its panic message above)"
         );
-        self.lock()
+        let mut guard = self.lock();
+        bookings.extend(
+            (0..width).map(|idx| std::mem::replace(&mut *level.slot(idx), LevelSlot::Running)),
+        );
+        guard.level = bookings;
+        guard.gather_spare_logs();
+        guard
     }
 }
 
@@ -494,11 +564,14 @@ mod tests {
             m.visit(2);
             x + 1
         });
-        let mut pool = ExecPool::new(1, Arc::clone(&rt.metrics));
+        let pool = ExecPool::new(1, Arc::clone(&rt.metrics));
         let pool_id = pool.id();
-        // A width-1 level with nothing booked in `Inner::level`: the
-        // helper's claim indexes past the empty slot list and panics.
-        let broken = pool.arm(1);
+        // A width-1 level whose one execution is not booked: the helper's
+        // claim finds it already running and panics.
+        let mut level = Level::default();
+        level.slots.push(Claim(Mutex::new(LevelSlot::Running)));
+        level.barrier.get_mut().unwrap().pending = 1;
+        let broken = Arc::new(level);
         pool.submit(Ticket {
             rt: rt.clone(),
             level: Arc::clone(&broken),

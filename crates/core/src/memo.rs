@@ -8,7 +8,7 @@ use alphonse_mem as mem;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Bound required of memo argument vectors: they key the *argument table*
 /// of Section 4.2, so they must be hashable, comparable and clonable —
@@ -35,12 +35,17 @@ pub(crate) struct MemoInner<A, R> {
     f: Body<A, R>,
     /// The paper's *argument table* (Section 4.2): one dependency-graph node
     /// per distinct argument vector. FxHash-keyed: probed on every call.
-    /// Callers use a session from one thread at a time (the runtime's
-    /// fail-stop lock enforces it), so the lock is uncontended except
-    /// between the executor-pool threads of a parallel level; it is scoped
-    /// tightly in `settle` so body re-execution — which may recursively
-    /// call back into this memo — never holds it.
-    table: Mutex<Table<A>>,
+    /// A reader-writer lock: a probe — a bounded table's LRU stamp
+    /// included, the stamps and clock being atomics — is a shared read, so
+    /// the claimants of a pooled level probe side by side; only a miss
+    /// takes it exclusively, to insert the new instance. Callers use a
+    /// session from one thread at a time (the runtime's fail-stop lock
+    /// enforces it), so it is uncontended outside pooled levels. It is
+    /// scoped tightly in `settle` so body re-execution — which may
+    /// recursively call back into this memo — never holds it.
+    table: RwLock<Table<A>>,
+    /// The logical clock of a bounded table's LRU stamps.
+    clock: AtomicU64,
     /// Single-instance shortcut for zero-sized argument types: an inhabited
     /// ZST has exactly one value, so the argument table holds at most one
     /// entry. Its node is published here by the first call; every later
@@ -57,24 +62,22 @@ pub(crate) struct MemoInner<A, R> {
 /// The boxed body of an incremental procedure.
 type Body<A, R> = Box<dyn Fn(&Runtime, &Memo<A, R>, &A) -> R + Send + Sync>;
 
-/// The guarded argument-table state. An unbounded memo maps each argument
-/// vector to its instance node and nothing else; only a bounded one
-/// (`memo_bounded`) stamps its entries from a logical clock for LRU
-/// replacement, advanced under the same lock as the probe that uses it.
+/// The guarded argument-table state. An unbounded memo maps
+/// each argument vector to its instance node and nothing else; only a
+/// bounded one (`memo_bounded`) stamps its entries from the procedure's
+/// logical clock for LRU replacement, advanced by the probe that uses it.
+/// Stamps and clock are atomics, so a probe needs only shared access.
 enum Table<A> {
     Unbounded(FxHashMap<A, NodeId>),
-    Lru {
-        /// Instance node and last-use stamp per argument vector.
-        map: FxHashMap<A, (NodeId, u64)>,
-        clock: u64,
-    },
+    /// Instance node and last-use stamp per argument vector.
+    Lru(FxHashMap<A, (NodeId, AtomicU64)>),
 }
 
 impl<A> Table<A> {
     fn len(&self) -> usize {
         match self {
             Table::Unbounded(map) => map.len(),
-            Table::Lru { map, .. } => map.len(),
+            Table::Lru(map) => map.len(),
         }
     }
 }
@@ -84,34 +87,33 @@ impl<A: Eq + Hash> Table<A> {
     fn get(&self, args: &A) -> Option<NodeId> {
         match self {
             Table::Unbounded(map) => map.get(args).copied(),
-            Table::Lru { map, .. } => map.get(args).map(|&(node, _)| node),
+            Table::Lru(map) => map.get(args).map(|&(node, _)| node),
         }
     }
 
     /// The instance node for `args` as a call sees it: a bounded table
-    /// stamps the hit as most recently used.
-    fn probe(&mut self, args: &A) -> Option<NodeId> {
+    /// stamps the hit as most recently used on `clock`.
+    fn probe(&self, args: &A, clock: &AtomicU64) -> Option<NodeId> {
         match self {
             Table::Unbounded(map) => map.get(args).copied(),
-            Table::Lru { map, clock } => {
-                let (node, last_use) = map.get_mut(args)?;
-                *clock += 1;
-                *last_use = *clock;
+            Table::Lru(map) => {
+                let (node, last_use) = map.get(args)?;
+                last_use.store(clock.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
                 Some(*node)
             }
         }
     }
 
-    /// Enters a just-created instance, most recently used in a bounded
-    /// table.
-    fn insert(&mut self, args: A, node: NodeId) {
+    /// Enters a just-created instance, most recently used on `clock` in a
+    /// bounded table.
+    fn insert(&mut self, args: A, node: NodeId, clock: &AtomicU64) {
         match self {
             Table::Unbounded(map) => {
                 map.insert(args, node);
             }
-            Table::Lru { map, clock } => {
-                *clock += 1;
-                map.insert(args, (node, *clock));
+            Table::Lru(map) => {
+                let stamp = clock.fetch_add(1, Ordering::Relaxed) + 1;
+                map.insert(args, (node, AtomicU64::new(stamp)));
             }
         }
     }
@@ -154,24 +156,27 @@ impl<A, R> MemoInner<A, R> {
             rt_id,
             capacity,
             f,
-            table: Mutex::new(match capacity {
+            table: RwLock::new(match capacity {
                 None => Table::Unbounded(FxHashMap::default()),
-                Some(_) => Table::Lru {
-                    map: FxHashMap::default(),
-                    clock: 0,
-                },
+                Some(_) => Table::Lru(FxHashMap::default()),
             }),
+            clock: AtomicU64::new(0),
             single: OnceLock::new(),
             evictions: AtomicU64::new(0),
             height_hint: AtomicU32::new(0),
         }
     }
 
-    /// Locks the argument table. No body runs while it is held, so only a
-    /// fail-stop runtime panic can poison it; a poisoned lock is entered
-    /// anyway, as the runtime's own lock is.
-    fn table(&self) -> MutexGuard<'_, Table<A>> {
-        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Shared access to the argument table. No body runs while it is
+    /// held, so only a fail-stop runtime panic can poison it; a poisoned
+    /// lock is entered anyway, as the runtime's own lock is.
+    fn table(&self) -> RwLockReadGuard<'_, Table<A>> {
+        self.table.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the argument table, to insert an instance.
+    fn table_mut(&self) -> RwLockWriteGuard<'_, Table<A>> {
+        self.table.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -382,25 +387,38 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
                 return (node, None);
             }
         }
+        // A call from a closure run under the runtime's lock fails stop
+        // here, before it could wait for the table behind a miss that waits
+        // for that lock.
+        rt.assert_unlocked();
         let mut begun = None;
-        let node = {
-            let mut table = self.inner.table();
-            match table.probe(&args) {
-                Some(node) => node,
-                None => {
-                    let _mem = mem::scope(mem::Tag::Memo);
-                    let executor: Executor = Arc::new(MemoInstance {
-                        memo: self.clone(),
-                        args: args.clone(),
-                    });
-                    let (n, executor, my_gen) = rt.alloc_comp_begun(
-                        self.inner.strategy,
-                        executor,
-                        self.inner.height_hint.load(Ordering::Relaxed),
-                    );
-                    begun = Some((executor, my_gen));
-                    table.insert(args, n);
-                    n
+        // Claimants of a pooled level probe under shared access first;
+        // elsewhere one thread calls, and exclusive access costs the same.
+        let clock = &self.inner.clock;
+        let probed = (rt.pooled()).then(|| self.inner.table().probe(&args, clock));
+        let node = match probed.flatten() {
+            Some(node) => node,
+            None => {
+                // A claimant that missed probes again: another may have
+                // created the instance since.
+                let mut table = self.inner.table_mut();
+                match table.probe(&args, clock) {
+                    Some(node) => node,
+                    None => {
+                        let _mem = mem::scope(mem::Tag::Memo);
+                        let executor: Executor = Arc::new(MemoInstance {
+                            memo: self.clone(),
+                            args: args.clone(),
+                        });
+                        let (n, executor, my_gen) = rt.alloc_comp_begun(
+                            self.inner.strategy,
+                            executor,
+                            self.inner.height_hint.load(Ordering::Relaxed),
+                        );
+                        begun = Some((executor, my_gen));
+                        table.insert(args, n, clock);
+                        n
+                    }
                 }
             }
         };
@@ -476,18 +494,20 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         let Some(capacity) = self.inner.capacity else {
             return;
         };
+        // One slot stays free for the instance just created: with at most
+        // `capacity - 1` others nothing can be over.
         let table = self.inner.table();
-        let Table::Lru { map, .. } = &*table else {
+        let Table::Lru(map) = &*table else {
             unreachable!("a bounded memo keeps an LRU table");
         };
-        let entries: Vec<(u64, NodeId)> = map
-            .values()
-            .filter(|&&(node, _)| node != just_created)
-            .map(|&(node, last_use)| (last_use, node))
+        if map.len() <= capacity {
+            return;
+        }
+        let entries: Vec<(u64, NodeId)> = (map.values())
+            .filter(|(node, _)| *node != just_created)
+            .map(|(node, last_use)| (last_use.load(Ordering::Relaxed), *node))
             .collect();
         drop(table);
-        // One slot stays free for the instance about to be (or just)
-        // computed.
         let evicted = rt.evict_lru(entries, capacity - 1);
         self.inner
             .evictions

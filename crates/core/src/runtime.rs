@@ -16,7 +16,7 @@
 //! leaves the graph alone while it runs: each tracked access appends the
 //! node to the execution's frame log, and the lock acquisition that pops
 //! the frame reconciles the log with the retained edges
-//! (`Inner::reconcile`) — unchanged edges stay, stale ones go, new ones
+//! (`Core::reconcile`) — unchanged edges stay, stale ones go, new ones
 //! are added. The edge set is R(p) of the latest execution, as in the
 //! paper; a re-execution that reads what its previous run read costs no
 //! graph work. See DESIGN.md ("Retained dependence edges").
@@ -32,18 +32,29 @@
 //! argument vector), which also names it, so unlabeled instances take no
 //! side-table entry. See DESIGN.md ("Memory layout") for the full picture.
 
-use crate::fxhash::FxHashMap;
+use crate::exec_pool::Level;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::stats::Stats;
 use crate::trace::{DirtyReason, TraceEvent, TraceSink};
 use crate::value::Value;
 use alphonse_graph::{DepGraph, HeightQueue, NodeId, UnionFind};
 use alphonse_mem as mem;
+use std::cell::Cell;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// Id of the runtime whose lock the current thread holds, shared or
+    /// exclusive; 0 for none. A runtime operation entered while its own
+    /// runtime's lock is held — from a `Var::with` closure or a trace sink
+    /// — fails stop on it instead of deadlocking.
+    static HELD: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Delivers an event to the installed trace sink, if any.
 ///
@@ -75,10 +86,11 @@ pub(crate) trait Instance: Send + Sync {
 /// slot and the executions booked from it.
 pub(crate) type Executor = Arc<dyn Instance>;
 
-/// An execution booked by [`Inner::exec_book`]: its executor and
-/// generation, and the call frame the executing thread pushes.
+/// An execution booked by [`Inner::exec_book`]: its generation and the
+/// call frame the executing thread pushes. That thread fetches the
+/// executor itself ([`Runtime::push_frame`]), so a pooled level's driver never
+/// touches the instance objects its claimants run.
 pub(crate) struct Booking {
-    executor: Executor,
     my_gen: u64,
     frame: Frame,
 }
@@ -86,6 +98,13 @@ pub(crate) struct Booking {
 /// What running an executor's body produced: its value, or the payload of
 /// the panic that unwound out of it.
 pub(crate) type Outcome = std::thread::Result<Box<dyn Value>>;
+
+impl Booking {
+    /// The node the execution is booked for.
+    pub(crate) fn node(&self) -> NodeId {
+        self.frame.node
+    }
+}
 
 /// One execution of a level, as the claim loop moves it along.
 pub(crate) enum LevelSlot {
@@ -95,9 +114,13 @@ pub(crate) enum LevelSlot {
     Running,
     /// Finished: the execution's generation, its outcome awaiting the
     /// driver's in-order commit, and whether its value differs from the
-    /// cached one.
-    Done(u64, Outcome, bool),
+    /// cached one. A panic payload is `Send` but not `Sync`; it waits
+    /// behind a lock, so the runtime state stays `Sync`.
+    Done(u64, Result<Box<dyn Value>, Mutex<Panic>>, bool),
 }
+
+/// The payload of a panic that unwound out of a body.
+pub(crate) type Panic = Box<dyn std::any::Any + Send>;
 
 /// Evaluation strategy of an incremental procedure (paper Section 3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,7 +145,7 @@ pub enum NodeKind {
     Computation,
 }
 
-// Packed per-node flag bits, one byte per node in `Inner::flags`. The
+// Packed per-node flag bits, one byte per node in `Core::flags`. The
 // evaluator's decision per dirty node ("location or computation? demand or
 // eager? consistent? mid-execution?") reads exactly one byte instead of
 // walking an `Option<CompState>` indirection.
@@ -141,10 +164,10 @@ const F_REQUEUE: u8 = 1 << 3;
 /// re-entrant execution (the paper's AVL `balance`, Section 7.3) leaves the
 /// bit to its outermost frame ([`Frame::reentrant`]).
 const F_ON_STACK: u8 = 1 << 4;
-/// Scratch mark of log deduplication and reconciliation: set on the nodes
-/// of one dependence log and cleared again within the same lock hold, so
-/// the frames of a pooled level, which share the flag bytes, never see
-/// each other's marks.
+/// Scratch mark of reconciliation: set on the nodes of one dependence log
+/// and cleared again within the same exclusive lock hold. Logs are
+/// deduplicated without it ([`dedup_private`]), so the claimants of a
+/// pooled level, which share the flag bytes, never set it.
 const F_MARK: u8 = 1 << 5;
 /// The node is queued in an inconsistent set (Section 4.4): the set's
 /// membership, kept in the node's own flag byte so a repeated dirtying
@@ -157,6 +180,20 @@ const F_QUEUED: u8 = 1 << 6;
 /// within twice its distinct entries at amortized O(1) per access.
 const LOG_COMPACT_MIN: usize = 32;
 
+/// Logs at most this long are deduplicated and compared by linear scans;
+/// longer ones through the slot's hash set ([`dedup_private`]).
+const SHORT_LOG: usize = 8;
+
+/// How an operation that may run under shared access compacts a
+/// dependence log: with the [`F_MARK`] bits of the flag bytes under
+/// exclusive access ([`dedup_marked`]), privately under shared access
+/// ([`dedup_private`]), where the claimants share the flag bytes.
+#[derive(Clone, Copy)]
+enum Dedup<'a> {
+    Marks(&'a [AtomicU8]),
+    Private,
+}
+
 /// Buffered batch writes: one `(location, final value)` entry per distinct
 /// written location, in first-write order.
 pub(crate) type PendingWrites = Vec<(NodeId, Box<dyn Value>)>;
@@ -168,8 +205,9 @@ pub(crate) struct Frame {
     /// entry is dropped at once; other repeats stay until the log is
     /// compacted ([`LOG_COMPACT_MIN`]) or reconciled. The frame pop
     /// reconciles the log with the node's retained predecessor edges
-    /// ([`Inner::reconcile`]); the buffer then returns to
-    /// `Inner::spare_logs`, so starting a frame allocates nothing.
+    /// ([`Core::reconcile`]); the buffer then returns to the popping
+    /// thread's [`Slot::spare_logs`], so starting a frame allocates
+    /// nothing.
     log: Vec<NodeId>,
     /// Length of `log` after its last compaction: the log is compacted
     /// again when it has doubled past it.
@@ -200,7 +238,62 @@ enum DirtyStore {
     },
 }
 
+/// The runtime state behind [`Runtime`]'s lock: the shared [`Core`] and
+/// one [`Slot`] per thread slot. Under shared access a thread reads the
+/// core and locks only its own slot, which no other thread touches; under
+/// exclusive access it reaches every slot with `get_mut`, with no extra
+/// lock ([`Inner::split`]).
 pub(crate) struct Inner {
+    core: Core,
+    /// The thread slots ([`Core::slot`]): slot 0 for every thread outside
+    /// this runtime's executor pool, slot `k + 1` for pool worker `k` —
+    /// the numbering of the worker gauges. Worker slots hold no frames
+    /// between levels.
+    pub(crate) slots: Vec<Mutex<Slot>>,
+}
+
+impl Deref for Inner {
+    type Target = Core;
+    fn deref(&self) -> &Core {
+        &self.core
+    }
+}
+
+impl DerefMut for Inner {
+    fn deref_mut(&mut self) -> &mut Core {
+        &mut self.core
+    }
+}
+
+/// What one thread slot owns: its call stack (dependence recording targets
+/// the innermost frame of the recording thread's slot, so concurrent
+/// claimants never see each other's frames), the emptied logs its pops
+/// return, the tallies of the operations that may run under shared access,
+/// and a scratch set for private log deduplication. Aligned to its own
+/// cache lines, so two claimants' slots never share one.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct Slot {
+    stack: Vec<Frame>,
+    /// Emptied dependence logs of popped frames, handed to the next
+    /// bookings so steady-state executions log into warm buffers. A
+    /// pooled level returns the helpers' logs to slot 0, which books.
+    spare_logs: Vec<Vec<NodeId>>,
+    stats: Stats,
+    seen: FxHashSet<NodeId>,
+}
+
+/// The slot behind `m`, reached under exclusive access. A poisoned slot
+/// is entered anyway, as the runtime lock is: only a fail-stop panic or a
+/// `Var::with` closure, which runs once its read is logged, can unwind
+/// while a slot is locked.
+fn slot_mut(m: &mut Mutex<Slot>) -> &mut Slot {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The shared runtime state: the graph, the node columns, the dirty sets
+/// and everything else but the thread slots.
+pub(crate) struct Core {
     graph: DepGraph,
     // ------------------------------------------------------------------
     // Hot struct-of-arrays node state, all indexed by `NodeId::index()`.
@@ -208,8 +301,10 @@ pub(crate) struct Inner {
     // ------------------------------------------------------------------
     /// Dense value slab: the cached value of each location / computation.
     values: Vec<Option<Box<dyn Value>>>,
-    /// Packed per-node flag bits (`F_*` constants above).
-    flags: Vec<u8>,
+    /// Packed per-node flag bits (`F_*` constants above). Atomic bytes, so
+    /// a pooled level's pop clears its node's on-stack bit under shared
+    /// access; exclusive code reaches them with `get_mut`.
+    flags: Vec<AtomicU8>,
     /// Generation stamp of the most recently *started* execution of each
     /// computation node. An execution only commits its value to the cache
     /// if it is still the latest when it finishes; superseded (outer,
@@ -228,18 +323,6 @@ pub(crate) struct Inner {
     /// Explicit diagnostic labels (`var_named`, `set_label`). An unlabeled
     /// computation is named by its executor's procedure instead.
     names: FxHashMap<u32, Arc<str>>,
-    /// The call stacks, one per thread slot ([`Inner::slot`]): slot 0 for
-    /// every thread outside this runtime's executor pool, slot `k + 1` for
-    /// pool worker `k` — the numbering of the worker gauges. Level-parallel
-    /// draining gives each concurrently running executor its own frame
-    /// stack (dependence recording targets the innermost frame of the
-    /// recording thread's slot), while everything else (values, flags, the
-    /// graph) stays shared behind the runtime lock. Worker slots are empty
-    /// between levels.
-    pub(crate) stacks: Vec<Vec<Frame>>,
-    /// Emptied dependence logs of popped frames, handed to the next
-    /// bookings so steady-state executions log into warm buffers.
-    spare_logs: Vec<Vec<NodeId>>,
     /// The `set_parallelism` knob: `0` or `1` = the driver runs each level
     /// alone (default `0`), `n >= 2` = a level of `w` executions runs on
     /// `min(n, w)` threads, the driver plus helpers of an `n − 1`-worker
@@ -249,9 +332,13 @@ pub(crate) struct Inner {
     /// (first level with helpers). Rebuilt if the knob
     /// changes size.
     pub(crate) exec_pool: Option<crate::exec_pool::ExecPool>,
-    /// The executions of the level being drained, indexed by claim
-    /// order (= batch order). Empty between levels; capacity is kept.
+    /// The executions of the level being drained, indexed by claim order
+    /// (= batch order). A pooled level moves them into its shared
+    /// [`Level`] block while it runs, and back for the commit. Empty
+    /// between levels; capacity is kept.
     pub(crate) level: Vec<LevelSlot>,
+    /// A level is booked and not yet committed.
+    level_open: bool,
     /// Slot-0 stack depth when the open level started. Frames below
     /// it belong to callers suspended until the level finishes.
     level_base: usize,
@@ -280,6 +367,8 @@ pub(crate) struct Inner {
     /// Installed trace sink ([`crate::trace`]). `None` — the default — keeps
     /// every emission site down to one untaken branch.
     sink: Option<Arc<dyn TraceSink>>,
+    /// Tallies of the operations that only run under exclusive access;
+    /// the rest go to the thread slots ([`Slot::stats`]).
     pub(crate) stats: Stats,
 }
 
@@ -349,30 +438,32 @@ impl RuntimeBuilder {
             DirtyStore::Global(HeightQueue::new())
         };
         Runtime {
-            inner: Arc::new(Mutex::new(Inner {
-                graph: DepGraph::new(),
-                values: Vec::new(),
-                flags: Vec::new(),
-                gens: Vec::new(),
-                executors: Vec::new(),
-                names: FxHashMap::default(),
-                stacks: vec![Vec::new()],
-                spare_logs: Vec::new(),
-                parallelism: 0,
-                exec_pool: None,
-                level: Vec::new(),
-                level_base: 0,
-                dirty,
-                scheduling: self.scheduling,
-                fifo_clock: 0,
-                evaluating: false,
-                exec_gen: 0,
-                succ_scratch: Vec::new(),
-                level_scratch: Vec::new(),
-                batch_pending: Vec::new(),
-                batch_slots: Vec::new(),
-                sink: crate::trace::default_sink(),
-                stats: Stats::default(),
+            inner: Arc::new(RwLock::new(Inner {
+                core: Core {
+                    graph: DepGraph::new(),
+                    values: Vec::new(),
+                    flags: Vec::new(),
+                    gens: Vec::new(),
+                    executors: Vec::new(),
+                    names: FxHashMap::default(),
+                    parallelism: 0,
+                    exec_pool: None,
+                    level: Vec::new(),
+                    level_open: false,
+                    level_base: 0,
+                    dirty,
+                    scheduling: self.scheduling,
+                    fifo_clock: 0,
+                    evaluating: false,
+                    exec_gen: 0,
+                    succ_scratch: Vec::new(),
+                    level_scratch: Vec::new(),
+                    batch_pending: Vec::new(),
+                    batch_slots: Vec::new(),
+                    sink: crate::trace::default_sink(),
+                    stats: Stats::default(),
+                },
+                slots: vec![Mutex::default()],
             })),
             exec_depth: Arc::new(AtomicU32::new(0)),
             par_active: Arc::new(AtomicU32::new(0)),
@@ -397,10 +488,14 @@ impl RuntimeBuilder {
 /// fail-stop re-entrancy check as a sink calling back into the runtime.
 /// Threads *inside* one graph are the runtime's own business: with
 /// [`set_parallelism`](Runtime::set_parallelism) of 2 or more, the
-/// executions of one height level run on a worker pool beside the driver,
-/// and while such a level is active the internal lock blocks instead of
-/// failing (DESIGN.md, "Parallel waves"). Cross-session parallelism needs
-/// no such machinery because independent runtimes share nothing.
+/// executions of one height level run on a worker pool beside the driver.
+/// The internal lock is a reader-writer lock: while such a level is
+/// active its claimants read, hit the cache, push and pop frames under
+/// *shared* access, each writing only its own thread slot, and take
+/// exclusive access — which then blocks instead of failing — only for
+/// what changes shared state (DESIGN.md, "Parallel waves"). Cross-session
+/// parallelism needs no such machinery because independent runtimes share
+/// nothing.
 ///
 /// # Example
 ///
@@ -432,21 +527,23 @@ impl RuntimeBuilder {
 /// detected, and so is re-entrant use from a closure run under its lock.
 #[derive(Clone)]
 pub struct Runtime {
-    pub(crate) inner: Arc<Mutex<Inner>>,
-    /// Incremental call-stack depth, shadowed outside the lock so
-    /// [`Runtime::in_tracked_context`] — the gate embedded hosts consult on
-    /// *every* untracked location read (Section 6.1) — costs one atomic
-    /// load instead of a lock round-trip. Updated only while the lock is
-    /// held (at frame push/pop), and callers use a runtime from one thread
-    /// at a time (the fail-stop lock enforces it, though the type is
-    /// `Sync`), so a relaxed load observes the calling thread's latest
-    /// update.
+    pub(crate) inner: Arc<RwLock<Inner>>,
+    /// Incremental call-stack depth outside pooled levels, shadowed
+    /// outside the lock so [`Runtime::in_tracked_context`] — the gate
+    /// embedded hosts consult on *every* untracked location read (Section
+    /// 6.1) — costs one atomic load instead of a lock round-trip. Updated
+    /// only under exclusive access (at frame push/pop), and callers use a
+    /// runtime from one thread at a time (the fail-stop lock enforces it,
+    /// though the type is `Sync`), so a relaxed load observes the calling
+    /// thread's latest update. Frames of a pooled level leave it alone:
+    /// every thread running there is inside a body.
     exec_depth: Arc<AtomicU32>,
-    /// Nonzero while a level of executors is running on the worker pool.
-    /// [`Runtime::lock`] consults it on contention: during a parallel level
-    /// the lock is legitimately shared between the driver and the workers,
-    /// so contention means *wait*; at any other time it means *re-entrancy
-    /// bug*, and the fail-stop panic is kept.
+    /// Nonzero while a level of executors is running on the worker pool
+    /// ([`Runtime::pooled`]). Runtime operations then run under shared
+    /// access where they can, and [`Runtime::lock`] consults it on
+    /// contention: during a pooled level exclusive access legitimately
+    /// waits for the claimants, so contention means *wait*; at any other
+    /// time it means *re-entrancy bug*, and the fail-stop panic is kept.
     pub(crate) par_active: Arc<AtomicU32>,
     /// Lock-free telemetry registry ([`crate::metrics`]): wave/level
     /// histograms and worker gauges, recorded outside the runtime lock.
@@ -472,12 +569,116 @@ impl Default for Runtime {
     }
 }
 
-impl Inner {
+/// The fail-stop message of a runtime operation entered while its
+/// runtime's lock is held.
+const REENTERED: &str = "runtime re-entered while internally locked: closures run by Var::with \
+                         and trace sinks must not call back into runtime operations";
+
+/// Marks the current thread as holding one runtime's lock, shared or
+/// exclusive, for as long as it lives; restores the previous mark on drop,
+/// so a closure run under runtime A's lock may still use runtime B.
+struct Held(u64);
+
+impl Held {
+    /// Marks the thread as holding runtime `id`'s lock, failing stop if it
+    /// already does: waiting would deadlock on itself.
+    fn enter(id: u64) -> Held {
+        let prev = HELD.with(|h| h.replace(id));
+        if prev == id {
+            panic!("{REENTERED}")
+        }
+        Held(prev)
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        HELD.with(|h| h.set(self.0));
+    }
+}
+
+/// Exclusive access to the runtime state ([`Runtime::lock`]).
+pub(crate) struct Guard<'a> {
+    guard: RwLockWriteGuard<'a, Inner>,
+    /// Taken in pooled levels, where contention blocks.
+    _held: Option<Held>,
+}
+
+impl Deref for Guard<'_> {
+    type Target = Inner;
+    fn deref(&self) -> &Inner {
+        &self.guard
+    }
+}
+
+impl DerefMut for Guard<'_> {
+    fn deref_mut(&mut self) -> &mut Inner {
+        &mut self.guard
+    }
+}
+
+/// Shared access to the runtime state ([`Runtime::shared`]): the core is
+/// read, and only the current thread's own slot is written.
+pub(crate) struct SharedGuard<'a> {
+    guard: RwLockReadGuard<'a, Inner>,
+    _held: Held,
+    /// The acquisition is tallied in its thread's slot by the first
+    /// [`SharedGuard::with_slot`].
+    counted: Cell<bool>,
+}
+
+impl SharedGuard<'_> {
+    /// Runs `f` on the core and the current thread's slot, which only this
+    /// thread locks.
+    fn with_slot<R>(&self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
+        let inner = &*self.guard;
+        let mut slot = inner.slots[inner.core.slot()]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !self.counted.replace(true) {
+            slot.stats.shared_acquisitions += 1;
+        }
+        f(&inner.core, &mut slot)
+    }
+}
+
+/// The access a claimant holds between two executions of a level.
+enum Access<'a> {
+    Exclusive(Guard<'a>),
+    Shared(SharedGuard<'a>),
+}
+
+impl<'a> Access<'a> {
+    /// Runs `f` on the core and the current thread's slot.
+    fn with_slot<R>(&mut self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
+        match self {
+            Access::Exclusive(guard) => {
+                let (core, slot) = guard.split();
+                f(core, slot)
+            }
+            Access::Shared(shared) => shared.with_slot(f),
+        }
+    }
+}
+
+impl Core {
     fn dirty_len(&self) -> usize {
         match &self.dirty {
             DirtyStore::Global(q) => q.len(),
             DirtyStore::Partitioned { sets, .. } => sets.values().map(HeightQueue::len).sum(),
         }
+    }
+
+    /// The flag byte of node `i`.
+    #[inline]
+    fn flag(&self, i: usize) -> u8 {
+        self.flags[i].load(Ordering::Relaxed)
+    }
+
+    /// The flag byte of node `i`, under exclusive access.
+    #[inline]
+    fn flag_mut(&mut self, i: usize) -> &mut u8 {
+        self.flags[i].get_mut()
     }
 
     /// Pops the next level of at most `max` dirty nodes into `out` and
@@ -503,7 +704,7 @@ impl Inner {
             },
         }?;
         for &n in &out[start..] {
-            self.flags[n.index()] &= !F_QUEUED;
+            *self.flag_mut(n.index()) &= !F_QUEUED;
         }
         Some(if fifo { 0 } else { height })
     }
@@ -521,7 +722,7 @@ impl Inner {
         self.label_of(n).map_or("<unnamed>", |s| &**s)
     }
 
-    /// The stack slot of the current thread: `k + 1` on worker `k` of this
+    /// The thread slot of the current thread: `k + 1` on worker `k` of this
     /// runtime's executor pool (concurrent executors must not see each
     /// other's frames), 0 on every other thread — the propagation driver
     /// included. A runtime that never built a pool skips the thread-local
@@ -536,46 +737,13 @@ impl Inner {
         }
     }
 
-    /// The call stack of the current thread.
-    fn active_stack(&mut self) -> &mut Vec<Frame> {
-        let slot = self.slot();
-        &mut self.stacks[slot]
-    }
-
-    /// Whether an execution of `n` runs on another thread of a pooled
-    /// level: a frame of it sits on a stack other than the current
-    /// thread's, above the level's suspended callers on slot 0. A booked
-    /// but unclaimed level member has no frame yet, and frames on the
-    /// caller's own stack are Section 7.3 re-entrancy; neither counts.
-    fn executing_elsewhere(&self, n: NodeId) -> bool {
-        if self.flags[n.index()] & F_ON_STACK == 0 {
-            return false;
-        }
-        let own = self.slot();
-        (self.stacks.iter().enumerate()).any(|(slot, stack)| {
-            let base = if slot == 0 { self.level_base } else { 0 };
-            slot != own && stack[base..].iter().any(|f| f.node == n)
-        })
-    }
-
-    /// Marks every live frame of node `n` stale, on every stack. A stale
-    /// execution's result will be discarded (generation supersession), so
-    /// it must stop logging dependences.
-    fn mark_stale_frames(&mut self, n: NodeId) {
-        for frame in self.stacks.iter_mut().flatten() {
-            if frame.node == n {
-                frame.stale = true;
-            }
-        }
-    }
-
     /// Inserts `n` into the inconsistent set of its partition, keyed by its
     /// height or, under Fifo scheduling, by the insertion clock, unless it
     /// is already queued ([`F_QUEUED`]). `cause` is
     /// the predecessor that fanned dirt here ([`DirtyReason::Fanout`]),
     /// `None` when `n` itself originates the dirt.
     fn insert_dirty(&mut self, n: NodeId, reason: DirtyReason, cause: Option<NodeId>) {
-        let flags = &mut self.flags[n.index()];
+        let flags = self.flag_mut(n.index());
         if *flags & F_QUEUED != 0 {
             return;
         }
@@ -604,46 +772,30 @@ impl Inner {
         );
     }
 
-    /// Logs the dependence of the executing incremental procedure (the top
-    /// frame of this thread's stack) on `n` — paper Algorithm 3's
-    /// `CreateEdge` step, deferred: the edge itself is reconciled into the
-    /// graph when the frame pops. Returns `true` when the frame records
-    /// (the log holds `n`), `false` when no frame is executing, it is
-    /// stale or its recording is suppressed.
-    ///
-    /// With partitioning, the partitions of `n` and the reader merge here
-    /// (Section 6.3), at the read, so a nested call's pending-change check
-    /// sees the partition eager recording would have built.
-    fn record_dependence(&mut self, n: NodeId) -> bool {
-        let slot = self.slot();
-        let Some(frame) = self.stacks[slot].last_mut() else {
+    /// The read half of `access` (Algorithm 3), under shared or exclusive
+    /// access: tallies and emits the read of `n` and logs it in the
+    /// executing frame of `slot` ([`Slot::record`]). Returns the node of
+    /// the frame that recorded it.
+    fn access(&self, slot: &mut Slot, n: NodeId, dedup: Dedup<'_>) -> Option<NodeId> {
+        slot.stats.reads += 1;
+        emit!(self, TraceEvent::Read { node: n });
+        slot.record(n, dedup)
+    }
+
+    /// Whether logging a read of `n` in `slot`'s executing frame would
+    /// merge two partitions (Section 6.3) — a change of shared state that
+    /// needs exclusive access. Always `false` without partitioning.
+    fn merges(&self, slot: &Slot, n: NodeId) -> bool {
+        let DirtyStore::Partitioned { uf, .. } = &self.dirty else {
             return false;
         };
-        if frame.stale {
-            return false;
-        }
-        if frame.suppress > 0 {
-            self.stats.untracked_reads += 1;
-            return false;
-        }
-        if frame.log.last() == Some(&n) {
-            self.stats.dedup_hits += 1;
-            return true;
-        }
-        if frame.log.len() == frame.log.capacity() {
-            let _mem = mem::scope(mem::Tag::GraphCore);
-            frame.log.push(n);
-        } else {
-            frame.log.push(n);
-        }
-        if frame.log.len() >= LOG_COMPACT_MIN.max(2 * frame.compacted) {
-            self.stats.dedup_hits += dedup_marked(&mut frame.log, &mut self.flags);
-            for &u in &frame.log {
-                self.flags[u.index()] &= !F_MARK;
-            }
-            frame.compacted = frame.log.len();
-        }
-        let v = frame.node;
+        slot.recorder().is_some_and(|v| !uf.same_set(n, v))
+    }
+
+    /// With partitioning, merges the partitions of `n` and `v`, its reader
+    /// (Section 6.3), at the read, so a nested call's pending-change check
+    /// sees the partition eager recording would have built.
+    fn merge_partitions(&mut self, n: NodeId, v: NodeId) {
         if let DirtyStore::Partitioned { uf, sets } = &mut self.dirty {
             uf.ensure(n);
             uf.ensure(v);
@@ -653,7 +805,80 @@ impl Inner {
                 }
             }
         }
-        true
+    }
+
+    /// The value of location `n`.
+    fn location(&self, n: NodeId) -> &dyn Value {
+        let i = n.index();
+        debug_assert!(
+            self.flag(i) & F_COMP == 0,
+            "with_value on a computation node"
+        );
+        &**self.values[i]
+            .as_ref()
+            .expect("location always holds a value")
+    }
+
+    /// A location read under shared access: `Ok` with `f`'s result, or
+    /// `Err(f)` back when the read must merge partitions.
+    fn read_shared<R, F: FnOnce(&dyn Value) -> R>(
+        &self,
+        slot: &mut Slot,
+        n: NodeId,
+        f: F,
+    ) -> Result<R, F> {
+        if self.merges(slot, n) {
+            return Err(f);
+        }
+        self.access(slot, n, Dedup::Private);
+        Ok(f(self.location(n)))
+    }
+
+    /// The cache probe of a memo call, under shared or exclusive access:
+    /// on a hit — `n` consistent and holding a value — tallies and emits
+    /// it, logs the caller's dependence on `n` in `slot` and returns `f`'s
+    /// result on the cached value in place, with the node of the frame
+    /// that recorded it. `Err(f)` back on a miss: inconsistent, or
+    /// consistent but evicted.
+    fn probe<R, F: FnOnce(&dyn Value) -> R>(
+        &self,
+        slot: &mut Slot,
+        n: NodeId,
+        f: F,
+        dedup: Dedup<'_>,
+    ) -> Result<(R, Option<NodeId>), F> {
+        let i = n.index();
+        debug_assert!(self.flag(i) & F_COMP != 0, "computation node expected");
+        match &self.values[i] {
+            Some(v) if self.flag(i) & F_CONSISTENT != 0 => {
+                slot.stats.cache_hits += 1;
+                emit!(self, TraceEvent::CacheHit { node: n });
+                let recorder = slot.record(n, dedup);
+                Ok((f(&**v), recorder))
+            }
+            _ => Err(f),
+        }
+    }
+
+    /// A memo call's pre-call step under shared access: `Ok(Some(_))` on a
+    /// cache hit, `Ok(None)` on a miss the caller executes under exclusive
+    /// access. `Err(f)` back, with nothing tallied, when the call needs
+    /// exclusive access from the start: `n` has an execution booked or on
+    /// a stack (it may run on another claimant, or be this thread's own
+    /// first execution), or the hit would merge partitions.
+    fn precall_shared<R, F: FnOnce(&dyn Value) -> R>(
+        &self,
+        slot: &mut Slot,
+        n: NodeId,
+        f: F,
+    ) -> Result<Option<R>, F> {
+        debug_assert!(self.evaluating, "pooled levels run inside a wave");
+        if self.flag(n.index()) & F_ON_STACK != 0 || self.merges(slot, n) {
+            return Err(f);
+        }
+        slot.stats.calls += 1;
+        slot.stats.memo_probes += 1;
+        Ok((self.probe(slot, n, f, Dedup::Private).ok()).map(|(out, _)| out))
     }
 
     /// Reconciles the retained predecessor edges of `v` with `log`, what
@@ -664,13 +889,13 @@ impl Inner {
     /// Algorithm 3 records each access again), at no graph cost for the
     /// edges an execution reads again. `log` is left deduplicated.
     fn reconcile(&mut self, v: NodeId, log: &mut Vec<NodeId>) {
-        self.stats.dedup_hits += dedup_marked(log, &mut self.flags);
+        self.stats.dedup_hits += dedup_marked(log, &self.flags);
         // Every logged node is marked now; a retained edge from a marked
         // node consumes its mark, so the marks left over are the new edges.
         let flags = &mut self.flags;
         let sink = self.sink.clone();
         self.stats.edges_removed += self.graph.retain_preds(v, |u| {
-            let f = &mut flags[u.index()];
+            let f = flags[u.index()].get_mut();
             if *f & F_MARK != 0 {
                 *f &= !F_MARK;
                 return true;
@@ -681,11 +906,32 @@ impl Inner {
             false
         });
         for &u in log.iter() {
-            if self.flags[u.index()] & F_MARK != 0 {
-                self.flags[u.index()] &= !F_MARK;
+            let f = self.flag_mut(u.index());
+            if *f & F_MARK != 0 {
+                *f &= !F_MARK;
                 self.add_dependence(u, v);
             }
         }
+    }
+
+    /// Whether `log`, deduplicated, names exactly the retained predecessors
+    /// of `v`, so reconciling it would change no edge. A log longer than
+    /// [`SHORT_LOG`] is looked up in `seen`, which [`dedup_private`] left
+    /// holding its entries.
+    fn log_matches_preds(&self, v: NodeId, log: &[NodeId], seen: &FxHashSet<NodeId>) -> bool {
+        let mut preds = 0;
+        for u in self.graph.preds(v) {
+            let logged = if log.len() <= SHORT_LOG {
+                log.contains(&u)
+            } else {
+                seen.contains(&u)
+            };
+            if !logged {
+                return false;
+            }
+            preds += 1;
+        }
+        preds == log.len()
     }
 
     /// Adds the edge `u -> v`, raising heights, and fails stop on a
@@ -704,47 +950,6 @@ impl Inner {
         );
     }
 
-    /// Reconciles every live frame on this thread's stack with its log so
-    /// far. Run before an evaluation starts under executing procedures (a
-    /// memo call that finds pending changes, `propagate` from a body), so
-    /// the nested propagation sees the graph eager recording would have
-    /// built — including the removal of last run's edges this run has not
-    /// read yet.
-    fn reconcile_live(&mut self) {
-        let slot = self.slot();
-        let mut stack = std::mem::take(&mut self.stacks[slot]);
-        for frame in stack.iter_mut().filter(|f| !f.stale) {
-            self.reconcile(frame.node, &mut frame.log);
-            frame.compacted = frame.log.len();
-        }
-        self.stacks[slot] = stack;
-    }
-
-    /// Whether a changed write to location `x` must queue it: some
-    /// computation depends on `x` in the graph eager recording would have
-    /// built. While executions are live, their nodes' retained edges
-    /// stand for their previous runs, so for those nodes the live frame's
-    /// log decides instead.
-    fn has_readers(&self, x: NodeId) -> bool {
-        let live = || {
-            let booked = self.level.iter().filter_map(|slot| match slot {
-                LevelSlot::Booked(booking) => Some(&booking.frame),
-                _ => None,
-            });
-            (self.stacks.iter().flatten())
-                .chain(booked)
-                .filter(|f| !f.stale)
-        };
-        if live().next().is_none() {
-            return self.graph.has_succs(x);
-        }
-        live().any(|f| f.log.contains(&x))
-            || self
-                .graph
-                .succs(x)
-                .any(|y| self.flags[y.index()] & F_ON_STACK == 0 || !live().any(|f| f.node == y))
-    }
-
     /// Marks every successor of `u` dirty — the fan-out step of the
     /// Section 4.5 marking rule. Successors are staged through the
     /// runtime-owned scratch buffer (the graph borrow must end before
@@ -761,6 +966,230 @@ impl Inner {
         self.succ_scratch = scratch;
     }
 
+    /// Appends one node to every SoA column (and the side tables it needs).
+    fn alloc_node(
+        &mut self,
+        value: Option<Box<dyn Value>>,
+        comp: Option<(Strategy, Executor)>,
+    ) -> NodeId {
+        let n = self.graph.add_node();
+        debug_assert_eq!(n.index(), self.values.len());
+        let kind = if comp.is_some() {
+            NodeKind::Computation
+        } else {
+            NodeKind::Location
+        };
+        let flags = match &comp {
+            None => 0,
+            Some((Strategy::Demand, _)) => F_COMP,
+            Some((Strategy::Eager, _)) => F_COMP | F_EAGER,
+        };
+        // SoA column growth is graph-core memory; the boxed value itself
+        // was billed to ValueSlab at the caller's `Box::new`.
+        let _mem = mem::scope(mem::Tag::GraphCore);
+        self.values.push(value);
+        self.flags.push(AtomicU8::new(flags));
+        self.gens.push(0);
+        self.executors.push(comp.map(|(_, executor)| executor));
+        if let DirtyStore::Partitioned { uf, .. } = &mut self.dirty {
+            uf.ensure(n);
+        }
+        self.stats.nodes_created += 1;
+        emit!(
+            self,
+            TraceEvent::NodeCreated {
+                node: n,
+                kind,
+                label: self.label_of(n).cloned(),
+            }
+        );
+        n
+    }
+}
+
+impl Slot {
+    /// The node of the executing frame, if it records accesses: not stale
+    /// and not suppressed.
+    fn recorder(&self) -> Option<NodeId> {
+        match self.stack.last() {
+            Some(f) if !f.stale && f.suppress == 0 => Some(f.node),
+            _ => None,
+        }
+    }
+
+    /// Logs the dependence of the executing incremental procedure (the top
+    /// frame of this slot's stack) on `n` — paper Algorithm 3's
+    /// `CreateEdge` step, deferred: the edge itself is reconciled into the
+    /// graph when the frame pops. Returns the frame's node when it records
+    /// (the log holds `n`), `None` when no frame is executing, it is stale
+    /// or its recording is suppressed. Touches nothing but this slot and,
+    /// under exclusive access, the marks `dedup` names, so it runs under
+    /// shared access too.
+    fn record(&mut self, n: NodeId, dedup: Dedup<'_>) -> Option<NodeId> {
+        let Slot {
+            stack, stats, seen, ..
+        } = self;
+        let frame = stack.last_mut()?;
+        if frame.stale {
+            return None;
+        }
+        if frame.suppress > 0 {
+            stats.untracked_reads += 1;
+            return None;
+        }
+        if frame.log.last() == Some(&n) {
+            stats.dedup_hits += 1;
+            return Some(frame.node);
+        }
+        if frame.log.len() == frame.log.capacity() {
+            let _mem = mem::scope(mem::Tag::GraphCore);
+            frame.log.push(n);
+        } else {
+            frame.log.push(n);
+        }
+        if frame.log.len() >= LOG_COMPACT_MIN.max(2 * frame.compacted) {
+            stats.dedup_hits += match dedup {
+                Dedup::Marks(flags) => {
+                    let dropped = dedup_marked(&mut frame.log, flags);
+                    for &u in &frame.log {
+                        let f = &flags[u.index()];
+                        f.store(f.load(Ordering::Relaxed) & !F_MARK, Ordering::Relaxed);
+                    }
+                    dropped
+                }
+                Dedup::Private => dedup_private(&mut frame.log, seen),
+            };
+            frame.compacted = frame.log.len();
+        }
+        Some(frame.node)
+    }
+}
+
+impl Inner {
+    /// The shared core and the current thread's slot, under exclusive
+    /// access.
+    #[inline]
+    fn split(&mut self) -> (&mut Core, &mut Slot) {
+        let k = self.core.slot();
+        (&mut self.core, slot_mut(&mut self.slots[k]))
+    }
+
+    /// The current thread's slot, under exclusive access.
+    fn own_slot(&mut self) -> &mut Slot {
+        self.split().1
+    }
+
+    /// Hands the spare logs that a pooled level's helpers popped back to
+    /// slot 0, whose bookings reuse them.
+    pub(crate) fn gather_spare_logs(&mut self) {
+        let (first, rest) = self.slots.split_at_mut(1);
+        let spares = &mut slot_mut(&mut first[0]).spare_logs;
+        for slot in rest {
+            spares.append(&mut slot_mut(slot).spare_logs);
+        }
+    }
+
+    /// [`Stats::wasted_executions`] so far: the pops tally it in their
+    /// slots.
+    fn wasted_executions(&mut self) -> u64 {
+        (self.slots.iter_mut())
+            .map(|slot| slot_mut(slot).stats.wasted_executions)
+            .sum()
+    }
+
+    /// Every counter: the core's tally plus every slot's.
+    fn tally(&mut self) -> Stats {
+        let mut stats = self.core.stats;
+        for slot in &mut self.slots {
+            stats.merge(&slot_mut(slot).stats);
+        }
+        stats
+    }
+
+    /// Whether an execution of `n` runs on another thread of a pooled
+    /// level: a frame of it sits on a stack other than the current
+    /// thread's, above the level's suspended callers on slot 0. A booked
+    /// but unclaimed level member has no frame yet, and frames on the
+    /// caller's own stack are Section 7.3 re-entrancy; neither counts.
+    fn executing_elsewhere(&mut self, n: NodeId) -> bool {
+        if self.flag(n.index()) & F_ON_STACK == 0 {
+            return false;
+        }
+        let own = self.slot();
+        let base0 = self.level_base;
+        (self.slots.iter_mut().enumerate()).any(|(k, slot)| {
+            let base = if k == 0 { base0 } else { 0 };
+            k != own && slot_mut(slot).stack[base..].iter().any(|f| f.node == n)
+        })
+    }
+
+    /// Marks every live frame of node `n` stale, on every stack. A stale
+    /// execution's result will be discarded (generation supersession), so
+    /// it must stop logging dependences.
+    fn mark_stale_frames(&mut self, n: NodeId) {
+        for slot in &mut self.slots {
+            for frame in &mut slot_mut(slot).stack {
+                if frame.node == n {
+                    frame.stale = true;
+                }
+            }
+        }
+    }
+
+    /// Logs the current thread's executing frame's dependence on `n`
+    /// ([`Slot::record`]) and, with partitioning, merges their partitions
+    /// ([`Core::merge_partitions`]). Returns `true` when the frame records.
+    fn record_dependence(&mut self, n: NodeId) -> bool {
+        let (core, slot) = self.split();
+        let Some(v) = slot.record(n, Dedup::Marks(&core.flags)) else {
+            return false;
+        };
+        core.merge_partitions(n, v);
+        true
+    }
+
+    /// Reconciles every live frame on this thread's stack with its log so
+    /// far. Run before an evaluation starts under executing procedures (a
+    /// memo call that finds pending changes, `propagate` from a body), so
+    /// the nested propagation sees the graph eager recording would have
+    /// built — including the removal of last run's edges this run has not
+    /// read yet.
+    fn reconcile_live(&mut self) {
+        let (core, slot) = self.split();
+        for frame in slot.stack.iter_mut().filter(|f| !f.stale) {
+            core.reconcile(frame.node, &mut frame.log);
+            frame.compacted = frame.log.len();
+        }
+    }
+
+    /// Whether a changed write to location `x` must queue it: some
+    /// computation depends on `x` in the graph eager recording would have
+    /// built. While executions are live, their nodes' retained edges
+    /// stand for their previous runs, so for those nodes the live frame's
+    /// log decides instead.
+    fn has_readers(&mut self, x: NodeId) -> bool {
+        let Inner { core, slots } = self;
+        if !core.level_open && slot_mut(&mut slots[0]).stack.is_empty() {
+            return core.graph.has_succs(x);
+        }
+        fn frames(slots: &mut [Mutex<Slot>]) -> impl Iterator<Item = &Frame> {
+            (slots.iter_mut())
+                .flat_map(|s| slot_mut(s).stack.iter())
+                .filter(|f| !f.stale)
+        }
+        if frames(slots).any(|f| f.log.contains(&x)) {
+            return true;
+        }
+        let booked = |y: NodeId| {
+            (core.level.iter()).any(|slot| matches!(slot, LevelSlot::Booked(b) if b.node() == y))
+                || (core.exec_pool.as_ref()).is_some_and(|pool| pool.is_booked(y))
+        };
+        core.graph.succs(x).any(|y| {
+            core.flag(y.index()) & F_ON_STACK == 0
+                || !(frames(slots).any(|f| f.node == y) || booked(y))
+        })
+    }
+
     /// Stores `value` into location `n` — the shared tail of `modify`
     /// (Algorithm 4) used by both `raw_write` and batch commit: record the
     /// writer's dependence, compare against the stored value (the cutoff
@@ -769,7 +1198,7 @@ impl Inner {
     fn write_location(&mut self, n: NodeId, value: Box<dyn Value>) {
         let recorded = self.record_dependence(n);
         let i = n.index();
-        debug_assert!(self.flags[i] & F_COMP == 0, "write on a computation node");
+        debug_assert!(self.flag(i) & F_COMP == 0, "write on a computation node");
         let (changed, compared) = match &self.values[i] {
             Some(old) => (!old.dyn_eq(&*value), true),
             None => (true, false),
@@ -798,84 +1227,70 @@ impl Inner {
             }
         }
     }
-
-    /// Appends one node to every SoA column (and the side tables it needs).
-    fn alloc_node(
-        &mut self,
-        value: Option<Box<dyn Value>>,
-        comp: Option<(Strategy, Executor)>,
-    ) -> NodeId {
-        let n = self.graph.add_node();
-        debug_assert_eq!(n.index(), self.values.len());
-        let kind = if comp.is_some() {
-            NodeKind::Computation
-        } else {
-            NodeKind::Location
-        };
-        let flags = match &comp {
-            None => 0,
-            Some((Strategy::Demand, _)) => F_COMP,
-            Some((Strategy::Eager, _)) => F_COMP | F_EAGER,
-        };
-        // SoA column growth is graph-core memory; the boxed value itself
-        // was billed to ValueSlab at the caller's `Box::new`.
-        let _mem = mem::scope(mem::Tag::GraphCore);
-        self.values.push(value);
-        self.flags.push(flags);
-        self.gens.push(0);
-        self.executors.push(comp.map(|(_, executor)| executor));
-        if let DirtyStore::Partitioned { uf, .. } = &mut self.dirty {
-            uf.ensure(n);
-        }
-        self.stats.nodes_created += 1;
-        emit!(
-            self,
-            TraceEvent::NodeCreated {
-                node: n,
-                kind,
-                label: self.label_of(n).cloned(),
-            }
-        );
-        n
-    }
 }
 
 impl Runtime {
-    /// Acquires the internal state lock. It is tried first. Contention
-    /// while a level of executors runs on the worker pool (`par_active >
-    /// 0`) is legitimate — the driver and the helpers share the lock for
-    /// short frame, read and commit sections — so the call then blocks.
-    /// At any other time a session is used from one thread, so contention
-    /// means a runtime operation was re-entered — by a closure that runs
-    /// under the lock (a `Var::with` body, a trace sink) or by a second
-    /// thread misusing one session concurrently — and the call panics
-    /// (fail-stop) instead of deadlocking. A poisoned lock is entered
-    /// anyway: a panic raised while it was held came either from a closure
-    /// run under it (a `Var::with` body, rolled back with its execution
-    /// like any body panic) or from a fail-stop check.
+    /// Acquires exclusive access to the internal state. It is tried
+    /// first. Contention while a level of executors runs on the worker
+    /// pool ([`Runtime::pooled`]) is legitimate — the claimants hold shared
+    /// access for short read, probe and frame sections — so the call then
+    /// blocks. At any other time a session is used from one thread, so
+    /// contention means a runtime operation was re-entered — by a closure
+    /// that runs under the lock (a `Var::with` body, a trace sink) or by a
+    /// second thread misusing one session concurrently — and the call
+    /// panics (fail-stop) instead of deadlocking. A thread that already
+    /// holds this runtime's lock, shared or exclusive, fails stop the same
+    /// way whatever the level. A poisoned lock is entered anyway: a panic
+    /// raised while it was held came either from a closure run under it (a
+    /// `Var::with` body, rolled back with its execution like any body
+    /// panic) or from a fail-stop check.
     ///
     /// Every acquisition is tallied in [`Stats::lock_acquisitions`].
     #[inline]
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
-        let mut guard = match self.inner.try_lock() {
+    pub(crate) fn lock(&self) -> Guard<'_> {
+        // Outside pooled levels a re-entered lock is already contended.
+        let held = self.pooled().then(|| Held::enter(self.id));
+        let mut guard = match self.inner.try_write() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
             Err(TryLockError::WouldBlock) => {
-                // While a level of executors runs on the worker pool the
-                // lock is legitimately contended — the driver and every
-                // helper take it for short frame/commit/read sections — so
-                // block instead of treating contention as re-entrancy.
-                if self.par_active.load(Ordering::Acquire) == 0 {
-                    panic!(
-                        "runtime re-entered while internally locked: closures run by Var::with \
-                         and trace sinks must not call back into runtime operations"
-                    )
+                if !self.pooled() {
+                    panic!("{REENTERED}")
                 }
-                self.inner.lock().unwrap_or_else(|e| e.into_inner())
+                self.inner.write().unwrap_or_else(PoisonError::into_inner)
             }
         };
-        guard.stats.lock_acquisitions += 1;
-        guard
+        guard.core.stats.lock_acquisitions += 1;
+        Guard { guard, _held: held }
+    }
+
+    /// Acquires shared access to the internal state, for the claimants of
+    /// a pooled level: it blocks while exclusive access is held or
+    /// waited for. Tallied in [`Stats::shared_acquisitions`] by the first
+    /// [`SharedGuard::with_slot`].
+    fn shared(&self) -> SharedGuard<'_> {
+        let held = Held::enter(self.id);
+        SharedGuard {
+            guard: self.inner.read().unwrap_or_else(PoisonError::into_inner),
+            _held: held,
+            counted: Cell::new(false),
+        }
+    }
+
+    /// Fails stop, as [`Runtime::lock`] would, if the current thread holds
+    /// this runtime's lock: for calls that take another lock first.
+    pub(crate) fn assert_unlocked(&self) {
+        if HELD.with(Cell::get) == self.id {
+            panic!("{REENTERED}")
+        }
+    }
+
+    /// Whether a level of executors is running on the worker pool. Every
+    /// thread that calls into the runtime then is one of its claimants,
+    /// inside a body, and runs what it can under shared access.
+    #[inline]
+    pub(crate) fn pooled(&self) -> bool {
+        self.par_active.load(Ordering::Acquire) > 0
     }
 
     /// Creates a runtime with default configuration (no partitioning,
@@ -930,7 +1345,7 @@ impl Runtime {
 
     /// A snapshot of the work counters.
     pub fn stats(&self) -> Stats {
-        self.lock().stats
+        self.lock().tally()
     }
 
     /// A complete telemetry snapshot: every [`Stats`] counter plus the
@@ -1031,8 +1446,8 @@ impl Runtime {
         #[cfg(debug_assertions)]
         {
             let mut guard = self.lock();
-            let inner = &mut *guard;
-            for (slot, stack) in inner.stacks.iter().enumerate() {
+            let Inner { core: inner, slots } = &mut *guard;
+            for (slot, stack) in slots.iter_mut().map(|s| &slot_mut(s).stack).enumerate() {
                 assert!(
                     stack.is_empty(),
                     "check_invariants: {} execution frame(s) still active on stack slot \
@@ -1041,7 +1456,7 @@ impl Runtime {
                 );
             }
             let n_nodes = inner.values.len();
-            for (i, &f) in inner.flags.iter().enumerate() {
+            for (i, f) in inner.flags.iter_mut().map(|f| *f.get_mut()).enumerate() {
                 assert!(
                     f & F_ON_STACK == 0,
                     "check_invariants: node {i} is flagged on-stack with an empty call stack"
@@ -1098,7 +1513,9 @@ impl Runtime {
                     }
                 }
             }
-            let flagged = inner.flags.iter().filter(|&&f| f & F_QUEUED != 0).count();
+            let flagged = (0..n_nodes)
+                .filter(|&i| inner.flag(i) & F_QUEUED != 0)
+                .count();
             assert_eq!(
                 flagged, dirty_total,
                 "check_invariants: {flagged} node(s) flagged queued, {dirty_total} queued"
@@ -1108,13 +1525,13 @@ impl Runtime {
             if dirty_total == 0 {
                 for i in 0..n_nodes {
                     let u = NodeId::from_index(i);
-                    let f = inner.flags[i];
+                    let f = inner.flag(i);
                     let stale = f & F_COMP != 0 && f & F_CONSISTENT == 0;
                     if !stale {
                         continue;
                     }
                     for v in inner.graph.succs(u) {
-                        let g = inner.flags[v.index()];
+                        let g = inner.flag(v.index());
                         if g & F_COMP != 0 {
                             assert!(
                                 g & F_CONSISTENT == 0,
@@ -1146,7 +1563,7 @@ impl Runtime {
     /// Returns `true` while an incremental procedure is executing — i.e.
     /// reads and writes performed now will be recorded as its dependencies.
     pub fn in_tracked_context(&self) -> bool {
-        self.exec_depth.load(Ordering::Relaxed) > 0
+        self.exec_depth.load(Ordering::Relaxed) > 0 || self.pooled()
     }
 
     /// Returns `true` if a read performed right now would actually record a
@@ -1154,8 +1571,18 @@ impl Runtime {
     /// not stale, and no `(*UNCHECKED*)` suppression is active. Useful for
     /// asserting that statically pruned accesses really are irrelevant.
     pub fn recording_context(&self) -> bool {
-        let mut inner = self.lock();
-        matches!(inner.active_stack().last(), Some(f) if !f.stale && f.suppress == 0)
+        self.on_slot(|_, slot| slot.recorder().is_some())
+    }
+
+    /// Runs `f` on the core and the current thread's slot: under shared
+    /// access in a pooled level, else under exclusive access.
+    fn on_slot<R>(&self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
+        if self.pooled() {
+            return self.shared().with_slot(f);
+        }
+        let mut guard = self.lock();
+        let (core, slot) = guard.split();
+        f(core, slot)
     }
 
     /// Runs `f` with dependence recording suppressed for the *current*
@@ -1172,23 +1599,21 @@ impl Runtime {
         }
         impl Drop for Guard<'_> {
             fn drop(&mut self) {
-                let mut inner = self.rt.lock();
-                let stack = inner.active_stack();
-                if stack.len() == self.depth {
-                    if let Some(frame) = stack.last_mut() {
-                        frame.suppress -= 1;
+                self.rt.on_slot(|_, slot| {
+                    if slot.stack.len() == self.depth {
+                        if let Some(frame) = slot.stack.last_mut() {
+                            frame.suppress -= 1;
+                        }
                     }
-                }
+                });
             }
         }
-        let depth = {
-            let mut inner = self.lock();
-            let stack = inner.active_stack();
-            if let Some(frame) = stack.last_mut() {
+        let depth = self.on_slot(|_, slot| {
+            if let Some(frame) = slot.stack.last_mut() {
                 frame.suppress += 1;
             }
-            stack.len()
-        };
+            slot.stack.len()
+        });
         let _guard = Guard { rt: self, depth };
         f()
     }
@@ -1210,11 +1635,12 @@ impl Runtime {
     /// first dependence edge together. Equivalent to `raw_alloc`
     /// followed by a read, minus the second lock round-trip.
     pub(crate) fn alloc_accessed(&self, initial: Box<dyn Value>) -> NodeId {
-        let mut inner = self.lock();
-        inner.stats.reads += 1;
-        let node = inner.alloc_node(Some(initial), None);
-        emit!(inner, TraceEvent::Read { node });
-        inner.record_dependence(node);
+        let mut guard = self.lock();
+        let (core, slot) = guard.split();
+        let node = core.alloc_node(Some(initial), None);
+        if let Some(v) = core.access(slot, node, Dedup::Marks(&core.flags)) {
+            core.merge_partitions(node, v);
+        }
         node
     }
 
@@ -1225,22 +1651,30 @@ impl Runtime {
     /// and [`Var::with`](crate::Var::with) are built on it; `f` clones the
     /// value when it must outlive the read.
     ///
-    /// The runtime is locked for the duration of `f`: the closure must not
-    /// re-enter runtime operations (writes, memo calls, propagation, even
-    /// reads) or the fail-stop re-entrancy check panics.
+    /// The runtime is locked for the duration of `f` — shared in a pooled
+    /// level, exclusive otherwise: the closure must not re-enter runtime
+    /// operations (writes, memo calls, propagation, even reads) or the
+    /// fail-stop re-entrancy check panics. Both accesses run the same
+    /// [`Core::access`]; only a read that merges partitions leaves the
+    /// shared path.
     pub(crate) fn with_value<R>(&self, n: NodeId, f: impl FnOnce(&dyn Value) -> R) -> R {
-        let mut inner = self.lock();
-        inner.stats.reads += 1;
-        emit!(inner, TraceEvent::Read { node: n });
-        inner.record_dependence(n);
-        let i = n.index();
-        debug_assert!(
-            inner.flags[i] & F_COMP == 0,
-            "with_value on a computation node"
-        );
-        f(&**inner.values[i]
-            .as_ref()
-            .expect("location always holds a value"))
+        let f = if self.pooled() {
+            match self
+                .shared()
+                .with_slot(|core, slot| core.read_shared(slot, n, f))
+            {
+                Ok(out) => return out,
+                Err(f) => f,
+            }
+        } else {
+            f
+        };
+        let mut guard = self.lock();
+        let (core, slot) = guard.split();
+        if let Some(v) = core.access(slot, n, Dedup::Marks(&core.flags)) {
+            core.merge_partitions(n, v);
+        }
+        f(core.location(n))
     }
 
     /// Writes a location — the paper's `modify` (Algorithm 4): the write
@@ -1350,16 +1784,29 @@ impl Runtime {
     /// runs on the cached value in place. `None` means a miss: the caller
     /// must execute the node.
     ///
-    /// Only the rare pending case pays more than one lock: the evaluation
-    /// routine must run unlocked (it re-enters the runtime), so that path
-    /// re-locks for the probe afterwards. So does a call to a node another
-    /// pool claimant is executing, which yields until that execution's
-    /// frame pops.
+    /// In a pooled level the call runs under shared access
+    /// ([`Core::precall_shared`]) unless `n` has an execution booked or on
+    /// a stack. Only the rare pending case pays more than one lock: the
+    /// evaluation routine must run unlocked (it re-enters the runtime), so
+    /// that path re-locks for the probe afterwards. So does a call to a
+    /// node another pool claimant is executing, which yields until that
+    /// execution's frame pops.
     pub(crate) fn precall_cached<R>(
         &self,
         n: NodeId,
         f: impl FnOnce(&dyn Value) -> R,
     ) -> Option<R> {
+        let f = if self.pooled() {
+            match self
+                .shared()
+                .with_slot(|core, slot| core.precall_shared(slot, n, f))
+            {
+                Ok(out) => return out,
+                Err(f) => f,
+            }
+        } else {
+            f
+        };
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.stats.calls += 1;
@@ -1387,43 +1834,29 @@ impl Runtime {
             std::thread::yield_now();
             guard = self.lock();
         }
-        self.try_hit(&mut guard, n, f)
-    }
-
-    /// Cache probe under the caller's guard: runs `f` on the cached value if
-    /// the computation node is consistent, without cloning it out of the
-    /// cache, and — on that hit — records the caller's dependence on `n`.
-    /// Returns `None` (without calling `f` or recording anything) on a miss:
-    /// inconsistent, or consistent but evicted.
-    fn try_hit<R>(
-        &self,
-        inner: &mut Inner,
-        n: NodeId,
-        f: impl FnOnce(&dyn Value) -> R,
-    ) -> Option<R> {
-        let i = n.index();
-        debug_assert!(inner.flags[i] & F_COMP != 0, "computation node expected");
-        if inner.flags[i] & F_CONSISTENT == 0 {
-            return None;
+        let (core, slot) = guard.split();
+        match core.probe(slot, n, f, Dedup::Marks(&core.flags)) {
+            Ok((out, recorder)) => {
+                if let Some(v) = recorder {
+                    core.merge_partitions(n, v);
+                }
+                Some(out)
+            }
+            // Consistent but value-less: either a self-recursive first
+            // execution (DET violation — diagnose) or an evicted value
+            // (recompute by reporting a miss).
+            Err(_)
+                if core.flag(n.index()) & (F_CONSISTENT | F_ON_STACK)
+                    == F_CONSISTENT | F_ON_STACK =>
+            {
+                panic!(
+                    "incremental procedure {} recursively depends on its own first execution \
+                     (violates paper restriction DET)",
+                    core.name_of(n)
+                )
+            }
+            Err(_) => None,
         }
-        if inner.values[i].is_some() {
-            inner.stats.cache_hits += 1;
-            emit!(inner, TraceEvent::CacheHit { node: n });
-            inner.record_dependence(n);
-            let v = inner.values[i].as_ref().expect("checked above");
-            return Some(f(&**v));
-        }
-        // Consistent but value-less: either a self-recursive first
-        // execution (DET violation — diagnose) or an evicted value
-        // (recompute by reporting a miss).
-        if inner.flags[i] & F_ON_STACK != 0 {
-            panic!(
-                "incremental procedure {} recursively depends on its own first execution \
-                 (violates paper restriction DET)",
-                inner.name_of(n)
-            );
-        }
-        None
     }
 
     /// The tail of a memo call that executes `n`, booked by
@@ -1478,24 +1911,28 @@ impl Runtime {
     /// computed value to its caller but leaves cache, consistency flag and
     /// dependency edges to the fresher run.
     pub(crate) fn exec_begin(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64) {
-        let Booking {
-            executor,
-            my_gen,
-            frame,
-        } = inner.exec_book(n);
-        self.push_frame(inner, frame);
-        (executor, my_gen)
+        let Booking { my_gen, frame } = inner.exec_book(n);
+        let (core, slot) = inner.split();
+        (self.push_frame(core, slot, frame), my_gen)
     }
 
     /// The stack half of [`Runtime::exec_begin`], run by the executing
-    /// thread: pushes `frame` onto that thread's stack and opens the
-    /// execution's trace span. A level's claimant pushes the frame the
-    /// driver booked for it.
-    fn push_frame(&self, inner: &mut Inner, frame: Frame) {
+    /// thread under shared or exclusive access: pushes `frame` onto that
+    /// thread's stack, opens the execution's trace span and returns the
+    /// executor to run. A level's claimant pushes the frame the driver
+    /// booked for it.
+    fn push_frame(&self, core: &Core, slot: &mut Slot, frame: Frame) -> Executor {
         let n = frame.node;
-        inner.active_stack().push(frame);
-        self.exec_depth.fetch_add(1, Ordering::Relaxed);
-        emit!(inner, TraceEvent::ExecuteBegin { node: n });
+        slot.stack.push(frame);
+        if !self.pooled() {
+            self.exec_depth.fetch_add(1, Ordering::Relaxed);
+        }
+        emit!(core, TraceEvent::ExecuteBegin { node: n });
+        Arc::clone(
+            core.executors[n.index()]
+                .as_ref()
+                .expect("computation node has an executor"),
+        )
     }
 
     /// Runs an executor's body unlocked, catching a panic that unwinds out
@@ -1505,52 +1942,104 @@ impl Runtime {
         catch_unwind(AssertUnwindSafe(|| executor.run(self)))
     }
 
-    /// The frame half of finishing an execution, run by the thread that
-    /// executed `n` as soon as its executor returns: pops that thread's
-    /// innermost frame, reconciles its dependence log with the node's
-    /// retained edges (a superseded or failed execution's log is dropped
-    /// instead), clears the node's on-stack bit unless the frame is
-    /// re-entrant, and compares the value against the still-cached old one
-    /// (the cutoff comparison). Closes the execution's trace span and
-    /// returns whether the value changed (`false` when superseded or
-    /// failed); [`Inner::exec_store`] commits it.
+    /// The frame half of finishing an execution, run under exclusive
+    /// access by the thread that executed `n` as soon as its executor
+    /// returns: pops that thread's innermost frame, reconciles its
+    /// dependence log with the node's retained edges (a superseded or
+    /// failed execution's log is dropped instead) and finishes the pop
+    /// ([`Runtime::pop_tail`]). Returns whether the value changed;
+    /// [`Core::exec_store`] commits it.
     fn exec_pop(&self, inner: &mut Inner, n: NodeId, my_gen: u64, outcome: &Outcome) -> bool {
-        let value = outcome.as_deref().ok();
-        let mut frame = inner.active_stack().pop().expect("frame pushed above");
-        self.exec_depth.fetch_sub(1, Ordering::Relaxed);
-        debug_assert_eq!(frame.node, n, "call stack imbalance");
-        debug_assert_eq!(frame.stale, inner.gens[n.index()] != my_gen);
-        if !frame.stale && value.is_some() {
-            inner.reconcile(n, &mut frame.log);
+        let (core, slot) = inner.split();
+        let mut frame = slot.stack.pop().expect("frame pushed above");
+        if !frame.stale && outcome.is_ok() {
+            core.reconcile(n, &mut frame.log);
         }
-        frame.log.clear();
-        inner.spare_logs.push(frame.log);
-        let i = n.index();
         if !frame.reentrant {
-            inner.flags[i] &= !F_ON_STACK;
+            *core.flag_mut(n.index()) &= !F_ON_STACK;
         }
-        let (changed, compared) = match (value, &inner.values[i]) {
+        self.pop_tail(core, slot, frame, n, my_gen, outcome)
+    }
+
+    /// [`Runtime::exec_pop`] under shared access, for the claimant of a
+    /// pooled level: the log is deduplicated privately, and when it names
+    /// exactly the node's retained predecessors — a re-execution that read
+    /// what its previous run read — no edge changes and the pop finishes
+    /// here. `None`, with the frame left on the stack, when the edges must
+    /// change: the caller escalates to exclusive access and
+    /// [`Runtime::exec_pop`].
+    fn exec_pop_shared(
+        &self,
+        core: &Core,
+        slot: &mut Slot,
+        n: NodeId,
+        my_gen: u64,
+        outcome: &Outcome,
+    ) -> Option<bool> {
+        let Slot {
+            stack, stats, seen, ..
+        } = &mut *slot;
+        let frame = stack.last_mut().expect("frame pushed above");
+        if !frame.stale && outcome.is_ok() {
+            stats.dedup_hits += dedup_private(&mut frame.log, seen);
+            frame.compacted = frame.log.len();
+            if !core.log_matches_preds(n, &frame.log, seen) {
+                return None;
+            }
+        }
+        let frame = stack.pop().expect("frame pushed above");
+        if !frame.reentrant {
+            core.flags[n.index()].fetch_and(!F_ON_STACK, Ordering::Relaxed);
+        }
+        Some(self.pop_tail(core, slot, frame, n, my_gen, outcome))
+    }
+
+    /// What every pop ends with, under shared or exclusive access, once
+    /// the caller has cleared the node's on-stack bit (unless the frame is
+    /// re-entrant): returns the frame's log to the slot's spares and
+    /// compares the value against the still-cached old one (the cutoff
+    /// comparison). Closes the execution's
+    /// trace span and returns whether the value changed (`false` when
+    /// superseded or failed).
+    fn pop_tail(
+        &self,
+        core: &Core,
+        slot: &mut Slot,
+        mut frame: Frame,
+        n: NodeId,
+        my_gen: u64,
+        outcome: &Outcome,
+    ) -> bool {
+        if !self.pooled() {
+            self.exec_depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        debug_assert_eq!(frame.node, n, "call stack imbalance");
+        debug_assert_eq!(frame.stale, core.gens[n.index()] != my_gen);
+        frame.log.clear();
+        slot.spare_logs.push(frame.log);
+        let i = n.index();
+        let (changed, compared) = match (outcome.as_deref().ok(), &core.values[i]) {
             // A failed execution has no value, and a superseded one's is
             // handed back, never compared: the fresher run owns the cache.
             (None, _) => (false, false),
-            _ if inner.gens[i] != my_gen => (false, false),
+            _ if core.gens[i] != my_gen => (false, false),
             // A first execution has no previous value: it counts as changed
             // without charging a cutoff comparison.
             (Some(_), None) => (true, false),
             (Some(value), Some(old)) => (!old.dyn_eq(value), true),
         };
         if compared {
-            inner.stats.comparisons += 1;
+            slot.stats.comparisons += 1;
             if !changed {
                 // The body ran and reproduced the cached value: real work,
                 // no downstream effect. Waves report this share through the
                 // `wave_wasted` metrics histogram.
-                inner.stats.wasted_executions += 1;
+                slot.stats.wasted_executions += 1;
             }
         }
-        emit!(inner, TraceEvent::ExecuteEnd { node: n, changed });
+        emit!(core, TraceEvent::ExecuteEnd { node: n, changed });
         if compared && !changed {
-            emit!(inner, TraceEvent::CutoffStop { node: n });
+            emit!(core, TraceEvent::CutoffStop { node: n });
         }
         changed
     }
@@ -1607,11 +2096,13 @@ impl Runtime {
     pub(crate) fn evict_lru(&self, mut entries: Vec<(u64, NodeId)>, keep: usize) -> usize {
         let mut inner = self.lock();
         entries.retain(|&(_, n)| {
-            inner.values[n.index()].is_some() && inner.flags[n.index()] & F_ON_STACK == 0
+            inner.values[n.index()].is_some() && inner.flag(n.index()) & F_ON_STACK == 0
         });
         let over = entries.len().saturating_sub(keep);
         if over > 0 {
-            entries.sort_unstable();
+            // The `over` oldest stamps, in no particular order: stamps are
+            // unique, so they are the entries a full sort would put first.
+            entries.select_nth_unstable(over - 1);
             for &(_, n) in &entries[..over] {
                 inner.values[n.index()] = None;
             }
@@ -1633,14 +2124,15 @@ impl Runtime {
         if inner.evaluating {
             return;
         }
-        if !inner.active_stack().is_empty() {
+        if !inner.own_slot().stack.is_empty() {
             inner.reconcile_live();
         }
         inner.evaluating = true;
         inner.stats.waves += 1;
         let wave = inner.stats.waves;
         let steps_before = inner.stats.propagation_steps;
-        let (execs_before, wasted_before) = (inner.stats.executions, inner.stats.wasted_executions);
+        let execs_before = inner.stats.executions;
+        let wasted_before = inner.wasted_executions();
         emit!(inner, TraceEvent::PropagateBegin { wave });
         // Wave clock: stamped after the nested-wave early return, so only
         // real (outermost) waves are timed and a disabled switch skips the
@@ -1659,7 +2151,7 @@ impl Runtime {
         // still held; the histogram writes happen after it drops — metric
         // recording itself never holds the runtime lock.
         let executed = inner.stats.executions - execs_before;
-        let wasted = inner.stats.wasted_executions - wasted_before;
+        let wasted = inner.wasted_executions() - wasted_before;
         drop(inner);
         if let Some(t0) = wave_t0 {
             self.metrics
@@ -1680,7 +2172,7 @@ impl Runtime {
     /// `origin`'s partition when partitioned) and its mutation-only nodes —
     /// locations, demand marking, on-stack re-queues — are handled at once;
     /// its eager nodes become the level's executions. Those are booked into
-    /// `Inner::level` and handed to [`Runtime::run_level`], which runs them
+    /// `Core::level` and handed to [`Runtime::run_level`], which runs them
     /// on the driver, beside pool helpers at `parallelism >= 2`. Their
     /// results then commit in batch order, each changed one dirtying its
     /// successors, under the guard that closes the level and opens the
@@ -1692,10 +2184,10 @@ impl Runtime {
     /// closes it.
     fn drain_levels<'a>(
         &'a self,
-        mut guard: MutexGuard<'a, Inner>,
+        mut guard: Guard<'a>,
         origin: Option<NodeId>,
         max_steps: u64,
-    ) -> (MutexGuard<'a, Inner>, Option<Box<dyn std::any::Any + Send>>) {
+    ) -> (Guard<'a>, Option<Panic>) {
         let mut steps = 0u64;
         // The open level's nodes in batch order, then its eager executions.
         let mut execs = std::mem::take(&mut guard.level_scratch);
@@ -1732,13 +2224,13 @@ impl Runtime {
             execs.retain(|&u| inner.step_popped(u));
             if !execs.is_empty() {
                 // Book every execution before any claimant starts: the
-                // claim locks are the contended ones, so they only swap
-                // frames.
+                // claimants then only take their bookings and swap frames.
                 for &u in &execs {
                     let booking = inner.exec_book(u);
                     inner.level.push(LevelSlot::Booked(booking));
                 }
-                inner.level_base = inner.stacks[0].len();
+                inner.level_open = true;
+                inner.level_base = slot_mut(&mut inner.slots[0]).stack.len();
                 guard = self.run_level(guard);
                 let inner = &mut *guard;
                 let mut level = std::mem::take(&mut inner.level);
@@ -1746,6 +2238,8 @@ impl Runtime {
                     let LevelSlot::Done(my_gen, outcome, changed) = slot else {
                         unreachable!("level finished with an unfinished execution");
                     };
+                    let outcome =
+                        outcome.map_err(|p| p.into_inner().unwrap_or_else(PoisonError::into_inner));
                     match inner.exec_store(u, my_gen, outcome, changed) {
                         Ok((None, true)) => inner.dirty_succs_of(u),
                         Ok(_) => {}
@@ -1753,6 +2247,7 @@ impl Runtime {
                     }
                 }
                 inner.level = level;
+                inner.level_open = false;
             }
             emit!(
                 guard,
@@ -1766,68 +2261,130 @@ impl Runtime {
     }
 
     /// The claim loop of a level, run by the driver and by each helper
-    /// ticket: claim the next index from `next`, push that booked
-    /// execution's frame onto this thread's stack (its tracked reads and
-    /// nested memo calls record against that frame), run it, and repeat
-    /// until the index passes `width`. Each lock acquisition pops the
-    /// previous frame, compares its value and leaves its outcome for the
-    /// driver's batch-order commit, and pushes the next claim's frame.
+    /// ticket: claim the next execution, push its booked frame onto this
+    /// thread's stack (its tracked reads and nested memo calls record
+    /// against that frame), run it, and repeat until the level's
+    /// executions are used up. Each acquisition pops the previous frame,
+    /// compares its value and leaves its outcome for the driver's
+    /// batch-order commit, and pushes the next claim's frame.
     ///
-    /// A claimant may enter holding `guard` (the driver does) and leaves
-    /// with the guard of its last pop, so `k` executions cost `k`
-    /// acquisitions, plus one for a claimant that entered without a guard.
-    /// One that finds the index exhausted before it ran anything returns
-    /// without locking. Returns the number of executions run and the guard
-    /// held, if any.
+    /// The driver alone (`pooled` is `None`) claims from `Core::level`
+    /// under exclusive access: it enters holding its guard and leaves with
+    /// the guard of its last pop, so `k` executions cost `k` acquisitions.
+    /// The claimants of a pooled level claim from its shared block under
+    /// shared access, unless a pop must change edges: it then escalates to
+    /// exclusive access ([`Runtime::exec_pop_shared`]). One that finds the
+    /// block used up before it ran anything returns without locking.
+    /// Returns the number of executions run and the exclusive guard held,
+    /// if any.
     pub(crate) fn run_claims<'a>(
         &'a self,
-        mut guard: Option<MutexGuard<'a, Inner>>,
-        next: &AtomicUsize,
-        width: usize,
-    ) -> (u64, Option<MutexGuard<'a, Inner>>) {
+        guard: Option<Guard<'a>>,
+        pooled: Option<&Level>,
+    ) -> (u64, Option<Guard<'a>>) {
+        let acquire = || match pooled {
+            Some(_) => Access::Shared(self.shared()),
+            None => Access::Exclusive(self.lock()),
+        };
+        let mut held = guard.map(Access::Exclusive);
         let mut ran = 0;
+        // The execution this thread ran last, not yet popped.
+        let mut last: Option<(usize, NodeId, u64, Outcome)> = None;
         loop {
-            // Relaxed: the index only has to be unique. The slot it names
-            // is read and written under the runtime lock, which orders it.
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            if idx >= width {
-                return (ran, guard);
+            if let Some((idx, n, my_gen, outcome)) = last.take() {
+                let mut access = held.take().unwrap_or_else(acquire);
+                let changed = match &mut access {
+                    Access::Exclusive(guard) => self.exec_pop(guard, n, my_gen, &outcome),
+                    Access::Shared(shared) => match shared.with_slot(|core, slot| {
+                        self.exec_pop_shared(core, slot, n, my_gen, &outcome)
+                    }) {
+                        Some(changed) => changed,
+                        None => {
+                            drop(access);
+                            let mut guard = self.lock();
+                            let changed = self.exec_pop(&mut guard, n, my_gen, &outcome);
+                            access = Access::Exclusive(guard);
+                            changed
+                        }
+                    },
+                };
+                let done = LevelSlot::Done(my_gen, outcome.map_err(Mutex::new), changed);
+                match (pooled, &mut access) {
+                    (Some(level), _) => level.finish(idx, done),
+                    (None, Access::Exclusive(guard)) => guard.level[idx] = done,
+                    (None, Access::Shared(_)) => {
+                        unreachable!("the driver alone claims exclusively")
+                    }
+                }
+                held = Some(access);
             }
-            let mut claim = guard.take().unwrap_or_else(|| self.lock());
-            let inner = &mut *claim;
-            let LevelSlot::Booked(Booking {
-                executor,
-                my_gen,
-                frame,
-            }) = std::mem::replace(&mut inner.level[idx], LevelSlot::Running)
-            else {
+            let claimed = match (pooled, &mut held) {
+                (Some(level), _) => level.claim(),
+                (None, Some(Access::Exclusive(guard))) => {
+                    let idx = ran as usize;
+                    let slot = guard.level.get_mut(idx);
+                    slot.map(|slot| (idx, std::mem::replace(slot, LevelSlot::Running)))
+                }
+                (None, _) => unreachable!("the driver alone claims holding its guard"),
+            };
+            let Some((idx, slot)) = claimed else {
+                let guard = match held {
+                    Some(Access::Exclusive(guard)) => Some(guard),
+                    _ => None,
+                };
+                return (ran, guard);
+            };
+            let LevelSlot::Booked(Booking { my_gen, frame }) = slot else {
                 unreachable!("each level index is claimed once");
             };
             let n = frame.node;
-            self.push_frame(inner, frame);
-            drop(claim);
+            let executor = held
+                .take()
+                .unwrap_or_else(acquire)
+                .with_slot(|core, slot| self.push_frame(core, slot, frame));
             let outcome = self.run_body(&executor);
             ran += 1;
-            let mut done = self.lock();
-            let changed = self.exec_pop(&mut done, n, my_gen, &outcome);
-            done.level[idx] = LevelSlot::Done(my_gen, outcome, changed);
-            guard = Some(done);
+            last = Some((idx, n, my_gen, outcome));
         }
     }
 }
 
 /// Drops the repeats of `log` in place, keeping each node's first entry in
 /// order, and leaves every kept node marked with [`F_MARK`] (the caller
-/// clears the marks before releasing the lock). Returns the number of
-/// entries dropped.
-fn dedup_marked(log: &mut Vec<NodeId>, flags: &mut [u8]) -> u64 {
+/// clears the marks before releasing exclusive access). Returns the number
+/// of entries dropped. Only under exclusive access: the flag bytes are
+/// read and written by plain loads and stores.
+fn dedup_marked(log: &mut Vec<NodeId>, flags: &[AtomicU8]) -> u64 {
     let before = log.len();
     log.retain(|&u| {
-        let f = &mut flags[u.index()];
-        let first = *f & F_MARK == 0;
-        *f |= F_MARK;
-        first
+        let f = &flags[u.index()];
+        let bits = f.load(Ordering::Relaxed);
+        f.store(bits | F_MARK, Ordering::Relaxed);
+        bits & F_MARK == 0
     });
+    (before - log.len()) as u64
+}
+
+/// Drops the repeats of `log` in place, keeping each node's first entry in
+/// order, without touching shared state: a short log ([`SHORT_LOG`]) by
+/// linear scans, a longer one through `seen`, which it leaves holding the
+/// log's entries. Returns the number of entries dropped.
+fn dedup_private(log: &mut Vec<NodeId>, seen: &mut FxHashSet<NodeId>) -> u64 {
+    let before = log.len();
+    if before <= SHORT_LOG {
+        let mut kept = 0;
+        for j in 0..before {
+            let u = log[j];
+            if !log[..kept].contains(&u) {
+                log[kept] = u;
+                kept += 1;
+            }
+        }
+        log.truncate(kept);
+    } else {
+        seen.clear();
+        log.retain(|&u| seen.insert(u));
+    }
     (before - log.len()) as u64
 }
 
@@ -1844,27 +2401,25 @@ impl Inner {
         self.exec_gen += 1;
         let my_gen = self.exec_gen;
         let i = n.index();
-        debug_assert!(self.flags[i] & F_COMP != 0, "execute on a location");
+        debug_assert!(self.flag(i) & F_COMP != 0, "execute on a location");
         // If an older execution of `n` is still running it is now
         // superseded: its result will be discarded, so stop it from
         // logging any further dependences.
-        let reentrant = self.flags[i] & F_ON_STACK != 0;
+        let reentrant = self.flag(i) & F_ON_STACK != 0;
         if reentrant {
             self.mark_stale_frames(n);
         }
-        self.flags[i] |= F_CONSISTENT | F_ON_STACK;
+        *self.flag_mut(i) |= F_CONSISTENT | F_ON_STACK;
         self.gens[i] = my_gen;
-        let executor = Arc::clone(
-            self.executors[i]
-                .as_ref()
-                .expect("computation node has an executor"),
+        debug_assert!(
+            self.executors[i].is_some(),
+            "computation node has an executor"
         );
         Booking {
-            executor,
             my_gen,
             frame: Frame {
                 node: n,
-                log: self.spare_logs.pop().unwrap_or_default(),
+                log: self.own_slot().spare_logs.pop().unwrap_or_default(),
                 compacted: 0,
                 suppress: 0,
                 stale: false,
@@ -1872,12 +2427,14 @@ impl Inner {
             },
         }
     }
+}
 
+impl Core {
     /// The commit half of finishing an execution: unless a fresher
     /// execution of `n` superseded this one (the value is then handed back,
     /// the `Some` case), stores `value` in the cache and re-queues a node
     /// the evaluator wanted to re-execute while it ran. `changed` is
-    /// [`Runtime::exec_pop`]'s comparison; it is returned for committed
+    /// [`Runtime::pop_tail`]'s comparison; it is returned for committed
     /// values. A failed execution is rolled back: nothing is stored and,
     /// unless superseded, `n` is left inconsistent with its successors
     /// dirtied, so the marking frontier holds and the next demand
@@ -1897,14 +2454,14 @@ impl Inner {
         let value = match outcome {
             Ok(value) => value,
             Err(payload) => {
-                self.flags[i] &= !(F_CONSISTENT | F_REQUEUE);
+                *self.flag_mut(i) &= !(F_CONSISTENT | F_REQUEUE);
                 self.dirty_succs_of(n);
                 return Err(payload);
             }
         };
         self.values[i] = Some(value);
-        if self.flags[i] & F_REQUEUE != 0 {
-            self.flags[i] &= !F_REQUEUE;
+        if self.flag(i) & F_REQUEUE != 0 {
+            *self.flag_mut(i) &= !F_REQUEUE;
             self.insert_dirty(n, DirtyReason::Requeue, None);
         }
         Ok((None, changed))
@@ -1918,7 +2475,7 @@ impl Inner {
     fn step_popped(&mut self, u: NodeId) -> bool {
         self.stats.propagation_steps += 1;
         let i = u.index();
-        let f = self.flags[i];
+        let f = self.flag(i);
         if f & F_COMP == 0 {
             // Storage location: forward the change to everything computed
             // from it.
@@ -1927,15 +2484,14 @@ impl Inner {
         } else if f & F_EAGER == 0 {
             // Demand: just mark out-of-date and propagate (Section 4.5).
             if f & F_CONSISTENT != 0 {
-                self.flags[i] &= !F_CONSISTENT;
+                *self.flag_mut(i) &= !F_CONSISTENT;
                 self.dirty_succs_of(u);
             }
             false
         } else if f & F_ON_STACK != 0 {
             // Cannot re-execute a node that is mid-execution; mark it stale
             // and have it re-queued on completion.
-            self.flags[i] &= !F_CONSISTENT;
-            self.flags[i] |= F_REQUEUE;
+            *self.flag_mut(i) = (f & !F_CONSISTENT) | F_REQUEUE;
             self.dirty_succs_of(u);
             false
         } else {

@@ -45,7 +45,8 @@ macro_rules! for_each_counter {
             parallel_levels,
             parallel_executions,
             level_width_hwm,
-            lock_acquisitions
+            lock_acquisitions,
+            shared_acquisitions
         )
     };
 }
@@ -145,11 +146,17 @@ pub struct Stats {
     /// parallelism high-water mark. Maintained by every drain, at any
     /// parallelism.
     pub level_width_hwm: u64,
-    /// Acquisitions of the runtime's internal lock, from any thread — the
-    /// round-trips that frame pushes, reads, writes and commits cost.
-    /// Tallied under the acquired guard, so the count is exact; a
+    /// Exclusive acquisitions of the runtime's internal lock, from any
+    /// thread — the round-trips that frame pushes, reads, writes, commits
+    /// and every operation outside a pooled level cost. Tallied under the
+    /// acquired guard, so the count is exact; a
     /// [`Runtime::stats`](crate::Runtime::stats) call counts its own.
     pub lock_acquisitions: u64,
+    /// Shared acquisitions of the runtime's internal lock: the reads, cache
+    /// hits, frame pushes and pops that the claimants of a pooled level
+    /// (one with executor-pool helpers) run side by side. Zero at
+    /// parallelism 0 or 1.
+    pub shared_acquisitions: u64,
 }
 
 impl Stats {
@@ -178,6 +185,22 @@ impl Stats {
             };
         }
         for_each_counter!(sub)
+    }
+
+    /// Adds `other`'s tallies into `self`; a high-water mark takes the
+    /// larger value. [`Runtime::stats`](crate::Runtime::stats) sums the
+    /// runtime's own tally and those of its thread slots this way.
+    pub(crate) fn merge(&mut self, other: &Stats) {
+        macro_rules! add {
+            ($($f:ident),* $(,)?) => {{
+                $(if is_high_water_mark(stringify!($f)) {
+                    self.$f = self.$f.max(other.$f);
+                } else {
+                    self.$f += other.$f;
+                })*
+            }};
+        }
+        for_each_counter!(add)
     }
 
     /// Every counter as a `(name, value)` pair, in declaration order.

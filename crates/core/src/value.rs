@@ -10,12 +10,16 @@ use std::fmt;
 /// computed result against the previously cached one to decide whether
 /// dependents must be notified, so every cached value must support equality;
 /// function caching requires handing out copies of cached results, so it
-/// must support cloning; and sessions are movable across threads
+/// must support cloning. Sessions are movable across threads
 /// ([`Runtime`](crate::Runtime) is `Send`), so every cached value must be
-/// `Send` too. The blanket implementation covers every `'static` type that
-/// is `Debug + PartialEq + Clone + Send`, which is what user code should
-/// rely on — implementing this trait by hand is never necessary.
-pub trait Value: Any + fmt::Debug + Send {
+/// `Send` too; and the claimants of a pooled level (see
+/// [`Runtime::set_parallelism`](crate::Runtime::set_parallelism)) read one
+/// cached value from two threads at once under the runtime's shared lock,
+/// so it must be `Sync` as well. The blanket implementation covers every
+/// `'static` type that is `Debug + PartialEq + Clone + Send + Sync`, which
+/// is what user code should rely on — implementing this trait by hand is
+/// never necessary.
+pub trait Value: Any + fmt::Debug + Send + Sync {
     /// Compares against another cached value; values of different concrete
     /// types are unequal.
     fn dyn_eq(&self, other: &dyn Value) -> bool;
@@ -29,7 +33,7 @@ pub trait Value: Any + fmt::Debug + Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<T: Any + fmt::Debug + PartialEq + Clone + Send> Value for T {
+impl<T: Any + fmt::Debug + PartialEq + Clone + Send + Sync> Value for T {
     fn dyn_eq(&self, other: &dyn Value) -> bool {
         other.as_any().downcast_ref::<T>() == Some(self)
     }

@@ -625,3 +625,186 @@ fn a_same_level_call_costs_the_same_at_every_parallelism() {
     assert_eq!((alone, pooled), (3, 3), "executions at parallelism 1 and 2");
     assert_eq!(alone_events, pooled_events);
 }
+
+/// `width` cells at parallelism 2, each reading its own var and hitting a
+/// shared consistent memo, after a batch that changes every var: the
+/// exclusive and shared acquisitions of one `propagate`.
+fn hit_only_level(width: usize) -> (u64, u64, u64) {
+    let rt = Runtime::new();
+    rt.set_parallelism(2);
+    let base = rt.var(1i64);
+    let shared = rt.memo("shared", move |rt, &(): &()| base.get(rt) * 100);
+    let vars: Vec<Var<i64>> = (0..width).map(|i| rt.var(i as i64)).collect();
+    let cells: Vec<alphonse::Memo<(), i64>> = vars
+        .iter()
+        .map(|&v| {
+            let shared = shared.clone();
+            rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| {
+                v.get(rt) + shared.call(rt, ())
+            })
+        })
+        .collect();
+    for c in &cells {
+        c.call(&rt, ());
+    }
+    rt.batch(|tx| {
+        for v in &vars {
+            v.set_in(tx, -7);
+        }
+    });
+    let before = rt.stats();
+    rt.propagate();
+    let d = rt.stats().delta_since(&before);
+    assert!(cells.iter().all(|c| c.call(&rt, ()) == 93));
+    rt.check_invariants();
+    assert_eq!(d.executions, width as u64);
+    assert_eq!(
+        d.edges_created + d.edges_removed,
+        0,
+        "a re-execution changes no edge"
+    );
+    (d.lock_acquisitions, d.shared_acquisitions, d.executions)
+}
+
+/// The claimants of a pooled level read, hit the cache, push and pop under
+/// shared access: a hit-only level takes its exclusive acquisitions to
+/// open the wave, book the level and commit it, whatever its width. Each
+/// execution takes one shared acquisition per read or hit and one to swap
+/// frames, and each claimant that ran one more for its last pop.
+#[test]
+fn a_hit_only_pooled_level_takes_the_same_exclusive_locks_at_any_width() {
+    let (narrow, narrow_shared, _) = hit_only_level(2);
+    let (wide, wide_shared, executions) = hit_only_level(64);
+    assert_eq!(narrow, wide, "exclusive acquisitions, 2 wide vs 64 wide");
+    assert!(
+        wide as f64 / executions as f64 <= 0.2,
+        "{wide} exclusive acquisitions for {executions} pooled executions"
+    );
+    for (shared, width) in [(narrow_shared, 2), (wide_shared, 64)] {
+        assert!(
+            (3 * width + 1..=3 * width + 2).contains(&shared),
+            "{shared} shared acquisitions for a level {width} wide"
+        );
+    }
+}
+
+/// A `Var::with` closure inside a pooled body that calls back into the
+/// runtime holds the shared lock: the call fails stop with the
+/// re-entrancy panic instead of waiting for itself, the failed execution
+/// rolls back, and the runtime stays consistent and usable.
+#[test]
+fn a_callback_under_a_pooled_shared_guard_fails_stop() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let rt = Runtime::new();
+        rt.set_parallelism(2);
+        let other = rt.var(5i64);
+        let reenter = Arc::new(AtomicBool::new(false));
+        let vars: Vec<Var<i64>> = (0..8).map(|i| rt.var(i as i64)).collect();
+        let cells: Vec<alphonse::Memo<(), i64>> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let reenter = Arc::clone(&reenter);
+                rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| {
+                    if i == 3 && reenter.load(Ordering::SeqCst) {
+                        return v.with(rt, |x| x + other.get(rt));
+                    }
+                    v.get(rt) * 2
+                })
+            })
+            .collect();
+        for c in &cells {
+            c.call(&rt, ());
+        }
+        reenter.store(true, Ordering::SeqCst);
+        for v in &vars {
+            v.set(&rt, 10);
+        }
+        let payload = catch_unwind(AssertUnwindSafe(|| rt.propagate()))
+            .expect_err("the callback was not refused");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        rt.check_invariants();
+        reenter.store(false, Ordering::SeqCst);
+        vars[3].set(&rt, 11);
+        rt.propagate();
+        let values: Vec<i64> = cells.iter().map(|c| c.call(&rt, ())).collect();
+        rt.check_invariants();
+        tx.send((message, values)).unwrap();
+    });
+    let (message, values) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the callback under the shared guard deadlocked");
+    assert!(
+        message.contains("runtime re-entered while internally locked"),
+        "unexpected panic: {message:?}"
+    );
+    assert_eq!(values, [20, 20, 20, 22, 20, 20, 20, 20]);
+}
+
+/// Pooled bodies that leave the shared path: a pop whose edges change
+/// (the sign of a var picks what a cell reads) and a call to an instance
+/// no body created yet both escalate to exclusive access, and the values,
+/// edges and invariants come out as at parallelism 1.
+#[test]
+fn pooled_escalations_match_the_driver_alone() {
+    let run = |parallelism: usize| {
+        let rt = Runtime::new();
+        rt.set_parallelism(parallelism);
+        let sign = rt.var(1i64);
+        let (pos, neg) = (rt.var(100i64), rt.var(-100i64));
+        let square = rt.memo("square", |_, &a: &i64| a * a);
+        let vars: Vec<Var<i64>> = (0..16).map(|i| rt.var(i as i64)).collect();
+        let cells: Vec<alphonse::Memo<(), i64>> = vars
+            .iter()
+            .map(|&v| {
+                let square = square.clone();
+                rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| {
+                    let side = if sign.get(rt) >= 0 { pos } else { neg };
+                    side.get(rt) + square.call(rt, v.get(rt))
+                })
+            })
+            .collect();
+        for c in &cells {
+            c.call(&rt, ());
+        }
+        let before = rt.stats();
+        rt.batch(|tx| {
+            sign.set_in(tx, -1);
+            for (i, v) in vars.iter().enumerate() {
+                v.set_in(tx, 100 + i as i64);
+            }
+        });
+        rt.propagate();
+        let d = rt.stats().delta_since(&before);
+        rt.check_invariants();
+        let values: Vec<i64> = cells.iter().map(|c| c.call(&rt, ())).collect();
+        (
+            values,
+            d.executions,
+            d.edges_created,
+            d.edges_removed,
+            rt.edge_count(),
+        )
+    };
+    let alone = run(1);
+    for parallelism in [2, 3] {
+        assert_eq!(run(parallelism), alone, "parallelism {parallelism}");
+    }
+    let (values, _, created, removed, _) = alone;
+    assert_eq!(values[5], -100 + 105 * 105);
+    assert_eq!(
+        (created, removed),
+        (2 * 16, 2 * 16),
+        "each cell swaps two edges"
+    );
+}

@@ -7,7 +7,10 @@
 //! variable values would return. We check that over random dataflow DAGs,
 //! random evaluation strategies and random mutation scripts, for every
 //! runtime configuration, and again with panics injected into random
-//! executions.
+//! executions. Some bodies read what the sign of a var picks, so their
+//! edges change from one execution to the next, and some call instances
+//! no earlier body created: in a pooled level both leave the shared path
+//! for exclusive access.
 
 use alphonse::{Memo, Runtime, Scheduling, Strategy as EvalStrategy, Var};
 use proptest::prelude::*;
@@ -20,6 +23,24 @@ use std::sync::{Arc, Mutex};
 enum Input {
     Var(usize),
     Memo(usize),
+    /// Reads the first leaf while var `.0` is non-negative, else the
+    /// second: the execution's edges follow the sign.
+    Branch(usize, Leaf, Leaf),
+    /// Calls the keyed memo at var `.0`'s value, creating the instance
+    /// when no body called that value before.
+    Keyed(usize),
+}
+
+/// An input a [`Input::Branch`] picks.
+#[derive(Debug, Clone, Copy)]
+enum Leaf {
+    Var(usize),
+    Memo(usize),
+}
+
+/// The keyed memo's definition.
+fn keyed(a: i64) -> i64 {
+    a.wrapping_mul(3).wrapping_add(1)
 }
 
 /// Specification of one memo: a wrapping linear combination of inputs.
@@ -45,8 +66,9 @@ struct Case {
     script: Vec<Op>,
     partitioning: bool,
     fifo: bool,
-    /// `1`: the driver runs every level alone; `2`: levels of two or more
-    /// eager executions run beside a pool helper.
+    /// `1`: the driver runs every level alone; `2` or `3`: levels of two
+    /// or more eager executions run beside one or two pool helpers, under
+    /// shared access.
     parallelism: usize,
 }
 
@@ -76,11 +98,17 @@ const INJECTED: &str = "injected executor fault";
 /// Ground truth: evaluate memo `k` directly from variable values.
 fn oracle(memos: &[MemoSpec], vars: &[i64], k: usize) -> i64 {
     let spec = &memos[k];
+    let leaf = |leaf: Leaf| match leaf {
+        Leaf::Var(i) => vars[i],
+        Leaf::Memo(j) => oracle(memos, vars, j),
+    };
     let mut acc = spec.offset;
     for &(input, coeff) in &spec.inputs {
         let v = match input {
-            Input::Var(i) => vars[i],
-            Input::Memo(j) => oracle(memos, vars, j),
+            Input::Var(i) => leaf(Leaf::Var(i)),
+            Input::Memo(j) => leaf(Leaf::Memo(j)),
+            Input::Branch(c, pos, neg) => leaf(if vars[c] >= 0 { pos } else { neg }),
+            Input::Keyed(i) => keyed(vars[i]),
         };
         acc = acc.wrapping_add(v.wrapping_mul(coeff));
     }
@@ -108,10 +136,12 @@ fn build(
     // Memos can call earlier memos; closures resolve callees through this
     // shared registry (and keep it alive via their captured Arc).
     let registry: Arc<Mutex<Vec<Memo<(), i64>>>> = Arc::new(Mutex::new(Vec::new()));
+    let keyed_memo = rt.memo("keyed", |_, &a: &i64| keyed(a));
     for (k, spec) in case.memos.iter().enumerate() {
         let spec = spec.clone();
         let vars = vars.clone();
         let reg = Arc::clone(&registry);
+        let keyed_memo = keyed_memo.clone();
         let fault = Arc::clone(fault);
         let strategy = if spec.eager {
             EvalStrategy::Eager
@@ -119,14 +149,22 @@ fn build(
             EvalStrategy::Demand
         };
         let memo = rt.memo_with(&format!("m{k}"), strategy, move |rt, &(): &()| {
+            let leaf = |leaf: Leaf| match leaf {
+                Leaf::Var(i) => vars[i].get(rt),
+                Leaf::Memo(j) => {
+                    let callee = reg.lock().unwrap()[j].clone();
+                    callee.call(rt, ())
+                }
+            };
             let mut acc = spec.offset;
             for (idx, &(input, coeff)) in spec.inputs.iter().enumerate() {
                 let v = match input {
-                    Input::Var(i) => vars[i].get(rt),
-                    Input::Memo(j) => {
-                        let callee = reg.lock().unwrap()[j].clone();
-                        callee.call(rt, ())
+                    Input::Var(i) => leaf(Leaf::Var(i)),
+                    Input::Memo(j) => leaf(Leaf::Memo(j)),
+                    Input::Branch(c, pos, neg) => {
+                        leaf(if vars[c].get(rt) >= 0 { pos } else { neg })
                     }
+                    Input::Keyed(i) => keyed_memo.call(rt, vars[i].get(rt)),
                 };
                 if idx == 0 && fault.strikes() {
                     panic!("{INJECTED} in m{k}");
@@ -165,7 +203,10 @@ fn run_case(case: &Case) {
                     case.partitioning, case.fifo, case.parallelism
                 );
             }
-            Op::Propagate => rt.propagate(),
+            Op::Propagate => {
+                rt.propagate();
+                audit(case, &rt, &memos, &shadow);
+            }
         }
     }
     // Final full audit.
@@ -177,6 +218,21 @@ fn run_case(case: &Case) {
     // has as many edges as a fresh runtime built by the same calls.
     assert_edges_match_fresh_build(case, &rt, &shadow);
     rt.check_invariants();
+}
+
+/// The runtime's invariants hold and every memo matches the oracle.
+fn audit(case: &Case, rt: &Runtime, memos: &[Memo<(), i64>], shadow: &[i64]) {
+    rt.check_invariants();
+    for (k, m) in memos.iter().enumerate() {
+        assert_eq!(
+            m.call(rt, ()),
+            oracle(&case.memos, shadow, k),
+            "memo m{k} diverged after propagate (cfg: part={}, fifo={}, par={})",
+            case.partitioning,
+            case.fifo,
+            case.parallelism
+        );
+    }
 }
 
 /// Retained edges are exactly the latest executions' reads: the graph has
@@ -266,7 +322,11 @@ fn run_faulty_case(case: &Case, build_fault: Option<usize>, faults: &[Option<usi
                 }
             }
             Op::Propagate => {
-                faulty(case, &rt, &memos, &shadow, || rt.propagate());
+                if faulty(case, &rt, &memos, &shadow, || rt.propagate()).is_some() {
+                    faulty(case, &rt, &memos, &shadow, || {
+                        audit(case, &rt, &memos, &shadow)
+                    });
+                }
             }
         }
     }
@@ -285,17 +345,26 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         1usize..10,
         any::<bool>(),
         any::<bool>(),
-        1usize..=2,
+        1usize..=3,
     )
         .prop_flat_map(|(n_vars, n_memos, partitioning, fifo, parallelism)| {
             let memo_spec = move |k: usize| {
+                let leaf = if k == 0 {
+                    (0..n_vars).prop_map(Leaf::Var).boxed()
+                } else {
+                    prop_oneof![(0..n_vars).prop_map(Leaf::Var), (0..k).prop_map(Leaf::Memo)]
+                        .boxed()
+                };
                 let input = prop_oneof![
-                    (0..n_vars).prop_map(Input::Var),
-                    if k == 0 {
+                    3 => (0..n_vars).prop_map(Input::Var),
+                    3 => if k == 0 {
                         (0..n_vars).prop_map(Input::Var).boxed()
                     } else {
                         (0..k).prop_map(Input::Memo).boxed()
-                    }
+                    },
+                    1 => (0..n_vars, leaf.clone(), leaf)
+                        .prop_map(|(c, pos, neg)| Input::Branch(c, pos, neg)),
+                    1 => (0..n_vars).prop_map(Input::Keyed),
                 ];
                 (
                     proptest::collection::vec((input, -3i64..4), 1..4),

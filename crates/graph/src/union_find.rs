@@ -67,6 +67,25 @@ impl UnionFind {
         NodeId::from_index(x)
     }
 
+    /// Whether `a` and `b` are in one component. Unlike [`UnionFind::find`]
+    /// it compresses no path, so it reads the forest through a shared
+    /// reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node was never passed to [`UnionFind::ensure`].
+    pub fn same_set(&self, a: NodeId, b: NodeId) -> bool {
+        let root = |n: NodeId| {
+            let mut x = n.index();
+            assert!(x < self.parent.len(), "same_set on unknown node {n:?}");
+            while self.parent[x] as usize != x {
+                x = self.parent[x] as usize;
+            }
+            x
+        };
+        root(a) == root(b)
+    }
+
     /// Merges the components of `a` and `b`.
     ///
     /// Returns `Some((winner, loser))` — the surviving root and the root
@@ -144,6 +163,8 @@ mod tests {
         assert_eq!(w2, uf.find(ns[0]));
         assert_eq!(uf.component_size(ns[2]), 3);
         assert_eq!(uf.component_size(ns[3]), 1);
+        assert!(uf.same_set(ns[1], ns[2]));
+        assert!(!uf.same_set(ns[0], ns[3]));
     }
 
     #[test]
