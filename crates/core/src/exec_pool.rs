@@ -10,20 +10,23 @@
 //! module's one seam, [`Runtime::run_level`], which supplies the threads.
 //!
 //! A level is executed by *claiming*. The driver books the level's
-//! executions into `Core::level`; every executing thread then runs the
-//! same claim loop (`Runtime::run_claims`): take the next execution, swap
-//! frames under one runtime-lock acquisition (pop the finished
-//! execution's frame and compare its value, push the claimed one's), run
-//! the executor, repeat until the level's executions are used up. The
-//! driver claims beside `min(n, width) − 1` helpers, each fed one *ticket*
-//! through the pool queue; with none (`set_parallelism` 0 or 1, or a level
-//! of one execution) it runs the level alone under its exclusive guard and
-//! no pool is built. With helpers the bookings move into the pool's
-//! [`Level`] block for the level: one lock per execution, so claimants
-//! take and finish theirs without the runtime lock, an atomic claim index
-//! and the barrier. Either way the driver commits the results in batch
-//! order after the level, under exclusive access. The block is reused, so
-//! a steady-state level allocates nothing of its own.
+//! executions into `Core::level`, the one store of a level's bookings:
+//! one lock per execution, which the claimants of a pooled level take
+//! under shared access and exclusive access reaches without locking.
+//! Every executing thread then runs the same claim loop
+//! (`Runtime::run_claims`): take the next execution, swap frames under one
+//! runtime-lock acquisition (pop the finished execution's frame and
+//! compare its value, push the claimed one's), run the executor, repeat
+//! until the level's executions are used up. The driver claims beside
+//! `min(n, width) − 1` helpers, each fed one *ticket* through the pool
+//! queue; with none (`set_parallelism` 0 or 1, or a level of one
+//! execution) it runs the level alone under its exclusive guard, in batch
+//! order, and no pool is built. With helpers the claimants draw indices
+//! from the pool's [`Level`] block, an atomic claim index and the barrier,
+//! re-armed in place so a steady-state level allocates nothing of its own
+//! (a fresh block only when a helper ticket of an earlier level still
+//! holds it). Either way the driver commits the results in batch order
+//! after the level, under exclusive access.
 //!
 //! In a pooled level every claimant — the driver too — runs under
 //! **shared** access to the runtime state, and writes only what belongs
@@ -68,13 +71,12 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use crate::metrics::RuntimeMetrics;
-use crate::runtime::{Guard, LevelSlot};
+use crate::runtime::Guard;
 use crate::Runtime;
-use alphonse_graph::NodeId;
 use alphonse_mem as mem;
 
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
@@ -102,12 +104,9 @@ pub(crate) struct ExecPool {
     /// every worker exits its loop.
     tx: Option<Sender<Ticket>>,
     handles: Vec<JoinHandle<()>>,
-    /// The shared block of the current (or last) pooled level, re-armed in
-    /// place for each level ([`ExecPool::arm`]).
+    /// The shared block of the current (or last) pooled level
+    /// ([`ExecPool::arm`]).
     level: Arc<Level>,
-    /// A second block, for when a helper ticket of the last level still
-    /// holds the first as the next level is armed.
-    spare: Arc<Level>,
 }
 
 impl ExecPool {
@@ -160,7 +159,6 @@ impl ExecPool {
             tx: Some(tx),
             handles,
             level: Arc::default(),
-            spare: Arc::default(),
         }
     }
 
@@ -174,38 +172,18 @@ impl ExecPool {
         self.workers
     }
 
-    /// Moves the bookings of a level into a block for its claimants and
-    /// returns the block. Of the pool's two blocks it re-arms one no ticket
-    /// of an earlier level still holds (a helper that has not returned
-    /// yet), so steady-state levels allocate no block.
-    fn arm(&mut self, bookings: &mut Vec<LevelSlot>) -> Arc<Level> {
-        if Arc::get_mut(&mut self.level).is_none() {
-            std::mem::swap(&mut self.level, &mut self.spare);
+    /// Arms the level block for `width` executions and returns it. The
+    /// block is reset in place unless a ticket of an earlier level still
+    /// holds it (a helper that has not returned yet), so steady-state
+    /// levels allocate no block.
+    fn arm(&mut self, width: usize) -> Arc<Level> {
+        match Arc::get_mut(&mut self.level) {
+            Some(level) => *level = Level::new(width),
+            None => {
+                self.level = mem::with(mem::Tag::ExecPool, || Arc::new(Level::new(width)));
+            }
         }
-        if Arc::get_mut(&mut self.level).is_none() {
-            self.level = mem::with(mem::Tag::ExecPool, Arc::default);
-        }
-        let level = Arc::get_mut(&mut self.level).expect("a block no ticket holds");
-        level.slots.clear();
-        level
-            .slots
-            .extend(bookings.drain(..).map(|slot| Claim(Mutex::new(slot))));
-        *level.next.get_mut() = 0;
-        *level
-            .barrier
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = Barrier {
-            pending: level.slots.len(),
-            failed: false,
-        };
         Arc::clone(&self.level)
-    }
-
-    /// Whether an execution of `n` is booked in the pool's current block
-    /// and not yet claimed.
-    pub(crate) fn is_booked(&self, n: NodeId) -> bool {
-        (0..self.level.width())
-            .any(|idx| matches!(&*self.level.slot(idx), LevelSlot::Booked(b) if b.node() == n))
     }
 
     /// Enqueues one ticket. Never blocks (the queue is unbounded); the
@@ -221,22 +199,17 @@ impl ExecPool {
     }
 }
 
-/// The shared block of one pooled level: its booked executions in batch
-/// order, each behind its own lock so a claimant takes and finishes its
-/// booking without the runtime lock, the claim index every executing
-/// thread draws from, and the barrier the driver waits at.
+/// The shared block of one pooled level: the claim index every executing
+/// thread draws from, and the barrier the driver waits at. The booked
+/// executions themselves sit in `Core::level`, where a claimant takes its
+/// booking in the same lock acquisition that pushes its frame.
 #[derive(Default)]
 pub(crate) struct Level {
-    slots: Vec<Claim>,
+    width: usize,
     next: AtomicUsize,
     barrier: Mutex<Barrier>,
     all_in: Condvar,
 }
-
-/// The lock of one execution of a pooled level, aligned to its own cache
-/// lines: the claimants take and finish neighbouring executions at once.
-#[repr(align(128))]
-struct Claim(Mutex<LevelSlot>);
 
 #[derive(Default)]
 struct Barrier {
@@ -255,37 +228,25 @@ struct Ticket {
 }
 
 impl Level {
-    /// Number of executions booked.
-    fn width(&self) -> usize {
-        self.slots.len()
+    fn new(width: usize) -> Level {
+        Level {
+            width,
+            next: AtomicUsize::new(0),
+            barrier: Mutex::new(Barrier {
+                pending: width,
+                failed: false,
+            }),
+            all_in: Condvar::new(),
+        }
     }
 
-    /// The lock of execution `idx`. No body runs while one is held, so
-    /// only a fail-stop panic can poison it; it is entered anyway.
-    fn slot(&self, idx: usize) -> MutexGuard<'_, LevelSlot> {
-        self.slots[idx]
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Claims the next execution: its index and what its slot held (the
-    /// booking), leaving it running. `None` once every execution is
-    /// claimed. The index is drawn relaxed: it only has to be unique, and
-    /// the booking it names is handed over under that index's own lock.
-    pub(crate) fn claim(&self) -> Option<(usize, LevelSlot)> {
+    /// Claims the index of the next execution, or `None` once every
+    /// execution is claimed. Drawn relaxed and without the runtime lock: it
+    /// only has to be unique, and a ticket that finds the level used up
+    /// must not take the runtime lock.
+    pub(crate) fn claim(&self) -> Option<usize> {
         let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        (idx < self.width()).then(|| {
-            (
-                idx,
-                std::mem::replace(&mut *self.slot(idx), LevelSlot::Running),
-            )
-        })
-    }
-
-    /// Leaves the outcome of execution `idx` for the batch-order commit.
-    pub(crate) fn finish(&self, idx: usize, done: LevelSlot) {
-        *self.slot(idx) = done;
+        (idx < self.width).then_some(idx)
     }
 
     fn barrier(&self) -> MutexGuard<'_, Barrier> {
@@ -396,9 +357,8 @@ impl Runtime {
         self.par_active.fetch_add(1, Ordering::Release);
         let window = ParWindow(&self.par_active);
         let level_t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        let mut bookings = std::mem::take(&mut inner.level);
         let pool = inner.exec_pool.as_mut().expect("created above");
-        let level = pool.arm(&mut bookings);
+        let level = pool.arm(width);
         for _ in 0..helpers {
             pool.submit(Ticket {
                 rt: self.clone(),
@@ -427,10 +387,6 @@ impl Runtime {
             "a runtime check failed on a pool worker (see its panic message above)"
         );
         let mut guard = self.lock();
-        bookings.extend(
-            (0..width).map(|idx| std::mem::replace(&mut *level.slot(idx), LevelSlot::Running)),
-        );
-        guard.level = bookings;
         guard.gather_spare_logs();
         guard
     }
@@ -566,12 +522,9 @@ mod tests {
         });
         let pool = ExecPool::new(1, Arc::clone(&rt.metrics));
         let pool_id = pool.id();
-        // A width-1 level whose one execution is not booked: the helper's
-        // claim finds it already running and panics.
-        let mut level = Level::default();
-        level.slots.push(Claim(Mutex::new(LevelSlot::Running)));
-        level.barrier.get_mut().unwrap().pending = 1;
-        let broken = Arc::new(level);
+        // A width-1 level with nothing booked in `Core::level`: the
+        // helper's claim indexes past the empty booking list and panics.
+        let broken = Arc::new(Level::new(1));
         pool.submit(Ticket {
             rt: rt.clone(),
             level: Arc::clone(&broken),

@@ -395,8 +395,12 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
         // Claimants of a pooled level probe under shared access first;
         // elsewhere one thread calls, and exclusive access costs the same.
         let clock = &self.inner.clock;
-        let probed = (rt.pooled()).then(|| self.inner.table().probe(&args, clock));
-        let node = match probed.flatten() {
+        let probed = if rt.pooled() {
+            self.probe_shared(&args)
+        } else {
+            None
+        };
+        let node = match probed {
             Some(node) => node,
             None => {
                 // A claimant that missed probes again: another may have
@@ -429,6 +433,14 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
             let _ = self.inner.single.set(node);
         }
         (node, begun)
+    }
+
+    /// A pooled claimant's argument-table probe, under shared access to
+    /// the table. Out of line, so the exclusive call path keeps the size it
+    /// had without it.
+    #[inline(never)]
+    fn probe_shared(&self, args: &A) -> Option<NodeId> {
+        self.inner.table().probe(args, &self.inner.clock)
     }
 
     /// Steps 3–4 of Algorithm 5: consult the cache, re-execute on a miss,

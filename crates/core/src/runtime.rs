@@ -119,6 +119,27 @@ pub(crate) enum LevelSlot {
     Done(u64, Result<Box<dyn Value>, Mutex<Panic>>, bool),
 }
 
+/// One execution of a level in `Core::level`, behind its own lock: a
+/// pooled level's claimants take and finish theirs under shared access,
+/// while exclusive access reaches it with `get_mut`, taking no lock. Not
+/// padded to a cache line of its own: a driver-alone level books and
+/// commits every execution, and the padding cost it more than
+/// neighbouring claimants lose to sharing a line.
+pub(crate) struct Claim(Mutex<LevelSlot>);
+
+impl Claim {
+    /// The execution, under exclusive access. No body runs while its lock
+    /// is held, so only a fail-stop panic can poison it; it is entered
+    /// anyway.
+    fn get_mut(&mut self) -> &mut LevelSlot {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn into_inner(self) -> LevelSlot {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The payload of a panic that unwound out of a body.
 pub(crate) type Panic = Box<dyn std::any::Any + Send>;
 
@@ -333,12 +354,10 @@ pub(crate) struct Core {
     /// changes size.
     pub(crate) exec_pool: Option<crate::exec_pool::ExecPool>,
     /// The executions of the level being drained, indexed by claim order
-    /// (= batch order). A pooled level moves them into its shared
-    /// [`Level`] block while it runs, and back for the commit. Empty
-    /// between levels; capacity is kept.
-    pub(crate) level: Vec<LevelSlot>,
-    /// A level is booked and not yet committed.
-    level_open: bool,
+    /// (= batch order): the one store of a level's bookings, whether the
+    /// driver claims alone or beside pool helpers. Empty between levels;
+    /// capacity is kept.
+    pub(crate) level: Vec<Claim>,
     /// Slot-0 stack depth when the open level started. Frames below
     /// it belong to callers suspended until the level finishes.
     level_base: usize,
@@ -449,7 +468,6 @@ impl RuntimeBuilder {
                     parallelism: 0,
                     exec_pool: None,
                     level: Vec::new(),
-                    level_open: false,
                     level_base: 0,
                     dirty,
                     scheduling: self.scheduling,
@@ -574,6 +592,14 @@ impl Default for Runtime {
 const REENTERED: &str = "runtime re-entered while internally locked: closures run by Var::with \
                          and trace sinks must not call back into runtime operations";
 
+/// The fail-stop panic of a re-entered runtime, out of line so the lock
+/// paths that check for it stay small.
+#[cold]
+#[inline(never)]
+fn reentered() -> ! {
+    panic!("{REENTERED}")
+}
+
 /// Marks the current thread as holding one runtime's lock, shared or
 /// exclusive, for as long as it lives; restores the previous mark on drop,
 /// so a closure run under runtime A's lock may still use runtime B.
@@ -585,7 +611,7 @@ impl Held {
     fn enter(id: u64) -> Held {
         let prev = HELD.with(|h| h.replace(id));
         if prev == id {
-            panic!("{REENTERED}")
+            reentered()
         }
         Held(prev)
     }
@@ -657,6 +683,25 @@ impl<'a> Access<'a> {
                 f(core, slot)
             }
             Access::Shared(shared) => shared.with_slot(f),
+        }
+    }
+
+    /// Runs `f` on execution `idx` of the open level: through its lock
+    /// under shared access, straight under exclusive access. `None` past
+    /// the level's end.
+    fn with_claim<R>(&mut self, idx: usize, f: impl FnOnce(&mut LevelSlot) -> R) -> Option<R> {
+        match self {
+            Access::Exclusive(guard) => guard.level.get_mut(idx).map(|c| f(c.get_mut())),
+            Access::Shared(shared) => (shared.guard.level.get(idx))
+                .map(|c| f(&mut c.0.lock().unwrap_or_else(PoisonError::into_inner))),
+        }
+    }
+
+    /// The exclusive guard, if this is one.
+    fn into_guard(self) -> Option<Guard<'a>> {
+        match self {
+            Access::Exclusive(guard) => Some(guard),
+            Access::Shared(_) => None,
         }
     }
 }
@@ -1169,7 +1214,7 @@ impl Inner {
     /// log decides instead.
     fn has_readers(&mut self, x: NodeId) -> bool {
         let Inner { core, slots } = self;
-        if !core.level_open && slot_mut(&mut slots[0]).stack.is_empty() {
+        if core.level.is_empty() && slot_mut(&mut slots[0]).stack.is_empty() {
             return core.graph.has_succs(x);
         }
         fn frames(slots: &mut [Mutex<Slot>]) -> impl Iterator<Item = &Frame> {
@@ -1180,12 +1225,17 @@ impl Inner {
         if frames(slots).any(|f| f.log.contains(&x)) {
             return true;
         }
-        let booked = |y: NodeId| {
-            (core.level.iter()).any(|slot| matches!(slot, LevelSlot::Booked(b) if b.node() == y))
-                || (core.exec_pool.as_ref()).is_some_and(|pool| pool.is_booked(y))
+        let Core {
+            graph,
+            flags,
+            level,
+            ..
+        } = core;
+        let mut booked = |y: NodeId| {
+            (level.iter_mut()).any(|c| matches!(c.get_mut(), LevelSlot::Booked(b) if b.node() == y))
         };
-        core.graph.succs(x).any(|y| {
-            core.flag(y.index()) & F_ON_STACK == 0
+        graph.succs(x).any(|y| {
+            flags[y.index()].load(Ordering::Relaxed) & F_ON_STACK == 0
                 || !(frames(slots).any(|f| f.node == y) || booked(y))
         })
     }
@@ -1255,7 +1305,7 @@ impl Runtime {
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
             Err(TryLockError::WouldBlock) => {
                 if !self.pooled() {
-                    panic!("{REENTERED}")
+                    reentered()
                 }
                 self.inner.write().unwrap_or_else(PoisonError::into_inner)
             }
@@ -1281,7 +1331,7 @@ impl Runtime {
     /// this runtime's lock: for calls that take another lock first.
     pub(crate) fn assert_unlocked(&self) {
         if HELD.with(Cell::get) == self.id {
-            panic!("{REENTERED}")
+            reentered()
         }
     }
 
@@ -1578,11 +1628,20 @@ impl Runtime {
     /// access in a pooled level, else under exclusive access.
     fn on_slot<R>(&self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
         if self.pooled() {
-            return self.shared().with_slot(f);
+            return self.on_slot_shared(f);
         }
         let mut guard = self.lock();
         let (core, slot) = guard.split();
         f(core, slot)
+    }
+
+    /// The pooled half of [`Runtime::on_slot`]. This and the other
+    /// `*_shared` calls of the pooled read paths stay out of line, so the
+    /// exclusive paths they branch from keep the code size they had with no
+    /// shared access at all.
+    #[inline(never)]
+    fn on_slot_shared<R>(&self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
+        self.shared().with_slot(f)
     }
 
     /// Runs `f` with dependence recording suppressed for the *current*
@@ -1659,10 +1718,7 @@ impl Runtime {
     /// shared path.
     pub(crate) fn with_value<R>(&self, n: NodeId, f: impl FnOnce(&dyn Value) -> R) -> R {
         let f = if self.pooled() {
-            match self
-                .shared()
-                .with_slot(|core, slot| core.read_shared(slot, n, f))
-            {
+            match self.read_shared(n, f) {
                 Ok(out) => return out,
                 Err(f) => f,
             }
@@ -1675,6 +1731,14 @@ impl Runtime {
             core.merge_partitions(n, v);
         }
         f(core.location(n))
+    }
+
+    /// The pooled half of [`Runtime::with_value`] ([`Core::read_shared`]),
+    /// out of line like [`Runtime::on_slot_shared`].
+    #[inline(never)]
+    fn read_shared<R, F: FnOnce(&dyn Value) -> R>(&self, n: NodeId, f: F) -> Result<R, F> {
+        self.shared()
+            .with_slot(|core, slot| core.read_shared(slot, n, f))
     }
 
     /// Writes a location — the paper's `modify` (Algorithm 4): the write
@@ -1797,10 +1861,7 @@ impl Runtime {
         f: impl FnOnce(&dyn Value) -> R,
     ) -> Option<R> {
         let f = if self.pooled() {
-            match self
-                .shared()
-                .with_slot(|core, slot| core.precall_shared(slot, n, f))
-            {
+            match self.precall_shared(n, f) {
                 Ok(out) => return out,
                 Err(f) => f,
             }
@@ -1857,6 +1918,19 @@ impl Runtime {
             }
             Err(_) => None,
         }
+    }
+
+    /// The pooled half of [`Runtime::precall_cached`]
+    /// ([`Core::precall_shared`]), out of line like
+    /// [`Runtime::on_slot_shared`].
+    #[inline(never)]
+    fn precall_shared<R, F: FnOnce(&dyn Value) -> R>(
+        &self,
+        n: NodeId,
+        f: F,
+    ) -> Result<Option<R>, F> {
+        self.shared()
+            .with_slot(|core, slot| core.precall_shared(slot, n, f))
     }
 
     /// The tail of a memo call that executes `n`, booked by
@@ -2227,15 +2301,16 @@ impl Runtime {
                 // claimants then only take their bookings and swap frames.
                 for &u in &execs {
                     let booking = inner.exec_book(u);
-                    inner.level.push(LevelSlot::Booked(booking));
+                    inner
+                        .level
+                        .push(Claim(Mutex::new(LevelSlot::Booked(booking))));
                 }
-                inner.level_open = true;
                 inner.level_base = slot_mut(&mut inner.slots[0]).stack.len();
                 guard = self.run_level(guard);
                 let inner = &mut *guard;
                 let mut level = std::mem::take(&mut inner.level);
-                for (&u, slot) in execs.iter().zip(level.drain(..)) {
-                    let LevelSlot::Done(my_gen, outcome, changed) = slot else {
+                for (&u, claim) in execs.iter().zip(level.drain(..)) {
+                    let LevelSlot::Done(my_gen, outcome, changed) = claim.into_inner() else {
                         unreachable!("level finished with an unfinished execution");
                     };
                     let outcome =
@@ -2247,7 +2322,6 @@ impl Runtime {
                     }
                 }
                 inner.level = level;
-                inner.level_open = false;
             }
             emit!(
                 guard,
@@ -2265,18 +2339,19 @@ impl Runtime {
     /// thread's stack (its tracked reads and nested memo calls record
     /// against that frame), run it, and repeat until the level's
     /// executions are used up. Each acquisition pops the previous frame,
-    /// compares its value and leaves its outcome for the driver's
-    /// batch-order commit, and pushes the next claim's frame.
+    /// compares its value and leaves its outcome in `Core::level` for the
+    /// driver's batch-order commit, then takes the next booking and pushes
+    /// its frame.
     ///
-    /// The driver alone (`pooled` is `None`) claims from `Core::level`
-    /// under exclusive access: it enters holding its guard and leaves with
-    /// the guard of its last pop, so `k` executions cost `k` acquisitions.
-    /// The claimants of a pooled level claim from its shared block under
-    /// shared access, unless a pop must change edges: it then escalates to
-    /// exclusive access ([`Runtime::exec_pop_shared`]). One that finds the
-    /// block used up before it ran anything returns without locking.
-    /// Returns the number of executions run and the exclusive guard held,
-    /// if any.
+    /// The driver alone (`pooled` is `None`) claims in batch order under
+    /// exclusive access: it enters holding its guard and leaves with the
+    /// guard of its last pop, so `k` executions cost `k` acquisitions. The
+    /// claimants of a pooled level draw indices from its shared block and
+    /// claim under shared access, unless a pop must change edges: it then
+    /// escalates to exclusive access ([`Runtime::exec_pop_shared`]). One
+    /// that finds the block used up before it ran anything returns without
+    /// locking. Returns the number of executions run and the exclusive
+    /// guard held, if any.
     pub(crate) fn run_claims<'a>(
         &'a self,
         guard: Option<Guard<'a>>,
@@ -2309,39 +2384,25 @@ impl Runtime {
                     },
                 };
                 let done = LevelSlot::Done(my_gen, outcome.map_err(Mutex::new), changed);
-                match (pooled, &mut access) {
-                    (Some(level), _) => level.finish(idx, done),
-                    (None, Access::Exclusive(guard)) => guard.level[idx] = done,
-                    (None, Access::Shared(_)) => {
-                        unreachable!("the driver alone claims exclusively")
-                    }
-                }
+                access.with_claim(idx, |slot| *slot = done);
                 held = Some(access);
             }
-            let claimed = match (pooled, &mut held) {
-                (Some(level), _) => level.claim(),
-                (None, Some(Access::Exclusive(guard))) => {
-                    let idx = ran as usize;
-                    let slot = guard.level.get_mut(idx);
-                    slot.map(|slot| (idx, std::mem::replace(slot, LevelSlot::Running)))
-                }
-                (None, _) => unreachable!("the driver alone claims holding its guard"),
+            let Some(idx) = pooled.map_or(Some(ran as usize), Level::claim) else {
+                return (ran, held.and_then(Access::into_guard));
             };
-            let Some((idx, slot)) = claimed else {
-                let guard = match held {
-                    Some(Access::Exclusive(guard)) => Some(guard),
-                    _ => None,
-                };
-                return (ran, guard);
+            let mut access = held.take().unwrap_or_else(acquire);
+            let take = |slot: &mut LevelSlot| std::mem::replace(slot, LevelSlot::Running);
+            let Some(slot) = access.with_claim(idx, take) else {
+                assert!(pooled.is_none(), "a pooled level's index names no booking");
+                // The driver alone ran the level's last booking.
+                return (ran, access.into_guard());
             };
             let LevelSlot::Booked(Booking { my_gen, frame }) = slot else {
                 unreachable!("each level index is claimed once");
             };
             let n = frame.node;
-            let executor = held
-                .take()
-                .unwrap_or_else(acquire)
-                .with_slot(|core, slot| self.push_frame(core, slot, frame));
+            let executor = access.with_slot(|core, slot| self.push_frame(core, slot, frame));
+            drop(access);
             let outcome = self.run_body(&executor);
             ran += 1;
             last = Some((idx, n, my_gen, outcome));

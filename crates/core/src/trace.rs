@@ -32,6 +32,15 @@
 //! sessions are movable across threads, so a sink installed on one thread
 //! may observe events from wherever the runtime lives now.
 //!
+//! In a level that runs on the executor pool
+//! ([`Runtime::set_parallelism`](crate::Runtime::set_parallelism) of 2 or
+//! more) the claimants emit reads, cache hits and their executions' begin
+//! and end events under *shared* access, so a sink receives those events
+//! concurrently from several threads, interleaved across them; each
+//! thread's events still arrive in its own program order. A sink must
+//! therefore synchronise internally, as [`Recorder`] and [`JsonlSink`] do
+//! with one lock each.
+//!
 //! # Consumers
 //!
 //! | Consumer | Question it answers |
@@ -313,9 +322,12 @@ impl TraceEvent {
 /// Implementations must obey the sink contract described in the
 /// [module docs](self): events arrive synchronously while the runtime is
 /// internally locked, so the sink must never re-enter runtime operations.
-/// Sinks are `Send + Sync` so a traced session stays movable across threads.
+/// Sinks are `Send + Sync` so a traced session stays movable across threads,
+/// and in a pooled level several threads call [`TraceSink::event`] at once.
 pub trait TraceSink: Send + Sync {
-    /// Called once per observable runtime step, in program order.
+    /// Called once per observable runtime step, in the program order of the
+    /// thread that took the step; a pooled level's claimants call it
+    /// concurrently, their events interleaved.
     fn event(&self, ev: &TraceEvent);
 }
 
