@@ -10,42 +10,48 @@
 //! module's one seam, [`Runtime::run_level`], which supplies the threads.
 //!
 //! A level is executed by *claiming*. The driver books the level's
-//! executions into `Core::level`, the one store of a level's bookings:
-//! one lock per execution, which the claimants of a pooled level take
-//! under shared access and exclusive access reaches without locking.
-//! Every executing thread then runs the same claim loop
-//! (`Runtime::run_claims`): take the next execution, swap frames under one
-//! runtime-lock acquisition (pop the finished execution's frame and
-//! compare its value, push the claimed one's), run the executor, repeat
-//! until the level's executions are used up. The driver claims beside
-//! `min(n, width) − 1` helpers, each fed one *ticket* through the pool
-//! queue; with none (`set_parallelism` 0 or 1, or a level of one
-//! execution) it runs the level alone under its exclusive guard, in batch
-//! order, and no pool is built. With helpers the claimants draw indices
-//! from the pool's [`Level`] block, an atomic claim index and the barrier,
-//! re-armed in place so a steady-state level allocates nothing of its own
-//! (a fresh block only when a helper ticket of an earlier level still
-//! holds it). Either way the driver commits the results in batch order
-//! after the level, under exclusive access.
+//! executions into `Core::level`, the one store of a level's bookings,
+//! which no claimant writes. The driver claims beside `min(n, width) − 1`
+//! helpers, each fed one *ticket* through the pool queue; with none
+//! (`set_parallelism` 0 or 1, or a level of one execution) it runs the
+//! level alone under its exclusive guard, in batch order
+//! (`Runtime::run_alone`), and no pool is built. With helpers every
+//! claimant runs the same claim loop (`Runtime::run_pooled`): claim a
+//! *run* of executions from the pool's [`Level`] block — the driver from
+//! the front of the level, helpers from the back, each run a share of
+//! what is left, so a level costs each claimant a few claims on the
+//! shared cursor rather than one per execution — then push each one's
+//! frame, run it, pop it and leave its outcome in the thread's own slot.
+//! The block is re-armed in place, so a steady-state level allocates
+//! nothing of its own (a fresh block only when a helper ticket of an
+//! earlier level still holds it). Either way the driver commits the
+//! results in batch order after the level, under exclusive access.
 //!
-//! In a pooled level every claimant — the driver too — runs under
-//! **shared** access to the runtime state, and writes only what belongs
-//! to its own thread: the frames, spare logs and tallies of its thread
-//! slot (`Inner::slots`), its node's on-stack bit, and its level
-//! booking. Reads, cache hits, frame pushes and the pop of a
-//! re-execution that read what its previous run read (no edge changes)
-//! all stay shared. What changes shared state escalates: the claimant
-//! drops its shared access and takes exclusive access, which blocks until
-//! the other claimants' short sections end — a pop whose edges change, a
-//! memo miss, a write, a node allocation, a read that merges partitions, a
-//! call to a node with an execution booked or running.
+//! For a pooled level the driver moves the runtime state into an `Arc`.
+//! Each claimant takes a *view* of it after its first successful claim —
+//! a clone of that `Arc` plus its own thread slot, taken out of the state
+//! — and keeps it in a thread-local until its claim loop ends. Reads,
+//! cache hits, frame pushes and the pop of a re-execution that read what
+//! its previous run read (no edge changes) all go through the view: they
+//! touch no lock word and write only the claimant's own slot, its node's
+//! on-stack bit and nothing else. What changes shared state *pauses* the
+//! level — a pop whose edges change, a memo miss, a write, a node
+//! allocation, a read that merges partitions, a call to a node with an
+//! execution booked or running, a `stats()` call: the claimant drops its
+//! view, takes the lock exclusively and raises the pause flag, and waits
+//! until every other claimant has dropped its view (which puts its slot
+//! back) at its next runtime operation or claim. It then changes what it
+//! must alone, and every claimant takes a fresh view at its next
+//! operation. After the barrier the driver takes the state back out of
+//! the `Arc`, so outside pooled levels exclusive access pays no refcount.
 //!
 //! The barrier counts executions, not threads: the driver waits until every
 //! *claimed* execution has reported (a `Mutex` + `Condvar` pending count).
-//! A ticket that reaches a worker after the level's indices are used up
-//! exits without taking the runtime lock — it must, because once the
-//! driver closes the window `Runtime::lock` treats contention as
-//! re-entrancy and panics.
+//! Each claimant drops its view before it reports. A ticket that reaches a
+//! worker after the level's executions are all claimed exits without
+//! touching the runtime state — it must, because once the barrier opens
+//! the driver takes the state back and `Runtime::lock` treats contention
+//! as re-entrancy again.
 //!
 //! The pool is deliberately minimal — std threads and one shared `mpsc`
 //! job queue, no external dependencies:
@@ -60,7 +66,7 @@
 //!   dependence recording; the worker gauges use the same slots.
 //!
 //! Panics: the claim loop catches a body's panic and leaves its outcome in
-//! the block for the driver to roll back in batch order, so a level always
+//! its slot for the driver to roll back in batch order, so a level always
 //! runs to completion. Only a fail-stop panic the runtime raises outside a
 //! body (a cycle found while a log is reconciled) unwinds out of a claim
 //! loop: a helper's drop guard then marks the level failed and wakes the
@@ -68,8 +74,9 @@
 //! worker survives.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -172,16 +179,15 @@ impl ExecPool {
         self.workers
     }
 
-    /// Arms the level block for `width` executions and returns it. The
-    /// block is reset in place unless a ticket of an earlier level still
-    /// holds it (a helper that has not returned yet), so steady-state
-    /// levels allocate no block.
-    fn arm(&mut self, width: usize) -> Arc<Level> {
+    /// Arms the level block for `width` executions claimed by `claimants`
+    /// threads and returns it. The block is reset in place unless a ticket
+    /// of an earlier level still holds it (a helper that has not returned
+    /// yet), so steady-state levels allocate no block.
+    fn arm(&mut self, width: usize, claimants: usize) -> Arc<Level> {
+        let level = Level::new(width, claimants);
         match Arc::get_mut(&mut self.level) {
-            Some(level) => *level = Level::new(width),
-            None => {
-                self.level = mem::with(mem::Tag::ExecPool, || Arc::new(Level::new(width)));
-            }
+            Some(armed) => *armed = level,
+            None => self.level = mem::with(mem::Tag::ExecPool, || Arc::new(level)),
         }
         Arc::clone(&self.level)
     }
@@ -199,14 +205,17 @@ impl ExecPool {
     }
 }
 
-/// The shared block of one pooled level: the claim index every executing
-/// thread draws from, and the barrier the driver waits at. The booked
-/// executions themselves sit in `Core::level`, where a claimant takes its
-/// booking in the same lock acquisition that pushes its frame.
+/// The shared block of one pooled level: the claim cursor every executing
+/// thread draws runs of executions from, and the barrier the driver waits
+/// at. The booked executions themselves sit in `Core::level`, which the
+/// claimants read through their views.
 #[derive(Default)]
 pub(crate) struct Level {
-    width: usize,
-    next: AtomicUsize,
+    /// Threads that claim in the level: the driver and its helpers.
+    claimants: u32,
+    /// The unclaimed executions `front..back`, packed as `back << 32 |
+    /// front`: the driver claims from the front, helpers from the back.
+    cursor: AtomicU64,
     barrier: Mutex<Barrier>,
     all_in: Condvar,
 }
@@ -228,25 +237,50 @@ struct Ticket {
 }
 
 impl Level {
-    fn new(width: usize) -> Level {
+    fn new(width: usize, claimants: usize) -> Level {
+        let width = u32::try_from(width).expect("a level fits the claim cursor");
         Level {
-            width,
-            next: AtomicUsize::new(0),
+            claimants: claimants as u32,
+            cursor: AtomicU64::new(u64::from(width) << 32),
             barrier: Mutex::new(Barrier {
-                pending: width,
+                pending: width as usize,
                 failed: false,
             }),
             all_in: Condvar::new(),
         }
     }
 
-    /// Claims the index of the next execution, or `None` once every
-    /// execution is claimed. Drawn relaxed and without the runtime lock: it
-    /// only has to be unique, and a ticket that finds the level used up
-    /// must not take the runtime lock.
-    pub(crate) fn claim(&self) -> Option<usize> {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed);
-        (idx < self.width).then_some(idx)
+    /// Claims the next run of executions, from the front of the level
+    /// (the driver) or from its back (a helper), or `None` once every
+    /// execution is claimed. A run is a share of what is left, so a level
+    /// costs each claimant a few claims, not one per execution, while the
+    /// last executions still go one at a time to whoever is free. Drawn
+    /// relaxed and without the runtime lock: runs only have to be
+    /// disjoint, and a ticket that finds the level used up must not touch
+    /// the runtime state.
+    pub(crate) fn claim(&self, front: bool) -> Option<Range<usize>> {
+        let mut cursor = self.cursor.load(Ordering::Relaxed);
+        loop {
+            let (lo, hi) = (cursor as u32, (cursor >> 32) as u32);
+            if lo >= hi {
+                return None;
+            }
+            let run = ((hi - lo) / (2 * self.claimants)).max(1);
+            let (next, claimed) = if front {
+                (cursor + u64::from(run), lo..lo + run)
+            } else {
+                (cursor - (u64::from(run) << 32), hi - run..hi)
+            };
+            match (self.cursor).compare_exchange_weak(
+                cursor,
+                next,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some(claimed.start as usize..claimed.end as usize),
+                Err(now) => cursor = now,
+            }
+        }
     }
 
     fn barrier(&self) -> MutexGuard<'_, Barrier> {
@@ -254,21 +288,21 @@ impl Level {
     }
 
     /// One helper ticket, run by the worker with gauge slot `slot`: claim
-    /// beside the driver, then report. A ticket that claimed nothing
-    /// touches neither lock.
+    /// from the back of the level beside the driver, then report. The claim
+    /// loop drops the helper's view before it returns: once the barrier
+    /// opens, the driver takes the runtime state back. A ticket that
+    /// claimed nothing touches neither the runtime state nor the barrier.
     fn help(&self, rt: &Runtime, slot: usize) {
         let _failed = FailOnUnwind(self);
         let t0 = crate::metrics::enabled().then(std::time::Instant::now);
-        let (ran, guard) = rt.run_claims(None, Some(self));
-        // Released before reporting: once the barrier opens, the driver
-        // relocks with contention treated as re-entrancy again.
-        drop(guard);
+        let ran = rt.run_pooled(self, false);
         if ran == 0 {
             return;
         }
         // Gauges first: once the barrier opens the driver may snapshot.
         if let Some(t0) = t0 {
-            rt.metrics
+            rt.root
+                .metrics
                 .record_worker(slot, t0.elapsed().as_nanos() as u64, 0, ran);
         }
         let mut b = self.barrier();
@@ -319,23 +353,22 @@ impl Runtime {
     /// `min(parallelism, width) − 1` helpers from a pool of
     /// `parallelism − 1` threads (created lazily, rebuilt when the knob
     /// changes size). Returns, holding exclusive access again, once every
-    /// execution has reported, with each booking `Done` for the driver's
-    /// batch-order commit.
+    /// execution has reported, with each one's outcome left in the slot of
+    /// the thread that ran it for the driver's batch-order commit.
     ///
     /// With no helpers the driver runs the level alone under the guard it
-    /// booked the level with, and keeps the guard of its last pop, so a
-    /// level of `k` executions costs `k` exclusive acquisitions and the
-    /// pool is never built. Otherwise it releases that guard and claims
-    /// beside the helpers under shared access, then waits at the barrier;
-    /// while the level runs, `par_active` makes exclusive contention block
-    /// instead of tripping the re-entrancy panic.
+    /// booked the level with ([`Runtime::run_alone`]), so the pool is never
+    /// built. Otherwise it moves the runtime state into an `Arc`, opens the
+    /// window (`par_active`) in which runtime operations go through the
+    /// claimants' views and exclusive access pauses the level, and releases
+    /// the lock; it claims beside the helpers, waits at the barrier, closes
+    /// the window and takes the state back.
     pub(crate) fn run_level<'a>(&'a self, mut guard: Guard<'a>) -> Guard<'a> {
         let inner = &mut *guard;
         let width = inner.level.len();
         let helpers = inner.parallelism.min(width).saturating_sub(1);
         if helpers == 0 {
-            let (_, guard) = self.run_claims(Some(guard), None);
-            return guard.expect("the driver claims holding its guard");
+            return self.run_alone(guard);
         }
         let pool_size = inner.parallelism - 1;
         if inner
@@ -343,42 +376,41 @@ impl Runtime {
             .as_ref()
             .is_none_or(|p| p.workers() != pool_size)
         {
-            inner.exec_pool = Some(ExecPool::new(pool_size, Arc::clone(&self.metrics)));
+            inner.exec_pool = Some(ExecPool::new(pool_size, Arc::clone(&self.root.metrics)));
         }
         if inner.slots.len() <= pool_size {
             inner.slots.resize_with(pool_size + 1, Mutex::default);
         }
         inner.stats.parallel_levels += 1;
         inner.stats.parallel_executions += width as u64;
-        // Claimants run under shared access from here on, and exclusive
-        // contention blocks: open the window before the first ticket can
-        // start (tickets are submitted below while the guard is still
-        // held, so no helper can observe the flag too early).
-        self.par_active.fetch_add(1, Ordering::Release);
-        let window = ParWindow(&self.par_active);
         let level_t0 = crate::metrics::enabled().then(std::time::Instant::now);
         let pool = inner.exec_pool.as_mut().expect("created above");
-        let level = pool.arm(width);
+        let level = pool.arm(width, helpers + 1);
+        // Tickets are submitted while the lock is still held, so no helper
+        // can take a view before the state is shared and the window open.
         for _ in 0..helpers {
             pool.submit(Ticket {
                 rt: self.clone(),
                 level: Arc::clone(&level),
             });
         }
+        guard.share();
+        self.root.par_active.fetch_add(1, Ordering::Release);
+        let window = ParWindow(&self.root.par_active);
         drop(guard);
-        let (ran, guard) = self.run_claims(None, Some(&level));
-        drop(guard);
+        let ran = self.run_pooled(&level, true);
         let wait_t0 = level_t0.map(|_| std::time::Instant::now());
         let ok = level.wait(ran);
         drop(window);
         if let (Some(t0), Some(w0)) = (level_t0, wait_t0) {
-            self.metrics.record_worker(
+            self.root.metrics.record_worker(
                 0,
                 (w0 - t0).as_nanos() as u64,
                 w0.elapsed().as_nanos() as u64,
                 ran,
             );
-            self.metrics
+            self.root
+                .metrics
                 .level_latency_ns
                 .record(t0.elapsed().as_nanos() as u64);
         }
@@ -387,7 +419,7 @@ impl Runtime {
             "a runtime check failed on a pool worker (see its panic message above)"
         );
         let mut guard = self.lock();
-        guard.gather_spare_logs();
+        guard.own();
         guard
     }
 }
@@ -422,7 +454,7 @@ mod tests {
     use super::*;
     use crate::{Memo, Strategy, Var};
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::time::{Duration, Instant};
 
     /// `width` vars feeding one eager cell each, at `parallelism`; every
@@ -520,11 +552,11 @@ mod tests {
             m.visit(2);
             x + 1
         });
-        let pool = ExecPool::new(1, Arc::clone(&rt.metrics));
+        let pool = ExecPool::new(1, Arc::clone(&rt.root.metrics));
         let pool_id = pool.id();
         // A width-1 level with nothing booked in `Core::level`: the
         // helper's claim indexes past the empty booking list and panics.
-        let broken = Arc::new(Level::new(1));
+        let broken = Arc::new(Level::new(1, 2));
         pool.submit(Ticket {
             rt: rt.clone(),
             level: Arc::clone(&broken),

@@ -1,14 +1,14 @@
 //! Incremental procedures: cached functions and maintained methods.
 
 use crate::fxhash::FxHashMap;
-use crate::runtime::{Executor, Instance, Runtime, Strategy};
+use crate::runtime::{Core, Executor, Inner, Instance, Root, Runtime, Strategy};
 use crate::value::{downcast_ref, Value};
 use alphonse_graph::NodeId;
 use alphonse_mem as mem;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Weak};
 
 /// Bound required of memo argument vectors: they key the *argument table*
 /// of Section 4.2, so they must be hashable, comparable and clonable —
@@ -26,6 +26,11 @@ pub(crate) struct MemoInner<A, R> {
     name: Arc<str>,
     strategy: Strategy,
     rt_id: u64,
+    /// The runtime the procedure was defined in, for the read-backs that
+    /// take no runtime argument ([`Memo::instance_count`],
+    /// [`Memo::instance_node`], `Debug`). Weak: the runtime owns the
+    /// procedure's instances, and through them the procedure.
+    rt: Weak<Root>,
     /// Maximum number of instance *values* kept live (paper Section 3.3:
     /// "additional pragma arguments allow the specification of … cache
     /// size, and the replacement algorithm"). `None` = unbounded.
@@ -33,24 +38,17 @@ pub(crate) struct MemoInner<A, R> {
     /// The body. It receives the procedure's own handle, which a recursive
     /// procedure calls and every other procedure ignores.
     f: Body<A, R>,
-    /// The paper's *argument table* (Section 4.2): one dependency-graph node
-    /// per distinct argument vector. FxHash-keyed: probed on every call.
-    /// A reader-writer lock: a probe — a bounded table's LRU stamp
-    /// included, the stamps and clock being atomics — is a shared read, so
-    /// the claimants of a pooled level probe side by side; only a miss
-    /// takes it exclusively, to insert the new instance. Callers use a
-    /// session from one thread at a time (the runtime's fail-stop lock
-    /// enforces it), so it is uncontended outside pooled levels. It is
-    /// scoped tightly in `settle` so body re-execution — which may
-    /// recursively call back into this memo — never holds it.
-    table: RwLock<Table<A>>,
+    /// The number of entries of the argument table with a given id, for
+    /// `Debug`, which knows no argument type.
+    table_len: fn(&Core, usize) -> usize,
+    /// Id of the paper's *argument table* (Section 4.2) among the runtime
+    /// core's tables: one dependency-graph node per distinct argument
+    /// vector, a [`Table<A>`]. It lives in the core, so a call probes it
+    /// under the access it already holds — through its view in a pooled
+    /// level, under its one exclusive guard otherwise.
+    table: usize,
     /// The logical clock of a bounded table's LRU stamps.
     clock: AtomicU64,
-    /// Single-instance shortcut for zero-sized argument types: an inhabited
-    /// ZST has exactly one value, so the argument table holds at most one
-    /// entry. Its node is published here by the first call; every later
-    /// call is one atomic load instead of a table lock.
-    single: OnceLock<NodeId>,
     /// Values dropped by the replacement policy so far.
     evictions: AtomicU64,
     /// Static-stratum seed applied to fresh instance nodes (see
@@ -62,11 +60,12 @@ pub(crate) struct MemoInner<A, R> {
 /// The boxed body of an incremental procedure.
 type Body<A, R> = Box<dyn Fn(&Runtime, &Memo<A, R>, &A) -> R + Send + Sync>;
 
-/// The guarded argument-table state. An unbounded memo maps
-/// each argument vector to its instance node and nothing else; only a
-/// bounded one (`memo_bounded`) stamps its entries from the procedure's
-/// logical clock for LRU replacement, advanced by the probe that uses it.
-/// Stamps and clock are atomics, so a probe needs only shared access.
+/// A procedure's argument table, kept in the runtime core. An unbounded
+/// memo maps each argument vector to its instance node and nothing else;
+/// only a bounded one (`memo_bounded`) stamps its entries from the
+/// procedure's logical clock for LRU replacement, advanced by the probe
+/// that uses it. Stamps and clock are atomics, so a probe through a view
+/// writes nothing but them.
 enum Table<A> {
     Unbounded(FxHashMap<A, NodeId>),
     /// Instance node and last-use stamp per argument vector.
@@ -140,43 +139,53 @@ impl<A: MemoArgs, R: MemoResult> Instance for MemoInstance<A, R> {
     }
 }
 
-impl<A, R> MemoInner<A, R> {
-    /// A procedure with an empty argument table: an LRU one when
-    /// `capacity` bounds it.
+impl<A: MemoArgs, R> MemoInner<A, R> {
+    /// A procedure of `rt` with an empty argument table, entered in its
+    /// core: an LRU one when `capacity` bounds it.
     fn new(
-        name: Arc<str>,
+        rt: &Runtime,
+        name: &str,
         strategy: Strategy,
-        rt_id: u64,
         capacity: Option<usize>,
         f: Body<A, R>,
     ) -> Self {
+        let table: Table<A> = match capacity {
+            None => Table::Unbounded(FxHashMap::default()),
+            Some(_) => Table::Lru(FxHashMap::default()),
+        };
         MemoInner {
-            name,
+            name: name.into(),
             strategy,
-            rt_id,
+            rt_id: rt.root.id,
+            rt: Arc::downgrade(&rt.root),
             capacity,
             f,
-            table: RwLock::new(match capacity {
-                None => Table::Unbounded(FxHashMap::default()),
-                Some(_) => Table::Lru(FxHashMap::default()),
-            }),
+            table_len: |core, id| core.table::<Table<A>>(id).len(),
+            table: rt.lock().add_table(Box::new(table)),
             clock: AtomicU64::new(0),
-            single: OnceLock::new(),
             evictions: AtomicU64::new(0),
             height_hint: AtomicU32::new(0),
         }
     }
 
-    /// Shared access to the argument table. No body runs while it is
-    /// held, so only a fail-stop runtime panic can poison it; a poisoned
-    /// lock is entered anyway, as the runtime's own lock is.
-    fn table(&self) -> RwLockReadGuard<'_, Table<A>> {
-        self.table.read().unwrap_or_else(PoisonError::into_inner)
+    /// The argument table, in the core it lives in.
+    fn table<'c>(&self, core: &'c Core) -> &'c Table<A> {
+        core.table(self.table)
+    }
+}
+
+impl<A, R> MemoInner<A, R> {
+    /// `f` on the runtime core, outside a call, or `None` once the runtime
+    /// has been dropped.
+    fn read_core<T>(&self, f: impl FnOnce(&Core) -> T) -> Option<T> {
+        let root = self.rt.upgrade()?;
+        Some(Runtime { root }.read_core(f))
     }
 
-    /// Exclusive access to the argument table, to insert an instance.
-    fn table_mut(&self) -> RwLockWriteGuard<'_, Table<A>> {
-        self.table.write().unwrap_or_else(PoisonError::into_inner)
+    /// Number of distinct argument vectors instantiated so far.
+    fn instance_count(&self) -> usize {
+        self.read_core(|core| (self.table_len)(core, self.table))
+            .unwrap_or(0)
     }
 }
 
@@ -191,6 +200,13 @@ impl<A, R> MemoInner<A, R> {
 /// tracked global state ([`Var`](crate::Var)s) — the paper's lifting of the
 /// *combinator* restriction (Section 4.2) — and may even write tracked
 /// state, as the AVL `balance` method of Section 7.3 does.
+///
+/// The procedure's *argument table* (Section 4.2), which maps argument
+/// vectors to instance nodes, lives in the runtime it was defined in,
+/// beside the graph: a call probes it under the same access as the cache.
+/// The handle itself holds the body and a weak reference to that runtime;
+/// once the runtime is dropped, [`Memo::instance_count`] reads 0 and
+/// [`Memo::instance_node`] `None`.
 ///
 /// # Example
 ///
@@ -221,7 +237,7 @@ impl<A, R> fmt::Debug for Memo<A, R> {
         f.debug_struct("Memo")
             .field("name", &self.inner.name)
             .field("strategy", &self.inner.strategy)
-            .field("instances", &self.inner.table().len())
+            .field("instances", &self.inner.instance_count())
             .finish()
     }
 }
@@ -252,9 +268,9 @@ impl Runtime {
         let _mem = mem::scope(mem::Tag::Memo);
         Memo {
             inner: Arc::new(MemoInner::new(
-                name.into(),
+                self,
+                name,
                 strategy,
-                self.id,
                 None,
                 Box::new(move |rt, _me, a| f(rt, a)),
             )),
@@ -284,9 +300,9 @@ impl Runtime {
         let _mem = mem::scope(mem::Tag::Memo);
         Memo {
             inner: Arc::new(MemoInner::new(
-                name.into(),
+                self,
+                name,
                 strategy,
-                self.id,
                 Some(capacity),
                 Box::new(move |rt, _me, a| f(rt, a)),
             )),
@@ -326,13 +342,7 @@ impl Runtime {
     ) -> Memo<A, R> {
         let _mem = mem::scope(mem::Tag::Memo);
         Memo {
-            inner: Arc::new(MemoInner::new(
-                name.into(),
-                strategy,
-                self.id,
-                None,
-                Box::new(f),
-            )),
+            inner: Arc::new(MemoInner::new(self, name, strategy, None, Box::new(f))),
         }
     }
 }
@@ -340,7 +350,7 @@ impl Runtime {
 impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// Number of distinct argument vectors instantiated so far.
     pub fn instance_count(&self) -> usize {
-        self.inner.table().len()
+        self.inner.instance_count()
     }
 
     /// Calls the procedure — the paper's instrumented `call` operation
@@ -354,6 +364,11 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// 4. return the cached value if the instance is consistent, otherwise
     ///    drop its stale dependencies and re-execute the body.
     ///
+    /// Steps 1–3 share one access to the runtime: the caller's view in a
+    /// pooled level when the call is a cache hit, one exclusive guard
+    /// otherwise, under which a miss also books the execution. The body
+    /// runs unlocked, and one more guard commits it.
+    ///
     /// # Panics
     ///
     /// Panics if `rt` is not the runtime the memo was defined in, or if the
@@ -361,118 +376,82 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// of the body reaches the caller after the executions it unwound
     /// through are rolled back (see [`Runtime`]'s panic contract).
     pub fn call(&self, rt: &Runtime, args: A) -> R {
-        let (node, begun) = self.settle(rt, args);
-        self.finish(rt, node, begun)
-    }
-
-    /// Steps 1–2 of Algorithm 5: argument-table lookup (instantiating on a
-    /// miss). Returns the instance node plus, for a just-created instance,
-    /// its already-booked first execution (a fresh instance cannot be a
-    /// cache hit and has no pending changes to settle, so
-    /// [`Runtime::alloc_comp_begun`] books the execution inside the
-    /// allocation's own lock and [`Memo::finish`] skips the cache probe).
-    /// The call/probe counters are tallied inside the allocation /
-    /// pre-call paths, sharing their existing lock acquisitions.
-    fn settle(&self, rt: &Runtime, args: A) -> (NodeId, Option<(Executor, u64)>) {
         assert_eq!(
-            self.inner.rt_id, rt.id,
+            self.inner.rt_id, rt.root.id,
             "Memo {:?} used with a different Runtime than it was defined in",
             self.inner.name
         );
-        // Single-instance fast path: once the sole instance of a
-        // zero-sized argument type is published, the whole settle step is
-        // one atomic load (an LRU stamp is pointless with one entry).
-        if std::mem::size_of::<A>() == 0 {
-            if let Some(&node) = self.inner.single.get() {
-                return (node, None);
-            }
-        }
-        // A call from a closure run under the runtime's lock fails stop
-        // here, before it could wait for the table behind a miss that waits
-        // for that lock.
-        rt.assert_unlocked();
-        let mut begun = None;
-        // Claimants of a pooled level probe under shared access first;
-        // elsewhere one thread calls, and exclusive access costs the same.
-        let clock = &self.inner.clock;
-        let probed = if rt.pooled() {
-            self.probe_shared(&args)
-        } else {
-            None
-        };
-        let node = match probed {
-            Some(node) => node,
-            None => {
-                // A claimant that missed probes again: another may have
-                // created the instance since.
-                let mut table = self.inner.table_mut();
-                match table.probe(&args, clock) {
-                    Some(node) => node,
-                    None => {
-                        let _mem = mem::scope(mem::Tag::Memo);
-                        let executor: Executor = Arc::new(MemoInstance {
-                            memo: self.clone(),
-                            args: args.clone(),
-                        });
-                        let (n, executor, my_gen) = rt.alloc_comp_begun(
-                            self.inner.strategy,
-                            executor,
-                            self.inner.height_hint.load(Ordering::Relaxed),
-                        );
-                        begun = Some((executor, my_gen));
-                        table.insert(args, n, clock);
-                        n
-                    }
-                }
-            }
-        };
-        if begun.is_some() {
-            self.enforce_capacity(rt, node);
-        }
-        if std::mem::size_of::<A>() == 0 {
-            let _ = self.inner.single.set(node);
-        }
-        (node, begun)
-    }
-
-    /// A pooled claimant's argument-table probe, under shared access to
-    /// the table. Out of line, so the exclusive call path keeps the size it
-    /// had without it.
-    #[inline(never)]
-    fn probe_shared(&self, args: &A) -> Option<NodeId> {
-        self.inner.table().probe(args, &self.inner.clock)
-    }
-
-    /// Steps 3–4 of Algorithm 5: consult the cache, re-execute on a miss,
-    /// record the caller's dependence, and clone the typed result out.
-    fn finish(&self, rt: &Runtime, node: NodeId, begun: Option<(Executor, u64)>) -> R {
         let read = |v: &dyn Value| downcast_ref::<R>(v, &self.inner.name).clone();
-        let (executor, my_gen) = match begun {
-            // A just-created instance cannot hit and its execution is
-            // already booked ([`Memo::settle`]): run it to completion.
-            Some(begun) => begun,
-            None => {
-                // Note: the paper's Algorithm 5 records the caller's
-                // dependence edge before checking consistency. We record it
-                // after the callee has settled (cache hit or completed
-                // re-execution) instead — the resulting edge set is
-                // identical, but re-entrant patterns like the AVL balance
-                // method (Section 7.3) would otherwise transiently pair a
-                // stale caller→callee edge with the fresh callee→caller one
-                // and trip cycle detection.
-                if let Some(out) = rt.precall_cached(node, read) {
-                    return out;
+        let read = if rt.pooled() {
+            match rt.hit_viewed(|core| self.probe(core, &args), read) {
+                Ok(out) => return out,
+                Err(read) => read,
+            }
+        } else {
+            read
+        };
+        let mut guard = rt.lock();
+        let (node, executor, my_gen, read) = match self.probe(&guard, &args) {
+            // Note: the paper's Algorithm 5 records the caller's dependence
+            // edge before checking consistency. We record it after the
+            // callee has settled (cache hit or completed re-execution)
+            // instead — the resulting edge set is identical, but
+            // re-entrant patterns like the AVL balance method (Section 7.3)
+            // would otherwise transiently pair a stale caller→callee edge
+            // with the fresh callee→caller one and trip cycle detection.
+            Some(node) => match rt.precall(guard, node, read) {
+                Ok(out) => return out,
+                Err((g, read)) => {
+                    guard = g;
+                    let (executor, my_gen) = rt.exec_begin(&mut guard, node);
+                    (node, executor, my_gen, read)
                 }
-                rt.exec_begin(&mut rt.lock(), node)
+            },
+            None => {
+                let (node, executor, my_gen) = self.instantiate(rt, &mut guard, args);
+                (node, executor, my_gen, read)
             }
         };
+        drop(guard);
         rt.finish_exec_recording(node, &executor, my_gen, read)
+    }
+
+    /// The instance node for `args` as a call sees it (a bounded table
+    /// stamps it most recently used).
+    fn probe(&self, core: &Core, args: &A) -> Option<NodeId> {
+        self.inner.table(core).probe(args, &self.inner.clock)
+    }
+
+    /// Step 1's miss: creates the instance for `args` and books its first
+    /// execution under the caller's guard ([`Runtime::alloc_comp_begun`]),
+    /// enters it in the argument table, and lets a bounded table drop the
+    /// least recently used values beyond its capacity. Out of line, so a
+    /// call that finds its instance carries none of it.
+    #[inline(never)]
+    fn instantiate(&self, rt: &Runtime, inner: &mut Inner, args: A) -> (NodeId, Executor, u64) {
+        let _mem = mem::scope(mem::Tag::Memo);
+        let executor: Executor = Arc::new(MemoInstance {
+            memo: self.clone(),
+            args: args.clone(),
+        });
+        let (node, executor, my_gen) = rt.alloc_comp_begun(
+            inner,
+            self.inner.strategy,
+            executor,
+            self.inner.height_hint.load(Ordering::Relaxed),
+        );
+        (inner.table_mut::<Table<A>>(self.inner.table)).insert(args, node, &self.inner.clock);
+        self.enforce_capacity(inner, node);
+        (node, executor, my_gen)
     }
 
     /// The dependency-graph node for a given argument vector, if that
     /// instance exists.
     pub fn instance_node(&self, args: &A) -> Option<NodeId> {
-        self.inner.table().get(args)
+        (self
+            .inner
+            .read_core(|core| self.inner.table(core).get(args)))
+        .flatten()
     }
 
     /// Cache capacity, if bounded.
@@ -498,18 +477,17 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     }
 
     /// Drops least-recently-used cached values until at most `capacity`
-    /// remain live. Instances that are currently executing are never
-    /// evicted. Dependency edges are kept — eviction forgets results, not
-    /// dependence (otherwise propagation through the instance would lose
-    /// soundness).
-    fn enforce_capacity(&self, rt: &Runtime, just_created: NodeId) {
+    /// remain live, under the guard that created `just_created`. Instances
+    /// that are currently executing are never evicted. Dependency edges are
+    /// kept — eviction forgets results, not dependence (otherwise
+    /// propagation through the instance would lose soundness).
+    fn enforce_capacity(&self, inner: &mut Inner, just_created: NodeId) {
         let Some(capacity) = self.inner.capacity else {
             return;
         };
         // One slot stays free for the instance just created: with at most
         // `capacity - 1` others nothing can be over.
-        let table = self.inner.table();
-        let Table::Lru(map) = &*table else {
+        let Table::Lru(map) = self.inner.table(inner) else {
             unreachable!("a bounded memo keeps an LRU table");
         };
         if map.len() <= capacity {
@@ -519,8 +497,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
             .filter(|(node, _)| *node != just_created)
             .map(|(node, last_use)| (last_use.load(Ordering::Relaxed), *node))
             .collect();
-        drop(table);
-        let evicted = rt.evict_lru(entries, capacity - 1);
+        let evicted = inner.evict_lru(entries, capacity - 1);
         self.inner
             .evictions
             .fetch_add(evicted as u64, Ordering::Relaxed);

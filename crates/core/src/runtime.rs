@@ -39,21 +39,28 @@ use crate::trace::{DirtyReason, TraceEvent, TraceSink};
 use crate::value::Value;
 use alphonse_graph::{DepGraph, HeightQueue, NodeId, UnionFind};
 use alphonse_mem as mem;
-use std::cell::Cell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard, TryLockError};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// Id of the runtime whose lock the current thread holds, shared or
-    /// exclusive; 0 for none. A runtime operation entered while its own
-    /// runtime's lock is held — from a `Var::with` closure or a trace sink
-    /// — fails stop on it instead of deadlocking.
+    /// Id of the runtime whose exclusive access the current thread holds
+    /// in a pooled level; 0 for none. A runtime operation entered while
+    /// it is held — from a trace sink — fails stop on it instead of
+    /// deadlocking.
     static HELD: Cell<u64> = const { Cell::new(0) };
+    /// This thread's views of the pooled levels it claims in, at most one
+    /// per runtime ([`View`]). Borrowed for the length of one runtime
+    /// operation, so an operation entered from a closure that runs under
+    /// it (a `Var::with` body, a trace sink) finds it borrowed and fails
+    /// stop.
+    static VIEWS: RefCell<Vec<View>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Delivers an event to the installed trace sink, if any.
@@ -86,58 +93,32 @@ pub(crate) trait Instance: Send + Sync {
 /// slot and the executions booked from it.
 pub(crate) type Executor = Arc<dyn Instance>;
 
-/// An execution booked by [`Inner::exec_book`]: its generation and the
-/// call frame the executing thread pushes. That thread fetches the
-/// executor itself ([`Runtime::push_frame`]), so a pooled level's driver never
-/// touches the instance objects its claimants run.
+/// An execution booked by [`Inner::exec_book`]: its node, its generation
+/// and whether an older execution of the node was on a stack when it was
+/// booked. The executing thread builds the call frame from it with a log
+/// of its own slot's spares and fetches the executor itself
+/// ([`Runtime::push_frame`]), so a pooled level's driver never touches the
+/// instance objects or log buffers its claimants use.
+#[derive(Clone, Copy)]
 pub(crate) struct Booking {
+    node: NodeId,
     my_gen: u64,
-    frame: Frame,
+    reentrant: bool,
 }
 
 /// What running an executor's body produced: its value, or the payload of
 /// the panic that unwound out of it.
 pub(crate) type Outcome = std::thread::Result<Box<dyn Value>>;
 
-impl Booking {
-    /// The node the execution is booked for.
-    pub(crate) fn node(&self) -> NodeId {
-        self.frame.node
-    }
-}
-
-/// One execution of a level, as the claim loop moves it along.
-pub(crate) enum LevelSlot {
-    /// Booked by the driver when it opened the level.
-    Booked(Booking),
-    /// Claimed: the frame is on the claiming thread's stack.
-    Running,
-    /// Finished: the execution's generation, its outcome awaiting the
-    /// driver's in-order commit, and whether its value differs from the
-    /// cached one. A panic payload is `Send` but not `Sync`; it waits
-    /// behind a lock, so the runtime state stays `Sync`.
-    Done(u64, Result<Box<dyn Value>, Mutex<Panic>>, bool),
-}
-
-/// One execution of a level in `Core::level`, behind its own lock: a
-/// pooled level's claimants take and finish theirs under shared access,
-/// while exclusive access reaches it with `get_mut`, taking no lock. Not
-/// padded to a cache line of its own: a driver-alone level books and
-/// commits every execution, and the padding cost it more than
-/// neighbouring claimants lose to sharing a line.
-pub(crate) struct Claim(Mutex<LevelSlot>);
-
-impl Claim {
-    /// The execution, under exclusive access. No body runs while its lock
-    /// is held, so only a fail-stop panic can poison it; it is entered
-    /// anyway.
-    fn get_mut(&mut self) -> &mut LevelSlot {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn into_inner(self) -> LevelSlot {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
+/// A finished execution of a level, left in the slot of the thread that
+/// ran it for the driver's batch-order commit: its index in the level,
+/// its generation, its outcome and whether its value differs from the
+/// cached one.
+struct Done {
+    idx: usize,
+    my_gen: u64,
+    outcome: Outcome,
+    changed: bool,
 }
 
 /// The payload of a panic that unwound out of a body.
@@ -205,10 +186,10 @@ const LOG_COMPACT_MIN: usize = 32;
 /// longer ones through the slot's hash set ([`dedup_private`]).
 const SHORT_LOG: usize = 8;
 
-/// How an operation that may run under shared access compacts a
-/// dependence log: with the [`F_MARK`] bits of the flag bytes under
-/// exclusive access ([`dedup_marked`]), privately under shared access
-/// ([`dedup_private`]), where the claimants share the flag bytes.
+/// How an operation that may run through a view compacts a dependence
+/// log: with the [`F_MARK`] bits of the flag bytes under exclusive access
+/// ([`dedup_marked`]), privately through a view ([`dedup_private`]), where
+/// the claimants share the flag bytes.
 #[derive(Clone, Copy)]
 enum Dedup<'a> {
     Marks(&'a [AtomicU8]),
@@ -259,11 +240,22 @@ enum DirtyStore {
     },
 }
 
-/// The runtime state behind [`Runtime`]'s lock: the shared [`Core`] and
-/// one [`Slot`] per thread slot. Under shared access a thread reads the
-/// core and locks only its own slot, which no other thread touches; under
-/// exclusive access it reaches every slot with `get_mut`, with no extra
-/// lock ([`Inner::split`]).
+/// The runtime state behind [`Runtime`]'s lock. Between pooled levels the
+/// lock owns it, and exclusive access reaches it with no refcount. For a
+/// pooled level the driver moves it into an `Arc` that the claimants'
+/// [`View`]s share, and takes it back once the level's barrier has
+/// passed ([`Guard::share`], [`Guard::own`]).
+pub(crate) struct State {
+    /// The state between pooled levels.
+    owned: Option<Inner>,
+    /// The state during a pooled level.
+    pooled: Option<Arc<Inner>>,
+}
+
+/// The runtime state: the [`Core`] and one [`Slot`] per thread slot.
+/// Exclusive access reaches every slot with `get_mut`, with no extra lock
+/// ([`Inner::split`]); a claimant's view takes its own slot out for as
+/// long as it lives.
 pub(crate) struct Inner {
     core: Core,
     /// The thread slots ([`Core::slot`]): slot 0 for every thread outside
@@ -289,27 +281,57 @@ impl DerefMut for Inner {
 /// What one thread slot owns: its call stack (dependence recording targets
 /// the innermost frame of the recording thread's slot, so concurrent
 /// claimants never see each other's frames), the emptied logs its pops
-/// return, the tallies of the operations that may run under shared access,
-/// and a scratch set for private log deduplication. Aligned to its own
-/// cache lines, so two claimants' slots never share one.
+/// return, the executions it finished in the open level, the tallies of
+/// the operations that may run through a view, and a scratch set for
+/// private log deduplication. Aligned to its own cache lines, so two
+/// claimants' slots never share one.
 #[derive(Default)]
 #[repr(align(128))]
 pub(crate) struct Slot {
     stack: Vec<Frame>,
-    /// Emptied dependence logs of popped frames, handed to the next
-    /// bookings so steady-state executions log into warm buffers. A
-    /// pooled level returns the helpers' logs to slot 0, which books.
+    /// Emptied dependence logs of popped frames, handed to the frames this
+    /// thread pushes next, so steady-state executions log into warm
+    /// buffers and a buffer stays with the thread that allocated it.
     spare_logs: Vec<Vec<NodeId>>,
+    /// Executions of the open level this thread finished, awaiting the
+    /// driver's batch-order commit ([`Inner::take_done`]).
+    done: Vec<Done>,
     stats: Stats,
     seen: FxHashSet<NodeId>,
 }
 
 /// The slot behind `m`, reached under exclusive access. A poisoned slot
-/// is entered anyway, as the runtime lock is: only a fail-stop panic or a
-/// `Var::with` closure, which runs once its read is logged, can unwind
-/// while a slot is locked.
+/// is entered anyway, as the runtime lock is: only a fail-stop panic can
+/// unwind while a slot is locked.
 fn slot_mut(m: &mut Mutex<Slot>) -> &mut Slot {
     m.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The slot behind `m`, locked by a view that takes it out or puts it
+/// back; no other thread locks it meanwhile.
+fn slot_lock(m: &Mutex<Slot>) -> MutexGuard<'_, Slot> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A claimant's view of a pooled level ([`Runtime::viewed`]): the shared
+/// runtime state, taken once after the claimant's first claim, and the
+/// thread's own slot, taken out of it for as long as the view lives. Reads,
+/// cache hits, frame pushes and pops go through it without touching a
+/// lock word. A claimant that must change shared state pauses the level
+/// ([`Runtime::pause`]): every view is dropped, which puts its slot back,
+/// before exclusive access is granted.
+struct View {
+    id: u64,
+    inner: Arc<Inner>,
+    /// Index of `slot` in `inner.slots`.
+    k: usize,
+    slot: Slot,
+}
+
+impl Drop for View {
+    fn drop(&mut self) {
+        *slot_lock(&self.inner.slots[self.k]) = std::mem::take(&mut self.slot);
+    }
 }
 
 /// The shared runtime state: the graph, the node columns, the dirty sets
@@ -323,8 +345,8 @@ pub(crate) struct Core {
     /// Dense value slab: the cached value of each location / computation.
     values: Vec<Option<Box<dyn Value>>>,
     /// Packed per-node flag bits (`F_*` constants above). Atomic bytes, so
-    /// a pooled level's pop clears its node's on-stack bit under shared
-    /// access; exclusive code reaches them with `get_mut`.
+    /// a pooled level's pop clears its node's on-stack bit through a
+    /// view; exclusive code reaches them with `get_mut`.
     flags: Vec<AtomicU8>,
     /// Generation stamp of the most recently *started* execution of each
     /// computation node. An execution only commits its value to the cache
@@ -353,11 +375,11 @@ pub(crate) struct Core {
     /// (first level with helpers). Rebuilt if the knob
     /// changes size.
     pub(crate) exec_pool: Option<crate::exec_pool::ExecPool>,
-    /// The executions of the level being drained, indexed by claim order
-    /// (= batch order): the one store of a level's bookings, whether the
-    /// driver claims alone or beside pool helpers. Empty between levels;
-    /// capacity is kept.
-    pub(crate) level: Vec<Claim>,
+    /// The executions of the level being drained, in batch order: the one
+    /// store of a level's bookings, whether the driver claims alone or
+    /// beside pool helpers. Only read while the level runs; empty between
+    /// levels, capacity kept.
+    pub(crate) level: Vec<Booking>,
     /// Slot-0 stack depth when the open level started. Frames below
     /// it belong to callers suspended until the level finishes.
     level_base: usize,
@@ -389,6 +411,10 @@ pub(crate) struct Core {
     /// Tallies of the operations that only run under exclusive access;
     /// the rest go to the thread slots ([`Slot::stats`]).
     pub(crate) stats: Stats,
+    /// The memo argument tables (Section 4.2), one per procedure, indexed
+    /// by the procedure's table id: each a `Table<A>` of its argument type
+    /// ([`crate::memo`]), probed under the access a call already holds.
+    tables: Vec<Box<dyn Any + Send + Sync>>,
 }
 
 /// Order in which the evaluator drains the inconsistent set.
@@ -457,36 +483,43 @@ impl RuntimeBuilder {
             DirtyStore::Global(HeightQueue::new())
         };
         Runtime {
-            inner: Arc::new(RwLock::new(Inner {
-                core: Core {
-                    graph: DepGraph::new(),
-                    values: Vec::new(),
-                    flags: Vec::new(),
-                    gens: Vec::new(),
-                    executors: Vec::new(),
-                    names: FxHashMap::default(),
-                    parallelism: 0,
-                    exec_pool: None,
-                    level: Vec::new(),
-                    level_base: 0,
-                    dirty,
-                    scheduling: self.scheduling,
-                    fifo_clock: 0,
-                    evaluating: false,
-                    exec_gen: 0,
-                    succ_scratch: Vec::new(),
-                    level_scratch: Vec::new(),
-                    batch_pending: Vec::new(),
-                    batch_slots: Vec::new(),
-                    sink: crate::trace::default_sink(),
-                    stats: Stats::default(),
-                },
-                slots: vec![Mutex::default()],
-            })),
-            exec_depth: Arc::new(AtomicU32::new(0)),
-            par_active: Arc::new(AtomicU32::new(0)),
-            metrics: Arc::new(crate::metrics::RuntimeMetrics::new()),
-            id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
+            root: Arc::new(Root {
+                state: RwLock::new(State {
+                    owned: Some(Inner {
+                        core: Core {
+                            graph: DepGraph::new(),
+                            values: Vec::new(),
+                            flags: Vec::new(),
+                            gens: Vec::new(),
+                            executors: Vec::new(),
+                            names: FxHashMap::default(),
+                            parallelism: 0,
+                            exec_pool: None,
+                            level: Vec::new(),
+                            level_base: 0,
+                            dirty,
+                            scheduling: self.scheduling,
+                            fifo_clock: 0,
+                            evaluating: false,
+                            exec_gen: 0,
+                            succ_scratch: Vec::new(),
+                            level_scratch: Vec::new(),
+                            batch_pending: Vec::new(),
+                            batch_slots: Vec::new(),
+                            sink: crate::trace::default_sink(),
+                            stats: Stats::default(),
+                            tables: Vec::new(),
+                        },
+                        slots: vec![Mutex::default()],
+                    }),
+                    pooled: None,
+                }),
+                exec_depth: AtomicU32::new(0),
+                par_active: AtomicU32::new(0),
+                paused: AtomicBool::new(false),
+                metrics: Arc::new(crate::metrics::RuntimeMetrics::new()),
+                id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
+            }),
         }
     }
 }
@@ -507,11 +540,12 @@ impl RuntimeBuilder {
 /// Threads *inside* one graph are the runtime's own business: with
 /// [`set_parallelism`](Runtime::set_parallelism) of 2 or more, the
 /// executions of one height level run on a worker pool beside the driver.
-/// The internal lock is a reader-writer lock: while such a level is
-/// active its claimants read, hit the cache, push and pop frames under
-/// *shared* access, each writing only its own thread slot, and take
-/// exclusive access — which then blocks instead of failing — only for
-/// what changes shared state (DESIGN.md, "Parallel waves"). Cross-session
+/// While such a level is active its claimants take no lock at all for
+/// reads, cache hits, frame pushes and pops: each goes through a *view*
+/// of the runtime state it took once, writing only its own thread slot.
+/// What changes shared state pauses the level — every view is dropped,
+/// then one claimant takes the internal lock exclusively, which then
+/// blocks instead of failing (DESIGN.md, "Parallel waves"). Cross-session
 /// parallelism needs no such machinery because independent runtimes share
 /// nothing.
 ///
@@ -545,7 +579,13 @@ impl RuntimeBuilder {
 /// detected, and so is re-entrant use from a closure run under its lock.
 #[derive(Clone)]
 pub struct Runtime {
-    pub(crate) inner: Arc<RwLock<Inner>>,
+    pub(crate) root: Arc<Root>,
+}
+
+/// What every handle of one runtime shares: the locked state and the
+/// words its operations consult before they lock anything.
+pub(crate) struct Root {
+    state: RwLock<State>,
     /// Incremental call-stack depth outside pooled levels, shadowed
     /// outside the lock so [`Runtime::in_tracked_context`] — the gate
     /// embedded hosts consult on *every* untracked location read (Section
@@ -555,14 +595,15 @@ pub struct Runtime {
     /// though the type is `Sync`), so a relaxed load observes the calling
     /// thread's latest update. Frames of a pooled level leave it alone:
     /// every thread running there is inside a body.
-    exec_depth: Arc<AtomicU32>,
+    exec_depth: AtomicU32,
     /// Nonzero while a level of executors is running on the worker pool
-    /// ([`Runtime::pooled`]). Runtime operations then run under shared
-    /// access where they can, and [`Runtime::lock`] consults it on
-    /// contention: during a pooled level exclusive access legitimately
-    /// waits for the claimants, so contention means *wait*; at any other
-    /// time it means *re-entrancy bug*, and the fail-stop panic is kept.
-    pub(crate) par_active: Arc<AtomicU32>,
+    /// ([`Runtime::pooled`]). Runtime operations then run through the
+    /// calling claimant's view where they can, and exclusive access
+    /// pauses the level ([`Runtime::pause`]).
+    pub(crate) par_active: AtomicU32,
+    /// Set while a claimant holds exclusive access in a pooled level: the
+    /// other claimants drop their views at their next operation.
+    paused: AtomicBool,
     /// Lock-free telemetry registry ([`crate::metrics`]): wave/level
     /// histograms and worker gauges, recorded outside the runtime lock.
     pub(crate) metrics: Arc<crate::metrics::RuntimeMetrics>,
@@ -573,7 +614,7 @@ impl fmt::Debug for Runtime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.lock();
         f.debug_struct("Runtime")
-            .field("id", &self.id)
+            .field("id", &self.root.id)
             .field("nodes", &inner.values.len())
             .field("edges", &inner.graph.edge_count())
             .field("dirty", &inner.dirty_len())
@@ -600,9 +641,9 @@ fn reentered() -> ! {
     panic!("{REENTERED}")
 }
 
-/// Marks the current thread as holding one runtime's lock, shared or
-/// exclusive, for as long as it lives; restores the previous mark on drop,
-/// so a closure run under runtime A's lock may still use runtime B.
+/// Marks the current thread as holding one runtime's exclusive access in
+/// a pooled level, for as long as it lives; restores the previous mark on
+/// drop, so a closure run under runtime A's lock may still use runtime B.
 struct Held(u64);
 
 impl Held {
@@ -625,84 +666,83 @@ impl Drop for Held {
 
 /// Exclusive access to the runtime state ([`Runtime::lock`]).
 pub(crate) struct Guard<'a> {
-    guard: RwLockWriteGuard<'a, Inner>,
-    /// Taken in pooled levels, where contention blocks.
-    _held: Option<Held>,
+    guard: RwLockWriteGuard<'a, State>,
+    /// In a pooled level: this thread's mark as the holder, and the flag
+    /// that asked the other claimants to drop their views, cleared when
+    /// the pause ends.
+    pause: Option<(Held, &'a AtomicBool)>,
 }
 
 impl Deref for Guard<'_> {
     type Target = Inner;
+    #[inline]
     fn deref(&self) -> &Inner {
-        &self.guard
+        match &self.guard.owned {
+            Some(inner) => inner,
+            None => paused(&self.guard),
+        }
     }
 }
 
 impl DerefMut for Guard<'_> {
+    #[inline]
     fn deref_mut(&mut self) -> &mut Inner {
-        &mut self.guard
+        match &mut *self.guard {
+            State {
+                owned: Some(inner), ..
+            } => inner,
+            state => paused_mut(state),
+        }
     }
 }
 
-/// Shared access to the runtime state ([`Runtime::shared`]): the core is
-/// read, and only the current thread's own slot is written.
-pub(crate) struct SharedGuard<'a> {
-    guard: RwLockReadGuard<'a, Inner>,
-    _held: Held,
-    /// The acquisition is tallied in its thread's slot by the first
-    /// [`SharedGuard::with_slot`].
-    counted: Cell<bool>,
+/// The state of a paused pooled level ([`Runtime::pause`]), out of line:
+/// every other guard derefs to the owned state.
+#[cold]
+#[inline(never)]
+fn paused(state: &State) -> &Inner {
+    state.pooled.as_deref().expect("owned or pooled")
 }
 
-impl SharedGuard<'_> {
-    /// Runs `f` on the core and the current thread's slot, which only this
-    /// thread locks.
-    fn with_slot<R>(&self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
-        let inner = &*self.guard;
-        let mut slot = inner.slots[inner.core.slot()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if !self.counted.replace(true) {
-            slot.stats.shared_acquisitions += 1;
+/// [`paused`], for exclusive access: the pause waited until every view
+/// was dropped, so the `Arc` is unique.
+#[cold]
+#[inline(never)]
+fn paused_mut(state: &mut State) -> &mut Inner {
+    (state.pooled.as_mut().and_then(Arc::get_mut)).expect("a paused level's views are all dropped")
+}
+
+impl Drop for Guard<'_> {
+    fn drop(&mut self) {
+        if let Some((_, paused)) = &self.pause {
+            paused.store(false, Ordering::Relaxed);
         }
-        f(&inner.core, &mut slot)
     }
 }
 
-/// The access a claimant holds between two executions of a level.
-enum Access<'a> {
-    Exclusive(Guard<'a>),
-    Shared(SharedGuard<'a>),
-}
-
-impl<'a> Access<'a> {
-    /// Runs `f` on the core and the current thread's slot.
-    fn with_slot<R>(&mut self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
-        match self {
-            Access::Exclusive(guard) => {
-                let (core, slot) = guard.split();
-                f(core, slot)
-            }
-            Access::Shared(shared) => shared.with_slot(f),
-        }
+impl Guard<'_> {
+    /// Moves the owned state into an `Arc` the claimants of a pooled level
+    /// take their views from.
+    pub(crate) fn share(&mut self) {
+        let inner = self
+            .guard
+            .owned
+            .take()
+            .expect("only an owned state is shared");
+        self.guard.pooled = Some(mem::with(mem::Tag::ExecPool, || Arc::new(inner)));
     }
 
-    /// Runs `f` on execution `idx` of the open level: through its lock
-    /// under shared access, straight under exclusive access. `None` past
-    /// the level's end.
-    fn with_claim<R>(&mut self, idx: usize, f: impl FnOnce(&mut LevelSlot) -> R) -> Option<R> {
-        match self {
-            Access::Exclusive(guard) => guard.level.get_mut(idx).map(|c| f(c.get_mut())),
-            Access::Shared(shared) => (shared.guard.level.get(idx))
-                .map(|c| f(&mut c.0.lock().unwrap_or_else(PoisonError::into_inner))),
-        }
-    }
-
-    /// The exclusive guard, if this is one.
-    fn into_guard(self) -> Option<Guard<'a>> {
-        match self {
-            Access::Exclusive(guard) => Some(guard),
-            Access::Shared(_) => None,
-        }
+    /// Takes the state back from a pooled level whose barrier has passed:
+    /// every claimant dropped its view before it counted itself in.
+    pub(crate) fn own(&mut self) {
+        let inner = self
+            .guard
+            .pooled
+            .take()
+            .expect("only a pooled state is taken back");
+        let inner = Arc::try_unwrap(inner)
+            .unwrap_or_else(|_| unreachable!("a view outlived its pooled level"));
+        self.guard.owned = Some(inner);
     }
 }
 
@@ -817,8 +857,8 @@ impl Core {
         );
     }
 
-    /// The read half of `access` (Algorithm 3), under shared or exclusive
-    /// access: tallies and emits the read of `n` and logs it in the
+    /// The read half of `access` (Algorithm 3), through a view or under
+    /// exclusive access: tallies and emits the read of `n` and logs it in the
     /// executing frame of `slot` ([`Slot::record`]). Returns the node of
     /// the frame that recorded it.
     fn access(&self, slot: &mut Slot, n: NodeId, dedup: Dedup<'_>) -> Option<NodeId> {
@@ -864,22 +904,8 @@ impl Core {
             .expect("location always holds a value")
     }
 
-    /// A location read under shared access: `Ok` with `f`'s result, or
-    /// `Err(f)` back when the read must merge partitions.
-    fn read_shared<R, F: FnOnce(&dyn Value) -> R>(
-        &self,
-        slot: &mut Slot,
-        n: NodeId,
-        f: F,
-    ) -> Result<R, F> {
-        if self.merges(slot, n) {
-            return Err(f);
-        }
-        self.access(slot, n, Dedup::Private);
-        Ok(f(self.location(n)))
-    }
-
-    /// The cache probe of a memo call, under shared or exclusive access:
+    /// The cache probe of a memo call, through a view or under exclusive
+    /// access:
     /// on a hit — `n` consistent and holding a value — tallies and emits
     /// it, logs the caller's dependence on `n` in `slot` and returns `f`'s
     /// result on the cached value in place, with the node of the frame
@@ -903,27 +929,6 @@ impl Core {
             }
             _ => Err(f),
         }
-    }
-
-    /// A memo call's pre-call step under shared access: `Ok(Some(_))` on a
-    /// cache hit, `Ok(None)` on a miss the caller executes under exclusive
-    /// access. `Err(f)` back, with nothing tallied, when the call needs
-    /// exclusive access from the start: `n` has an execution booked or on
-    /// a stack (it may run on another claimant, or be this thread's own
-    /// first execution), or the hit would merge partitions.
-    fn precall_shared<R, F: FnOnce(&dyn Value) -> R>(
-        &self,
-        slot: &mut Slot,
-        n: NodeId,
-        f: F,
-    ) -> Result<Option<R>, F> {
-        debug_assert!(self.evaluating, "pooled levels run inside a wave");
-        if self.flag(n.index()) & F_ON_STACK != 0 || self.merges(slot, n) {
-            return Err(f);
-        }
-        slot.stats.calls += 1;
-        slot.stats.memo_probes += 1;
-        Ok((self.probe(slot, n, f, Dedup::Private).ok()).map(|(out, _)| out))
     }
 
     /// Reconciles the retained predecessor edges of `v` with `log`, what
@@ -1068,8 +1073,8 @@ impl Slot {
     /// graph when the frame pops. Returns the frame's node when it records
     /// (the log holds `n`), `None` when no frame is executing, it is stale
     /// or its recording is suppressed. Touches nothing but this slot and,
-    /// under exclusive access, the marks `dedup` names, so it runs under
-    /// shared access too.
+    /// under exclusive access, the marks `dedup` names, so it runs through
+    /// a view too.
     fn record(&mut self, n: NodeId, dedup: Dedup<'_>) -> Option<NodeId> {
         let Slot {
             stack, stats, seen, ..
@@ -1124,14 +1129,27 @@ impl Inner {
         self.split().1
     }
 
-    /// Hands the spare logs that a pooled level's helpers popped back to
-    /// slot 0, whose bookings reuse them.
-    pub(crate) fn gather_spare_logs(&mut self) {
+    /// The executions the open level finished, in batch order: slot 0's
+    /// list, with every helper's appended and sorted in when a pool ran
+    /// the level. Hand the emptied list back to slot 0 with
+    /// [`Inner::return_done`] so its capacity is reused.
+    fn take_done(&mut self) -> Vec<Done> {
         let (first, rest) = self.slots.split_at_mut(1);
-        let spares = &mut slot_mut(&mut first[0]).spare_logs;
+        let mut done = std::mem::take(&mut slot_mut(&mut first[0]).done);
+        let driver_alone = done.len();
         for slot in rest {
-            spares.append(&mut slot_mut(slot).spare_logs);
+            done.append(&mut slot_mut(slot).done);
         }
+        if done.len() > driver_alone {
+            done.sort_unstable_by_key(|d| d.idx);
+        }
+        done
+    }
+
+    /// Hands the level's emptied [`Inner::take_done`] list back to slot 0.
+    fn return_done(&mut self, done: Vec<Done>) {
+        debug_assert!(done.is_empty());
+        slot_mut(&mut self.slots[0]).done = done;
     }
 
     /// [`Stats::wasted_executions`] so far: the pops tally it in their
@@ -1211,33 +1229,22 @@ impl Inner {
     /// computation depends on `x` in the graph eager recording would have
     /// built. While executions are live, their nodes' retained edges
     /// stand for their previous runs, so for those nodes the live frame's
-    /// log decides instead.
+    /// log decides instead; a level member booked but not started yet has
+    /// read nothing, and its coming run reads the new value. Either way
+    /// the node is flagged on-stack.
     fn has_readers(&mut self, x: NodeId) -> bool {
         let Inner { core, slots } = self;
         if core.level.is_empty() && slot_mut(&mut slots[0]).stack.is_empty() {
             return core.graph.has_succs(x);
         }
-        fn frames(slots: &mut [Mutex<Slot>]) -> impl Iterator<Item = &Frame> {
-            (slots.iter_mut())
-                .flat_map(|s| slot_mut(s).stack.iter())
-                .filter(|f| !f.stale)
-        }
-        if frames(slots).any(|f| f.log.contains(&x)) {
-            return true;
-        }
-        let Core {
-            graph,
-            flags,
-            level,
-            ..
-        } = core;
-        let mut booked = |y: NodeId| {
-            (level.iter_mut()).any(|c| matches!(c.get_mut(), LevelSlot::Booked(b) if b.node() == y))
-        };
-        graph.succs(x).any(|y| {
-            flags[y.index()].load(Ordering::Relaxed) & F_ON_STACK == 0
-                || !(frames(slots).any(|f| f.node == y) || booked(y))
-        })
+        let logged = (slots.iter_mut())
+            .flat_map(|s| slot_mut(s).stack.iter())
+            .any(|f| !f.stale && f.log.contains(&x));
+        logged
+            || core
+                .graph
+                .succs(x)
+                .any(|y| core.flag(y.index()) & F_ON_STACK == 0)
     }
 
     /// Stores `value` into location `n` — the shared tail of `modify`
@@ -1280,67 +1287,163 @@ impl Inner {
 }
 
 impl Runtime {
-    /// Acquires exclusive access to the internal state. It is tried
-    /// first. Contention while a level of executors runs on the worker
-    /// pool ([`Runtime::pooled`]) is legitimate — the claimants hold shared
-    /// access for short read, probe and frame sections — so the call then
-    /// blocks. At any other time a session is used from one thread, so
-    /// contention means a runtime operation was re-entered — by a closure
-    /// that runs under the lock (a `Var::with` body, a trace sink) or by a
-    /// second thread misusing one session concurrently — and the call
-    /// panics (fail-stop) instead of deadlocking. A thread that already
-    /// holds this runtime's lock, shared or exclusive, fails stop the same
-    /// way whatever the level. A poisoned lock is entered anyway: a panic
-    /// raised while it was held came either from a closure run under it (a
-    /// `Var::with` body, rolled back with its execution like any body
-    /// panic) or from a fail-stop check.
+    /// Acquires exclusive access to the internal state. Outside pooled
+    /// levels a session is used from one thread, so contention means a
+    /// runtime operation was re-entered — by a closure that runs under the
+    /// lock (a `Var::with` body, a trace sink) or by a second thread
+    /// misusing one session concurrently — and the call panics (fail-stop)
+    /// instead of deadlocking. In a pooled level ([`Runtime::pooled`]) it
+    /// pauses the level instead ([`Runtime::pause`]). A poisoned lock is
+    /// entered anyway: a panic raised while it was held came either from a
+    /// closure run under it (a `Var::with` body, rolled back with its
+    /// execution like any body panic) or from a fail-stop check.
     ///
     /// Every acquisition is tallied in [`Stats::lock_acquisitions`].
     #[inline]
     pub(crate) fn lock(&self) -> Guard<'_> {
-        // Outside pooled levels a re-entered lock is already contended.
-        let held = self.pooled().then(|| Held::enter(self.id));
-        let mut guard = match self.inner.try_write() {
-            Ok(guard) => guard,
+        if self.pooled() {
+            return self.pause();
+        }
+        let state = match self.root.state.try_write() {
+            Ok(state) => state,
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                if !self.pooled() {
-                    reentered()
-                }
-                self.inner.write().unwrap_or_else(PoisonError::into_inner)
-            }
+            Err(TryLockError::WouldBlock) => reentered(),
+        };
+        let mut guard = Guard {
+            guard: state,
+            pause: None,
         };
         guard.core.stats.lock_acquisitions += 1;
-        Guard { guard, _held: held }
+        guard
     }
 
-    /// Acquires shared access to the internal state, for the claimants of
-    /// a pooled level: it blocks while exclusive access is held or
-    /// waited for. Tallied in [`Stats::shared_acquisitions`] by the first
-    /// [`SharedGuard::with_slot`].
-    fn shared(&self) -> SharedGuard<'_> {
-        let held = Held::enter(self.id);
-        SharedGuard {
-            guard: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-            _held: held,
-            counted: Cell::new(false),
+    /// Exclusive access in a pooled level, for what changes shared state:
+    /// the caller drops its own view, takes the lock and raises the pause
+    /// flag, then waits until every other claimant has dropped its view at
+    /// its next runtime operation or claim. The guard lowers the flag when
+    /// it drops, and each claimant takes a fresh view at its next
+    /// operation. A thread that holds the pause already, or calls from a
+    /// closure run under its own view, fails stop.
+    #[cold]
+    #[inline(never)]
+    fn pause(&self) -> Guard<'_> {
+        self.drop_view();
+        let held = Held::enter(self.root.id);
+        let state = self
+            .root
+            .state
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.root.paused.store(true, Ordering::Relaxed);
+        let mut guard = Guard {
+            guard: state,
+            pause: Some((held, &self.root.paused)),
+        };
+        if let Some(inner) = &guard.guard.pooled {
+            while Arc::strong_count(inner) > 1 {
+                std::thread::yield_now();
+            }
+        }
+        guard.core.stats.lock_acquisitions += 1;
+        guard
+    }
+
+    /// Runs `op` on the core and the current thread's slot through the
+    /// thread's view of this runtime's pooled level ([`View`]), touching no
+    /// lock word. The view is taken first if the thread holds none, and
+    /// taken afresh if a pause asked for the one it holds. An operation
+    /// entered from a closure that `op` runs (a `Var::with` body, a trace
+    /// sink) finds the views borrowed and fails stop.
+    /// Out of line, so the exclusive paths that branch here keep the code
+    /// size they have without it.
+    #[inline(never)]
+    fn viewed<R>(&self, op: impl FnOnce(&Core, &mut Slot) -> R) -> R {
+        VIEWS.with(|views| {
+            let mut views = views.try_borrow_mut().unwrap_or_else(|_| reentered());
+            let view = self.view(&mut views);
+            op(&view.inner.core, &mut view.slot)
+        })
+    }
+
+    /// This runtime's view among `views`, fresh if a pause is asking for
+    /// the held one.
+    #[inline]
+    fn view<'v>(&self, views: &'v mut Vec<View>) -> &'v mut View {
+        let id = self.root.id;
+        match views.iter().rposition(|v| v.id == id) {
+            Some(i) if !self.root.paused.load(Ordering::Relaxed) => &mut views[i],
+            held => self.take_view(views, held),
         }
     }
 
+    /// Drops the view at `held`, if any, and takes a fresh one: waits out a
+    /// pause on the lock, clones the shared state and takes the thread's
+    /// slot out of it. The one place a claimant's view is counted, in
+    /// [`Stats::shared_acquisitions`].
+    #[cold]
+    #[inline(never)]
+    fn take_view<'v>(&self, views: &'v mut Vec<View>, held: Option<usize>) -> &'v mut View {
+        if let Some(i) = held {
+            views.remove(i);
+        }
+        self.assert_unlocked();
+        let state = self
+            .root
+            .state
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Only a pooled level's claimants take views: any other thread
+        // calling in now misuses the session.
+        let Some(inner) = &state.pooled else {
+            reentered()
+        };
+        let inner = Arc::clone(inner);
+        drop(state);
+        let k = inner.slot();
+        let mut slot = std::mem::take(&mut *slot_lock(&inner.slots[k]));
+        slot.stats.shared_acquisitions += 1;
+        views.push(View {
+            id: self.root.id,
+            inner,
+            k,
+            slot,
+        });
+        views.last_mut().expect("pushed above")
+    }
+
+    /// Drops the current thread's view of this runtime, if it holds one,
+    /// failing stop when called back from under it.
+    fn drop_view(&self) {
+        self.try_drop_view().unwrap_or_else(|_| reentered());
+    }
+
+    /// [`Runtime::drop_view`], or `Err` when the thread's views are
+    /// borrowed by an operation it is called back from.
+    fn try_drop_view(&self) -> Result<(), std::cell::BorrowMutError> {
+        VIEWS.with(|views| {
+            let mut views = views.try_borrow_mut()?;
+            if let Some(i) = views.iter().rposition(|v| v.id == self.root.id) {
+                views.remove(i);
+            }
+            Ok(())
+        })
+    }
+
     /// Fails stop, as [`Runtime::lock`] would, if the current thread holds
-    /// this runtime's lock: for calls that take another lock first.
+    /// this runtime's exclusive access in a pooled level: for calls that
+    /// would wait for it.
     pub(crate) fn assert_unlocked(&self) {
-        if HELD.with(Cell::get) == self.id {
+        if HELD.with(Cell::get) == self.root.id {
             reentered()
         }
     }
 
     /// Whether a level of executors is running on the worker pool. Every
     /// thread that calls into the runtime then is one of its claimants,
-    /// inside a body, and runs what it can under shared access.
+    /// inside a body, and runs what it can through its view.
     #[inline]
     pub(crate) fn pooled(&self) -> bool {
-        self.par_active.load(Ordering::Acquire) > 0
+        self.root.par_active.load(Ordering::Acquire) > 0
     }
 
     /// Creates a runtime with default configuration (no partitioning,
@@ -1408,7 +1511,7 @@ impl Runtime {
     /// While recording is switched off ([`crate::metrics::set_enabled`]) the
     /// counters still advance but the histograms and gauges do not.
     pub fn metrics_snapshot(&self) -> crate::metrics::MetricsSnapshot {
-        let m = &*self.metrics;
+        let m = &*self.root.metrics;
         let _mem = mem::scope(mem::Tag::Metrics);
         crate::metrics::MetricsSnapshot {
             counters: self.stats().fields(),
@@ -1613,7 +1716,7 @@ impl Runtime {
     /// Returns `true` while an incremental procedure is executing — i.e.
     /// reads and writes performed now will be recorded as its dependencies.
     pub fn in_tracked_context(&self) -> bool {
-        self.exec_depth.load(Ordering::Relaxed) > 0 || self.pooled()
+        self.root.exec_depth.load(Ordering::Relaxed) > 0 || self.pooled()
     }
 
     /// Returns `true` if a read performed right now would actually record a
@@ -1624,24 +1727,22 @@ impl Runtime {
         self.on_slot(|_, slot| slot.recorder().is_some())
     }
 
-    /// Runs `f` on the core and the current thread's slot: under shared
-    /// access in a pooled level, else under exclusive access.
+    /// Runs `f` on the core and the current thread's slot: through the
+    /// thread's view in a pooled level, else under exclusive access.
     fn on_slot<R>(&self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
         if self.pooled() {
-            return self.on_slot_shared(f);
+            return self.viewed(f);
         }
         let mut guard = self.lock();
         let (core, slot) = guard.split();
         f(core, slot)
     }
 
-    /// The pooled half of [`Runtime::on_slot`]. This and the other
-    /// `*_shared` calls of the pooled read paths stay out of line, so the
-    /// exclusive paths they branch from keep the code size they had with no
-    /// shared access at all.
-    #[inline(never)]
-    fn on_slot_shared<R>(&self, f: impl FnOnce(&Core, &mut Slot) -> R) -> R {
-        self.shared().with_slot(f)
+    /// Runs `f` on the core, through the thread's view in a pooled level,
+    /// else under exclusive access: for memo read-backs that take no
+    /// runtime argument ([`crate::Memo::instance_count`]).
+    pub(crate) fn read_core<R>(&self, f: impl FnOnce(&Core) -> R) -> R {
+        self.on_slot(|core, _| f(core))
     }
 
     /// Runs `f` with dependence recording suppressed for the *current*
@@ -1710,15 +1811,21 @@ impl Runtime {
     /// and [`Var::with`](crate::Var::with) are built on it; `f` clones the
     /// value when it must outlive the read.
     ///
-    /// The runtime is locked for the duration of `f` — shared in a pooled
-    /// level, exclusive otherwise: the closure must not re-enter runtime
-    /// operations (writes, memo calls, propagation, even reads) or the
-    /// fail-stop re-entrancy check panics. Both accesses run the same
-    /// [`Core::access`]; only a read that merges partitions leaves the
-    /// shared path.
+    /// The runtime is held for the duration of `f` — through the thread's
+    /// view in a pooled level, locked exclusively otherwise: the closure
+    /// must not re-enter runtime operations (writes, memo calls,
+    /// propagation, even reads) or the fail-stop re-entrancy check panics.
+    /// Both paths run the same [`Core::access`]; only a read that merges
+    /// partitions leaves the view.
     pub(crate) fn with_value<R>(&self, n: NodeId, f: impl FnOnce(&dyn Value) -> R) -> R {
         let f = if self.pooled() {
-            match self.read_shared(n, f) {
+            match self.viewed(|core, slot| {
+                if core.merges(slot, n) {
+                    return Err(f);
+                }
+                core.access(slot, n, Dedup::Private);
+                Ok(f(core.location(n)))
+            }) {
                 Ok(out) => return out,
                 Err(f) => f,
             }
@@ -1731,14 +1838,6 @@ impl Runtime {
             core.merge_partitions(n, v);
         }
         f(core.location(n))
-    }
-
-    /// The pooled half of [`Runtime::with_value`] ([`Core::read_shared`]),
-    /// out of line like [`Runtime::on_slot_shared`].
-    #[inline(never)]
-    fn read_shared<R, F: FnOnce(&dyn Value) -> R>(&self, n: NodeId, f: F) -> Result<R, F> {
-        self.shared()
-            .with_slot(|core, slot| core.read_shared(slot, n, f))
     }
 
     /// Writes a location — the paper's `modify` (Algorithm 4): the write
@@ -1807,12 +1906,12 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Allocates a computation node for a new memo instance *and* books its
-    /// first execution, all under one guard: the call and probe counters,
-    /// node allocation and [`Runtime::exec_begin`] share the
-    /// instance-creation path's single runtime lock. A fresh instance is
-    /// about to execute unconditionally (it cannot be a cache hit and has
-    /// no pending changes to settle first), so fusing the two halves saves
-    /// a lock round-trip per instance created. The caller runs the
+    /// first execution, under the guard its argument-table miss was found
+    /// under: the call and probe counters, node allocation and
+    /// [`Runtime::exec_begin`] share the instance-creation path's single
+    /// runtime lock. A fresh instance is about to execute unconditionally
+    /// (it cannot be a cache hit and has no pending changes to settle
+    /// first). The caller enters the instance in its table, runs the
     /// returned executor unlocked and completes with
     /// [`Runtime::finish_exec_recording`].
     /// `height_hint` seeds the fresh node's evaluation priority from a
@@ -1823,12 +1922,11 @@ impl Runtime {
     /// conservative priorities — heights only order processing).
     pub(crate) fn alloc_comp_begun(
         &self,
+        inner: &mut Inner,
         strategy: Strategy,
         executor: Executor,
         height_hint: u32,
     ) -> (NodeId, Executor, u64) {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
         inner.stats.calls += 1;
         inner.stats.memo_probes += 1;
         let n = inner.alloc_node(None, Some((strategy, executor)));
@@ -1839,36 +1937,55 @@ impl Runtime {
         (n, executor, my_gen)
     }
 
-    /// Pre-call settling plus cache consultation in (usually) one lock
-    /// round-trip: tallies the call/probe counters, checks for pending
-    /// changes that could affect `n` (the `Evaluate(Inconsistent)` step of
-    /// Algorithm 5 — with partitioning, only `n`'s component), runs the
-    /// evaluation routine if so, then probes the cache. On a hit the
-    /// caller's dependence on `n` is recorded under the same guard and `f`
-    /// runs on the cached value in place. `None` means a miss: the caller
-    /// must execute the node.
-    ///
-    /// In a pooled level the call runs under shared access
-    /// ([`Core::precall_shared`]) unless `n` has an execution booked or on
-    /// a stack. Only the rare pending case pays more than one lock: the
-    /// evaluation routine must run unlocked (it re-enters the runtime), so
-    /// that path re-locks for the probe afterwards. So does a call to a
-    /// node another pool claimant is executing, which yields until that
-    /// execution's frame pops.
-    pub(crate) fn precall_cached<R>(
+    /// A memo call through the caller's view in a pooled level: `lookup`
+    /// finds the instance in its argument table and, on a cache hit, the
+    /// call is tallied, the caller's dependence on the instance logged and
+    /// `f` run on the cached value in place. `Err(f)` back, with nothing
+    /// tallied, when the call needs exclusive access: no instance yet, no
+    /// hit (inconsistent or evicted), an execution of it booked or on a
+    /// stack (it may run on another claimant, or be this thread's own
+    /// first execution), or a hit that would merge partitions.
+    pub(crate) fn hit_viewed<R, F: FnOnce(&dyn Value) -> R>(
         &self,
-        n: NodeId,
-        f: impl FnOnce(&dyn Value) -> R,
-    ) -> Option<R> {
-        let f = if self.pooled() {
-            match self.precall_shared(n, f) {
-                Ok(out) => return out,
-                Err(f) => f,
+        lookup: impl FnOnce(&Core) -> Option<NodeId>,
+        f: F,
+    ) -> Result<R, F> {
+        self.viewed(|core, slot| {
+            debug_assert!(core.evaluating, "pooled levels run inside a wave");
+            let Some(n) = lookup(core) else {
+                return Err(f);
+            };
+            if core.flag(n.index()) & F_ON_STACK != 0 || core.merges(slot, n) {
+                return Err(f);
             }
-        } else {
-            f
-        };
-        let mut guard = self.lock();
+            let (out, _) = core.probe(slot, n, f, Dedup::Private)?;
+            slot.stats.calls += 1;
+            slot.stats.memo_probes += 1;
+            Ok(out)
+        })
+    }
+
+    /// Pre-call settling plus cache consultation for instance `n`, under
+    /// the guard its argument-table lookup was made under: tallies the
+    /// call/probe counters, checks for pending changes that could affect
+    /// `n` (the `Evaluate(Inconsistent)` step of Algorithm 5 — with
+    /// partitioning, only `n`'s component), runs the evaluation routine if
+    /// so, then probes the cache. On a hit the caller's dependence on `n`
+    /// is recorded under the same guard and `f` runs on the cached value
+    /// in place. `Err` hands the guard and `f` back on a miss: the caller
+    /// books the execution under that guard.
+    ///
+    /// Only the rare pending case pays more than one lock: the evaluation
+    /// routine must run unlocked (it re-enters the runtime), so that path
+    /// re-locks for the probe afterwards. So does a call to a node another
+    /// pool claimant is executing, which yields until that execution's
+    /// frame pops.
+    pub(crate) fn precall<'a, R, F: FnOnce(&dyn Value) -> R>(
+        &'a self,
+        mut guard: Guard<'a>,
+        n: NodeId,
+        f: F,
+    ) -> Result<R, (Guard<'a>, F)> {
         let inner = &mut *guard;
         inner.stats.calls += 1;
         inner.stats.memo_probes += 1;
@@ -1901,7 +2018,7 @@ impl Runtime {
                 if let Some(v) = recorder {
                     core.merge_partitions(n, v);
                 }
-                Some(out)
+                Ok(out)
             }
             // Consistent but value-less: either a self-recursive first
             // execution (DET violation — diagnose) or an evicted value
@@ -1916,21 +2033,8 @@ impl Runtime {
                     core.name_of(n)
                 )
             }
-            Err(_) => None,
+            Err(f) => Err((guard, f)),
         }
-    }
-
-    /// The pooled half of [`Runtime::precall_cached`]
-    /// ([`Core::precall_shared`]), out of line like
-    /// [`Runtime::on_slot_shared`].
-    #[inline(never)]
-    fn precall_shared<R, F: FnOnce(&dyn Value) -> R>(
-        &self,
-        n: NodeId,
-        f: F,
-    ) -> Result<Option<R>, F> {
-        self.shared()
-            .with_slot(|core, slot| core.precall_shared(slot, n, f))
     }
 
     /// The tail of a memo call that executes `n`, booked by
@@ -1985,21 +2089,29 @@ impl Runtime {
     /// computed value to its caller but leaves cache, consistency flag and
     /// dependency edges to the fresher run.
     pub(crate) fn exec_begin(&self, inner: &mut Inner, n: NodeId) -> (Executor, u64) {
-        let Booking { my_gen, frame } = inner.exec_book(n);
+        let booking = inner.exec_book(n);
         let (core, slot) = inner.split();
-        (self.push_frame(core, slot, frame), my_gen)
+        (self.push_frame(core, slot, booking), booking.my_gen)
     }
 
     /// The stack half of [`Runtime::exec_begin`], run by the executing
-    /// thread under shared or exclusive access: pushes `frame` onto that
-    /// thread's stack, opens the execution's trace span and returns the
-    /// executor to run. A level's claimant pushes the frame the driver
-    /// booked for it.
-    fn push_frame(&self, core: &Core, slot: &mut Slot, frame: Frame) -> Executor {
-        let n = frame.node;
-        slot.stack.push(frame);
+    /// thread through its view or under exclusive access: pushes the
+    /// booked execution's frame onto that thread's stack, logging into one
+    /// of its slot's spare buffers, opens the execution's trace span and
+    /// returns the executor to run. A level's claimant pushes the frames
+    /// of the bookings it claimed.
+    fn push_frame(&self, core: &Core, slot: &mut Slot, booking: Booking) -> Executor {
+        let n = booking.node;
+        slot.stack.push(Frame {
+            node: n,
+            log: slot.spare_logs.pop().unwrap_or_default(),
+            compacted: 0,
+            suppress: 0,
+            stale: false,
+            reentrant: booking.reentrant,
+        });
         if !self.pooled() {
-            self.exec_depth.fetch_add(1, Ordering::Relaxed);
+            self.root.exec_depth.fetch_add(1, Ordering::Relaxed);
         }
         emit!(core, TraceEvent::ExecuteBegin { node: n });
         Arc::clone(
@@ -2035,14 +2147,14 @@ impl Runtime {
         self.pop_tail(core, slot, frame, n, my_gen, outcome)
     }
 
-    /// [`Runtime::exec_pop`] under shared access, for the claimant of a
-    /// pooled level: the log is deduplicated privately, and when it names
+    /// [`Runtime::exec_pop`] through a view, for the claimant of a pooled
+    /// level: the log is deduplicated privately, and when it names
     /// exactly the node's retained predecessors — a re-execution that read
     /// what its previous run read — no edge changes and the pop finishes
     /// here. `None`, with the frame left on the stack, when the edges must
     /// change: the caller escalates to exclusive access and
     /// [`Runtime::exec_pop`].
-    fn exec_pop_shared(
+    fn exec_pop_viewed(
         &self,
         core: &Core,
         slot: &mut Slot,
@@ -2068,7 +2180,7 @@ impl Runtime {
         Some(self.pop_tail(core, slot, frame, n, my_gen, outcome))
     }
 
-    /// What every pop ends with, under shared or exclusive access, once
+    /// What every pop ends with, through a view or under exclusive access, once
     /// the caller has cleared the node's on-stack bit (unless the frame is
     /// re-entrant): returns the frame's log to the slot's spares and
     /// compares the value against the still-cached old one (the cutoff
@@ -2085,7 +2197,7 @@ impl Runtime {
         outcome: &Outcome,
     ) -> bool {
         if !self.pooled() {
-            self.exec_depth.fetch_sub(1, Ordering::Relaxed);
+            self.root.exec_depth.fetch_sub(1, Ordering::Relaxed);
         }
         debug_assert_eq!(frame.node, n, "call stack imbalance");
         debug_assert_eq!(frame.stale, core.gens[n.index()] != my_gen);
@@ -2153,37 +2265,6 @@ impl Runtime {
         self.dirty_count() == 0
     }
 
-    /// Bounded-memo replacement (Section 3.3) under one guard. `entries`
-    /// are `(last use, instance)` pairs of one memo's argument table; of
-    /// those that hold a value and are not executing, the least recently
-    /// used lose their cached values until at most `keep` remain. Returns
-    /// the number of values dropped.
-    ///
-    /// The consistency flag and dependency edges are deliberately
-    /// untouched: flipping the flag without queueing the node's successors
-    /// would violate the marking frontier invariant ("successors of an
-    /// inconsistent node are already inconsistent"), and the edges are what
-    /// keeps change propagation through the evicted instance sound. An
-    /// evicted node is thus "consistent but value-less": its dependents'
-    /// cached results are still valid, only *its* result must be recomputed
-    /// when next demanded.
-    pub(crate) fn evict_lru(&self, mut entries: Vec<(u64, NodeId)>, keep: usize) -> usize {
-        let mut inner = self.lock();
-        entries.retain(|&(_, n)| {
-            inner.values[n.index()].is_some() && inner.flag(n.index()) & F_ON_STACK == 0
-        });
-        let over = entries.len().saturating_sub(keep);
-        if over > 0 {
-            // The `over` oldest stamps, in no particular order: stamps are
-            // unique, so they are the entries a full sort would put first.
-            entries.select_nth_unstable(over - 1);
-            for &(_, n) in &entries[..over] {
-                inner.values[n.index()] = None;
-            }
-        }
-        over
-    }
-
     fn evaluate(&self, origin: Option<NodeId>) {
         self.evaluate_bounded(origin, u64::MAX);
     }
@@ -2228,7 +2309,8 @@ impl Runtime {
         let wasted = inner.wasted_executions() - wasted_before;
         drop(inner);
         if let Some(t0) = wave_t0 {
-            self.metrics
+            self.root
+                .metrics
                 .record_wave(t0.elapsed().as_nanos() as u64, executed, wasted);
         }
         if let Some(payload) = failure {
@@ -2283,7 +2365,7 @@ impl Runtime {
             // Only a runtime that may pool pays the per-level histogram
             // write: the widths are the parallelism its pool had to use.
             if inner.parallelism >= 2 {
-                self.metrics.level_width.record(width);
+                self.root.metrics.level_width.record(width);
             }
             emit!(
                 inner,
@@ -2298,30 +2380,26 @@ impl Runtime {
             execs.retain(|&u| inner.step_popped(u));
             if !execs.is_empty() {
                 // Book every execution before any claimant starts: the
-                // claimants then only take their bookings and swap frames.
+                // claimants then only read their bookings and swap frames.
                 for &u in &execs {
                     let booking = inner.exec_book(u);
-                    inner
-                        .level
-                        .push(Claim(Mutex::new(LevelSlot::Booked(booking))));
+                    inner.level.push(booking);
                 }
                 inner.level_base = slot_mut(&mut inner.slots[0]).stack.len();
                 guard = self.run_level(guard);
                 let inner = &mut *guard;
-                let mut level = std::mem::take(&mut inner.level);
-                for (&u, claim) in execs.iter().zip(level.drain(..)) {
-                    let LevelSlot::Done(my_gen, outcome, changed) = claim.into_inner() else {
-                        unreachable!("level finished with an unfinished execution");
-                    };
-                    let outcome =
-                        outcome.map_err(|p| p.into_inner().unwrap_or_else(PoisonError::into_inner));
-                    match inner.exec_store(u, my_gen, outcome, changed) {
+                let mut done = inner.take_done();
+                debug_assert_eq!(done.len(), execs.len(), "every booking finished");
+                for (&u, d) in execs.iter().zip(done.drain(..)) {
+                    debug_assert_eq!(inner.level[d.idx].node, u, "batch order");
+                    match inner.exec_store(u, d.my_gen, d.outcome, d.changed) {
                         Ok((None, true)) => inner.dirty_succs_of(u),
                         Ok(_) => {}
                         Err(payload) => failure = failure.or(Some(payload)),
                     }
                 }
-                inner.level = level;
+                inner.return_done(done);
+                inner.level.clear();
             }
             emit!(
                 guard,
@@ -2334,78 +2412,97 @@ impl Runtime {
         }
     }
 
-    /// The claim loop of a level, run by the driver and by each helper
-    /// ticket: claim the next execution, push its booked frame onto this
-    /// thread's stack (its tracked reads and nested memo calls record
-    /// against that frame), run it, and repeat until the level's
-    /// executions are used up. Each acquisition pops the previous frame,
-    /// compares its value and leaves its outcome in `Core::level` for the
-    /// driver's batch-order commit, then takes the next booking and pushes
-    /// its frame.
-    ///
-    /// The driver alone (`pooled` is `None`) claims in batch order under
-    /// exclusive access: it enters holding its guard and leaves with the
-    /// guard of its last pop, so `k` executions cost `k` acquisitions. The
-    /// claimants of a pooled level draw indices from its shared block and
-    /// claim under shared access, unless a pop must change edges: it then
-    /// escalates to exclusive access ([`Runtime::exec_pop_shared`]). One
-    /// that finds the block used up before it ran anything returns without
-    /// locking. Returns the number of executions run and the exclusive
-    /// guard held, if any.
-    pub(crate) fn run_claims<'a>(
-        &'a self,
-        guard: Option<Guard<'a>>,
-        pooled: Option<&Level>,
-    ) -> (u64, Option<Guard<'a>>) {
-        let acquire = || match pooled {
-            Some(_) => Access::Shared(self.shared()),
-            None => Access::Exclusive(self.lock()),
-        };
-        let mut held = guard.map(Access::Exclusive);
-        let mut ran = 0;
-        // The execution this thread ran last, not yet popped.
-        let mut last: Option<(usize, NodeId, u64, Outcome)> = None;
-        loop {
-            if let Some((idx, n, my_gen, outcome)) = last.take() {
-                let mut access = held.take().unwrap_or_else(acquire);
-                let changed = match &mut access {
-                    Access::Exclusive(guard) => self.exec_pop(guard, n, my_gen, &outcome),
-                    Access::Shared(shared) => match shared.with_slot(|core, slot| {
-                        self.exec_pop_shared(core, slot, n, my_gen, &outcome)
-                    }) {
-                        Some(changed) => changed,
-                        None => {
-                            drop(access);
-                            let mut guard = self.lock();
-                            let changed = self.exec_pop(&mut guard, n, my_gen, &outcome);
-                            access = Access::Exclusive(guard);
-                            changed
-                        }
-                    },
-                };
-                let done = LevelSlot::Done(my_gen, outcome.map_err(Mutex::new), changed);
-                access.with_claim(idx, |slot| *slot = done);
-                held = Some(access);
-            }
-            let Some(idx) = pooled.map_or(Some(ran as usize), Level::claim) else {
-                return (ran, held.and_then(Access::into_guard));
-            };
-            let mut access = held.take().unwrap_or_else(acquire);
-            let take = |slot: &mut LevelSlot| std::mem::replace(slot, LevelSlot::Running);
-            let Some(slot) = access.with_claim(idx, take) else {
-                assert!(pooled.is_none(), "a pooled level's index names no booking");
-                // The driver alone ran the level's last booking.
-                return (ran, access.into_guard());
-            };
-            let LevelSlot::Booked(Booking { my_gen, frame }) = slot else {
-                unreachable!("each level index is claimed once");
-            };
-            let n = frame.node;
-            let executor = access.with_slot(|core, slot| self.push_frame(core, slot, frame));
-            drop(access);
+    /// The claim loop of a level the driver runs alone: in batch order,
+    /// under exclusive access. It enters holding the guard that booked the
+    /// level; each acquisition pops the previous execution's frame,
+    /// compares its value and leaves its outcome in the driver's slot for
+    /// the batch-order commit, then pushes the next booking's frame, so `k`
+    /// executions cost `k` acquisitions. Returns the guard of the last pop.
+    pub(crate) fn run_alone<'a>(&'a self, mut guard: Guard<'a>) -> Guard<'a> {
+        for idx in 0..guard.level.len() {
+            let booking = guard.level[idx];
+            let (core, slot) = guard.split();
+            let executor = self.push_frame(core, slot, booking);
+            drop(guard);
             let outcome = self.run_body(&executor);
+            guard = self.lock();
+            self.finish_claim(&mut guard, idx, booking, outcome);
+        }
+        guard
+    }
+
+    /// Pops claimed execution `idx` of the open level under exclusive
+    /// access ([`Runtime::exec_pop`]) and leaves its outcome in the current
+    /// thread's slot for the batch-order commit.
+    fn finish_claim(&self, inner: &mut Inner, idx: usize, booking: Booking, outcome: Outcome) {
+        let Booking { node, my_gen, .. } = booking;
+        let changed = self.exec_pop(inner, node, my_gen, &outcome);
+        inner.own_slot().done.push(Done {
+            idx,
+            my_gen,
+            outcome,
+            changed,
+        });
+    }
+
+    /// The claim loop of a pooled level's claimant, the driver (`front`,
+    /// claiming runs from the front of the level) or a helper ticket
+    /// (claiming from the back): claim a run of executions, then for each
+    /// push its frame onto this thread's stack (its tracked reads and
+    /// nested memo calls record against that frame), run it, pop it and
+    /// leave its outcome in the thread's slot for the driver's batch-order
+    /// commit, and repeat until the level's executions are used up.
+    ///
+    /// Pushes and pops go through the thread's view, taken after its first
+    /// claim; a pop whose edges change pauses the level
+    /// ([`Runtime::exec_pop_viewed`]). The view is dropped before the loop
+    /// returns, so a claimant that ran nothing never takes one and the
+    /// driver can take the state back once the barrier has passed. Returns
+    /// the number of executions run.
+    pub(crate) fn run_pooled(&self, level: &Level, front: bool) -> u64 {
+        /// Drops the thread's view when the loop ends, by return or by a
+        /// fail-stop panic.
+        struct Release<'a>(&'a Runtime);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                let _ = self.0.try_drop_view();
+            }
+        }
+        let _release = Release(self);
+        let mut ran = 0;
+        let mut run = 0..0;
+        loop {
+            let Some(idx) = run.next().or_else(|| {
+                run = level.claim(front)?;
+                run.next()
+            }) else {
+                return ran;
+            };
+            let (booking, executor) = self.viewed(|core, slot| {
+                let booking = core.level[idx];
+                (booking, self.push_frame(core, slot, booking))
+            });
+            let outcome = self.run_body(&executor);
+            drop(executor);
             ran += 1;
-            last = Some((idx, n, my_gen, outcome));
+            let Booking { node, my_gen, .. } = booking;
+            let escalated = self.viewed(|core, slot| {
+                match self.exec_pop_viewed(core, slot, node, my_gen, &outcome) {
+                    Some(changed) => {
+                        slot.done.push(Done {
+                            idx,
+                            my_gen,
+                            outcome,
+                            changed,
+                        });
+                        None
+                    }
+                    None => Some(outcome),
+                }
+            });
+            if let Some(outcome) = escalated {
+                self.finish_claim(&mut self.lock(), idx, booking, outcome);
+            }
         }
     }
 }
@@ -2477,20 +2574,60 @@ impl Inner {
             "computation node has an executor"
         );
         Booking {
+            node: n,
             my_gen,
-            frame: Frame {
-                node: n,
-                log: self.own_slot().spare_logs.pop().unwrap_or_default(),
-                compacted: 0,
-                suppress: 0,
-                stale: false,
-                reentrant,
-            },
+            reentrant,
         }
     }
 }
 
 impl Core {
+    /// Enters a procedure's argument table and returns its id.
+    pub(crate) fn add_table(&mut self, table: Box<dyn Any + Send + Sync>) -> usize {
+        self.tables.push(table);
+        self.tables.len() - 1
+    }
+
+    /// The argument table with id `id`, of type `T`.
+    pub(crate) fn table<T: Any>(&self, id: usize) -> &T {
+        (self.tables[id].downcast_ref()).expect("a memo's table has its argument type")
+    }
+
+    /// The argument table with id `id`, of type `T`, under exclusive access.
+    pub(crate) fn table_mut<T: Any>(&mut self, id: usize) -> &mut T {
+        (self.tables[id].downcast_mut()).expect("a memo's table has its argument type")
+    }
+
+    /// Bounded-memo replacement (Section 3.3), under the guard that
+    /// created the instance. `entries` are `(last use, instance)` pairs of
+    /// one memo's argument table; of those that hold a value and are not
+    /// executing, the least recently used lose their cached values until at
+    /// most `keep` remain. Returns the number of values dropped.
+    ///
+    /// The consistency flag and dependency edges are deliberately
+    /// untouched: flipping the flag without queueing the node's successors
+    /// would violate the marking frontier invariant ("successors of an
+    /// inconsistent node are already inconsistent"), and the edges are what
+    /// keeps change propagation through the evicted instance sound. An
+    /// evicted node is thus "consistent but value-less": its dependents'
+    /// cached results are still valid, only *its* result must be recomputed
+    /// when next demanded.
+    pub(crate) fn evict_lru(&mut self, mut entries: Vec<(u64, NodeId)>, keep: usize) -> usize {
+        entries.retain(|&(_, n)| {
+            self.values[n.index()].is_some() && self.flag(n.index()) & F_ON_STACK == 0
+        });
+        let over = entries.len().saturating_sub(keep);
+        if over > 0 {
+            // The `over` oldest stamps, in no particular order: stamps are
+            // unique, so they are the entries a full sort would put first.
+            entries.select_nth_unstable(over - 1);
+            for &(_, n) in &entries[..over] {
+                self.values[n.index()] = None;
+            }
+        }
+        over
+    }
+
     /// The commit half of finishing an execution: unless a fresher
     /// execution of `n` superseded this one (the value is then handed back,
     /// the `Some` case), stores `value` in the cache and re-queues a node
@@ -2642,8 +2779,8 @@ mod tests {
     fn distinct_runtimes_have_distinct_ids() {
         let a = Runtime::new();
         let b = Runtime::new();
-        assert_ne!(a.id, b.id);
-        assert_eq!(a.clone().id, a.id);
+        assert_ne!(a.root.id, b.root.id);
+        assert_eq!(a.clone().root.id, a.root.id);
     }
 
     #[test]
@@ -2662,10 +2799,10 @@ mod tests {
         for k in 0..8 {
             m.call(&rt, k);
         }
+        let n = m.instance_node(&3).unwrap();
         let inner = rt.lock();
         assert_eq!(inner.names.len(), 1, "only the explicit label");
         assert_eq!(inner.label_of(x.node()).map(|s| &**s), Some("x"));
-        let n = m.instance_node(&3).unwrap();
         assert_eq!(inner.label_of(n).map(|s| &**s), Some("scaled"));
     }
 

@@ -148,13 +148,15 @@ pub struct Stats {
     pub level_width_hwm: u64,
     /// Exclusive acquisitions of the runtime's internal lock, from any
     /// thread — the round-trips that frame pushes, reads, writes, commits
-    /// and every operation outside a pooled level cost. Tallied under the
-    /// acquired guard, so the count is exact; a
-    /// [`Runtime::stats`](crate::Runtime::stats) call counts its own.
+    /// and every operation outside a pooled level cost, and the pauses of
+    /// a pooled level. Tallied under the acquired guard, so the count is
+    /// exact; a [`Runtime::stats`](crate::Runtime::stats) call counts its
+    /// own.
     pub lock_acquisitions: u64,
-    /// Shared acquisitions of the runtime's internal lock: the reads, cache
-    /// hits, frame pushes and pops that the claimants of a pooled level
-    /// (one with executor-pool helpers) run side by side. Zero at
+    /// Views of a pooled level's runtime state taken by its claimants:
+    /// one per claimant that claimed an execution of the level, plus one
+    /// each time a claimant takes a fresh view after a pause. The reads,
+    /// cache hits, frame pushes and pops in between take no lock. Zero at
     /// parallelism 0 or 1.
     pub shared_acquisitions: u64,
 }

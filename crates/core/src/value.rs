@@ -14,8 +14,8 @@ use std::fmt;
 /// ([`Runtime`](crate::Runtime) is `Send`), so every cached value must be
 /// `Send` too; and the claimants of a pooled level (see
 /// [`Runtime::set_parallelism`](crate::Runtime::set_parallelism)) read one
-/// cached value from two threads at once under the runtime's shared lock,
-/// so it must be `Sync` as well. The blanket implementation covers every
+/// cached value from two threads at once through their views of the
+/// runtime state, so it must be `Sync` as well. The blanket implementation covers every
 /// `'static` type that is `Debug + PartialEq + Clone + Send + Sync`, which
 /// is what user code should rely on — implementing this trait by hand is
 /// never necessary.

@@ -63,7 +63,7 @@ impl<T> fmt::Debug for Var<T> {
 impl<T: Value + PartialEq + Clone> Var<T> {
     fn check(&self, rt: &Runtime) {
         assert_eq!(
-            self.rt_id, rt.id,
+            self.rt_id, rt.root.id,
             "Var used with a different Runtime than it was created in"
         );
     }
@@ -195,7 +195,7 @@ impl Runtime {
     pub fn var<T: Value + PartialEq + Clone>(&self, initial: T) -> Var<T> {
         Var {
             node: self.raw_alloc(mem::with(mem::Tag::ValueSlab, || Box::new(initial))),
-            rt_id: self.id,
+            rt_id: self.root.id,
             _marker: PhantomData,
         }
     }
@@ -211,7 +211,7 @@ impl Runtime {
     pub fn var_accessed<T: Value + PartialEq + Clone>(&self, initial: T) -> Var<T> {
         Var {
             node: self.alloc_accessed(mem::with(mem::Tag::ValueSlab, || Box::new(initial))),
-            rt_id: self.id,
+            rt_id: self.root.id,
             _marker: PhantomData,
         }
     }

@@ -628,10 +628,17 @@ fn a_same_level_call_costs_the_same_at_every_parallelism() {
 
 /// `width` cells at parallelism 2, each reading its own var and hitting a
 /// shared consistent memo, after a batch that changes every var: the
-/// exclusive and shared acquisitions of one `propagate`.
+/// exclusive acquisitions and views of one `propagate`. The first cell
+/// body of the level waits (up to 10 s) until a second one has started,
+/// so both the driver and the helper claim in it.
 fn hit_only_level(width: usize) -> (u64, u64, u64) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
     let rt = Runtime::new();
     rt.set_parallelism(2);
+    let armed = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicUsize::new(0));
     let base = rt.var(1i64);
     let shared = rt.memo("shared", move |rt, &(): &()| base.get(rt) * 100);
     let vars: Vec<Var<i64>> = (0..width).map(|i| rt.var(i as i64)).collect();
@@ -639,7 +646,15 @@ fn hit_only_level(width: usize) -> (u64, u64, u64) {
         .iter()
         .map(|&v| {
             let shared = shared.clone();
+            let (armed, started) = (armed.clone(), started.clone());
             rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| {
+                if armed.load(Ordering::SeqCst) {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
                 v.get(rt) + shared.call(rt, ())
             })
         })
@@ -652,9 +667,11 @@ fn hit_only_level(width: usize) -> (u64, u64, u64) {
             v.set_in(tx, -7);
         }
     });
+    armed.store(true, Ordering::SeqCst);
     let before = rt.stats();
     rt.propagate();
     let d = rt.stats().delta_since(&before);
+    armed.store(false, Ordering::SeqCst);
     assert!(cells.iter().all(|c| c.call(&rt, ()) == 93));
     rt.check_invariants();
     assert_eq!(d.executions, width as u64);
@@ -666,30 +683,176 @@ fn hit_only_level(width: usize) -> (u64, u64, u64) {
     (d.lock_acquisitions, d.shared_acquisitions, d.executions)
 }
 
-/// The claimants of a pooled level read, hit the cache, push and pop under
-/// shared access: a hit-only level takes its exclusive acquisitions to
-/// open the wave, book the level and commit it, whatever its width. Each
-/// execution takes one shared acquisition per read or hit and one to swap
-/// frames, and each claimant that ran one more for its last pop.
+/// The claimants of a pooled level read, hit the cache, push and pop
+/// through their views: a hit-only level takes its exclusive acquisitions
+/// to open the wave, book the level and commit it, whatever its width, and
+/// each claimant takes one view, whatever the width.
 #[test]
 fn a_hit_only_pooled_level_takes_the_same_exclusive_locks_at_any_width() {
-    let (narrow, narrow_shared, _) = hit_only_level(2);
-    let (wide, wide_shared, executions) = hit_only_level(64);
+    let (narrow, narrow_views, _) = hit_only_level(2);
+    let (wide, wide_views, executions) = hit_only_level(64);
     assert_eq!(narrow, wide, "exclusive acquisitions, 2 wide vs 64 wide");
     assert!(
         wide as f64 / executions as f64 <= 0.2,
         "{wide} exclusive acquisitions for {executions} pooled executions"
     );
-    for (shared, width) in [(narrow_shared, 2), (wide_shared, 64)] {
+    assert_eq!(
+        (narrow_views, wide_views),
+        (2, 2),
+        "one view per claimant, 2 wide and 64 wide"
+    );
+}
+
+/// What the escalating cell of [`pause_run`] does in a pooled level.
+#[derive(Clone, Copy, Debug)]
+enum Escalation {
+    /// Writes a tracked var.
+    Write,
+    /// Calls a memo instance no body created yet.
+    MemoMiss,
+    /// Calls a demand memo the batch made inconsistent.
+    InconsistentDemand,
+    /// Takes a `stats()` snapshot.
+    Stats,
+    /// Reads a var the other run did not, so its pop changes edges.
+    EdgeChange,
+}
+
+/// Three waves over a row of eight eager cells at `parallelism`. Each wave
+/// changes every cell's var, and one level holds all the cells: the first
+/// performs `escalation`, which pauses a pooled level, while the others
+/// read in a loop. Returns the cells' values after every wave, the edge
+/// count and the wave's executions and edge changes.
+fn pause_run(parallelism: usize, escalation: Escalation) -> (Vec<i64>, usize, u64, u64, u64) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    // At parallelism 2 or more the first cell body of a wave waits (up to
+    // 10 s) for a second, so two claimants hold views at once.
+    let started = Arc::new(AtomicUsize::new(2));
+    let rt = Runtime::new();
+    rt.set_parallelism(parallelism);
+    let base = rt.var(1i64);
+    let (even, odd, out, dvar) = (rt.var(2i64), rt.var(3i64), rt.var(0i64), rt.var(0i64));
+    let square = rt.memo("square", |_, &a: &i64| a * a);
+    let demand = rt.memo("demand", move |rt, &(): &()| dvar.get(rt) + 1);
+    // A consistent demand memo every cell calls, so the escalating cell's
+    // extra callee leaves all of them at one height.
+    let pad = rt.memo("pad", move |rt, &i: &i64| base.get(rt) + i);
+    let vars: Vec<Var<i64>> = (0..8).map(|i| rt.var(i as i64)).collect();
+    let cells: Vec<alphonse::Memo<(), i64>> = (vars.iter().enumerate())
+        .map(|(i, &v)| {
+            let (square, demand, pad) = (square.clone(), demand.clone(), pad.clone());
+            let started = started.clone();
+            rt.memo_with("cell", Strategy::Eager, move |rt, &(): &()| {
+                if started.load(Ordering::SeqCst) < 2 {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
+                let x = v.get(rt) + pad.call(rt, i as i64);
+                if i > 0 {
+                    return (0..100).map(|_| v.get(rt) + base.get(rt)).sum::<i64>() + x;
+                }
+                match escalation {
+                    Escalation::Write => {
+                        out.set(rt, x * 3);
+                        x
+                    }
+                    Escalation::MemoMiss => square.call(rt, x),
+                    Escalation::InconsistentDemand => x + demand.call(rt, ()),
+                    Escalation::Stats => {
+                        let executions = rt.stats().executions;
+                        assert!(executions > 0);
+                        x
+                    }
+                    Escalation::EdgeChange => x + if x / 10 % 2 == 0 { even } else { odd }.get(rt),
+                }
+            })
+        })
+        .collect();
+    for c in &cells {
+        c.call(&rt, ());
+    }
+    let before = rt.stats();
+    let mut values = Vec::new();
+    for wave in 1..=3i64 {
+        if parallelism >= 2 {
+            started.store(0, Ordering::SeqCst);
+        }
+        rt.batch(|tx| {
+            for (i, v) in vars.iter().enumerate() {
+                v.set_in(tx, 10 * wave + i as i64);
+            }
+            dvar.set_in(tx, wave);
+        });
+        rt.propagate();
+        started.store(2, Ordering::SeqCst);
+        rt.check_invariants();
+        values.extend(cells.iter().map(|c| c.call(&rt, ())));
+    }
+    let d = rt.stats().delta_since(&before);
+    if parallelism >= 2 {
         assert!(
-            (3 * width + 1..=3 * width + 2).contains(&shared),
-            "{shared} shared acquisitions for a level {width} wide"
+            d.parallel_executions >= 3 * 8,
+            "every wave pooled its cells"
+        );
+        assert!(
+            d.shared_acquisitions > d.parallel_levels,
+            "views were taken again after the pauses: {escalation:?}"
         );
     }
+    (
+        values,
+        rt.edge_count(),
+        d.executions,
+        d.edges_created,
+        d.edges_removed,
+    )
+}
+
+/// Each escalation a pooled body can make — a write, a memo miss, a call
+/// to an inconsistent demand memo, a `stats()` call, a pop whose edges
+/// change — pauses the level: every other claimant, reading in a loop,
+/// drops its view at its next operation, the escalating claimant changes
+/// shared state alone, and all of them go on with fresh views. The values,
+/// edges and work come out as at parallelism 1. A claimant that never
+/// drops its view would hang the pause, so the runs time out instead.
+#[test]
+fn each_escalation_pauses_the_level_and_the_claimants_resume() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut mismatches = Vec::new();
+        for escalation in [
+            Escalation::Write,
+            Escalation::MemoMiss,
+            Escalation::InconsistentDemand,
+            Escalation::Stats,
+            Escalation::EdgeChange,
+        ] {
+            let alone = pause_run(1, escalation);
+            for parallelism in [2, 3] {
+                let pooled = pause_run(parallelism, escalation);
+                if pooled != alone {
+                    mismatches.push((escalation, parallelism, pooled, alone.clone()));
+                }
+            }
+        }
+        tx.send(mismatches).unwrap();
+    });
+    let mismatches = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a pause never ended: a claimant kept its view");
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
 }
 
 /// A `Var::with` closure inside a pooled body that calls back into the
-/// runtime holds the shared lock: the call fails stop with the
+/// runtime runs under the claimant's view: the call fails stop with the
 /// re-entrancy panic instead of waiting for itself, the failed execution
 /// rolls back, and the runtime stays consistent and usable.
 #[test]
@@ -743,7 +906,7 @@ fn a_callback_under_a_pooled_shared_guard_fails_stop() {
     });
     let (message, values) = rx
         .recv_timeout(Duration::from_secs(20))
-        .expect("the callback under the shared guard deadlocked");
+        .expect("the callback under the view deadlocked");
     assert!(
         message.contains("runtime re-entered while internally locked"),
         "unexpected panic: {message:?}"

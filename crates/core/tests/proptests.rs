@@ -67,8 +67,8 @@ struct Case {
     partitioning: bool,
     fifo: bool,
     /// `1`: the driver runs every level alone; `2` or `3`: levels of two
-    /// or more eager executions run beside one or two pool helpers, under
-    /// shared access.
+    /// or more eager executions run beside one or two pool helpers,
+    /// through their views.
     parallelism: usize,
 }
 
