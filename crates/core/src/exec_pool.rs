@@ -15,7 +15,10 @@
 //! helpers, each fed one *ticket* through the pool queue; with none
 //! (`set_parallelism` 0 or 1, or a level of one execution) it runs the
 //! level alone under its exclusive guard, in batch order
-//! (`Runtime::run_alone`), and no pool is built. With helpers every
+//! (`Runtime::run_alone`), and no pool is built: for the narrow levels of
+//! single-thread runs one lock per execution costs less than a view per
+//! level (DESIGN.md, "Parallel waves", gives the measurement). With
+//! helpers every
 //! claimant runs the same claim loop (`Runtime::run_pooled`): claim a
 //! *run* of executions from the pool's [`Level`] block — the driver from
 //! the front of the level, helpers from the back, each run a share of

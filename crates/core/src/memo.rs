@@ -7,7 +7,8 @@ use alphonse_graph::NodeId;
 use alphonse_mem as mem;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Bound required of memo argument vectors: they key the *argument table*
@@ -25,22 +26,23 @@ impl<T: Value + PartialEq + Clone> MemoResult for T {}
 pub(crate) struct MemoInner<A, R> {
     name: Arc<str>,
     strategy: Strategy,
-    rt_id: u64,
-    /// The runtime the procedure was defined in, for the read-backs that
-    /// take no runtime argument ([`Memo::instance_count`],
-    /// [`Memo::instance_node`], `Debug`). Weak: the runtime owns the
-    /// procedure's instances, and through them the procedure.
+    /// The runtime the procedure was defined in: a call checks it is
+    /// handed the same one, and [`Memo::instance_node`], which takes no
+    /// runtime argument, reads the argument table through it. Weak: the
+    /// runtime owns the procedure's instances, and through them the
+    /// procedure.
     rt: Weak<Root>,
     /// Maximum number of instance *values* kept live (paper Section 3.3:
     /// "additional pragma arguments allow the specification of … cache
     /// size, and the replacement algorithm"). `None` = unbounded.
-    capacity: Option<usize>,
+    capacity: Option<NonZeroUsize>,
     /// The body. It receives the procedure's own handle, which a recursive
     /// procedure calls and every other procedure ignores.
     f: Body<A, R>,
-    /// The number of entries of the argument table with a given id, for
-    /// `Debug`, which knows no argument type.
-    table_len: fn(&Core, usize) -> usize,
+    /// Entries of the argument table: the table never drops one, so
+    /// [`Memo::instance_count`] and `Debug` read this count instead of
+    /// the table, without the runtime's lock.
+    instances: AtomicUsize,
     /// Id of the paper's *argument table* (Section 4.2) among the runtime
     /// core's tables: one dependency-graph node per distinct argument
     /// vector, a [`Table<A>`]. It lives in the core, so a call probes it
@@ -70,15 +72,6 @@ enum Table<A> {
     Unbounded(FxHashMap<A, NodeId>),
     /// Instance node and last-use stamp per argument vector.
     Lru(FxHashMap<A, (NodeId, AtomicU64)>),
-}
-
-impl<A> Table<A> {
-    fn len(&self) -> usize {
-        match self {
-            Table::Unbounded(map) => map.len(),
-            Table::Lru(map) => map.len(),
-        }
-    }
 }
 
 impl<A: Eq + Hash> Table<A> {
@@ -146,7 +139,7 @@ impl<A: MemoArgs, R> MemoInner<A, R> {
         rt: &Runtime,
         name: &str,
         strategy: Strategy,
-        capacity: Option<usize>,
+        capacity: Option<NonZeroUsize>,
         f: Body<A, R>,
     ) -> Self {
         let table: Table<A> = match capacity {
@@ -156,11 +149,10 @@ impl<A: MemoArgs, R> MemoInner<A, R> {
         MemoInner {
             name: name.into(),
             strategy,
-            rt_id: rt.root.id,
             rt: Arc::downgrade(&rt.root),
             capacity,
             f,
-            table_len: |core, id| core.table::<Table<A>>(id).len(),
+            instances: AtomicUsize::new(0),
             table: rt.lock().add_table(Box::new(table)),
             clock: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -184,8 +176,7 @@ impl<A, R> MemoInner<A, R> {
 
     /// Number of distinct argument vectors instantiated so far.
     fn instance_count(&self) -> usize {
-        self.read_core(|core| (self.table_len)(core, self.table))
-            .unwrap_or(0)
+        self.instances.load(Ordering::Relaxed)
     }
 }
 
@@ -204,9 +195,11 @@ impl<A, R> MemoInner<A, R> {
 /// The procedure's *argument table* (Section 4.2), which maps argument
 /// vectors to instance nodes, lives in the runtime it was defined in,
 /// beside the graph: a call probes it under the same access as the cache.
-/// The handle itself holds the body and a weak reference to that runtime;
-/// once the runtime is dropped, [`Memo::instance_count`] reads 0 and
-/// [`Memo::instance_node`] `None`.
+/// The handle itself holds the body, a count of the table's entries and a
+/// weak reference to that runtime; once the runtime is dropped,
+/// [`Memo::instance_node`] reads `None`. The runtime keeps the table as
+/// long as it lives, also that of a procedure whose handles were all
+/// dropped before its first call (an empty table: a few dozen bytes).
 ///
 /// # Example
 ///
@@ -296,7 +289,7 @@ impl Runtime {
         capacity: usize,
         f: impl Fn(&Runtime, &A) -> R + Send + Sync + 'static,
     ) -> Memo<A, R> {
-        assert!(capacity > 0, "memo cache capacity must be positive");
+        let capacity = NonZeroUsize::new(capacity).expect("memo cache capacity must be positive");
         let _mem = mem::scope(mem::Tag::Memo);
         Memo {
             inner: Arc::new(MemoInner::new(
@@ -376,8 +369,8 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// of the body reaches the caller after the executions it unwound
     /// through are rolled back (see [`Runtime`]'s panic contract).
     pub fn call(&self, rt: &Runtime, args: A) -> R {
-        assert_eq!(
-            self.inner.rt_id, rt.root.id,
+        assert!(
+            std::ptr::eq(self.inner.rt.as_ptr(), Arc::as_ptr(&rt.root)),
             "Memo {:?} used with a different Runtime than it was defined in",
             self.inner.name
         );
@@ -441,12 +434,21 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
             self.inner.height_hint.load(Ordering::Relaxed),
         );
         (inner.table_mut::<Table<A>>(self.inner.table)).insert(args, node, &self.inner.clock);
+        self.inner.instances.fetch_add(1, Ordering::Relaxed);
         self.enforce_capacity(inner, node);
         (node, executor, my_gen)
     }
 
     /// The dependency-graph node for a given argument vector, if that
     /// instance exists.
+    ///
+    /// # Panics
+    ///
+    /// The argument table lives in the runtime, so this takes the
+    /// runtime's internal lock outside a pooled level: like every runtime
+    /// operation, it fails stop when called from a closure run under that
+    /// lock (a `Var::with` body, a trace sink) or from a second thread
+    /// while the runtime is in use.
     pub fn instance_node(&self, args: &A) -> Option<NodeId> {
         (self
             .inner
@@ -456,7 +458,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
 
     /// Cache capacity, if bounded.
     pub fn capacity(&self) -> Option<usize> {
-        self.inner.capacity
+        self.inner.capacity.map(NonZeroUsize::get)
     }
 
     /// Number of values dropped by the replacement policy so far.
@@ -482,7 +484,7 @@ impl<A: MemoArgs, R: MemoResult> Memo<A, R> {
     /// kept — eviction forgets results, not dependence (otherwise
     /// propagation through the instance would lose soundness).
     fn enforce_capacity(&self, inner: &mut Inner, just_created: NodeId) {
-        let Some(capacity) = self.inner.capacity else {
+        let Some(capacity) = self.capacity() else {
             return;
         };
         // One slot stays free for the instance just created: with at most
@@ -600,5 +602,27 @@ mod tests {
         let rt = Runtime::new();
         let m = rt.memo("shown", |_rt, x: &i64| *x);
         assert!(format!("{m:?}").contains("shown"));
+    }
+
+    /// The count and `Debug` read the handle, not the table in the
+    /// runtime: they work under the runtime's lock and after the runtime
+    /// is gone, where `instance_node` fails stop or reads `None`.
+    #[test]
+    fn instance_count_and_debug_take_no_runtime_lock() {
+        let rt = Runtime::new();
+        let x = rt.var(1i64);
+        let m = rt.memo("counted", move |rt, k: &i64| x.get(rt) + k);
+        m.call(&rt, 1);
+        m.call(&rt, 2);
+        let (count, shown) = x.with(&rt, |_| (m.instance_count(), format!("{m:?}")));
+        assert_eq!(count, 2);
+        assert!(shown.contains("instances: 2"), "{shown}");
+        let reentered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            x.with(&rt, |_| m.instance_node(&1))
+        }));
+        assert!(reentered.is_err(), "instance_node takes the runtime lock");
+        drop(rt);
+        assert_eq!(m.instance_count(), 2);
+        assert_eq!(m.instance_node(&1), None);
     }
 }

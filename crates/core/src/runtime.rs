@@ -1474,6 +1474,17 @@ impl Runtime {
     /// drains through the same levels; under Fifo scheduling every level
     /// is a single node. See DESIGN.md ("Parallel waves") for the
     /// execution model.
+    ///
+    /// In a level run by two or more threads, an operation that changes
+    /// shared state — a memo miss, a write, a re-execution whose
+    /// dependences changed, a `stats()` call — *pauses* the level: it
+    /// waits until every other thread of the level has reached its next
+    /// runtime operation or finished its body. A body that blocks outside
+    /// the runtime (a sleep, I/O) therefore delays every pause of its
+    /// level by the rest of its block, and the bodies of one level must
+    /// not wait on each other: one that pauses the level while another
+    /// waits for it never resumes. (At `0` or `1` they run one after the
+    /// other, so such a wait never ends either.)
     pub fn set_parallelism(&self, n: usize) {
         let mut inner = self.lock();
         if inner.parallelism != n {
@@ -1739,8 +1750,8 @@ impl Runtime {
     }
 
     /// Runs `f` on the core, through the thread's view in a pooled level,
-    /// else under exclusive access: for memo read-backs that take no
-    /// runtime argument ([`crate::Memo::instance_count`]).
+    /// else under exclusive access: for the memo read-back that takes no
+    /// runtime argument ([`crate::Memo::instance_node`]).
     pub(crate) fn read_core<R>(&self, f: impl FnOnce(&Core) -> R) -> R {
         self.on_slot(|core, _| f(core))
     }
@@ -2418,6 +2429,9 @@ impl Runtime {
     /// compares its value and leaves its outcome in the driver's slot for
     /// the batch-order commit, then pushes the next booking's frame, so `k`
     /// executions cost `k` acquisitions. Returns the guard of the last pop.
+    /// Kept beside [`Runtime::run_pooled`] because a level without helpers
+    /// costs less this way than through a view (DESIGN.md, "Parallel
+    /// waves").
     pub(crate) fn run_alone<'a>(&'a self, mut guard: Guard<'a>) -> Guard<'a> {
         for idx in 0..guard.level.len() {
             let booking = guard.level[idx];
